@@ -305,15 +305,6 @@ def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
     return c0, c0_plus_c1
 
 
-def _c0_grid(a: np.ndarray, lam: np.ndarray, m: float) -> np.ndarray:
-    c = -m * lam * (3.0 + 5.0 * a + a * a) - 1.0 - m - a
-    return (
-        -(m**3) * lam * (lam * lam - 5.0 * lam + 4.0)
-        + m * m * lam * ((2.0 * a + 6.0) * lam - 8.0 - 4.0 * a)
-        + c
-    )
-
-
 @dataclass(frozen=True)
 class LyapunovReport:
     """Worst defects observed along a simulated growth-phase arc.
@@ -402,26 +393,61 @@ class ProofCheckReport:
         return [c.line() for c in self.checks]
 
 
-def _check_barrier_coefficients() -> list[CheckResult]:
-    a = np.linspace(0.5 / 200, 0.5, 200)
-    lam = np.linspace(0.0, 1.0, 200, endpoint=False)
-    m_vals = np.linspace(10.0 / 200, 10.0, 200)
+def _barrier_worst(
+    a: np.ndarray, lam: np.ndarray, m_vals: np.ndarray
+) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+    """Largest C0 and C0 + C1 over the grid a x lam x m_vals, with their args.
+
+    Both are polynomials in m with coefficient grids over (a, lam) built
+    once (see :func:`x_max_barrier_coefficients`):
+
+        C0      = ((c3 m + c2) m + c1) m + c0,
+        C0 + C1 = -m lam (a + 2 + m (2 - lam))^2,
+
+    evaluated by Horner into one reused buffer, so a slice over m
+    allocates nothing of grid size.
+    """
     aa, ll = np.meshgrid(a, lam, indexing="ij")
-    worst_c0 = -math.inf
-    worst_c0_arg = ()
-    worst_cc = -math.inf
-    worst_cc_arg = ()
+    c3 = -ll * (ll * ll - 5.0 * ll + 4.0)
+    c2 = ll * ((2.0 * aa + 6.0) * ll - 8.0 - 4.0 * aa)
+    c1 = -ll * (3.0 + 5.0 * aa + aa * aa) - 1.0
+    c0 = -1.0 - aa
+    a_plus_2 = aa + 2.0
+    two_minus_lam = 2.0 - ll
+    minus_lam = -ll
+    buf = np.empty_like(aa)
+    worst_c0, worst_c0_arg = -math.inf, ()
+    worst_cc, worst_cc_arg = -math.inf, ()
     for m in m_vals:
-        c0 = _c0_grid(aa, ll, float(m))
-        i = np.unravel_index(np.argmax(c0), c0.shape)
-        if c0[i] > worst_c0:
-            worst_c0 = float(c0[i])
-            worst_c0_arg = (float(aa[i]), float(ll[i]), float(m))
-        cc = -m * ll * (aa + 2.0 + 2.0 * m - m * ll) ** 2
-        j = np.unravel_index(np.argmax(cc), cc.shape)
-        if cc[j] > worst_cc:
-            worst_cc = float(cc[j])
-            worst_cc_arg = (float(aa[j]), float(ll[j]), float(m))
+        m = float(m)
+        np.multiply(c3, m, out=buf)
+        buf += c2
+        buf *= m
+        buf += c1
+        buf *= m
+        buf += c0
+        i = int(buf.argmax())
+        if buf.flat[i] > worst_c0:
+            worst_c0 = float(buf.flat[i])
+            worst_c0_arg = (float(aa.flat[i]), float(ll.flat[i]), m)
+        np.multiply(two_minus_lam, m, out=buf)
+        buf += a_plus_2
+        buf *= buf
+        buf *= minus_lam
+        buf *= m
+        j = int(buf.argmax())
+        if buf.flat[j] > worst_cc:
+            worst_cc = float(buf.flat[j])
+            worst_cc_arg = (float(aa.flat[j]), float(ll.flat[j]), m)
+    return (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg)
+
+
+def _check_barrier_coefficients() -> list[CheckResult]:
+    (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg) = _barrier_worst(
+        np.linspace(0.5 / 200, 0.5, 200),
+        np.linspace(0.0, 1.0, 200, endpoint=False),
+        np.linspace(10.0 / 200, 10.0, 200),
+    )
     return [
         CheckResult(
             "barrier_c0_negative",

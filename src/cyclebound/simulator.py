@@ -3,11 +3,11 @@
 Integration happens entirely in (ln x, ln s): the field there is smooth
 and bounded along the cycle even where x or s drop to e^{-1000}, which
 is exactly where a solver in linear variables silently reports garbage.
-An adaptive embedded Runge-Kutta pair (order 5 with dense output, via
-scipy) supplies the steps; isocline crossings are located by sign
-bracketing over each accepted step, bisection on the step's dense
-interpolant to a tight time tolerance, and a single interpolant
-evaluation for the state.
+An adaptive embedded Runge-Kutta pair (Dormand-Prince 5(4) with dense
+output, :mod:`cyclebound.dopri`) supplies the steps; isocline crossings
+are located by sign bracketing over each accepted step, bisection on
+the step's dense interpolant to a tight time tolerance, and a single
+interpolant evaluation for the state.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .bounds import BoundSet, cycle_bounds, x_max_upper
+from .dopri import RK45
 from .model import LogState, Params, Region, State, h
 
 __all__ = [
@@ -287,15 +288,13 @@ def _sign(x: float) -> int:
     return int(x > 0) - int(x < 0)
 
 
-def _field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
+def _field(p: Params) -> Callable[[float, float], tuple[float, float]]:
     a, lam, m = p.a, p.lam, p.m
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        u = y[0]
-        v = y[1]
+    def rhs(u: float, v: float) -> tuple[float, float]:
         s = math.exp(v if v < 150.0 else 150.0)
         x = math.exp(u if u < 150.0 else 150.0)
-        return np.array([m * (s - lam), (1.0 - s) * (s + a) - x])
+        return m * (s - lam), (1.0 - s) * (s + a) - x
 
     return rhs
 
@@ -310,7 +309,7 @@ def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
     g_lo = g(dense(t_lo))
     if _sign(g_lo) == 0:
         return t_lo
-    tol = max(_EVENT_TAU_TOL, 8.0 * np.finfo(float).eps * abs(t_hi))
+    tol = max(_EVENT_TAU_TOL, 8.0 * sys.float_info.epsilon * abs(t_hi))
     while t_hi - t_lo > tol:
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid <= t_lo or t_mid >= t_hi:
@@ -351,7 +350,7 @@ def integrate(
     if not p.cycle_regime:
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
     ls = start.log() if isinstance(start, State) else start
-    y0 = np.array([ls.u, ls.v])
+    y0 = (ls.u, ls.v)
     solver = RK45(
         _field(p), 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log
     )
@@ -382,7 +381,7 @@ def integrate(
             ref_side[idx] = _sign(val)
 
     taus = [0.0]
-    pts = [(y0[0], y0[1])]
+    pts = [y0]
     events: list[Event] = []
     steps = 0
 
@@ -426,8 +425,7 @@ def integrate(
                 if dense is None:
                     dense = solver.dense_output()
                 te = _locate(g, dense, t_old, solver.t)
-                ue, ve = dense(te)
-                pending[idx] = Event(te, LogState(float(ue), float(ve)), kinds[side])
+                pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
             if abs(val) > _EVENT_ARM:
                 confirmed.append(pending[idx])
                 ref_side[idx] = side
@@ -445,10 +443,10 @@ def integrate(
                 )
         if keep_samples:
             taus.append(solver.t)
-            pts.append((y[0], y[1]))
+            pts.append(y)
         else:
             taus[-1] = solver.t
-            pts[-1] = (y[0], y[1])
+            pts[-1] = y
     # reached t_max
     return Trajectory(np.array(taus), np.array(pts), events)
 

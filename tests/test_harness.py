@@ -7,6 +7,7 @@ import pytest
 
 from cyclebound.harness import (
     CSV_HEADER,
+    _barrier_worst,
     SweepSpec,
     emit_figures,
     lyapunov_checks,
@@ -48,6 +49,28 @@ def test_barrier_coefficients_sign_on_small_grid():
                 )
                 assert c0 < 0
                 assert cc <= 0
+
+
+def test_barrier_grid_worst_matches_scalar_coefficients():
+    a = np.linspace(0.02, 0.5, 8)
+    lam = np.linspace(0.0, 0.95, 8)
+    m_vals = np.linspace(0.1, 10.0, 8)
+    worst = [(-math.inf, ()), (-math.inf, ())]
+    for m in m_vals:
+        for ai in a:
+            for li in lam:
+                p = Params(a=float(ai), lam=float(li), m=float(m), limit=True)
+                coefficients = x_max_barrier_coefficients(p)
+                # a one-point grid is that point's value, so the Horner
+                # form is checked everywhere, not only at the maximum
+                point = _barrier_worst(np.array([ai]), np.array([li]), np.array([m]))
+                for k, value in enumerate(coefficients):
+                    assert point[k][0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+                    if value > worst[k][0]:
+                        worst[k] = (value, (p.a, p.lam, p.m))
+    for (value, arg), (ref_value, ref_arg) in zip(_barrier_worst(a, lam, m_vals), worst):
+        assert arg == ref_arg
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
 
 
 def test_lyapunov_checks():

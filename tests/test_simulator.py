@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45 as ScipyRK45
 
+import cyclebound
+from cyclebound import simulator
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper, x_min_bounds
 from cyclebound.model import LogState, Params, State, equilibrium, h
 from cyclebound.simulator import (
@@ -79,6 +86,97 @@ def test_integrate_rejects_bad_params():
         integrate(State(0.5, 0.5), Params(a=0.05, lam=0.05, m=0.0, limit=True))
     with pytest.raises(ValueError):
         integrate(State(0.5, 0.5), Params(a=0.3, lam=0.4, m=1.0))
+
+
+def _cycle_start(p):
+    return (math.log(x_max_upper(p)), math.log(p.lam))
+
+
+def _step_side_by_side(f, y0, rtol, n_steps, t_bound=math.inf):
+    """Step simulator.RK45 and scipy's RK45 on (u, v)' = f(u, v) side by side.
+
+    Before every step the in-house stepper is restarted from scipy's
+    state (t, y, f and the proposed step size): the error estimate is a
+    small difference of stage sums, so a different summation order
+    moves the next step size in its last digits, and along a canard
+    that difference is amplified until the two runs no longer share
+    steps.  A step accepted at its first trial must then agree to
+    roundoff, dense output included.  After a rejection the retried
+    size is scaled by the error norm, whose roundoff it inherits; such
+    steps must still be rejected by both and agree to that level, as
+    must the step size each proposes next.  Returns the number of steps
+    taken after a rejection and scipy's solver.
+    """
+    ours = simulator.RK45(f, 0.0, y0, t_bound, rtol=rtol, atol=1e-12)
+    ref = ScipyRK45(
+        lambda t, y: np.array(f(y[0], y[1])), 0.0, np.array(y0), t_bound,
+        rtol=rtol, atol=1e-12,
+    )
+    assert ours.rtol == ref.rtol
+    assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-12)
+    retried = 0
+    for _ in range(n_steps):
+        if ref.status != "running":
+            break
+        t, h_try = float(ref.t), float(ref.h_abs)
+        ours.t, ours.h_abs = t, h_try
+        ours.y = (float(ref.y[0]), float(ref.y[1]))
+        ours.f = (float(ref.f[0]), float(ref.f[1]))
+        ours.step()
+        ref.step()
+        assert ours.status == ref.status
+        if ref.status == "failed":
+            break
+        # a rejection shrinks the trial step by a factor of at most 0.9
+        rejected = ref.t - t <= 0.9 * min(h_try, t_bound - t)
+        assert (ours.t - t <= 0.9 * min(h_try, t_bound - t)) == rejected
+        tol = 1e-9 if rejected else 1e-12
+        retried += rejected
+        assert ours.t - t == pytest.approx(ref.t - t, rel=100 * tol)
+        assert ours.y == pytest.approx(tuple(ref.y), rel=tol, abs=tol)
+        assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-3)
+        ours_dense, ref_dense = ours.dense_output(), ref.dense_output()
+        for x in (0.1, 0.5, 0.9):
+            tau = ref.t_old + x * (ref.t - ref.t_old)
+            assert ours_dense(tau) == pytest.approx(tuple(ref_dense(tau)), rel=tol, abs=tol)
+    return retried, ref
+
+
+@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+def test_stepper_matches_scipy_rk45_step_for_step(p):
+    retried, _ = _step_side_by_side(simulator._field(p), _cycle_start(p), 1e-10, 600)
+    assert retried > 0  # the rejection branch was exercised
+
+
+def test_stepper_edge_cases_match_scipy():
+    field = simulator._field(P_REF)
+    # rtol below 100 eps is floored, with a warning
+    with pytest.warns(UserWarning):
+        _step_side_by_side(field, _cycle_start(P_REF), 1e-17, 50)
+    with pytest.warns(UserWarning):
+        floored = simulator.RK45(field, 0.0, (0.0, -3.0), 1.0, rtol=0.0)
+    assert floored.rtol == 100 * np.finfo(float).eps
+    # from the origin the first step is capped at 100 times the trial
+    # step, and the last step is clipped onto a finite t_bound
+    _, ref = _step_side_by_side(field, (0.0, 0.0), 1e-8, 10_000, t_bound=7.5)
+    assert ref.status == "finished" and ref.t == 7.5
+    # blow-up in finite time (u' = u^2): both give up at the minimal step
+    _, ref = _step_side_by_side(lambda u, v: (u * u, -v), (1.0, 1.0), 1e-10, 10_000)
+    assert ref.status == "failed"
+    with pytest.raises(ValueError):
+        simulator.RK45(field, 1.0, (0.0, -3.0), 0.0)
+
+
+def test_import_leaves_scipy_out():
+    # the runtime needs numpy only; scipy is a test-time oracle
+    src = str(Path(cyclebound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclebound; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_equilibrium_stays_put():
