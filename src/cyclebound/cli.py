@@ -30,10 +30,10 @@ from .harness import (
 from .model import Params, State, h, params_from_json
 from .region4 import Case, Region4Config, alpha_factors, handoff_cap_envelope, smax_lower_bound
 from .simulator import (
-    EventKind,
     SimConfig,
     cycle_extreme_report,
     integrate,
+    stop_at_down,
     transit_points,
 )
 
@@ -89,16 +89,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     cfg = _sim_config(args)
     start = State(h(args.s0, p), args.s0)
-    # count descending section crossings: one per loop, immune to the
-    # re-crossing pairs that saddle passages can produce
-    downs = [0]
-
-    def stop(ev) -> bool:
-        if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
-            downs[0] += 1
-        return downs[0] > args.tours
-
-    traj = integrate(start, p, cfg, stop=stop)
+    traj = integrate(start, p, cfg, stop=stop_at_down(args.tours + 1))
     lines = ["tau,ln_x,ln_s,region"]
     for (tau, (u, v)), label in zip(
         zip(traj.taus, traj.points), traj.region_labels(p)

@@ -36,11 +36,11 @@ from .region4 import (
 )
 from .simulator import (
     CycleReport,
-    EventKind,
     IntegrationError,
     SimConfig,
     cycle_extreme_report,
     integrate,
+    stop_at_down,
 )
 
 __all__ = [
@@ -333,10 +333,7 @@ def lyapunov_checks(
     """
     cfg = cfg or SimConfig()
     start = State(h(s0, p), s0)
-    traj = integrate(
-        start, p, cfg,
-        stop=lambda ev: ev.kind is EventKind.S_EQ_LAMBDA_DOWN,
-    )
+    traj = integrate(start, p, cfg, stop=stop_at_down(1))
     # the defects are meaningful only at true trajectory points (a chord
     # between accepted steps can dip below the monotone envelope), so
     # n_samples caps how many step samples are kept, never interpolates

@@ -84,6 +84,10 @@ class Params:
                     f"{name} must be > 0 (use limit=True to evaluate "
                     f"closed forms at {name} = 0), got {val!r}"
                 )
+            if type(val) is not float:
+                # NumPy scalars pass the isinstance check, but would turn
+                # every downstream evaluation into NumPy scalar arithmetic
+                object.__setattr__(self, name, float(val))
         object.__setattr__(self, "h_lam", (1.0 - self.lam) * (self.lam + self.a))
         object.__setattr__(self, "hopf_margin", 1.0 - 2.0 * self.lam - self.a)
         object.__setattr__(self, "cycle_regime", self.hopf_margin > 0.0)

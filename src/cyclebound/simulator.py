@@ -18,7 +18,8 @@ The four crossing kinds tile one loop of the cycle:
 
 The limit cycle itself is the fixed point of the return map on the
 section {s = lam, x > h(lam), s decreasing}; since the cycle is strongly
-attracting, plain fixed-point iteration converges in a few loops.
+attracting, plain fixed-point iteration converges in a few loops, and
+:func:`limit_cycle` reports the converging tour.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "StepSizeError",
     "EventOrderError",
     "integrate",
+    "stop_at_down",
     "transit_points",
     "limit_cycle",
     "cycle_extreme_report",
@@ -105,6 +107,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.rtol > 0 and self.atol_log > 0 and self.cycle_tol > 0):
             raise ValueError("rtol, atol_log and cycle_tol must be positive")
+        if self.max_return_iters < 1:
+            raise ValueError("max_return_iters must be at least 1")
 
     @classmethod
     def from_env(cls, **overrides) -> "SimConfig":
@@ -218,7 +222,8 @@ class CycleExtremes:
     ln_x_min/ln_p3_x on the ascending one, ln_s_min/ln_p2_s on the
     prey-minimal isocline graze and s_max/p4_s on the prey-maximal one.
     residual is the return-map defect |ln x_end - ln x_start| of the
-    recorded loop.
+    recorded loop, and tours the number of return-map tours integrated
+    to find it (the recorded loop is the last of them).
 
     ln_s_max carries the prey maximum at full precision: 1 - s_max can
     sit far below the double spacing at 1 (deep cycles pass the saddle
@@ -238,6 +243,7 @@ class CycleExtremes:
     p4_s: float
     converged: bool
     residual: float
+    tours: int
 
     def as_dict(self) -> dict:
         return {
@@ -253,6 +259,7 @@ class CycleExtremes:
             "p4_s": self.p4_s,
             "converged": self.converged,
             "residual": self.residual,
+            "tours": self.tours,
         }
 
 
@@ -355,6 +362,7 @@ def integrate(
         _field(p), 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log
     )
     ln_lam = math.log(p.lam)
+    a = p.a
 
     def g_lam(y) -> float:
         return y[1] - ln_lam
@@ -407,10 +415,34 @@ def integrate(
                 "the requested tolerance or stop condition is unreachable"
             )
         y = solver.y
+        # recorded before the events of this step: a stop at one of them
+        # cuts the trajectory back to the event anyway
+        if keep_samples:
+            taus.append(solver.t)
+            pts.append(y)
+        else:
+            taus[-1] = solver.t
+            pts[-1] = y
+        # g_lam and g_h inline: almost every step stays strictly on the
+        # committed side of both isoclines with nothing pending, and then
+        # there is no hysteresis bookkeeping to do.  val * side > 0 tests
+        # "same nonzero sign"; a side not yet armed (0) takes the full path.
+        u, v = y
+        val_lam = v - ln_lam
+        s = math.exp(v if v < 150.0 else 150.0)
+        hs = (1.0 - s) * (s + a)
+        val_h = math.inf if hs <= 0.0 else u - math.log(hs)
+        if (
+            val_lam * ref_side[0] > 0.0
+            and val_h * ref_side[1] > 0.0
+            and pending[0] is None
+            and pending[1] is None
+        ):
+            continue
         confirmed: list[Event] = []
         dense = None
-        for idx, (g, kinds) in enumerate(checks):
-            val = g(y)
+        for idx, val in enumerate((val_lam, val_h)):
+            g, kinds = checks[idx]
             side = _sign(val)
             if side == 0:
                 continue
@@ -441,18 +473,26 @@ def integrate(
                     np.array([(ev.state.u, ev.state.v)]),
                     events,
                 )
-        if keep_samples:
-            taus.append(solver.t)
-            pts.append(y)
-        else:
-            taus[-1] = solver.t
-            pts[-1] = y
     # reached t_max
     return Trajectory(np.array(taus), np.array(pts), events)
 
 
-def _stop_on_kind(kind: EventKind) -> Callable[[Event], bool]:
-    return lambda ev: ev.kind is kind
+def stop_at_down(n: int) -> Callable[[Event], bool]:
+    """A fresh ``stop`` for :func:`integrate`: end at the n-th descending
+    s = lam crossing.
+
+    That crossing happens once per loop, and counting it is immune to
+    the re-crossing pairs that saddle passages can produce.
+    """
+    downs = 0
+
+    def stop(ev: Event) -> bool:
+        nonlocal downs
+        if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
+            downs += 1
+        return downs >= n
+
+    return stop
 
 
 def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> TransitPoints:
@@ -469,14 +509,7 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     # run through to the second descending section crossing so that any
     # saddle-passage re-crossing pairs around the prey maximum have
     # resolved, then reduce to the net crossing sequence
-    downs = [0]
-
-    def stop(ev: Event) -> bool:
-        if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
-            downs[0] += 1
-        return downs[0] >= 2
-
-    traj = integrate(start, p, cfg, stop=stop, keep_samples=False)
+    traj = integrate(start, p, cfg, stop=stop_at_down(2), keep_samples=False)
     reduced = traj.net_events()
     kinds = tuple(ev.kind for ev in reduced[:4])
     if kinds != _CYCLE_ORDER:
@@ -490,16 +523,10 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     )
 
 
-def _section_tour(p: Params, cfg: SimConfig, ln_x: float, keep_samples: bool) -> Trajectory:
+def _section_tour(p: Params, cfg: SimConfig, ln_x: float) -> Trajectory:
     """One full loop from the section {s = lam, s falling} back to itself."""
     start = LogState(ln_x, math.log(p.lam))
-    return integrate(
-        start,
-        p,
-        cfg,
-        stop=_stop_on_kind(EventKind.S_EQ_LAMBDA_DOWN),
-        keep_samples=keep_samples,
-    )
+    return integrate(start, p, cfg, stop=stop_at_down(1), keep_samples=False)
 
 
 def limit_cycle(
@@ -509,24 +536,20 @@ def limit_cycle(
 
     Iterates the return map on the section from x0 (default: the
     closed-form x_max upper bound, which starts strictly outside the
-    cycle) until successive section values agree to cycle_tol in ln x,
-    then records one instrumented loop.  If the iteration budget runs
-    out, the best iterate's loop is still reported with
-    ``converged=False``.
+    cycle) until one tour's start and end agree to cycle_tol in ln x,
+    and reports the converging tour.  If the iteration budget runs out,
+    the last tour is still reported with ``converged=False``.
     """
     cfg = cfg or SimConfig()
     ln_x = math.log(x0 if x0 is not None else x_max_upper(p))
+    tours = 0
     converged = False
-    for _ in range(cfg.max_return_iters):
-        tour = _section_tour(p, cfg, ln_x, keep_samples=False)
-        ln_x_next = tour.events[-1].state.u
-        delta = ln_x_next - ln_x
-        ln_x = ln_x_next
-        if abs(delta) <= cfg.cycle_tol:
-            converged = True
-            break
-    loop = _section_tour(p, cfg, ln_x, keep_samples=True)
-    reduced = loop.net_events()
+    while not converged and tours < cfg.max_return_iters:
+        tour = _section_tour(p, cfg, ln_x)
+        tours += 1
+        ln_x_start, ln_x = ln_x, tour.events[-1].state.u
+        converged = abs(ln_x - ln_x_start) <= cfg.cycle_tol
+    reduced = tour.net_events()
     kinds = tuple(ev.kind for ev in reduced)
     expected = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]  # MIN, UP, MAX, DOWN
     if kinds != expected:
@@ -546,7 +569,8 @@ def limit_cycle(
         ln_p3_x=ev_up.state.u,
         p4_s=1.0 - one_minus_s,
         converged=converged,
-        residual=abs(ev_down.state.u - ln_x),
+        residual=abs(ev_down.state.u - ln_x_start),
+        tours=tours,
     )
 
 

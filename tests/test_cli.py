@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,7 @@ def test_cycle_json(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["extremes"]["converged"] is True
+    assert record["extremes"]["tours"] >= 2
     assert record["passed"] is True
     assert record["min_margin"] > 0
 
@@ -81,6 +83,13 @@ def test_simulate_csv(tmp_path, capsys):
     tau, ln_x, ln_s, region = lines[1].split(",")
     assert region in {"R1", "R2", "R3", "R4", "isocline_h", "isocline_lambda"}
     assert float(tau) == 0.0
+    # the default --tours 1 from s0 = 0.8 > lam ends at the second
+    # descending s = lam crossing, which is the last sample
+    ln_lam = math.log(0.05)
+    ln_s_col = [float(line.split(",")[2]) for line in lines[1:]]
+    downs = sum(prev >= ln_lam > cur for prev, cur in zip(ln_s_col, ln_s_col[1:]))
+    assert downs == 2
+    assert ln_s_col[-1] < ln_lam < ln_s_col[-2]
 
 
 def test_region4_cli(capsys):

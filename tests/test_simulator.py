@@ -79,6 +79,8 @@ def test_sim_config_env_override(monkeypatch):
     assert SimConfig.from_env().rtol == 1e-10
     with pytest.raises(ValueError):
         SimConfig(rtol=0.0)
+    with pytest.raises(ValueError):
+        SimConfig(max_return_iters=0)
 
 
 def test_integrate_rejects_bad_params():
@@ -179,6 +181,94 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def _events_step_by_step(start, p, n_downs):
+    """Reference for integrate's events: every accepted step goes through
+    the hysteresis bookkeeping, with each event function evaluated by its
+    own closure, until the n_downs-th descending s = lam crossing.
+
+    Returns the events and the number of located crossings that were
+    dropped because the trajectory fell back before committing."""
+    cfg = SimConfig()
+    solver = simulator.RK45(
+        simulator._field(p), 0.0, (start.u, start.v), t_bound=math.inf,
+        rtol=cfg.rtol, atol=cfg.atol_log,
+    )
+    ln_lam = math.log(p.lam)
+
+    def g_h(y):
+        s = math.exp(min(y[1], 150.0))
+        hs = (1.0 - s) * (s + p.a)
+        return math.inf if hs <= 0.0 else y[0] - math.log(hs)
+
+    checks = (
+        (lambda y: y[1] - ln_lam, {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP}),
+        (g_h, {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX}),
+    )
+    arm = simulator._EVENT_ARM
+    y0 = (start.u, start.v)
+    ref_side = [simulator._sign(g(y0)) if abs(g(y0)) > arm else 0 for g, _ in checks]
+    pending = [None, None]
+    events = []
+    fallbacks = 0
+    while sum(ev.kind is EventKind.S_EQ_LAMBDA_DOWN for ev in events) < n_downs:
+        t_old = solver.t
+        solver.step()
+        dense = solver.dense_output()
+        confirmed = []
+        for idx, (g, kinds) in enumerate(checks):
+            val = g(solver.y)
+            side = simulator._sign(val)
+            if side == 0:
+                continue
+            if ref_side[idx] == 0:
+                ref_side[idx] = side if abs(val) > arm else 0
+            elif side == ref_side[idx]:
+                fallbacks += pending[idx] is not None
+                pending[idx] = None
+            else:
+                if pending[idx] is None:
+                    te = simulator._locate(g, dense, t_old, solver.t)
+                    pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
+                if abs(val) > arm:
+                    confirmed.append(pending[idx])
+                    ref_side[idx], pending[idx] = side, None
+        events.extend(sorted(confirmed, key=lambda ev: ev.tau))
+    return events, fallbacks
+
+
+@pytest.mark.parametrize(
+    "p, s0, chatters",
+    [
+        (P_REF, 0.8, False),
+        (Params(a=0.01, lam=0.01, m=0.01), 0.8, True),
+        (P_REF, 1.5, False),
+    ],
+    ids=["ref", "canard", "above-capacity"],
+)
+def test_quiet_step_path_keeps_every_event(p, s0, chatters):
+    # the canard point re-crosses the isocline x = h(s) many times; the
+    # start above s = 1, where h(s) <= 0, begins with g_h = +inf
+    start = State(h(0.8, p), s0).log()
+    expected, _ = _events_step_by_step(start, p, n_downs=2)
+    traj = integrate(start, p, stop=simulator.stop_at_down(2), keep_samples=False)
+    assert traj.events == expected
+    assert (len(net_events(expected)) < len(expected)) == chatters
+
+
+def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
+    # s dips below lam by less than the arming threshold and comes back,
+    # then a slow drift takes it through for real one period later
+    monkeypatch.setattr(
+        simulator, "_field", lambda p: lambda u, v: (1.0, 2e-7 * math.cos(u) - 1e-8)
+    )
+    start = LogState(0.0, math.log(P_REF.lam) + 2e-7)
+    expected, fallbacks = _events_step_by_step(start, P_REF, n_downs=1)
+    traj = integrate(start, P_REF, stop=simulator.stop_at_down(1), keep_samples=False)
+    assert fallbacks >= 1
+    assert [ev.kind for ev in expected] == [EventKind.S_EQ_LAMBDA_DOWN]
+    assert traj.events == expected
+
+
 def test_equilibrium_stays_put():
     traj = integrate(equilibrium(P_REF), P_REF, t_max=100.0)
     drift = np.abs(traj.points - traj.points[0]).max()
@@ -271,6 +361,42 @@ def test_limit_cycle_converges_and_matches_bounds():
     assert ce.ln_p2_s == ce.ln_s_min
     assert ce.ln_p3_x == ce.ln_x_min
     assert ce.p4_s == ce.s_max
+
+
+def test_limit_cycle_reports_the_converging_tour(monkeypatch):
+    calls = []
+    real_integrate = simulator.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("keep_samples", True))
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "integrate", counting)
+    cfg = SimConfig()
+    ce = limit_cycle(P_REF, cfg)
+    assert ce.converged
+    assert len(calls) == ce.tours >= 2
+    assert not any(calls)
+    assert ce.residual <= cfg.cycle_tol
+    assert ce.as_dict()["tours"] == ce.tours
+
+
+def test_limit_cycle_out_of_budget_reports_last_tour():
+    ce = limit_cycle(P_REF, SimConfig(max_return_iters=1))
+    assert not ce.converged
+    assert ce.tours == 1
+    assert ce.residual > SimConfig().cycle_tol
+    assert all(
+        math.isfinite(v) for v in (ce.x_max, ce.s_max, ce.ln_x_min, ce.ln_s_min, ce.period)
+    )
+
+
+def test_numpy_scalar_params_give_python_float_extremes():
+    p = Params(a=np.float64(0.05), lam=np.float64(0.05), m=np.float64(1.0))
+    assert all(type(v) is float for v in (p.a, p.lam, p.m))
+    ce = limit_cycle(p, SimConfig(rtol=1e-8))
+    for name in ("x_max", "s_max", "ln_x_min", "ln_s_min", "ln_s_max", "period", "residual"):
+        assert type(getattr(ce, name)) is float, name
 
 
 def test_limit_cycle_attracts_from_other_starts():
