@@ -8,12 +8,14 @@ CYCLEBOUND_RTOL overrides the default integration tolerance everywhere;
 explicit ``--rtol`` flags win over it.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
-3 on simulation non-convergence, 1 on usage or parameter errors.
+3 on simulation non-convergence (including an integration error such as
+an exhausted step budget), 1 on usage or parameter errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -30,6 +32,7 @@ from .harness import (
 from .model import Params, State, h, params_from_json
 from .region4 import Case, Region4Config, alpha_factors, handoff_cap_envelope, smax_lower_bound
 from .simulator import (
+    IntegrationError,
     SimConfig,
     cycle_extreme_report,
     integrate,
@@ -135,16 +138,15 @@ def _cmd_region4(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_json(json.loads(args.spec.read_text()))
     if args.jobs is not None:
-        spec = SweepSpec(
-            a_values=spec.a_values,
-            lambda_values=spec.lambda_values,
-            m_values=spec.m_values,
-            s0=spec.s0,
-            sim=spec.sim,
-            jobs=args.jobs,
-        )
+        spec = dataclasses.replace(spec, jobs=args.jobs)
     report = run_sweep(spec)
     report.to_csv(args.out)
+    for row in report.rows:
+        if row.error is not None:
+            print(
+                f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) failed: {row.error}",
+                file=sys.stderr,
+            )
     print(f"{args.out}: {report.summary()}")
     return report.exit_code
 
@@ -262,6 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,10 @@
-"""Scalar Dormand-Prince 5(4) stepper for the two-variable log-space field.
+"""Scalar Dormand-Prince 5(4) stepper for the log-space predator-prey field.
 
 This is scipy's ``RK45`` algorithm (Dormand & Prince 1980, J. Comput.
 Appl. Math. 6:19-26; Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6) written out on Python floats for a system of two unknowns:
-the same tableau, error estimator, RMS error norm with scale
+II.4-II.6) written out on Python floats for the one system the
+simulator integrates, :func:`cyclebound.model.log_vector_field`: the
+same tableau, error estimator, RMS error norm with scale
 ``atol + max(|y|, |y_new|) * rtol``, step-size controller (safety 0.9,
 factor clamps 0.2 and 10, exponent -1/5, no growth right after a
 rejection), initial-step heuristic, minimal step and rtol floor, and the
@@ -12,6 +13,11 @@ the accepted steps scipy takes; only the summation order inside a stage
 differs, so states agree to roundoff.  For two unknowns the per-step
 numpy dispatch scipy pays on 2-element arrays is several times the cost
 of the arithmetic itself, which is why the stepper is spelled out.
+
+The field is written out at stages 2-7 of :meth:`RK45.step` with the
+arithmetic of ``log_vector_field`` in the same order, so the stage
+derivatives are bit-identical to calls of it; the stepper therefore
+has no ``fun`` argument and takes the model parameters instead.
 
 Only forward integration is supported (``t_bound >= t0``).
 """
@@ -23,9 +29,9 @@ import sys
 import warnings
 from typing import Callable
 
-__all__ = ["RK45"]
+from .model import _EXP_CLIP, LogState, Params, log_vector_field
 
-Field = Callable[[float, float], tuple[float, float]]
+__all__ = ["RK45"]
 
 # scipy's validate_tol floor: rtol below this is raised to it
 _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
@@ -65,17 +71,18 @@ def _rms(eu: float, ev: float) -> float:
 
 
 class RK45:
-    """Adaptive DOPRI5 stepper for ``(u, v)' = fun(u, v)``.
+    """Adaptive DOPRI5 stepper for ``(u, v)' = log_vector_field((u, v), p)``.
 
     The subset of scipy's ``OdeSolver`` interface the simulator uses:
     ``t``, ``y`` (a ``(u, v)`` tuple), ``status`` ("running", "finished"
     or "failed"), :meth:`step` for one accepted step and
-    :meth:`dense_output` for the interpolant over the last one.
+    :meth:`dense_output` for the interpolant over the last one.  ``f``
+    is the field at ``y`` (the last stage of the last step).
     """
 
     def __init__(
         self,
-        fun: Field,
+        p: Params,
         t0: float,
         y0: tuple[float, float],
         t_bound: float,
@@ -92,7 +99,7 @@ class RK45:
                 stacklevel=2,
             )
             rtol = _RTOL_FLOOR
-        self.fun = fun
+        self.p = p
         self.t = float(t0)
         self.t_old: float | None = None
         self.t_bound = t_bound
@@ -100,9 +107,11 @@ class RK45:
         self.rtol = rtol
         self.atol = atol
         self.status = "running"
-        self.f = fun(*self.y)
+        self.f = log_vector_field(LogState(*self.y), p)
         self.h_abs = self._initial_step()
-        self._last: tuple | None = None  # (y_old, h, stage derivatives) of the last step
+        # (u_old, v_old, h, then k1, k3, k4, k5, k6, k7 as u, v pairs) of
+        # the last step, for dense output
+        self._last: tuple | None = None
 
     def _initial_step(self) -> float:
         """scipy's ``select_initial_step`` for an order-4 error estimator."""
@@ -117,7 +126,7 @@ class RK45:
         d1 = _rms(fu / su, fv / sv)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        gu, gv = self.fun(u + h0 * fu, v + h0 * fv)
+        gu, gv = log_vector_field(LogState(u + h0 * fu, v + h0 * fv), self.p)
         d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -135,7 +144,10 @@ class RK45:
             self.t_old = t
             self.status = "finished"
             return
-        fun = self.fun
+        p = self.p
+        a, lam, m = p.a, p.lam, p.m
+        exp = math.exp
+        clip = _EXP_CLIP
         rtol = self.rtol
         atol = self.atol
         u, v = self.y
@@ -144,6 +156,9 @@ class RK45:
         h_abs = self.h_abs
         if h_abs < min_step:
             h_abs = min_step
+        # error scale max(|y|, |y_new|) * rtol: the |y| half is fixed
+        au = u if u >= 0.0 else -u
+        av = v if v >= 0.0 else -v
         rejected = False
         while True:
             if h_abs < min_step:
@@ -154,48 +169,61 @@ class RK45:
                 t_new = t_bound
             h = t_new - t
             h_abs = h
-            k2u, k2v = fun(u + (_A21 * k1u) * h, v + (_A21 * k1v) * h)
-            k3u, k3v = fun(
-                u + (_A31 * k1u + _A32 * k2u) * h,
-                v + (_A31 * k1v + _A32 * k2v) * h,
-            )
-            k4u, k4v = fun(
-                u + (_A41 * k1u + _A42 * k2u + _A43 * k3u) * h,
-                v + (_A41 * k1v + _A42 * k2v + _A43 * k3v) * h,
-            )
-            k5u, k5v = fun(
-                u + (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u) * h,
-                v + (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v) * h,
-            )
-            k6u, k6v = fun(
-                u + (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u) * h,
-                v + (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v) * h,
-            )
+            # each stage: s = e^v, (du, dv) = (m (s - lam), h(s) - e^u),
+            # exp arguments clipped as in model.log_vector_field
+            us = u + (_A21 * k1u) * h
+            vs = v + (_A21 * k1v) * h
+            s = exp(vs if vs < clip else clip)
+            k2u = m * (s - lam)
+            k2v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (_A31 * k1u + _A32 * k2u) * h
+            vs = v + (_A31 * k1v + _A32 * k2v) * h
+            s = exp(vs if vs < clip else clip)
+            k3u = m * (s - lam)
+            k3v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (_A41 * k1u + _A42 * k2u + _A43 * k3u) * h
+            vs = v + (_A41 * k1v + _A42 * k2v + _A43 * k3v) * h
+            s = exp(vs if vs < clip else clip)
+            k4u = m * (s - lam)
+            k4v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u) * h
+            vs = v + (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v) * h
+            s = exp(vs if vs < clip else clip)
+            k5u = m * (s - lam)
+            k5v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u) * h
+            vs = v + (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v) * h
+            s = exp(vs if vs < clip else clip)
+            k6u = m * (s - lam)
+            k6v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
             v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = fun(u_new, v_new)
+            s = exp(v_new if v_new < clip else clip)
+            k7u = m * (s - lam)
+            k7v = (1.0 - s) * (s + a) - exp(u_new if u_new < clip else clip)
             eu = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u) * h
             ev = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v) * h
-            au, anu = abs(u), abs(u_new)
-            av, anv = abs(v), abs(v_new)
-            error_norm = _rms(
-                eu / (atol + (au if au > anu else anu) * rtol),
-                ev / (atol + (av if av > anv else anv) * rtol),
-            )
+            anu = u_new if u_new >= 0.0 else -u_new
+            anv = v_new if v_new >= 0.0 else -v_new
+            eu /= atol + (au if au > anu else anu) * rtol
+            ev /= atol + (av if av > anv else anv) * rtol
+            error_norm = math.sqrt(eu * eu + ev * ev) / _SQRT2
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                    factor = _SAFETY * error_norm**_ERROR_EXPONENT
+                    if not factor < _MAX_FACTOR:
+                        factor = _MAX_FACTOR
                 if rejected and factor > 1.0:
                     factor = 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            factor = _SAFETY * error_norm**_ERROR_EXPONENT
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
         self._last = (
-            u, v, h,
-            (k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v),
+            u, v, h, k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v,
         )
         self.t_old = t
         self.t = t_new
@@ -213,7 +241,8 @@ class RK45:
         if self._last is None:  # the zero-length step of t0 == t_bound
             y = self.y
             return lambda tau: y
-        u0, v0, h, k = self._last
+        u0, v0, h = self._last[:3]
+        k = self._last[3:]
         qu = [sum(k[2 * s] * row[j] for s, row in enumerate(_P)) for j in range(4)]
         qv = [sum(k[2 * s + 1] * row[j] for s, row in enumerate(_P)) for j in range(4)]
         qu0, qu1, qu2, qu3 = qu

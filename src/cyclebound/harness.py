@@ -470,18 +470,29 @@ def _case_box(case: Case) -> tuple[float, float]:
 def _check_gain_quadratic(case: Case) -> list[CheckResult]:
     a_max, lam_max = _case_box(case)
     k = Region4Config.for_case(case).k
-    worst_at_lam = (-math.inf, ())
-    worst_at_one = (math.inf, ())
-    for a in np.linspace(a_max / 40, a_max, 40):
-        for lam in np.linspace(lam_max / 40, lam_max, 40):
-            p = Params(a=float(a), lam=float(lam), m=1.0)
-            for m in np.geomspace(1e-3, 50, 60):
-                g_lam = growth_ratio_quadratic(lam, p, k, float(m))
-                g_one = growth_ratio_quadratic(1.0, p, k, float(m))
-                if g_lam > worst_at_lam[0]:
-                    worst_at_lam = (g_lam, (float(a), float(lam), float(m)))
-                if g_one < worst_at_one[0]:
-                    worst_at_one = (g_one, (float(a), float(lam), float(m)))
+    a, lam, m = np.meshgrid(
+        np.linspace(a_max / 40, a_max, 40),
+        np.linspace(lam_max / 40, lam_max, 40),
+        np.geomspace(1e-3, 50, 60),
+        indexing="ij",
+    )
+    km = k / m
+
+    def quadratic(s):
+        # growth_ratio_quadratic(s, Params(a, lam, m), k, m) on the whole
+        # grid, with its arithmetic in its order
+        return 2.0 * km * s * s + (a * km - km + 1.0) * s - lam
+
+    def worst(i: int, at_lam: bool) -> tuple[float, tuple]:
+        # grid index i is the first occurrence of the extreme, the point a
+        # strict scan in (a, lam, m) order keeps; the value reported is
+        # the scalar definition's own, a Python float
+        arg = (float(a.flat[i]), float(lam.flat[i]), float(m.flat[i]))
+        p = Params(a=arg[0], lam=arg[1], m=1.0)
+        return growth_ratio_quadratic(arg[1] if at_lam else 1.0, p, k, arg[2]), arg
+
+    worst_at_lam = worst(int(quadratic(lam).argmax()), at_lam=True)
+    worst_at_one = worst(int(quadratic(1.0).argmin()), at_lam=False)
     return [
         CheckResult(
             "gain_quadratic_negative_at_lam",

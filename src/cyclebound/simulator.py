@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import BoundSet, cycle_bounds, x_max_upper
 from .dopri import RK45
-from .model import LogState, Params, Region, State, h
+from .model import _EXP_CLIP, LogState, Params, Region, State, h
 
 __all__ = [
     "SimConfig",
@@ -278,7 +278,7 @@ def _one_minus_s_at_h_crossing(u: float, p: Params) -> float:
 
 def _region_from_log(u: float, v: float, p: Params) -> Region:
     s_side = v - math.log(p.lam)
-    hs = h(math.exp(min(v, 150.0)), p)
+    hs = h(math.exp(min(v, _EXP_CLIP)), p)
     x_side = math.inf if hs <= 0 else u - math.log(hs)
     if x_side == 0 and s_side == 0:
         return Region.EQUILIBRIUM
@@ -293,17 +293,6 @@ def _region_from_log(u: float, v: float, p: Params) -> Region:
 
 def _sign(x: float) -> int:
     return int(x > 0) - int(x < 0)
-
-
-def _field(p: Params) -> Callable[[float, float], tuple[float, float]]:
-    a, lam, m = p.a, p.lam, p.m
-
-    def rhs(u: float, v: float) -> tuple[float, float]:
-        s = math.exp(v if v < 150.0 else 150.0)
-        x = math.exp(u if u < 150.0 else 150.0)
-        return m * (s - lam), (1.0 - s) * (s + a) - x
-
-    return rhs
 
 
 def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
@@ -358,9 +347,7 @@ def integrate(
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
     ls = start.log() if isinstance(start, State) else start
     y0 = (ls.u, ls.v)
-    solver = RK45(
-        _field(p), 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log
-    )
+    solver = RK45(p, 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log)
     ln_lam = math.log(p.lam)
     a = p.a
 
@@ -368,7 +355,7 @@ def integrate(
         return y[1] - ln_lam
 
     def g_h(y) -> float:
-        s = math.exp(y[1] if y[1] < 150.0 else 150.0)
+        s = math.exp(y[1] if y[1] < _EXP_CLIP else _EXP_CLIP)
         hs = (1.0 - s) * (s + p.a)
         if hs <= 0.0:
             return math.inf  # s >= 1 can only sit on the x > h side
@@ -392,6 +379,9 @@ def integrate(
     pts = [y0]
     events: list[Event] = []
     steps = 0
+    max_steps = cfg.max_steps
+    step = solver.step
+    clip = _EXP_CLIP
 
     def cut_at(ev: Event) -> Trajectory:
         while taus and taus[-1] >= ev.tau:
@@ -402,12 +392,12 @@ def integrate(
         return Trajectory(np.array(taus), np.array(pts), events)
 
     while solver.status == "running":
-        if steps >= cfg.max_steps:
+        if steps >= max_steps:
             raise StepLimitError(
-                f"no stop event within {cfg.max_steps} steps (tau = {solver.t:.6g})"
+                f"no stop event within {max_steps} steps (tau = {solver.t:.6g})"
             )
         t_old = solver.t
-        solver.step()
+        step()
         steps += 1
         if solver.status == "failed":
             raise StepSizeError(
@@ -429,7 +419,7 @@ def integrate(
         # "same nonzero sign"; a side not yet armed (0) takes the full path.
         u, v = y
         val_lam = v - ln_lam
-        s = math.exp(v if v < 150.0 else 150.0)
+        s = math.exp(v if v < clip else clip)
         hs = (1.0 - s) * (s + a)
         val_h = math.inf if hs <= 0.0 else u - math.log(hs)
         if (

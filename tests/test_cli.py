@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from cyclebound import cli, harness
 from cyclebound.cli import main
 from cyclebound.harness import CSV_HEADER
+from cyclebound.simulator import EventOrderError, StepLimitError, StepSizeError
 
 
 def run_cli(*args, capsys=None):
@@ -152,3 +154,68 @@ def test_bad_params_exits_one(capsys):
     assert "error:" in err
     code, _, err = run_cli("cycle", "--a", "0.05", capsys=capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("cycle", "cycle_extreme_report", StepLimitError("no stop event within 5 steps")),
+        ("simulate", "integrate", StepSizeError("step size underflow at tau = 1")),
+        ("transit", "transit_points", EventOrderError("expected crossings")),
+    ],
+)
+def test_integration_error_exits_three(monkeypatch, capsys, command, target, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run_cli(
+        command, "--a", "0.05", "--lambda", "0.05", "--m", "1.0", capsys=capsys
+    )
+    assert code == 3
+    assert err == f"error: {error}\n"
+    assert out == ""
+
+
+def test_sweep_reports_failed_rows(tmp_path, monkeypatch, capsys):
+    real_report = harness.cycle_extreme_report
+
+    def failing_at_m_one(p, *args, **kwargs):
+        if p.m == 1.0:
+            raise StepLimitError("no stop event within 5 steps (tau = 2)")
+        return real_report(p, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "cycle_extreme_report", failing_at_m_one)
+    specs = []
+
+    def spying_run_sweep(spec):
+        specs.append(spec)
+        return harness.run_sweep(spec)
+
+    monkeypatch.setattr(cli, "run_sweep", spying_run_sweep)
+    spec = {
+        "a_values": [0.05],
+        "lambda_values": [0.05],
+        "m_values": [0.3, 1.0],
+        "jobs": 4,
+        "sim": {"rtol": 1e-8, "atol_log": 1e-10, "cycle_tol": 1e-7},
+    }
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        "sweep", "--spec", str(spec_file), "--out", str(out_file), "--jobs", "1",
+        capsys=capsys,
+    )
+    # --jobs overrides the spec's worker count and keeps the rest of it
+    assert [(s.jobs, s.m_values, s.sim.rtol) for s in specs] == [(1, (0.3, 1.0), 1e-8)]
+    assert code == 3
+    assert err == (
+        "row (a=0.05, lambda=0.05, m=1.0) failed: "
+        "no stop event within 5 steps (tau = 2)\n"
+    )
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    ok, failed = (line.split(",") for line in lines[1:])
+    assert ok[14] == "true"  # converged
+    assert failed[2:] == ["1", "true"] + ["nan"] * 10 + ["false", "nan", "false"]

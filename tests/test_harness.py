@@ -8,6 +8,8 @@ import pytest
 from cyclebound.harness import (
     CSV_HEADER,
     _barrier_worst,
+    _case_box,
+    _check_gain_quadratic,
     SweepSpec,
     emit_figures,
     lyapunov_checks,
@@ -17,7 +19,7 @@ from cyclebound.harness import (
     x_max_barrier_coefficients,
 )
 from cyclebound.model import Params
-from cyclebound.region4 import Case
+from cyclebound.region4 import Case, Region4Config, growth_ratio_quadratic
 from cyclebound.simulator import SimConfig, cycle_extreme_report
 
 FAST_SIM = SimConfig(rtol=1e-8, atol_log=1e-10, cycle_tol=1e-7)
@@ -71,6 +73,31 @@ def test_barrier_grid_worst_matches_scalar_coefficients():
     for (value, arg), (ref_value, ref_arg) in zip(_barrier_worst(a, lam, m_vals), worst):
         assert arg == ref_arg
         assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_gain_quadratic_grid_matches_scalar_scan(case):
+    # the scan the grid evaluation replaced: every point through the
+    # scalar definition, worst kept by strict comparison
+    a_max, lam_max = _case_box(case)
+    k = Region4Config.for_case(case).k
+    worst_at_lam = (-math.inf, ())
+    worst_at_one = (math.inf, ())
+    for a in np.linspace(a_max / 40, a_max, 40):
+        for lam in np.linspace(lam_max / 40, lam_max, 40):
+            p = Params(a=float(a), lam=float(lam), m=1.0)
+            for m in np.geomspace(1e-3, 50, 60):
+                g_lam = growth_ratio_quadratic(p.lam, p, k, float(m))
+                g_one = growth_ratio_quadratic(1.0, p, k, float(m))
+                if g_lam > worst_at_lam[0]:
+                    worst_at_lam = (g_lam, (p.a, p.lam, float(m)))
+                if g_one < worst_at_one[0]:
+                    worst_at_one = (g_one, (p.a, p.lam, float(m)))
+    checks = _check_gain_quadratic(case)
+    assert [(c.worst_value, c.worst_arg) for c in checks] == [worst_at_lam, worst_at_one]
+    for check in checks:
+        assert type(check.worst_value) is float
+        assert all(type(v) is float for v in check.worst_arg)
 
 
 def test_lyapunov_checks():

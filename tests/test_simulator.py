@@ -9,9 +9,9 @@ import pytest
 from scipy.integrate import RK45 as ScipyRK45
 
 import cyclebound
-from cyclebound import simulator
+from cyclebound import dopri, simulator
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper, x_min_bounds
-from cyclebound.model import LogState, Params, State, equilibrium, h
+from cyclebound.model import _EXP_CLIP, LogState, Params, State, equilibrium, h, log_vector_field
 from cyclebound.simulator import (
     EventKind,
     SimConfig,
@@ -94,8 +94,11 @@ def _cycle_start(p):
     return (math.log(x_max_upper(p)), math.log(p.lam))
 
 
-def _step_side_by_side(f, y0, rtol, n_steps, t_bound=math.inf):
-    """Step simulator.RK45 and scipy's RK45 on (u, v)' = f(u, v) side by side.
+def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
+    """Step simulator.RK45 and scipy's RK45 on the log-space field side by side.
+
+    scipy integrates (u, v)' = log_vector_field((u, v), p), the field the
+    in-house stepper has written out in its stages.
 
     Before every step the in-house stepper is restarted from scipy's
     state (t, y, f and the proposed step size): the error estimate is a
@@ -109,10 +112,10 @@ def _step_side_by_side(f, y0, rtol, n_steps, t_bound=math.inf):
     must the step size each proposes next.  Returns the number of steps
     taken after a rejection and scipy's solver.
     """
-    ours = simulator.RK45(f, 0.0, y0, t_bound, rtol=rtol, atol=1e-12)
+    ours = simulator.RK45(p, t0, y0, t_bound, rtol=rtol, atol=1e-12)
     ref = ScipyRK45(
-        lambda t, y: np.array(f(y[0], y[1])), 0.0, np.array(y0), t_bound,
-        rtol=rtol, atol=1e-12,
+        lambda t, y: np.array(log_vector_field(LogState(y[0], y[1]), p)),
+        t0, np.array(y0), t_bound, rtol=rtol, atol=1e-12,
     )
     assert ours.rtol == ref.rtol
     assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-12)
@@ -146,27 +149,102 @@ def _step_side_by_side(f, y0, rtol, n_steps, t_bound=math.inf):
 
 @pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
 def test_stepper_matches_scipy_rk45_step_for_step(p):
-    retried, _ = _step_side_by_side(simulator._field(p), _cycle_start(p), 1e-10, 600)
+    retried, _ = _step_side_by_side(p, _cycle_start(p), 1e-10, 600)
     assert retried > 0  # the rejection branch was exercised
 
 
 def test_stepper_edge_cases_match_scipy():
-    field = simulator._field(P_REF)
     # rtol below 100 eps is floored, with a warning
     with pytest.warns(UserWarning):
-        _step_side_by_side(field, _cycle_start(P_REF), 1e-17, 50)
+        _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-17, 50)
     with pytest.warns(UserWarning):
-        floored = simulator.RK45(field, 0.0, (0.0, -3.0), 1.0, rtol=0.0)
+        floored = simulator.RK45(P_REF, 0.0, (0.0, -3.0), 1.0, rtol=0.0)
     assert floored.rtol == 100 * np.finfo(float).eps
     # from the origin the first step is capped at 100 times the trial
     # step, and the last step is clipped onto a finite t_bound
-    _, ref = _step_side_by_side(field, (0.0, 0.0), 1e-8, 10_000, t_bound=7.5)
+    _, ref = _step_side_by_side(P_REF, (0.0, 0.0), 1e-8, 10_000, t_bound=7.5)
     assert ref.status == "finished" and ref.t == 7.5
-    # blow-up in finite time (u' = u^2): both give up at the minimal step
-    _, ref = _step_side_by_side(lambda u, v: (u * u, -v), (1.0, 1.0), 1e-10, 10_000)
-    assert ref.status == "failed"
+    # at t0 = 1e16 the minimal step (10 float spacings of t) is far too
+    # long for the tolerance: both give up on the first step
+    _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 10_000, t0=1e16)
+    assert ref.status == "failed" and ref.t == 1e16
     with pytest.raises(ValueError):
-        simulator.RK45(field, 1.0, (0.0, -3.0), 0.0)
+        simulator.RK45(P_REF, 1.0, (0.0, -3.0), 0.0)
+
+
+def _reference_step(p, t, y, f, h_abs, rtol, atol):
+    """One step of simulator.RK45 (t_bound = inf) with every stage a call
+    of log_vector_field: the stepper as it was before the field was
+    written out, with the same sums in the same order and the builtins
+    abs, min and max.  Returns (t, y, f, h_abs) after the step."""
+    d = dopri
+
+    def fun(u, v):
+        return log_vector_field(LogState(u, v), p)
+
+    (u, v), (k1u, k1v) = y, f
+    h_abs = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t))
+    rejected = False
+    while True:
+        t_new = t + h_abs
+        h = t_new - t
+        k2u, k2v = fun(u + (d._A21 * k1u) * h, v + (d._A21 * k1v) * h)
+        k3u, k3v = fun(
+            u + (d._A31 * k1u + d._A32 * k2u) * h, v + (d._A31 * k1v + d._A32 * k2v) * h
+        )
+        k4u, k4v = fun(
+            u + (d._A41 * k1u + d._A42 * k2u + d._A43 * k3u) * h,
+            v + (d._A41 * k1v + d._A42 * k2v + d._A43 * k3v) * h,
+        )
+        k5u, k5v = fun(
+            u + (d._A51 * k1u + d._A52 * k2u + d._A53 * k3u + d._A54 * k4u) * h,
+            v + (d._A51 * k1v + d._A52 * k2v + d._A53 * k3v + d._A54 * k4v) * h,
+        )
+        k6u, k6v = fun(
+            u + (d._A61 * k1u + d._A62 * k2u + d._A63 * k3u + d._A64 * k4u + d._A65 * k5u) * h,
+            v + (d._A61 * k1v + d._A62 * k2v + d._A63 * k3v + d._A64 * k4v + d._A65 * k5v) * h,
+        )
+        u_new = u + h * (d._B1 * k1u + d._B3 * k3u + d._B4 * k4u + d._B5 * k5u + d._B6 * k6u)
+        v_new = v + h * (d._B1 * k1v + d._B3 * k3v + d._B4 * k4v + d._B5 * k5v + d._B6 * k6v)
+        k7u, k7v = fun(u_new, v_new)
+        eu = (d._E1 * k1u + d._E3 * k3u + d._E4 * k4u + d._E5 * k5u + d._E6 * k6u + d._E7 * k7u) * h
+        ev = (d._E1 * k1v + d._E3 * k3v + d._E4 * k4v + d._E5 * k5v + d._E6 * k6v + d._E7 * k7v) * h
+        error_norm = d._rms(
+            eu / (atol + max(abs(u), abs(u_new)) * rtol),
+            ev / (atol + max(abs(v), abs(v_new)) * rtol),
+        )
+        if error_norm < 1.0:
+            factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.2)
+            if rejected:
+                factor = min(factor, 1.0)
+            return t_new, (u_new, v_new), (k7u, k7v), h * factor
+        h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
+        rejected = True
+
+
+@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+def test_stepper_stages_are_log_vector_field(p, monkeypatch):
+    # the field written out in the stages must be log_vector_field bit
+    # for bit (repr tells every double apart): every accepted step over
+    # one loop equals the step that calls it, and the last stage (FSAL)
+    # is the field at the new state
+    rejected = []
+
+    class Checked(simulator.RK45):
+        def step(self):
+            before = (self.p, self.t, self.y, self.f, self.h_abs, self.rtol, self.atol)
+            super().step()
+            expected = _reference_step(*before)
+            got = (self.t, self.y, self.f, self.h_abs)
+            assert repr(got) == repr(expected)
+            assert repr(self.f) == repr(log_vector_field(LogState(*self.y), p))
+            # a rejection shrinks the trial step by a factor of at most 0.9
+            rejected.append(self.t - before[1] <= 0.9 * before[4])
+
+    monkeypatch.setattr(simulator, "RK45", Checked)
+    start = LogState(*_cycle_start(p))
+    integrate(start, p, stop=simulator.stop_at_down(1), keep_samples=False)
+    assert len(rejected) > 500 and any(rejected)
 
 
 def test_import_leaves_scipy_out():
@@ -190,13 +268,12 @@ def _events_step_by_step(start, p, n_downs):
     dropped because the trajectory fell back before committing."""
     cfg = SimConfig()
     solver = simulator.RK45(
-        simulator._field(p), 0.0, (start.u, start.v), t_bound=math.inf,
-        rtol=cfg.rtol, atol=cfg.atol_log,
+        p, 0.0, (start.u, start.v), t_bound=math.inf, rtol=cfg.rtol, atol=cfg.atol_log,
     )
     ln_lam = math.log(p.lam)
 
     def g_h(y):
-        s = math.exp(min(y[1], 150.0))
+        s = math.exp(min(y[1], _EXP_CLIP))
         hs = (1.0 - s) * (s + p.a)
         return math.inf if hs <= 0.0 else y[0] - math.log(hs)
 
@@ -255,11 +332,37 @@ def test_quiet_step_path_keeps_every_event(p, s0, chatters):
     assert (len(net_events(expected)) < len(expected)) == chatters
 
 
+def _scipy_stepper(field):
+    """A stand-in for simulator.RK45 (same constructor and interface)
+    that steps scipy's RK45 on (u, v)' = field(u, v) instead of the
+    model field."""
+
+    class Stepper:
+        def __init__(self, p, t0, y0, t_bound, rtol, atol):
+            self._ref = ScipyRK45(
+                lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), t_bound,
+                rtol=rtol, atol=atol,
+            )
+
+        t = property(lambda self: float(self._ref.t))
+        y = property(lambda self: (float(self._ref.y[0]), float(self._ref.y[1])))
+        status = property(lambda self: self._ref.status)
+
+        def step(self):
+            self._ref.step()
+
+        def dense_output(self):
+            dense = self._ref.dense_output()
+            return lambda tau: tuple(float(c) for c in dense(tau))
+
+    return Stepper
+
+
 def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
     # s dips below lam by less than the arming threshold and comes back,
     # then a slow drift takes it through for real one period later
     monkeypatch.setattr(
-        simulator, "_field", lambda p: lambda u, v: (1.0, 2e-7 * math.cos(u) - 1e-8)
+        simulator, "RK45", _scipy_stepper(lambda u, v: (1.0, 2e-7 * math.cos(u) - 1e-8))
     )
     start = LogState(0.0, math.log(P_REF.lam) + 2e-7)
     expected, fallbacks = _events_step_by_step(start, P_REF, n_downs=1)
