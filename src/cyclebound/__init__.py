@@ -7,15 +7,14 @@ from .bounds import (
     canard_estimates,
     cycle_bounds,
     excursion_bounds,
-    s_min_bounds,
     x_max_lower,
     x_max_upper,
     x_max_upper_linear,
     x_max_upper_refined,
-    x_min_bounds,
 )
 from .harness import (
     DEFAULT_PANELS,
+    REFERENCE_SPECS,
     ProofCheckReport,
     SweepReport,
     SweepSpec,
@@ -27,6 +26,7 @@ from .harness import (
 )
 from .lvroot import ZIndex, lv_small_root, lv_small_root_ln, z, z_exact
 from .model import (
+    PROVEN_BOXES,
     LogState,
     Params,
     Region,

@@ -18,7 +18,7 @@ and can be requested with ``force=True``, in which case the resulting
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .lvroot import ZIndex, z
 from .model import Params, h
@@ -32,8 +32,6 @@ __all__ = [
     "x_max_upper_linear",
     "x_max_lower",
     "excursion_bounds",
-    "s_min_bounds",
-    "x_min_bounds",
     "cycle_bounds",
     "canard_estimates",
 ]
@@ -62,18 +60,7 @@ class BoundSet:
     proven: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "x_max_lo": self.x_max_lo,
-            "x_max_hi": self.x_max_hi,
-            "ln_x_min_lo": self.ln_x_min_lo,
-            "ln_x_min_hi": self.ln_x_min_hi,
-            "ln_s_min_lo": self.ln_s_min_lo,
-            "ln_s_min_hi": self.ln_s_min_hi,
-            "s_max_lo": self.s_max_lo,
-            "s_max_hi": self.s_max_hi,
-            "s0": self.s0,
-            "proven": self.proven,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -106,12 +93,7 @@ class CanardEstimates:
     ln_s_min_c: float
 
     def as_dict(self) -> dict:
-        return {
-            "x_max_c": self.x_max_c,
-            "x_min_c": self.x_min_c,
-            "s_max_c": self.s_max_c,
-            "ln_s_min_c": self.ln_s_min_c,
-        }
+        return asdict(self)
 
 
 def _require_cycle(p: Params) -> None:
@@ -226,24 +208,6 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
     ln_x_lo = math.log(z(ZIndex.Z1, u / a)) + ln_u - u / a
     ln_x_hi = math.log(z(ZIndex.Z2, u / H)) + ln_u - u / H
     return ExcursionBounds(ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
-
-
-def s_min_bounds(p: Params, s0: float = 0.8) -> tuple[float, float]:
-    """Log-space bounds for the prey minimum on the cycle.
-
-    The lower bound uses the excursion launched at the x_max upper
-    estimate, the upper bound the one launched at the lower estimate.
-    """
-    hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
-    lo_launch = excursion_bounds(x_max_lower(p, s0), p.lam, p)
-    return hi_launch.ln_s_lo, lo_launch.ln_s_hi
-
-
-def x_min_bounds(p: Params, s0: float = 0.8) -> tuple[float, float]:
-    """Log-space bounds for the predator minimum on the cycle."""
-    hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
-    lo_launch = excursion_bounds(x_max_lower(p, s0), p.lam, p)
-    return hi_launch.ln_x_lo, lo_launch.ln_x_hi
 
 
 def cycle_bounds(p: Params, s0: float = 0.8, force: bool = False) -> BoundSet:

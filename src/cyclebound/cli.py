@@ -24,8 +24,11 @@ from typing import Optional, Sequence
 from .bounds import canard_estimates, cycle_bounds
 from .harness import (
     DEFAULT_PANELS,
+    REFERENCE_SPECS,
+    SweepReport,
     SweepSpec,
     emit_figures,
+    figure_m_values,
     proof_spotchecks,
     run_sweep,
 )
@@ -136,10 +139,14 @@ def _cmd_region4(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec.from_json(json.loads(args.spec.read_text()))
+    if args.spec is None:
+        sim = SimConfig.from_env()
+        specs = [dataclasses.replace(spec, sim=sim) for spec in REFERENCE_SPECS]
+    else:
+        specs = [SweepSpec.from_json(json.loads(args.spec.read_text()))]
     if args.jobs is not None:
-        spec = dataclasses.replace(spec, jobs=args.jobs)
-    report = run_sweep(spec)
+        specs = [dataclasses.replace(spec, jobs=args.jobs) for spec in specs]
+    report = SweepReport(rows=[row for spec in specs for row in run_sweep(spec).rows])
     report.to_csv(args.out)
     for row in report.rows:
         if row.error is not None:
@@ -165,11 +172,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         for spec in args.panel:
             a_str, lam_str = spec.split(",")
             panels.append((float(a_str), float(lam_str)))
-    m_values = None
-    if args.points is not None:
-        import numpy as np
-
-        m_values = np.geomspace(0.01, 5.0, args.points)
+    m_values = None if args.points is None else figure_m_values(args.points)
     paths = emit_figures(
         args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args)
     )
@@ -181,10 +184,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_transit(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     tp = transit_points(p, args.s0, _sim_config(args))
-    _print_record(
-        {"x1": tp.x1, "ln_s2": tp.ln_s2, "ln_x3": tp.ln_x3, "s4": tp.s4},
-        as_json=True,
-    )
+    _print_record(dataclasses.asdict(tp), as_json=True)
     return 0
 
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_r4.set_defaults(func=_cmd_region4)
 
     p_sweep = sub.add_parser("sweep", help="verify bounds against simulation on a grid")
-    p_sweep.add_argument("--spec", type=Path, required=True, help="sweep spec JSON")
+    p_sweep.add_argument("--spec", type=Path, help="sweep spec JSON (default: reference grid)")
     p_sweep.add_argument("--out", type=Path, required=True, help="report CSV path")
     p_sweep.add_argument("--jobs", type=int, help="worker processes (default from spec)")
     p_sweep.set_defaults(func=_cmd_sweep)

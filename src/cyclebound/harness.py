@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -51,18 +51,15 @@ __all__ = [
     "CheckResult",
     "ProofCheckReport",
     "DEFAULT_PANELS",
+    "REFERENCE_SPECS",
     "run_sweep",
     "x_max_barrier_coefficients",
     "lyapunov_checks",
     "proof_spotchecks",
     "emit_figures",
+    "figure_m_values",
     "sweep_row_from_report",
 ]
-
-CSV_HEADER = (
-    "a,lambda,m,proven,x_max_lo,x_max,x_max_hi,ln_x_min_lo,ln_x_min,ln_x_min_hi,"
-    "ln_s_min_lo,ln_s_min,ln_s_min_hi,s_max,converged,min_margin,pass"
-)
 
 DEFAULT_PANELS: tuple[tuple[float, float], ...] = (
     (0.05, 0.05),
@@ -80,6 +77,20 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+_SPEC_KEYS = {"a_values", "lambda_values", "m_values"}
+
+
+def _check_keys(what: str, record, required: set, allowed: set) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
+    missing = sorted(required - set(record))
+    if missing:
+        raise ValueError(f"{what} lacks keys {missing}")
+    unknown = sorted(set(record) - allowed)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +115,21 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, record: dict) -> "SweepSpec":
-        sim_record = dict(record.get("sim", {}))
-        sim = SimConfig.from_env(**sim_record)
-        return cls(
-            a_values=tuple(record["a_values"]),
-            lambda_values=tuple(record["lambda_values"]),
-            m_values=tuple(record["m_values"]),
-            s0=float(record.get("s0", 0.8)),
-            sim=sim,
-            jobs=int(record.get("jobs", 1)),
-        )
+        """Build a spec from a parsed JSON record; ValueError on a malformed one."""
+        _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"s0", "sim", "jobs"})
+        sim_record = record.get("sim", {})
+        _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
+        try:
+            return cls(
+                a_values=tuple(record["a_values"]),
+                lambda_values=tuple(record["lambda_values"]),
+                m_values=tuple(record["m_values"]),
+                s0=float(record.get("s0", 0.8)),
+                sim=SimConfig.from_env(**sim_record),
+                jobs=int(record.get("jobs", 1)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed sweep spec: {exc}") from None
 
     def grid(self) -> list[tuple[float, float, float]]:
         return [
@@ -149,28 +165,13 @@ class SweepRow:
     error: Optional[str] = None
 
     def csv_line(self) -> str:
-        return ",".join(
-            _fmt(v)
-            for v in (
-                self.a,
-                self.lam,
-                self.m,
-                self.proven,
-                self.x_max_lo,
-                self.x_max,
-                self.x_max_hi,
-                self.ln_x_min_lo,
-                self.ln_x_min,
-                self.ln_x_min_hi,
-                self.ln_s_min_lo,
-                self.ln_s_min,
-                self.ln_s_min_hi,
-                self.s_max,
-                self.converged,
-                self.min_margin,
-                self.passed,
-            )
-        )
+        return ",".join(_fmt(getattr(self, name)) for name in _CSV_FIELDS)
+
+
+# every SweepRow field but the two that stay out of the CSV, in order
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name not in ("flags", "error"))
+_CSV_NAMES = {"lam": "lambda", "passed": "pass"}
+CSV_HEADER = ",".join(_CSV_NAMES.get(name, name) for name in _CSV_FIELDS)
 
 
 @dataclass
@@ -254,16 +255,21 @@ def _row_task(args: tuple) -> SweepRow:
     try:
         report = cycle_extreme_report(p, cfg, s0=s0, force=True)
     except IntegrationError as exc:
-        nan = math.nan
-        return SweepRow(
-            a=a, lam=lam, m=m, proven=p.proven_region,
-            x_max_lo=nan, x_max=nan, x_max_hi=nan,
-            ln_x_min_lo=nan, ln_x_min=nan, ln_x_min_hi=nan,
-            ln_s_min_lo=nan, ln_s_min=nan, ln_s_min_hi=nan,
-            s_max=nan, converged=False, min_margin=nan, passed=False,
-            error=str(exc),
-        )
+        row = dict.fromkeys(_CSV_FIELDS, math.nan)
+        row.update(a=a, lam=lam, m=m, proven=p.proven_region, converged=False, passed=False)
+        return SweepRow(**row, error=str(exc))
     return sweep_row_from_report(report)
+
+
+# the 57-point reference grid: 54 main points, then 3 from the second proven box
+REFERENCE_SPECS = (
+    SweepSpec(
+        a_values=(0.01, 0.02, 0.05),
+        lambda_values=(0.01, 0.02, 0.05),
+        m_values=(0.01, 0.1, 0.3, 1.0, 2.0, 5.0),
+    ),
+    SweepSpec(a_values=(0.1,), lambda_values=(0.01,), m_values=(0.3, 1.0, 3.0)),
+)
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
@@ -463,13 +469,9 @@ def _check_barrier_coefficients() -> list[CheckResult]:
     ]
 
 
-def _case_box(case: Case) -> tuple[float, float]:
-    return (0.05, 0.05) if case is Case.A else (0.1, 0.01)
-
-
 def _check_gain_quadratic(case: Case) -> list[CheckResult]:
-    a_max, lam_max = _case_box(case)
-    k = Region4Config.for_case(case).k
+    cfg = Region4Config.for_case(case)
+    a_max, lam_max, k = cfg.a_max, cfg.lam_max, cfg.k
     a, lam, m = np.meshgrid(
         np.linspace(a_max / 40, a_max, 40),
         np.linspace(lam_max / 40, lam_max, 40),
@@ -547,8 +549,8 @@ def _check_envelope(case: Case) -> CheckResult:
 
 
 def _check_monotonicity(case: Case, step: float = 1e-6) -> CheckResult:
-    a_max, lam_max = _case_box(case)
     cfg = Region4Config.for_case(case)
+    a_max, lam_max = cfg.a_max, cfg.lam_max
     worst = (math.inf, ())
 
     def cap(a: float, lam: float, m: float) -> float:
@@ -627,6 +629,11 @@ def _figure_values(fig: str, m: float, report: CycleReport, p: Params) -> tuple:
     return (m, b.s_max_lo, b.s_max_hi, ce.s_max)
 
 
+def figure_m_values(points: int = 50) -> np.ndarray:
+    """The figures' m axis: ``points`` log-spaced values in [0.01, 5]."""
+    return np.geomspace(0.01, 5.0, points)
+
+
 def emit_figures(
     which: str,
     out_dir: Union[str, Path],
@@ -647,11 +654,7 @@ def emit_figures(
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = tuple(panels) if panels is not None else DEFAULT_PANELS
-    ms = (
-        tuple(float(v) for v in m_values)
-        if m_values is not None
-        else tuple(np.geomspace(0.01, 5.0, 50))
-    )
+    ms = tuple(float(v) for v in (m_values if m_values is not None else figure_m_values()))
     cfg = cfg or SimConfig.from_env()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

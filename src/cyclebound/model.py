@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Mapping, Union
 
 __all__ = [
+    "PROVEN_BOXES",
     "Params",
     "RMParams",
     "State",
@@ -44,6 +45,14 @@ _EXP_CLIP = 150.0
 
 def _exp_clipped(w: float) -> float:
     return math.exp(w if w < _EXP_CLIP else _EXP_CLIP)
+
+
+# (a_max, lam_max) of the two boxes whose union is where the bounds are
+# proved: case A is a, lam <= 1/20 and case B is a <= 1/10, lam <= 1/100
+PROVEN_BOXES = {"A": (0.05, 0.05), "B": (0.1, 0.01)}
+# unpacked once, so the Params constructor compares against plain floats
+_A_MAX_A, _LAM_MAX_A = PROVEN_BOXES["A"]
+_A_MAX_B, _LAM_MAX_B = PROVEN_BOXES["B"]
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,8 @@ class Params:
         object.__setattr__(
             self,
             "proven_region",
-            (self.a <= 0.05 and self.lam <= 0.05)
-            or (self.a <= 0.1 and self.lam <= 0.01),
+            (self.a <= _A_MAX_A and self.lam <= _LAM_MAX_A)
+            or (self.a <= _A_MAX_B and self.lam <= _LAM_MAX_B),
         )
 
     def as_dict(self) -> dict:

@@ -25,11 +25,11 @@ k = 2/3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .lvroot import ZIndex, z
-from .model import Params, h
+from .model import PROVEN_BOXES, Params, h
 
 __all__ = [
     "Case",
@@ -58,7 +58,7 @@ class Case(Enum):
     B = "B"
 
 
-_CASE_A_MAX = {Case.A: 0.05, Case.B: 0.1}
+_CASE_BOX = {case: PROVEN_BOXES[case.value] for case in Case}
 _CASE_K = {Case.A: 0.75, Case.B: 2.0 / 3.0}
 _CASE_KAPPA = {Case.A: 0.4, Case.B: 0.5}
 
@@ -109,7 +109,11 @@ class Region4Config:
 
     @property
     def a_max(self) -> float:
-        return _CASE_A_MAX[self.case]
+        return _CASE_BOX[self.case][0]
+
+    @property
+    def lam_max(self) -> float:
+        return _CASE_BOX[self.case][1]
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,17 @@ class AlphaFactors:
     x_gamma: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "M": self.M,
-            "x_gamma": self.x_gamma,
-        }
+        return asdict(self)
+
+
+def _ln_gain(p: Params, cfg: Region4Config) -> float:
+    """Log of the hand-off amplification factor of :func:`handoff_cap`."""
+    return (p.m / cfg.k) * (
+        p.lam / cfg.s_gamma
+        + math.log(cfg.s_gamma + p.a)
+        - math.log(1.0 - cfg.s_gamma)
+        - math.log(p.a + p.lam)
+    )
 
 
 def handoff_cap(p: Params, cfg: Region4Config, x3: float) -> float:
@@ -154,13 +160,7 @@ def handoff_cap(p: Params, cfg: Region4Config, x3: float) -> float:
         raise ValueError("hand-off cap requires the cycle regime 2*lam + a < 1")
     if not x3 > 0:
         raise ValueError(f"x3 must be positive, got {x3!r}")
-    ln_gain = (p.m / cfg.k) * (
-        p.lam / cfg.s_gamma
-        + math.log(cfg.s_gamma + p.a)
-        - math.log(1.0 - cfg.s_gamma)
-        - math.log(p.a + p.lam)
-    )
-    return math.exp(ln_gain + math.log(x3))
+    return math.exp(_ln_gain(p, cfg) + math.log(x3))
 
 
 def x_max_lower_coarse(p: Params, cfg: Region4Config) -> float:
@@ -194,14 +194,8 @@ def handoff_cap_bound_ln(p: Params, cfg: Region4Config) -> float:
         raise ValueError(
             f"coarse x_max estimate {x1t!r} must exceed h(lam) = {p.h_lam!r}"
         )
-    ln_gain = (p.m / cfg.k) * (
-        p.lam / cfg.s_gamma
-        + math.log(cfg.s_gamma + p.a)
-        - math.log(1.0 - cfg.s_gamma)
-        - math.log(p.a + p.lam)
-    )
     z2 = z(ZIndex.Z2, x1t / p.h_lam)
-    return ln_gain + math.log(z2) + math.log(x1t) - x1t / p.h_lam
+    return _ln_gain(p, cfg) + math.log(z2) + math.log(x1t) - x1t / p.h_lam
 
 
 def handoff_cap_bound(p: Params, cfg: Region4Config) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -218,9 +218,9 @@ class TransitPoints:
 class CycleExtremes:
     """Extremes and transit points of the (converged) limit cycle.
 
-    By construction x_max/p1_x sit on a descending s = lam crossing,
-    ln_x_min/ln_p3_x on the ascending one, ln_s_min/ln_p2_s on the
-    prey-minimal isocline graze and s_max/p4_s on the prey-maximal one.
+    By construction x_max sits on a descending s = lam crossing,
+    ln_x_min on the ascending one, ln_s_min on the prey-minimal
+    isocline graze and s_max on the prey-maximal one.
     residual is the return-map defect |ln x_end - ln x_start| of the
     recorded loop, and tours the number of return-map tours integrated
     to find it (the recorded loop is the last of them).
@@ -237,30 +237,12 @@ class CycleExtremes:
     ln_s_min: float
     ln_s_max: float
     period: float
-    p1_x: float
-    ln_p2_s: float
-    ln_p3_x: float
-    p4_s: float
     converged: bool
     residual: float
     tours: int
 
     def as_dict(self) -> dict:
-        return {
-            "x_max": self.x_max,
-            "s_max": self.s_max,
-            "ln_x_min": self.ln_x_min,
-            "ln_s_min": self.ln_s_min,
-            "ln_s_max": self.ln_s_max,
-            "period": self.period,
-            "p1_x": self.p1_x,
-            "ln_p2_s": self.ln_p2_s,
-            "ln_p3_x": self.ln_p3_x,
-            "p4_s": self.p4_s,
-            "converged": self.converged,
-            "residual": self.residual,
-            "tours": self.tours,
-        }
+        return asdict(self)
 
 
 def _one_minus_s_at_h_crossing(u: float, p: Params) -> float:
@@ -554,10 +536,6 @@ def limit_cycle(
         ln_s_min=ev_min.state.v,
         ln_s_max=math.log1p(-one_minus_s),
         period=ev_down.tau,
-        p1_x=x_max,
-        ln_p2_s=ev_min.state.v,
-        ln_p3_x=ev_up.state.u,
-        p4_s=1.0 - one_minus_s,
         converged=converged,
         residual=abs(ev_down.state.u - ln_x_start),
         tours=tours,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cyclebound.bounds import canard_estimates, x_max_upper
-from cyclebound.harness import SweepSpec, emit_figures, proof_spotchecks, run_sweep
+from cyclebound.harness import REFERENCE_SPECS, emit_figures, proof_spotchecks, run_sweep
 from cyclebound.lvroot import ZIndex, z, z_exact
 from cyclebound.model import LogState, Params
 from cyclebound.region4 import Case, handoff_cap_envelope, smax_lower_bound
@@ -26,11 +26,6 @@ from cyclebound.simulator import (
     limit_cycle,
     transit_points,
 )
-
-A_VALUES = (0.01, 0.02, 0.05)
-LAMBDA_VALUES = (0.01, 0.02, 0.05)
-M_VALUES = (0.01, 0.1, 0.3, 1.0, 2.0, 5.0)
-BRANCH_B_POINT = {"a_values": (0.1,), "lambda_values": (0.01,), "m_values": (0.3, 1.0, 3.0)}
 
 
 def report(num: int, label: str, clauses) -> None:
@@ -45,12 +40,8 @@ def report(num: int, label: str, clauses) -> None:
 
 @pytest.fixture(scope="module")
 def grid_sweep():
-    spec = SweepSpec(
-        a_values=A_VALUES, lambda_values=LAMBDA_VALUES, m_values=M_VALUES
-    )
-    spec_b = SweepSpec(**BRANCH_B_POINT)
     t0 = time.perf_counter()
-    rows = run_sweep(spec).rows + run_sweep(spec_b).rows
+    rows = [row for spec in REFERENCE_SPECS for row in run_sweep(spec).rows]
     elapsed = time.perf_counter() - t0
     return rows, elapsed
 
@@ -190,12 +181,7 @@ def test_criterion_4_recovery_constants(spotchecks):
 
 def test_criterion_5_prey_maximum_end_to_end(grid_sweep):
     del grid_sweep  # ordering only: run after the sweep is cached
-    points = [
-        (a, lam, m)
-        for a in A_VALUES
-        for lam in LAMBDA_VALUES
-        for m in M_VALUES
-    ] + [(0.1, 0.01, m) for m in BRANCH_B_POINT["m_values"]]
+    points = [point for spec in REFERENCE_SPECS for point in spec.grid()]
     worst_s4 = math.inf
     for a, lam, m in points:
         tp = transit_points(Params(a=a, lam=lam, m=m), 0.8)
@@ -204,7 +190,7 @@ def test_criterion_5_prey_maximum_end_to_end(grid_sweep):
     bound_ok = True
     worst_bound = math.inf
     for case in (Case.A, Case.B):
-        for m in set(M_VALUES) | set(BRANCH_B_POINT["m_values"]):
+        for m in {m for spec in REFERENCE_SPECS for m in spec.m_values}:
             val = smax_lower_bound(handoff_cap_envelope(m, case), 0.7, 0.7, m)
             worst_bound = min(worst_bound, val)
             bound_ok &= val > 0.8

@@ -8,22 +8,23 @@ from cyclebound.bounds import (
     canard_estimates,
     cycle_bounds,
     excursion_bounds,
-    s_min_bounds,
     x_max_lower,
     x_max_upper,
     x_max_upper_linear,
     x_max_upper_refined,
-    x_min_bounds,
 )
+from cyclebound.harness import REFERENCE_SPECS
 from cyclebound.lvroot import ZIndex, z
 from cyclebound.model import Params, h
 
-# the grid every proven-box property test samples
+# the grid every proven-box property test samples: the main reference
+# grid, plus m = 20
+_MAIN = REFERENCE_SPECS[0]
 PROVEN_GRID = [
     Params(a=a, lam=lam, m=m)
-    for a in (0.01, 0.02, 0.05)
-    for lam in (0.01, 0.02, 0.05)
-    for m in (0.01, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0)
+    for a in _MAIN.a_values
+    for lam in _MAIN.lambda_values
+    for m in _MAIN.m_values + (20.0,)
 ]
 
 
@@ -183,31 +184,24 @@ def test_excursion_upper_product_boundary_limit():
 
 
 def test_min_bounds_intervals():
-    p = Params(a=0.05, lam=0.05, m=1.0)
-    s_lo, s_hi = s_min_bounds(p, 0.8)
-    x_lo, x_hi = x_min_bounds(p, 0.8)
-    assert s_lo < s_hi and x_lo < x_hi
     for q in PROVEN_GRID:
-        s_lo, s_hi = s_min_bounds(q, 0.8)
-        x_lo, x_hi = x_min_bounds(q, 0.8)
-        assert s_lo < s_hi, q
-        assert x_lo < x_hi, q
-        assert s_hi < math.log(q.lam), q  # prey minimum bound sits below lam
+        b = cycle_bounds(q)
+        assert b.ln_s_min_lo < b.ln_s_min_hi, q
+        assert b.ln_x_min_lo < b.ln_x_min_hi, q
+        assert b.ln_s_min_hi < math.log(q.lam), q  # prey minimum bound sits below lam
 
 
 def test_s_min_bounds_stay_bounded_in_m():
     # the m-dependence cancels at leading order, so the bounds stay O(1/lam)
     for m in np.linspace(1.0, 100.0, 25):
-        p = Params(a=0.05, lam=0.05, m=float(m))
-        s_lo, s_hi = s_min_bounds(p, 0.8)
-        assert -60.0 < s_lo < s_hi < 0.0
+        b = cycle_bounds(Params(a=0.05, lam=0.05, m=float(m)))
+        assert -60.0 < b.ln_s_min_lo < b.ln_s_min_hi < 0.0
 
 
 def test_x_min_bounds_log_path_deep():
-    p = Params(a=0.05, lam=0.05, m=5.0)
-    x_lo, x_hi = x_min_bounds(p, 0.8)
-    assert x_lo < -90.0
-    assert math.isfinite(x_lo) and math.isfinite(x_hi)
+    b = cycle_bounds(Params(a=0.05, lam=0.05, m=5.0))
+    assert b.ln_x_min_lo < -90.0
+    assert math.isfinite(b.ln_x_min_lo) and math.isfinite(b.ln_x_min_hi)
     # z factors stay inside (1, e) across the proven grid
     for q in PROVEN_GRID:
         y_lo = x_max_upper(q) / q.a
@@ -220,11 +214,9 @@ def test_min_bounds_share_the_excursion_code_path():
     p = Params(a=0.02, lam=0.03, m=2.0)
     hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
     lo_launch = excursion_bounds(x_max_lower(p, 0.8), p.lam, p)
-    assert s_min_bounds(p, 0.8) == (hi_launch.ln_s_lo, lo_launch.ln_s_hi)
-    assert x_min_bounds(p, 0.8) == (hi_launch.ln_x_lo, lo_launch.ln_x_hi)
     b = cycle_bounds(p)
-    assert (b.ln_s_min_lo, b.ln_s_min_hi) == s_min_bounds(p, 0.8)
-    assert (b.ln_x_min_lo, b.ln_x_min_hi) == x_min_bounds(p, 0.8)
+    assert (b.ln_s_min_lo, b.ln_s_min_hi) == (hi_launch.ln_s_lo, lo_launch.ln_s_hi)
+    assert (b.ln_x_min_lo, b.ln_x_min_hi) == (hi_launch.ln_x_lo, lo_launch.ln_x_hi)
 
 
 def test_cycle_bounds_orderings_and_gate():
@@ -267,6 +259,6 @@ def test_canard_consistency_as_m_shrinks():
     ln_x_min_c = math.log(canard_estimates(p0).x_min_c)
     gaps = []
     for m in (1.0, 0.3, 0.1, 0.03, 0.01):
-        lo, hi = x_min_bounds(Params(a=0.05, lam=0.05, m=m), 0.8)
-        gaps.append(abs(0.5 * (lo + hi) - ln_x_min_c))
+        b = cycle_bounds(Params(a=0.05, lam=0.05, m=m))
+        gaps.append(abs(0.5 * (b.ln_x_min_lo + b.ln_x_min_hi) - ln_x_min_c))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps

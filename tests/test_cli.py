@@ -6,7 +6,12 @@ import pytest
 from cyclebound import cli, harness
 from cyclebound.cli import main
 from cyclebound.harness import CSV_HEADER
-from cyclebound.simulator import EventOrderError, StepLimitError, StepSizeError
+from cyclebound.simulator import (
+    EventOrderError,
+    SimConfig,
+    StepLimitError,
+    StepSizeError,
+)
 
 
 def run_cli(*args, capsys=None):
@@ -132,6 +137,69 @@ def test_sweep_cli(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     assert "2/2 proven rows pass" in out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            {"a_values": [0.05], "lambda_values": [0.05]},
+            "sweep spec lacks keys ['m_values']",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
+             "sim": {"rtol": 1e-8, "tol": 1e-9}},
+            "sweep spec sim has unknown keys ['tol']",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "m_value": 1},
+            "sweep spec has unknown keys ['m_value']",
+        ),
+        ([0.05, 0.05, 1.0], "sweep spec must be a JSON object, got list"),
+        (
+            {"a_values": 0.05, "lambda_values": [0.05], "m_values": [1.0]},
+            "malformed sweep spec: ",
+        ),
+    ],
+    ids=["missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list"],
+)
+def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        "sweep", "--spec", str(spec_file), "--out", str(out_file), capsys=capsys
+    )
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("jobs, rtol", [(None, None), ("2", "1e-7")])
+def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, jobs, rtol):
+    specs = []
+
+    def spying_run_sweep(spec):
+        specs.append(spec)
+        return harness.SweepReport(rows=[])
+
+    monkeypatch.setattr(cli, "run_sweep", spying_run_sweep)
+    if rtol is None:
+        monkeypatch.delenv("CYCLEBOUND_RTOL", raising=False)
+    else:
+        monkeypatch.setenv("CYCLEBOUND_RTOL", rtol)
+    out_file = tmp_path / "report.csv"
+    args = ["sweep", "--out", str(out_file)] + ([] if jobs is None else ["--jobs", jobs])
+    code, _, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    assert [(s.a_values, s.lambda_values, s.m_values, s.s0) for s in specs] == [
+        (s.a_values, s.lambda_values, s.m_values, s.s0) for s in harness.REFERENCE_SPECS
+    ]
+    assert [s.jobs for s in specs] == [1 if jobs is None else int(jobs)] * 2
+    want_sim = SimConfig() if rtol is None else SimConfig(rtol=float(rtol))
+    assert [s.sim for s in specs] == [want_sim] * 2
+    assert out_file.read_text() == CSV_HEADER + "\n"
 
 
 def test_figures_cli(tmp_path, capsys):

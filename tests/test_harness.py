@@ -8,7 +8,6 @@ import pytest
 from cyclebound.harness import (
     CSV_HEADER,
     _barrier_worst,
-    _case_box,
     _check_gain_quadratic,
     SweepSpec,
     emit_figures,
@@ -79,8 +78,8 @@ def test_barrier_grid_worst_matches_scalar_coefficients():
 def test_gain_quadratic_grid_matches_scalar_scan(case):
     # the scan the grid evaluation replaced: every point through the
     # scalar definition, worst kept by strict comparison
-    a_max, lam_max = _case_box(case)
-    k = Region4Config.for_case(case).k
+    cfg = Region4Config.for_case(case)
+    a_max, lam_max, k = cfg.a_max, cfg.lam_max, cfg.k
     worst_at_lam = (-math.inf, ())
     worst_at_one = (math.inf, ())
     for a in np.linspace(a_max / 40, a_max, 40):
@@ -142,6 +141,13 @@ def test_sweep_rows_and_csv_layout(tmp_path):
     # floats are written with 17 significant digits and round-trip
     assert float(first[4]) == report.rows[0].x_max_lo
     assert first[3] == "true" and first[-1] == "true"
+
+
+def test_csv_header_is_the_documented_one():
+    assert CSV_HEADER == (
+        "a,lambda,m,proven,x_max_lo,x_max,x_max_hi,ln_x_min_lo,ln_x_min,ln_x_min_hi,"
+        "ln_s_min_lo,ln_s_min,ln_s_min_hi,s_max,converged,min_margin,pass"
+    )
 
 
 def test_sweep_is_deterministic_across_jobs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from cyclebound.bounds import x_max_lower, x_min_bounds
+from cyclebound.bounds import cycle_bounds, x_max_lower
 from cyclebound.model import Params, h
 from cyclebound.region4 import (
     Case,
@@ -45,6 +45,7 @@ def test_config_pins_case_constants():
     assert (CFG_A.k, CFG_A.kappa, CFG_A.s_gamma) == (0.75, 0.4, 0.7)
     assert (CFG_B.k, CFG_B.kappa, CFG_B.s_gamma) == (2 / 3, 0.5, 0.7)
     assert CFG_A.a_max == 0.05 and CFG_B.a_max == 0.1
+    assert CFG_A.lam_max == 0.05 and CFG_B.lam_max == 0.01
     with pytest.raises(ValueError):
         Region4Config(k=0.5, s_gamma=0.7, kappa=0.4, case=Case.A)
     assert Region4Config.for_case("B") == CFG_B
@@ -89,7 +90,7 @@ def test_handoff_cap_bound_dominates_chained_cap():
     for case, grid in CASE_GRIDS.items():
         cfg = Region4Config.for_case(case)
         for p in grid:
-            ln_x3_hi = x_min_bounds(p, 0.8)[1]
+            ln_x3_hi = cycle_bounds(p).ln_x_min_hi
             ln_gain = math.log(handoff_cap(p, cfg, 1.0))
             assert handoff_cap_bound_ln(p, cfg) >= ln_gain + ln_x3_hi - 1e-9, p
 
@@ -280,7 +281,7 @@ def test_recovery_start_cap_dominates_x_min_upper():
     for case, grid in CASE_GRIDS.items():
         cfg = Region4Config.for_case(case)
         for p in grid:
-            x3_hi = math.exp(x_min_bounds(p, 0.8)[1])
+            x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
             assert x3_hi <= recovery_start_cap(p, cfg) * (1 + 1e-12), p
 
 
@@ -288,7 +289,7 @@ def test_handoff_chain_case_a():
     # the two barrier preconditions: the recovery start value stays below
     # (1-k) h(lam) and the hand-off cap below (1-k) h(s_gamma)
     for p in CASE_GRIDS[Case.A]:
-        x3_hi = math.exp(x_min_bounds(p, 0.8)[1])
+        x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
         assert x3_hi <= (1 - CFG_A.k) * p.h_lam, p
         assert handoff_cap_envelope(p.m, Case.A) <= (1 - CFG_A.k) * h(
             CFG_A.s_gamma, p

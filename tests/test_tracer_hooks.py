@@ -1,0 +1,34 @@
+"""The benchmark's tracer still finds every attribute it hooks.
+
+perfbench/tracer.py replaces module attributes by name (for example
+``simulator.cycle_bounds`` and ``harness.handoff_cap_bound``); a refactor
+that drops or moves one of them breaks every traced benchmark run.  This
+test enters and leaves the tracer's hook block on the live modules and
+changes nothing under perfbench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cyclebound import bounds, harness, lvroot, region4, simulator
+from cyclebound.model import Params
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_hook():
+    modules = (bounds, harness, lvroot, region4, simulator)
+    before = [dict(vars(module)) for module in modules]
+    tracer = _load_tracer().Tracer()
+    with tracer.installed(*modules):
+        # cycle_extreme_report resolves cycle_bounds through the simulator module
+        simulator.cycle_bounds(Params(a=0.05, lam=0.05, m=1.0))
+    assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
+    assert [dict(vars(module)) for module in modules] == before
