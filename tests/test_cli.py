@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -193,12 +194,12 @@ def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, job
     args = ["sweep", "--out", str(out_file)] + ([] if jobs is None else ["--jobs", jobs])
     code, _, _ = run_cli(*args, capsys=capsys)
     assert code == 0
-    assert [(s.a_values, s.lambda_values, s.m_values, s.s0) for s in specs] == [
-        (s.a_values, s.lambda_values, s.m_values, s.s0) for s in harness.REFERENCE_SPECS
-    ]
-    assert [s.jobs for s in specs] == [1 if jobs is None else int(jobs)] * 2
+    # the reference grids in order, each with --jobs and the environment's rtol
+    want_jobs = 1 if jobs is None else int(jobs)
     want_sim = SimConfig() if rtol is None else SimConfig(rtol=float(rtol))
-    assert [s.sim for s in specs] == [want_sim] * 2
+    assert specs == [
+        dataclasses.replace(spec, jobs=want_jobs, sim=want_sim) for spec in harness.REFERENCE_SPECS
+    ]
     assert out_file.read_text() == CSV_HEADER + "\n"
 
 
