@@ -1,23 +1,29 @@
-"""Scalar Dormand-Prince 5(4) stepper for the log-space predator-prey field.
+"""Scalar Dormand-Prince 8(5,3) stepper for the log-space predator-prey field.
 
-This is scipy's ``RK45`` algorithm (Dormand & Prince 1980, J. Comput.
-Appl. Math. 6:19-26; Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6) written out on Python floats for the one system the
-simulator integrates, :func:`cyclebound.model.log_vector_field`: the
-same tableau, error estimator, RMS error norm with scale
+This is scipy's ``DOP853`` algorithm (Dormand & Prince 1980, J. Comput.
+Appl. Math. 6:19-26, for the pair family; Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, II.5 for the 8(5,3) pair and
+II.6 for its dense output) written out on Python floats for the one
+system the simulator integrates, :func:`cyclebound.model.log_vector_field`:
+the same 12-stage tableau, the blended 5th/3rd-order error estimate
+``|h| err5^2 / sqrt(2 (err5^2 + 0.01 err3^2))`` with scale
 ``atol + max(|y|, |y_new|) * rtol``, step-size controller (safety 0.9,
-factor clamps 0.2 and 10, exponent -1/5, no growth right after a
-rejection), initial-step heuristic, minimal step and rtol floor, and the
-same 4th-order continuous extension (Shampine's optimal c6).  It takes
-the accepted steps scipy takes; only the summation order inside a stage
-differs, so states agree to roundoff.  For two unknowns the per-step
-numpy dispatch scipy pays on 2-element arrays is several times the cost
-of the arithmetic itself, which is why the stepper is spelled out.
+factor clamps 0.2 and 10, exponent -1/8, no growth right after a
+rejection), initial-step heuristic for an order-7 estimator, minimal
+step and rtol floor, and the same 7th-order continuous extension.  It
+takes the accepted steps scipy takes; only the summation order inside a
+stage differs, so states agree to roundoff.  For two unknowns the
+per-step numpy dispatch scipy pays on 2-element arrays is several times
+the cost of the arithmetic itself, which is why the stepper is spelled
+out.
 
-The field is written out at stages 2-7 of :meth:`RK45.step` with the
+The field is written out at stages 2-13 of :meth:`DOP853.step` and at
+the three extra stages of :meth:`DOP853.dense_output` with the
 arithmetic of ``log_vector_field`` in the same order, so the stage
-derivatives are bit-identical to calls of it; the stepper therefore
-has no ``fun`` argument and takes the model parameters instead.
+derivatives are bit-identical to calls of it; the stepper therefore has
+no ``fun`` argument and takes the model parameters instead.  The extra
+stages are paid only when the interpolant is asked for, which the
+simulator does only on steps that cross an isocline.
 
 Only forward integration is supported (``t_bound >= t0``).
 """
@@ -27,11 +33,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from operator import mul
 from typing import Callable
 
 from .model import _EXP_CLIP, LogState, Params, log_vector_field
 
-__all__ = ["RK45"]
+__all__ = ["DOP853"]
 
 # scipy's validate_tol floor: rtol below this is raised to it
 _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
@@ -39,39 +46,156 @@ _RTOL_FLOOR = 100.0 * sys.float_info.epsilon
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 5.0  # -1 / (error estimator order + 1)
+_ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 _SQRT2 = 2.0**0.5  # RMS over two components
 
-# Dormand-Prince 5(4) tableau; the zero entries (stage 2 in B, E and P)
-# are dropped from the sums below
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+# DOP853 tableau (scipy's dop853_coefficients, which are Hairer's), with
+# stages numbered from 1: k1 = f(y), k13 = f(y_new) (first same as last),
+# k14-k16 the extra stages of the dense output.  Zero entries are dropped
+# from the sums below.
+_A2_1 = 5.26001519587677318785587544488e-2
+_A3_1 = 1.97250569845378994544595329183e-2
+_A3_2 = 5.91751709536136983633785987549e-2
+_A4_1 = 2.95875854768068491816892993775e-2
+_A4_3 = 8.87627564304205475450678981324e-2
+_A5_1 = 2.41365134159266685502369798665e-1
+_A5_3 = -8.84549479328286085344864962717e-1
+_A5_4 = 9.24834003261792003115737966543e-1
+_A6_1 = 3.7037037037037037037037037037e-2
+_A6_4 = 1.70828608729473871279604482173e-1
+_A6_5 = 1.25467687566822425016691814123e-1
+_A7_1 = 3.7109375e-2
+_A7_4 = 1.70252211019544039314978060272e-1
+_A7_5 = 6.02165389804559606850219397283e-2
+_A7_6 = -1.7578125e-2
+_A8_1 = 3.70920001185047927108779319836e-2
+_A8_4 = 1.70383925712239993810214054705e-1
+_A8_5 = 1.07262030446373284651809199168e-1
+_A8_6 = -1.53194377486244017527936158236e-2
+_A8_7 = 8.27378916381402288758473766002e-3
+_A9_1 = 6.24110958716075717114429577812e-1
+_A9_4 = -3.36089262944694129406857109825
+_A9_5 = -8.68219346841726006818189891453e-1
+_A9_6 = 2.75920996994467083049415600797e1
+_A9_7 = 2.01540675504778934086186788979e1
+_A9_8 = -4.34898841810699588477366255144e1
+_A10_1 = 4.77662536438264365890433908527e-1
+_A10_4 = -2.48811461997166764192642586468
+_A10_5 = -5.90290826836842996371446475743e-1
+_A10_6 = 2.12300514481811942347288949897e1
+_A10_7 = 1.52792336328824235832596922938e1
+_A10_8 = -3.32882109689848629194453265587e1
+_A10_9 = -2.03312017085086261358222928593e-2
+_A11_1 = -9.3714243008598732571704021658e-1
+_A11_4 = 5.18637242884406370830023853209
+_A11_5 = 1.09143734899672957818500254654
+_A11_6 = -8.14978701074692612513997267357
+_A11_7 = -1.85200656599969598641566180701e1
+_A11_8 = 2.27394870993505042818970056734e1
+_A11_9 = 2.49360555267965238987089396762
+_A11_10 = -3.0467644718982195003823669022
+_A12_1 = 2.27331014751653820792359768449
+_A12_4 = -1.05344954667372501984066689879e1
+_A12_5 = -2.00087205822486249909675718444
+_A12_6 = -1.79589318631187989172765950534e1
+_A12_7 = 2.79488845294199600508499808837e1
+_A12_8 = -2.85899827713502369474065508674
+_A12_9 = -8.87285693353062954433549289258
+_A12_10 = 1.23605671757943030647266201528e1
+_A12_11 = 6.43392746015763530355970484046e-1
+# 8th-order weights
+_B1 = 5.42937341165687622380535766363e-2
+_B6 = 4.45031289275240888144113950566
+_B7 = 1.89151789931450038304281599044
+_B8 = -5.8012039600105847814672114227
+_B9 = 3.1116436695781989440891606237e-1
+_B10 = -1.52160949662516078556178806805e-1
+_B11 = 2.01365400804030348374776537501e-1
+_B12 = 4.47106157277725905176885569043e-2
+# 5th-order error weights
+_E5_1 = 0.1312004499419488073250102996e-1
+_E5_6 = -0.1225156446376204440720569753e1
+_E5_7 = -0.4957589496572501915214079952
+_E5_8 = 0.1664377182454986536961530415e1
+_E5_9 = -0.3503288487499736816886487290
+_E5_10 = 0.3341791187130174790297318841
+_E5_11 = 0.8192320648511571246570742613e-1
+_E5_12 = -0.2235530786388629525884427845e-1
+# 3rd-order error weights: B minus the weights of the 3rd-order formula,
+# which is nonzero at stages 1, 9 and 12 only
+_E3_1 = _B1 - 0.244094488188976377952755905512
+_E3_9 = _B9 - 0.733846688281611857341361741547
+_E3_12 = _B12 - 0.220588235294117647058823529412e-1
+# extra stages of the dense output
+_A14_1 = 5.61675022830479523392909219681e-2
+_A14_7 = 2.53500210216624811088794765333e-1
+_A14_8 = -2.46239037470802489917441475441e-1
+_A14_9 = -1.24191423263816360469010140626e-1
+_A14_10 = 1.5329179827876569731206322685e-1
+_A14_11 = 8.20105229563468988491666602057e-3
+_A14_12 = 7.56789766054569976138603589584e-3
+_A14_13 = -8.298e-3
+_A15_1 = 3.18346481635021405060768473261e-2
+_A15_6 = 2.83009096723667755288322961402e-2
+_A15_7 = 5.35419883074385676223797384372e-2
+_A15_8 = -5.49237485713909884646569340306e-2
+_A15_11 = -1.08347328697249322858509316994e-4
+_A15_12 = 3.82571090835658412954920192323e-4
+_A15_13 = -3.40465008687404560802977114492e-4
+_A15_14 = 1.41312443674632500278074618366e-1
+_A16_1 = -4.28896301583791923408573538692e-1
+_A16_6 = -4.69762141536116384314449447206
+_A16_7 = 7.68342119606259904184240953878
+_A16_8 = 4.06898981839711007970213554331
+_A16_9 = 3.56727187455281109270669543021e-1
+_A16_13 = -1.39902416515901462129418009734e-3
+_A16_14 = 2.9475147891527723389556272149
+_A16_15 = -9.15095847217987001081870187138
+# dense output y(t_old + x h) = y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x)
+# (F3 + x (F4 + (1-x) (F5 + x F6)))))), where F0-F2 come from the step's
+# ends and F3-F6 = h D k over stages 1 and 6-16; one row of D per F
+_D = (
+    (
+        -0.84289382761090128651353491142e1, 0.56671495351937776962531783590,
+        -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
+        0.21170345824450282767155149946e1, -0.87139158377797299206789907490,
+        0.22404374302607882758541771650e1, 0.63157877876946881815570249290,
+        -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e2,
+        -0.91946323924783554000451984436e1, -0.44360363875948939664310572000e1,
+    ),
+    (
+        0.10427508642579134603413151009e2, 0.24228349177525818288430175319e3,
+        0.16520045171727028198505394887e3, -0.37454675472269020279518312152e3,
+        -0.22113666853125306036270938578e2, 0.77334326684722638389603898808e1,
+        -0.30674084731089398182061213626e2, -0.93321305264302278729567221706e1,
+        0.15697238121770843886131091075e2, -0.31139403219565177677282850411e2,
+        -0.93529243588444783865713862664e1, 0.35816841486394083752465898540e2,
+    ),
+    (
+        0.19985053242002433820987653617e2, -0.38703730874935176555105901742e3,
+        -0.18917813819516756882830838328e3, 0.52780815920542364900561016686e3,
+        -0.11573902539959630126141871134e2, 0.68812326946963000169666922661e1,
+        -0.10006050966910838403183860980e1, 0.77771377980534432092869265740,
+        -0.27782057523535084065932004339e1, -0.60196695231264120758267380846e2,
+        0.84320405506677161018159903784e2, 0.11992291136182789328035130030e2,
+    ),
+    (
+        -0.25693933462703749003312586129e2, -0.15418974869023643374053993627e3,
+        -0.23152937917604549567536039109e3, 0.35763911791061412378285349910e3,
+        0.93405324183624310003907691704e2, -0.37458323136451633156875139351e2,
+        0.10409964950896230045147246184e3, 0.29840293426660503123344363579e2,
+        -0.43533456590011143754432175058e2, 0.96324553959188282948394950600e2,
+        -0.39177261675615439165231486172e2, -0.14972683625798562581422125276e3,
+    ),
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
-)
-# dense output: y(t_old + x h) = y_old + h * sum_j Q_j x^(j+1), Q = K^T P
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)  # rows for stages 1, 3, 4, 5, 6, 7
 
 
 def _rms(eu: float, ev: float) -> float:
     return math.sqrt(eu * eu + ev * ev) / _SQRT2
 
 
-class RK45:
-    """Adaptive DOPRI5 stepper for ``(u, v)' = log_vector_field((u, v), p)``.
+class DOP853:
+    """Adaptive DOP853 stepper for ``(u, v)' = log_vector_field((u, v), p)``.
 
     The subset of scipy's ``OdeSolver`` interface the simulator uses:
     ``t``, ``y`` (a ``(u, v)`` tuple), ``status`` ("running", "finished"
@@ -109,12 +233,12 @@ class RK45:
         self.status = "running"
         self.f = log_vector_field(LogState(*self.y), p)
         self.h_abs = self._initial_step()
-        # (u_old, v_old, h, then k1, k3, k4, k5, k6, k7 as u, v pairs) of
-        # the last step, for dense output
+        # (u_old, v_old, h, then k1, k6, ..., k13 as u, v pairs) of the
+        # last step: what the dense output needs
         self._last: tuple | None = None
 
     def _initial_step(self) -> float:
-        """scipy's ``select_initial_step`` for an order-4 error estimator."""
+        """scipy's ``select_initial_step`` for an order-7 error estimator."""
         interval = self.t_bound - self.t
         if interval == 0.0:
             return 0.0
@@ -131,7 +255,7 @@ class RK45:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
+            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
         return min(100.0 * h0, h1, interval)
 
     def step(self) -> None:
@@ -171,43 +295,123 @@ class RK45:
             h_abs = h
             # each stage: s = e^v, (du, dv) = (m (s - lam), h(s) - e^u),
             # exp arguments clipped as in model.log_vector_field
-            us = u + (_A21 * k1u) * h
-            vs = v + (_A21 * k1v) * h
+            us = u + (_A2_1 * k1u) * h
+            vs = v + (_A2_1 * k1v) * h
             s = exp(vs if vs < clip else clip)
             k2u = m * (s - lam)
             k2v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-            us = u + (_A31 * k1u + _A32 * k2u) * h
-            vs = v + (_A31 * k1v + _A32 * k2v) * h
+            us = u + (_A3_1 * k1u + _A3_2 * k2u) * h
+            vs = v + (_A3_1 * k1v + _A3_2 * k2v) * h
             s = exp(vs if vs < clip else clip)
             k3u = m * (s - lam)
             k3v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-            us = u + (_A41 * k1u + _A42 * k2u + _A43 * k3u) * h
-            vs = v + (_A41 * k1v + _A42 * k2v + _A43 * k3v) * h
+            us = u + (_A4_1 * k1u + _A4_3 * k3u) * h
+            vs = v + (_A4_1 * k1v + _A4_3 * k3v) * h
             s = exp(vs if vs < clip else clip)
             k4u = m * (s - lam)
             k4v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-            us = u + (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u) * h
-            vs = v + (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v) * h
+            us = u + (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u) * h
+            vs = v + (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v) * h
             s = exp(vs if vs < clip else clip)
             k5u = m * (s - lam)
             k5v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-            us = u + (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u) * h
-            vs = v + (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v) * h
+            us = u + (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u) * h
+            vs = v + (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v) * h
             s = exp(vs if vs < clip else clip)
             k6u = m * (s - lam)
             k6v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-            u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            s = exp(v_new if v_new < clip else clip)
+            us = u + (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u) * h
+            vs = v + (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v) * h
+            s = exp(vs if vs < clip else clip)
             k7u = m * (s - lam)
-            k7v = (1.0 - s) * (s + a) - exp(u_new if u_new < clip else clip)
-            eu = (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u) * h
-            ev = (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v) * h
+            k7v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (
+                _A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u
+            ) * h
+            vs = v + (
+                _A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v
+            ) * h
+            s = exp(vs if vs < clip else clip)
+            k8u = m * (s - lam)
+            k8v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (
+                _A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                + _A9_8 * k8u
+            ) * h
+            vs = v + (
+                _A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
+                + _A9_8 * k8v
+            ) * h
+            s = exp(vs if vs < clip else clip)
+            k9u = m * (s - lam)
+            k9v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (
+                _A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
+                + _A10_8 * k8u + _A10_9 * k9u
+            ) * h
+            vs = v + (
+                _A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
+                + _A10_8 * k8v + _A10_9 * k9v
+            ) * h
+            s = exp(vs if vs < clip else clip)
+            k10u = m * (s - lam)
+            k10v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (
+                _A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
+                + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u
+            ) * h
+            vs = v + (
+                _A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
+                + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v
+            ) * h
+            s = exp(vs if vs < clip else clip)
+            k11u = m * (s - lam)
+            k11v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            us = u + (
+                _A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
+                + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u
+            ) * h
+            vs = v + (
+                _A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
+                + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v
+            ) * h
+            s = exp(vs if vs < clip else clip)
+            k12u = m * (s - lam)
+            k12v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+            u_new = u + h * (
+                _B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
+                + _B10 * k10u + _B11 * k11u + _B12 * k12u
+            )
+            v_new = v + h * (
+                _B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v
+                + _B10 * k10v + _B11 * k11v + _B12 * k12v
+            )
             anu = u_new if u_new >= 0.0 else -u_new
             anv = v_new if v_new >= 0.0 else -v_new
-            eu /= atol + (au if au > anu else anu) * rtol
-            ev /= atol + (av if av > anv else anv) * rtol
-            error_norm = math.sqrt(eu * eu + ev * ev) / _SQRT2
+            su = atol + (au if au > anu else anu) * rtol
+            sv = atol + (av if av > anv else anv) * rtol
+            e5u = (
+                _E5_1 * k1u + _E5_6 * k6u + _E5_7 * k7u + _E5_8 * k8u + _E5_9 * k9u
+                + _E5_10 * k10u + _E5_11 * k11u + _E5_12 * k12u
+            ) / su
+            e5v = (
+                _E5_1 * k1v + _E5_6 * k6v + _E5_7 * k7v + _E5_8 * k8v + _E5_9 * k9v
+                + _E5_10 * k10v + _E5_11 * k11v + _E5_12 * k12v
+            ) / sv
+            e3u = (
+                _E3_1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _E3_9 * k9u
+                + _B10 * k10u + _B11 * k11u + _E3_12 * k12u
+            ) / su
+            e3v = (
+                _E3_1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _E3_9 * k9v
+                + _B10 * k10v + _B11 * k11v + _E3_12 * k12v
+            ) / sv
+            err5 = e5u * e5u + e5v * e5v
+            err3 = e3u * e3u + e3v * e3v
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
             if error_norm < 1.0:
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
@@ -222,40 +426,93 @@ class RK45:
             factor = _SAFETY * error_norm**_ERROR_EXPONENT
             h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
+        # the error estimate does not use k13, so only an accepted step pays it
+        s = exp(v_new if v_new < clip else clip)
+        k13u = m * (s - lam)
+        k13v = (1.0 - s) * (s + a) - exp(u_new if u_new < clip else clip)
         self._last = (
-            u, v, h, k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v,
+            u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
+            k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v,
         )
         self.t_old = t
         self.t = t_new
         self.y = (u_new, v_new)
-        self.f = (k7u, k7v)
+        self.f = (k13u, k13v)
         self.h_abs = h_abs
         if t_new >= t_bound:
             self.status = "finished"
 
     def dense_output(self) -> Callable[[float], tuple[float, float]]:
-        """The 4th-order interpolant ``tau -> (u, v)`` over the last accepted step."""
+        """The 7th-order interpolant ``tau -> (u, v)`` over the last accepted step.
+
+        Computes the three extra stages k14-k16 of the step.
+        """
         if self.t_old is None:
             raise RuntimeError("dense output is available after a successful step")
         t_old = self.t_old
         if self._last is None:  # the zero-length step of t0 == t_bound
             y = self.y
             return lambda tau: y
-        u0, v0, h = self._last[:3]
-        k = self._last[3:]
-        qu = [sum(k[2 * s] * row[j] for s, row in enumerate(_P)) for j in range(4)]
-        qv = [sum(k[2 * s + 1] * row[j] for s, row in enumerate(_P)) for j in range(4)]
-        qu0, qu1, qu2, qu3 = qu
-        qv0, qv1, qv2, qv3 = qv
+        (
+            u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
+            k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v,
+        ) = self._last
+        p = self.p
+        a, lam, m = p.a, p.lam, p.m
+        exp = math.exp
+        clip = _EXP_CLIP
+        us = u + (
+            _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
+            + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u
+        ) * h
+        vs = v + (
+            _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
+            + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
+        ) * h
+        s = exp(vs if vs < clip else clip)
+        k14u = m * (s - lam)
+        k14v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+        us = u + (
+            _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
+            + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
+        ) * h
+        vs = v + (
+            _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
+            + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
+        ) * h
+        s = exp(vs if vs < clip else clip)
+        k15u = m * (s - lam)
+        k15v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+        us = u + (
+            _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
+            + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
+        ) * h
+        vs = v + (
+            _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
+            + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
+        ) * h
+        s = exp(vs if vs < clip else clip)
+        k16u = m * (s - lam)
+        k16v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
+
+        u_new, v_new = self.y
+        ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
+        kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
+        du = u_new - u
+        dv = v_new - v
+        fu0, fu1, fu2 = du, h * k1u - du, 2.0 * du - h * (k13u + k1u)
+        fv0, fv1, fv2 = dv, h * k1v - dv, 2.0 * dv - h * (k13v + k1v)
+        fu3, fu4, fu5, fu6 = (h * sum(map(mul, row, ku)) for row in _D)
+        fv3, fv4, fv5, fv6 = (h * sum(map(mul, row, kv)) for row in _D)
 
         def dense(tau: float) -> tuple[float, float]:
             x = (tau - t_old) / h
-            x2 = x * x
-            x3 = x2 * x
-            x4 = x3 * x
+            y = 1.0 - x
             return (
-                h * (qu0 * x + qu1 * x2 + qu2 * x3 + qu3 * x4) + u0,
-                h * (qv0 * x + qv1 * x2 + qv2 * x3 + qv3 * x4) + v0,
+                x * (fu0 + y * (fu1 + x * (fu2 + y * (fu3 + x * (fu4 + y * (fu5 + x * fu6))))))
+                + u,
+                x * (fv0 + y * (fv1 + x * (fv2 + y * (fv3 + x * (fv4 + y * (fv5 + x * fv6))))))
+                + v,
             )
 
         return dense

@@ -3,11 +3,12 @@
 Integration happens entirely in (ln x, ln s): the field there is smooth
 and bounded along the cycle even where x or s drop to e^{-1000}, which
 is exactly where a solver in linear variables silently reports garbage.
-An adaptive embedded Runge-Kutta pair (Dormand-Prince 5(4) with dense
-output, :mod:`cyclebound.dopri`) supplies the steps; isocline crossings
-are located by sign bracketing over each accepted step, bisection on
-the step's dense interpolant to a tight time tolerance, and a single
-interpolant evaluation for the state.
+An adaptive embedded Runge-Kutta pair (DOP853, Dormand-Prince 8(5,3)
+with 7th-order dense output, :mod:`cyclebound.dopri`) supplies the
+steps; isocline crossings are located by sign bracketing over each
+accepted step, Illinois regula falsi on a smooth form of the event
+function over the step's dense interpolant to a tight time tolerance,
+and a single interpolant evaluation for the state.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .bounds import BoundSet, cycle_bounds, x_max_upper
-from .dopri import RK45
+from .dopri import DOP853 as RK45
 from .model import _EXP_CLIP, LogState, Params, Region, State, h
 
 __all__ = [
@@ -57,9 +58,14 @@ __all__ = [
     "cycle_extreme_report",
 ]
 
-# absolute floor of the event-time bisection; widened by float spacing
+# absolute floor of the event-time bracket; widened by float spacing
 # once tau itself outgrows it
 _EVENT_TAU_TOL = 1e-12
+
+# below this ln x, e^u is no longer a normal double (the smallest one is
+# e^-708.4), and x - h(s) loses x: crossings of x = h(s) are bisected on
+# the log form there
+_SMOOTH_U_MIN = -700.0
 
 # a crossing only counts once the trajectory commits to the new side by
 # this much (in log units).  Canard segments shadow the repelling branch
@@ -151,11 +157,13 @@ class Trajectory:
     state itself.
 
     ``events`` records every committed sign change.  During slow saddle
-    passages (s within roundoff of 1) the trajectory rides the isocline
-    x = h(s) at an offset of order m in log units, which double
-    precision cannot keep on one side, so short re-crossing pairs can
-    appear there; :meth:`net_events` cancels those pairs and returns the
-    topological crossing sequence.
+    passages the true 1 - s falls below the integration error that
+    ``atol_log`` allows in v = ln s (e^-30 against v errors of 1e-12 to
+    1e-10 at a = lam = m = 0.01), so the computed v wanders about 0 and
+    crosses x = h(s) back and forth; short re-crossing pairs appear there
+    (about 120 per loop at that point, 2 with atol_log = 1e-16), and
+    :meth:`net_events` cancels them and returns the topological crossing
+    sequence.
     """
 
     taus: np.ndarray
@@ -277,25 +285,100 @@ def _sign(x: float) -> int:
     return int(x > 0) - int(x < 0)
 
 
-def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
-    """Bisect a bracketed sign change of g on the dense interpolant.
+def _event_functions(p: Params) -> tuple:
+    """``(g, phi, kinds)`` for the isoclines s = lam and x = h(s).
 
-    Refines to the 1e-12 time tolerance (or float spacing at large tau,
-    whichever is coarser) and returns the bracket end on the new side so
-    the post-event sign is consistent.
+    g is the log form whose sign integrate tests after each step:
+    v - ln(lam), and u - ln h(e^v), which is +inf where h(s) <= 0 (s >= 1
+    can only sit on the x > h side).  phi has the sign of g and is smooth
+    across the crossing, for :func:`_locate`: g_lam itself, and
+    x - h(s) = e^u + expm1(v) (e^v + a), which stays finite and smooth
+    through s = 1 where g_h jumps to +inf, and is None where e^u is not a
+    normal double.  kinds maps the new side to the crossing's kind.
     """
-    g_lo = g(dense(t_lo))
-    if _sign(g_lo) == 0:
-        return t_lo
+    ln_lam = math.log(p.lam)
+    a = p.a
+    clip = _EXP_CLIP
+
+    def g_lam(y) -> float:
+        return y[1] - ln_lam
+
+    def g_h(y) -> float:
+        v = y[1] if y[1] < clip else clip
+        hs = -math.expm1(v) * (math.exp(v) + a)
+        if hs <= 0.0:
+            return math.inf
+        return y[0] - math.log(hs)
+
+    def phi_h(y) -> Optional[float]:
+        u, v = y
+        if u < _SMOOTH_U_MIN:
+            return None
+        v = v if v < clip else clip
+        return math.exp(u if u < clip else clip) + math.expm1(v) * (math.exp(v) + a)
+
+    return (
+        (g_lam, g_lam, {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP}),
+        (g_h, phi_h, {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX}),
+    )
+
+
+def _locate(g: Callable, phi: Callable, dense, t_lo: float, t_hi: float) -> float:
+    """Locate a bracketed sign change of g on the dense interpolant.
+
+    Illinois regula falsi on phi, which has the sign of g and is smooth
+    across the crossing (see :func:`_event_functions`); where phi is
+    None, bisection on the sign of g.  Refines the bracket to the 1e-12
+    time tolerance (or float spacing at large tau, whichever is coarser)
+    and returns its end on the new side, so the post-event sign is
+    consistent.  A zero of the function is returned as it is, and a
+    crossing within roundoff of t_hi, where the function has not changed
+    sign yet on the interpolant, returns t_hi.
+    """
     tol = max(_EVENT_TAU_TOL, 8.0 * sys.float_info.epsilon * abs(t_hi))
+    y_lo, y_hi = dense(t_lo), dense(t_hi)
+    f_lo, f_hi = phi(y_lo), phi(y_hi)
+    smooth = f_lo is not None and f_hi is not None
+    if not smooth:
+        f_lo, f_hi = g(y_lo), g(y_hi)
+    if f_lo == 0.0:
+        return t_lo
+    lo_pos = f_lo > 0.0
+    if f_hi != 0.0 and (f_hi > 0.0) == lo_pos:
+        return t_hi
+    kept = 0  # the end the last iterate replaced: -1 lo, 1 hi
+    half_tol = 0.5 * tol
     while t_hi - t_lo > tol:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid <= t_lo or t_mid >= t_hi:
-            break
-        if _sign(g(dense(t_mid))) == _sign(g_lo):
-            t_lo = t_mid
+        if smooth:
+            t = t_hi - f_hi * ((t_hi - t_lo) / (f_hi - f_lo))
         else:
-            t_hi = t_mid
+            t = 0.5 * (t_lo + t_hi)
+        # keep half a tolerance off both ends: a root that close to an
+        # end is then bracketed by the next iterate instead of creeping
+        # up on it
+        if t < t_lo + half_tol:
+            t = t_lo + half_tol
+        elif t > t_hi - half_tol:
+            t = t_hi - half_tol
+        if t <= t_lo or t >= t_hi:
+            break
+        y = dense(t)
+        f = phi(y) if smooth else None
+        if f is None:
+            smooth = False
+            f = g(y)
+        if f == 0.0:
+            return t
+        if (f > 0.0) == lo_pos:
+            t_lo, f_lo = t, f
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            t_hi, f_hi = t, f
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
     return t_hi
 
 
@@ -312,7 +395,7 @@ def integrate(
 
     start may be a phase point or its log image.  Every accepted step is
     checked for sign changes of v - ln(lam) and u - ln(h(e^v)); each
-    crossing is located by bisection on the step's dense interpolant and
+    crossing is located on the step's dense interpolant (:func:`_locate`) and
     appended as an :class:`Event` once the trajectory commits to the new
     side (hysteresis suppresses the roundoff-scale sign chatter of
     canard segments grazing the isocline).  ``stop(event)`` returning
@@ -330,29 +413,14 @@ def integrate(
     ls = start.log() if isinstance(start, State) else start
     y0 = (ls.u, ls.v)
     solver = RK45(p, 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log)
-    ln_lam = math.log(p.lam)
-    a = p.a
-
-    def g_lam(y) -> float:
-        return y[1] - ln_lam
-
-    def g_h(y) -> float:
-        s = math.exp(y[1] if y[1] < _EXP_CLIP else _EXP_CLIP)
-        hs = (1.0 - s) * (s + p.a)
-        if hs <= 0.0:
-            return math.inf  # s >= 1 can only sit on the x > h side
-        return y[0] - math.log(hs)
-
-    checks = (
-        (g_lam, {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP}),
-        (g_h, {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX}),
-    )
+    checks = _event_functions(p)
+    (g_lam, _, _), (g_h, _, _) = checks
     # hysteresis state per event function: the side the trajectory is
     # committed to (0 until it first clears the arming threshold) and
     # the located-but-unconfirmed crossing of the current excursion
     ref_side = [0, 0]
     pending: list[Optional[Event]] = [None, None]
-    for idx, (g, _) in enumerate(checks):
+    for idx, (g, _, _) in enumerate(checks):
         val = g(y0)
         if abs(val) > _EVENT_ARM:
             ref_side[idx] = _sign(val)
@@ -363,7 +431,6 @@ def integrate(
     steps = 0
     max_steps = cfg.max_steps
     step = solver.step
-    clip = _EXP_CLIP
 
     def cut_at(ev: Event) -> Trajectory:
         while taus and taus[-1] >= ev.tau:
@@ -395,15 +462,12 @@ def integrate(
         else:
             taus[-1] = solver.t
             pts[-1] = y
-        # g_lam and g_h inline: almost every step stays strictly on the
-        # committed side of both isoclines with nothing pending, and then
-        # there is no hysteresis bookkeeping to do.  val * side > 0 tests
-        # "same nonzero sign"; a side not yet armed (0) takes the full path.
-        u, v = y
-        val_lam = v - ln_lam
-        s = math.exp(v if v < clip else clip)
-        hs = (1.0 - s) * (s + a)
-        val_h = math.inf if hs <= 0.0 else u - math.log(hs)
+        # almost every step stays strictly on the committed side of both
+        # isoclines with nothing pending, and then there is no hysteresis
+        # bookkeeping to do.  val * side > 0 tests "same nonzero sign"; a
+        # side not yet armed (0) takes the full path.
+        val_lam = g_lam(y)
+        val_h = g_h(y)
         if (
             val_lam * ref_side[0] > 0.0
             and val_h * ref_side[1] > 0.0
@@ -414,7 +478,7 @@ def integrate(
         confirmed: list[Event] = []
         dense = None
         for idx, val in enumerate((val_lam, val_h)):
-            g, kinds = checks[idx]
+            g, phi, kinds = checks[idx]
             side = _sign(val)
             if side == 0:
                 continue
@@ -428,7 +492,7 @@ def integrate(
             if pending[idx] is None:
                 if dense is None:
                     dense = solver.dense_output()
-                te = _locate(g, dense, t_old, solver.t)
+                te = _locate(g, phi, dense, t_old, solver.t)
                 pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
             if abs(val) > _EVENT_ARM:
                 confirmed.append(pending[idx])

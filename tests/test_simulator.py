@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45 as ScipyRK45
+from scipy.integrate import DOP853 as ScipyDOP853
 
 import cyclebound
-from cyclebound import dopri, simulator
+from cyclebound import simulator
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
-from cyclebound.model import _EXP_CLIP, LogState, Params, State, equilibrium, h, log_vector_field
+from cyclebound.model import LogState, Params, State, equilibrium, h, log_vector_field
 from cyclebound.simulator import (
     EventKind,
     SimConfig,
@@ -94,8 +94,20 @@ def _cycle_start(p):
     return (math.log(x_max_upper(p)), math.log(p.lam))
 
 
+def _error_estimate_resolved(ref):
+    """Whether both error sums (5th- and 3rd-order) of scipy's last step
+    stand clear of the worst-case roundoff n eps sum|terms| of summing
+    their n terms in any order, in both components."""
+    eps = np.finfo(float).eps
+    for weights in (ScipyDOP853.E5, ScipyDOP853.E3):
+        terms = ref.K.T * weights
+        if np.any(np.abs(terms.sum(axis=1)) <= len(weights) * eps * np.abs(terms).sum(axis=1)):
+            return False
+    return True
+
+
 def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
-    """Step simulator.RK45 and scipy's RK45 on the log-space field side by side.
+    """Step simulator.RK45 and scipy's DOP853 on the log-space field side by side.
 
     scipy integrates (u, v)' = log_vector_field((u, v), p), the field the
     in-house stepper has written out in its stages.
@@ -108,12 +120,15 @@ def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
     steps.  A step accepted at its first trial must then agree to
     roundoff, dense output included.  After a rejection the retried
     size is scaled by the error norm, whose roundoff it inherits; such
-    steps must still be rejected by both and agree to that level, as
-    must the step size each proposes next.  Returns the number of steps
-    taken after a rejection and scipy's solver.
+    steps must still be rejected by both, and their states agree to
+    roundoff plus the field times the step-size difference.  The
+    step size each proposes next must agree wherever the error estimate
+    stands clear of its own roundoff (deep in a canard it need not).
+    Returns the number of steps taken after a rejection and scipy's
+    solver.
     """
     ours = simulator.RK45(p, t0, y0, t_bound, rtol=rtol, atol=1e-12)
-    ref = ScipyRK45(
+    ref = ScipyDOP853(
         lambda t, y: np.array(log_vector_field(LogState(y[0], y[1]), p)),
         t0, np.array(y0), t_bound, rtol=rtol, atol=1e-12,
     )
@@ -135,20 +150,23 @@ def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
         # a rejection shrinks the trial step by a factor of at most 0.9
         rejected = ref.t - t <= 0.9 * min(h_try, t_bound - t)
         assert (ours.t - t <= 0.9 * min(h_try, t_bound - t)) == rejected
-        tol = 1e-9 if rejected else 1e-12
         retried += rejected
-        assert ours.t - t == pytest.approx(ref.t - t, rel=100 * tol)
-        assert ours.y == pytest.approx(tuple(ref.y), rel=tol, abs=tol)
-        assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-3)
+        assert ours.t - t == pytest.approx(ref.t - t, rel=1e-7 if rejected else 1e-10)
+        # a step longer by dt ends about |f| dt further on
+        tol = 1e-12 + 2.0 * abs(ours.t - ref.t) * float(np.abs(ref.f).max())
+        assert ours.y == pytest.approx(tuple(ref.y), rel=1e-12, abs=tol)
+        if _error_estimate_resolved(ref):
+            assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-3)
         ours_dense, ref_dense = ours.dense_output(), ref.dense_output()
         for x in (0.1, 0.5, 0.9):
-            tau = ref.t_old + x * (ref.t - ref.t_old)
-            assert ours_dense(tau) == pytest.approx(tuple(ref_dense(tau)), rel=tol, abs=tol)
+            got = ours_dense(ours.t_old + x * (ours.t - ours.t_old))
+            want = ref_dense(ref.t_old + x * (ref.t - ref.t_old))
+            assert got == pytest.approx(tuple(want), rel=1e-12, abs=tol)
     return retried, ref
 
 
 @pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
-def test_stepper_matches_scipy_rk45_step_for_step(p):
+def test_stepper_matches_scipy_dop853_step_for_step(p):
     retried, _ = _step_side_by_side(p, _cycle_start(p), 1e-10, 600)
     assert retried > 0  # the rejection branch was exercised
 
@@ -167,6 +185,10 @@ def test_stepper_edge_cases_match_scipy():
     # from (u, v) = (-50, 0.5) the field is small but turns fast (d2 > d1),
     # so the probe evaluation at y + h0 f sets the first step size
     _step_side_by_side(P_REF, (-50.0, 0.5), 1e-10, 50)
+    # a zero-length interval: no step size, one empty step, a constant
+    # interpolant
+    _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 5, t_bound=2.0, t0=2.0)
+    assert ref.status == "finished" and ref.t == 2.0
     # at t0 = 1e16 the minimal step (10 float spacings of t) is far too
     # long for the tolerance: both give up on the first step
     _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 10_000, t0=1e16)
@@ -175,79 +197,103 @@ def test_stepper_edge_cases_match_scipy():
         simulator.RK45(P_REF, 1.0, (0.0, -3.0), 0.0)
 
 
+def _weighted(weights, ks):
+    """sum of w_j k_j over the nonzero weights, left to right: the sums the
+    stepper writes out, with scipy's DOP853 tableau."""
+    return sum(float(w) * k for w, k in zip(weights, ks) if w != 0.0)
+
+
 def _reference_step(p, t, y, f, h_abs, rtol, atol):
     """One step of simulator.RK45 (t_bound = inf) with every stage a call
-    of log_vector_field: the stepper as it was before the field was
-    written out, with the same sums in the same order and the builtins
-    abs, min and max.  Returns (t, y, f, h_abs) after the step."""
-    d = dopri
+    of log_vector_field, the tableau taken from scipy's DOP853, and the
+    builtins abs, min and max: the stepper with its field and constants
+    not written out, the same sums in the same order.  Returns (t, y, f,
+    h_abs) after the step and the interpolant over it."""
 
     def fun(u, v):
         return log_vector_field(LogState(u, v), p)
 
-    (u, v), (k1u, k1v) = y, f
+    (u, v), k1 = y, f
     h_abs = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t))
     rejected = False
     while True:
         t_new = t + h_abs
         h = t_new - t
-        k2u, k2v = fun(u + (d._A21 * k1u) * h, v + (d._A21 * k1v) * h)
-        k3u, k3v = fun(
-            u + (d._A31 * k1u + d._A32 * k2u) * h, v + (d._A31 * k1v + d._A32 * k2v) * h
-        )
-        k4u, k4v = fun(
-            u + (d._A41 * k1u + d._A42 * k2u + d._A43 * k3u) * h,
-            v + (d._A41 * k1v + d._A42 * k2v + d._A43 * k3v) * h,
-        )
-        k5u, k5v = fun(
-            u + (d._A51 * k1u + d._A52 * k2u + d._A53 * k3u + d._A54 * k4u) * h,
-            v + (d._A51 * k1v + d._A52 * k2v + d._A53 * k3v + d._A54 * k4v) * h,
-        )
-        k6u, k6v = fun(
-            u + (d._A61 * k1u + d._A62 * k2u + d._A63 * k3u + d._A64 * k4u + d._A65 * k5u) * h,
-            v + (d._A61 * k1v + d._A62 * k2v + d._A63 * k3v + d._A64 * k4v + d._A65 * k5v) * h,
-        )
-        u_new = u + h * (d._B1 * k1u + d._B3 * k3u + d._B4 * k4u + d._B5 * k5u + d._B6 * k6u)
-        v_new = v + h * (d._B1 * k1v + d._B3 * k3v + d._B4 * k4v + d._B5 * k5v + d._B6 * k6v)
-        k7u, k7v = fun(u_new, v_new)
-        eu = (d._E1 * k1u + d._E3 * k3u + d._E4 * k4u + d._E5 * k5u + d._E6 * k6u + d._E7 * k7u) * h
-        ev = (d._E1 * k1v + d._E3 * k3v + d._E4 * k4v + d._E5 * k5v + d._E6 * k6v + d._E7 * k7v) * h
-        error_norm = d._rms(
-            eu / (atol + max(abs(u), abs(u_new)) * rtol),
-            ev / (atol + max(abs(v), abs(v_new)) * rtol),
-        )
+        ks = [k1]
+        for row in ScipyDOP853.A[1:]:
+            ku, kv = zip(*ks)
+            ks.append(fun(u + _weighted(row, ku) * h, v + _weighted(row, kv) * h))
+        ku, kv = zip(*ks)
+        u_new = u + h * _weighted(ScipyDOP853.B, ku)
+        v_new = v + h * _weighted(ScipyDOP853.B, kv)
+        su = atol + max(abs(u), abs(u_new)) * rtol
+        sv = atol + max(abs(v), abs(v_new)) * rtol
+        e5u, e5v = _weighted(ScipyDOP853.E5, ku) / su, _weighted(ScipyDOP853.E5, kv) / sv
+        e3u, e3v = _weighted(ScipyDOP853.E3, ku) / su, _weighted(ScipyDOP853.E3, kv) / sv
+        err5 = e5u * e5u + e5v * e5v
+        err3 = e3u * e3u + e3v * e3v
+        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0) if err5 or err3 else 0.0
         if error_norm < 1.0:
-            factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.2)
+            factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.125)
             if rejected:
                 factor = min(factor, 1.0)
-            return t_new, (u_new, v_new), (k7u, k7v), h * factor
-        h_abs = h * max(0.2, 0.9 * error_norm ** -0.2)
+            break
+        h_abs = h * max(0.2, 0.9 * error_norm ** -0.125)
         rejected = True
+    ks.append(fun(u_new, v_new))
+    for row in ScipyDOP853.A_EXTRA:
+        ku, kv = zip(*ks)
+        ks.append(fun(u + _weighted(row, ku) * h, v + _weighted(row, kv) * h))
+    ku, kv = zip(*ks)
+
+    def interpolant(y0, dy, k):
+        f = [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
+        f += [h * _weighted(row, k) for row in ScipyDOP853.D]
+
+        def at(tau):
+            x = (tau - t) / h
+            value = f[6]
+            for j in range(5, -1, -1):
+                value = f[j] + (1.0 - x if j % 2 == 0 else x) * value
+            return x * value + y0
+
+        return at
+
+    dense_u, dense_v = interpolant(u, u_new - u, ku), interpolant(v, v_new - v, kv)
+    step = (t_new, (u_new, v_new), ks[12], h * factor)
+    return step, lambda tau: (dense_u(tau), dense_v(tau))
 
 
 @pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
 def test_stepper_stages_are_log_vector_field(p, monkeypatch):
-    # the field written out in the stages must be log_vector_field bit
-    # for bit (repr tells every double apart): every accepted step over
-    # one loop equals the step that calls it, and the last stage (FSAL)
-    # is the field at the new state
+    # the field written out in the 12 stages of a step and the 3 extra
+    # stages of its interpolant must be log_vector_field bit for bit
+    # (repr tells every double apart), and the tableau scipy's: every
+    # accepted step over one loop, and its interpolant at three points,
+    # equal those of the step that calls the field, and the last stage
+    # (FSAL) is the field at the new state
     rejected = []
 
     class Checked(simulator.RK45):
         def step(self):
             before = (self.p, self.t, self.y, self.f, self.h_abs, self.rtol, self.atol)
             super().step()
-            expected = _reference_step(*before)
-            got = (self.t, self.y, self.f, self.h_abs)
-            assert repr(got) == repr(expected)
+            expected, expected_dense = _reference_step(*before)
+            assert repr((self.t, self.y, self.f, self.h_abs)) == repr(expected)
             assert repr(self.f) == repr(log_vector_field(LogState(*self.y), p))
+            dense = self.dense_output()
+            for x in (0.1, 0.5, 0.9):
+                tau = before[1] + x * (self.t - before[1])
+                assert repr(dense(tau)) == repr(expected_dense(tau))
             # a rejection shrinks the trial step by a factor of at most 0.9
             rejected.append(self.t - before[1] <= 0.9 * before[4])
 
     monkeypatch.setattr(simulator, "RK45", Checked)
     start = LogState(*_cycle_start(p))
     integrate(start, p, stop=simulator.stop_at_down(1), keep_samples=False)
-    assert len(rejected) > 500 and any(rejected)
+    # one loop takes 124 steps at the reference point and about 1900 at
+    # the canard point
+    assert len(rejected) > 100 and any(rejected)
 
 
 def test_import_leaves_scipy_out():
@@ -266,6 +312,8 @@ def _events_step_by_step(start, p, n_downs):
     """Reference for integrate's events: every accepted step goes through
     the hysteresis bookkeeping, with each event function evaluated by its
     own closure, until the n_downs-th descending s = lam crossing.
+    Crossings are located by integrate's own routine on integrate's own
+    event functions, so the events must agree exactly.
 
     Returns the events and the number of located crossings that were
     dropped because the trajectory fell back before committing."""
@@ -273,20 +321,10 @@ def _events_step_by_step(start, p, n_downs):
     solver = simulator.RK45(
         p, 0.0, (start.u, start.v), t_bound=math.inf, rtol=cfg.rtol, atol=cfg.atol_log,
     )
-    ln_lam = math.log(p.lam)
-
-    def g_h(y):
-        s = math.exp(min(y[1], _EXP_CLIP))
-        hs = (1.0 - s) * (s + p.a)
-        return math.inf if hs <= 0.0 else y[0] - math.log(hs)
-
-    checks = (
-        (lambda y: y[1] - ln_lam, {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP}),
-        (g_h, {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX}),
-    )
+    checks = simulator._event_functions(p)
     arm = simulator._EVENT_ARM
     y0 = (start.u, start.v)
-    ref_side = [simulator._sign(g(y0)) if abs(g(y0)) > arm else 0 for g, _ in checks]
+    ref_side = [simulator._sign(g(y0)) if abs(g(y0)) > arm else 0 for g, _, _ in checks]
     pending = [None, None]
     events = []
     fallbacks = 0
@@ -295,7 +333,7 @@ def _events_step_by_step(start, p, n_downs):
         solver.step()
         dense = solver.dense_output()
         confirmed = []
-        for idx, (g, kinds) in enumerate(checks):
+        for idx, (g, phi, kinds) in enumerate(checks):
             val = g(solver.y)
             side = simulator._sign(val)
             if side == 0:
@@ -307,7 +345,7 @@ def _events_step_by_step(start, p, n_downs):
                 pending[idx] = None
             else:
                 if pending[idx] is None:
-                    te = simulator._locate(g, dense, t_old, solver.t)
+                    te = simulator._locate(g, phi, dense, t_old, solver.t)
                     pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
                 if abs(val) > arm:
                     confirmed.append(pending[idx])
@@ -337,12 +375,12 @@ def test_quiet_step_path_keeps_every_event(p, s0, chatters):
 
 def _scipy_stepper(field):
     """A stand-in for simulator.RK45 (same constructor and interface)
-    that steps scipy's RK45 on (u, v)' = field(u, v) instead of the
+    that steps scipy's DOP853 on (u, v)' = field(u, v) instead of the
     model field."""
 
     class Stepper:
         def __init__(self, p, t0, y0, t_bound, rtol, atol):
-            self._ref = ScipyRK45(
+            self._ref = ScipyDOP853(
                 lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), t_bound,
                 rtol=rtol, atol=atol,
             )
@@ -373,6 +411,113 @@ def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
     assert fallbacks >= 1
     assert [ev.kind for ev in expected] == [EventKind.S_EQ_LAMBDA_DOWN]
     assert traj.events == expected
+
+
+def _count_calls(fn, counter):
+    def counted(y):
+        counter.append(y)
+        return fn(y)
+
+    return counted
+
+
+def _loop_brackets(p):
+    """Every accepted step of one loop from the section start across which
+    an event function changes sign, as (index into _event_functions,
+    step interpolant, t_old, t, new side)."""
+    checks = simulator._event_functions(p)
+    solver = simulator.RK45(p, 0.0, _cycle_start(p), math.inf, rtol=1e-10, atol=1e-12)
+    brackets, lam_changes = [], 0
+    while lam_changes < 2:
+        t_old, y_old = solver.t, solver.y
+        solver.step()
+        for idx, (g, _, _) in enumerate(checks):
+            before, after = simulator._sign(g(y_old)), simulator._sign(g(solver.y))
+            if before and after and before != after:
+                brackets.append((idx, solver.dense_output(), t_old, solver.t, after))
+                lam_changes += idx == 0
+    return checks, brackets
+
+
+@pytest.mark.parametrize(
+    "p",
+    [P_REF, Params(a=0.01, lam=0.01, m=0.01), Params(a=0.02, lam=0.02, m=5.0)],
+    ids=["ref", "canard", "deep"],
+)
+def test_illinois_and_bisection_locate_the_same_crossing(p):
+    # Illinois on the smooth form against bisection on the log form (phi
+    # unavailable): the same crossing to within the time tolerance, and
+    # the returned end on the new side of the log form, or on its zero.
+    # The canard point's loop re-crosses x = h(s) hundreds of times at
+    # the saddle.
+    checks, brackets = _loop_brackets(p)
+    assert len(brackets) >= 4
+    calls = []
+    for idx, dense, t_lo, t_hi, side in brackets:
+        g, phi, _ = checks[idx]
+        tol = max(simulator._EVENT_TAU_TOL, 8.0 * sys.float_info.epsilon * abs(t_hi))
+        te = simulator._locate(g, _count_calls(phi, calls), dense, t_lo, t_hi)
+        tb = simulator._locate(g, lambda y: None, dense, t_lo, t_hi)
+        assert t_lo <= te <= t_hi
+        assert abs(te - tb) <= tol
+        assert simulator._sign(g(dense(te))) in (side, 0)
+    # about 13 evaluations a crossing, where bisection takes 35 to 40
+    assert len(calls) <= 16 * len(brackets)
+
+
+def test_smooth_event_function_has_the_sign_of_the_log_form():
+    # phi = x - h(s) against g_h = u - ln h(s), including s >= 1 (v >= 0),
+    # where h(s) <= 0 and g_h = +inf, and points within 1e-9 of x = h(s)
+    for a in (0.01, 0.1):
+        _, (g_h, phi_h, _) = simulator._event_functions(Params(a=a, lam=0.01, m=1.0))
+        vs = [-60.0, -5.0, -0.5, -1e-3, -1e-9, -1e-14, -1e-20, -1e-300, 0.0, 1e-300, 1e-20,
+              1e-9, 0.3, 2.0]
+        for v in vs:
+            ln_h = math.log(-math.expm1(v) * (math.exp(v) + a)) if v < 0 else None
+            us = [-690.0, -100.0, -20.0, -1.0, 0.0, 1.0]
+            if ln_h is not None and ln_h > -690.0:
+                us += [ln_h - 1e-9, ln_h + 1e-9]
+            for u in us:
+                g, f = g_h((u, v)), phi_h((u, v))
+                if g == math.inf:
+                    assert v >= 0 and f > 0, (u, v)
+                else:
+                    assert simulator._sign(f) == simulator._sign(g), (u, v, f, g)
+        assert phi_h((-700.5, -1.0)) is None
+
+
+def test_locate_bisects_the_log_form_below_the_normal_range_of_x():
+    # a straight path through x = h(s) at s = 1/2: from ln x = -800, where
+    # e^u is no double at all, bisection on g_h finds the crossing; from
+    # ln x = -600 Illinois on phi does, without g_h
+    _, (g_h, phi_h, _) = simulator._event_functions(P_REF)
+    ln_h = math.log(h(0.5, P_REF))
+    for u0, g_calls_expected in ((-800.0, True), (-600.0, False)):
+        root = (ln_h - u0) / (1.0 - u0)  # where u = ln h(1/2)
+
+        def dense(tau, u0=u0):
+            return (u0 + (1.0 - u0) * tau, math.log(0.5))
+
+        g_calls = []
+        te = simulator._locate(_count_calls(g_h, g_calls), phi_h, dense, 0.0, 1.0)
+        assert abs(te - root) <= simulator._EVENT_TAU_TOL
+        assert g_h(dense(te)) >= 0.0
+        assert len(g_calls) > 30 if g_calls_expected else not g_calls
+    # a path whose ends are both inside the normal range but which dips
+    # below it where the first iterate lands: the rest is bisected
+    a, b = math.log(2.0 * h(0.5, P_REF)), -750.0
+
+    def dipping(tau):
+        u = -650.0 + (b + 650.0) * 2.0 * tau if tau <= 0.5 else b + (a - b) * (2.0 * tau - 1.0)
+        return (u, math.log(0.5))
+
+    g_calls = []
+    te = simulator._locate(_count_calls(g_h, g_calls), phi_h, dipping, 0.0, 1.0)
+    root = 0.5 * (1.0 + (ln_h - b) / (a - b))
+    assert g_calls and abs(te - root) <= simulator._EVENT_TAU_TOL
+    # a crossing the interpolant does not resolve (both ends on the old
+    # side) is put at the end of the step
+    assert simulator._locate(g_h, phi_h, lambda tau: (0.0, math.log(0.5)), 0.0, 1.0) == 1.0
 
 
 def test_equilibrium_stays_put():
@@ -462,6 +607,22 @@ def test_limit_cycle_converges_and_matches_bounds():
     assert b.ln_x_min_lo < ce.ln_x_min < b.ln_x_min_hi
     assert b.ln_s_min_lo < ce.ln_s_min < b.ln_s_min_hi
     assert 0.8 < ce.s_max < 1.0
+
+
+@pytest.mark.parametrize(
+    "p", [Params(a=0.01, lam=0.01, m=0.01), Params(a=0.05, lam=0.01, m=0.01)],
+    ids=["canard", "canard-a"],
+)
+def test_extremes_match_a_tight_reference(p):
+    # all four extremes, in log units, against rtol = 1e-13 and
+    # cycle_tol = 1e-12; the 5th-order stepper was 9.2e-7 off in ln s_min
+    # at the canard point
+    def logs(ce):
+        return (math.log(ce.x_max), ce.ln_x_min, ce.ln_s_min, ce.ln_s_max)
+
+    tight = limit_cycle(p, SimConfig(rtol=1e-13, cycle_tol=1e-12))
+    for got, want in zip(logs(limit_cycle(p)), logs(tight)):
+        assert abs(got - want) <= 2e-7
 
 
 def test_limit_cycle_reports_the_converging_tour(monkeypatch):
