@@ -5,10 +5,13 @@ and bounded along the cycle even where x or s drop to e^{-1000}, which
 is exactly where a solver in linear variables silently reports garbage.
 An adaptive embedded Runge-Kutta pair (DOP853, Dormand-Prince 8(5,3)
 with 7th-order dense output, :mod:`cyclebound.dopri`) supplies the
-steps; isocline crossings are located by sign bracketing over each
-accepted step, Illinois regula falsi on a smooth form of the event
-function over the step's dense interpolant to a tight time tolerance,
-and a single interpolant evaluation for the state.
+steps.  Isocline crossings are detected by sign bracketing over each
+accepted step and committed with their kind; a crossing is located
+(Illinois regula falsi on a smooth form of the event function over the
+step's dense interpolant to a tight time tolerance, then one
+interpolant evaluation for the state) when its time or state is first
+read.  Re-crossing pairs that :func:`net_events` cancels are counted
+but never located.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -141,29 +144,98 @@ _CYCLE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
 class Event:
-    tau: float
-    state: LogState
-    kind: EventKind
+    """An isocline crossing: its time ``tau``, log state and kind.
+
+    ``Event(tau, state, kind)`` is a located crossing.  :func:`integrate`
+    commits crossings with their kind only and the bracket to locate them
+    in; ``tau`` and ``state`` are located (:func:`_locate`, then one
+    interpolant evaluation) when either is first read, and kept.
+    Equality, hashing, repr and pickling use the located values, as for a
+    frozen dataclass of the three fields.
+    """
+
+    __slots__ = ("_tau", "_state", "_kind", "_bracket")
+
+    def __init__(self, tau: float, state: LogState, kind: EventKind) -> None:
+        self._tau = tau
+        self._state = state
+        self._kind = kind
+        self._bracket = None
+
+    @classmethod
+    def _deferred(
+        cls, kind: EventKind, g: Callable, phi: Callable, dense: Callable, t_lo: float,
+        t_hi: float,
+    ) -> "Event":
+        """A crossing of kind ``kind`` inside ``[t_lo, t_hi]``, located on
+        first read by ``_locate(g, phi, dense, t_lo, t_hi)``."""
+        ev = cls.__new__(cls)
+        ev._kind = kind
+        ev._bracket = (g, phi, dense, t_lo, t_hi)
+        return ev
+
+    def _resolve(self) -> None:
+        g, phi, dense, t_lo, t_hi = self._bracket
+        tau = _locate(g, phi, dense, t_lo, t_hi)
+        self._tau = tau
+        self._state = LogState(*dense(tau))
+        self._bracket = None
+
+    @property
+    def tau(self) -> float:
+        if self._bracket is not None:
+            self._resolve()
+        return self._tau
+
+    @property
+    def state(self) -> LogState:
+        if self._bracket is not None:
+            self._resolve()
+        return self._state
+
+    @property
+    def kind(self) -> EventKind:
+        return self._kind
+
+    def _located(self) -> tuple:
+        return (self.tau, self.state, self._kind)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._located() == other._located()
+
+    def __hash__(self) -> int:
+        return hash(self._located())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(tau={self.tau!r}, state={self.state!r}, "
+            f"kind={self._kind!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._located())
 
 
 @dataclass
 class Trajectory:
-    """Log-space samples at accepted steps plus located crossings.
+    """Log-space samples at accepted steps plus committed crossings.
 
     taus is strictly increasing; points[i] = (u, v) at taus[i].  When the
     integration was stopped by an event, the last sample is the event
     state itself.
 
-    ``events`` records every committed sign change.  During slow saddle
-    passages the true 1 - s falls below the integration error that
-    ``atol_log`` allows in v = ln s (e^-30 against v errors of 1e-12 to
-    1e-10 at a = lam = m = 0.01), so the computed v wanders about 0 and
-    crosses x = h(s) back and forth; short re-crossing pairs appear there
-    (about 120 per loop at that point, 2 with atol_log = 1e-16), and
-    :meth:`net_events` cancels them and returns the topological crossing
-    sequence.
+    ``events`` records every committed sign change, each located only
+    when its ``tau`` or ``state`` is first read (see :class:`Event`).
+    During slow saddle passages the true 1 - s falls below the
+    integration error that ``atol_log`` allows in v = ln s (e^-30 against
+    v errors of 1e-12 to 1e-10 at a = lam = m = 0.01), so the computed v
+    wanders about 0 and crosses x = h(s) back and forth; short
+    re-crossing pairs appear there (about 120 per loop at that point, 2
+    with atol_log = 1e-16), and :meth:`net_events` cancels them by kind,
+    without locating them, and returns the topological crossing sequence.
     """
 
     taus: np.ndarray
@@ -197,7 +269,8 @@ def net_events(events: list[Event]) -> list[Event]:
 
     A crossing immediately undone by the reverse crossing of the same
     event function is not a region transition; the surviving sequence
-    cycles through the four kinds in the canonical order.
+    cycles through the four kinds in the canonical order.  Only kinds
+    are read, so no crossing is located here.
     """
     stack: list[Event] = []
     for ev in events:
@@ -230,8 +303,10 @@ class CycleExtremes:
     ln_x_min on the ascending one, ln_s_min on the prey-minimal
     isocline graze and s_max on the prey-maximal one.
     residual is the return-map defect |ln x_end - ln x_start| of the
-    recorded loop, and tours the number of return-map tours integrated
-    to find it (the recorded loop is the last of them).
+    recorded loop, tours the number of return-map tours integrated
+    to find it (the recorded loop is the last of them), and raw_events
+    the number of crossings the recorded loop committed: the four net
+    ones plus the cancelled re-crossing pairs of saddle chatter.
 
     ln_s_max carries the prey maximum at full precision: 1 - s_max can
     sit far below the double spacing at 1 (deep cycles pass the saddle
@@ -248,6 +323,7 @@ class CycleExtremes:
     converged: bool
     residual: float
     tours: int
+    raw_events: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -395,12 +471,13 @@ def integrate(
 
     start may be a phase point or its log image.  Every accepted step is
     checked for sign changes of v - ln(lam) and u - ln(h(e^v)); each
-    crossing is located on the step's dense interpolant (:func:`_locate`) and
-    appended as an :class:`Event` once the trajectory commits to the new
-    side (hysteresis suppresses the roundoff-scale sign chatter of
-    canard segments grazing the isocline).  ``stop(event)`` returning
-    True ends the run at that event (the trajectory is cut there);
-    otherwise integration continues until t_max.
+    crossing is appended as an :class:`Event` once the trajectory commits
+    to the new side (hysteresis suppresses the roundoff-scale sign
+    chatter of canard segments grazing the isocline), and is located on
+    its step's dense interpolant (:func:`_locate`) when first read.
+    Crossings committed in one step are ordered by time.  ``stop(event)``
+    returning True ends the run at that event (the trajectory is cut
+    there); otherwise integration continues until t_max.
 
     Raises StepLimitError/StepSizeError on budget exhaustion or a solver
     stall, so a silently truncated trajectory is never returned.
@@ -417,7 +494,7 @@ def integrate(
     (g_lam, _, _), (g_h, _, _) = checks
     # hysteresis state per event function: the side the trajectory is
     # committed to (0 until it first clears the arming threshold) and
-    # the located-but-unconfirmed crossing of the current excursion
+    # the detected-but-unconfirmed crossing of the current excursion
     ref_side = [0, 0]
     pending: list[Optional[Event]] = [None, None]
     for idx, (g, _, _) in enumerate(checks):
@@ -492,13 +569,13 @@ def integrate(
             if pending[idx] is None:
                 if dense is None:
                     dense = solver.dense_output()
-                te = _locate(g, phi, dense, t_old, solver.t)
-                pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
+                pending[idx] = Event._deferred(kinds[side], g, phi, dense, t_old, solver.t)
             if abs(val) > _EVENT_ARM:
                 confirmed.append(pending[idx])
                 ref_side[idx] = side
                 pending[idx] = None
-        confirmed.sort(key=lambda ev: ev.tau)
+        if len(confirmed) > 1:  # the key locates, so a lone crossing is not sorted
+            confirmed.sort(key=lambda ev: ev.tau)
         for ev in confirmed:
             events.append(ev)
             if stop is not None and stop(ev):
@@ -603,6 +680,7 @@ def limit_cycle(
         converged=converged,
         residual=abs(ev_down.state.u - ln_x_start),
         tours=tours,
+        raw_events=len(tour.events),
     )
 
 

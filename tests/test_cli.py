@@ -74,6 +74,7 @@ def test_cycle_json(capsys):
     record = json.loads(out)
     assert record["extremes"]["converged"] is True
     assert record["extremes"]["tours"] >= 2
+    assert record["extremes"]["raw_events"] == 4  # no chatter at this point
     assert record["passed"] is True
     assert record["min_margin"] > 0
 

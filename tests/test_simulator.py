@@ -1,7 +1,9 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,25 @@ def test_stepper_stages_are_log_vector_field(p, monkeypatch):
     assert len(rejected) > 100 and any(rejected)
 
 
+@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+def test_dense_output_is_a_snapshot_of_its_step(p):
+    # an interpolant first evaluated five steps after its own step gives,
+    # bit for bit, the values of one evaluated right after that step: a
+    # crossing located on first read depends on this
+    solver = simulator.RK45(p, 0.0, _cycle_start(p), math.inf, rtol=1e-10, atol=1e-12)
+    for _ in range(3):
+        solver.step()
+    t_old, t = solver.t_old, solver.t
+    taus = [t_old + x * (t - t_old) for x in (0.1, 0.5, 0.9)]
+    late = solver.dense_output()
+    now = solver.dense_output()
+    expected = [now(tau) for tau in taus]
+    for _ in range(5):
+        solver.step()
+    assert solver.t_old > t
+    assert repr([late(tau) for tau in taus]) == repr(expected)
+
+
 def test_import_leaves_scipy_out():
     # the runtime needs numpy only; scipy is a test-time oracle
     src = str(Path(cyclebound.__file__).resolve().parents[1])
@@ -413,6 +434,27 @@ def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
     assert traj.events == expected
 
 
+def test_two_crossings_in_one_step_come_out_in_tau_order(monkeypatch):
+    # a straight path through x = h(s) at tau = 0.999 and s = lam at
+    # tau = 1: the stepper's steps grow tenfold on this field, so one step
+    # commits both crossings, in the reverse of the order integrate checks
+    # the isoclines in
+    ln_lam = math.log(P_REF.lam)
+    u0 = math.log(h(math.exp(ln_lam + 0.001), P_REF)) + 0.999
+    monkeypatch.setattr(simulator, "RK45", _scipy_stepper(lambda u, v: (-1.0, -1.0)))
+    start = LogState(u0, ln_lam + 1.0)
+    expected, _ = _events_step_by_step(start, P_REF, n_downs=1)
+    traj = integrate(start, P_REF, stop=simulator.stop_at_down(1))
+    assert [ev.kind for ev in traj.events] == [
+        EventKind.X_EQ_H_MIN, EventKind.S_EQ_LAMBDA_DOWN,
+    ]
+    assert traj.events == expected
+    first, second = traj.events
+    assert 0.998 < first.tau < second.tau < 1.001
+    # the last step ending before the crossings ends before both
+    assert traj.taus[-2] < first.tau
+
+
 def _count_calls(fn, counter):
     def counted(y):
         counter.append(y)
@@ -463,6 +505,48 @@ def test_illinois_and_bisection_locate_the_same_crossing(p):
         assert simulator._sign(g(dense(te))) in (side, 0)
     # about 13 evaluations a crossing, where bisection takes 35 to 40
     assert len(calls) <= 16 * len(brackets)
+
+
+# a frozen dataclass of the three fields: what Event was before crossings
+# were located on first read
+_DataclassEvent = make_dataclass(
+    "Event", [("tau", float), ("state", LogState), ("kind", EventKind)], frozen=True
+)
+
+
+def test_lazily_located_event_behaves_like_a_located_one(monkeypatch):
+    # each comparison is the first read of a fresh deferred event, and
+    # each locates exactly once
+    checks, brackets = _loop_brackets(P_REF)
+    idx, dense, t_lo, t_hi, side = brackets[1]
+    g, phi, kinds = checks[idx]
+    tau = simulator._locate(g, phi, dense, t_lo, t_hi)
+    located = Event(tau, LogState(*dense(tau)), kinds[side])
+    plain = _DataclassEvent(tau, LogState(*dense(tau)), kinds[side])
+    calls = []
+    real_locate = simulator._locate
+    monkeypatch.setattr(
+        simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
+    )
+
+    def deferred():
+        return Event._deferred(kinds[side], g, phi, dense, t_lo, t_hi)
+
+    ev = deferred()
+    assert ev.kind is kinds[side] and not calls
+    assert ev == located and located == deferred()
+    assert len(calls) == 2
+    assert hash(deferred()) == hash(located) == hash(plain)
+    assert repr(deferred()) == repr(located) == repr(plain)
+    assert pickle.loads(pickle.dumps(deferred())) == located
+    assert ev != Event(tau, located.state, kinds[-side])
+    assert ev != plain  # another class, as between two dataclasses
+    assert len(calls) == 5
+    ev = deferred()
+    assert (ev.state, ev.tau, ev.state) == (located.state, tau, located.state)
+    assert len(calls) == 6
+    with pytest.raises(AttributeError):
+        ev.tau = 0.0
 
 
 def test_smooth_event_function_has_the_sign_of_the_log_form():
@@ -641,6 +725,48 @@ def test_limit_cycle_reports_the_converging_tour(monkeypatch):
     assert not any(calls)
     assert ce.residual <= cfg.cycle_tol
     assert ce.as_dict()["tours"] == ce.tours
+
+
+def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
+    # the canard cycle commits about 120 crossings per tour, most of them
+    # saddle chatter that net_events cancels by kind alone; only the stop
+    # crossing of each tour and the three other survivors of the reported
+    # one are located (5 where locating every committed crossing takes 586)
+    p = Params(a=0.01, lam=0.01, m=0.01)
+    start = LogState(*_cycle_start(p))
+    expected, _ = _events_step_by_step(start, p, n_downs=1)
+    calls = []
+    real_locate = simulator._locate
+    monkeypatch.setattr(
+        simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
+    )
+    ce = limit_cycle(p)
+    assert ce.tours == 2 and len(calls) == 5
+    # forcing every committed crossing of a tour reproduces the step by
+    # step reference
+    del calls[:]
+    tour = integrate(start, p, stop=simulator.stop_at_down(1), keep_samples=False)
+    assert len(calls) == 1 and len(tour.events) > 100
+    assert tour.events == expected
+    assert len(calls) == len(tour.events)
+
+
+@pytest.mark.parametrize(
+    "p, chatters",
+    [
+        (P_REF, False),
+        (Params(a=0.01, lam=0.01, m=0.01), True),
+        (Params(a=0.02, lam=0.02, m=5.0), False),
+    ],
+    ids=["ref", "canard", "deep"],
+)
+def test_raw_events_counts_the_reported_tour(p, chatters):
+    # the reported tour's committed crossings: the 4 net ones plus
+    # cancelled pairs
+    ce = limit_cycle(p)
+    assert ce.raw_events >= 4 and (ce.raw_events - 4) % 2 == 0
+    assert (ce.raw_events > 40) == chatters
+    assert ce.as_dict()["raw_events"] == ce.raw_events
 
 
 def test_limit_cycle_out_of_budget_reports_last_tour():
