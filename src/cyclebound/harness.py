@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -69,6 +70,7 @@ DEFAULT_PANELS: tuple[tuple[float, float], ...] = (
 )
 
 _EXPECTED_ALPHA2_PEAK = {Case.A: 4.11, Case.B: 3.06}
+_ENVELOPE_CAP = {Case.A: 0.05, Case.B: 0.08}
 
 
 def _fmt(value) -> str:
@@ -109,7 +111,20 @@ class SweepSpec:
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
+            for v in vals:
+                if not (math.isfinite(v) and v > 0.0):
+                    raise ValueError(f"{name} must be finite and > 0, got {v!r}")
             object.__setattr__(self, name, vals)
+        # reject the whole grid before any row is simulated: a point with
+        # no cycle would abort the sweep halfway, not fail its own row
+        for a in self.a_values:
+            for lam in self.lambda_values:
+                margin = Params(a=a, lam=lam, m=1.0).hopf_margin
+                if margin <= 0.0:
+                    raise ValueError(
+                        f"(a, lambda) = ({a!r}, {lam!r}) has no limit cycle: "
+                        f"need 2*lam + a < 1, got margin {margin!r}"
+                    )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -445,32 +460,11 @@ def _barrier_worst(
     return (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg)
 
 
-def _check_barrier_coefficients() -> list[CheckResult]:
-    (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg) = _barrier_worst(
-        np.linspace(0.5 / 200, 0.5, 200),
-        np.linspace(0.0, 1.0, 200, endpoint=False),
-        np.linspace(10.0 / 200, 10.0, 200),
-    )
-    return [
-        CheckResult(
-            "barrier_c0_negative",
-            passed=worst_c0 < 0,
-            margin=-worst_c0,
-            worst_value=worst_c0,
-            worst_arg=worst_c0_arg,
-        ),
-        CheckResult(
-            "barrier_c0_plus_c1_nonpositive",
-            passed=worst_cc <= 0,
-            margin=-worst_cc,
-            worst_value=worst_cc,
-            worst_arg=worst_cc_arg,
-        ),
-    ]
-
-
-def _check_gain_quadratic(case: Case) -> list[CheckResult]:
-    cfg = Region4Config.for_case(case)
+def _gain_quadratic_worst(
+    cfg: Region4Config,
+) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+    """Largest growth-ratio quadratic at s = lam and smallest at s = 1,
+    with their args, over the case box's a x lam x m grid."""
     a_max, lam_max, k = cfg.a_max, cfg.lam_max, cfg.k
     a, lam, m = np.meshgrid(
         np.linspace(a_max / 40, a_max, 40),
@@ -493,115 +487,75 @@ def _check_gain_quadratic(case: Case) -> list[CheckResult]:
         p = Params(a=arg[0], lam=arg[1], m=1.0)
         return growth_ratio_quadratic(arg[1] if at_lam else 1.0, p, k, arg[2]), arg
 
-    worst_at_lam = worst(int(quadratic(lam).argmax()), at_lam=True)
-    worst_at_one = worst(int(quadratic(1.0).argmin()), at_lam=False)
-    return [
-        CheckResult(
-            "gain_quadratic_negative_at_lam",
-            passed=worst_at_lam[0] < 0,
-            margin=-worst_at_lam[0],
-            worst_value=worst_at_lam[0],
-            worst_arg=worst_at_lam[1],
-        ),
-        CheckResult(
-            "gain_quadratic_positive_at_one",
-            passed=worst_at_one[0] > 0,
-            margin=worst_at_one[0],
-            worst_value=worst_at_one[0],
-            worst_arg=worst_at_one[1],
-        ),
-    ]
-
-
-def _check_alpha(case: Case) -> CheckResult:
-    cfg = Region4Config.for_case(case)
-    worst = (-math.inf, ())
-    for m in np.geomspace(1e-3, 50, 500):
-        al = alpha_factors(float(m), cfg).alpha
-        if al > worst[0]:
-            worst = (al, (float(m),))
-    return CheckResult(
-        "alpha_below_0.2",
-        passed=worst[0] < 0.2,
-        margin=0.2 - worst[0],
-        worst_value=worst[0],
-        worst_arg=worst[1],
+    return (
+        worst(int(quadratic(lam).argmax()), at_lam=True),
+        worst(int(quadratic(1.0).argmin()), at_lam=False),
     )
 
 
-def _check_envelope(case: Case) -> CheckResult:
-    cap = 0.05 if case is Case.A else 0.08
-    grid = np.concatenate(
-        [np.linspace(0.0, 20.0, 4001), [0.3, np.nextafter(0.3, 1.0)]]
-    )
-    worst = (-math.inf, ())
-    for m in grid:
-        val = handoff_cap_envelope(float(m), case)
-        if val > worst[0]:
-            worst = (val, (float(m),))
-    return CheckResult(
-        "handoff_envelope_cap",
-        passed=worst[0] <= cap,
-        margin=cap - worst[0],
-        worst_value=worst[0],
-        worst_arg=worst[1],
-    )
-
-
-def _check_monotonicity(case: Case, step: float = 1e-6) -> CheckResult:
-    cfg = Region4Config.for_case(case)
-    a_max, lam_max = cfg.a_max, cfg.lam_max
-    worst = (math.inf, ())
+def _cap_bound_slopes(cfg: Region4Config, step: float = 1e-6):
+    """Central differences of handoff_cap_bound in a and in lam over the
+    case box, each as (slope, (a, lam, m, variable))."""
 
     def cap(a: float, lam: float, m: float) -> float:
         return handoff_cap_bound(Params(a=a, lam=lam, m=m), cfg)
 
-    for a in np.linspace(2e-3, a_max, 20):
-        for lam in np.linspace(2e-3, lam_max, 20):
-            for m in np.geomspace(1e-2, 20, 12):
-                a, lam, m = float(a), float(lam), float(m)
+    for a in np.linspace(2e-3, cfg.a_max, 20).tolist():
+        for lam in np.linspace(2e-3, cfg.lam_max, 20).tolist():
+            for m in np.geomspace(1e-2, 20, 12).tolist():
                 d_a = (cap(a + step, lam, m) - cap(a - step, lam, m)) / (2 * step)
+                yield d_a, (a, lam, m, "a")
                 d_lam = (cap(a, lam + step, m) - cap(a, lam - step, m)) / (2 * step)
-                for val, tag in ((d_a, "a"), (d_lam, "lam")):
-                    if val < worst[0]:
-                        worst = (val, (a, lam, m, tag))
-    return CheckResult(
-        "cap_bound_monotone_in_a_and_lam",
-        passed=worst[0] >= -1e-9,
-        margin=worst[0] + 1e-9,
-        worst_value=worst[0],
-        worst_arg=worst[1],
-    )
-
-
-def _check_alpha2_peak(case: Case) -> CheckResult:
-    expected = _EXPECTED_ALPHA2_PEAK[case]
-    root = alpha2_peak(case)
-    err = abs(root - expected)
-    return CheckResult(
-        "alpha2_peak_location",
-        passed=err <= 0.02,
-        margin=0.02 - err,
-        worst_value=root,
-        worst_arg=(expected,),
-    )
+                yield d_lam, (a, lam, m, "lam")
 
 
 def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     """Numerically sample every sign/monotonicity fact the bounds rest on.
 
-    Grid densities are chosen to finish in seconds while comfortably
-    exceeding the granularity of the case analysis they probe.  Failures
-    are reported in the result, never raised.
+    Each fact is one row (name, (worst value, its arg), sense, bound):
+    it holds on the grid when ``worst sense bound`` does, and its margin
+    is the distance from the worst value to the bound, positive on the
+    proven side.  Grid densities are chosen to finish in seconds while
+    comfortably exceeding the granularity of the case analysis they
+    probe.  Failures are reported in the result, never raised.
     """
     case = Case(case) if not isinstance(case, Case) else case
-    checks: list[CheckResult] = []
-    checks.extend(_check_barrier_coefficients())
-    checks.extend(_check_gain_quadratic(case))
-    checks.append(_check_alpha(case))
-    checks.append(_check_envelope(case))
-    checks.append(_check_monotonicity(case))
-    checks.append(_check_alpha2_peak(case))
+    cfg = Region4Config.for_case(case)
+    barrier_c0, barrier_c0_plus_c1 = _barrier_worst(
+        np.linspace(0.5 / 200, 0.5, 200),
+        np.linspace(0.0, 1.0, 200, endpoint=False),
+        np.linspace(10.0 / 200, 10.0, 200),
+    )
+    gain_at_lam, gain_at_one = _gain_quadratic_worst(cfg)
+    # max and min keep the first extreme they meet, as a strict scan does
+    alpha = max(
+        ((alpha_factors(m, cfg).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
+        key=itemgetter(0),
+    )
+    envelope_grid = np.linspace(0.0, 20.0, 4001).tolist() + [0.3, math.nextafter(0.3, 1.0)]
+    envelope = max(
+        ((handoff_cap_envelope(m, case), (m,)) for m in envelope_grid), key=itemgetter(0)
+    )
+    slope = min(_cap_bound_slopes(cfg), key=itemgetter(0))
+    rows = (
+        ("barrier_c0_negative", barrier_c0, "<", 0.0),
+        ("barrier_c0_plus_c1_nonpositive", barrier_c0_plus_c1, "<=", 0.0),
+        ("gain_quadratic_negative_at_lam", gain_at_lam, "<", 0.0),
+        ("gain_quadratic_positive_at_one", gain_at_one, ">", 0.0),
+        ("alpha_below_0.2", alpha, "<", 0.2),
+        ("handoff_envelope_cap", envelope, "<=", _ENVELOPE_CAP[case]),
+        ("cap_bound_monotone_in_a_and_lam", slope, ">=", -1e-9),
+    )
+    checks = []
+    for name, (value, arg), sense, bound in rows:
+        margin = bound - value if sense.startswith("<") else value - bound
+        passed = margin >= 0 if sense.endswith("=") else margin > 0
+        checks.append(CheckResult(name, passed, margin, value, arg))
+    # a pinned location, not a sign fact: the margin is what is left of
+    # the 0.02 tolerance around the target, the worst value the root
+    root, target = alpha2_peak(case), _EXPECTED_ALPHA2_PEAK[case]
+    err = abs(root - target)
+    checks.append(CheckResult("alpha2_peak_location", err <= 0.02, 0.02 - err, root, (target,)))
     return ProofCheckReport(case=case, checks=tuple(checks))
 
 

@@ -242,13 +242,6 @@ class Trajectory:
     points: np.ndarray
     events: list[Event] = field(default_factory=list)
 
-    @property
-    def samples(self) -> list[tuple[float, LogState]]:
-        return [
-            (float(t), LogState(float(u), float(v)))
-            for t, (u, v) in zip(self.taus, self.points)
-        ]
-
     def net_events(self) -> list[Event]:
         return net_events(self.events)
 

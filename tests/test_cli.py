@@ -162,8 +162,19 @@ def test_sweep_cli(tmp_path, capsys):
             {"a_values": 0.05, "lambda_values": [0.05], "m_values": [1.0]},
             "malformed sweep spec: ",
         ),
+        (
+            {"a_values": [0.05, 0.5], "lambda_values": [0.05, 0.3], "m_values": [1.0]},
+            "(a, lambda) = (0.5, 0.3) has no limit cycle: need 2*lam + a < 1",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, 0.0]},
+            "m_values must be finite and > 0, got 0.0",
+        ),
     ],
-    ids=["missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list"],
+    ids=[
+        "missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list",
+        "no-cycle-pair", "nonpositive-m",
+    ],
 )
 def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     spec_file = tmp_path / "spec.json"

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cyclebound import harness
 from cyclebound.harness import (
     CSV_HEADER,
     _barrier_worst,
-    _check_gain_quadratic,
     SweepSpec,
     emit_figures,
     lyapunov_checks,
@@ -92,7 +92,8 @@ def test_gain_quadratic_grid_matches_scalar_scan(case):
                     worst_at_lam = (g_lam, (p.a, p.lam, float(m)))
                 if g_one < worst_at_one[0]:
                     worst_at_one = (g_one, (p.a, p.lam, float(m)))
-    checks = _check_gain_quadratic(case)
+    report = proof_spotchecks(case)
+    checks = [report["gain_quadratic_negative_at_lam"], report["gain_quadratic_positive_at_one"]]
     assert [(c.worst_value, c.worst_arg) for c in checks] == [worst_at_lam, worst_at_one]
     for check in checks:
         assert type(check.worst_value) is float
@@ -253,6 +254,63 @@ def test_proof_spotchecks_case_b():
             assert check.worst_value == pytest.approx(3.0314, abs=5e-3)
         else:
             assert check.passed, check.name
+
+
+# the sampled proofcheck lines, worst values and args included; a refactor
+# of the checks must reproduce them byte for byte
+PROOFCHECK_LINES = {
+    Case.A: [
+        '[ok ] barrier_c0_negative: margin=1.0525 worst=-1.0525 at (0.0025, 0.0, 0.05)',
+        '[ok ] barrier_c0_plus_c1_nonpositive: margin=0 worst=-0 at (0.0025, 0.0, 0.05)',
+        '[ok ] gain_quadratic_negative_at_lam: margin=1.77656e-05 worst=-1.77656e-05 at (0.05, 0.00125, 50.0)',
+        '[ok ] gain_quadratic_positive_at_one: margin=0.965019 worst=0.965019 at (0.00125, 0.05, 50.0)',
+        '[ok ] alpha_below_0.2: margin=0.0515704 worst=0.14843 at (0.9455847155027068,)',
+        '[ok ] handoff_envelope_cap: margin=0.00542275 worst=0.0445772 at (0.3,)',
+        "[ok ] cap_bound_monotone_in_a_and_lam: margin=1e-09 worst=0 at (0.002, 0.002, 5.021607031055999, 'a')",
+        '[ok ] alpha2_peak_location: margin=0.018949 worst=4.10895 at (4.11,)',
+    ],
+    Case.B: [
+        '[ok ] barrier_c0_negative: margin=1.0525 worst=-1.0525 at (0.0025, 0.0, 0.05)',
+        '[ok ] barrier_c0_plus_c1_nonpositive: margin=0 worst=-0 at (0.0025, 0.0, 0.05)',
+        '[ok ] gain_quadratic_negative_at_lam: margin=2.99833e-06 worst=-2.99833e-06 at (0.1, 0.00025, 50.0)',
+        '[ok ] gain_quadratic_positive_at_one: margin=1.00337 worst=1.00337 at (0.0025, 0.01, 50.0)',
+        '[ok ] alpha_below_0.2: margin=0.0111375 worst=0.188863 at (0.29964804265819106,)',
+        '[ok ] handoff_envelope_cap: margin=0.00698892 worst=0.0730111 at (0.3,)',
+        "[ok ] cap_bound_monotone_in_a_and_lam: margin=1e-09 worst=0 at (0.002, 0.002, 5.021607031055999, 'a')",
+        '[FAIL] alpha2_peak_location: margin=-0.00858652 worst=3.03141 at (3.06,)',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_proof_spotcheck_lines_are_pinned(case):
+    assert proof_spotchecks(case).lines() == PROOFCHECK_LINES[case]
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_proof_spotchecks_call_counts(monkeypatch, case):
+    # the benchmark's tracer hooks these names in harness and reports
+    # calls per proofcheck; each must still be resolved there, as often
+    expected = {
+        "growth_ratio_quadratic": 2,
+        "alpha_factors": 500,
+        "handoff_cap_envelope": 4003,
+        "handoff_cap_bound": 19_200,
+        "alpha2_peak": 1,
+    }
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    proof_spotchecks(case)
+    assert calls == expected
 
 
 def test_emit_figures_tiny(tmp_path):
