@@ -10,8 +10,9 @@ The bounds are proved for parameters in the box
 
     a <= 1/20 and lam <= 1/20,   or   a <= 1/10 and lam <= 1/100
 
-(``Params.proven_region``); outside it the same formulas still evaluate
-and can be requested with ``force=True``, in which case the resulting
+(``Params.proven_region``), with the x_max barrier anchored at a prey
+level s0 <= 0.8; outside them the same formulas still evaluate and can
+be requested with ``force=True``, in which case the resulting
 :class:`BoundSet` carries ``proven=False``.
 """
 
@@ -36,6 +37,11 @@ __all__ = [
     "canard_estimates",
 ]
 
+# the proven lower bound on the cycle's prey maximum; V = x + m (s - lam ln s)
+# grows along the cycle while s > lam, so the x_max barrier anchored at s0
+# is proven only for s0 up to this level
+_S_MAX_LO = 0.8
+
 
 @dataclass(frozen=True)
 class BoundSet:
@@ -45,7 +51,7 @@ class BoundSet:
     prey maximum is bracketed by the constants (0.8, 1).  ``s0`` is the
     anchor prey level of the lower x_max barrier.  ``proven`` is False
     when the parameters lie outside the box where the estimates are
-    established (forced evaluation).
+    established, or s0 lies above s_max_lo (forced evaluation).
     """
 
     x_max_lo: float
@@ -54,7 +60,7 @@ class BoundSet:
     ln_x_min_hi: float
     ln_s_min_lo: float
     ln_s_min_hi: float
-    s_max_lo: float = 0.8
+    s_max_lo: float = _S_MAX_LO
     s_max_hi: float = 1.0
     s0: float = 0.8
     proven: bool = True
@@ -161,11 +167,15 @@ def x_max_lower(p: Params, s0: float = 0.8) -> float:
     solve -2 z^2 + (1 - a + m) z - m lam = 0; the larger root clamped to
     the interval is the maximizer (the objective is unimodal there), and
     both endpoints are compared as well for safety.
+
+    The barrier holds for s0 up to the cycle's prey maximum, which is
+    proven to exceed 0.8 only; s0 >= 1, where h(s0) <= 0, anchors
+    nothing and raises ValueError.
     """
     _require_cycle(p)
     lo = 0.5 * (1.0 - p.a)
-    if not s0 > lo:
-        raise ValueError(f"need s0 > (1 - a)/2 = {lo!r}, got {s0!r}")
+    if not lo < s0 < 1.0:
+        raise ValueError(f"need (1 - a)/2 = {lo!r} < s0 < 1, got {s0!r}")
     b = 1.0 - p.a + p.m
     disc = b * b - 8.0 * p.m * p.lam  # >= 0 for all cycle-regime parameters
     z_star = 0.25 * (b + math.sqrt(max(disc, 0.0)))
@@ -213,16 +223,23 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
 def cycle_bounds(p: Params, s0: float = 0.8, force: bool = False) -> BoundSet:
     """Assemble the full :class:`BoundSet` for one parameter triple.
 
-    Rejects parameters outside the proven box unless ``force`` is set,
-    in which case the bounds are still evaluated but flagged unproven.
+    Rejects parameters outside the proven box, and an anchor s0 above
+    the proven prey-maximum bound 0.8, unless ``force`` is set, in which
+    case the bounds are still evaluated but flagged unproven.
     """
     _require_cycle(p)
-    if not p.proven_region and not force:
-        raise ValueError(
-            f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "
-            "box; pass force=True to evaluate anyway (bounds flagged unproven)"
-        )
     x_lo = x_max_lower(p, s0)
+    if not force:
+        if not p.proven_region:
+            raise ValueError(
+                f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "
+                "box; pass force=True to evaluate anyway (bounds flagged unproven)"
+            )
+        if s0 > _S_MAX_LO:
+            raise ValueError(
+                f"s0 = {s0!r} is above the proven prey maximum bound {_S_MAX_LO!r}; "
+                "pass force=True to evaluate anyway (bounds flagged unproven)"
+            )
     x_hi = x_max_upper(p)
     hi_launch = excursion_bounds(x_hi, p.lam, p)
     lo_launch = excursion_bounds(x_lo, p.lam, p)
@@ -234,7 +251,7 @@ def cycle_bounds(p: Params, s0: float = 0.8, force: bool = False) -> BoundSet:
         ln_s_min_lo=hi_launch.ln_s_lo,
         ln_s_min_hi=lo_launch.ln_s_hi,
         s0=s0,
-        proven=p.proven_region,
+        proven=p.proven_region and s0 <= _S_MAX_LO,
     )
 
 

@@ -39,7 +39,6 @@ from .simulator import (
     SimConfig,
     cycle_extreme_report,
     integrate,
-    stop_at_down,
     transit_points,
 )
 
@@ -95,7 +94,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     cfg = _sim_config(args)
     start = State(h(args.s0, p), args.s0)
-    traj = integrate(start, p, cfg, stop=stop_at_down(args.tours + 1))
+    traj = integrate(start, p, cfg, n_downs=args.tours + 1)
     lines = ["tau,ln_x,ln_s,region"]
     for (tau, (u, v)), label in zip(
         zip(traj.taus, traj.points), traj.region_labels(p)

@@ -26,7 +26,8 @@ no ``fun`` argument and takes the model parameters instead.
 computed on the interpolant's first evaluation, which the simulator
 makes only when it locates a crossing that something reads.
 
-Only forward integration is supported (``t_bound >= t0``).
+The stepper has no end time: it steps forward from ``t0`` for as long as
+it is asked to, and the simulator ends each integration at a crossing.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ class DOP853:
     """Adaptive DOP853 stepper for ``(u, v)' = log_vector_field((u, v), p)``.
 
     The subset of scipy's ``OdeSolver`` interface the simulator uses:
-    ``t``, ``y`` (a ``(u, v)`` tuple), ``status`` ("running", "finished"
-    or "failed"), :meth:`step` for one accepted step and
+    ``t``, ``y`` (a ``(u, v)`` tuple), ``status`` ("running" or
+    "failed"), :meth:`step` for one accepted step and
     :meth:`dense_output` for the interpolant over the last one.  ``f``
     is the field at ``y`` (the last stage of the last step).
     """
@@ -210,12 +211,9 @@ class DOP853:
         p: Params,
         t0: float,
         y0: tuple[float, float],
-        t_bound: float,
         rtol: float = 1e-3,
         atol: float = 1e-6,
     ) -> None:
-        if not t_bound >= t0:
-            raise ValueError(f"forward integration only: t_bound {t_bound!r} < t0 {t0!r}")
         if not atol >= 0:
             raise ValueError("atol must be nonnegative")
         if rtol < _RTOL_FLOOR:
@@ -227,7 +225,6 @@ class DOP853:
         self.p = p
         self.t = float(t0)
         self.t_old: float | None = None
-        self.t_bound = t_bound
         self.y = (float(y0[0]), float(y0[1]))
         self.rtol = rtol
         self.atol = atol
@@ -240,9 +237,6 @@ class DOP853:
 
     def _initial_step(self) -> float:
         """scipy's ``select_initial_step`` for an order-7 error estimator."""
-        interval = self.t_bound - self.t
-        if interval == 0.0:
-            return 0.0
         u, v = self.y
         fu, fv = self.f
         su = self.atol + abs(u) * self.rtol
@@ -250,25 +244,19 @@ class DOP853:
         d0 = _rms(u / su, v / sv)
         d1 = _rms(fu / su, fv / sv)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
         gu, gv = log_vector_field(LogState(u + h0 * fu, v + h0 * fv), self.p)
         d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-        return min(100.0 * h0, h1, interval)
+        return min(100.0 * h0, h1)
 
     def step(self) -> None:
         """Advance by one accepted step; status becomes "failed" on step underflow."""
         if self.status != "running":
-            raise RuntimeError("attempt to step on a failed or finished solver")
+            raise RuntimeError("attempt to step on a failed solver")
         t = self.t
-        t_bound = self.t_bound
-        if t == t_bound:
-            self.t_old = t
-            self.status = "finished"
-            return
         p = self.p
         a, lam, m = p.a, p.lam, p.m
         exp = math.exp
@@ -290,8 +278,6 @@ class DOP853:
                 self.status = "failed"
                 return
             t_new = t + h_abs
-            if t_new > t_bound:
-                t_new = t_bound
             h = t_new - t
             h_abs = h
             # each stage: s = e^v, (du, dv) = (m (s - lam), h(s) - e^u),
@@ -440,8 +426,6 @@ class DOP853:
         self.y = (u_new, v_new)
         self.f = (k13u, k13v)
         self.h_abs = h_abs
-        if t_new >= t_bound:
-            self.status = "finished"
 
     def dense_output(self) -> Callable[[float], tuple[float, float]]:
         """The 7th-order interpolant ``tau -> (u, v)`` over the last accepted step.
@@ -452,11 +436,8 @@ class DOP853:
         evaluated costs no field evaluation, and one evaluated after later
         steps returns the same values as right after its own step.
         """
-        if self.t_old is None:
+        if self._last is None:
             raise RuntimeError("dense output is available after a successful step")
-        if self._last is None:  # the zero-length step of t0 == t_bound
-            y = self.y
-            return lambda tau: y
         p, t_old, last, y_new = self.p, self.t_old, self._last, self.y
         evaluate = None
 

@@ -41,7 +41,6 @@ from .simulator import (
     SimConfig,
     cycle_extreme_report,
     integrate,
-    stop_at_down,
 )
 
 __all__ = [
@@ -176,15 +175,14 @@ class SweepRow:
     converged: bool
     min_margin: float
     passed: bool
-    flags: dict = field(default_factory=dict, compare=False)
     error: Optional[str] = None
 
     def csv_line(self) -> str:
         return ",".join(_fmt(getattr(self, name)) for name in _CSV_FIELDS)
 
 
-# every SweepRow field but the two that stay out of the CSV, in order
-_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name not in ("flags", "error"))
+# every SweepRow field but the error, which stays out of the CSV, in order
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
 _CSV_NAMES = {"lam": "lambda", "passed": "pass"}
 CSV_HEADER = ",".join(_CSV_NAMES.get(name, name) for name in _CSV_FIELDS)
 
@@ -260,7 +258,6 @@ def sweep_row_from_report(report: CycleReport) -> SweepRow:
         converged=ce.converged,
         min_margin=report.min_margin,
         passed=report.passed,
-        flags=dict(report.flags),
     )
 
 
@@ -354,7 +351,7 @@ def lyapunov_checks(
     """
     cfg = cfg or SimConfig()
     start = State(h(s0, p), s0)
-    traj = integrate(start, p, cfg, stop=stop_at_down(1))
+    traj = integrate(start, p, cfg)
     # the defects are meaningful only at true trajectory points (a chord
     # between accepted steps can dip below the monotone envelope), so
     # n_samples caps how many step samples are kept, never interpolates
@@ -519,7 +516,7 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     comfortably exceeding the granularity of the case analysis they
     probe.  Failures are reported in the result, never raised.
     """
-    case = Case(case) if not isinstance(case, Case) else case
+    case = Case(case)
     cfg = Region4Config.for_case(case)
     barrier_c0, barrier_c0_plus_c1 = _barrier_worst(
         np.linspace(0.5 / 200, 0.5, 200),

@@ -104,7 +104,7 @@ class Region4Config:
 
     @classmethod
     def for_case(cls, case: Case | str) -> "Region4Config":
-        case = Case(case) if not isinstance(case, Case) else case
+        case = Case(case)
         return cls(k=_CASE_K[case], s_gamma=0.7, kappa=_CASE_KAPPA[case], case=case)
 
     @property
@@ -222,7 +222,7 @@ def handoff_cap_envelope(m: float, case: Case | str) -> float:
     """
     if not m >= 0:
         raise ValueError(f"m must be nonnegative, got {m!r}")
-    case = Case(case) if not isinstance(case, Case) else case
+    case = Case(case)
     low, high = _ENVELOPE[case]
     c0, c1, c2, c3 = low if m <= _M_BRANCH else high
     return (c0 + c1 * m) * math.exp(c2 * m + c3)
@@ -354,7 +354,7 @@ def alpha2_peak(case: Case | str, M: float = 0.7) -> float:
     sign-change bracket plus bisection-safeguarded root finding is
     exact; raises if no sign change exists on (0.3, 60].
     """
-    case = Case(case) if not isinstance(case, Case) else case
+    case = Case(case)
     c0, c1, c2, c3 = _ENVELOPE[case][1]
     scale = math.exp(c3)
     abar, bbar, cbar = c1 * scale, c0 * scale, -c2

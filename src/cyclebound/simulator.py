@@ -55,7 +55,6 @@ __all__ = [
     "StepSizeError",
     "EventOrderError",
     "integrate",
-    "stop_at_down",
     "transit_points",
     "limit_cycle",
     "cycle_extreme_report",
@@ -90,7 +89,7 @@ class StepLimitError(IntegrationError):
 
 
 class StepSizeError(IntegrationError):
-    """The solver hit its minimal step size (likely an unreachable stop)."""
+    """The solver hit its minimal step size (the tolerance is unreachable)."""
 
 
 class EventOrderError(IntegrationError):
@@ -223,9 +222,10 @@ class Event:
 class Trajectory:
     """Log-space samples at accepted steps plus committed crossings.
 
-    taus is strictly increasing; points[i] = (u, v) at taus[i].  When the
-    integration was stopped by an event, the last sample is the event
-    state itself.
+    taus is strictly increasing; points[i] = (u, v) at taus[i].  The
+    last sample is the state at the last event, the ``n_downs``-th
+    predator maximum (descending s = lam crossing) the integration ends
+    at.
 
     ``events`` records every committed sign change, each located only
     when its ``tau`` or ``state`` is first read (see :class:`Event`).
@@ -234,16 +234,13 @@ class Trajectory:
     v errors of 1e-12 to 1e-10 at a = lam = m = 0.01), so the computed v
     wanders about 0 and crosses x = h(s) back and forth; short
     re-crossing pairs appear there (about 120 per loop at that point, 2
-    with atol_log = 1e-16), and :meth:`net_events` cancels them by kind,
+    with atol_log = 1e-16), and :func:`net_events` cancels them by kind,
     without locating them, and returns the topological crossing sequence.
     """
 
     taus: np.ndarray
     points: np.ndarray
     events: list[Event] = field(default_factory=list)
-
-    def net_events(self) -> list[Event]:
-        return net_events(self.events)
 
     def region_labels(self, p: Params) -> list[str]:
         return [_region_from_log(u, v, p).value for u, v in self.points]
@@ -455,12 +452,11 @@ def integrate(
     start: Union[State, LogState],
     p: Params,
     cfg: Optional[SimConfig] = None,
-    stop: Optional[Callable[[Event], bool]] = None,
     *,
-    t_max: float = math.inf,
+    n_downs: int = 1,
     keep_samples: bool = True,
 ) -> Trajectory:
-    """Integrate the log-space field, recording isocline crossings.
+    """Integrate the log-space field up to the n_downs-th predator maximum.
 
     start may be a phase point or its log image.  Every accepted step is
     checked for sign changes of v - ln(lam) and u - ln(h(e^v)); each
@@ -468,21 +464,26 @@ def integrate(
     to the new side (hysteresis suppresses the roundoff-scale sign
     chatter of canard segments grazing the isocline), and is located on
     its step's dense interpolant (:func:`_locate`) when first read.
-    Crossings committed in one step are ordered by time.  ``stop(event)``
-    returning True ends the run at that event (the trajectory is cut
-    there); otherwise integration continues until t_max.
+    Crossings committed in one step are ordered by time.  The run ends
+    at the n_downs-th descending s = lam crossing, the once-per-loop
+    section that saddle re-crossing pairs never touch: the trajectory is
+    cut back to it, so its last sample is that crossing's state.  With
+    ``keep_samples=False`` that state is the only sample kept.
 
-    Raises StepLimitError/StepSizeError on budget exhaustion or a solver
-    stall, so a silently truncated trajectory is never returned.
+    Raises ValueError for n_downs < 1, and StepLimitError/StepSizeError
+    on budget exhaustion or a solver stall, so a silently truncated
+    trajectory is never returned.
     """
     cfg = cfg or SimConfig()
+    if n_downs < 1:
+        raise ValueError(f"n_downs must be at least 1, got {n_downs!r}")
     if p.limit:
         raise ValueError("simulation requires strictly positive parameters")
     if not p.cycle_regime:
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
     ls = start.log() if isinstance(start, State) else start
     y0 = (ls.u, ls.v)
-    solver = RK45(p, 0.0, y0, t_bound=t_max, rtol=cfg.rtol, atol=cfg.atol_log)
+    solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log)
     checks = _event_functions(p)
     (g_lam, _, _), (g_h, _, _) = checks
     # hysteresis state per event function: the side the trajectory is
@@ -498,22 +499,16 @@ def integrate(
     taus = [0.0]
     pts = [y0]
     events: list[Event] = []
+    downs = 0
     steps = 0
     max_steps = cfg.max_steps
     step = solver.step
 
-    def cut_at(ev: Event) -> Trajectory:
-        while taus and taus[-1] >= ev.tau:
-            taus.pop()
-            pts.pop()
-        taus.append(ev.tau)
-        pts.append((ev.state.u, ev.state.v))
-        return Trajectory(np.array(taus), np.array(pts), events)
-
-    while solver.status == "running":
+    while True:
         if steps >= max_steps:
             raise StepLimitError(
-                f"no stop event within {max_steps} steps (tau = {solver.t:.6g})"
+                f"fewer than {n_downs} predator maxima within {max_steps} steps "
+                f"(tau = {solver.t:.6g})"
             )
         t_old = solver.t
         step()
@@ -521,10 +516,10 @@ def integrate(
         if solver.status == "failed":
             raise StepSizeError(
                 f"step size underflow at tau = {solver.t:.6g}; "
-                "the requested tolerance or stop condition is unreachable"
+                "the requested tolerance is unreachable"
             )
         y = solver.y
-        # recorded before the events of this step: a stop at one of them
+        # recorded before the events of this step: ending at one of them
         # cuts the trajectory back to the event anyway
         if keep_samples:
             taus.append(solver.t)
@@ -571,34 +566,15 @@ def integrate(
             confirmed.sort(key=lambda ev: ev.tau)
         for ev in confirmed:
             events.append(ev)
-            if stop is not None and stop(ev):
-                if keep_samples:
-                    return cut_at(ev)
-                return Trajectory(
-                    np.array([ev.tau]),
-                    np.array([(ev.state.u, ev.state.v)]),
-                    events,
-                )
-    # reached t_max
-    return Trajectory(np.array(taus), np.array(pts), events)
-
-
-def stop_at_down(n: int) -> Callable[[Event], bool]:
-    """A fresh ``stop`` for :func:`integrate`: end at the n-th descending
-    s = lam crossing.
-
-    That crossing happens once per loop, and counting it is immune to
-    the re-crossing pairs that saddle passages can produce.
-    """
-    downs = 0
-
-    def stop(ev: Event) -> bool:
-        nonlocal downs
-        if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
-            downs += 1
-        return downs >= n
-
-    return stop
+            if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
+                downs += 1
+                if downs == n_downs:
+                    while taus and taus[-1] >= ev.tau:
+                        taus.pop()
+                        pts.pop()
+                    taus.append(ev.tau)
+                    pts.append((ev.state.u, ev.state.v))
+                    return Trajectory(np.array(taus), np.array(pts), events)
 
 
 def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> TransitPoints:
@@ -615,8 +591,8 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     # run through to the second descending section crossing so that any
     # saddle-passage re-crossing pairs around the prey maximum have
     # resolved, then reduce to the net crossing sequence
-    traj = integrate(start, p, cfg, stop=stop_at_down(2), keep_samples=False)
-    reduced = traj.net_events()
+    traj = integrate(start, p, cfg, n_downs=2, keep_samples=False)
+    reduced = net_events(traj.events)
     kinds = tuple(ev.kind for ev in reduced[:4])
     if kinds != _CYCLE_ORDER:
         raise EventOrderError(f"expected crossings {_CYCLE_ORDER}, got {kinds}")
@@ -627,12 +603,6 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
         ln_x3=e3.state.u,
         s4=1.0 - _one_minus_s_at_h_crossing(e4.state.u, p),
     )
-
-
-def _section_tour(p: Params, cfg: SimConfig, ln_x: float) -> Trajectory:
-    """One full loop from the section {s = lam, s falling} back to itself."""
-    start = LogState(ln_x, math.log(p.lam))
-    return integrate(start, p, cfg, stop=stop_at_down(1), keep_samples=False)
 
 
 def limit_cycle(
@@ -648,14 +618,16 @@ def limit_cycle(
     """
     cfg = cfg or SimConfig()
     ln_x = math.log(x0 if x0 is not None else x_max_upper(p))
+    ln_lam = math.log(p.lam)
     tours = 0
     converged = False
     while not converged and tours < cfg.max_return_iters:
-        tour = _section_tour(p, cfg, ln_x)
+        # one full loop from the section {s = lam, s falling} back to it
+        tour = integrate(LogState(ln_x, ln_lam), p, cfg, keep_samples=False)
         tours += 1
         ln_x_start, ln_x = ln_x, tour.events[-1].state.u
         converged = abs(ln_x - ln_x_start) <= cfg.cycle_tol
-    reduced = tour.net_events()
+    reduced = net_events(tour.events)
     kinds = tuple(ev.kind for ev in reduced)
     expected = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]  # MIN, UP, MAX, DOWN
     if kinds != expected:

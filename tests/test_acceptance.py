@@ -19,7 +19,6 @@ from cyclebound.lvroot import ZIndex, z, z_exact
 from cyclebound.model import LogState, Params
 from cyclebound.region4 import Case, handoff_cap_envelope, smax_lower_bound
 from cyclebound.simulator import (
-    EventKind,
     SimConfig,
     cycle_extreme_report,
     integrate,
@@ -258,7 +257,7 @@ def test_criterion_8_numerical_robustness():
         LogState(math.log(rep.extremes.x_max), math.log(p.lam)),
         p,
         SimConfig(rtol=1e-10),
-        stop=lambda ev: ev.kind is EventKind.S_EQ_LAMBDA_DOWN,
+        n_downs=1,
     )
     finite_ok = bool(np.all(np.isfinite(loop.points))) and all(
         math.isfinite(v) for v in rep.margins.values()

@@ -105,6 +105,27 @@ def test_x_max_lower_monotone_in_s0():
         x_max_lower(p, 0.4)  # below the vertex anchor
 
 
+@pytest.mark.parametrize("s0", [1.0, 1.5])
+def test_x_max_lower_needs_an_anchor_below_one(s0):
+    # h(s0) <= 0 there: the barrier has no anchor on the prey isocline
+    with pytest.raises(ValueError, match="s0 < 1"):
+        x_max_lower(Params(a=0.05, lam=0.05, m=5.0), s0)
+
+
+def test_cycle_bounds_anchor_above_the_proven_prey_maximum():
+    # the x_max barrier holds for anchors up to the cycle's s_max, which
+    # is proven to exceed 0.8 only: a higher anchor is unproven
+    p = Params(a=0.05, lam=0.05, m=5.0)
+    assert cycle_bounds(p, s0=0.8).proven
+    with pytest.raises(ValueError, match="prey maximum"):
+        cycle_bounds(p, s0=0.9)
+    forced = cycle_bounds(p, s0=0.9, force=True)
+    assert not forced.proven and forced.s0 == 0.9
+    # an anchor at or above s = 1 is rejected even when forced
+    with pytest.raises(ValueError, match="s0 < 1"):
+        cycle_bounds(p, s0=1.5, force=True)
+
+
 def test_bound_ordering_on_proven_grid():
     for p in PROVEN_GRID:
         lo = x_max_lower(p, 0.8)

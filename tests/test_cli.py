@@ -44,6 +44,13 @@ def test_bounds_text_and_force(capsys):
     )
     assert code == 1
     assert "proven parameter box" in err
+    # an anchor above the proven prey maximum 0.8 needs --force, and one
+    # at or above s = 1 anchors nothing
+    args = ("bounds", "--a", "0.05", "--lambda", "0.05", "--m", "5", "--s0")
+    code, _, err = run_cli(*args, "0.9", capsys=capsys)
+    assert code == 1 and "prey maximum" in err
+    code, _, err = run_cli(*args, "1.5", "--force", capsys=capsys)
+    assert code == 1 and "s0 < 1" in err
 
 
 def test_bounds_from_params_file(tmp_path, capsys):
@@ -99,6 +106,17 @@ def test_simulate_csv(tmp_path, capsys):
     downs = sum(prev >= ln_lam > cur for prev, cur in zip(ln_s_col, ln_s_col[1:]))
     assert downs == 2
     assert ln_s_col[-1] < ln_lam < ln_s_col[-2]
+
+
+def test_simulate_rejects_negative_tours(capsys):
+    # --tours N ends at the (N + 1)-th descending s = lam crossing, and
+    # there is no 0-th one
+    code, out, err = run_cli(
+        "simulate", "--a", "0.05", "--lambda", "0.05", "--m", "1.0", "--tours", "-1",
+        capsys=capsys,
+    )
+    assert code == 1 and not out
+    assert "n_downs must be at least 1" in err
 
 
 def test_region4_cli(capsys):

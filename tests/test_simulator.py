@@ -39,16 +39,6 @@ CANONICAL = (
 )
 
 
-def stop_after(n):
-    left = [n]
-
-    def stop(_ev):
-        left[0] -= 1
-        return left[0] <= 0
-
-    return stop
-
-
 _KIND_BY_INDEX = list(EventKind)
 
 
@@ -90,6 +80,23 @@ def test_integrate_rejects_bad_params():
         integrate(State(0.5, 0.5), Params(a=0.05, lam=0.05, m=0.0, limit=True))
     with pytest.raises(ValueError):
         integrate(State(0.5, 0.5), Params(a=0.3, lam=0.4, m=1.0))
+    with pytest.raises(ValueError, match="n_downs"):
+        integrate(State(0.5, 0.5), P_REF, n_downs=0)
+
+
+@pytest.mark.parametrize("n_downs", [1, 2])
+def test_integration_ends_at_its_n_downs_th_predator_maximum(n_downs):
+    # with or without the samples, the last one is the n_downs-th
+    # descending s = lam crossing, and nothing is committed after it
+    start = State(h(0.8, P_REF), 0.8)
+    full = integrate(start, P_REF, n_downs=n_downs)
+    last = integrate(start, P_REF, n_downs=n_downs, keep_samples=False)
+    downs = [ev for ev in full.events if ev.kind is EventKind.S_EQ_LAMBDA_DOWN]
+    assert len(downs) == n_downs and full.events[-1] is downs[-1]
+    end = (downs[-1].tau, (downs[-1].state.u, downs[-1].state.v))
+    assert (full.taus[-1], tuple(full.points[-1])) == end
+    assert len(last.taus) == 1 and (last.taus[0], tuple(last.points[0])) == end
+    assert last.events == full.events
 
 
 def _cycle_start(p):
@@ -108,7 +115,7 @@ def _error_estimate_resolved(ref):
     return True
 
 
-def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
+def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0):
     """Step simulator.RK45 and scipy's DOP853 on the log-space field side by side.
 
     scipy integrates (u, v)' = log_vector_field((u, v), p), the field the
@@ -129,10 +136,10 @@ def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
     Returns the number of steps taken after a rejection and scipy's
     solver.
     """
-    ours = simulator.RK45(p, t0, y0, t_bound, rtol=rtol, atol=1e-12)
+    ours = simulator.RK45(p, t0, y0, rtol=rtol, atol=1e-12)
     ref = ScipyDOP853(
         lambda t, y: np.array(log_vector_field(LogState(y[0], y[1]), p)),
-        t0, np.array(y0), t_bound, rtol=rtol, atol=1e-12,
+        t0, np.array(y0), np.inf, rtol=rtol, atol=1e-12,
     )
     assert ours.rtol == ref.rtol
     assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-12)
@@ -150,8 +157,8 @@ def _step_side_by_side(p, y0, rtol, n_steps, t_bound=math.inf, t0=0.0):
         if ref.status == "failed":
             break
         # a rejection shrinks the trial step by a factor of at most 0.9
-        rejected = ref.t - t <= 0.9 * min(h_try, t_bound - t)
-        assert (ours.t - t <= 0.9 * min(h_try, t_bound - t)) == rejected
+        rejected = ref.t - t <= 0.9 * h_try
+        assert (ours.t - t <= 0.9 * h_try) == rejected
         retried += rejected
         assert ours.t - t == pytest.approx(ref.t - t, rel=1e-7 if rejected else 1e-10)
         # a step longer by dt ends about |f| dt further on
@@ -178,25 +185,18 @@ def test_stepper_edge_cases_match_scipy():
     with pytest.warns(UserWarning):
         _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-17, 50)
     with pytest.warns(UserWarning):
-        floored = simulator.RK45(P_REF, 0.0, (0.0, -3.0), 1.0, rtol=0.0)
+        floored = simulator.RK45(P_REF, 0.0, (0.0, -3.0), rtol=0.0)
     assert floored.rtol == 100 * np.finfo(float).eps
-    # from the origin the first step is capped at 100 times the trial
-    # step, and the last step is clipped onto a finite t_bound
-    _, ref = _step_side_by_side(P_REF, (0.0, 0.0), 1e-8, 10_000, t_bound=7.5)
-    assert ref.status == "finished" and ref.t == 7.5
+    # from the origin the first step is capped at 100 times the trial step
+    _, ref = _step_side_by_side(P_REF, (0.0, 0.0), 1e-8, 50)
+    assert ref.status == "running" and ref.t > 0.0
     # from (u, v) = (-50, 0.5) the field is small but turns fast (d2 > d1),
     # so the probe evaluation at y + h0 f sets the first step size
     _step_side_by_side(P_REF, (-50.0, 0.5), 1e-10, 50)
-    # a zero-length interval: no step size, one empty step, a constant
-    # interpolant
-    _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 5, t_bound=2.0, t0=2.0)
-    assert ref.status == "finished" and ref.t == 2.0
     # at t0 = 1e16 the minimal step (10 float spacings of t) is far too
     # long for the tolerance: both give up on the first step
     _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 10_000, t0=1e16)
     assert ref.status == "failed" and ref.t == 1e16
-    with pytest.raises(ValueError):
-        simulator.RK45(P_REF, 1.0, (0.0, -3.0), 0.0)
 
 
 def _weighted(weights, ks):
@@ -206,7 +206,7 @@ def _weighted(weights, ks):
 
 
 def _reference_step(p, t, y, f, h_abs, rtol, atol):
-    """One step of simulator.RK45 (t_bound = inf) with every stage a call
+    """One step of simulator.RK45 with every stage a call
     of log_vector_field, the tableau taken from scipy's DOP853, and the
     builtins abs, min and max: the stepper with its field and constants
     not written out, the same sums in the same order.  Returns (t, y, f,
@@ -292,7 +292,7 @@ def test_stepper_stages_are_log_vector_field(p, monkeypatch):
 
     monkeypatch.setattr(simulator, "RK45", Checked)
     start = LogState(*_cycle_start(p))
-    integrate(start, p, stop=simulator.stop_at_down(1), keep_samples=False)
+    integrate(start, p, keep_samples=False)
     # one loop takes 124 steps at the reference point and about 1900 at
     # the canard point
     assert len(rejected) > 100 and any(rejected)
@@ -303,7 +303,7 @@ def test_dense_output_is_a_snapshot_of_its_step(p):
     # an interpolant first evaluated five steps after its own step gives,
     # bit for bit, the values of one evaluated right after that step: a
     # crossing located on first read depends on this
-    solver = simulator.RK45(p, 0.0, _cycle_start(p), math.inf, rtol=1e-10, atol=1e-12)
+    solver = simulator.RK45(p, 0.0, _cycle_start(p), rtol=1e-10, atol=1e-12)
     for _ in range(3):
         solver.step()
     t_old, t = solver.t_old, solver.t
@@ -339,9 +339,7 @@ def _events_step_by_step(start, p, n_downs):
     Returns the events and the number of located crossings that were
     dropped because the trajectory fell back before committing."""
     cfg = SimConfig()
-    solver = simulator.RK45(
-        p, 0.0, (start.u, start.v), t_bound=math.inf, rtol=cfg.rtol, atol=cfg.atol_log,
-    )
+    solver = simulator.RK45(p, 0.0, (start.u, start.v), rtol=cfg.rtol, atol=cfg.atol_log)
     checks = simulator._event_functions(p)
     arm = simulator._EVENT_ARM
     y0 = (start.u, start.v)
@@ -389,7 +387,7 @@ def test_quiet_step_path_keeps_every_event(p, s0, chatters):
     # start above s = 1, where h(s) <= 0, begins with g_h = +inf
     start = State(h(0.8, p), s0).log()
     expected, _ = _events_step_by_step(start, p, n_downs=2)
-    traj = integrate(start, p, stop=simulator.stop_at_down(2), keep_samples=False)
+    traj = integrate(start, p, n_downs=2, keep_samples=False)
     assert traj.events == expected
     assert (len(net_events(expected)) < len(expected)) == chatters
 
@@ -400,9 +398,9 @@ def _scipy_stepper(field):
     model field."""
 
     class Stepper:
-        def __init__(self, p, t0, y0, t_bound, rtol, atol):
+        def __init__(self, p, t0, y0, rtol, atol):
             self._ref = ScipyDOP853(
-                lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), t_bound,
+                lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), np.inf,
                 rtol=rtol, atol=atol,
             )
 
@@ -428,7 +426,7 @@ def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
     )
     start = LogState(0.0, math.log(P_REF.lam) + 2e-7)
     expected, fallbacks = _events_step_by_step(start, P_REF, n_downs=1)
-    traj = integrate(start, P_REF, stop=simulator.stop_at_down(1), keep_samples=False)
+    traj = integrate(start, P_REF, keep_samples=False)
     assert fallbacks >= 1
     assert [ev.kind for ev in expected] == [EventKind.S_EQ_LAMBDA_DOWN]
     assert traj.events == expected
@@ -444,7 +442,7 @@ def test_two_crossings_in_one_step_come_out_in_tau_order(monkeypatch):
     monkeypatch.setattr(simulator, "RK45", _scipy_stepper(lambda u, v: (-1.0, -1.0)))
     start = LogState(u0, ln_lam + 1.0)
     expected, _ = _events_step_by_step(start, P_REF, n_downs=1)
-    traj = integrate(start, P_REF, stop=simulator.stop_at_down(1))
+    traj = integrate(start, P_REF)
     assert [ev.kind for ev in traj.events] == [
         EventKind.X_EQ_H_MIN, EventKind.S_EQ_LAMBDA_DOWN,
     ]
@@ -468,7 +466,7 @@ def _loop_brackets(p):
     an event function changes sign, as (index into _event_functions,
     step interpolant, t_old, t, new side)."""
     checks = simulator._event_functions(p)
-    solver = simulator.RK45(p, 0.0, _cycle_start(p), math.inf, rtol=1e-10, atol=1e-12)
+    solver = simulator.RK45(p, 0.0, _cycle_start(p), rtol=1e-10, atol=1e-12)
     brackets, lam_changes = [], 0
     while lam_changes < 2:
         t_old, y_old = solver.t, solver.y
@@ -605,24 +603,30 @@ def test_locate_bisects_the_log_form_below_the_normal_range_of_x():
 
 
 def test_equilibrium_stays_put():
-    traj = integrate(equilibrium(P_REF), P_REF, t_max=100.0)
-    drift = np.abs(traj.points - traj.points[0]).max()
-    assert drift <= 1e-12
-    assert not traj.events
+    # the equilibrium is unstable, but its roundoff-scale defect stays
+    # below 1e-12 over tau <= 100: at every step up to there, and at 100
+    y0 = equilibrium(P_REF).log()
+    solver = simulator.RK45(P_REF, 0.0, (y0.u, y0.v), rtol=1e-10, atol=1e-12)
+    samples = []
+    while solver.t < 100.0:
+        solver.step()
+        samples.append(solver.y)
+    samples.append(solver.dense_output()(100.0))
+    assert np.abs(np.array(samples) - (y0.u, y0.v)).max() <= 1e-12
 
 
 def test_event_order_over_three_loops():
     start = State(h(0.8, P_REF), 0.8)
-    traj = integrate(start, P_REF, stop=stop_after(12))
+    traj = integrate(start, P_REF, n_downs=4)
     kinds = [ev.kind for ev in traj.events]
-    assert len(kinds) == 12
-    assert kinds == list(CANONICAL) * 3
+    assert len(kinds) == 13
+    assert kinds == list(CANONICAL) * 3 + [EventKind.S_EQ_LAMBDA_DOWN]
     taus = [ev.tau for ev in traj.events]
     assert all(b > a for a, b in zip(taus, taus[1:]))
 
 
 def test_trajectory_samples_are_ordered_and_positive():
-    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, stop=stop_after(4))
+    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, n_downs=2)
     assert np.all(np.diff(traj.taus) > 0)
     assert np.all(np.isfinite(traj.points))
     # exp-image positivity, checked at moderate depth where exp is exact
@@ -632,7 +636,7 @@ def test_trajectory_samples_are_ordered_and_positive():
 
 
 def test_region_sequence_is_cyclically_adjacent():
-    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, stop=stop_after(8))
+    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, n_downs=3)
     order = ["R1", "R2", "R3", "R4"]
     labels = [lab for lab in traj.region_labels(P_REF) if lab in order]
     for prev, nxt in zip(labels, labels[1:]):
@@ -641,7 +645,7 @@ def test_region_sequence_is_cyclically_adjacent():
 
 
 def test_extremes_sit_on_isoclines():
-    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, stop=stop_after(4))
+    traj = integrate(State(h(0.8, P_REF), 0.8), P_REF, n_downs=2)
     for ev in traj.events:
         x = math.exp(ev.state.u)
         s = math.exp(ev.state.v)
@@ -667,7 +671,7 @@ def test_step_budget_raises():
             State(h(0.8, P_REF), 0.8),
             P_REF,
             SimConfig(max_steps=5),
-            stop=stop_after(4),
+            n_downs=2,
         )
 
 
@@ -729,9 +733,10 @@ def test_limit_cycle_reports_the_converging_tour(monkeypatch):
 
 def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
     # the canard cycle commits about 120 crossings per tour, most of them
-    # saddle chatter that net_events cancels by kind alone; only the stop
-    # crossing of each tour and the three other survivors of the reported
-    # one are located (5 where locating every committed crossing takes 586)
+    # saddle chatter that net_events cancels by kind alone; only the
+    # predator maximum that ends each tour and the three other survivors
+    # of the reported one are located (5 where locating every committed
+    # crossing takes 586)
     p = Params(a=0.01, lam=0.01, m=0.01)
     start = LogState(*_cycle_start(p))
     expected, _ = _events_step_by_step(start, p, n_downs=1)
@@ -745,7 +750,7 @@ def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
     # forcing every committed crossing of a tour reproduces the step by
     # step reference
     del calls[:]
-    tour = integrate(start, p, stop=simulator.stop_at_down(1), keep_samples=False)
+    tour = integrate(start, p, keep_samples=False)
     assert len(calls) == 1 and len(tour.events) > 100
     assert tour.events == expected
     assert len(calls) == len(tour.events)
@@ -800,11 +805,7 @@ def test_deep_cycle_stays_finite():
     assert ce.converged
     # frozen from two independent integration routes agreeing to 1e-7
     assert ce.ln_x_min == pytest.approx(-86.828689, abs=1e-4)
-    loop = integrate(
-        LogState(math.log(ce.x_max), math.log(p.lam)),
-        p,
-        stop=lambda ev: ev.kind is EventKind.S_EQ_LAMBDA_DOWN,
-    )
+    loop = integrate(LogState(math.log(ce.x_max), math.log(p.lam)), p)
     assert np.all(np.isfinite(loop.points))
     assert loop.points[:, 0].min() < -86.0
 
@@ -816,8 +817,8 @@ def test_s_max_identity_matches_interpolated_coordinate():
     p = Params(a=0.1, lam=0.1, m=0.01)
     ce = limit_cycle(p)
     start = LogState(math.log(ce.x_max), math.log(p.lam))
-    loop = integrate(start, p, stop=lambda ev: ev.kind is EventKind.S_EQ_LAMBDA_DOWN)
-    ev_max = [ev for ev in loop.net_events() if ev.kind is EventKind.X_EQ_H_MAX][0]
+    loop = integrate(start, p)
+    ev_max = [ev for ev in net_events(loop.events) if ev.kind is EventKind.X_EQ_H_MAX][0]
     assert math.exp(ev_max.state.v) == pytest.approx(ce.s_max, rel=1e-8)
     assert math.exp(ce.ln_s_max) == pytest.approx(ce.s_max, rel=1e-12)
 

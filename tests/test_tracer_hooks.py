@@ -3,8 +3,9 @@
 perfbench/tracer.py replaces module attributes by name (for example
 ``simulator.cycle_bounds`` and ``harness.handoff_cap_bound``); a refactor
 that drops or moves one of them breaks every traced benchmark run.  This
-test enters and leaves the tracer's hook block on the live modules and
-changes nothing under perfbench/.
+test enters and leaves the tracer's hook block on the live modules,
+drives the ``integrate`` and ``RK45`` hooks through one ``limit_cycle``
+call, and changes nothing under perfbench/.
 """
 
 import importlib.util
@@ -27,8 +28,14 @@ def test_tracer_installs_and_restores_every_hook():
     modules = (bounds, harness, lvroot, region4, simulator)
     before = [dict(vars(module)) for module in modules]
     tracer = _load_tracer().Tracer()
+    p = Params(a=0.05, lam=0.05, m=1.0)
     with tracer.installed(*modules):
         # cycle_extreme_report resolves cycle_bounds through the simulator module
-        simulator.cycle_bounds(Params(a=0.05, lam=0.05, m=1.0))
+        simulator.cycle_bounds(p)
+        # limit_cycle resolves integrate, and integrate RK45, through the
+        # simulator module: every tour is one span, every step counted
+        ce = simulator.limit_cycle(p)
     assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
+    assert tracer.steps > 0
+    assert tracer.layer_times()["simulator.integrate.tour"]["calls"] == ce.tours == 2
     assert [dict(vars(module)) for module in modules] == before
