@@ -25,6 +25,7 @@ from .lvroot import ZIndex, z
 from .model import Params, h
 
 __all__ = [
+    "DEFAULT_S0",
     "BoundSet",
     "CanardEstimates",
     "ExcursionBounds",
@@ -41,6 +42,10 @@ __all__ = [
 # grows along the cycle while s > lam, so the x_max barrier anchored at s0
 # is proven only for s0 up to this level
 _S_MAX_LO = 0.8
+
+# the default anchor of the x_max lower bound: the highest one the proof
+# covers (it must not exceed _S_MAX_LO)
+DEFAULT_S0 = 0.8
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class BoundSet:
     ln_s_min_hi: float
     s_max_lo: float = _S_MAX_LO
     s_max_hi: float = 1.0
-    s0: float = 0.8
+    s0: float = DEFAULT_S0
     proven: bool = True
 
     def as_dict(self) -> dict:
@@ -158,7 +163,7 @@ def _x_max_lower_objective(zval: float, p: Params) -> float:
     return h(zval, p) + p.m * (zval - lam_term)
 
 
-def x_max_lower(p: Params, s0: float = 0.8) -> float:
+def x_max_lower(p: Params, s0: float = DEFAULT_S0) -> float:
     """Lower bound for the predator maximum.
 
     Maximizes h(z) + m (z - lam (1 - ln lam + ln z)) over
@@ -220,7 +225,7 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
     return ExcursionBounds(ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
 
 
-def cycle_bounds(p: Params, s0: float = 0.8, force: bool = False) -> BoundSet:
+def cycle_bounds(p: Params, s0: float = DEFAULT_S0, force: bool = False) -> BoundSet:
     """Assemble the full :class:`BoundSet` for one parameter triple.
 
     Rejects parameters outside the proven box, and an anchor s0 above

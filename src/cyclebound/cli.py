@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import canard_estimates, cycle_bounds
+from .bounds import DEFAULT_S0, canard_estimates, cycle_bounds
 from .harness import (
     DEFAULT_PANELS,
     REFERENCE_SPECS,
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the closed-form bound set")
     _add_params_args(p_bounds)
-    p_bounds.add_argument("--s0", type=float, default=0.8)
+    p_bounds.add_argument("--s0", type=float, default=DEFAULT_S0)
     p_bounds.add_argument("--force", action="store_true",
                           help="evaluate outside the proven parameter box")
     p_bounds.add_argument("--json", action="store_true")
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="dump a trajectory as CSV")
     _add_params_args(p_sim)
-    p_sim.add_argument("--s0", type=float, default=0.8, help="start prey level on x = h(s)")
+    p_sim.add_argument("--s0", type=float, default=DEFAULT_S0, help="start prey level on x = h(s)")
     p_sim.add_argument("--tours", type=int, default=1, help="number of full loops")
     p_sim.add_argument("--rtol", type=float)
     p_sim.add_argument("--out", type=Path, help="output CSV (default: stdout)")
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_transit = sub.add_parser("transit", help="one tour from (h(s0), s0): crossing values")
     _add_params_args(p_transit)
-    p_transit.add_argument("--s0", type=float, default=0.8)
+    p_transit.add_argument("--s0", type=float, default=DEFAULT_S0)
     p_transit.add_argument("--rtol", type=float)
     p_transit.set_defaults(func=_cmd_transit)
 

@@ -1,11 +1,14 @@
-"""Scalar Dormand-Prince 8(5,3) stepper for the log-space predator-prey field.
+"""Scalar Dormand-Prince 8(5,3) stepper for the log-space predator-prey fields.
 
 This is scipy's ``DOP853`` algorithm (Dormand & Prince 1980, J. Comput.
 Appl. Math. 6:19-26, for the pair family; Hairer, Norsett & Wanner,
 Solving Ordinary Differential Equations I, II.5 for the 8(5,3) pair and
 II.6 for its dense output) written out on Python floats for the one
-system the simulator integrates, :func:`cyclebound.model.log_vector_field`:
-the same 12-stage tableau, the blended 5th/3rd-order error estimate
+system the simulator integrates, in either of its two charts:
+:func:`cyclebound.model.log_vector_field` in (u, v) = (ln x, ln s) and
+:func:`cyclebound.model.log_gap_vector_field` in (u, w) = (ln x,
+ln(1 - s)).  It keeps scipy's 12-stage tableau, the blended
+5th/3rd-order error estimate
 ``|h| err5^2 / sqrt(2 (err5^2 + 0.01 err3^2))`` with scale
 ``atol + max(|y|, |y_new|) * rtol``, step-size controller (safety 0.9,
 factor clamps 0.2 and 10, exponent -1/8, no growth right after a
@@ -17,14 +20,18 @@ per-step numpy dispatch scipy pays on 2-element arrays is several times
 the cost of the arithmetic itself, which is why the stepper is spelled
 out.
 
-The field is written out at stages 2-13 of :meth:`DOP853.step` and at
-the three extra stages of :meth:`DOP853.dense_output` with the
-arithmetic of ``log_vector_field`` in the same order, so the stage
-derivatives are bit-identical to calls of it; the stepper therefore has
-no ``fun`` argument and takes the model parameters instead.
-``dense_output`` only takes a snapshot of the step; the extra stages are
-computed on the interpolant's first evaluation, which the simulator
-makes only when it locates a crossing that something reads.
+Both fields are written out at stages 2-13 of :meth:`DOP853.step` and
+at the three extra stages of :meth:`DOP853.dense_output`, one branch per
+stage on the chart, with the arithmetic of the model functions in the
+same order, so the stage derivatives are bit-identical to calls of
+them; the stepper therefore has no ``fun`` argument and takes the model
+parameters instead.  (A branch per stage costs no measurable time over
+a second written-out copy of the stages, which would be 140 lines
+longer.)  :meth:`DOP853.switch_chart` moves the state to the other chart
+between steps.  ``dense_output`` only takes a snapshot of the step; the
+extra stages are computed on the interpolant's first evaluation, which
+the simulator makes only when it locates a crossing that something
+reads.
 
 The stepper has no end time: it steps forward from ``t0`` for as long as
 it is asked to, and the simulator ends each integration at a crossing.
@@ -38,7 +45,14 @@ import warnings
 from operator import mul
 from typing import Callable
 
-from .model import _EXP_CLIP, LogState, Params, log_vector_field
+from .model import (
+    _EXP_CLIP,
+    LogState,
+    Params,
+    log1m_exp,
+    log_gap_vector_field,
+    log_vector_field,
+)
 
 __all__ = ["DOP853"]
 
@@ -197,13 +211,18 @@ def _rms(eu: float, ev: float) -> float:
 
 
 class DOP853:
-    """Adaptive DOP853 stepper for ``(u, v)' = log_vector_field((u, v), p)``.
+    """Adaptive DOP853 stepper for the log-space field in one of two charts.
 
-    The subset of scipy's ``OdeSolver`` interface the simulator uses:
-    ``t``, ``y`` (a ``(u, v)`` tuple), ``status`` ("running" or
-    "failed"), :meth:`step` for one accepted step and
-    :meth:`dense_output` for the interpolant over the last one.  ``f``
-    is the field at ``y`` (the last stage of the last step).
+    ``y`` is ``(u, v)`` on ``log_vector_field``, or ``(u, w)`` on
+    ``log_gap_vector_field`` when ``w_chart`` is set.  The subset of
+    scipy's ``OdeSolver`` interface the simulator uses: ``t``, ``y``,
+    ``status`` ("running" or "failed"), :meth:`step` for one accepted
+    step and :meth:`dense_output` for the interpolant over the last one,
+    in the chart that step was taken in.  ``f`` is the field at ``y``
+    (the last stage of the last step).  ``n_rejected`` counts rejected
+    trial steps and ``nfev`` the field evaluations of the steps, the
+    start and the chart switches (an interpolant's three extra stages
+    are not counted).
     """
 
     def __init__(
@@ -213,6 +232,7 @@ class DOP853:
         y0: tuple[float, float],
         rtol: float = 1e-3,
         atol: float = 1e-6,
+        w_chart: bool = False,
     ) -> None:
         if not atol >= 0:
             raise ValueError("atol must be nonnegative")
@@ -229,11 +249,32 @@ class DOP853:
         self.rtol = rtol
         self.atol = atol
         self.status = "running"
-        self.f = log_vector_field(LogState(*self.y), p)
+        self.w_chart = w_chart
+        self.f = self._field(self.y)
         self.h_abs = self._initial_step()
-        # (u_old, v_old, h, then k1, k6, ..., k13 as u, v pairs) of the
-        # last step: what the dense output needs
+        self.n_rejected = 0
+        self.nfev = 2
+        # (w_chart, u_old, v_old, h, then k1, k6, ..., k13 as u, v pairs,
+        # then u_new, v_new) of the last step: what the dense output needs
         self._last: tuple | None = None
+
+    def _field(self, y: tuple[float, float]) -> tuple[float, float]:
+        if self.w_chart:
+            return log_gap_vector_field(y, self.p)
+        return log_vector_field(LogState(*y), self.p)
+
+    def switch_chart(self) -> None:
+        """Move to the other chart at the current point, keeping the step size.
+
+        y[1] -> ln(1 - e^y[1]) (:func:`cyclebound.model.log1m_exp`) takes
+        v = ln s to w = ln(1 - s) and back; f is the field of the new
+        chart there.
+        """
+        u, y1 = self.y
+        self.y = (u, log1m_exp(y1))
+        self.w_chart = not self.w_chart
+        self.f = self._field(self.y)
+        self.nfev += 1
 
     def _initial_step(self) -> float:
         """scipy's ``select_initial_step`` for an order-7 error estimator."""
@@ -244,7 +285,7 @@ class DOP853:
         d0 = _rms(u / su, v / sv)
         d1 = _rms(fu / su, fv / sv)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        gu, gv = log_vector_field(LogState(u + h0 * fu, v + h0 * fv), self.p)
+        gu, gv = self._field((u + h0 * fu, v + h0 * fv))
         d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -260,7 +301,9 @@ class DOP853:
         p = self.p
         a, lam, m = p.a, p.lam, p.m
         exp = math.exp
+        expm1 = math.expm1
         clip = _EXP_CLIP
+        w_chart = self.w_chart
         rtol = self.rtol
         atol = self.atol
         u, v = self.y
@@ -272,55 +315,94 @@ class DOP853:
         # error scale max(|y|, |y_new|) * rtol: the |y| half is fixed
         au = u if u >= 0.0 else -u
         av = v if v >= 0.0 else -v
-        rejected = False
+        rejected = 0
         while True:
             if h_abs < min_step:
                 self.status = "failed"
+                self.n_rejected += rejected
+                self.nfev += 11 * rejected
                 return
             t_new = t + h_abs
             h = t_new - t
             h_abs = h
-            # each stage: s = e^v, (du, dv) = (m (s - lam), h(s) - e^u),
-            # exp arguments clipped as in model.log_vector_field
+            # each stage: in the v chart s = e^v and (du, dv) =
+            # (m (s - lam), h(s) - e^u); in the w chart (v holds w)
+            # s = -expm1(w) and (du, dw) = (m (s - lam), s (e^(u-w) - (s + a)));
+            # exp arguments clipped as in the model functions
             us = u + (_A2_1 * k1u) * h
             vs = v + (_A2_1 * k1v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k2v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k2v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k2u = m * (s - lam)
-            k2v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (_A3_1 * k1u + _A3_2 * k2u) * h
             vs = v + (_A3_1 * k1v + _A3_2 * k2v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k3v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k3v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k3u = m * (s - lam)
-            k3v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (_A4_1 * k1u + _A4_3 * k3u) * h
             vs = v + (_A4_1 * k1v + _A4_3 * k3v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k4v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k4v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k4u = m * (s - lam)
-            k4v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u) * h
             vs = v + (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k5v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k5v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k5u = m * (s - lam)
-            k5v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u) * h
             vs = v + (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k6v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k6v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k6u = m * (s - lam)
-            k6v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u) * h
             vs = v + (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k7v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k7v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k7u = m * (s - lam)
-            k7v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (
                 _A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u
             ) * h
             vs = v + (
                 _A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v
             ) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k8v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k8v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k8u = m * (s - lam)
-            k8v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (
                 _A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
                 + _A9_8 * k8u
@@ -329,9 +411,14 @@ class DOP853:
                 _A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
                 + _A9_8 * k8v
             ) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k9v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k9v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k9u = m * (s - lam)
-            k9v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (
                 _A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
                 + _A10_8 * k8u + _A10_9 * k9u
@@ -340,9 +427,14 @@ class DOP853:
                 _A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
                 + _A10_8 * k8v + _A10_9 * k9v
             ) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k10v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k10v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k10u = m * (s - lam)
-            k10v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (
                 _A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
                 + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u
@@ -351,9 +443,14 @@ class DOP853:
                 _A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
                 + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v
             ) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k11v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k11v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k11u = m * (s - lam)
-            k11v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             us = u + (
                 _A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
                 + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u
@@ -362,9 +459,14 @@ class DOP853:
                 _A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
                 + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v
             ) * h
-            s = exp(vs if vs < clip else clip)
+            if w_chart:
+                s = -expm1(vs if vs < clip else clip)
+                d = us - vs
+                k12v = s * (exp(d if d < clip else clip) - (s + a))
+            else:
+                s = exp(vs if vs < clip else clip)
+                k12v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k12u = m * (s - lam)
-            k12v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             u_new = u + h * (
                 _B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
                 + _B10 * k10u + _B11 * k11u + _B12 * k12u
@@ -412,14 +514,21 @@ class DOP853:
                 break
             factor = _SAFETY * error_norm**_ERROR_EXPONENT
             h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            rejected = True
+            rejected += 1
         # the error estimate does not use k13, so only an accepted step pays it
-        s = exp(v_new if v_new < clip else clip)
+        if w_chart:
+            s = -expm1(v_new if v_new < clip else clip)
+            d = u_new - v_new
+            k13v = s * (exp(d if d < clip else clip) - (s + a))
+        else:
+            s = exp(v_new if v_new < clip else clip)
+            k13v = (1.0 - s) * (s + a) - exp(u_new if u_new < clip else clip)
         k13u = m * (s - lam)
-        k13v = (1.0 - s) * (s + a) - exp(u_new if u_new < clip else clip)
+        self.n_rejected += rejected
+        self.nfev += 11 * rejected + 12
         self._last = (
-            u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
-            k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v,
+            w_chart, u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
+            k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
         )
         self.t_old = t
         self.t = t_new
@@ -428,8 +537,9 @@ class DOP853:
         self.h_abs = h_abs
 
     def dense_output(self) -> Callable[[float], tuple[float, float]]:
-        """The 7th-order interpolant ``tau -> (u, v)`` over the last accepted step.
+        """The 7th-order interpolant ``tau -> y`` over the last accepted step.
 
+        It is in the chart of that step, also after :meth:`switch_chart`.
         A snapshot of the step (``t_old``, its stages and ``y_new``); the
         extra stages k14-k16 and the coefficients F3-F6 are computed on the
         interpolant's first evaluation.  An interpolant that is never
@@ -438,30 +548,29 @@ class DOP853:
         """
         if self._last is None:
             raise RuntimeError("dense output is available after a successful step")
-        p, t_old, last, y_new = self.p, self.t_old, self._last, self.y
+        p, t_old, last = self.p, self.t_old, self._last
         evaluate = None
 
         def dense(tau: float) -> tuple[float, float]:
             nonlocal evaluate
             if evaluate is None:
-                evaluate = _interpolant(p, t_old, last, y_new)
+                evaluate = _interpolant(p, t_old, last)
             return evaluate(tau)
 
         return dense
 
 
-def _interpolant(
-    p: Params, t_old: float, last: tuple, y_new: tuple[float, float]
-) -> Callable[[float], tuple[float, float]]:
+def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tuple[float, float]]:
     """The interpolant of :meth:`DOP853.dense_output` over the step from
-    ``t_old`` with stages ``last`` (``DOP853._last``) to ``y_new``: the
+    ``t_old`` with chart, stages and end ``last`` (``DOP853._last``): the
     three extra stages k14-k16, then F0-F6."""
     (
-        u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
-        k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v,
+        w_chart, u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
+        k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
     ) = last
     a, lam, m = p.a, p.lam, p.m
     exp = math.exp
+    expm1 = math.expm1
     clip = _EXP_CLIP
     us = u + (
         _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
@@ -471,9 +580,14 @@ def _interpolant(
         _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
         + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
     ) * h
-    s = exp(vs if vs < clip else clip)
+    if w_chart:
+        s = -expm1(vs if vs < clip else clip)
+        d = us - vs
+        k14v = s * (exp(d if d < clip else clip) - (s + a))
+    else:
+        s = exp(vs if vs < clip else clip)
+        k14v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
     k14u = m * (s - lam)
-    k14v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
     us = u + (
         _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
         + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
@@ -482,9 +596,14 @@ def _interpolant(
         _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
         + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
     ) * h
-    s = exp(vs if vs < clip else clip)
+    if w_chart:
+        s = -expm1(vs if vs < clip else clip)
+        d = us - vs
+        k15v = s * (exp(d if d < clip else clip) - (s + a))
+    else:
+        s = exp(vs if vs < clip else clip)
+        k15v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
     k15u = m * (s - lam)
-    k15v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
     us = u + (
         _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
         + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
@@ -493,11 +612,15 @@ def _interpolant(
         _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
         + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
     ) * h
-    s = exp(vs if vs < clip else clip)
+    if w_chart:
+        s = -expm1(vs if vs < clip else clip)
+        d = us - vs
+        k16v = s * (exp(d if d < clip else clip) - (s + a))
+    else:
+        s = exp(vs if vs < clip else clip)
+        k16v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
     k16u = m * (s - lam)
-    k16v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
 
-    u_new, v_new = y_new
     ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
     kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
     du = u_new - u

@@ -24,7 +24,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import x_max_upper_linear, x_max_upper_refined
+from .bounds import DEFAULT_S0, x_max_upper_linear, x_max_upper_refined
 from .model import Params, State, h
 from .region4 import (
     Case,
@@ -101,7 +101,7 @@ class SweepSpec:
     a_values: tuple[float, ...]
     lambda_values: tuple[float, ...]
     m_values: tuple[float, ...]
-    s0: float = 0.8
+    s0: float = DEFAULT_S0
     sim: SimConfig = field(default_factory=SimConfig)
     jobs: int = 1
 
@@ -138,7 +138,7 @@ class SweepSpec:
                 a_values=tuple(record["a_values"]),
                 lambda_values=tuple(record["lambda_values"]),
                 m_values=tuple(record["m_values"]),
-                s0=float(record.get("s0", 0.8)),
+                s0=float(record.get("s0", DEFAULT_S0)),
                 sim=SimConfig.from_env(**sim_record),
                 jobs=int(record.get("jobs", 1)),
             )
@@ -342,7 +342,7 @@ def lyapunov_checks(
     p: Params,
     n_samples: int = 2000,
     cfg: Optional[SimConfig] = None,
-    s0: float = 0.8,
+    s0: float = DEFAULT_S0,
 ) -> LyapunovReport:
     """Check the two barrier facts behind the x_max bounds along one arc.
 

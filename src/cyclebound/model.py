@@ -31,6 +31,8 @@ __all__ = [
     "h",
     "vector_field",
     "log_vector_field",
+    "log_gap_vector_field",
+    "log1m_exp",
     "phase_slope",
     "classify_region",
     "equilibrium",
@@ -220,6 +222,33 @@ def log_vector_field(ls: LogState, p: Params) -> tuple[float, float]:
     s = _exp_clipped(ls.v)
     x = _exp_clipped(ls.u)
     return (p.m * (s - p.lam), (1.0 - s) * (s + p.a) - x)
+
+
+def log_gap_vector_field(y: tuple[float, float], p: Params) -> tuple[float, float]:
+    """Time derivatives (du/dtau, dw/dtau) in the chart (u, w) = (ln x, ln(1 - s)).
+
+    w is the log of the prey's gap below capacity.  The push-forward of
+    :func:`vector_field` under (x, s) = (e^u, -expm1(w)) is
+
+        du/dtau = m (s - lam),    dw/dtau = s (e^(u - w) - (s + a)).
+
+    Near the saddle (x, s) = (0, 1) this chart resolves 1 - s down to
+    e^-700, where v = ln s is within roundoff of 0.  exp arguments are
+    clipped as in :func:`log_vector_field`.
+    """
+    u, w = y
+    s = -math.expm1(w if w < _EXP_CLIP else _EXP_CLIP)
+    return (p.m * (s - p.lam), s * (_exp_clipped(u - w) - (s + p.a)))
+
+
+def log1m_exp(y: float) -> float:
+    """ln(1 - e^y), for y < 0: the coordinate change between the two charts.
+
+    It takes v = ln s to w = ln(1 - s) and w back to v (it is its own
+    inverse).  Its relative error grows like eps / (1 - e^y): a few ulps
+    where the simulator uses it, at y <= ln(1/2) and just past it.
+    """
+    return math.log1p(-math.exp(y))
 
 
 def phase_slope(st: State, p: Params) -> float:

@@ -1,17 +1,22 @@
 """High-accuracy cycle simulation in log space with event detection.
 
-Integration happens entirely in (ln x, ln s): the field there is smooth
-and bounded along the cycle even where x or s drop to e^{-1000}, which
-is exactly where a solver in linear variables silently reports garbage.
+Integration happens in log variables: the field there is smooth and
+bounded along the cycle even where x or s drop to e^{-1000}, which is
+exactly where a solver in linear variables silently reports garbage.
+Two charts share u = ln x.  Below s = 1/2 the second coordinate is
+v = ln s; above it, it is w = ln(1 - s).  The cycle passes the saddle
+(x, s) = (0, 1) with 1 - s as small as e^-85, far below the error a
+step may make in v, while w resolves it to the step tolerance.
+:func:`integrate` switches charts at the end of a step once s has
+crossed 1/2, in either direction.
+
 An adaptive embedded Runge-Kutta pair (DOP853, Dormand-Prince 8(5,3)
 with 7th-order dense output, :mod:`cyclebound.dopri`) supplies the
-steps.  Isocline crossings are detected by sign bracketing over each
-accepted step and committed with their kind; a crossing is located
-(Illinois regula falsi on a smooth form of the event function over the
-step's dense interpolant to a tight time tolerance, then one
-interpolant evaluation for the state) when its time or state is first
-read.  Re-crossing pairs that :func:`net_events` cancels are counted
-but never located.
+steps.  An isocline crossing is detected as a sign change of its log
+event function over an accepted step and committed with its kind; it is
+located (Illinois regula falsi on the event function over the step's
+dense interpolant to a tight time tolerance, then one interpolant
+evaluation for the state) when its time or state is first read.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -33,13 +38,14 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bounds import BoundSet, cycle_bounds, x_max_upper
+from .bounds import DEFAULT_S0, BoundSet, cycle_bounds, x_max_upper
 from .dopri import DOP853 as RK45
-from .model import _EXP_CLIP, LogState, Params, Region, State, h
+from .model import LogState, Params, Region, State, h, log1m_exp
 
 __all__ = [
     "SimConfig",
@@ -47,6 +53,7 @@ __all__ = [
     "Event",
     "Trajectory",
     "net_events",
+    "SolveStats",
     "TransitPoints",
     "CycleExtremes",
     "CycleReport",
@@ -64,18 +71,8 @@ __all__ = [
 # once tau itself outgrows it
 _EVENT_TAU_TOL = 1e-12
 
-# below this ln x, e^u is no longer a normal double (the smallest one is
-# e^-708.4), and x - h(s) loses x: crossings of x = h(s) are bisected on
-# the log form there
-_SMOOTH_U_MIN = -700.0
-
-# a crossing only counts once the trajectory commits to the new side by
-# this much (in log units).  Canard segments shadow the repelling branch
-# of x = h(s) to within e^{-c/m}, which makes the raw sign of the event
-# function chatter at roundoff scale; genuine transitions swing the
-# event functions by at least O(m) (slide gap) or O(1) (excursions),
-# orders of magnitude above this threshold for any m of interest.
-_EVENT_ARM = 1e-7
+# v = w = ln(1/2): the prey level s = 1/2 where the charts meet
+_LN_HALF = -math.log(2.0)
 
 _ENV_RTOL = "CYCLEBOUND_RTOL"
 
@@ -144,14 +141,15 @@ _CYCLE_ORDER = (
 
 
 class Event:
-    """An isocline crossing: its time ``tau``, log state and kind.
+    """An isocline crossing: its time ``tau``, log state (u, v) and kind.
 
     ``Event(tau, state, kind)`` is a located crossing.  :func:`integrate`
     commits crossings with their kind only and the bracket to locate them
     in; ``tau`` and ``state`` are located (:func:`_locate`, then one
-    interpolant evaluation) when either is first read, and kept.
-    Equality, hashing, repr and pickling use the located values, as for a
-    frozen dataclass of the three fields.
+    interpolant evaluation, mapped to (u, v) from a w-chart step) when
+    either is first read, and kept.  Equality, hashing, repr and
+    pickling use the located values, as for a frozen dataclass of the
+    three fields.
     """
 
     __slots__ = ("_tau", "_state", "_kind", "_bracket")
@@ -164,21 +162,23 @@ class Event:
 
     @classmethod
     def _deferred(
-        cls, kind: EventKind, g: Callable, phi: Callable, dense: Callable, t_lo: float,
-        t_hi: float,
+        cls, kind: EventKind, g: Callable, dense: Callable, t_lo: float, t_hi: float,
+        w_chart: bool,
     ) -> "Event":
-        """A crossing of kind ``kind`` inside ``[t_lo, t_hi]``, located on
-        first read by ``_locate(g, phi, dense, t_lo, t_hi)``."""
+        """A crossing of kind ``kind`` inside ``[t_lo, t_hi]`` of a step in
+        the w chart or not, located on first read by
+        ``_locate(g, dense, t_lo, t_hi)``."""
         ev = cls.__new__(cls)
         ev._kind = kind
-        ev._bracket = (g, phi, dense, t_lo, t_hi)
+        ev._bracket = (g, dense, t_lo, t_hi, w_chart)
         return ev
 
     def _resolve(self) -> None:
-        g, phi, dense, t_lo, t_hi = self._bracket
-        tau = _locate(g, phi, dense, t_lo, t_hi)
+        g, dense, t_lo, t_hi, w_chart = self._bracket
+        tau = _locate(g, dense, t_lo, t_hi)
+        u, y1 = dense(tau)
         self._tau = tau
-        self._state = LogState(*dense(tau))
+        self._state = LogState(u, log1m_exp(y1) if w_chart else y1)
         self._bracket = None
 
     @property
@@ -218,32 +218,57 @@ class Event:
         return (self.__class__, self._located())
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """Stepper work: accepted and rejected steps and field evaluations.
+
+    rhs_evals counts the evaluations of the steps (12 per accepted and
+    11 per rejected trial), of the start and of each chart switch; the
+    three extra stages of an interpolant evaluated to locate a crossing
+    are not counted.
+    """
+
+    steps: int = 0
+    rejected_steps: int = 0
+    rhs_evals: int = 0
+
+    def __add__(self, other: "SolveStats") -> "SolveStats":
+        return SolveStats(
+            self.steps + other.steps,
+            self.rejected_steps + other.rejected_steps,
+            self.rhs_evals + other.rhs_evals,
+        )
+
+
 @dataclass
 class Trajectory:
     """Log-space samples at accepted steps plus committed crossings.
 
-    taus is strictly increasing; points[i] = (u, v) at taus[i].  The
-    last sample is the state at the last event, the ``n_downs``-th
-    predator maximum (descending s = lam crossing) the integration ends
-    at.
+    taus is strictly increasing; points[i] = (u, v) at taus[i], mapped
+    from w for the steps taken in the w chart.  The last sample is the
+    state at the last event, the ``n_downs``-th predator maximum
+    (descending s = lam crossing) the integration ends at.
 
-    ``events`` records every committed sign change, each located only
-    when its ``tau`` or ``state`` is first read (see :class:`Event`).
-    During slow saddle passages the true 1 - s falls below the
-    integration error that ``atol_log`` allows in v = ln s (e^-30 against
-    v errors of 1e-12 to 1e-10 at a = lam = m = 0.01), so the computed v
-    wanders about 0 and crosses x = h(s) back and forth; short
-    re-crossing pairs appear there (about 120 per loop at that point, 2
-    with atol_log = 1e-16), and :func:`net_events` cancels them by kind,
-    without locating them, and returns the topological crossing sequence.
+    ``events`` records every sign change of the event functions, each
+    located only when its ``tau`` or ``state`` is first read (see
+    :class:`Event`).  Each isocline is crossed twice per loop.  The
+    saddle passage, where 1 - s falls to e^-30 at a = lam = m = 0.01 and
+    to e^-85 in deep cycles, is integrated in w = ln(1 - s), so x - h(s)
+    keeps its sign there; in v = ln s, whose step error is 1e-12 or
+    more, it would change sign at every step that errs by more than
+    1 - s.  :func:`net_events` reduces the sequence to the topological
+    one, which then is the sequence itself.  ``stats`` is the stepper's
+    work.
     """
 
     taus: np.ndarray
     points: np.ndarray
     events: list[Event] = field(default_factory=list)
+    stats: SolveStats = field(default_factory=SolveStats)
 
     def region_labels(self, p: Params) -> list[str]:
-        return [_region_from_log(u, v, p).value for u, v in self.points]
+        g_lam, g_h = _event_functions(p)[0]
+        return [_region(g_lam(y), g_h(y)).value for y in self.points]
 
 
 _EVENT_FUNCTION = {
@@ -295,13 +320,15 @@ class CycleExtremes:
     residual is the return-map defect |ln x_end - ln x_start| of the
     recorded loop, tours the number of return-map tours integrated
     to find it (the recorded loop is the last of them), and raw_events
-    the number of crossings the recorded loop committed: the four net
-    ones plus the cancelled re-crossing pairs of saddle chatter.
+    the number of crossings the recorded loop committed (4 when none
+    re-crosses its isocline).  stats is the stepper's work on the
+    recorded loop, total_stats on all tours.
 
     ln_s_max carries the prey maximum at full precision: 1 - s_max can
     sit far below the double spacing at 1 (deep cycles pass the saddle
-    with 1 - s ~ e^{-100}), in which case the s_max float collapses to
-    1.0 while ln_s_max = log1p(-(1 - s)) stays meaningful.
+    with 1 - s ~ e^{-85}), in which case the s_max float collapses to
+    1.0 while ln_s_max = ln(1 - e^w), read from the w chart, stays
+    meaningful.
     """
 
     x_max: float
@@ -314,28 +341,15 @@ class CycleExtremes:
     residual: float
     tours: int
     raw_events: int
+    stats: SolveStats
+    total_stats: SolveStats
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def _one_minus_s_at_h_crossing(u: float, p: Params) -> float:
-    """Recover 1 - s at an x = h(s) crossing from the log predator value.
-
-    At the crossing x = (1 - s)(s + a) exactly, so on the right branch
-    w = 1 - s solves w^2 - (1 + a) w + x = 0; the stable small-root form
-    keeps w meaningful down to e^{-700} where the interpolated v
-    coordinate has long hit the double spacing at 1.
-    """
-    x = math.exp(u)
-    disc = (1.0 + p.a) ** 2 - 4.0 * x
-    return 2.0 * x / ((1.0 + p.a) + math.sqrt(max(disc, 0.0)))
-
-
-def _region_from_log(u: float, v: float, p: Params) -> Region:
-    s_side = v - math.log(p.lam)
-    hs = h(math.exp(min(v, _EXP_CLIP)), p)
-    x_side = math.inf if hs <= 0 else u - math.log(hs)
+def _region(s_side: float, x_side: float) -> Region:
+    """The region of a point from the signs of s - lam and x - h(s)."""
     if x_side == 0 and s_side == 0:
         return Region.EQUILIBRIUM
     if s_side == 0:
@@ -351,62 +365,59 @@ def _sign(x: float) -> int:
     return int(x > 0) - int(x < 0)
 
 
-def _event_functions(p: Params) -> tuple:
-    """``(g, phi, kinds)`` for the isoclines s = lam and x = h(s).
+# the kind of a crossing of s = lam (index 0) or x = h(s) (index 1) by
+# the sign of its event function on the new side
+_KINDS = (
+    {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP},
+    {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX},
+)
 
-    g is the log form whose sign integrate tests after each step:
-    v - ln(lam), and u - ln h(e^v), which is +inf where h(s) <= 0 (s >= 1
-    can only sit on the x > h side).  phi has the sign of g and is smooth
-    across the crossing, for :func:`_locate`: g_lam itself, and
-    x - h(s) = e^u + expm1(v) (e^v + a), which stays finite and smooth
-    through s = 1 where g_h jumps to +inf, and is None where e^u is not a
-    normal double.  kinds maps the new side to the crossing's kind.
+
+def _event_functions(p: Params) -> tuple:
+    """``(g_lam, g_h)`` of the v chart and of the w chart.
+
+    Each g has the sign of s - lam or of x - h(s) and is smooth and
+    finite across its isocline, so :func:`_locate` runs on it directly.
+    In the v chart they are v - ln(lam) and
+    u - ln(1 - e^v) - ln(e^v + a), the latter +inf where s >= 1 (h(s) <= 0,
+    only above capacity, where a start may sit); in the w chart
+    ln(1 - lam) - w and u - w - ln(s + a) with s = -expm1(w).
     """
     ln_lam = math.log(p.lam)
+    ln_1m_lam = math.log1p(-p.lam)
     a = p.a
-    clip = _EXP_CLIP
 
-    def g_lam(y) -> float:
+    def g_lam_v(y) -> float:
         return y[1] - ln_lam
 
-    def g_h(y) -> float:
-        v = y[1] if y[1] < clip else clip
-        hs = -math.expm1(v) * (math.exp(v) + a)
-        if hs <= 0.0:
+    def g_h_v(y) -> float:
+        v = y[1]
+        if v >= 0.0:
             return math.inf
-        return y[0] - math.log(hs)
+        return y[0] - math.log(-math.expm1(v)) - math.log(math.exp(v) + a)
 
-    def phi_h(y) -> Optional[float]:
-        u, v = y
-        if u < _SMOOTH_U_MIN:
-            return None
-        v = v if v < clip else clip
-        return math.exp(u if u < clip else clip) + math.expm1(v) * (math.exp(v) + a)
+    def g_lam_w(y) -> float:
+        return ln_1m_lam - y[1]
 
-    return (
-        (g_lam, g_lam, {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP}),
-        (g_h, phi_h, {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX}),
-    )
+    def g_h_w(y) -> float:
+        w = y[1]
+        return y[0] - w - math.log(a - math.expm1(w))
+
+    return (g_lam_v, g_h_v), (g_lam_w, g_h_w)
 
 
-def _locate(g: Callable, phi: Callable, dense, t_lo: float, t_hi: float) -> float:
+def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
     """Locate a bracketed sign change of g on the dense interpolant.
 
-    Illinois regula falsi on phi, which has the sign of g and is smooth
-    across the crossing (see :func:`_event_functions`); where phi is
-    None, bisection on the sign of g.  Refines the bracket to the 1e-12
-    time tolerance (or float spacing at large tau, whichever is coarser)
-    and returns its end on the new side, so the post-event sign is
-    consistent.  A zero of the function is returned as it is, and a
-    crossing within roundoff of t_hi, where the function has not changed
-    sign yet on the interpolant, returns t_hi.
+    Illinois regula falsi on g, bisecting while an end is +inf (s >= 1
+    in the v chart).  Refines the bracket to the 1e-12 time tolerance (or
+    float spacing at large tau, whichever is coarser) and returns its end
+    on the new side, so the post-event sign is consistent.  A zero of g
+    is returned as it is, and a crossing within roundoff of t_hi, where g
+    has not changed sign yet on the interpolant, returns t_hi.
     """
     tol = max(_EVENT_TAU_TOL, 8.0 * sys.float_info.epsilon * abs(t_hi))
-    y_lo, y_hi = dense(t_lo), dense(t_hi)
-    f_lo, f_hi = phi(y_lo), phi(y_hi)
-    smooth = f_lo is not None and f_hi is not None
-    if not smooth:
-        f_lo, f_hi = g(y_lo), g(y_hi)
+    f_lo, f_hi = g(dense(t_lo)), g(dense(t_hi))
     if f_lo == 0.0:
         return t_lo
     lo_pos = f_lo > 0.0
@@ -415,10 +426,10 @@ def _locate(g: Callable, phi: Callable, dense, t_lo: float, t_hi: float) -> floa
     kept = 0  # the end the last iterate replaced: -1 lo, 1 hi
     half_tol = 0.5 * tol
     while t_hi - t_lo > tol:
-        if smooth:
-            t = t_hi - f_hi * ((t_hi - t_lo) / (f_hi - f_lo))
-        else:
+        if f_lo == math.inf or f_hi == math.inf:
             t = 0.5 * (t_lo + t_hi)
+        else:
+            t = t_hi - f_hi * ((t_hi - t_lo) / (f_hi - f_lo))
         # keep half a tolerance off both ends: a root that close to an
         # end is then bracketed by the next iterate instead of creeping
         # up on it
@@ -428,11 +439,7 @@ def _locate(g: Callable, phi: Callable, dense, t_lo: float, t_hi: float) -> floa
             t = t_hi - half_tol
         if t <= t_lo or t >= t_hi:
             break
-        y = dense(t)
-        f = phi(y) if smooth else None
-        if f is None:
-            smooth = False
-            f = g(y)
+        f = g(dense(t))
         if f == 0.0:
             return t
         if (f > 0.0) == lo_pos:
@@ -458,17 +465,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate the log-space field up to the n_downs-th predator maximum.
 
-    start may be a phase point or its log image.  Every accepted step is
-    checked for sign changes of v - ln(lam) and u - ln(h(e^v)); each
-    crossing is appended as an :class:`Event` once the trajectory commits
-    to the new side (hysteresis suppresses the roundoff-scale sign
-    chatter of canard segments grazing the isocline), and is located on
-    its step's dense interpolant (:func:`_locate`) when first read.
-    Crossings committed in one step are ordered by time.  The run ends
-    at the n_downs-th descending s = lam crossing, the once-per-loop
-    section that saddle re-crossing pairs never touch: the trajectory is
-    cut back to it, so its last sample is that crossing's state.  With
-    ``keep_samples=False`` that state is the only sample kept.
+    start may be a phase point or its log image.  The stepper works in
+    the v chart below s = 1/2 and in the w chart between s = 1/2 and 1,
+    and switches at the end of the first step on the other side (a start
+    at s >= 1 stays in v until s < 1).  Every accepted step is checked
+    for sign changes of the chart's event functions for s = lam and
+    x = h(s) (:func:`_event_functions`); each is appended as an
+    :class:`Event` and located on its step's dense interpolant
+    (:func:`_locate`) when first read.  A start on an isocline commits
+    no crossing there.  Crossings committed in one step are ordered by
+    time.  The run ends at the n_downs-th descending s = lam crossing:
+    the trajectory is cut back to it, so its last sample is that
+    crossing's state.  With ``keep_samples=False`` that state is the
+    only sample kept.
 
     Raises ValueError for n_downs < 1, and StepLimitError/StepSizeError
     on budget exhaustion or a solver stall, so a silently truncated
@@ -482,22 +491,18 @@ def integrate(
     if not p.cycle_regime:
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
     ls = start.log() if isinstance(start, State) else start
-    y0 = (ls.u, ls.v)
-    solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log)
-    checks = _event_functions(p)
-    (g_lam, _, _), (g_h, _, _) = checks
-    # hysteresis state per event function: the side the trajectory is
-    # committed to (0 until it first clears the arming threshold) and
-    # the detected-but-unconfirmed crossing of the current excursion
-    ref_side = [0, 0]
-    pending: list[Optional[Event]] = [None, None]
-    for idx, (g, _, _) in enumerate(checks):
-        val = g(y0)
-        if abs(val) > _EVENT_ARM:
-            ref_side[idx] = _sign(val)
+    w_chart = _LN_HALF < ls.v < 0.0
+    y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
+    solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log, w_chart=w_chart)
+    charts = _event_functions(p)
+    g_lam, g_h = charts[w_chart]
+    # the side of each isocline the trajectory is on: 0 while it sits on
+    # it, as a start within atol_log of it does (a start on x = h(s0) is
+    # on it up to roundoff), and then its first side is no crossing
+    sides = [_sign(val) if abs(val) > cfg.atol_log else 0 for val in (g_lam(y0), g_h(y0))]
 
     taus = [0.0]
-    pts = [y0]
+    pts = [(ls.u, ls.v)]
     events: list[Event] = []
     downs = 0
     steps = 0
@@ -519,62 +524,46 @@ def integrate(
                 "the requested tolerance is unreachable"
             )
         y = solver.y
-        # recorded before the events of this step: ending at one of them
-        # cuts the trajectory back to the event anyway
         if keep_samples:
             taus.append(solver.t)
-            pts.append(y)
-        else:
-            taus[-1] = solver.t
-            pts[-1] = y
-        # almost every step stays strictly on the committed side of both
-        # isoclines with nothing pending, and then there is no hysteresis
-        # bookkeeping to do.  val * side > 0 tests "same nonzero sign"; a
-        # side not yet armed (0) takes the full path.
+            pts.append((y[0], log1m_exp(y[1])) if w_chart else y)
         val_lam = g_lam(y)
         val_h = g_h(y)
-        if (
-            val_lam * ref_side[0] > 0.0
-            and val_h * ref_side[1] > 0.0
-            and pending[0] is None
-            and pending[1] is None
-        ):
-            continue
-        confirmed: list[Event] = []
-        dense = None
-        for idx, val in enumerate((val_lam, val_h)):
-            g, phi, kinds = checks[idx]
-            side = _sign(val)
-            if side == 0:
-                continue
-            if ref_side[idx] == 0:
-                if abs(val) > _EVENT_ARM:
-                    ref_side[idx] = side
-                continue
-            if side == ref_side[idx]:
-                pending[idx] = None  # excursion fell back, no transition
-                continue
-            if pending[idx] is None:
-                if dense is None:
-                    dense = solver.dense_output()
-                pending[idx] = Event._deferred(kinds[side], g, phi, dense, t_old, solver.t)
-            if abs(val) > _EVENT_ARM:
-                confirmed.append(pending[idx])
-                ref_side[idx] = side
-                pending[idx] = None
-        if len(confirmed) > 1:  # the key locates, so a lone crossing is not sorted
-            confirmed.sort(key=lambda ev: ev.tau)
-        for ev in confirmed:
-            events.append(ev)
-            if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
-                downs += 1
-                if downs == n_downs:
-                    while taus and taus[-1] >= ev.tau:
-                        taus.pop()
-                        pts.pop()
-                    taus.append(ev.tau)
-                    pts.append((ev.state.u, ev.state.v))
-                    return Trajectory(np.array(taus), np.array(pts), events)
+        # almost every step stays strictly on its side of both isoclines
+        if not (val_lam * sides[0] > 0.0 and val_h * sides[1] > 0.0):
+            crossed: list[Event] = []
+            dense = None
+            for idx, (g, val) in enumerate(((g_lam, val_lam), (g_h, val_h))):
+                side = _sign(val)
+                if side == 0 or side == sides[idx]:
+                    continue
+                if sides[idx] != 0:
+                    if dense is None:
+                        dense = solver.dense_output()
+                    crossed.append(
+                        Event._deferred(_KINDS[idx][side], g, dense, t_old, solver.t, w_chart)
+                    )
+                sides[idx] = side
+            if len(crossed) > 1:  # the key locates, so a lone crossing is not sorted
+                crossed.sort(key=lambda ev: ev.tau)
+            for ev in crossed:
+                events.append(ev)
+                if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
+                    downs += 1
+                    if downs == n_downs:
+                        stats = SolveStats(steps, solver.n_rejected, solver.nfev)
+                        if not keep_samples:
+                            taus, pts = [], []
+                        while taus and taus[-1] >= ev.tau:
+                            taus.pop()
+                            pts.pop()
+                        taus.append(ev.tau)
+                        pts.append((ev.state.u, ev.state.v))
+                        return Trajectory(np.array(taus), np.array(pts), events, stats)
+        if _LN_HALF < y[1] < 0.0:  # s crossed 1/2
+            solver.switch_chart()
+            w_chart = solver.w_chart
+            g_lam, g_h = charts[w_chart]
 
 
 def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> TransitPoints:
@@ -588,9 +577,8 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     if not (p.lam < s0 < 1.0):
         raise ValueError(f"need lam < s0 < 1, got {s0!r}")
     start = State(h(s0, p), s0)
-    # run through to the second descending section crossing so that any
-    # saddle-passage re-crossing pairs around the prey maximum have
-    # resolved, then reduce to the net crossing sequence
+    # run through to the second descending section crossing, past the
+    # prey maximum, then reduce to the net crossing sequence
     traj = integrate(start, p, cfg, n_downs=2, keep_samples=False)
     reduced = net_events(traj.events)
     kinds = tuple(ev.kind for ev in reduced[:4])
@@ -601,7 +589,7 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
         x1=math.exp(e1.state.u),
         ln_s2=e2.state.v,
         ln_x3=e3.state.u,
-        s4=1.0 - _one_minus_s_at_h_crossing(e4.state.u, p),
+        s4=math.exp(e4.state.v),
     )
 
 
@@ -620,11 +608,13 @@ def limit_cycle(
     ln_x = math.log(x0 if x0 is not None else x_max_upper(p))
     ln_lam = math.log(p.lam)
     tours = 0
+    total = SolveStats()
     converged = False
     while not converged and tours < cfg.max_return_iters:
         # one full loop from the section {s = lam, s falling} back to it
         tour = integrate(LogState(ln_x, ln_lam), p, cfg, keep_samples=False)
         tours += 1
+        total += tour.stats
         ln_x_start, ln_x = ln_x, tour.events[-1].state.u
         converged = abs(ln_x - ln_x_start) <= cfg.cycle_tol
     reduced = net_events(tour.events)
@@ -633,19 +623,22 @@ def limit_cycle(
     if kinds != expected:
         raise EventOrderError(f"expected crossings {expected}, got {kinds}")
     ev_min, ev_up, ev_max, ev_down = reduced
-    x_max = math.exp(ev_down.state.u)
-    one_minus_s = _one_minus_s_at_h_crossing(ev_max.state.u, p)
+    # the prey maximum lies in the w chart unless the cycle stays below
+    # s = 1/2, and its v = ln(1 - e^w) keeps 1 - s_max to full precision
+    ln_s_max = ev_max.state.v
     return CycleExtremes(
-        x_max=x_max,
-        s_max=1.0 - one_minus_s,
+        x_max=math.exp(ev_down.state.u),
+        s_max=math.exp(ln_s_max),
         ln_x_min=ev_up.state.u,
         ln_s_min=ev_min.state.v,
-        ln_s_max=math.log1p(-one_minus_s),
+        ln_s_max=ln_s_max,
         period=ev_down.tau,
         converged=converged,
         residual=abs(ev_down.state.u - ln_x_start),
         tours=tours,
         raw_events=len(tour.events),
+        stats=tour.stats,
+        total_stats=total,
     )
 
 
@@ -658,6 +651,11 @@ class CycleReport:
     split the four extreme checks the way the sweep counts them: both
     sides of x_max, the two log minima as intervals, both sides of
     s_max.  ``passed`` additionally requires return-map convergence.
+
+    min_margin is the smallest margin of all.  On most cycles it is
+    s_max_hi = -ln s_max, which is structural (s < 1 on every
+    trajectory) and as small as e^-85; binding_bound names the smallest
+    of the other seven and binding_margin is its value.
     """
 
     params: Params
@@ -666,6 +664,8 @@ class CycleReport:
     margins: dict
     flags: dict
     min_margin: float
+    binding_bound: str
+    binding_margin: float
     passed: bool
 
     def as_dict(self) -> dict:
@@ -676,6 +676,8 @@ class CycleReport:
             "margins": dict(self.margins),
             "flags": dict(self.flags),
             "min_margin": self.min_margin,
+            "binding_bound": self.binding_bound,
+            "binding_margin": self.binding_margin,
             "passed": self.passed,
         }
 
@@ -683,7 +685,7 @@ class CycleReport:
 def cycle_extreme_report(
     p: Params,
     cfg: Optional[SimConfig] = None,
-    s0: float = 0.8,
+    s0: float = DEFAULT_S0,
     force: bool = False,
 ) -> CycleReport:
     """Merge :func:`limit_cycle` output with :func:`cycle_bounds`."""
@@ -709,13 +711,18 @@ def cycle_extreme_report(
         "s_max_above_lo": margins["s_max_lo"] > 0,
         "s_max_below_hi": margins["s_max_hi"] > 0,
     }
-    min_margin = min(margins.values())
+    binding_bound, binding_margin = min(
+        ((name, value) for name, value in margins.items() if name != "s_max_hi"),
+        key=itemgetter(1),
+    )
     return CycleReport(
         params=p,
         bounds=b,
         extremes=ce,
         margins=margins,
         flags=flags,
-        min_margin=min_margin,
+        min_margin=min(margins.values()),
+        binding_bound=binding_bound,
+        binding_margin=binding_margin,
         passed=all(flags.values()) and ce.converged,
     )

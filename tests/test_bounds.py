@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cyclebound.bounds import (
+    _S_MAX_LO,
+    DEFAULT_S0,
     canard_estimates,
     cycle_bounds,
     excursion_bounds,
@@ -110,6 +112,13 @@ def test_x_max_lower_needs_an_anchor_below_one(s0):
     # h(s0) <= 0 there: the barrier has no anchor on the prey isocline
     with pytest.raises(ValueError, match="s0 < 1"):
         x_max_lower(Params(a=0.05, lam=0.05, m=5.0), s0)
+
+
+def test_default_anchor_is_proven():
+    # the default anchor may not exceed the proven prey-maximum bound, so
+    # default bounds in the proven box are proven
+    assert DEFAULT_S0 <= _S_MAX_LO
+    assert cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).proven
 
 
 def test_cycle_bounds_anchor_above_the_proven_prey_maximum():

@@ -1,17 +1,21 @@
 import dataclasses
+import inspect
 import json
 import math
 
 import pytest
 
 from cyclebound import cli, harness
+from cyclebound.bounds import DEFAULT_S0, cycle_bounds, x_max_lower
 from cyclebound.cli import main
 from cyclebound.harness import CSV_HEADER
+from cyclebound.model import Params
 from cyclebound.simulator import (
     EventOrderError,
     SimConfig,
     StepLimitError,
     StepSizeError,
+    cycle_extreme_report,
 )
 
 
@@ -84,6 +88,42 @@ def test_cycle_json(capsys):
     assert record["extremes"]["raw_events"] == 4  # no chatter at this point
     assert record["passed"] is True
     assert record["min_margin"] > 0
+    # the stepper's work on the reported tour and on all tours
+    stats, total = record["extremes"]["stats"], record["extremes"]["total_stats"]
+    assert set(stats) == set(total) == {"steps", "rejected_steps", "rhs_evals"}
+    assert 0 < stats["steps"] < total["steps"]
+    assert 0 < stats["rejected_steps"] <= total["rejected_steps"]
+    assert stats["rhs_evals"] > 12 * stats["steps"]
+
+
+def test_cycle_json_names_the_binding_bound(capsys):
+    # min_margin is the structural s_max <= 1 margin, -ln s_max ~ 1e-7
+    # here; the binding bound is the tightest of the other seven
+    code, out, _ = run_cli(
+        "cycle", "--a", "0.05", "--lambda", "0.01", "--m", "5", "--json", capsys=capsys,
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["min_margin"] == record["margins"]["s_max_hi"] < 1e-6
+    assert record["binding_bound"] == "x_max_hi"
+    assert record["binding_margin"] == pytest.approx(0.0425, abs=5e-5)
+    others = {k: v for k, v in record["margins"].items() if k != "s_max_hi"}
+    assert record["binding_margin"] == min(others.values())
+
+
+def test_s0_defaults_are_the_default_anchor():
+    # one constant for the x_max anchor: the CLI options, the sweep spec
+    # (also when read from JSON without "s0") and the library defaults
+    parser = cli.build_parser()
+    params = ["--a", "0.05", "--lambda", "0.05", "--m", "1"]
+    for command in ("bounds", "simulate", "transit"):
+        assert parser.parse_args([command, *params]).s0 == DEFAULT_S0
+    record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0]}
+    assert harness.SweepSpec.from_json(record).s0 == DEFAULT_S0
+    assert harness.SweepSpec((0.05,), (0.05,), (1.0,)).s0 == DEFAULT_S0
+    for fn in (cycle_bounds, x_max_lower, cycle_extreme_report, harness.lyapunov_checks):
+        assert inspect.signature(fn).parameters["s0"].default == DEFAULT_S0
+    assert cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).s0 == DEFAULT_S0
 
 
 def test_simulate_csv(tmp_path, capsys):

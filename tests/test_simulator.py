@@ -6,6 +6,7 @@ import sys
 from dataclasses import make_dataclass
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import DOP853 as ScipyDOP853
@@ -13,10 +14,20 @@ from scipy.integrate import DOP853 as ScipyDOP853
 import cyclebound
 from cyclebound import simulator
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
-from cyclebound.model import LogState, Params, State, equilibrium, h, log_vector_field
+from cyclebound.model import (
+    LogState,
+    Params,
+    State,
+    equilibrium,
+    h,
+    log1m_exp,
+    log_gap_vector_field,
+    log_vector_field,
+)
 from cyclebound.simulator import (
     EventKind,
     SimConfig,
+    SolveStats,
     StepLimitError,
     cycle_extreme_report,
     integrate,
@@ -30,6 +41,8 @@ from hypothesis import strategies as st
 from cyclebound.simulator import Event, net_events
 
 P_REF = Params(a=0.05, lam=0.05, m=1.0)
+CANARD = Params(a=0.01, lam=0.01, m=0.01)
+DEEP = Params(a=0.02, lam=0.02, m=5.0)
 
 CANONICAL = (
     EventKind.S_EQ_LAMBDA_DOWN,
@@ -103,6 +116,20 @@ def _cycle_start(p):
     return (math.log(x_max_upper(p)), math.log(p.lam))
 
 
+def _saddle_start(p):
+    """A w-chart start at s = 0.6 with the cycle's predator minimum: the
+    trajectory rises into the saddle passage, to 1 - s ~ e^-30 at the
+    canard point."""
+    return (limit_cycle(p).ln_x_min, math.log(0.4))
+
+
+def _field(p, w_chart):
+    """The model field of a chart, as a function of its two coordinates."""
+    if w_chart:
+        return lambda u, w: log_gap_vector_field((u, w), p)
+    return lambda u, v: log_vector_field(LogState(u, v), p)
+
+
 def _error_estimate_resolved(ref):
     """Whether both error sums (5th- and 3rd-order) of scipy's last step
     stand clear of the worst-case roundoff n eps sum|terms| of summing
@@ -115,11 +142,35 @@ def _error_estimate_resolved(ref):
     return True
 
 
-def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0):
-    """Step simulator.RK45 and scipy's DOP853 on the log-space field side by side.
+def _restart(solver, t, h_abs, y, f):
+    solver.t, solver.h_abs, solver.y, solver.f = t, h_abs, y, f
 
-    scipy integrates (u, v)' = log_vector_field((u, v), p), the field the
-    in-house stepper has written out in its stages.
+
+def _proposal(solver, rejected):
+    """The next step size after a step; scipy does not grow it right
+    after a rejection (a restart with the accepted size has none)."""
+    return min(solver.h_abs, solver.t - solver.t_old) if rejected else solver.h_abs
+
+
+def _proposal_is_stable(ours, ref, y, f):
+    """Whether the stepper's next step size moves by less than 1e-4 when it
+    retakes its last step from y with u and w moved apart by the roundoff
+    of a stage state, eps h max_i sum_j |a_ij k_j| (w-chart stages depend
+    on u - w through e^(u - w)).  Leaves the stepper after that step."""
+    t, h = ours.t_old, ours.t - ours.t_old
+    proposed = ours.h_abs
+    shift = np.finfo(float).eps * h * float((np.abs(ScipyDOP853.A) @ np.abs(ref.K[:-1])).max())
+    _restart(ours, t, h, (y[0] + shift, y[1] - shift), f)
+    ours.step()
+    return abs(ours.h_abs / proposed - 1.0) < 1e-4
+
+
+def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
+    """Step simulator.RK45 and scipy's DOP853 on one chart's field side by side.
+
+    scipy integrates (u, y)' = the model field of the chart, the field
+    the in-house stepper has written out in its stages.  A w-chart run
+    ends where s falls below 1/2, where integrate leaves the chart.
 
     Before every step the in-house stepper is restarted from scipy's
     state (t, y, f and the proposed step size): the error estimate is a
@@ -127,30 +178,36 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0):
     moves the next step size in its last digits, and along a canard
     that difference is amplified until the two runs no longer share
     steps.  A step accepted at its first trial must then agree to
-    roundoff, dense output included.  After a rejection the retried
-    size is scaled by the error norm, whose roundoff it inherits; such
-    steps must still be rejected by both, and their states agree to
-    roundoff plus the field times the step-size difference.  The
-    step size each proposes next must agree wherever the error estimate
-    stands clear of its own roundoff (deep in a canard it need not).
-    Returns the number of steps taken after a rejection and scipy's
-    solver.
+    roundoff, dense output included.  A rejected trial must be rejected
+    by both, as many times (scipy evaluates 12 stages a trial); the
+    retried size is scaled by the error norm, whose roundoff it
+    inherits, so the accepted sizes agree to 1e-7 in the v chart and to
+    1e-4 in the w chart, whose stages amplify roundoff (below).  The in-house
+    stepper then takes scipy's accepted size once more, from the same
+    state, and that step must agree to roundoff.  The step size each
+    proposes next must agree wherever the error estimate stands clear of
+    its own roundoff (deep in a canard it need not), and in the w chart
+    where also the proposal is stable under a stage state's roundoff
+    (:func:`_proposal_is_stable`): in the saddle passage at m = 5 steps
+    are limited by stability, h |df/dw| ~ 5, and a stage's roundoff grows
+    tenfold a stage.  Returns the number of steps taken after a rejection
+    and scipy's solver.
     """
-    ours = simulator.RK45(p, t0, y0, rtol=rtol, atol=1e-12)
+    fun = _field(p, w_chart)
+    ours = simulator.RK45(p, t0, y0, rtol=rtol, atol=1e-12, w_chart=w_chart)
     ref = ScipyDOP853(
-        lambda t, y: np.array(log_vector_field(LogState(y[0], y[1]), p)),
-        t0, np.array(y0), np.inf, rtol=rtol, atol=1e-12,
+        lambda t, y: np.array(fun(y[0], y[1])), t0, np.array(y0), np.inf, rtol=rtol, atol=1e-12,
     )
     assert ours.rtol == ref.rtol
     assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-12)
     retried = 0
     for _ in range(n_steps):
-        if ref.status != "running":
+        if ref.status != "running" or (w_chart and ref.y[1] > -math.log(2.0)):
             break
         t, h_try = float(ref.t), float(ref.h_abs)
-        ours.t, ours.h_abs = t, h_try
-        ours.y = (float(ref.y[0]), float(ref.y[1]))
-        ours.f = (float(ref.f[0]), float(ref.f[1]))
+        y, f = (float(ref.y[0]), float(ref.y[1])), (float(ref.f[0]), float(ref.f[1]))
+        _restart(ours, t, h_try, y, f)
+        rejections, nfev = ours.n_rejected, ref.nfev
         ours.step()
         ref.step()
         assert ours.status == ref.status
@@ -159,25 +216,43 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0):
         # a rejection shrinks the trial step by a factor of at most 0.9
         rejected = ref.t - t <= 0.9 * h_try
         assert (ours.t - t <= 0.9 * h_try) == rejected
+        assert 12 * (ours.n_rejected - rejections + 1) == ref.nfev - nfev
         retried += rejected
-        assert ours.t - t == pytest.approx(ref.t - t, rel=1e-7 if rejected else 1e-10)
+        retry_rtol = 1e-4 if w_chart else 1e-7
+        assert ours.t - t == pytest.approx(ref.t - t, rel=retry_rtol if rejected else 1e-10)
+        if rejected:
+            rejections = ours.n_rejected
+            _restart(ours, t, ref.t - t, y, f)
+            ours.step()
+            assert ours.t == pytest.approx(ref.t, rel=1e-15) and ours.n_rejected == rejections
         # a step longer by dt ends about |f| dt further on
         tol = 1e-12 + 2.0 * abs(ours.t - ref.t) * float(np.abs(ref.f).max())
         assert ours.y == pytest.approx(tuple(ref.y), rel=1e-12, abs=tol)
-        if _error_estimate_resolved(ref):
-            assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-3)
         ours_dense, ref_dense = ours.dense_output(), ref.dense_output()
         for x in (0.1, 0.5, 0.9):
             got = ours_dense(ours.t_old + x * (ours.t - ours.t_old))
             want = ref_dense(ref.t_old + x * (ref.t - ref.t_old))
             assert got == pytest.approx(tuple(want), rel=1e-12, abs=tol)
+        proposed = _proposal(ours, rejected)
+        if _error_estimate_resolved(ref) and (not w_chart or _proposal_is_stable(ours, ref, y, f)):
+            assert proposed == pytest.approx(ref.h_abs, rel=1e-3)
     return retried, ref
 
 
-@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+@pytest.mark.parametrize("p", [P_REF, CANARD], ids=["ref", "canard"])
 def test_stepper_matches_scipy_dop853_step_for_step(p):
     retried, _ = _step_side_by_side(p, _cycle_start(p), 1e-10, 600)
     assert retried > 0  # the rejection branch was exercised
+
+
+@pytest.mark.parametrize("p", [P_REF, CANARD, DEEP], ids=["ref", "canard", "deep"])
+def test_w_chart_stepper_matches_scipy_dop853_step_for_step(p):
+    # the w = ln(1 - s) field through the saddle passage, from s = 0.6 to
+    # 1 - s = e^-13 (ref), e^-30 (canard) and e^-43 (deep) and back to
+    # s = 1/2: 49, 774 and 64 steps
+    retried, ref = _step_side_by_side(p, _saddle_start(p), 1e-10, 1000, w_chart=True)
+    assert retried > 0
+    assert ref.y[1] > -math.log(2.0)  # the passage is over
 
 
 def test_stepper_edge_cases_match_scipy():
@@ -205,16 +280,13 @@ def _weighted(weights, ks):
     return sum(float(w) * k for w, k in zip(weights, ks) if w != 0.0)
 
 
-def _reference_step(p, t, y, f, h_abs, rtol, atol):
-    """One step of simulator.RK45 with every stage a call
-    of log_vector_field, the tableau taken from scipy's DOP853, and the
-    builtins abs, min and max: the stepper with its field and constants
-    not written out, the same sums in the same order.  Returns (t, y, f,
+def _reference_step(p, t, y, f, h_abs, rtol, atol, w_chart):
+    """One step of simulator.RK45 with every stage a call of the chart's
+    model field, the tableau taken from scipy's DOP853, and the builtins
+    abs, min and max: the stepper with its fields and constants not
+    written out, the same sums in the same order.  Returns (t, y, f,
     h_abs) after the step and the interpolant over it."""
-
-    def fun(u, v):
-        return log_vector_field(LogState(u, v), p)
-
+    fun = _field(p, w_chart)
     (u, v), k1 = y, f
     h_abs = max(h_abs, 10.0 * (math.nextafter(t, math.inf) - t))
     rejected = False
@@ -266,55 +338,74 @@ def _reference_step(p, t, y, f, h_abs, rtol, atol):
     return step, lambda tau: (dense_u(tau), dense_v(tau))
 
 
-@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+@pytest.mark.parametrize("p", [P_REF, CANARD], ids=["ref", "canard"])
 def test_stepper_stages_are_log_vector_field(p, monkeypatch):
-    # the field written out in the 12 stages of a step and the 3 extra
-    # stages of its interpolant must be log_vector_field bit for bit
-    # (repr tells every double apart), and the tableau scipy's: every
+    # the fields written out in the 12 stages of a step and the 3 extra
+    # stages of its interpolant must be the model's bit for bit (repr
+    # tells every double apart): log_vector_field in the v chart and
+    # log_gap_vector_field in the w chart, and the tableau scipy's.  Every
     # accepted step over one loop, and its interpolant at three points,
     # equal those of the step that calls the field, and the last stage
-    # (FSAL) is the field at the new state
-    rejected = []
+    # (FSAL) is the field at the new state.  A chart switch maps y[1] by
+    # ln(1 - e^y), keeps the step size and evaluates the new chart's field
+    rejected, charts, switches = [], [], []
 
     class Checked(simulator.RK45):
         def step(self):
-            before = (self.p, self.t, self.y, self.f, self.h_abs, self.rtol, self.atol)
+            before = (
+                self.p, self.t, self.y, self.f, self.h_abs, self.rtol, self.atol, self.w_chart,
+            )
             super().step()
             expected, expected_dense = _reference_step(*before)
             assert repr((self.t, self.y, self.f, self.h_abs)) == repr(expected)
-            assert repr(self.f) == repr(log_vector_field(LogState(*self.y), p))
+            assert repr(self.f) == repr(_field(p, self.w_chart)(*self.y))
             dense = self.dense_output()
             for x in (0.1, 0.5, 0.9):
                 tau = before[1] + x * (self.t - before[1])
                 assert repr(dense(tau)) == repr(expected_dense(tau))
             # a rejection shrinks the trial step by a factor of at most 0.9
             rejected.append(self.t - before[1] <= 0.9 * before[4])
+            charts.append(self.w_chart)
+
+        def switch_chart(self):
+            y, h_abs, w_chart = self.y, self.h_abs, self.w_chart
+            super().switch_chart()
+            assert self.w_chart is not w_chart and self.h_abs == h_abs
+            assert self.y == (y[0], log1m_exp(y[1]))
+            assert repr(self.f) == repr(_field(p, self.w_chart)(*self.y))
+            switches.append(self.w_chart)
 
     monkeypatch.setattr(simulator, "RK45", Checked)
     start = LogState(*_cycle_start(p))
     integrate(start, p, keep_samples=False)
-    # one loop takes 124 steps at the reference point and about 1900 at
-    # the canard point
+    # one loop takes 109 steps at the reference point and about 860 at
+    # the canard point; it enters the w chart on the way up to the saddle
+    # and leaves it on the way down
     assert len(rejected) > 100 and any(rejected)
+    assert switches == [True, False]
+    assert charts.index(True) > 0 and any(rejected[i] for i, w in enumerate(charts) if w)
 
 
-@pytest.mark.parametrize("p", [P_REF, Params(a=0.01, lam=0.01, m=0.01)], ids=["ref", "canard"])
+@pytest.mark.parametrize("p", [P_REF, CANARD], ids=["ref", "canard"])
 def test_dense_output_is_a_snapshot_of_its_step(p):
     # an interpolant first evaluated five steps after its own step gives,
-    # bit for bit, the values of one evaluated right after that step: a
-    # crossing located on first read depends on this
-    solver = simulator.RK45(p, 0.0, _cycle_start(p), rtol=1e-10, atol=1e-12)
-    for _ in range(3):
-        solver.step()
-    t_old, t = solver.t_old, solver.t
-    taus = [t_old + x * (t - t_old) for x in (0.1, 0.5, 0.9)]
-    late = solver.dense_output()
-    now = solver.dense_output()
-    expected = [now(tau) for tau in taus]
-    for _ in range(5):
-        solver.step()
-    assert solver.t_old > t
-    assert repr([late(tau) for tau in taus]) == repr(expected)
+    # bit for bit, the values of one evaluated right after that step, in
+    # the chart of that step even after a chart switch: a crossing
+    # located on first read depends on this
+    for y0, w_chart in ((_cycle_start(p), False), (_saddle_start(p), True)):
+        solver = simulator.RK45(p, 0.0, y0, rtol=1e-10, atol=1e-12, w_chart=w_chart)
+        for _ in range(3):
+            solver.step()
+        t_old, t = solver.t_old, solver.t
+        taus = [t_old + x * (t - t_old) for x in (0.1, 0.5, 0.9)]
+        late = solver.dense_output()
+        now = solver.dense_output()
+        expected = [now(tau) for tau in taus]
+        solver.switch_chart()
+        for _ in range(5):
+            solver.step()
+        assert solver.t_old > t and solver.w_chart is not w_chart
+        assert repr([late(tau) for tau in taus]) == repr(expected)
 
 
 def test_import_leaves_scipy_out():
@@ -331,74 +422,68 @@ def test_import_leaves_scipy_out():
 
 def _events_step_by_step(start, p, n_downs):
     """Reference for integrate's events: every accepted step goes through
-    the hysteresis bookkeeping, with each event function evaluated by its
-    own closure, until the n_downs-th descending s = lam crossing.
-    Crossings are located by integrate's own routine on integrate's own
-    event functions, so the events must agree exactly.
-
-    Returns the events and the number of located crossings that were
-    dropped because the trajectory fell back before committing."""
+    the full sign bookkeeping, with each event function of the step's
+    chart evaluated by its own closure and every crossing located at
+    once, and the chart switched once s has crossed 1/2, until the
+    n_downs-th descending s = lam crossing.  Crossings are located by
+    integrate's own routine on integrate's own event functions, so the
+    events must agree exactly."""
     cfg = SimConfig()
-    solver = simulator.RK45(p, 0.0, (start.u, start.v), rtol=cfg.rtol, atol=cfg.atol_log)
-    checks = simulator._event_functions(p)
-    arm = simulator._EVENT_ARM
-    y0 = (start.u, start.v)
-    ref_side = [simulator._sign(g(y0)) if abs(g(y0)) > arm else 0 for g, _, _ in checks]
-    pending = [None, None]
+    w_chart = -math.log(2.0) < start.v < 0.0
+    y0 = (start.u, log1m_exp(start.v) if w_chart else start.v)
+    solver = simulator.RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log, w_chart=w_chart)
+    charts = simulator._event_functions(p)
+    sides = [simulator._sign(g(y0)) if abs(g(y0)) > cfg.atol_log else 0 for g in charts[w_chart]]
     events = []
-    fallbacks = 0
     while sum(ev.kind is EventKind.S_EQ_LAMBDA_DOWN for ev in events) < n_downs:
         t_old = solver.t
         solver.step()
         dense = solver.dense_output()
-        confirmed = []
-        for idx, (g, phi, kinds) in enumerate(checks):
-            val = g(solver.y)
-            side = simulator._sign(val)
-            if side == 0:
-                continue
-            if ref_side[idx] == 0:
-                ref_side[idx] = side if abs(val) > arm else 0
-            elif side == ref_side[idx]:
-                fallbacks += pending[idx] is not None
-                pending[idx] = None
-            else:
-                if pending[idx] is None:
-                    te = simulator._locate(g, phi, dense, t_old, solver.t)
-                    pending[idx] = Event(te, LogState(*dense(te)), kinds[side])
-                if abs(val) > arm:
-                    confirmed.append(pending[idx])
-                    ref_side[idx], pending[idx] = side, None
-        events.extend(sorted(confirmed, key=lambda ev: ev.tau))
-    return events, fallbacks
+        crossed = []
+        for idx, g in enumerate(charts[solver.w_chart]):
+            side = simulator._sign(g(solver.y))
+            if side and side != sides[idx]:
+                if sides[idx]:
+                    te = simulator._locate(g, dense, t_old, solver.t)
+                    u, y1 = dense(te)
+                    state = LogState(u, log1m_exp(y1) if solver.w_chart else y1)
+                    crossed.append(Event(te, state, simulator._KINDS[idx][side]))
+                sides[idx] = side
+        events.extend(sorted(crossed, key=lambda ev: ev.tau))
+        if -math.log(2.0) < solver.y[1] < 0.0:
+            solver.switch_chart()
+    return events
 
 
 @pytest.mark.parametrize(
-    "p, s0, chatters",
-    [
-        (P_REF, 0.8, False),
-        (Params(a=0.01, lam=0.01, m=0.01), 0.8, True),
-        (P_REF, 1.5, False),
-    ],
+    "p, s0",
+    [(P_REF, 0.8), (CANARD, 0.8), (P_REF, 1.5)],
     ids=["ref", "canard", "above-capacity"],
 )
-def test_quiet_step_path_keeps_every_event(p, s0, chatters):
-    # the canard point re-crosses the isocline x = h(s) many times; the
-    # start above s = 1, where h(s) <= 0, begins with g_h = +inf
+def test_quiet_step_path_keeps_every_event(p, s0):
+    # integrate skips the bookkeeping on a step that stays on its side of
+    # both isoclines, and must drop no crossing.  The start on x = h(0.8)
+    # commits nothing there; the start above s = 1, where h(s) <= 0,
+    # begins in the v chart with g_h = +inf.  Nothing re-crosses an
+    # isocline, at the canard point's saddle passage either
     start = State(h(0.8, p), s0).log()
-    expected, _ = _events_step_by_step(start, p, n_downs=2)
+    expected = _events_step_by_step(start, p, n_downs=2)
     traj = integrate(start, p, n_downs=2, keep_samples=False)
     assert traj.events == expected
-    assert (len(net_events(expected)) < len(expected)) == chatters
+    assert [ev.kind for ev in expected] == list(CANONICAL) + [EventKind.S_EQ_LAMBDA_DOWN]
 
 
 def _scipy_stepper(field):
-    """A stand-in for simulator.RK45 (same constructor and interface)
-    that steps scipy's DOP853 on (u, v)' = field(u, v) instead of the
-    model field."""
+    """A stand-in for simulator.RK45 (same constructor and interface, one
+    chart) that steps scipy's DOP853 on (u, v)' = field(u, v) instead of
+    the model field; the paths it is used on stay below s = 1/2."""
 
     class Stepper:
-        def __init__(self, p, t0, y0, rtol, atol):
+        w_chart = False
+        n_rejected = 0
+
+        def __init__(self, p, t0, y0, rtol, atol, w_chart=False):
+            assert not w_chart
             self._ref = ScipyDOP853(
                 lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), np.inf,
                 rtol=rtol, atol=atol,
@@ -407,6 +492,7 @@ def _scipy_stepper(field):
         t = property(lambda self: float(self._ref.t))
         y = property(lambda self: (float(self._ref.y[0]), float(self._ref.y[1])))
         status = property(lambda self: self._ref.status)
+        nfev = property(lambda self: self._ref.nfev)
 
         def step(self):
             self._ref.step()
@@ -418,18 +504,23 @@ def _scipy_stepper(field):
     return Stepper
 
 
-def test_quiet_step_path_drops_a_fallen_back_crossing(monkeypatch):
-    # s dips below lam by less than the arming threshold and comes back,
-    # then a slow drift takes it through for real one period later
+def test_every_sign_change_is_a_crossing(monkeypatch):
+    # s dips below lam by 1e-7 or less and comes back, once a period, then
+    # stays below for good: each sign change at a step end is a crossing,
+    # a dip and its return a pair that net_events cancels, and there is no
+    # threshold a crossing must clear.  The steps (about 3.7 long) step
+    # over the first dip and end inside the second
     monkeypatch.setattr(
         simulator, "RK45", _scipy_stepper(lambda u, v: (1.0, 2e-7 * math.cos(u) - 1e-8))
     )
     start = LogState(0.0, math.log(P_REF.lam) + 2e-7)
-    expected, fallbacks = _events_step_by_step(start, P_REF, n_downs=1)
-    traj = integrate(start, P_REF, keep_samples=False)
-    assert fallbacks >= 1
-    assert [ev.kind for ev in expected] == [EventKind.S_EQ_LAMBDA_DOWN]
+    expected = _events_step_by_step(start, P_REF, n_downs=2)
+    traj = integrate(start, P_REF, n_downs=2, keep_samples=False)
     assert traj.events == expected
+    down, up = EventKind.S_EQ_LAMBDA_DOWN, EventKind.S_EQ_LAMBDA_UP
+    assert [ev.kind for ev in traj.events] == [down, up, down]
+    assert 2.0 * math.pi < traj.events[0].tau < traj.events[1].tau < 4.0 * math.pi
+    assert net_events(traj.events) == traj.events[2:]
 
 
 def test_two_crossings_in_one_step_come_out_in_tau_order(monkeypatch):
@@ -441,7 +532,7 @@ def test_two_crossings_in_one_step_come_out_in_tau_order(monkeypatch):
     u0 = math.log(h(math.exp(ln_lam + 0.001), P_REF)) + 0.999
     monkeypatch.setattr(simulator, "RK45", _scipy_stepper(lambda u, v: (-1.0, -1.0)))
     start = LogState(u0, ln_lam + 1.0)
-    expected, _ = _events_step_by_step(start, P_REF, n_downs=1)
+    expected = _events_step_by_step(start, P_REF, n_downs=1)
     traj = integrate(start, P_REF)
     assert [ev.kind for ev in traj.events] == [
         EventKind.X_EQ_H_MIN, EventKind.S_EQ_LAMBDA_DOWN,
@@ -463,41 +554,54 @@ def _count_calls(fn, counter):
 
 def _loop_brackets(p):
     """Every accepted step of one loop from the section start across which
-    an event function changes sign, as (index into _event_functions,
-    step interpolant, t_old, t, new side)."""
-    checks = simulator._event_functions(p)
+    an event function changes sign, as (index into a chart's event
+    functions, that function, step interpolant, t_old, t, new side, w
+    chart), with the charts switched as integrate switches them."""
+    charts = simulator._event_functions(p)
     solver = simulator.RK45(p, 0.0, _cycle_start(p), rtol=1e-10, atol=1e-12)
     brackets, lam_changes = [], 0
     while lam_changes < 2:
         t_old, y_old = solver.t, solver.y
         solver.step()
-        for idx, (g, _, _) in enumerate(checks):
+        for idx, g in enumerate(charts[solver.w_chart]):
             before, after = simulator._sign(g(y_old)), simulator._sign(g(solver.y))
             if before and after and before != after:
-                brackets.append((idx, solver.dense_output(), t_old, solver.t, after))
+                brackets.append(
+                    (idx, g, solver.dense_output(), t_old, solver.t, after, solver.w_chart)
+                )
                 lam_changes += idx == 0
-    return checks, brackets
+        if -math.log(2.0) < solver.y[1] < 0.0:
+            solver.switch_chart()
+    return brackets
 
 
-@pytest.mark.parametrize(
-    "p",
-    [P_REF, Params(a=0.01, lam=0.01, m=0.01), Params(a=0.02, lam=0.02, m=5.0)],
-    ids=["ref", "canard", "deep"],
-)
+def _bisect(g, dense, t_lo, t_hi, tol):
+    """The bracketed sign change of g on dense by plain bisection, to tol."""
+    lo_pos = g(dense(t_lo)) > 0.0
+    while t_hi - t_lo > tol:
+        t = 0.5 * (t_lo + t_hi)
+        if (g(dense(t)) > 0.0) == lo_pos:
+            t_lo = t
+        else:
+            t_hi = t
+    return t_hi
+
+
+@pytest.mark.parametrize("p", [P_REF, CANARD, DEEP], ids=["ref", "canard", "deep"])
 def test_illinois_and_bisection_locate_the_same_crossing(p):
-    # Illinois on the smooth form against bisection on the log form (phi
-    # unavailable): the same crossing to within the time tolerance, and
-    # the returned end on the new side of the log form, or on its zero.
-    # The canard point's loop re-crosses x = h(s) hundreds of times at
-    # the saddle.
-    checks, brackets = _loop_brackets(p)
-    assert len(brackets) >= 4
+    # Illinois on the event function against bisection on its sign: the
+    # same crossing to within the time tolerance, and the returned end on
+    # the new side, or on the zero.  A loop changes the sign of each event
+    # function at two step ends, the prey maximum in the w chart
+    brackets = _loop_brackets(p)
+    assert [(idx, side, w_chart) for idx, _, _, _, _, side, w_chart in brackets] == [
+        (1, -1, False), (0, 1, False), (1, 1, True), (0, -1, False),
+    ]
     calls = []
-    for idx, dense, t_lo, t_hi, side in brackets:
-        g, phi, _ = checks[idx]
+    for _, g, dense, t_lo, t_hi, side, _ in brackets:
         tol = max(simulator._EVENT_TAU_TOL, 8.0 * sys.float_info.epsilon * abs(t_hi))
-        te = simulator._locate(g, _count_calls(phi, calls), dense, t_lo, t_hi)
-        tb = simulator._locate(g, lambda y: None, dense, t_lo, t_hi)
+        te = simulator._locate(_count_calls(g, calls), dense, t_lo, t_hi)
+        tb = _bisect(g, dense, t_lo, t_hi, tol)
         assert t_lo <= te <= t_hi
         assert abs(te - tb) <= tol
         assert simulator._sign(g(dense(te))) in (side, 0)
@@ -514,13 +618,16 @@ _DataclassEvent = make_dataclass(
 
 def test_lazily_located_event_behaves_like_a_located_one(monkeypatch):
     # each comparison is the first read of a fresh deferred event, and
-    # each locates exactly once
-    checks, brackets = _loop_brackets(P_REF)
-    idx, dense, t_lo, t_hi, side = brackets[1]
-    g, phi, kinds = checks[idx]
-    tau = simulator._locate(g, phi, dense, t_lo, t_hi)
-    located = Event(tau, LogState(*dense(tau)), kinds[side])
-    plain = _DataclassEvent(tau, LogState(*dense(tau)), kinds[side])
+    # each locates exactly once; the crossing is the prey maximum, located
+    # in the w chart and read as (u, v)
+    idx, g, dense, t_lo, t_hi, side, w_chart = _loop_brackets(P_REF)[2]
+    assert w_chart
+    kind = simulator._KINDS[idx][side]
+    tau = simulator._locate(g, dense, t_lo, t_hi)
+    u, w = dense(tau)
+    state = LogState(u, log1m_exp(w))
+    located = Event(tau, state, kind)
+    plain = _DataclassEvent(tau, state, kind)
     calls = []
     real_locate = simulator._locate
     monkeypatch.setattr(
@@ -528,16 +635,16 @@ def test_lazily_located_event_behaves_like_a_located_one(monkeypatch):
     )
 
     def deferred():
-        return Event._deferred(kinds[side], g, phi, dense, t_lo, t_hi)
+        return Event._deferred(kind, g, dense, t_lo, t_hi, w_chart)
 
     ev = deferred()
-    assert ev.kind is kinds[side] and not calls
+    assert ev.kind is kind and not calls
     assert ev == located and located == deferred()
     assert len(calls) == 2
     assert hash(deferred()) == hash(located) == hash(plain)
     assert repr(deferred()) == repr(located) == repr(plain)
     assert pickle.loads(pickle.dumps(deferred())) == located
-    assert ev != Event(tau, located.state, kinds[-side])
+    assert ev != Event(tau, located.state, simulator._KINDS[idx][-side])
     assert ev != plain  # another class, as between two dataclasses
     assert len(calls) == 5
     ev = deferred()
@@ -548,58 +655,81 @@ def test_lazily_located_event_behaves_like_a_located_one(monkeypatch):
 
 
 def test_smooth_event_function_has_the_sign_of_the_log_form():
-    # phi = x - h(s) against g_h = u - ln h(s), including s >= 1 (v >= 0),
-    # where h(s) <= 0 and g_h = +inf, and points within 1e-9 of x = h(s)
+    # each chart's g_h against the sign of x - h(s) in 50-digit
+    # arithmetic, from s = e^-60 to 1 - e^-700 and above s = 1 (v >= 0,
+    # where h(s) <= 0 and g_h = +inf), at points within 1e-9 of x = h(s)
+    # too; g_lam has the sign of s - lam in both charts, and the two g_h
+    # agree where the charts meet, at s = 1/2
+    mp.mp.dps = 50
     for a in (0.01, 0.1):
-        _, (g_h, phi_h, _) = simulator._event_functions(Params(a=a, lam=0.01, m=1.0))
-        vs = [-60.0, -5.0, -0.5, -1e-3, -1e-9, -1e-14, -1e-20, -1e-300, 0.0, 1e-300, 1e-20,
-              1e-9, 0.3, 2.0]
-        for v in vs:
-            ln_h = math.log(-math.expm1(v) * (math.exp(v) + a)) if v < 0 else None
-            us = [-690.0, -100.0, -20.0, -1.0, 0.0, 1.0]
-            if ln_h is not None and ln_h > -690.0:
+        p = Params(a=a, lam=0.01, m=1.0)
+        (g_lam_v, g_h_v), (g_lam_w, g_h_w) = simulator._event_functions(p)
+        points = [(False, v) for v in (-60.0, -5.0, -0.5, -1e-3, -1e-9, 0.0, 1e-9, 0.3, 2.0)]
+        points += [(True, w) for w in (-700.0, -85.0, -30.0, -5.0, -1.0, math.log(0.5))]
+        for w_chart, y1 in points:
+            gap = mp.exp(y1) if w_chart else 1 - mp.exp(y1)
+            s = 1 - gap
+            hs = gap * (s + a)
+            us = [-800.0, -100.0, -20.0, -1.0, 0.0, 1.0]
+            if hs > 0:
+                ln_h = float(mp.log(hs))
                 us += [ln_h - 1e-9, ln_h + 1e-9]
+            g_h, g_lam = (g_h_w, g_lam_w) if w_chart else (g_h_v, g_lam_v)
             for u in us:
-                g, f = g_h((u, v)), phi_h((u, v))
-                if g == math.inf:
-                    assert v >= 0 and f > 0, (u, v)
+                got = g_h((u, y1))
+                if hs <= 0:
+                    assert got == math.inf, (u, y1)
                 else:
-                    assert simulator._sign(f) == simulator._sign(g), (u, v, f, g)
-        assert phi_h((-700.5, -1.0)) is None
+                    assert simulator._sign(got) == mp.sign(mp.exp(u) - hs), (u, y1, got)
+            assert simulator._sign(g_lam((0.0, y1))) == mp.sign(s - p.lam)
+        for u in (-3.0, 0.0, 1.0):
+            y = (u, math.log(0.5))
+            assert g_h_v(y) == pytest.approx(g_h_w(y), rel=1e-15, abs=1e-15)
 
 
-def test_locate_bisects_the_log_form_below_the_normal_range_of_x():
-    # a straight path through x = h(s) at s = 1/2: from ln x = -800, where
-    # e^u is no double at all, bisection on g_h finds the crossing; from
-    # ln x = -600 Illinois on phi does, without g_h
-    _, (g_h, phi_h, _) = simulator._event_functions(P_REF)
+def test_locate_runs_illinois_below_the_normal_range_of_x():
+    # a straight path through x = h(s) at s = 1/2 (v = w there): from
+    # ln x = -800, where e^u is no double at all, Illinois on g_h finds
+    # the crossing in a few evaluations, in both charts
     ln_h = math.log(h(0.5, P_REF))
-    for u0, g_calls_expected in ((-800.0, True), (-600.0, False)):
-        root = (ln_h - u0) / (1.0 - u0)  # where u = ln h(1/2)
+    for _, g_h in simulator._event_functions(P_REF):
+        for u0 in (-800.0, -600.0):
+            root = (ln_h - u0) / (1.0 - u0)  # where u = ln h(1/2)
 
-        def dense(tau, u0=u0):
-            return (u0 + (1.0 - u0) * tau, math.log(0.5))
+            def dense(tau, u0=u0):
+                return (u0 + (1.0 - u0) * tau, math.log(0.5))
 
-        g_calls = []
-        te = simulator._locate(_count_calls(g_h, g_calls), phi_h, dense, 0.0, 1.0)
-        assert abs(te - root) <= simulator._EVENT_TAU_TOL
-        assert g_h(dense(te)) >= 0.0
-        assert len(g_calls) > 30 if g_calls_expected else not g_calls
+            calls = []
+            te = simulator._locate(_count_calls(g_h, calls), dense, 0.0, 1.0)
+            assert abs(te - root) <= simulator._EVENT_TAU_TOL
+            assert g_h(dense(te)) >= 0.0
+            assert len(calls) <= 6
+    (_, g_h), _ = simulator._event_functions(P_REF)
     # a path whose ends are both inside the normal range but which dips
-    # below it where the first iterate lands: the rest is bisected
+    # below it where the first iterate lands
     a, b = math.log(2.0 * h(0.5, P_REF)), -750.0
 
     def dipping(tau):
         u = -650.0 + (b + 650.0) * 2.0 * tau if tau <= 0.5 else b + (a - b) * (2.0 * tau - 1.0)
         return (u, math.log(0.5))
 
-    g_calls = []
-    te = simulator._locate(_count_calls(g_h, g_calls), phi_h, dipping, 0.0, 1.0)
+    calls = []
+    te = simulator._locate(_count_calls(g_h, calls), dipping, 0.0, 1.0)
     root = 0.5 * (1.0 + (ln_h - b) / (a - b))
-    assert g_calls and abs(te - root) <= simulator._EVENT_TAU_TOL
+    assert abs(te - root) <= simulator._EVENT_TAU_TOL and len(calls) <= 40
+    # from above capacity (s = 3/2, g_h = +inf in the v chart) down
+    # through x = h(s) at s = 0.8: bisected while an end is infinite
+    ln_h8, v0, v1 = math.log(h(0.8, P_REF)), math.log(1.5), math.log(0.5)
+
+    def falling(tau):
+        return (ln_h8, v0 + (v1 - v0) * tau)
+
+    assert g_h(falling(0.0)) == math.inf
+    te = simulator._locate(g_h, falling, 0.0, 1.0)
+    assert abs(te - (math.log(0.8) - v0) / (v1 - v0)) <= simulator._EVENT_TAU_TOL
     # a crossing the interpolant does not resolve (both ends on the old
     # side) is put at the end of the step
-    assert simulator._locate(g_h, phi_h, lambda tau: (0.0, math.log(0.5)), 0.0, 1.0) == 1.0
+    assert simulator._locate(g_h, lambda tau: (0.0, math.log(0.5)), 0.0, 1.0) == 1.0
 
 
 def test_equilibrium_stays_put():
@@ -633,6 +763,8 @@ def test_trajectory_samples_are_ordered_and_positive():
     x = np.exp(traj.points[:, 0])
     s = np.exp(traj.points[:, 1])
     assert np.all(x > 0) and np.all(s > 0)
+    # every sample, those of w-chart steps too, lies below capacity
+    assert np.all(traj.points[:, 1] < 0.0)
 
 
 def test_region_sequence_is_cyclically_adjacent():
@@ -732,46 +864,96 @@ def test_limit_cycle_reports_the_converging_tour(monkeypatch):
 
 
 def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
-    # the canard cycle commits about 120 crossings per tour, most of them
-    # saddle chatter that net_events cancels by kind alone; only the
-    # predator maximum that ends each tour and the three other survivors
-    # of the reported one are located (5 where locating every committed
-    # crossing takes 586)
-    p = Params(a=0.01, lam=0.01, m=0.01)
-    start = LogState(*_cycle_start(p))
-    expected, _ = _events_step_by_step(start, p, n_downs=1)
+    # only the predator maximum that ends each tour and the three other
+    # crossings of the reported one are located: 5 of the 8 the two tours
+    # of the canard cycle commit
+    start = LogState(*_cycle_start(CANARD))
+    expected = _events_step_by_step(start, CANARD, n_downs=1)
     calls = []
     real_locate = simulator._locate
     monkeypatch.setattr(
         simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
     )
-    ce = limit_cycle(p)
+    ce = limit_cycle(CANARD)
     assert ce.tours == 2 and len(calls) == 5
-    # forcing every committed crossing of a tour reproduces the step by
-    # step reference
+    # a tour locates its end; reading every crossing locates the others
+    # and reproduces the step by step reference
     del calls[:]
-    tour = integrate(start, p, keep_samples=False)
-    assert len(calls) == 1 and len(tour.events) > 100
+    tour = integrate(start, CANARD, keep_samples=False)
+    assert len(calls) == 1 and len(tour.events) == 4
     assert tour.events == expected
     assert len(calls) == len(tour.events)
 
 
 @pytest.mark.parametrize(
-    "p, chatters",
-    [
-        (P_REF, False),
-        (Params(a=0.01, lam=0.01, m=0.01), True),
-        (Params(a=0.02, lam=0.02, m=5.0), False),
-    ],
-    ids=["ref", "canard", "deep"],
+    "p",
+    [P_REF, CANARD, Params(a=0.01, lam=0.01, m=1e-3), DEEP],
+    ids=["ref", "canard", "canard-m1e-3", "deep"],
 )
-def test_raw_events_counts_the_reported_tour(p, chatters):
-    # the reported tour's committed crossings: the 4 net ones plus
-    # cancelled pairs
+def test_raw_events_counts_the_reported_tour(p):
+    # the reported tour commits its four crossings and nothing else:
+    # x - h(s) keeps its sign through the saddle passage, where 1 - s is
+    # below the step error a v = ln s chart would make, and which the w
+    # chart resolves; m = 1e-3 has the longest passage
     ce = limit_cycle(p)
-    assert ce.raw_events >= 4 and (ce.raw_events - 4) % 2 == 0
-    assert (ce.raw_events > 40) == chatters
+    assert ce.raw_events == 4
     assert ce.as_dict()["raw_events"] == ce.raw_events
+
+
+def test_solve_stats_count_the_stepper_work(monkeypatch):
+    # steps are the step() calls of the reported tour and of all tours;
+    # rejected_steps is the stepper's count (checked against scipy in
+    # _step_side_by_side), and rhs_evals 2 at the start, 12 a step, 11 a
+    # rejected trial and 1 a chart switch
+    solvers = []
+
+    class Counted(simulator.RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls = self.switches = 0
+            solvers.append(self)
+
+        def step(self):
+            self.calls += 1
+            super().step()
+
+        def switch_chart(self):
+            self.switches += 1
+            super().switch_chart()
+
+    def expected(solver):
+        rhs = 2 + 12 * solver.calls + 11 * solver.n_rejected + solver.switches
+        return SolveStats(solver.calls, solver.n_rejected, rhs)
+
+    monkeypatch.setattr(simulator, "RK45", Counted)
+    ce = limit_cycle(CANARD)
+    assert len(solvers) == ce.tours == 2
+    assert all(solver.switches == 2 for solver in solvers)
+    assert ce.stats == expected(solvers[-1]) and ce.stats.rejected_steps > 0
+    assert ce.total_stats == expected(solvers[0]) + expected(solvers[1])
+    assert ce.as_dict()["stats"] == {
+        "steps": ce.stats.steps,
+        "rejected_steps": ce.stats.rejected_steps,
+        "rhs_evals": ce.stats.rhs_evals,
+    }
+
+
+@pytest.mark.parametrize(
+    "p, tight",
+    [(Params(a=0.01, lam=0.02, m=5.0), -81.625081225), (CANARD, -30.345943665)],
+    ids=["deep", "canard"],
+)
+def test_prey_maximum_gap_converges_under_rtol_halving(p, tight):
+    # ln(1 - s_max), read from the w chart, moves by less than 1e-6
+    # relative when rtol halves, and sits next to a tight run's (rtol =
+    # 1e-13), where 1 - s_max (e^-82 and e^-30) is far below the step
+    # error of v = ln s
+    def ln_gap(rtol):
+        return math.log(-math.expm1(limit_cycle(p, SimConfig(rtol=rtol)).ln_s_max))
+
+    coarse, fine = ln_gap(1e-10), ln_gap(5e-11)
+    assert abs(coarse - fine) < 1e-6 * abs(fine)
+    assert fine == pytest.approx(tight, abs=1e-7)
 
 
 def test_limit_cycle_out_of_budget_reports_last_tour():
@@ -811,16 +993,20 @@ def test_deep_cycle_stays_finite():
 
 
 def test_s_max_identity_matches_interpolated_coordinate():
-    # on a cycle where 1 - s_max is well above roundoff, the prey value
-    # recovered from the crossing identity x = h(s) must agree with the
-    # interpolated log-prey coordinate of the event itself
-    p = Params(a=0.1, lam=0.1, m=0.01)
-    ce = limit_cycle(p)
-    start = LogState(math.log(ce.x_max), math.log(p.lam))
-    loop = integrate(start, p)
-    ev_max = [ev for ev in net_events(loop.events) if ev.kind is EventKind.X_EQ_H_MAX][0]
-    assert math.exp(ev_max.state.v) == pytest.approx(ce.s_max, rel=1e-8)
-    assert math.exp(ce.ln_s_max) == pytest.approx(ce.s_max, rel=1e-12)
+    # at the prey-maximal crossing x = (1 - s)(s + a) exactly, so the
+    # small root g of g^2 - (1 + a) g + x = 0 recovers 1 - s from the
+    # located ln x alone.  It must agree with the 1 - s_max that the w
+    # coordinate carries, on a cycle where 1 - s_max is 0.07 and on ones
+    # where it is e^-30 and e^-82 (and the s_max float is 1.0)
+    for p in (Params(a=0.1, lam=0.1, m=0.01), CANARD, Params(a=0.01, lam=0.02, m=5.0)):
+        ce = limit_cycle(p)
+        loop = integrate(LogState(math.log(ce.x_max), math.log(p.lam)), p)
+        ev_max = [ev for ev in loop.events if ev.kind is EventKind.X_EQ_H_MAX][0]
+        x = math.exp(ev_max.state.u)
+        gap = 2.0 * x / ((1.0 + p.a) + math.sqrt((1.0 + p.a) ** 2 - 4.0 * x))
+        assert -math.expm1(ev_max.state.v) == pytest.approx(gap, rel=1e-9)
+        assert -math.expm1(ce.ln_s_max) == pytest.approx(gap, rel=1e-6)
+        assert math.exp(ce.ln_s_max) == pytest.approx(ce.s_max, rel=1e-12)
 
 
 def test_cycle_extreme_report_margins():
