@@ -24,7 +24,7 @@ from .harness import (
     run_sweep,
     x_max_barrier_coefficients,
 )
-from .lvroot import ZIndex, lv_small_root, lv_small_root_ln, z, z_exact
+from .lvroot import ZIndex, lv_small_root_ln, z, z_exact
 from .model import (
     PROVEN_BOXES,
     LogState,
@@ -38,7 +38,6 @@ from .model import (
     log_vector_field,
     nondimensionalize,
     params_from_json,
-    phase_slope,
     vector_field,
 )
 from .region4 import (

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
@@ -490,20 +491,36 @@ def _gain_quadratic_worst(
     )
 
 
-def _cap_bound_slopes(cfg: Region4Config, step: float = 1e-6):
-    """Central differences of handoff_cap_bound in a and in lam over the
-    case box, each as (slope, (a, lam, m, variable))."""
+def _cap_bound_slopes(cfg: Region4Config, step: float = 1e-6) -> tuple[float, tuple]:
+    """Smallest central difference of handoff_cap_bound in a or in lam
+    over the case box, as (slope, (a, lam, m, variable)).
 
-    def cap(a: float, lam: float, m: float) -> float:
-        return handoff_cap_bound(Params(a=a, lam=lam, m=m), cfg)
+    The cap is evaluated once per perturbed grid, on arrays.  Ties go to
+    the first point in (a, lam, m) order, the a slope before the lam
+    slope, as in a strict scan.
+    """
+    a, lam, m = np.meshgrid(
+        np.linspace(2e-3, cfg.a_max, 20),
+        np.linspace(2e-3, cfg.lam_max, 20),
+        np.geomspace(1e-2, 20, 12),
+        indexing="ij",
+    )
 
-    for a in np.linspace(2e-3, cfg.a_max, 20).tolist():
-        for lam in np.linspace(2e-3, cfg.lam_max, 20).tolist():
-            for m in np.geomspace(1e-2, 20, 12).tolist():
-                d_a = (cap(a + step, lam, m) - cap(a - step, lam, m)) / (2 * step)
-                yield d_a, (a, lam, m, "a")
-                d_lam = (cap(a, lam + step, m) - cap(a, lam - step, m)) / (2 * step)
-                yield d_lam, (a, lam, m, "lam")
+    def cap(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), cfg)
+
+    slopes = np.stack(
+        [
+            (cap(a + step, lam) - cap(a - step, lam)) / (2 * step),
+            (cap(a, lam + step) - cap(a, lam - step)) / (2 * step),
+        ],
+        axis=-1,
+    )
+    i = np.unravel_index(int(slopes.argmin()), slopes.shape)
+    point = i[:3]
+    return float(slopes[i]), (
+        float(a[point]), float(lam[point]), float(m[point]), ("a", "lam")[i[3]],
+    )
 
 
 def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
@@ -533,7 +550,7 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     envelope = max(
         ((handoff_cap_envelope(m, case), (m,)) for m in envelope_grid), key=itemgetter(0)
     )
-    slope = min(_cap_bound_slopes(cfg), key=itemgetter(0))
+    slope = _cap_bound_slopes(cfg)
     rows = (
         ("barrier_c0_negative", barrier_c0, "<", 0.0),
         ("barrier_c0_plus_c1_nonpositive", barrier_c0_plus_c1, "<=", 0.0),

@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-__all__ = ["ZIndex", "z", "lv_small_root", "lv_small_root_ln", "z_exact"]
+import numpy as np
+
+__all__ = ["ZIndex", "z", "lv_small_root_ln", "z_exact"]
 
 _E = math.e
 
@@ -29,24 +31,27 @@ class ZIndex(Enum):
     """Selects one of the three closed-form correction factors.
 
     Z1 is a lower bound for the exact factor, Z2 an upper bound, and Z0
-    a coarser upper bound for Z2.  Coefficients: c0 = 0,
-    c1 = (e-2)/(e-1), c2 = 1/e and d_i = e - 1 - c_i e.
+    a coarser upper bound for Z2.  Each member carries its coefficients
+    ``c`` and ``d``: c0 = 0, c1 = (e-2)/(e-1), c2 = 1/e and
+    d_i = e - 1 - c_i e.
     """
 
     Z0 = 0
     Z1 = 1
     Z2 = 2
 
-
-_C = {
-    ZIndex.Z0: 0.0,
-    ZIndex.Z1: (_E - 2.0) / (_E - 1.0),
-    ZIndex.Z2: 1.0 / _E,
-}
-_D = {i: _E - 1.0 - c * _E for i, c in _C.items()}
+    def __init__(self, index: int) -> None:
+        # plain attributes, so z reads them without hashing the member
+        self.c = (0.0, (_E - 2.0) / (_E - 1.0), 1.0 / _E)[index]
+        self.d = _E - 1.0 - self.c * _E
 
 
-def z(i: ZIndex, y: float) -> float:
+# the elementary functions z is written in, for a float and for an ndarray
+_MATH = (math.exp, math.sqrt, max)
+_NUMPY = (np.exp, np.sqrt, np.maximum)
+
+
+def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     """Closed-form correction factor z_i(y) for the small root.
 
     Evaluates with Y = y e^{-y}:
@@ -58,18 +63,27 @@ def z(i: ZIndex, y: float) -> float:
     small Y.  Strictly decreasing in y, with z_i(1) = e (for i = 0, 2)
     and z_i -> 1 as y -> infinity.  Once Y underflows the result is
     exactly 1, which is the correct limit.
+
+    ``y`` is a float, evaluated with :mod:`math`, or an ndarray,
+    evaluated elementwise with NumPy by the same formula.
     """
-    if not y >= 1.0:
-        raise ValueError(f"z is defined for y >= 1, got {y!r}")
-    Y = y * math.exp(-y)
-    d = _D[i]
+    if isinstance(y, np.ndarray):
+        exp, sqrt, clamp = _NUMPY
+        bad = ~(y >= 1.0)
+        if bad.any():
+            raise ValueError(f"z is defined for y >= 1, got {float(y[bad].flat[0])!r}")
+    else:
+        exp, sqrt, clamp = _MATH
+        if not y >= 1.0:
+            raise ValueError(f"z is defined for y >= 1, got {y!r}")
+    Y = y * exp(-y)
     if i is ZIndex.Z0:
         return 1.0 / (1.0 - (_E - 1.0) * Y)
-    c = _C[i]
-    one_minus_dY = 1.0 - d * Y
+    c = i.c
+    one_minus_dY = 1.0 - i.d * Y
     disc = one_minus_dY * one_minus_dY - 4.0 * c * Y
     # disc = 0 exactly at y = 1 for Z2; clamp roundoff
-    return 2.0 / (one_minus_dY + math.sqrt(max(disc, 0.0)))
+    return 2.0 / (one_minus_dY + sqrt(clamp(disc, 0.0)))
 
 
 def lv_small_root_ln(A: float, C: float) -> float:
@@ -108,17 +122,6 @@ def lv_small_root_ln(A: float, C: float) -> float:
             return w_new
         w = w_new
     return w
-
-
-def lv_small_root(A: float, C: float) -> float:
-    """The unique root x in (0, A] of x - A ln x = C.
-
-    Requires C >= A - A ln A (the minimum of the left-hand side); at
-    equality the degenerate root x = A is returned.  Accurate to
-    relative tolerance ~1e-14; for C/A beyond ~745 the returned float
-    underflows to 0.0 and :func:`lv_small_root_ln` should be used.
-    """
-    return math.exp(lv_small_root_ln(A, C))
 
 
 def z_exact(y: float) -> float:

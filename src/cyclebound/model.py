@@ -29,11 +29,11 @@ __all__ = [
     "LogState",
     "Region",
     "h",
+    "hopf_margin",
     "vector_field",
     "log_vector_field",
     "log_gap_vector_field",
     "log1m_exp",
-    "phase_slope",
     "classify_region",
     "equilibrium",
     "nondimensionalize",
@@ -99,8 +99,8 @@ class Params:
                 # NumPy scalars pass the isinstance check, but would turn
                 # every downstream evaluation into NumPy scalar arithmetic
                 object.__setattr__(self, name, float(val))
-        object.__setattr__(self, "h_lam", (1.0 - self.lam) * (self.lam + self.a))
-        object.__setattr__(self, "hopf_margin", 1.0 - 2.0 * self.lam - self.a)
+        object.__setattr__(self, "h_lam", h(self.lam, self))
+        object.__setattr__(self, "hopf_margin", hopf_margin(self))
         object.__setattr__(self, "cycle_regime", self.hopf_margin > 0.0)
         object.__setattr__(
             self,
@@ -194,9 +194,18 @@ def h(s: float, p: Params) -> float:
     """Prey isocline height h(s) = (1 - s)(s + a).
 
     Defined for any real s; negative values for s > 1 are meaningful to
-    callers that clamp their own domains.
+    callers that clamp their own domains.  s and ``p.a`` may be arrays.
     """
     return (1.0 - s) * (s + p.a)
+
+
+def hopf_margin(p: Params) -> float:
+    """Hopf margin 1 - 2 lam - a: the cycle regime is where it is positive.
+
+    Like :func:`h`, it reads only attributes of ``p``, so a ``p`` whose
+    a and lam are arrays gives the margin elementwise.
+    """
+    return 1.0 - 2.0 * p.lam - p.a
 
 
 def vector_field(st: State, p: Params) -> tuple[float, float]:
@@ -249,17 +258,6 @@ def log1m_exp(y: float) -> float:
     where the simulator uses it, at y <= ln(1/2) and just past it.
     """
     return math.log1p(-math.exp(y))
-
-
-def phase_slope(st: State, p: Params) -> float:
-    """Phase-plane slope ds/dx = ((h(s) - x) s) / (m x (s - lam)).
-
-    Raises ZeroDivisionError on the predator isocline s = lam where the
-    slope is undefined.
-    """
-    if st.s == p.lam:
-        raise ZeroDivisionError("phase slope is undefined on the isocline s = lam")
-    return (h(st.s, p) - st.x) * st.s / (p.m * st.x * (st.s - p.lam))
 
 
 def classify_region(st: State, p: Params) -> Region:

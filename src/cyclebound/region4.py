@@ -28,8 +28,10 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+import numpy as np
+
 from .lvroot import ZIndex, z
-from .model import PROVEN_BOXES, Params, h
+from .model import PROVEN_BOXES, Params, h, hopf_margin
 
 __all__ = [
     "Case",
@@ -137,13 +139,23 @@ class AlphaFactors:
         return asdict(self)
 
 
-def _ln_gain(p: Params, cfg: Region4Config) -> float:
+def _require(ok, p, message: str) -> None:
+    """Raise ValueError(message) at the first (a, lam, m) of ``p`` where ``ok`` fails."""
+    if np.all(ok):
+        return
+    ok, *point = np.broadcast_arrays(ok, p.a, p.lam, p.m)
+    i = int(np.argmin(ok))  # the first False in C order
+    a, lam, m = (float(v.flat[i]) for v in point)
+    raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
+
+
+def _ln_gain(p, cfg: Region4Config) -> float | np.ndarray:
     """Log of the hand-off amplification factor of :func:`handoff_cap`."""
     return (p.m / cfg.k) * (
         p.lam / cfg.s_gamma
-        + math.log(cfg.s_gamma + p.a)
-        - math.log(1.0 - cfg.s_gamma)
-        - math.log(p.a + p.lam)
+        + np.log(cfg.s_gamma + p.a)
+        - np.log(1.0 - cfg.s_gamma)
+        - np.log(p.a + p.lam)
     )
 
 
@@ -163,7 +175,7 @@ def handoff_cap(p: Params, cfg: Region4Config, x3: float) -> float:
     return math.exp(_ln_gain(p, cfg) + math.log(x3))
 
 
-def x_max_lower_coarse(p: Params, cfg: Region4Config) -> float:
+def x_max_lower_coarse(p, cfg: Region4Config) -> float | np.ndarray:
     """Linear-in-m lower estimate c0 + m c of the x_max lower bound.
 
     Freezes the barrier anchor at the parabola vertex for the worst
@@ -172,33 +184,32 @@ def x_max_lower_coarse(p: Params, cfg: Region4Config) -> float:
 
         m < 0.3:   1/4 + m ((1-a_max)/2 - lam (1 - ln lam + ln (1-a_max)/2))
         m >= 0.3:  h(0.8) + m (0.8 - lam (1 - ln lam + ln 0.8)).
+
+    ``p`` is a :class:`Params`, or any object whose a, lam and m are
+    arrays; the estimate then broadcasts over them, as do
+    :func:`handoff_cap_bound_ln` and :func:`handoff_cap_bound`.
     """
-    if not p.cycle_regime:
-        raise ValueError("coarse x_max lower bound requires the cycle regime")
-    lam = p.lam
-    if p.m < _M_BRANCH:
-        anchor = 0.5 * (1.0 - cfg.a_max)
-        c0 = 0.25
-    else:
-        anchor = 0.8
-        c0 = h(0.8, p)
-    lam_term = 0.0 if lam == 0.0 else lam * (1.0 - math.log(lam) + math.log(anchor))
+    _require(hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
+    low_m = p.m < _M_BRANCH
+    anchor = np.where(low_m, 0.5 * (1.0 - cfg.a_max), 0.8)
+    c0 = np.where(low_m, 0.25, h(0.8, p))
+    # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
+    ln_lam = np.log(np.where(p.lam == 0.0, 1.0, p.lam))
+    lam_term = p.lam * (1.0 - ln_lam + np.log(anchor))
     return c0 + p.m * (anchor - lam_term)
 
 
-def handoff_cap_bound_ln(p: Params, cfg: Region4Config) -> float:
+def handoff_cap_bound_ln(p, cfg: Region4Config) -> float | np.ndarray:
     """Log of :func:`handoff_cap_bound` (the value underflows deep in the
     case boxes, where the exponent drops below -1400)."""
     x1t = x_max_lower_coarse(p, cfg)
-    if not x1t > p.h_lam:
-        raise ValueError(
-            f"coarse x_max estimate {x1t!r} must exceed h(lam) = {p.h_lam!r}"
-        )
-    z2 = z(ZIndex.Z2, x1t / p.h_lam)
-    return _ln_gain(p, cfg) + math.log(z2) + math.log(x1t) - x1t / p.h_lam
+    h_lam = h(p.lam, p)
+    _require(x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
+    y = x1t / h_lam
+    return _ln_gain(p, cfg) + np.log(z(ZIndex.Z2, y)) + np.log(x1t) - y
 
 
-def handoff_cap_bound(p: Params, cfg: Region4Config) -> float:
+def handoff_cap_bound(p, cfg: Region4Config) -> float | np.ndarray:
     """Closed-form upper estimate of the hand-off cap.
 
     Replaces x3 in :func:`handoff_cap` by its chained closed-form bound
@@ -206,7 +217,7 @@ def handoff_cap_bound(p: Params, cfg: Region4Config) -> float:
     estimate.  Nondecreasing in both a and lam on each case box, which
     is what lets a single corner evaluation dominate the whole box.
     """
-    return math.exp(handoff_cap_bound_ln(p, cfg))
+    return np.exp(handoff_cap_bound_ln(p, cfg))
 
 
 def handoff_cap_envelope(m: float, case: Case | str) -> float:

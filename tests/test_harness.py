@@ -295,7 +295,7 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
         "growth_ratio_quadratic": 2,
         "alpha_factors": 500,
         "handoff_cap_envelope": 4003,
-        "handoff_cap_bound": 19_200,
+        "handoff_cap_bound": 4,
         "alpha2_peak": 1,
     }
     calls = dict.fromkeys(expected, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclebound.lvroot import ZIndex, lv_small_root, lv_small_root_ln, z, z_exact
+from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 
 E = math.e
 
@@ -69,24 +69,36 @@ def test_z_decreasing_and_bounded():
         assert all(b < a for a, b in zip(low, low[1:]))
 
 
+def test_z_on_arrays_matches_the_float_path():
+    ys = np.geomspace(1.0, 800.0, 500)
+    for i in ZIndex:
+        got = z(i, ys)
+        assert isinstance(got, np.ndarray) and got.shape == ys.shape
+        want = [z(i, y) for y in ys.tolist()]
+        assert all(type(v) is float for v in want)  # a float stays on the math path
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match=r"got 0\.5$"):
+        z(ZIndex.Z2, np.array([2.0, 0.5, 0.9]))
+
+
 def test_lv_small_root_examples():
-    assert lv_small_root(1.0, 1.0) == pytest.approx(1.0)  # degenerate double root
+    assert math.exp(lv_small_root_ln(1.0, 1.0)) == pytest.approx(1.0)  # degenerate double root
     # u = 2 gives C = 2 - ln 2; bisection oracle agrees
     C = 2.0 - math.log(2.0)
     oracle = bisect_small_root(1.0, C)
-    root = lv_small_root(1.0, C)
+    root = math.exp(lv_small_root_ln(1.0, C))
     assert root == pytest.approx(oracle, rel=1e-12)
     assert root == pytest.approx(0.40637573995996, rel=1e-12)  # frozen oracle value
     # A = 0.1, launched from u = 0.5: residual to 1e-12
     C = 0.5 - 0.1 * math.log(0.5)
-    root = lv_small_root(0.1, C)
+    root = math.exp(lv_small_root_ln(0.1, C))
     assert root < 0.1
     assert root - 0.1 * math.log(root) == pytest.approx(C, abs=1e-12)
 
 
 def test_lv_small_root_no_root_signal():
     with pytest.raises(ValueError):
-        lv_small_root(1.0, 0.5)  # below the minimum A - A ln A = 1
+        lv_small_root_ln(1.0, 0.5)  # below the minimum A - A ln A = 1
 
 
 def test_lv_small_root_ln_deep():
@@ -103,7 +115,7 @@ def test_lv_small_root_ln_deep():
 def test_lv_small_root_residual_property(A, ratio):
     u = A * ratio
     C = u - A * math.log(u)
-    root = lv_small_root(A, C)
+    root = math.exp(lv_small_root_ln(A, C))
     assert 0 < root < A
     residual = root - A * math.log(root) - C
     assert abs(residual) <= 1e-12 * max(1.0, abs(C))

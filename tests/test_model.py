@@ -17,7 +17,6 @@ from cyclebound.model import (
     log_vector_field,
     nondimensionalize,
     params_from_json,
-    phase_slope,
     vector_field,
 )
 
@@ -119,11 +118,17 @@ def test_log_field_defined_everywhere():
 
 def test_phase_slope():
     p = Params(a=0.1, lam=0.1, m=1.0)
-    assert phase_slope(State(h(0.5, p), 0.5), p) == 0.0
+
+    def phase_slope(st: State) -> float:
+        # ds/dx = ((h(s) - x) s) / (m x (s - lam)), read off the field
+        dx, ds = vector_field(st, p)
+        return ds / dx
+
+    assert phase_slope(State(h(0.5, p), 0.5)) == 0.0
     with pytest.raises(ZeroDivisionError):
-        phase_slope(State(0.5, p.lam), p)
+        phase_slope(State(0.5, p.lam))  # undefined on the isocline s = lam
     # (-0.1) / (1 * 0.5 * 0.4)
-    assert phase_slope(State(0.5, 0.5), p) == pytest.approx(-0.5)
+    assert phase_slope(State(0.5, 0.5)) == pytest.approx(-0.5)
 
 
 def test_classify_region_examples():

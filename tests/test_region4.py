@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +122,115 @@ def test_handoff_cap_bound_below_envelope():
             assert handoff_cap_bound_ln(p, cfg) <= math.log(
                 handoff_cap_envelope(p.m, case)
             ) + 1e-12, p
+
+
+STEP = 1e-6  # the central-difference step of the proofcheck slope scan
+
+
+def slope_scan_grid(cfg: Region4Config) -> SimpleNamespace:
+    """The (a, lam, m) grid of the proofcheck slope scan, as arrays."""
+    a, lam, m = np.meshgrid(
+        np.linspace(2e-3, cfg.a_max, 20),
+        np.linspace(2e-3, cfg.lam_max, 20),
+        np.geomspace(1e-2, 20, 12),
+        indexing="ij",
+    )
+    return SimpleNamespace(a=a, lam=lam, m=m)
+
+
+def handoff_cap_bound_scalar(a: float, lam: float, m: float, cfg: Region4Config) -> float:
+    """The cap chain written out in scalar math arithmetic: the coarse
+    x_max estimate, z2 and the gain, each in its formula's order."""
+    if m < 0.3:
+        anchor, c0 = 0.5 * (1.0 - cfg.a_max), 0.25
+    else:
+        anchor, c0 = 0.8, (1.0 - 0.8) * (0.8 + a)
+    x1t = c0 + m * (anchor - lam * (1.0 - math.log(lam) + math.log(anchor)))
+    y = x1t / ((1.0 - lam) * (lam + a))
+    Y = y * math.exp(-y)
+    c = 1.0 / math.e
+    one_minus_dY = 1.0 - (math.e - 1.0 - c * math.e) * Y
+    disc = one_minus_dY * one_minus_dY - 4.0 * c * Y
+    z2 = 2.0 / (one_minus_dY + math.sqrt(max(disc, 0.0)))
+    ln_gain = (m / cfg.k) * (
+        lam / cfg.s_gamma
+        + math.log(cfg.s_gamma + a)
+        - math.log(1.0 - cfg.s_gamma)
+        - math.log(a + lam)
+    )
+    return math.exp(ln_gain + math.log(z2) + math.log(x1t) - y)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
+    # every point the slope scan evaluates: the four perturbed grids
+    cfg = Region4Config.for_case(case)
+    g = slope_scan_grid(cfg)
+    for da, dlam in ((STEP, 0.0), (-STEP, 0.0), (0.0, STEP), (0.0, -STEP)):
+        a, lam = g.a + da, g.lam + dlam
+        got = handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=g.m), cfg)
+        want = np.array(
+            [
+                handoff_cap_bound_scalar(*point, cfg)
+                for point in zip(a.ravel().tolist(), lam.ravel().tolist(), g.m.ravel().tolist())
+            ]
+        ).reshape(got.shape)
+        # the same points underflow to 0, and no others
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert (want > 0.0).any() and (want == 0.0).any()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "a, lam, message",
+    [
+        (0.999, None, "requires the cycle regime"),  # 2 lam + a >= 1
+        (0.05, 0.45, "must exceed h(lam)"),  # in the regime, but x1t ~ 1/4 < h(lam)
+    ],
+    ids=["cycle-regime", "x1t-not-above-h-lam"],
+)
+def test_handoff_cap_bound_arrays_name_the_first_failing_point(a, lam, message):
+    g = slope_scan_grid(CFG_A)
+    for i in ((3, 4, 0), (7, 1, 0)):  # two failing points; the first is named
+        g.a[i] = a
+        if lam is not None:
+            g.lam[i] = lam
+    point = (a, float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
+    with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
+        handoff_cap_bound(g, CFG_A)
+
+
+# smallest central difference of ln handoff_cap_bound over the slope scan
+# grid, with its point; the printed proofcheck row reads the cap itself,
+# which underflows to 0 at high m, so its worst slope is 0
+LN_CAP_SLOPE_MIN = {
+    Case.A: (28.678006047888616, (0.05, 0.05, 0.01, "lam")),
+    Case.B: (23.957841845945183, (0.1, 0.01, 0.01, "lam")),
+}
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_handoff_cap_bound_ln_is_increasing_on_the_scan_grid(case):
+    cfg = Region4Config.for_case(case)
+    g = slope_scan_grid(cfg)
+
+    def ln_cap(a, lam):
+        return handoff_cap_bound_ln(SimpleNamespace(a=a, lam=lam, m=g.m), cfg)
+
+    slopes = np.stack(
+        [
+            (ln_cap(g.a + STEP, g.lam) - ln_cap(g.a - STEP, g.lam)) / (2 * STEP),
+            (ln_cap(g.a, g.lam + STEP) - ln_cap(g.a, g.lam - STEP)) / (2 * STEP),
+        ],
+        axis=-1,
+    )
+    i = np.unravel_index(int(slopes.argmin()), slopes.shape)
+    worst = float(slopes[i])
+    at = (float(g.a[i[:3]]), float(g.lam[i[:3]]), float(g.m[i[:3]]), ("a", "lam")[i[3]])
+    want, want_at = LN_CAP_SLOPE_MIN[case]
+    assert worst > 0.0
+    assert worst == pytest.approx(want, rel=1e-6)
+    assert at == want_at
 
 
 def test_handoff_cap_envelope_values_and_caps():
