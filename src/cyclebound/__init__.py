@@ -19,7 +19,6 @@ from .harness import (
     SweepReport,
     SweepSpec,
     emit_figures,
-    lyapunov_checks,
     proof_spotchecks,
     run_sweep,
     x_max_barrier_coefficients,
@@ -32,7 +31,6 @@ from .model import (
     Region,
     RMParams,
     State,
-    classify_region,
     equilibrium,
     h,
     log_vector_field,
@@ -43,7 +41,6 @@ from .model import (
 from .region4 import (
     AlphaFactors,
     Case,
-    Region4Config,
     alpha2_peak,
     alpha_factors,
     growth_ratio,

@@ -33,7 +33,7 @@ from .harness import (
     run_sweep,
 )
 from .model import Params, State, h, params_from_json
-from .region4 import Case, Region4Config, alpha_factors, handoff_cap_envelope, smax_lower_bound
+from .region4 import S_GAMMA, Case, alpha_factors, handoff_cap_envelope, smax_lower_bound
 from .simulator import (
     IntegrationError,
     SimConfig,
@@ -124,13 +124,12 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_region4(args: argparse.Namespace) -> int:
     case = Case(args.case)
-    cfg = Region4Config.for_case(case)
-    factors = alpha_factors(args.m, cfg)
+    factors = alpha_factors(args.m, case)
     record = {
         "case": case.value,
         "m": args.m,
         "handoff_cap_envelope": handoff_cap_envelope(args.m, case),
-        "smax_lower_bound": smax_lower_bound(factors.x_gamma, cfg.s_gamma, cfg.s_gamma, args.m),
+        "smax_lower_bound": smax_lower_bound(factors.x_gamma, S_GAMMA, S_GAMMA, args.m),
         **factors.as_dict(),
     }
     _print_record(record, as_json=True)
@@ -165,12 +164,7 @@ def _cmd_proofcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    panels = None
-    if args.panel:
-        panels = []
-        for spec in args.panel:
-            a_str, lam_str = spec.split(",")
-            panels.append((float(a_str), float(lam_str)))
+    panels = None if args.panel is None else [tuple(spec.split(",")) for spec in args.panel]
     m_values = None if args.points is None else figure_m_values(args.points)
     paths = emit_figures(
         args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args)

@@ -26,10 +26,9 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import DEFAULT_S0, x_max_upper_linear, x_max_upper_refined
-from .model import Params, State, h
+from .model import Params
 from .region4 import (
     Case,
-    Region4Config,
     alpha2_peak,
     alpha_factors,
     growth_ratio_quadratic,
@@ -41,21 +40,18 @@ from .simulator import (
     IntegrationError,
     SimConfig,
     cycle_extreme_report,
-    integrate,
 )
 
 __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepReport",
-    "LyapunovReport",
     "CheckResult",
     "ProofCheckReport",
     "DEFAULT_PANELS",
     "REFERENCE_SPECS",
     "run_sweep",
     "x_max_barrier_coefficients",
-    "lyapunov_checks",
     "proof_spotchecks",
     "emit_figures",
     "figure_m_values",
@@ -82,6 +78,13 @@ def _fmt(value) -> str:
 
 
 _SPEC_KEYS = {"a_values", "lambda_values", "m_values"}
+
+
+def _require_cycle(what: str, a: float, lam: float) -> None:
+    """ValueError naming ``what`` unless (a, lam) has a limit cycle."""
+    margin = Params(a=a, lam=lam, m=1.0).hopf_margin
+    if margin <= 0.0:
+        raise ValueError(f"{what} has no limit cycle: need 2*lam + a < 1, got margin {margin!r}")
 
 
 def _check_keys(what: str, record, required: set, allowed: set) -> None:
@@ -119,12 +122,7 @@ class SweepSpec:
         # no cycle would abort the sweep halfway, not fail its own row
         for a in self.a_values:
             for lam in self.lambda_values:
-                margin = Params(a=a, lam=lam, m=1.0).hopf_margin
-                if margin <= 0.0:
-                    raise ValueError(
-                        f"(a, lambda) = ({a!r}, {lam!r}) has no limit cycle: "
-                        f"need 2*lam + a < 1, got margin {margin!r}"
-                    )
+                _require_cycle(f"(a, lambda) = ({a!r}, {lam!r})", a, lam)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -325,54 +323,6 @@ def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class LyapunovReport:
-    """Worst defects observed along a simulated growth-phase arc.
-
-    min_v2_increment: smallest increment of V2 = m (s - lam ln s) + x
-    between consecutive samples (analytically nonnegative while s > lam).
-    max_barrier_gap: largest value of x - A v/(1 + B v) (analytically
-    negative: the arc stays below the escape barrier it starts under).
-    """
-
-    min_v2_increment: float
-    max_barrier_gap: float
-    n_samples: int
-
-
-def lyapunov_checks(
-    p: Params,
-    n_samples: int = 2000,
-    cfg: Optional[SimConfig] = None,
-    s0: float = DEFAULT_S0,
-) -> LyapunovReport:
-    """Check the two barrier facts behind the x_max bounds along one arc.
-
-    Simulates from (h(s0), s0) to the descending s = lam crossing and
-    resamples the arc uniformly in time.
-    """
-    cfg = cfg or SimConfig()
-    start = State(h(s0, p), s0)
-    traj = integrate(start, p, cfg)
-    # the defects are meaningful only at true trajectory points (a chord
-    # between accepted steps can dip below the monotone envelope), so
-    # n_samples caps how many step samples are kept, never interpolates
-    n = len(traj.taus)
-    idx = np.unique(np.linspace(0, n - 1, min(n_samples, n)).astype(int))
-    x = np.exp(traj.points[idx, 0])
-    s = np.exp(traj.points[idx, 1])
-    v2 = p.m * (s - p.lam * np.log(s)) + x
-    A = 1.0 + p.m + p.a - p.m * p.lam
-    B = (1.0 + p.m * p.lam) / (1.0 + p.a + 2.0 * p.m * (1.0 - p.lam))
-    vv = 1.0 - s
-    barrier_gap = x - A * vv / (1.0 + B * vv)
-    return LyapunovReport(
-        min_v2_increment=float(np.min(np.diff(v2))),
-        max_barrier_gap=float(np.max(barrier_gap)),
-        n_samples=len(idx),
-    )
-
-
-@dataclass(frozen=True)
 class CheckResult:
     """One named spot-check: margin > 0 (or >= 0 where noted) means proven side."""
 
@@ -458,40 +408,28 @@ def _barrier_worst(
     return (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg)
 
 
-def _gain_quadratic_worst(
-    cfg: Region4Config,
-) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
+def _gain_quadratic_worst(case: Case) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
     """Largest growth-ratio quadratic at s = lam and smallest at s = 1,
     with their args, over the case box's a x lam x m grid."""
-    a_max, lam_max, k = cfg.a_max, cfg.lam_max, cfg.k
     a, lam, m = np.meshgrid(
-        np.linspace(a_max / 40, a_max, 40),
-        np.linspace(lam_max / 40, lam_max, 40),
+        np.linspace(case.a_max / 40, case.a_max, 40),
+        np.linspace(case.lam_max / 40, case.lam_max, 40),
         np.geomspace(1e-3, 50, 60),
         indexing="ij",
     )
-    km = k / m
+    grid = SimpleNamespace(a=a, lam=lam, m=m)
 
-    def quadratic(s):
-        # growth_ratio_quadratic(s, Params(a, lam, m), k, m) on the whole
-        # grid, with its arithmetic in its order
-        return 2.0 * km * s * s + (a * km - km + 1.0) * s - lam
-
-    def worst(i: int, at_lam: bool) -> tuple[float, tuple]:
+    def worst(values: np.ndarray, i: int) -> tuple[float, tuple]:
         # grid index i is the first occurrence of the extreme, the point a
-        # strict scan in (a, lam, m) order keeps; the value reported is
-        # the scalar definition's own, a Python float
-        arg = (float(a.flat[i]), float(lam.flat[i]), float(m.flat[i]))
-        p = Params(a=arg[0], lam=arg[1], m=1.0)
-        return growth_ratio_quadratic(arg[1] if at_lam else 1.0, p, k, arg[2]), arg
+        # strict scan in (a, lam, m) order keeps
+        return float(values.flat[i]), (float(a.flat[i]), float(lam.flat[i]), float(m.flat[i]))
 
-    return (
-        worst(int(quadratic(lam).argmax()), at_lam=True),
-        worst(int(quadratic(1.0).argmin()), at_lam=False),
-    )
+    at_lam = growth_ratio_quadratic(lam, grid, case)
+    at_one = growth_ratio_quadratic(1.0, grid, case)
+    return worst(at_lam, int(at_lam.argmax())), worst(at_one, int(at_one.argmin()))
 
 
-def _cap_bound_slopes(cfg: Region4Config, step: float = 1e-6) -> tuple[float, tuple]:
+def _cap_bound_slopes(case: Case, step: float = 1e-6) -> tuple[float, tuple]:
     """Smallest central difference of handoff_cap_bound in a or in lam
     over the case box, as (slope, (a, lam, m, variable)).
 
@@ -500,14 +438,14 @@ def _cap_bound_slopes(cfg: Region4Config, step: float = 1e-6) -> tuple[float, tu
     slope, as in a strict scan.
     """
     a, lam, m = np.meshgrid(
-        np.linspace(2e-3, cfg.a_max, 20),
-        np.linspace(2e-3, cfg.lam_max, 20),
+        np.linspace(2e-3, case.a_max, 20),
+        np.linspace(2e-3, case.lam_max, 20),
         np.geomspace(1e-2, 20, 12),
         indexing="ij",
     )
 
     def cap(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), cfg)
+        return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), case)
 
     slopes = np.stack(
         [
@@ -534,23 +472,22 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     probe.  Failures are reported in the result, never raised.
     """
     case = Case(case)
-    cfg = Region4Config.for_case(case)
     barrier_c0, barrier_c0_plus_c1 = _barrier_worst(
         np.linspace(0.5 / 200, 0.5, 200),
         np.linspace(0.0, 1.0, 200, endpoint=False),
         np.linspace(10.0 / 200, 10.0, 200),
     )
-    gain_at_lam, gain_at_one = _gain_quadratic_worst(cfg)
+    gain_at_lam, gain_at_one = _gain_quadratic_worst(case)
     # max and min keep the first extreme they meet, as a strict scan does
     alpha = max(
-        ((alpha_factors(m, cfg).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
+        ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
         key=itemgetter(0),
     )
     envelope_grid = np.linspace(0.0, 20.0, 4001).tolist() + [0.3, math.nextafter(0.3, 1.0)]
     envelope = max(
         ((handoff_cap_envelope(m, case), (m,)) for m in envelope_grid), key=itemgetter(0)
     )
-    slope = _cap_bound_slopes(cfg)
+    slope = _cap_bound_slopes(case)
     rows = (
         ("barrier_c0_negative", barrier_c0, "<", 0.0),
         ("barrier_c0_plus_c1_nonpositive", barrier_c0_plus_c1, "<=", 0.0),
@@ -599,7 +536,22 @@ def _figure_values(fig: str, m: float, report: CycleReport, p: Params) -> tuple:
 
 def figure_m_values(points: int = 50) -> np.ndarray:
     """The figures' m axis: ``points`` log-spaced values in [0.01, 5]."""
+    if points < 1:
+        raise ValueError(f"the m axis needs at least 1 point, got {points!r}")
     return np.geomspace(0.01, 5.0, points)
+
+
+def _check_panel(panel) -> tuple[float, float]:
+    """The (a, lam) of a figure panel; ValueError naming the panel unless it
+    is two finite positive numbers with a limit cycle (2 lam + a < 1)."""
+    try:
+        a, lam = (float(v) for v in panel)
+    except (TypeError, ValueError):
+        raise ValueError(f"panel {panel!r} must be two numbers (a, lambda)") from None
+    if not all(math.isfinite(v) and v > 0.0 for v in (a, lam)):
+        raise ValueError(f"panel {panel!r} must be finite and > 0")
+    _require_cycle(f"panel {panel!r}", a, lam)
+    return a, lam
 
 
 def emit_figures(
@@ -616,12 +568,14 @@ def emit_figures(
     fig3 (ln s_min), fig4 (ln x_min), fig5 (s_max), or "all" to share the
     per-panel simulations across all four.  One file per (figure, panel),
     50 log-spaced m in [0.01, 5] by default.  Panels outside the proven
-    parameter box are evaluated in forced mode.
+    parameter box are evaluated in forced mode.  A panel is a pair
+    (a, lam) of numbers or of numeric strings (the CLI's ``A,LAMBDA``
+    split at the comma); every panel is checked before any is simulated.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
-    panels = tuple(panels) if panels is not None else DEFAULT_PANELS
+    panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
     ms = tuple(float(v) for v in (m_values if m_values is not None else figure_m_values()))
     cfg = cfg or SimConfig.from_env()
     out_dir = Path(out_dir)

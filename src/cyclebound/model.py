@@ -34,7 +34,6 @@ __all__ = [
     "log_vector_field",
     "log_gap_vector_field",
     "log1m_exp",
-    "classify_region",
     "equilibrium",
     "nondimensionalize",
     "params_from_json",
@@ -176,9 +175,10 @@ class Region(Enum):
     """Phase-plane regions cut by the isoclines x = h(s) and s = lam.
 
     The four open regions are visited cyclically R1 -> R2 -> R3 -> R4 by
-    every positive non-equilibrium trajectory.  Boundary tags are
-    assigned only on exact floating equality; event logic near the
-    isoclines belongs to the simulator's root bracketing.
+    every positive non-equilibrium trajectory.  The simulator labels
+    points (``Trajectory.region_labels``) and assigns a boundary tag
+    only where an isocline's event function is exactly zero; event logic
+    near the isoclines belongs to its root bracketing.
     """
 
     R1 = "R1"  # x > h(s), s > lam: predator grows, prey declines
@@ -260,25 +260,6 @@ def log1m_exp(y: float) -> float:
     return math.log1p(-math.exp(y))
 
 
-def classify_region(st: State, p: Params) -> Region:
-    """Classify a phase point against the two isoclines.
-
-    Exhaustive and mutually exclusive for any positive (x, s); boundary
-    tags require exact floating equality.
-    """
-    on_lam = st.s == p.lam
-    on_h = st.x == h(st.s, p)
-    if on_lam and on_h:
-        return Region.EQUILIBRIUM
-    if on_lam:
-        return Region.ON_ISOCLINE_LAMBDA
-    if on_h:
-        return Region.ON_ISOCLINE_H
-    if st.x > h(st.s, p):
-        return Region.R1 if st.s > p.lam else Region.R2
-    return Region.R3 if st.s < p.lam else Region.R4
-
-
 def equilibrium(p: Params) -> State:
     """The unique interior fixed point ((1 - lam)(lam + a), lam)."""
     return State((1.0 - p.lam) * (p.lam + p.a), p.lam)
@@ -287,10 +268,9 @@ def equilibrium(p: Params) -> State:
 def nondimensionalize(rm: RMParams) -> Params:
     """Map dimensional rates/capacities to the nondimensional triple.
 
-    a = H/K, m = (p - d)/r, lam = d H / ((p - d) K).  q drops out.
+    a = H/K, m = (p - d)/r, lam = d H / ((p - d) K).  q drops out, and
+    p > d holds by construction of :class:`RMParams`.
     """
-    if not rm.p > rm.d:
-        raise ValueError(f"p must exceed d, got p={rm.p}, d={rm.d}")
     return Params(
         a=rm.H / rm.K,
         lam=rm.d * rm.H / ((rm.p - rm.d) * rm.K),

@@ -17,9 +17,12 @@ stages:
    1 factorizes as alpha1 * alpha2 * alpha3 (:func:`alpha_factors`) and
    stays below 0.2 for every m.
 
-Two parameter boxes are supported, with different barrier fractions:
-case A (a, lam <= 1/20, k = 3/4) and case B (a <= 1/10, lam <= 1/100,
-k = 2/3).
+The argument is made on two fixed parameter boxes, each with its own
+barrier fraction: case A (a, lam <= 1/20, k = 3/4) and case B
+(a <= 1/10, lam <= 1/100, k = 2/3), both handing off at
+s_gamma = :data:`S_GAMMA` = 0.7.  These are constants of the proof, not
+tunables: a :class:`Case` member carries its own, and a function that
+depends on the case takes the member.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .lvroot import ZIndex, z
 from .model import PROVEN_BOXES, Params, h, hopf_margin
 
 __all__ = [
+    "S_GAMMA",
     "Case",
-    "Region4Config",
     "AlphaFactors",
     "handoff_cap",
     "x_max_lower_coarse",
@@ -52,17 +55,25 @@ __all__ = [
 
 _M_BRANCH = 0.3  # m value separating the two closed-form branches
 
+S_GAMMA = 0.7  # hand-off prey level of both cases
+
 
 class Case(Enum):
-    """Parameter box selector: A is a, lam <= 1/20; B is a <= 1/10, lam <= 1/100."""
+    """One of the two proven parameter boxes, with its barrier fraction.
+
+    A is a, lam <= 1/20 with k = 3/4; B is a <= 1/10, lam <= 1/100 with
+    k = 2/3.  Each member carries ``k`` and its box's corner ``a_max``,
+    ``lam_max`` (read from :data:`cyclebound.model.PROVEN_BOXES`).
+    """
 
     A = "A"
     B = "B"
 
+    def __init__(self, value: str) -> None:
+        # plain attributes, as on ZIndex
+        self.k = {"A": 0.75, "B": 2.0 / 3.0}[value]
+        self.a_max, self.lam_max = PROVEN_BOXES[value]
 
-_CASE_BOX = {case: PROVEN_BOXES[case.value] for case in Case}
-_CASE_K = {Case.A: 0.75, Case.B: 2.0 / 3.0}
-_CASE_KAPPA = {Case.A: 0.4, Case.B: 0.5}
 
 # handoff_cap_envelope coefficients (x_gamma <= (c0 + c1 m) exp(c2 m + c3)),
 # one (low-m, high-m) pair per case
@@ -77,45 +88,6 @@ _START_CAP = {
     Case.A: ((0.324, 0.25), (0.383, 0.343)),
     Case.B: ((0.350, 0.25), (0.428, 0.383)),
 }
-
-
-@dataclass(frozen=True)
-class Region4Config:
-    """Barrier fraction k, hand-off level s_gamma and split kappa for one case.
-
-    The values are pinned per case (k = 3/4, kappa = 2/5 for A and
-    k = 2/3, kappa = 1/2 for B, with s_gamma = 0.7 for both); use
-    :meth:`for_case` rather than spelling them out.
-    """
-
-    k: float
-    s_gamma: float
-    kappa: float
-    case: Case
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.k < 1.0 and 0.0 < self.kappa < 1.0):
-            raise ValueError("k and kappa must lie in (0, 1)")
-        if not 0.5 < self.s_gamma < 1.0:
-            raise ValueError(f"s_gamma must lie in (0.5, 1), got {self.s_gamma!r}")
-        if self.k != _CASE_K[self.case] or self.kappa != _CASE_KAPPA[self.case]:
-            raise ValueError(
-                f"case {self.case.value} pins k = {_CASE_K[self.case]!r} and "
-                f"kappa = {_CASE_KAPPA[self.case]!r}"
-            )
-
-    @classmethod
-    def for_case(cls, case: Case | str) -> "Region4Config":
-        case = Case(case)
-        return cls(k=_CASE_K[case], s_gamma=0.7, kappa=_CASE_KAPPA[case], case=case)
-
-    @property
-    def a_max(self) -> float:
-        return _CASE_BOX[self.case][0]
-
-    @property
-    def lam_max(self) -> float:
-        return _CASE_BOX[self.case][1]
 
 
 @dataclass(frozen=True)
@@ -149,17 +121,17 @@ def _require(ok, p, message: str) -> None:
     raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
 
 
-def _ln_gain(p, cfg: Region4Config) -> float | np.ndarray:
+def _ln_gain(p, case: Case) -> float | np.ndarray:
     """Log of the hand-off amplification factor of :func:`handoff_cap`."""
-    return (p.m / cfg.k) * (
-        p.lam / cfg.s_gamma
-        + np.log(cfg.s_gamma + p.a)
-        - np.log(1.0 - cfg.s_gamma)
+    return (p.m / case.k) * (
+        p.lam / S_GAMMA
+        + np.log(S_GAMMA + p.a)
+        - np.log(1.0 - S_GAMMA)
         - np.log(p.a + p.lam)
     )
 
 
-def handoff_cap(p: Params, cfg: Region4Config, x3: float) -> float:
+def handoff_cap(p: Params, case: Case, x3: float) -> float:
     """Cap on the predator value at the hand-off level s_gamma.
 
     Linear in the start value x3, with the amplification factor
@@ -172,10 +144,10 @@ def handoff_cap(p: Params, cfg: Region4Config, x3: float) -> float:
         raise ValueError("hand-off cap requires the cycle regime 2*lam + a < 1")
     if not x3 > 0:
         raise ValueError(f"x3 must be positive, got {x3!r}")
-    return math.exp(_ln_gain(p, cfg) + math.log(x3))
+    return math.exp(_ln_gain(p, case) + math.log(x3))
 
 
-def x_max_lower_coarse(p, cfg: Region4Config) -> float | np.ndarray:
+def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     """Linear-in-m lower estimate c0 + m c of the x_max lower bound.
 
     Freezes the barrier anchor at the parabola vertex for the worst
@@ -191,7 +163,7 @@ def x_max_lower_coarse(p, cfg: Region4Config) -> float | np.ndarray:
     """
     _require(hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
     low_m = p.m < _M_BRANCH
-    anchor = np.where(low_m, 0.5 * (1.0 - cfg.a_max), 0.8)
+    anchor = np.where(low_m, 0.5 * (1.0 - case.a_max), 0.8)
     c0 = np.where(low_m, 0.25, h(0.8, p))
     # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
     ln_lam = np.log(np.where(p.lam == 0.0, 1.0, p.lam))
@@ -199,17 +171,17 @@ def x_max_lower_coarse(p, cfg: Region4Config) -> float | np.ndarray:
     return c0 + p.m * (anchor - lam_term)
 
 
-def handoff_cap_bound_ln(p, cfg: Region4Config) -> float | np.ndarray:
+def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
     """Log of :func:`handoff_cap_bound` (the value underflows deep in the
     case boxes, where the exponent drops below -1400)."""
-    x1t = x_max_lower_coarse(p, cfg)
+    x1t = x_max_lower_coarse(p, case)
     h_lam = h(p.lam, p)
     _require(x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
     y = x1t / h_lam
-    return _ln_gain(p, cfg) + np.log(z(ZIndex.Z2, y)) + np.log(x1t) - y
+    return _ln_gain(p, case) + np.log(z(ZIndex.Z2, y)) + np.log(x1t) - y
 
 
-def handoff_cap_bound(p, cfg: Region4Config) -> float | np.ndarray:
+def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     """Closed-form upper estimate of the hand-off cap.
 
     Replaces x3 in :func:`handoff_cap` by its chained closed-form bound
@@ -217,7 +189,7 @@ def handoff_cap_bound(p, cfg: Region4Config) -> float | np.ndarray:
     estimate.  Nondecreasing in both a and lam on each case box, which
     is what lets a single corner evaluation dominate the whole box.
     """
-    return np.exp(handoff_cap_bound_ln(p, cfg))
+    return np.exp(handoff_cap_bound_ln(p, case))
 
 
 def handoff_cap_envelope(m: float, case: Case | str) -> float:
@@ -262,18 +234,19 @@ def growth_ratio(s: float, p: Params) -> float:
     return math.exp(ln_b)
 
 
-def growth_ratio_quadratic(s: float, p: Params, k: float, m: float) -> float:
+def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     """Convex quadratic whose sign drives the barrier-ratio monotonicity.
 
-        G*(s) = 2 (k/m) s^2 + (a k/m - k/m + 1) s - lam.
+        G*(s) = 2 (k/m) s^2 + (a k/m - k/m + 1) s - lam,
 
-    G*(lam) < 0 < G*(1) in the cycle regime, so B^(m/k)/h has a single
-    interior minimum and its maximum over [lam, s_gamma] sits at an
-    endpoint.
+    with m from ``p`` and the case's barrier fraction k.  G*(lam) < 0 <
+    G*(1) in the cycle regime, so B^(m/k)/h has a single interior
+    minimum and its maximum over [lam, s_gamma] sits at an endpoint.
+    s and the a, lam and m of ``p`` may be arrays; G* broadcasts over
+    them, as :func:`handoff_cap_bound` does.
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    km = k / m
+    _require(p.m != 0, p, "m must be nonzero")
+    km = case.k / p.m
     return 2.0 * km * s * s + (p.a * km - km + 1.0) * s - p.lam
 
 
@@ -310,7 +283,7 @@ def smax_lower_bound(x_gamma: float, s_gamma: float, M: float, m: float) -> floa
     return 1.0 - math.exp(ln_term)
 
 
-def alpha_factors(m: float, cfg: Region4Config) -> AlphaFactors:
+def alpha_factors(m: float, case: Case) -> AlphaFactors:
     """Shortfall factorization with x_gamma taken from the envelope.
 
     With M = s_gamma and delta = 1 - s_gamma - x_gamma/(m+M):
@@ -323,9 +296,9 @@ def alpha_factors(m: float, cfg: Region4Config) -> AlphaFactors:
     """
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
-    x_gamma = handoff_cap_envelope(m, cfg.case)
-    M = cfg.s_gamma
-    delta = 1.0 - cfg.s_gamma - x_gamma / (m + M)
+    x_gamma = handoff_cap_envelope(m, case)
+    M = S_GAMMA
+    delta = 1.0 - S_GAMMA - x_gamma / (m + M)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     e1 = m / (m + M)
@@ -344,19 +317,19 @@ def alpha_factors(m: float, cfg: Region4Config) -> AlphaFactors:
     )
 
 
-def _alpha2_stationarity(m: float, abar: float, bbar: float, cbar: float, M: float) -> float:
-    # u(m) = (m+M) x'/x - ln(x/M) for x = (abar m + bbar) e^{-cbar m};
+def _alpha2_stationarity(m: float, abar: float, bbar: float, cbar: float) -> float:
+    # u(m) = (m+M) x'/x - ln(x/M) with M = s_gamma, for x = (abar m + bbar) e^{-cbar m};
     # strictly decreasing, so its root is the single peak of alpha2
     lin = abar * m + bbar
     return (
-        (m + M) * (abar - bbar * cbar - abar * cbar * m) / lin
+        (m + S_GAMMA) * (abar - bbar * cbar - abar * cbar * m) / lin
         + cbar * m
         - math.log(lin)
-        + math.log(M)
+        + math.log(S_GAMMA)
     )
 
 
-def alpha2_peak(case: Case | str, M: float = 0.7) -> float:
+def alpha2_peak(case: Case | str) -> float:
     """The m at which the middle shortfall factor alpha2 peaks (m > 0.3).
 
     Uses the high-m envelope branch written as x_gamma = (abar m + bbar)
@@ -370,15 +343,15 @@ def alpha2_peak(case: Case | str, M: float = 0.7) -> float:
     scale = math.exp(c3)
     abar, bbar, cbar = c1 * scale, c0 * scale, -c2
     lo, hi = _M_BRANCH + 1e-9, 60.0
-    f_lo = _alpha2_stationarity(lo, abar, bbar, cbar, M)
-    f_hi = _alpha2_stationarity(hi, abar, bbar, cbar, M)
+    f_lo = _alpha2_stationarity(lo, abar, bbar, cbar)
+    f_hi = _alpha2_stationarity(hi, abar, bbar, cbar)
     if not (f_lo > 0 > f_hi):
         raise ValueError(f"no peak bracket on ({lo}, {hi}): f = ({f_lo!r}, {f_hi!r})")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _alpha2_stationarity(mid, abar, bbar, cbar, M) > 0:
+        if _alpha2_stationarity(mid, abar, bbar, cbar) > 0:
             lo = mid
         else:
             hi = mid
@@ -387,7 +360,7 @@ def alpha2_peak(case: Case | str, M: float = 0.7) -> float:
     return 0.5 * (lo + hi)
 
 
-def recovery_start_cap(p: Params, cfg: Region4Config) -> float:
+def recovery_start_cap(p: Params, case: Case) -> float:
     """Closed-form cap on the recovery start value x3, per case and m branch.
 
     Dominates the chained x_min upper bound on each case box and is what
@@ -397,6 +370,6 @@ def recovery_start_cap(p: Params, cfg: Region4Config) -> float:
                  0.383 e^{-0.343/h(lam)}   (m > 0.3),
         case B:  0.350 e^{-1/(4 h(lam))},  0.428 e^{-0.383/h(lam)}.
     """
-    low, high = _START_CAP[cfg.case]
+    low, high = _START_CAP[case]
     c, r = low if p.m <= _M_BRANCH else high
     return c * math.exp(-r / p.h_lam)

@@ -17,7 +17,8 @@ from cyclebound.bounds import (
 )
 from cyclebound.harness import REFERENCE_SPECS
 from cyclebound.lvroot import ZIndex, z
-from cyclebound.model import Params, h
+from cyclebound.model import Params, State, h
+from cyclebound.simulator import SimConfig, integrate
 
 # the grid every proven-box property test samples: the main reference
 # grid, plus m = 20
@@ -51,6 +52,29 @@ def test_x_max_upper_values():
     assert x_max_upper(Params(a=0, lam=0, m=1, limit=True)) == pytest.approx(1.5)
     assert x_max_upper(Params(a=0.1, lam=0.1, m=1)) == pytest.approx(1.45)
     assert x_max_upper(Params(a=0.05, lam=0.05, m=1)) == pytest.approx(1.475)
+
+
+def test_growth_arc_keeps_v2_and_stays_under_x_max_barrier():
+    # the two barrier facts behind the x_max bounds, along the arc from
+    # (h(s0), s0) to the first predator maximum: V2 = m (s - lam ln s) + x
+    # does not decrease while s > lam, and the arc stays below the escape
+    # barrier x = A v / (1 + B v), v = 1 - s, whose value at v = 1 is
+    # x_max_upper.  Only step samples are read: a chord between accepted
+    # steps can dip below the monotone envelope.
+    p = Params(a=0.05, lam=0.05, m=1.0)
+    traj = integrate(State(h(DEFAULT_S0, p), DEFAULT_S0), p, SimConfig())
+    n = len(traj.taus)
+    idx = np.unique(np.linspace(0, n - 1, min(1500, n)).astype(int))
+    x = np.exp(traj.points[idx, 0])
+    s = np.exp(traj.points[idx, 1])
+    v2 = p.m * (s - p.lam * np.log(s)) + x
+    A = 1.0 + p.m + p.a - p.m * p.lam
+    B = (1.0 + p.m * p.lam) / (1.0 + p.a + 2.0 * p.m * (1.0 - p.lam))
+    v = 1.0 - s
+    assert np.min(np.diff(v2)) >= -1e-12
+    assert np.max(x - A * v / (1.0 + B * v)) < 0
+    assert 0 < len(idx) <= 1500
+    assert A / (1.0 + B) == pytest.approx(x_max_upper(p), rel=1e-15)
 
 
 def test_x_max_upper_refined_reduces_to_plain_at_lam_zero():

@@ -121,7 +121,7 @@ def test_s0_defaults_are_the_default_anchor():
     record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0]}
     assert harness.SweepSpec.from_json(record).s0 == DEFAULT_S0
     assert harness.SweepSpec((0.05,), (0.05,), (1.0,)).s0 == DEFAULT_S0
-    for fn in (cycle_bounds, x_max_lower, cycle_extreme_report, harness.lyapunov_checks):
+    for fn in (cycle_bounds, x_max_lower, cycle_extreme_report):
         assert inspect.signature(fn).parameters["s0"].default == DEFAULT_S0
     assert cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).s0 == DEFAULT_S0
 
@@ -283,6 +283,39 @@ def test_figures_cli(tmp_path, capsys):
     files = sorted(tmp_path.glob("fig5_*.csv"))
     assert len(files) == 1
     assert "fig5_a0.05_lambda0.05.csv" in files[0].name
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_figures_cli_rejects_fewer_than_one_point(tmp_path, capsys, points):
+    code, out, err = run_cli(
+        "figures", "--which", "fig5", "--out", str(tmp_path / "figs"),
+        "--points", points, "--panel", "0.05,0.05", capsys=capsys,
+    )
+    assert code == 1 and not out
+    assert f"at least 1 point, got {points}" in err
+    assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize(
+    "panel, message",
+    [
+        ("0.05", "panel ('0.05',) must be two numbers"),
+        ("0.05,0.05,0.1", "panel ('0.05', '0.05', '0.1') must be two numbers"),
+        ("0.05,x", "panel ('0.05', 'x') must be two numbers"),
+        ("0.05,nan", "panel ('0.05', 'nan') must be finite and > 0"),
+        ("0,0.05", "panel ('0', '0.05') must be finite and > 0"),
+        ("0.5,0.3", "panel ('0.5', '0.3') has no limit cycle"),
+    ],
+)
+def test_figures_cli_names_a_bad_panel_before_simulating(tmp_path, capsys, panel, message):
+    # the good panel comes first: none of its files may be written
+    code, out, err = run_cli(
+        "figures", "--which", "fig5", "--out", str(tmp_path / "figs"), "--points", "2",
+        "--panel", "0.05,0.05", "--panel", panel, capsys=capsys,
+    )
+    assert code == 1 and not out
+    assert message in err
+    assert not (tmp_path / "figs").exists()
 
 
 def test_bad_params_exits_one(capsys):

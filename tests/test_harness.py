@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +13,14 @@ from cyclebound.harness import (
     _barrier_worst,
     SweepSpec,
     emit_figures,
-    lyapunov_checks,
+    figure_m_values,
     proof_spotchecks,
     run_sweep,
     sweep_row_from_report,
     x_max_barrier_coefficients,
 )
 from cyclebound.model import Params
-from cyclebound.region4 import Case, Region4Config, growth_ratio_quadratic
+from cyclebound.region4 import Case, growth_ratio_quadratic
 from cyclebound.simulator import SimConfig, cycle_extreme_report
 
 FAST_SIM = SimConfig(rtol=1e-8, atol_log=1e-10, cycle_tol=1e-7)
@@ -78,33 +80,25 @@ def test_barrier_grid_worst_matches_scalar_coefficients():
 def test_gain_quadratic_grid_matches_scalar_scan(case):
     # the scan the grid evaluation replaced: every point through the
     # scalar definition, worst kept by strict comparison
-    cfg = Region4Config.for_case(case)
-    a_max, lam_max, k = cfg.a_max, cfg.lam_max, cfg.k
+    a_max, lam_max = case.a_max, case.lam_max
     worst_at_lam = (-math.inf, ())
     worst_at_one = (math.inf, ())
     for a in np.linspace(a_max / 40, a_max, 40):
         for lam in np.linspace(lam_max / 40, lam_max, 40):
-            p = Params(a=float(a), lam=float(lam), m=1.0)
             for m in np.geomspace(1e-3, 50, 60):
-                g_lam = growth_ratio_quadratic(p.lam, p, k, float(m))
-                g_one = growth_ratio_quadratic(1.0, p, k, float(m))
+                p = SimpleNamespace(a=float(a), lam=float(lam), m=float(m))
+                g_lam = growth_ratio_quadratic(p.lam, p, case)
+                g_one = growth_ratio_quadratic(1.0, p, case)
                 if g_lam > worst_at_lam[0]:
-                    worst_at_lam = (g_lam, (p.a, p.lam, float(m)))
+                    worst_at_lam = (g_lam, (p.a, p.lam, p.m))
                 if g_one < worst_at_one[0]:
-                    worst_at_one = (g_one, (p.a, p.lam, float(m)))
+                    worst_at_one = (g_one, (p.a, p.lam, p.m))
     report = proof_spotchecks(case)
     checks = [report["gain_quadratic_negative_at_lam"], report["gain_quadratic_positive_at_one"]]
     assert [(c.worst_value, c.worst_arg) for c in checks] == [worst_at_lam, worst_at_one]
     for check in checks:
         assert type(check.worst_value) is float
         assert all(type(v) is float for v in check.worst_arg)
-
-
-def test_lyapunov_checks():
-    rep = lyapunov_checks(Params(a=0.05, lam=0.05, m=1.0), n_samples=1500)
-    assert rep.min_v2_increment >= -1e-12
-    assert rep.max_barrier_gap < 0
-    assert 0 < rep.n_samples <= 1500
 
 
 def test_v2_rate_vanishes_on_predator_isocline():
@@ -337,3 +331,27 @@ def test_emit_figures_tiny(tmp_path):
 def test_emit_figures_rejects_unknown():
     with pytest.raises(ValueError):
         emit_figures("fig9", "/tmp/nowhere")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.05,), "panel (0.05,) must be two numbers"),
+        (0.05, "panel 0.05 must be two numbers"),
+        ((0.05, math.inf), "panel (0.05, inf) must be finite and > 0"),
+        ((-0.05, 0.05), "panel (-0.05, 0.05) must be finite and > 0"),
+        ((0.5, 0.3), "panel (0.5, 0.3) has no limit cycle"),
+    ],
+)
+def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, message):
+    out = tmp_path / "figs"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit_figures("fig5", out, panels=[(0.05, 0.05), bad], m_values=[1.0], cfg=FAST_SIM)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_figure_m_values_needs_a_point(points):
+    with pytest.raises(ValueError, match=f"at least 1 point, got {points}"):
+        figure_m_values(points)
+    assert figure_m_values(1).tolist() == [0.01]

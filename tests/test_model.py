@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from cyclebound.model import (
     LogState,
     Params,
-    Region,
     RMParams,
     State,
-    classify_region,
     equilibrium,
     h,
     log_vector_field,
@@ -129,42 +127,6 @@ def test_phase_slope():
         phase_slope(State(0.5, p.lam))  # undefined on the isocline s = lam
     # (-0.1) / (1 * 0.5 * 0.4)
     assert phase_slope(State(0.5, 0.5)) == pytest.approx(-0.5)
-
-
-def test_classify_region_examples():
-    p = Params(a=0.1, lam=0.1, m=1.0)
-    assert classify_region(State(1.0, 0.5), p) is Region.R1
-    assert classify_region(State(0.5, 0.05), p) is Region.R2
-    # h(0.05) = 0.95 * 0.15 = 0.1425, so x = 0.01 sits below the isocline
-    assert classify_region(State(0.01, 0.05), p) is Region.R3
-    assert classify_region(State(0.05, 0.05), p) is Region.R3
-    assert classify_region(State(0.05, 0.5), p) is Region.R4
-    assert classify_region(equilibrium(p), p) is Region.EQUILIBRIUM
-    assert classify_region(State(0.5, p.lam), p) is Region.ON_ISOCLINE_LAMBDA
-    assert classify_region(State(h(0.5, p), 0.5), p) is Region.ON_ISOCLINE_H
-
-
-@given(
-    x=st.floats(1e-8, 10.0),
-    s=st.floats(1e-8, 2.0),
-    a=st.floats(0.01, 0.4),
-    lam=st.floats(0.01, 0.4),
-)
-def test_classify_region_exhaustive_and_consistent(x, s, a, lam):
-    p = Params(a=a, lam=lam, m=1.0)
-    region = classify_region(State(x, s), p)
-    above_h = x > h(s, p)
-    above_lam = s > lam
-    if region is Region.R1:
-        assert above_h and above_lam
-    elif region is Region.R2:
-        assert above_h and not above_lam
-    elif region is Region.R3:
-        assert not above_h and not above_lam
-    elif region is Region.R4:
-        assert not above_h and above_lam
-    else:
-        assert x == h(s, p) or s == lam
 
 
 def test_equilibrium_values():

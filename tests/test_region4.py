@@ -7,10 +7,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cyclebound.bounds import cycle_bounds, x_max_lower
-from cyclebound.model import Params, h
+from cyclebound.model import PROVEN_BOXES, Params, h
 from cyclebound.region4 import (
+    S_GAMMA,
     Case,
-    Region4Config,
     alpha2_peak,
     alpha_factors,
     growth_ratio,
@@ -23,9 +23,6 @@ from cyclebound.region4 import (
     smax_lower_bound,
     x_max_lower_coarse,
 )
-
-CFG_A = Region4Config.for_case(Case.A)
-CFG_B = Region4Config.for_case(Case.B)
 
 CASE_GRIDS = {
     Case.A: [
@@ -44,45 +41,42 @@ CASE_GRIDS = {
 
 
 def test_config_pins_case_constants():
-    assert (CFG_A.k, CFG_A.kappa, CFG_A.s_gamma) == (0.75, 0.4, 0.7)
-    assert (CFG_B.k, CFG_B.kappa, CFG_B.s_gamma) == (2 / 3, 0.5, 0.7)
-    assert CFG_A.a_max == 0.05 and CFG_B.a_max == 0.1
-    assert CFG_A.lam_max == 0.05 and CFG_B.lam_max == 0.01
-    with pytest.raises(ValueError):
-        Region4Config(k=0.5, s_gamma=0.7, kappa=0.4, case=Case.A)
-    assert Region4Config.for_case("B") == CFG_B
+    assert (Case.A.k, Case.B.k, S_GAMMA) == (0.75, 2 / 3, 0.7)
+    assert Case.A.a_max == 0.05 and Case.B.a_max == 0.1
+    assert Case.A.lam_max == 0.05 and Case.B.lam_max == 0.01
+    assert {case.value: (case.a_max, case.lam_max) for case in Case} == PROVEN_BOXES
+    assert Case("B") is Case.B
 
 
 def test_handoff_cap_basics():
     p = Params(a=0.05, lam=0.05, m=1.0)
     # direct log-space arithmetic of the amplification factor
     gain = (math.exp(0.05 / 0.7) * 0.75 / 0.3 / 0.1) ** (1.0 / 0.75)
-    assert handoff_cap(p, CFG_A, 1e-6) == pytest.approx(gain * 1e-6, rel=1e-12)
-    assert math.isfinite(handoff_cap(p, CFG_A, 1e-6))
+    assert handoff_cap(p, Case.A, 1e-6) == pytest.approx(gain * 1e-6, rel=1e-12)
+    assert math.isfinite(handoff_cap(p, Case.A, 1e-6))
     # linear in the start value
-    assert handoff_cap(p, CFG_A, 2e-6) == pytest.approx(
-        2 * handoff_cap(p, CFG_A, 1e-6), rel=1e-13
+    assert handoff_cap(p, Case.A, 2e-6) == pytest.approx(
+        2 * handoff_cap(p, Case.A, 1e-6), rel=1e-13
     )
     # zero exponent in the m -> 0 limit
     p0 = Params(a=0.05, lam=0.05, m=0.0, limit=True)
-    assert handoff_cap(p0, CFG_A, 3.5e-7) == pytest.approx(3.5e-7, rel=1e-13)
+    assert handoff_cap(p0, Case.A, 3.5e-7) == pytest.approx(3.5e-7, rel=1e-13)
 
 
 def test_x_max_lower_coarse_branches():
     lam = 0.03
     p_small = Params(a=0.04, lam=lam, m=0.1)
     expect = 0.25 + 0.1 * (0.475 - lam * (1 - math.log(lam) + math.log(0.475)))
-    assert x_max_lower_coarse(p_small, CFG_A) == pytest.approx(expect, rel=1e-14)
+    assert x_max_lower_coarse(p_small, Case.A) == pytest.approx(expect, rel=1e-14)
     p_big = Params(a=0.04, lam=lam, m=1.0)
     expect = h(0.8, p_big) + 1.0 * (0.8 - lam * (1 - math.log(lam) + math.log(0.8)))
-    assert x_max_lower_coarse(p_big, CFG_A) == pytest.approx(expect, rel=1e-14)
+    assert x_max_lower_coarse(p_big, Case.A) == pytest.approx(expect, rel=1e-14)
 
 
 def test_x_max_lower_coarse_below_full_lower_bound():
     for case, grid in CASE_GRIDS.items():
-        cfg = Region4Config.for_case(case)
         for p in grid:
-            assert x_max_lower_coarse(p, cfg) <= x_max_lower(p, 0.8) + 1e-12, p
+            assert x_max_lower_coarse(p, case) <= x_max_lower(p, 0.8) + 1e-12, p
 
 
 def test_handoff_cap_bound_dominates_chained_cap():
@@ -90,11 +84,10 @@ def test_handoff_cap_bound_dominates_chained_cap():
     # the cap, since t e^{-t/h} decreases and the coarse estimate is lower;
     # compared in log space (the start value underflows for large m)
     for case, grid in CASE_GRIDS.items():
-        cfg = Region4Config.for_case(case)
         for p in grid:
             ln_x3_hi = cycle_bounds(p).ln_x_min_hi
-            ln_gain = math.log(handoff_cap(p, cfg, 1.0))
-            assert handoff_cap_bound_ln(p, cfg) >= ln_gain + ln_x3_hi - 1e-9, p
+            ln_gain = math.log(handoff_cap(p, case, 1.0))
+            assert handoff_cap_bound_ln(p, case) >= ln_gain + ln_x3_hi - 1e-9, p
 
 
 def test_handoff_cap_bound_monotone_at_spot():
@@ -106,20 +99,19 @@ def test_handoff_cap_bound_monotone_at_spot():
         hi[bump] += step
         lo[bump] -= step
         d = (
-            handoff_cap_bound(Params(a=hi["a"], lam=hi["lam"], m=1.0), CFG_A)
-            - handoff_cap_bound(Params(a=lo["a"], lam=lo["lam"], m=1.0), CFG_A)
+            handoff_cap_bound(Params(a=hi["a"], lam=hi["lam"], m=1.0), Case.A)
+            - handoff_cap_bound(Params(a=lo["a"], lam=lo["lam"], m=1.0), Case.A)
         ) / (2 * step)
         assert d >= -1e-9, bump
 
 
 def test_handoff_cap_bound_below_envelope():
-    assert handoff_cap_bound(Params(a=0.05, lam=0.05, m=1.0), CFG_A) <= (
+    assert handoff_cap_bound(Params(a=0.05, lam=0.05, m=1.0), Case.A) <= (
         handoff_cap_envelope(1.0, Case.A)
     )
     for case, grid in CASE_GRIDS.items():
-        cfg = Region4Config.for_case(case)
         for p in grid:
-            assert handoff_cap_bound_ln(p, cfg) <= math.log(
+            assert handoff_cap_bound_ln(p, case) <= math.log(
                 handoff_cap_envelope(p.m, case)
             ) + 1e-12, p
 
@@ -127,22 +119,22 @@ def test_handoff_cap_bound_below_envelope():
 STEP = 1e-6  # the central-difference step of the proofcheck slope scan
 
 
-def slope_scan_grid(cfg: Region4Config) -> SimpleNamespace:
+def slope_scan_grid(case: Case) -> SimpleNamespace:
     """The (a, lam, m) grid of the proofcheck slope scan, as arrays."""
     a, lam, m = np.meshgrid(
-        np.linspace(2e-3, cfg.a_max, 20),
-        np.linspace(2e-3, cfg.lam_max, 20),
+        np.linspace(2e-3, case.a_max, 20),
+        np.linspace(2e-3, case.lam_max, 20),
         np.geomspace(1e-2, 20, 12),
         indexing="ij",
     )
     return SimpleNamespace(a=a, lam=lam, m=m)
 
 
-def handoff_cap_bound_scalar(a: float, lam: float, m: float, cfg: Region4Config) -> float:
+def handoff_cap_bound_scalar(a: float, lam: float, m: float, case: Case) -> float:
     """The cap chain written out in scalar math arithmetic: the coarse
     x_max estimate, z2 and the gain, each in its formula's order."""
     if m < 0.3:
-        anchor, c0 = 0.5 * (1.0 - cfg.a_max), 0.25
+        anchor, c0 = 0.5 * (1.0 - case.a_max), 0.25
     else:
         anchor, c0 = 0.8, (1.0 - 0.8) * (0.8 + a)
     x1t = c0 + m * (anchor - lam * (1.0 - math.log(lam) + math.log(anchor)))
@@ -152,10 +144,10 @@ def handoff_cap_bound_scalar(a: float, lam: float, m: float, cfg: Region4Config)
     one_minus_dY = 1.0 - (math.e - 1.0 - c * math.e) * Y
     disc = one_minus_dY * one_minus_dY - 4.0 * c * Y
     z2 = 2.0 / (one_minus_dY + math.sqrt(max(disc, 0.0)))
-    ln_gain = (m / cfg.k) * (
-        lam / cfg.s_gamma
-        + math.log(cfg.s_gamma + a)
-        - math.log(1.0 - cfg.s_gamma)
+    ln_gain = (m / case.k) * (
+        lam / S_GAMMA
+        + math.log(S_GAMMA + a)
+        - math.log(1.0 - S_GAMMA)
         - math.log(a + lam)
     )
     return math.exp(ln_gain + math.log(z2) + math.log(x1t) - y)
@@ -164,14 +156,13 @@ def handoff_cap_bound_scalar(a: float, lam: float, m: float, cfg: Region4Config)
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
     # every point the slope scan evaluates: the four perturbed grids
-    cfg = Region4Config.for_case(case)
-    g = slope_scan_grid(cfg)
+    g = slope_scan_grid(case)
     for da, dlam in ((STEP, 0.0), (-STEP, 0.0), (0.0, STEP), (0.0, -STEP)):
         a, lam = g.a + da, g.lam + dlam
-        got = handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=g.m), cfg)
+        got = handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=g.m), case)
         want = np.array(
             [
-                handoff_cap_bound_scalar(*point, cfg)
+                handoff_cap_bound_scalar(*point, case)
                 for point in zip(a.ravel().tolist(), lam.ravel().tolist(), g.m.ravel().tolist())
             ]
         ).reshape(got.shape)
@@ -190,14 +181,14 @@ def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
     ids=["cycle-regime", "x1t-not-above-h-lam"],
 )
 def test_handoff_cap_bound_arrays_name_the_first_failing_point(a, lam, message):
-    g = slope_scan_grid(CFG_A)
+    g = slope_scan_grid(Case.A)
     for i in ((3, 4, 0), (7, 1, 0)):  # two failing points; the first is named
         g.a[i] = a
         if lam is not None:
             g.lam[i] = lam
     point = (a, float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
     with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
-        handoff_cap_bound(g, CFG_A)
+        handoff_cap_bound(g, Case.A)
 
 
 # smallest central difference of ln handoff_cap_bound over the slope scan
@@ -211,11 +202,10 @@ LN_CAP_SLOPE_MIN = {
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_handoff_cap_bound_ln_is_increasing_on_the_scan_grid(case):
-    cfg = Region4Config.for_case(case)
-    g = slope_scan_grid(cfg)
+    g = slope_scan_grid(case)
 
     def ln_cap(a, lam):
-        return handoff_cap_bound_ln(SimpleNamespace(a=a, lam=lam, m=g.m), cfg)
+        return handoff_cap_bound_ln(SimpleNamespace(a=a, lam=lam, m=g.m), case)
 
     slopes = np.stack(
         [
@@ -287,14 +277,30 @@ def test_growth_ratio():
 
 def test_growth_ratio_quadratic():
     p = Params(a=0.05, lam=0.05, m=1.0)
-    assert growth_ratio_quadratic(p.lam, p, 0.75, 1.0) < 0
-    assert growth_ratio_quadratic(1.0, p, 0.75, 1.0) > 0
+    assert growth_ratio_quadratic(p.lam, p, Case.A) < 0
+    assert growth_ratio_quadratic(1.0, p, Case.A) > 0
     # convex: positive second difference on any stencil
-    g = lambda s: growth_ratio_quadratic(s, p, 0.75, 1.0)
+    g = lambda s: growth_ratio_quadratic(s, p, Case.A)
     for s in (0.1, 0.4, 0.8):
         assert g(s - 0.05) + g(s + 0.05) - 2 * g(s) > 0
     with pytest.raises(ValueError):
-        growth_ratio_quadratic(0.5, p, 0.75, 0.0)
+        growth_ratio_quadratic(0.5, Params(a=0.05, lam=0.05, m=0.0, limit=True), Case.A)
+
+
+def test_growth_ratio_quadratic_broadcasts():
+    # on arrays it is the scalar definition at every point, bit for bit
+    a, lam, m = np.meshgrid([0.01, 0.05], [0.002, 0.05], [1e-3, 0.3, 50.0], indexing="ij")
+    for case in Case:
+        for s in (lam, 1.0):
+            got = growth_ratio_quadratic(s, SimpleNamespace(a=a, lam=lam, m=m), case)
+            for i in np.ndindex(got.shape):
+                p = Params(a=float(a[i]), lam=float(lam[i]), m=float(m[i]))
+                want = growth_ratio_quadratic(p.lam if s is lam else 1.0, p, case)
+                assert float(got[i]) == want
+    m[1, 0, 2] = 0.0
+    message = "m must be nonzero at (a, lam, m) = (0.05, 0.002, 0.0)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        growth_ratio_quadratic(1.0, SimpleNamespace(a=a, lam=lam, m=m), Case.A)
 
 
 def test_smax_lower_bound_boundary_reduction():
@@ -327,30 +333,28 @@ def test_smax_lower_bound_validation():
 
 def test_alpha_factors_match_smax_bound():
     for case in (Case.A, Case.B):
-        cfg = Region4Config.for_case(case)
         for m in (0.05, 0.3, 1.0, 4.0, 20.0):
-            f = alpha_factors(m, cfg)
+            f = alpha_factors(m, case)
             assert f.alpha == pytest.approx(
                 f.alpha1 * f.alpha2 * f.alpha3, rel=1e-14
             )
-            direct = smax_lower_bound(f.x_gamma, cfg.s_gamma, cfg.s_gamma, m)
+            direct = smax_lower_bound(f.x_gamma, S_GAMMA, S_GAMMA, m)
             assert 1.0 - f.alpha == pytest.approx(direct, rel=1e-12)
 
 
 def test_alpha3_peak_is_e_to_1_over_e():
     M = 0.7
     m_star = M / (math.e - 1.0)
-    f = alpha_factors(m_star, CFG_A)
+    f = alpha_factors(m_star, Case.A)
     assert f.alpha3 == pytest.approx(math.exp(1 / math.e), rel=1e-12)
     for m in (0.5 * m_star, 2.0 * m_star):
-        assert alpha_factors(m, CFG_A).alpha3 < f.alpha3
+        assert alpha_factors(m, Case.A).alpha3 < f.alpha3
 
 
 def test_alpha_below_cap_on_log_grid():
     for case in (Case.A, Case.B):
-        cfg = Region4Config.for_case(case)
         worst = max(
-            alpha_factors(float(m), cfg).alpha for m in np.geomspace(1e-3, 50, 200)
+            alpha_factors(float(m), case).alpha for m in np.geomspace(1e-3, 50, 200)
         )
         assert worst < 0.2, case
 
@@ -381,19 +385,17 @@ def test_alpha2_stationarity_is_decreasing():
     # ingredients: alpha2 increases before the peak and decreases after
     for case in (Case.A, Case.B):
         peak = alpha2_peak(case)
-        cfg = Region4Config.for_case(case)
-        before = [alpha_factors(m, cfg).alpha2 for m in np.linspace(0.5, peak, 12)]
-        after = [alpha_factors(m, cfg).alpha2 for m in np.linspace(peak, 10.0, 12)]
+        before = [alpha_factors(m, case).alpha2 for m in np.linspace(0.5, peak, 12)]
+        after = [alpha_factors(m, case).alpha2 for m in np.linspace(peak, 10.0, 12)]
         assert all(b > a for a, b in zip(before, before[1:]))
         assert all(b < a for a, b in zip(after, after[1:]))
 
 
 def test_recovery_start_cap_dominates_x_min_upper():
     for case, grid in CASE_GRIDS.items():
-        cfg = Region4Config.for_case(case)
         for p in grid:
             x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
-            assert x3_hi <= recovery_start_cap(p, cfg) * (1 + 1e-12), p
+            assert x3_hi <= recovery_start_cap(p, case) * (1 + 1e-12), p
 
 
 def test_handoff_chain_case_a():
@@ -401,7 +403,7 @@ def test_handoff_chain_case_a():
     # (1-k) h(lam) and the hand-off cap below (1-k) h(s_gamma)
     for p in CASE_GRIDS[Case.A]:
         x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
-        assert x3_hi <= (1 - CFG_A.k) * p.h_lam, p
-        assert handoff_cap_envelope(p.m, Case.A) <= (1 - CFG_A.k) * h(
-            CFG_A.s_gamma, p
+        assert x3_hi <= (1 - Case.A.k) * p.h_lam, p
+        assert handoff_cap_envelope(p.m, Case.A) <= (1 - Case.A.k) * h(
+            S_GAMMA, p
         ), p

@@ -17,6 +17,7 @@ from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
 from cyclebound.model import (
     LogState,
     Params,
+    Region,
     State,
     equilibrium,
     h,
@@ -35,7 +36,7 @@ from cyclebound.simulator import (
     transit_points,
 )
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cyclebound.simulator import Event, net_events
@@ -774,6 +775,59 @@ def test_region_sequence_is_cyclically_adjacent():
     for prev, nxt in zip(labels, labels[1:]):
         i, j = order.index(prev), order.index(nxt)
         assert j in (i, (i + 1) % 4), (prev, nxt)
+
+
+def region_label(x: float, s: float, p: Params) -> str:
+    """The region label of the one-sample trajectory at (x, s)."""
+    traj = simulator.Trajectory(np.zeros(1), np.array([[math.log(x), math.log(s)]]))
+    return traj.region_labels(p)[0]
+
+
+def test_region_examples():
+    # all nine sign combinations of (s - lam, x - h(s))
+    want = {
+        (1, 1): Region.R1,
+        (-1, 1): Region.R2,
+        (-1, -1): Region.R3,
+        (1, -1): Region.R4,
+        (0, 0): Region.EQUILIBRIUM,
+        (0, 1): Region.ON_ISOCLINE_LAMBDA,
+        (0, -1): Region.ON_ISOCLINE_LAMBDA,
+        (1, 0): Region.ON_ISOCLINE_H,
+        (-1, 0): Region.ON_ISOCLINE_H,
+    }
+    for (s_side, x_side), region in want.items():
+        assert simulator._region(0.5 * s_side, 2.0 * x_side) is region
+    p = Params(a=0.1, lam=0.1, m=1.0)
+    assert region_label(1.0, 0.5, p) == "R1"
+    assert region_label(0.5, 0.05, p) == "R2"
+    # h(0.05) = 0.95 * 0.15 = 0.1425, so x = 0.01 sits below the isocline
+    assert region_label(0.01, 0.05, p) == "R3"
+    assert region_label(0.05, 0.05, p) == "R3"
+    assert region_label(0.05, 0.5, p) == "R4"
+    # ln s = ln lam exactly, so s - lam reads 0 in its log form
+    assert region_label(0.5, p.lam, p) == "isocline_lambda"
+
+
+@given(
+    x=st.floats(1e-8, 10.0),
+    s=st.floats(1e-8, 2.0),
+    a=st.floats(0.01, 0.4),
+    lam=st.floats(0.01, 0.4),
+)
+def test_region_labels_exhaustive_and_consistent(x, s, a, lam):
+    # away from the isoclines the label is the open region the two
+    # comparisons x > h(s) and s > lam name (h(s) <= 0 above capacity)
+    p = Params(a=a, lam=lam, m=1.0)
+    assume(abs(s - lam) > 1e-9 * lam and abs(x - h(s, p)) > 1e-9 * x)
+    above_h, above_lam = x > h(s, p), s > lam
+    want = {
+        (True, True): Region.R1,
+        (True, False): Region.R2,
+        (False, False): Region.R3,
+        (False, True): Region.R4,
+    }[above_h, above_lam]
+    assert region_label(x, s, p) == want.value
 
 
 def test_extremes_sit_on_isoclines():
