@@ -10,10 +10,10 @@ The bounds are proved for parameters in the box
 
     a <= 1/20 and lam <= 1/20,   or   a <= 1/10 and lam <= 1/100
 
-(``Params.proven_region``), with the x_max barrier anchored at a prey
-level s0 <= 0.8; outside them the same formulas still evaluate and can
-be requested with ``force=True``, in which case the resulting
-:class:`BoundSet` carries ``proven=False``.
+(``Params.proven_region``); outside it the same formulas still
+evaluate and can be requested with ``force=True``, in which case the
+resulting :class:`BoundSet` carries ``proven=False``.  The lower x_max
+barrier is anchored at :data:`S_MAX_LO`, the proven prey-maximum bound.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lvroot import ZIndex, z
 from .model import Params, h
 
 __all__ = [
-    "DEFAULT_S0",
+    "S_MAX_LO",
     "BoundSet",
     "CanardEstimates",
     "ExcursionBounds",
@@ -38,14 +38,11 @@ __all__ = [
     "canard_estimates",
 ]
 
-# the proven lower bound on the cycle's prey maximum; V = x + m (s - lam ln s)
-# grows along the cycle while s > lam, so the x_max barrier anchored at s0
-# is proven only for s0 up to this level
-_S_MAX_LO = 0.8
-
-# the default anchor of the x_max lower bound: the highest one the proof
-# covers (it must not exceed _S_MAX_LO)
-DEFAULT_S0 = 0.8
+# the proven lower bound on the cycle's prey maximum, and the anchor of the
+# x_max lower bound: V = x + m (s - lam ln s) grows along the cycle while
+# s > lam, so a barrier anchored at z holds for z up to s_max; this is the
+# highest anchor the proof covers, and every lower one gives a weaker bound
+S_MAX_LO = 0.8
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,9 @@ class BoundSet:
     """All cycle-extreme bounds for one parameter triple.
 
     x bounds are linear-space, the two minima are log-space, and the
-    prey maximum is bracketed by the constants (0.8, 1).  ``s0`` is the
-    anchor prey level of the lower x_max barrier.  ``proven`` is False
-    when the parameters lie outside the box where the estimates are
-    established, or s0 lies above s_max_lo (forced evaluation).
+    prey maximum is bracketed by the constants (0.8, 1).  ``proven`` is
+    False when the parameters lie outside the box where the estimates
+    are established (forced evaluation).
     """
 
     x_max_lo: float
@@ -65,9 +61,8 @@ class BoundSet:
     ln_x_min_hi: float
     ln_s_min_lo: float
     ln_s_min_hi: float
-    s_max_lo: float = _S_MAX_LO
+    s_max_lo: float = S_MAX_LO
     s_max_hi: float = 1.0
-    s0: float = DEFAULT_S0
     proven: bool = True
 
     def as_dict(self) -> dict:
@@ -163,32 +158,28 @@ def _x_max_lower_objective(zval: float, p: Params) -> float:
     return h(zval, p) + p.m * (zval - lam_term)
 
 
-def x_max_lower(p: Params, s0: float = DEFAULT_S0) -> float:
+def x_max_lower(p: Params) -> float:
     """Lower bound for the predator maximum.
 
     Maximizes h(z) + m (z - lam (1 - ln lam + ln z)) over
-    z in [(1-a)/2, s0], the best barrier anchored between the vertex of
-    the prey isocline and the start level s0.  The stationary points
-    solve -2 z^2 + (1 - a + m) z - m lam = 0; the larger root clamped to
-    the interval is the maximizer (the objective is unimodal there), and
-    both endpoints are compared as well for safety.
-
-    The barrier holds for s0 up to the cycle's prey maximum, which is
-    proven to exceed 0.8 only; s0 >= 1, where h(s0) <= 0, anchors
-    nothing and raises ValueError.
+    z in [(1-a)/2, S_MAX_LO], the best barrier anchored between the
+    vertex of the prey isocline and the proven prey-maximum bound 0.8
+    (a barrier holds only up to the cycle's prey maximum).  The
+    stationary points solve -2 z^2 + (1 - a + m) z - m lam = 0; the
+    larger root clamped to the interval is the maximizer (the objective
+    is unimodal there), and both endpoints are compared as well for
+    safety.
     """
     _require_cycle(p)
     lo = 0.5 * (1.0 - p.a)
-    if not lo < s0 < 1.0:
-        raise ValueError(f"need (1 - a)/2 = {lo!r} < s0 < 1, got {s0!r}")
     b = 1.0 - p.a + p.m
     disc = b * b - 8.0 * p.m * p.lam  # >= 0 for all cycle-regime parameters
     z_star = 0.25 * (b + math.sqrt(max(disc, 0.0)))
-    z_star = min(max(z_star, lo), s0)
+    z_star = min(max(z_star, lo), S_MAX_LO)
     return max(
         _x_max_lower_objective(z_star, p),
         _x_max_lower_objective(lo, p),
-        _x_max_lower_objective(s0, p),
+        _x_max_lower_objective(S_MAX_LO, p),
     )
 
 
@@ -225,26 +216,19 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
     return ExcursionBounds(ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
 
 
-def cycle_bounds(p: Params, s0: float = DEFAULT_S0, force: bool = False) -> BoundSet:
+def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     """Assemble the full :class:`BoundSet` for one parameter triple.
 
-    Rejects parameters outside the proven box, and an anchor s0 above
-    the proven prey-maximum bound 0.8, unless ``force`` is set, in which
-    case the bounds are still evaluated but flagged unproven.
+    Rejects parameters outside the proven box unless ``force`` is set,
+    in which case the bounds are still evaluated but flagged unproven.
     """
     _require_cycle(p)
-    x_lo = x_max_lower(p, s0)
-    if not force:
-        if not p.proven_region:
-            raise ValueError(
-                f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "
-                "box; pass force=True to evaluate anyway (bounds flagged unproven)"
-            )
-        if s0 > _S_MAX_LO:
-            raise ValueError(
-                f"s0 = {s0!r} is above the proven prey maximum bound {_S_MAX_LO!r}; "
-                "pass force=True to evaluate anyway (bounds flagged unproven)"
-            )
+    x_lo = x_max_lower(p)
+    if not force and not p.proven_region:
+        raise ValueError(
+            f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "
+            "box; pass force=True to evaluate anyway (bounds flagged unproven)"
+        )
     x_hi = x_max_upper(p)
     hi_launch = excursion_bounds(x_hi, p.lam, p)
     lo_launch = excursion_bounds(x_lo, p.lam, p)
@@ -255,8 +239,7 @@ def cycle_bounds(p: Params, s0: float = DEFAULT_S0, force: bool = False) -> Boun
         ln_x_min_hi=lo_launch.ln_x_hi,
         ln_s_min_lo=hi_launch.ln_s_lo,
         ln_s_min_hi=lo_launch.ln_s_hi,
-        s0=s0,
-        proven=p.proven_region and s0 <= _S_MAX_LO,
+        proven=p.proven_region,
     )
 
 

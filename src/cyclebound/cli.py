@@ -4,8 +4,11 @@ Subcommands mirror the library layers: ``bounds``/``canard`` print the
 closed forms, ``simulate``/``cycle`` run the integrator, ``region4``
 prints the recovery-branch constants, and ``sweep``/``proofcheck``/
 ``figures`` drive the verification harness.  The environment variable
-CYCLEBOUND_RTOL overrides the default integration tolerance everywhere;
-explicit ``--rtol`` flags win over it.
+CYCLEBOUND_RTOL overrides the default integration tolerance of every
+subcommand that simulates; explicit ``--rtol`` flags win over it.  Only
+the CLI, ``SweepSpec.from_json`` and ``emit_figures`` (without ``cfg``)
+read it; library calls such as ``limit_cycle(p)`` and
+``run_sweep(REFERENCE_SPECS[0])`` keep the :class:`SimConfig` defaults.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
@@ -21,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import DEFAULT_S0, canard_estimates, cycle_bounds
+from .bounds import S_MAX_LO, canard_estimates, cycle_bounds
 from .harness import (
     DEFAULT_PANELS,
     REFERENCE_SPECS,
@@ -33,7 +36,7 @@ from .harness import (
     run_sweep,
 )
 from .model import Params, State, h, params_from_json
-from .region4 import S_GAMMA, Case, alpha_factors, handoff_cap_envelope, smax_lower_bound
+from .region4 import Case, alpha_factors, handoff_cap_envelope, smax_lower_bound
 from .simulator import (
     IntegrationError,
     SimConfig,
@@ -79,7 +82,7 @@ def _print_record(record: dict, as_json: bool) -> None:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    b = cycle_bounds(p, s0=args.s0, force=args.force)
+    b = cycle_bounds(p, force=args.force)
     _print_record(b.as_dict(), args.json)
     return 0
 
@@ -112,7 +115,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_cycle(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     cfg = _sim_config(args)
-    report = cycle_extreme_report(p, cfg, force=True)
+    report = cycle_extreme_report(p, cfg)
     record = report.as_dict()
     if not report.extremes.converged:
         print("warning: return map did not converge within budget", file=sys.stderr)
@@ -129,7 +132,7 @@ def _cmd_region4(args: argparse.Namespace) -> int:
         "case": case.value,
         "m": args.m,
         "handoff_cap_envelope": handoff_cap_envelope(args.m, case),
-        "smax_lower_bound": smax_lower_bound(factors.x_gamma, S_GAMMA, S_GAMMA, args.m),
+        "smax_lower_bound": smax_lower_bound(factors.x_gamma, args.m),
         **factors.as_dict(),
     }
     _print_record(record, as_json=True)
@@ -190,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print the closed-form bound set")
     _add_params_args(p_bounds)
-    p_bounds.add_argument("--s0", type=float, default=DEFAULT_S0)
     p_bounds.add_argument("--force", action="store_true",
                           help="evaluate outside the proven parameter box")
     p_bounds.add_argument("--json", action="store_true")
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="dump a trajectory as CSV")
     _add_params_args(p_sim)
-    p_sim.add_argument("--s0", type=float, default=DEFAULT_S0, help="start prey level on x = h(s)")
+    p_sim.add_argument("--s0", type=float, default=S_MAX_LO, help="start prey level on x = h(s)")
     p_sim.add_argument("--tours", type=int, default=1, help="number of full loops")
     p_sim.add_argument("--rtol", type=float)
     p_sim.add_argument("--out", type=Path, help="output CSV (default: stdout)")
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_transit = sub.add_parser("transit", help="one tour from (h(s0), s0): crossing values")
     _add_params_args(p_transit)
-    p_transit.add_argument("--s0", type=float, default=DEFAULT_S0)
+    p_transit.add_argument("--s0", type=float, default=S_MAX_LO)
     p_transit.add_argument("--rtol", type=float)
     p_transit.set_defaults(func=_cmd_transit)
 

@@ -20,18 +20,19 @@ per-step numpy dispatch scipy pays on 2-element arrays is several times
 the cost of the arithmetic itself, which is why the stepper is spelled
 out.
 
-Both fields are written out at stages 2-13 of :meth:`DOP853.step` and
-at the three extra stages of :meth:`DOP853.dense_output`, one branch per
-stage on the chart, with the arithmetic of the model functions in the
-same order, so the stage derivatives are bit-identical to calls of
-them; the stepper therefore has no ``fun`` argument and takes the model
-parameters instead.  (A branch per stage costs no measurable time over
-a second written-out copy of the stages, which would be 140 lines
-longer.)  :meth:`DOP853.switch_chart` moves the state to the other chart
-between steps.  ``dense_output`` only takes a snapshot of the step; the
-extra stages are computed on the interpolant's first evaluation, which
-the simulator makes only when it locates a crossing that something
-reads.
+Both fields are written out at stages 2-13 of :meth:`DOP853.step`, one
+branch per stage on the chart, with the arithmetic of the model
+functions in the same order, so the stage derivatives are bit-identical
+to calls of them; the stepper therefore has no ``fun`` argument and
+takes the model parameters instead.  (A branch per stage costs no
+measurable time over a second written-out copy of the stages, which
+would be 140 lines longer.)  The three extra stages of
+:meth:`DOP853.dense_output`, evaluated once per located crossing, call
+the model functions.  :meth:`DOP853.switch_chart` moves the state to
+the other chart between steps.  ``dense_output`` only takes a snapshot
+of the step; the extra stages are computed on the interpolant's first
+evaluation, which the simulator makes only when it locates a crossing
+that something reads.
 
 The stepper has no end time: it steps forward from ``t0`` for as long as
 it is asked to, and the simulator ends each integration at a crossing.
@@ -210,6 +211,14 @@ def _rms(eu: float, ev: float) -> float:
     return math.sqrt(eu * eu + ev * ev) / _SQRT2
 
 
+def _field(p: Params, w_chart: bool, y: tuple[float, float]) -> tuple[float, float]:
+    """The field of the chart at y: ``log_gap_vector_field`` in (u, w),
+    ``log_vector_field`` in (u, v)."""
+    if w_chart:
+        return log_gap_vector_field(y, p)
+    return log_vector_field(LogState(*y), p)
+
+
 class DOP853:
     """Adaptive DOP853 stepper for the log-space field in one of two charts.
 
@@ -250,18 +259,13 @@ class DOP853:
         self.atol = atol
         self.status = "running"
         self.w_chart = w_chart
-        self.f = self._field(self.y)
+        self.f = _field(p, w_chart, self.y)
         self.h_abs = self._initial_step()
         self.n_rejected = 0
         self.nfev = 2
         # (w_chart, u_old, v_old, h, then k1, k6, ..., k13 as u, v pairs,
         # then u_new, v_new) of the last step: what the dense output needs
         self._last: tuple | None = None
-
-    def _field(self, y: tuple[float, float]) -> tuple[float, float]:
-        if self.w_chart:
-            return log_gap_vector_field(y, self.p)
-        return log_vector_field(LogState(*y), self.p)
 
     def switch_chart(self) -> None:
         """Move to the other chart at the current point, keeping the step size.
@@ -273,7 +277,7 @@ class DOP853:
         u, y1 = self.y
         self.y = (u, log1m_exp(y1))
         self.w_chart = not self.w_chart
-        self.f = self._field(self.y)
+        self.f = _field(self.p, self.w_chart, self.y)
         self.nfev += 1
 
     def _initial_step(self) -> float:
@@ -285,7 +289,7 @@ class DOP853:
         d0 = _rms(u / su, v / sv)
         d1 = _rms(fu / su, fv / sv)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        gu, gv = self._field((u + h0 * fu, v + h0 * fv))
+        gu, gv = _field(self.p, self.w_chart, (u + h0 * fu, v + h0 * fv))
         d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -568,10 +572,6 @@ def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tupl
         w_chart, u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
         k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
     ) = last
-    a, lam, m = p.a, p.lam, p.m
-    exp = math.exp
-    expm1 = math.expm1
-    clip = _EXP_CLIP
     us = u + (
         _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
         + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u
@@ -580,14 +580,7 @@ def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tupl
         _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
         + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
     ) * h
-    if w_chart:
-        s = -expm1(vs if vs < clip else clip)
-        d = us - vs
-        k14v = s * (exp(d if d < clip else clip) - (s + a))
-    else:
-        s = exp(vs if vs < clip else clip)
-        k14v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-    k14u = m * (s - lam)
+    k14u, k14v = _field(p, w_chart, (us, vs))
     us = u + (
         _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
         + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
@@ -596,14 +589,7 @@ def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tupl
         _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
         + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
     ) * h
-    if w_chart:
-        s = -expm1(vs if vs < clip else clip)
-        d = us - vs
-        k15v = s * (exp(d if d < clip else clip) - (s + a))
-    else:
-        s = exp(vs if vs < clip else clip)
-        k15v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-    k15u = m * (s - lam)
+    k15u, k15v = _field(p, w_chart, (us, vs))
     us = u + (
         _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
         + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
@@ -612,14 +598,7 @@ def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tupl
         _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
         + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
     ) * h
-    if w_chart:
-        s = -expm1(vs if vs < clip else clip)
-        d = us - vs
-        k16v = s * (exp(d if d < clip else clip) - (s + a))
-    else:
-        s = exp(vs if vs < clip else clip)
-        k16v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
-    k16u = m * (s - lam)
+    k16u, k16v = _field(p, w_chart, (us, vs))
 
     ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
     kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)

@@ -25,7 +25,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import DEFAULT_S0, x_max_upper_linear, x_max_upper_refined
+from .bounds import x_max_upper_linear, x_max_upper_refined
 from .model import Params
 from .region4 import (
     Case,
@@ -87,6 +87,18 @@ def _require_cycle(what: str, a: float, lam: float) -> None:
         raise ValueError(f"{what} has no limit cycle: need 2*lam + a < 1, got margin {margin!r}")
 
 
+def _positive_values(what: str, values) -> tuple[float, ...]:
+    """``values`` as floats; ValueError naming ``what`` unless there is at
+    least one and each is finite and > 0."""
+    vals = tuple(float(v) for v in values)
+    if not vals:
+        raise ValueError(f"{what} must be non-empty")
+    for v in vals:
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{what} must be finite and > 0, got {v!r}")
+    return vals
+
+
 def _check_keys(what: str, record, required: set, allowed: set) -> None:
     if not isinstance(record, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
@@ -105,19 +117,12 @@ class SweepSpec:
     a_values: tuple[float, ...]
     lambda_values: tuple[float, ...]
     m_values: tuple[float, ...]
-    s0: float = DEFAULT_S0
     sim: SimConfig = field(default_factory=SimConfig)
     jobs: int = 1
 
     def __post_init__(self) -> None:
         for name in ("a_values", "lambda_values", "m_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not vals:
-                raise ValueError(f"{name} must be non-empty")
-            for v in vals:
-                if not (math.isfinite(v) and v > 0.0):
-                    raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _positive_values(name, getattr(self, name)))
         # reject the whole grid before any row is simulated: a point with
         # no cycle would abort the sweep halfway, not fail its own row
         for a in self.a_values:
@@ -129,7 +134,7 @@ class SweepSpec:
     @classmethod
     def from_json(cls, record: dict) -> "SweepSpec":
         """Build a spec from a parsed JSON record; ValueError on a malformed one."""
-        _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"s0", "sim", "jobs"})
+        _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"sim", "jobs"})
         sim_record = record.get("sim", {})
         _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
         try:
@@ -137,7 +142,6 @@ class SweepSpec:
                 a_values=tuple(record["a_values"]),
                 lambda_values=tuple(record["lambda_values"]),
                 m_values=tuple(record["m_values"]),
-                s0=float(record.get("s0", DEFAULT_S0)),
                 sim=SimConfig.from_env(**sim_record),
                 jobs=int(record.get("jobs", 1)),
             )
@@ -261,10 +265,10 @@ def sweep_row_from_report(report: CycleReport) -> SweepRow:
 
 
 def _row_task(args: tuple) -> SweepRow:
-    a, lam, m, s0, cfg = args
+    a, lam, m, cfg = args
     p = Params(a=a, lam=lam, m=m)
     try:
-        report = cycle_extreme_report(p, cfg, s0=s0, force=True)
+        report = cycle_extreme_report(p, cfg)
     except IntegrationError as exc:
         row = dict.fromkeys(_CSV_FIELDS, math.nan)
         row.update(a=a, lam=lam, m=m, proven=p.proven_region, converged=False, passed=False)
@@ -291,7 +295,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     CSV output is byte-identical for any worker count.  Per-row failures
     are recorded in the row, never abort the sweep.
     """
-    tasks = [(a, lam, m, spec.s0, spec.sim) for a, lam, m in spec.grid()]
+    tasks = [(a, lam, m, spec.sim) for a, lam, m in spec.grid()]
     if spec.jobs == 1:
         rows = [_row_task(t) for t in tasks]
     else:
@@ -429,9 +433,9 @@ def _gain_quadratic_worst(case: Case) -> tuple[tuple[float, tuple], tuple[float,
     return worst(at_lam, int(at_lam.argmax())), worst(at_one, int(at_one.argmin()))
 
 
-def _cap_bound_slopes(case: Case, step: float = 1e-6) -> tuple[float, tuple]:
-    """Smallest central difference of handoff_cap_bound in a or in lam
-    over the case box, as (slope, (a, lam, m, variable)).
+def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
+    """Smallest central difference (step 1e-6) of handoff_cap_bound in a
+    or in lam over the case box, as (slope, (a, lam, m, variable)).
 
     The cap is evaluated once per perturbed grid, on arrays.  Ties go to
     the first point in (a, lam, m) order, the a slope before the lam
@@ -447,6 +451,7 @@ def _cap_bound_slopes(case: Case, step: float = 1e-6) -> tuple[float, tuple]:
     def cap(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), case)
 
+    step = 1e-6
     slopes = np.stack(
         [
             (cap(a + step, lam) - cap(a - step, lam)) / (2 * step),
@@ -548,8 +553,7 @@ def _check_panel(panel) -> tuple[float, float]:
         a, lam = (float(v) for v in panel)
     except (TypeError, ValueError):
         raise ValueError(f"panel {panel!r} must be two numbers (a, lambda)") from None
-    if not all(math.isfinite(v) and v > 0.0 for v in (a, lam)):
-        raise ValueError(f"panel {panel!r} must be finite and > 0")
+    _positive_values(f"panel {panel!r}", (a, lam))
     _require_cycle(f"panel {panel!r}", a, lam)
     return a, lam
 
@@ -570,13 +574,15 @@ def emit_figures(
     50 log-spaced m in [0.01, 5] by default.  Panels outside the proven
     parameter box are evaluated in forced mode.  A panel is a pair
     (a, lam) of numbers or of numeric strings (the CLI's ``A,LAMBDA``
-    split at the comma); every panel is checked before any is simulated.
+    split at the comma).  Every panel, and the m axis (non-empty, each m
+    finite and > 0, as for a :class:`SweepSpec` axis), is checked before
+    any point is simulated.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
-    ms = tuple(float(v) for v in (m_values if m_values is not None else figure_m_values()))
+    ms = _positive_values("m_values", figure_m_values() if m_values is None else m_values)
     cfg = cfg or SimConfig.from_env()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -585,7 +591,7 @@ def emit_figures(
         reports = []
         for m in ms:
             p = Params(a=a, lam=lam, m=m)
-            reports.append((m, p, cycle_extreme_report(p, cfg, force=True)))
+            reports.append((m, p, cycle_extreme_report(p, cfg)))
         for fig in figures:
             lines = [",".join(_FIGURE_COLUMNS[fig])]
             for m, p, report in reports:

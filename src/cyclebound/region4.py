@@ -33,6 +33,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
 from .model import PROVEN_BOXES, Params, h, hopf_margin
 
@@ -151,8 +152,9 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     """Linear-in-m lower estimate c0 + m c of the x_max lower bound.
 
     Freezes the barrier anchor at the parabola vertex for the worst
-    allowed a when m < 0.3 and at z = 0.8 otherwise, so only lam and m
-    remain:
+    allowed a when m < 0.3 and at z = :data:`cyclebound.bounds.S_MAX_LO`
+    = 0.8 (the anchor of the x_max lower bound) otherwise, so only lam
+    and m remain:
 
         m < 0.3:   1/4 + m ((1-a_max)/2 - lam (1 - ln lam + ln (1-a_max)/2))
         m >= 0.3:  h(0.8) + m (0.8 - lam (1 - ln lam + ln 0.8)).
@@ -163,8 +165,8 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     """
     _require(hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
     low_m = p.m < _M_BRANCH
-    anchor = np.where(low_m, 0.5 * (1.0 - case.a_max), 0.8)
-    c0 = np.where(low_m, 0.25, h(0.8, p))
+    anchor = np.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
+    c0 = np.where(low_m, 0.25, h(S_MAX_LO, p))
     # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
     ln_lam = np.log(np.where(p.lam == 0.0, 1.0, p.lam))
     lam_term = p.lam * (1.0 - ln_lam + np.log(anchor))
@@ -192,7 +194,7 @@ def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     return np.exp(handoff_cap_bound_ln(p, case))
 
 
-def handoff_cap_envelope(m: float, case: Case | str) -> float:
+def handoff_cap_envelope(m: float, case: Case) -> float:
     """Parameter-free envelope of the hand-off cap, a function of m only.
 
     Piecewise closed form with the deliberate (tiny) discontinuity at
@@ -205,7 +207,6 @@ def handoff_cap_envelope(m: float, case: Case | str) -> float:
     """
     if not m >= 0:
         raise ValueError(f"m must be nonnegative, got {m!r}")
-    case = Case(case)
     low, high = _ENVELOPE[case]
     c0, c1, c2, c3 = low if m <= _M_BRANCH else high
     return (c0 + c1 * m) * math.exp(c2 * m + c3)
@@ -250,7 +251,7 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     return 2.0 * km * s * s + (p.a * km - km + 1.0) * s - p.lam
 
 
-def smax_lower_bound(x_gamma: float, s_gamma: float, M: float, m: float) -> float:
+def smax_lower_bound(x_gamma: float, m: float) -> float:
     """Prey-maximum lower bound from the linear comparison system.
 
     The trajectory from (x_gamma, s_gamma) stays above the orbit of
@@ -260,11 +261,11 @@ def smax_lower_bound(x_gamma: float, s_gamma: float, M: float, m: float) -> floa
         s = 1 - ((-d)^m x_gamma^M (m+M)^m / (M^M m^m))^(1/(M+m)),
         d = s_gamma + x_gamma/(m+M) - 1,
 
-    evaluated through logarithms since the exponents span orders of
-    magnitude.  Requires x_gamma < M (1 - s_gamma) so that d < 0.
+    with M = s_gamma = :data:`S_GAMMA`, evaluated through logarithms
+    since the exponents span orders of magnitude.  Requires
+    x_gamma < M (1 - s_gamma) so that d < 0.
     """
-    if not (0.0 < M <= s_gamma < 1.0):
-        raise ValueError(f"need 0 < M <= s_gamma < 1, got M={M!r}, s_gamma={s_gamma!r}")
+    s_gamma = M = S_GAMMA
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
     if not 0.0 < x_gamma < M * (1.0 - s_gamma):
@@ -329,7 +330,7 @@ def _alpha2_stationarity(m: float, abar: float, bbar: float, cbar: float) -> flo
     )
 
 
-def alpha2_peak(case: Case | str) -> float:
+def alpha2_peak(case: Case) -> float:
     """The m at which the middle shortfall factor alpha2 peaks (m > 0.3).
 
     Uses the high-m envelope branch written as x_gamma = (abar m + bbar)
@@ -338,7 +339,6 @@ def alpha2_peak(case: Case | str) -> float:
     sign-change bracket plus bisection-safeguarded root finding is
     exact; raises if no sign change exists on (0.3, 60].
     """
-    case = Case(case)
     c0, c1, c2, c3 = _ENVELOPE[case][1]
     scale = math.exp(c3)
     abar, bbar, cbar = c1 * scale, c0 * scale, -c2

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bounds import DEFAULT_S0, BoundSet, cycle_bounds, x_max_upper
+from .bounds import BoundSet, cycle_bounds, x_max_upper
 from .dopri import DOP853 as RK45
 from .model import LogState, Params, Region, State, h, log1m_exp
 
@@ -479,9 +479,10 @@ def integrate(
     crossing's state.  With ``keep_samples=False`` that state is the
     only sample kept.
 
-    Raises ValueError for n_downs < 1, and StepLimitError/StepSizeError
-    on budget exhaustion or a solver stall, so a silently truncated
-    trajectory is never returned.
+    Raises ValueError for n_downs < 1, StepLimitError/StepSizeError on
+    budget exhaustion or a solver stall, and IntegrationError when a
+    step of a too loose tolerance lands at s <= 0, so a silently
+    truncated trajectory is never returned.
     """
     cfg = cfg or SimConfig()
     if n_downs < 1:
@@ -524,6 +525,12 @@ def integrate(
                 "the requested tolerance is unreachable"
             )
         y = solver.y
+        if w_chart and y[1] >= 0.0:
+            # w = ln(1 - s) >= 0 is s <= 0, outside the invariant s > 0
+            raise IntegrationError(
+                f"the step to tau = {solver.t:.6g} left the phase space (s <= 0); "
+                "the requested tolerance is too loose"
+            )
         if keep_samples:
             taus.append(solver.t)
             pts.append((y[0], log1m_exp(y[1])) if w_chart else y)
@@ -682,14 +689,13 @@ class CycleReport:
         }
 
 
-def cycle_extreme_report(
-    p: Params,
-    cfg: Optional[SimConfig] = None,
-    s0: float = DEFAULT_S0,
-    force: bool = False,
-) -> CycleReport:
-    """Merge :func:`limit_cycle` output with :func:`cycle_bounds`."""
-    b = cycle_bounds(p, s0=s0, force=force)
+def cycle_extreme_report(p: Params, cfg: Optional[SimConfig] = None) -> CycleReport:
+    """Merge :func:`limit_cycle` output with :func:`cycle_bounds`.
+
+    The bounds are evaluated in forced mode: outside the proven box they
+    are still compared, and ``bounds.proven`` is False.
+    """
+    b = cycle_bounds(p, force=True)
     ce = limit_cycle(p, cfg)
     ln_x_max = math.log(ce.x_max)
     ln_s_max = ce.ln_s_max

@@ -190,7 +190,7 @@ def test_criterion_5_prey_maximum_end_to_end(grid_sweep):
     worst_bound = math.inf
     for case in (Case.A, Case.B):
         for m in {m for spec in REFERENCE_SPECS for m in spec.m_values}:
-            val = smax_lower_bound(handoff_cap_envelope(m, case), 0.7, 0.7, m)
+            val = smax_lower_bound(handoff_cap_envelope(m, case), m)
             worst_bound = min(worst_bound, val)
             bound_ok &= val > 0.8
     clauses = [

@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cyclebound.bounds import (
-    _S_MAX_LO,
-    DEFAULT_S0,
+    S_MAX_LO,
     canard_estimates,
     cycle_bounds,
     excursion_bounds,
@@ -31,21 +30,22 @@ PROVEN_GRID = [
 ]
 
 
-def x_max_lower_grid_oracle(p: Params, s0: float) -> float:
-    """Refined 1-D grid search over the barrier anchor, no calculus."""
+def x_max_lower_grid_oracle(p: Params, anchor: float) -> float:
+    """Refined 1-D grid search for the barrier maximum on [(1 - a)/2, anchor],
+    no calculus."""
     lo = 0.5 * (1.0 - p.a)
 
     def obj(zv):
         return h(zv, p) + p.m * (zv - p.lam * (1 - math.log(p.lam) + math.log(zv)))
 
-    a, b = lo, s0
+    a, b = lo, anchor
     for _ in range(6):
         zs = np.linspace(a, b, 10_000)
         vals = [obj(float(zv)) for zv in zs]
         k = int(np.argmax(vals))
         a = zs[max(k - 1, 0)]
         b = zs[min(k + 1, len(zs) - 1)]
-    return max(obj(0.5 * (a + b)), obj(lo), obj(s0))
+    return max(obj(0.5 * (a + b)), obj(lo), obj(anchor))
 
 
 def test_x_max_upper_values():
@@ -62,7 +62,7 @@ def test_growth_arc_keeps_v2_and_stays_under_x_max_barrier():
     # x_max_upper.  Only step samples are read: a chord between accepted
     # steps can dip below the monotone envelope.
     p = Params(a=0.05, lam=0.05, m=1.0)
-    traj = integrate(State(h(DEFAULT_S0, p), DEFAULT_S0), p, SimConfig())
+    traj = integrate(State(h(S_MAX_LO, p), S_MAX_LO), p, SimConfig())
     n = len(traj.taus)
     idx = np.unique(np.linspace(0, n - 1, min(1500, n)).astype(int))
     x = np.exp(traj.points[idx, 0])
@@ -113,55 +113,45 @@ def test_x_max_lower_m_zero_limit_is_parabola_vertex():
 
 def test_x_max_lower_matches_grid_oracle():
     p = Params(a=0.05, lam=0.05, m=1.0)
-    val = x_max_lower(p, 0.8)
-    assert val == pytest.approx(x_max_lower_grid_oracle(p, 0.8), rel=1e-10)
+    val = x_max_lower(p)
+    assert val == pytest.approx(x_max_lower_grid_oracle(p, S_MAX_LO), rel=1e-10)
     assert val == pytest.approx(0.7813705638880108, rel=1e-12)  # frozen oracle value
     # a couple of interior-maximizer cases as well
     for p in (Params(a=0.05, lam=0.05, m=0.1), Params(a=0.01, lam=0.01, m=0.05)):
-        assert x_max_lower(p, 0.8) == pytest.approx(
-            x_max_lower_grid_oracle(p, 0.8), rel=1e-10
+        assert x_max_lower(p) == pytest.approx(
+            x_max_lower_grid_oracle(p, S_MAX_LO), rel=1e-10
         )
 
 
-def test_x_max_lower_monotone_in_s0():
+def test_x_max_lower_is_anchored_at_the_proven_prey_maximum():
+    # a barrier anchored at z holds only up to the cycle's s_max, which is
+    # proven to exceed S_MAX_LO = 0.8 and no more: a higher anchor would be
+    # unproven and every lower one is weaker, so the anchor is a constant
+    assert S_MAX_LO == 0.8
+    for p in (
+        Params(a=0.05, lam=0.05, m=0.1),  # interior maximizer
+        Params(a=0.05, lam=0.05, m=1.0),  # maximizer clamped to the anchor
+        Params(a=0.1, lam=0.01, m=5.0),
+    ):
+        val = x_max_lower(p)
+        assert val == pytest.approx(x_max_lower_grid_oracle(p, S_MAX_LO), rel=1e-10)
+        for anchor in (0.6, 0.7, 0.75, 0.79):
+            assert x_max_lower_grid_oracle(p, anchor) <= val * (1.0 + 1e-12), (p, anchor)
     p = Params(a=0.05, lam=0.05, m=1.0)
-    vals = [x_max_lower(p, s0) for s0 in np.linspace(0.6, 0.9, 13)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        x_max_lower(p, 0.4)  # below the vertex anchor
-
-
-@pytest.mark.parametrize("s0", [1.0, 1.5])
-def test_x_max_lower_needs_an_anchor_below_one(s0):
-    # h(s0) <= 0 there: the barrier has no anchor on the prey isocline
-    with pytest.raises(ValueError, match="s0 < 1"):
-        x_max_lower(Params(a=0.05, lam=0.05, m=5.0), s0)
+    assert x_max_lower_grid_oracle(p, 0.79) < x_max_lower(p)
 
 
 def test_default_anchor_is_proven():
-    # the default anchor may not exceed the proven prey-maximum bound, so
-    # default bounds in the proven box are proven
-    assert DEFAULT_S0 <= _S_MAX_LO
-    assert cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).proven
-
-
-def test_cycle_bounds_anchor_above_the_proven_prey_maximum():
-    # the x_max barrier holds for anchors up to the cycle's s_max, which
-    # is proven to exceed 0.8 only: a higher anchor is unproven
-    p = Params(a=0.05, lam=0.05, m=5.0)
-    assert cycle_bounds(p, s0=0.8).proven
-    with pytest.raises(ValueError, match="prey maximum"):
-        cycle_bounds(p, s0=0.9)
-    forced = cycle_bounds(p, s0=0.9, force=True)
-    assert not forced.proven and forced.s0 == 0.9
-    # an anchor at or above s = 1 is rejected even when forced
-    with pytest.raises(ValueError, match="s0 < 1"):
-        cycle_bounds(p, s0=1.5, force=True)
+    # the anchor is the proven prey-maximum bound, so bounds in the proven
+    # box are proven, and the bound set carries no anchor of its own
+    b = cycle_bounds(Params(a=0.05, lam=0.05, m=1.0))
+    assert b.proven and b.s_max_lo == S_MAX_LO
+    assert "s0" not in b.as_dict()
 
 
 def test_bound_ordering_on_proven_grid():
     for p in PROVEN_GRID:
-        lo = x_max_lower(p, 0.8)
+        lo = x_max_lower(p)
         hi_r = x_max_upper_refined(p)
         hi = x_max_upper(p)
         hi_l = x_max_upper_linear(p)
@@ -259,7 +249,7 @@ def test_x_min_bounds_log_path_deep():
     # z factors stay inside (1, e) across the proven grid
     for q in PROVEN_GRID:
         y_lo = x_max_upper(q) / q.a
-        y_hi = x_max_lower(q, 0.8) / q.h_lam
+        y_hi = x_max_lower(q) / q.h_lam
         assert 1.0 <= z(ZIndex.Z1, y_lo) < math.e
         assert 1.0 <= z(ZIndex.Z2, y_hi) < math.e
 
@@ -267,7 +257,7 @@ def test_x_min_bounds_log_path_deep():
 def test_min_bounds_share_the_excursion_code_path():
     p = Params(a=0.02, lam=0.03, m=2.0)
     hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
-    lo_launch = excursion_bounds(x_max_lower(p, 0.8), p.lam, p)
+    lo_launch = excursion_bounds(x_max_lower(p), p.lam, p)
     b = cycle_bounds(p)
     assert (b.ln_s_min_lo, b.ln_s_min_hi) == (hi_launch.ln_s_lo, lo_launch.ln_s_hi)
     assert (b.ln_x_min_lo, b.ln_x_min_hi) == (hi_launch.ln_x_lo, lo_launch.ln_x_hi)

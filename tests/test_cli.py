@@ -6,7 +6,7 @@ import math
 import pytest
 
 from cyclebound import cli, harness
-from cyclebound.bounds import DEFAULT_S0, cycle_bounds, x_max_lower
+from cyclebound.bounds import S_MAX_LO, cycle_bounds, x_max_lower
 from cyclebound.cli import main
 from cyclebound.harness import CSV_HEADER
 from cyclebound.model import Params
@@ -48,13 +48,11 @@ def test_bounds_text_and_force(capsys):
     )
     assert code == 1
     assert "proven parameter box" in err
-    # an anchor above the proven prey maximum 0.8 needs --force, and one
-    # at or above s = 1 anchors nothing
-    args = ("bounds", "--a", "0.05", "--lambda", "0.05", "--m", "5", "--s0")
-    code, _, err = run_cli(*args, "0.9", capsys=capsys)
-    assert code == 1 and "prey maximum" in err
-    code, _, err = run_cli(*args, "1.5", "--force", capsys=capsys)
-    assert code == 1 and "s0 < 1" in err
+    # the x_max anchor is the proven prey-maximum bound, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--a", "0.05", "--lambda", "0.05", "--m", "5", "--s0", "0.8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s0" in capsys.readouterr().err
 
 
 def test_bounds_from_params_file(tmp_path, capsys):
@@ -112,18 +110,16 @@ def test_cycle_json_names_the_binding_bound(capsys):
 
 
 def test_s0_defaults_are_the_default_anchor():
-    # one constant for the x_max anchor: the CLI options, the sweep spec
-    # (also when read from JSON without "s0") and the library defaults
+    # s0 is only the start level of simulate and transit, which default to
+    # the x_max anchor; no function, field or spec key sets the anchor
     parser = cli.build_parser()
     params = ["--a", "0.05", "--lambda", "0.05", "--m", "1"]
-    for command in ("bounds", "simulate", "transit"):
-        assert parser.parse_args([command, *params]).s0 == DEFAULT_S0
-    record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0]}
-    assert harness.SweepSpec.from_json(record).s0 == DEFAULT_S0
-    assert harness.SweepSpec((0.05,), (0.05,), (1.0,)).s0 == DEFAULT_S0
+    for command in ("simulate", "transit"):
+        assert parser.parse_args([command, *params]).s0 == S_MAX_LO
     for fn in (cycle_bounds, x_max_lower, cycle_extreme_report):
-        assert inspect.signature(fn).parameters["s0"].default == DEFAULT_S0
-    assert cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).s0 == DEFAULT_S0
+        assert "s0" not in inspect.signature(fn).parameters
+    assert "s0" not in {f.name for f in dataclasses.fields(harness.SweepSpec)}
+    assert "s0" not in cycle_bounds(Params(a=0.05, lam=0.05, m=1.0)).as_dict()
 
 
 def test_simulate_csv(tmp_path, capsys):
@@ -228,10 +224,15 @@ def test_sweep_cli(tmp_path, capsys):
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, 0.0]},
             "m_values must be finite and > 0, got 0.0",
         ),
+        (
+            # the x_max anchor is the proven prey-maximum bound, not a spec key
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "s0": 0.8},
+            "sweep spec has unknown keys ['s0']",
+        ),
     ],
     ids=[
         "missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list",
-        "no-cycle-pair", "nonpositive-m",
+        "no-cycle-pair", "nonpositive-m", "anchor-key",
     ],
 )
 def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
@@ -347,6 +348,25 @@ def test_integration_error_exits_three(monkeypatch, capsys, command, target, err
     assert code == 3
     assert err == f"error: {error}\n"
     assert out == ""
+
+
+def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
+    # at rtol = 1e-4 a step of this cycle lands at s < 0: the sweep still
+    # writes its CSV, with the row failed and the reason on stderr
+    spec = {"a_values": [0.01], "lambda_values": [0.01], "m_values": [5.0],
+            "sim": {"rtol": 1e-4}}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        "sweep", "--spec", str(spec_file), "--out", str(out_file), capsys=capsys
+    )
+    assert code == 3
+    assert err.startswith("row (a=0.01, lambda=0.01, m=5.0) failed: the step to tau = ")
+    assert "left the phase space" in err and "math domain error" not in err
+    header, failed = out_file.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert failed.split(",")[2:] == ["5", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
 
 
 def test_sweep_reports_failed_rows(tmp_path, monkeypatch, capsys):

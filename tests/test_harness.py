@@ -207,11 +207,15 @@ def test_sweep_spec_validation_and_json():
     spec = SweepSpec.from_json(
         json.loads(
             '{"a_values": [0.05], "lambda_values": [0.02, 0.01], '
-            '"m_values": [1.0], "s0": 0.75, "jobs": 3, "sim": {"rtol": 1e-9}}'
+            '"m_values": [1.0], "jobs": 3, "sim": {"rtol": 1e-9}}'
         )
     )
-    assert spec.s0 == 0.75 and spec.jobs == 3 and spec.sim.rtol == 1e-9
+    assert spec.jobs == 3 and spec.sim.rtol == 1e-9
     assert spec.grid()[0] == (0.05, 0.01, 1.0)
+    # the x_max anchor is a constant of the proof, not a spec key
+    record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "s0": 0.75}
+    with pytest.raises(ValueError, match=re.escape("unknown keys ['s0']")):
+        SweepSpec.from_json(record)
 
 
 def test_proof_spotchecks_case_a():
@@ -347,6 +351,24 @@ def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, messag
     out = tmp_path / "figs"
     with pytest.raises(ValueError, match=re.escape(message)):
         emit_figures("fig5", out, panels=[(0.05, 0.05), bad], m_values=[1.0], cfg=FAST_SIM)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "m_values, message",
+    [
+        ([], "m_values must be non-empty"),
+        ([1.0, 0.0], "m_values must be finite and > 0, got 0.0"),
+        ([1.0, -0.5], "m_values must be finite and > 0, got -0.5"),
+        ([1.0, math.nan], "m_values must be finite and > 0, got nan"),
+    ],
+)
+def test_emit_figures_checks_the_m_axis_before_simulating(tmp_path, m_values, message):
+    # the rule of a SweepSpec axis; the good point comes first, so a late
+    # check would have simulated it and written a file
+    out = tmp_path / "figs"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit_figures("fig5", out, panels=[(0.05, 0.05)], m_values=m_values, cfg=FAST_SIM)
     assert not out.exists()
 
 

@@ -76,7 +76,7 @@ def test_x_max_lower_coarse_branches():
 def test_x_max_lower_coarse_below_full_lower_bound():
     for case, grid in CASE_GRIDS.items():
         for p in grid:
-            assert x_max_lower_coarse(p, case) <= x_max_lower(p, 0.8) + 1e-12, p
+            assert x_max_lower_coarse(p, case) <= x_max_lower(p) + 1e-12, p
 
 
 def test_handoff_cap_bound_dominates_chained_cap():
@@ -307,28 +307,26 @@ def test_smax_lower_bound_boundary_reduction():
     # at x_gamma = M (1 - s_gamma) the bracketed product collapses to
     # (1 - s_gamma)^(m+M) and the bound returns s_gamma itself
     for m in (0.3, 1.0, 5.0):
-        val = smax_lower_bound(0.7 * 0.3 * (1 - 1e-8), 0.7, 0.7, m)
+        val = smax_lower_bound(0.7 * 0.3 * (1 - 1e-8), m)
         assert val == pytest.approx(0.7, abs=1e-6)
 
 
 def test_smax_lower_bound_exceeds_08_at_envelope():
-    val = smax_lower_bound(handoff_cap_envelope(1.0, Case.A), 0.7, 0.7, 1.0)
+    val = smax_lower_bound(handoff_cap_envelope(1.0, Case.A), 1.0)
     assert val > 0.8
 
 
 def test_smax_lower_bound_monotone_in_x_gamma():
     xs = np.geomspace(1e-8, 0.2, 30)
-    vals = [smax_lower_bound(float(x), 0.7, 0.7, 1.0) for x in xs]
+    vals = [smax_lower_bound(float(x), 1.0) for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_smax_lower_bound_validation():
     with pytest.raises(ValueError):
-        smax_lower_bound(0.25, 0.7, 0.7, 1.0)  # x_gamma >= M(1 - s_gamma)
+        smax_lower_bound(0.25, 1.0)  # x_gamma >= M(1 - s_gamma)
     with pytest.raises(ValueError):
-        smax_lower_bound(0.01, 0.7, 0.8, 1.0)  # M > s_gamma
-    with pytest.raises(ValueError):
-        smax_lower_bound(0.01, 0.7, 0.7, 0.0)
+        smax_lower_bound(0.01, 0.0)
 
 
 def test_alpha_factors_match_smax_bound():
@@ -338,7 +336,7 @@ def test_alpha_factors_match_smax_bound():
             assert f.alpha == pytest.approx(
                 f.alpha1 * f.alpha2 * f.alpha3, rel=1e-14
             )
-            direct = smax_lower_bound(f.x_gamma, S_GAMMA, S_GAMMA, m)
+            direct = smax_lower_bound(f.x_gamma, m)
             assert 1.0 - f.alpha == pytest.approx(direct, rel=1e-12)
 
 

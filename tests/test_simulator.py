@@ -27,6 +27,7 @@ from cyclebound.model import (
 )
 from cyclebound.simulator import (
     EventKind,
+    IntegrationError,
     SimConfig,
     SolveStats,
     StepLimitError,
@@ -861,9 +862,23 @@ def test_step_budget_raises():
         )
 
 
+@pytest.mark.parametrize("keep_samples", [False, True])
+def test_a_step_to_s_below_zero_is_an_integration_error(keep_samples):
+    # the 1795th return-map tour of limit_cycle at (0.01, 0.01, 5) with
+    # rtol = 1e-4: an accepted w-chart step lands at w > 0, i.e. s < 0,
+    # outside the invariant s > 0, where ln(1 - e^w) and the event
+    # functions have no value; at rtol = 1e-6 the same tour closes
+    p = Params(a=0.01, lam=0.01, m=5.0)
+    start = LogState(1.6506704345117373, math.log(p.lam))
+    with pytest.raises(IntegrationError, match=r"tau = 10627\.4 left the phase space"):
+        integrate(start, p, SimConfig(rtol=1e-4), keep_samples=keep_samples)
+    tour = integrate(start, p, SimConfig(rtol=1e-6), keep_samples=keep_samples)
+    assert tour.events[-1].kind is EventKind.S_EQ_LAMBDA_DOWN
+
+
 def test_transit_points_sandwich():
     tp = transit_points(P_REF, 0.8)
-    assert x_max_lower(P_REF, 0.8) < tp.x1 < x_max_upper(P_REF)
+    assert x_max_lower(P_REF) < tp.x1 < x_max_upper(P_REF)
     assert tp.s4 > 0.8
     b = cycle_bounds(P_REF)
     assert b.ln_x_min_lo < tp.ln_x3 < b.ln_x_min_hi
@@ -1077,7 +1092,8 @@ def test_cycle_extreme_report_margins():
 
 
 def test_cycle_extreme_report_forced_point():
-    rep = cycle_extreme_report(Params(a=0.1, lam=0.1, m=1.0), force=True)
+    # outside the proven box the bounds are still compared, flagged unproven
+    rep = cycle_extreme_report(Params(a=0.1, lam=0.1, m=1.0))
     assert not rep.bounds.proven
     assert rep.extremes.converged
     assert math.isfinite(rep.min_margin)
