@@ -16,15 +16,13 @@ simulated cycle (and with each other) over parameter grids:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Optional, Sequence, Union
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import x_max_upper_linear, x_max_upper_refined
 from .model import Params
 from .region4 import (
@@ -299,6 +297,9 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if spec.jobs == 1:
         rows = [_row_task(t) for t in tasks]
     else:
+        # imported here: it loads multiprocessing, which a serial sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             rows = list(pool.map(_row_task, tasks))
     return SweepReport(rows=rows)

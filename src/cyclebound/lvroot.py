@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["ZIndex", "z", "lv_small_root_ln", "z_exact"]
 
@@ -46,9 +46,8 @@ class ZIndex(Enum):
         self.d = _E - 1.0 - self.c * _E
 
 
-# the elementary functions z is written in, for a float and for an ndarray
+# the elementary functions z is written in for a float
 _MATH = (math.exp, math.sqrt, max)
-_NUMPY = (np.exp, np.sqrt, np.maximum)
 
 
 def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
@@ -64,18 +63,21 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     and z_i -> 1 as y -> infinity.  Once Y underflows the result is
     exactly 1, which is the correct limit.
 
-    ``y`` is a float, evaluated with :mod:`math`, or an ndarray,
-    evaluated elementwise with NumPy by the same formula.
+    ``y`` is a float or an int (a NumPy float64 is a float), evaluated
+    with :mod:`math` to a float, or an ndarray, evaluated elementwise
+    with NumPy by the same formula.  Telling them apart reads no NumPy
+    attribute, so a float never loads NumPy.
     """
-    if isinstance(y, np.ndarray):
-        exp, sqrt, clamp = _NUMPY
+    if isinstance(y, (float, int)):
+        if not y >= 1.0:
+            raise ValueError(f"z is defined for y >= 1, got {y!r}")
+        y = float(y)
+        exp, sqrt, clamp = _MATH
+    else:
+        exp, sqrt, clamp = np.exp, np.sqrt, np.maximum
         bad = ~(y >= 1.0)
         if bad.any():
             raise ValueError(f"z is defined for y >= 1, got {float(y[bad].flat[0])!r}")
-    else:
-        exp, sqrt, clamp = _MATH
-        if not y >= 1.0:
-            raise ValueError(f"z is defined for y >= 1, got {y!r}")
     Y = y * exp(-y)
     if i is ZIndex.Z0:
         return 1.0 / (1.0 - (_E - 1.0) * Y)

@@ -31,8 +31,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
 from .model import PROVEN_BOXES, Params, h, hopf_margin

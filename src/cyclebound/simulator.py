@@ -41,8 +41,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
-import numpy as np
-
+from ._lazy import np
 from .bounds import BoundSet, cycle_bounds, x_max_upper
 from .dopri import DOP853 as RK45
 from .model import LogState, Params, Region, State, h, log1m_exp
@@ -247,7 +246,10 @@ class Trajectory:
     taus is strictly increasing; points[i] = (u, v) at taus[i], mapped
     from w for the steps taken in the w chart.  The last sample is the
     state at the last event, the ``n_downs``-th predator maximum
-    (descending s = lam crossing) the integration ends at.
+    (descending s = lam crossing) the integration ends at.  With
+    samples kept, taus and points are ndarrays of shape (n,) and (n, 2);
+    without, they are the tuples (tau,) and ((u, v),) of that last
+    sample alone, so a return-map tour builds no array.
 
     ``events`` records every sign change of the event functions, each
     located only when its ``tau`` or ``state`` is first read (see
@@ -261,8 +263,8 @@ class Trajectory:
     work.
     """
 
-    taus: np.ndarray
-    points: np.ndarray
+    taus: Union[np.ndarray, tuple]
+    points: Union[np.ndarray, tuple]
     events: list[Event] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -559,13 +561,14 @@ def integrate(
                     downs += 1
                     if downs == n_downs:
                         stats = SolveStats(steps, solver.n_rejected, solver.nfev)
+                        end = (ev.state.u, ev.state.v)
                         if not keep_samples:
-                            taus, pts = [], []
+                            return Trajectory((ev.tau,), (end,), events, stats)
                         while taus and taus[-1] >= ev.tau:
                             taus.pop()
                             pts.pop()
                         taus.append(ev.tau)
-                        pts.append((ev.state.u, ev.state.v))
+                        pts.append(end)
                         return Trajectory(np.array(taus), np.array(pts), events, stats)
         if _LN_HALF < y[1] < 0.0:  # s crossed 1/2
             solver.switch_chart()

@@ -81,6 +81,21 @@ def test_z_on_arrays_matches_the_float_path():
         z(ZIndex.Z2, np.array([2.0, 0.5, 0.9]))
 
 
+def test_z_dispatches_scalars_to_math_and_arrays_to_numpy():
+    # NumPy's exp may differ from math.exp in the last bit, so bit
+    # equality tells the two paths apart
+    for i in ZIndex:
+        for y in np.geomspace(1.0, 800.0, 300).tolist():
+            got = z(i, np.float64(y))  # a float64 is a float
+            assert type(got) is float and got == z(i, y)
+            zero_d = z(i, np.array(y))
+            assert type(zero_d) is not float and zero_d == z(i, np.array([y]))[0]
+        assert type(z(i, 3)) is float and z(i, 3) == z(i, 3.0)
+    for y, message in ((0.5, r"got 0\.5$"), (0, r"got 0$"), (np.array(0.5), r"got 0\.5$")):
+        with pytest.raises(ValueError, match=message):
+            z(ZIndex.Z1, y)
+
+
 def test_lv_small_root_examples():
     assert math.exp(lv_small_root_ln(1.0, 1.0)) == pytest.approx(1.0)  # degenerate double root
     # u = 2 gives C = 2 - ln 2; bisection oracle agrees
