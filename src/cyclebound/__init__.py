@@ -43,9 +43,7 @@ from .region4 import (
     Case,
     alpha2_peak,
     alpha_factors,
-    growth_ratio,
     growth_ratio_quadratic,
-    handoff_cap,
     handoff_cap_bound,
     handoff_cap_bound_ln,
     handoff_cap_envelope,

@@ -6,9 +6,11 @@ simulated cycle (and with each other) over parameter grids:
 * :func:`run_sweep` simulates the cycle at every grid point, merges it
   with the bounds and reports one pass/fail row per point, in a CSV
   whose layout is stable byte for byte regardless of worker count.
-* :func:`proof_spotchecks` numerically samples the sign conditions and
-  monotonicity claims the closed forms rest on (these are confidence
-  checks on dense grids, not certified interval arithmetic).
+* :func:`proof_spotchecks` checks the sign conditions and monotonicity
+  claims the closed forms rest on.  The x_max barrier and gain-quadratic
+  rows are evaluated once, at the corner of their box where an algebraic
+  certificate puts the worst case; the other rows sample dense grids
+  (confidence checks, not certified interval arithmetic).
 * :func:`emit_figures` writes bound-versus-simulation curves over m for
   a set of parameter panels.
 """
@@ -312,9 +314,15 @@ def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
     time derivative proportional to C1 v + C0 on the barrier (v = 1 - s);
     C0 < 0 and C0 + C1 <= 0 pin its sign on 0 <= v <= 1:
 
-        C0 = -m^3 lam (lam^2 - 5 lam + 4) + m^2 lam ((2a+6) lam - 8 - 4a)
+        C0 = -m^3 lam (1 - lam)(4 - lam) - m^2 lam ((2a+6)(1 - lam) + 2 + 2a)
              - m lam (3 + 5a + a^2) - 1 - m - a,
         C0 + C1 = -m lam (a + 2 + 2m - m lam)^2.
+
+    Certificate: for a >= 0, 0 <= lam < 1 and m > 0 each of C0's four
+    terms is <= 0, so C0 <= -1 - m - a < 0 with equality at lam = 0, and
+    C0 + C1 <= 0 with equality at lam = 0.  Over a box a in [a_lo, a_hi],
+    lam in [0, 1), m in [m_lo, m_hi] both are therefore largest at the
+    corner (a_lo, 0, m_lo).
     """
     a, lam, m = p.a, p.lam, p.m
     c = -m * lam * (3.0 + 5.0 * a + a * a) - 1.0 - m - a
@@ -364,76 +372,6 @@ class ProofCheckReport:
         return [c.line() for c in self.checks]
 
 
-def _barrier_worst(
-    a: np.ndarray, lam: np.ndarray, m_vals: np.ndarray
-) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
-    """Largest C0 and C0 + C1 over the grid a x lam x m_vals, with their args.
-
-    Both are polynomials in m with coefficient grids over (a, lam) built
-    once (see :func:`x_max_barrier_coefficients`):
-
-        C0      = ((c3 m + c2) m + c1) m + c0,
-        C0 + C1 = -m lam (a + 2 + m (2 - lam))^2,
-
-    evaluated by Horner into one reused buffer, so a slice over m
-    allocates nothing of grid size.
-    """
-    aa, ll = np.meshgrid(a, lam, indexing="ij")
-    c3 = -ll * (ll * ll - 5.0 * ll + 4.0)
-    c2 = ll * ((2.0 * aa + 6.0) * ll - 8.0 - 4.0 * aa)
-    c1 = -ll * (3.0 + 5.0 * aa + aa * aa) - 1.0
-    c0 = -1.0 - aa
-    a_plus_2 = aa + 2.0
-    two_minus_lam = 2.0 - ll
-    minus_lam = -ll
-    buf = np.empty_like(aa)
-    worst_c0, worst_c0_arg = -math.inf, ()
-    worst_cc, worst_cc_arg = -math.inf, ()
-    for m in m_vals:
-        m = float(m)
-        np.multiply(c3, m, out=buf)
-        buf += c2
-        buf *= m
-        buf += c1
-        buf *= m
-        buf += c0
-        i = int(buf.argmax())
-        if buf.flat[i] > worst_c0:
-            worst_c0 = float(buf.flat[i])
-            worst_c0_arg = (float(aa.flat[i]), float(ll.flat[i]), m)
-        np.multiply(two_minus_lam, m, out=buf)
-        buf += a_plus_2
-        buf *= buf
-        buf *= minus_lam
-        buf *= m
-        j = int(buf.argmax())
-        if buf.flat[j] > worst_cc:
-            worst_cc = float(buf.flat[j])
-            worst_cc_arg = (float(aa.flat[j]), float(ll.flat[j]), m)
-    return (worst_c0, worst_c0_arg), (worst_cc, worst_cc_arg)
-
-
-def _gain_quadratic_worst(case: Case) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
-    """Largest growth-ratio quadratic at s = lam and smallest at s = 1,
-    with their args, over the case box's a x lam x m grid."""
-    a, lam, m = np.meshgrid(
-        np.linspace(case.a_max / 40, case.a_max, 40),
-        np.linspace(case.lam_max / 40, case.lam_max, 40),
-        np.geomspace(1e-3, 50, 60),
-        indexing="ij",
-    )
-    grid = SimpleNamespace(a=a, lam=lam, m=m)
-
-    def worst(values: np.ndarray, i: int) -> tuple[float, tuple]:
-        # grid index i is the first occurrence of the extreme, the point a
-        # strict scan in (a, lam, m) order keeps
-        return float(values.flat[i]), (float(a.flat[i]), float(lam.flat[i]), float(m.flat[i]))
-
-    at_lam = growth_ratio_quadratic(lam, grid, case)
-    at_one = growth_ratio_quadratic(1.0, grid, case)
-    return worst(at_lam, int(at_lam.argmax())), worst(at_one, int(at_one.argmin()))
-
-
 def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     """Smallest central difference (step 1e-6) of handoff_cap_bound in a
     or in lam over the case box, as (slope, (a, lam, m, variable)).
@@ -467,24 +405,41 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     )
 
 
+# The barrier rows' box, a x lam x m; the termwise certificate of
+# x_max_barrier_coefficients puts the largest C0 and C0 + C1 at (a_lo, 0, m_lo).
+_BARRIER_BOX = ((0.0025, 0.5), (0.0, 1.0), (0.05, 10.0))
+
+# The gain rows' box per case: [a_max/40, a_max] x [lam_max/40, lam_max] x
+# [1e-3, 50].  There 4 lam + a < 1, so G*(lam) = (k/m) lam (2 lam + a - 1)
+# increases in a and m and decreases in lam, and G*(1) = (k/m)(1 + a) + 1 - lam
+# increases in a and decreases in lam and m.
+_GAIN_BOX = {
+    case: ((case.a_max / 40, case.a_max), (case.lam_max / 40, case.lam_max), (1e-3, 50.0))
+    for case in Case
+}
+
+
 def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
-    """Numerically sample every sign/monotonicity fact the bounds rest on.
+    """Check every sign/monotonicity fact the bounds rest on.
 
     Each fact is one row (name, (worst value, its arg), sense, bound):
-    it holds on the grid when ``worst sense bound`` does, and its margin
-    is the distance from the worst value to the bound, positive on the
-    proven side.  Grid densities are chosen to finish in seconds while
-    comfortably exceeding the granularity of the case analysis they
-    probe.  Failures are reported in the result, never raised.
+    it holds when ``worst sense bound`` does, and its margin is the
+    distance from the worst value to the bound, positive on the proven
+    side.  The barrier rows and the gain-quadratic rows are certified
+    corners: an algebraic certificate puts their worst case at one
+    corner of their box (:data:`_BARRIER_BOX`, :data:`_GAIN_BOX`), so
+    each is evaluated there once.  The alpha, envelope and cap-slope rows
+    are still sampled, on grids dense enough to exceed the granularity
+    of the case analysis they probe.  Failures are reported in the
+    result, never raised.
     """
     case = Case(case)
-    barrier_c0, barrier_c0_plus_c1 = _barrier_worst(
-        np.linspace(0.5 / 200, 0.5, 200),
-        np.linspace(0.0, 1.0, 200, endpoint=False),
-        np.linspace(10.0 / 200, 10.0, 200),
-    )
-    gain_at_lam, gain_at_one = _gain_quadratic_worst(case)
-    # max and min keep the first extreme they meet, as a strict scan does
+    barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
+    c0, c0_plus_c1 = x_max_barrier_coefficients(Params(*barrier_arg, limit=True))
+    (a_lo, a_hi), (lam_lo, lam_hi), (_, m_hi) = _GAIN_BOX[case]
+    at_lam, at_one = (a_hi, lam_lo, m_hi), (a_lo, lam_hi, m_hi)
+    gain_at_lam = growth_ratio_quadratic(lam_lo, Params(*at_lam), case)
+    gain_at_one = growth_ratio_quadratic(1.0, Params(*at_one), case)
     alpha = max(
         ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
         key=itemgetter(0),
@@ -495,10 +450,10 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     )
     slope = _cap_bound_slopes(case)
     rows = (
-        ("barrier_c0_negative", barrier_c0, "<", 0.0),
-        ("barrier_c0_plus_c1_nonpositive", barrier_c0_plus_c1, "<=", 0.0),
-        ("gain_quadratic_negative_at_lam", gain_at_lam, "<", 0.0),
-        ("gain_quadratic_positive_at_one", gain_at_one, ">", 0.0),
+        ("barrier_c0_negative", (c0, barrier_arg), "<", 0.0),
+        ("barrier_c0_plus_c1_nonpositive", (c0_plus_c1, barrier_arg), "<=", 0.0),
+        ("gain_quadratic_negative_at_lam", (gain_at_lam, at_lam), "<", 0.0),
+        ("gain_quadratic_positive_at_one", (gain_at_one, at_one), ">", 0.0),
         ("alpha_below_0.2", alpha, "<", 0.2),
         ("handoff_envelope_cap", envelope, "<=", _ENVELOPE_CAP[case]),
         ("cap_bound_monotone_in_a_and_lam", slope, ">=", -1e-9),

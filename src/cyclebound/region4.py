@@ -7,11 +7,18 @@ still-tiny predator value, and from there overshoots s = 0.8, has two
 stages:
 
 1. Below a fraction k of the isocline, x < (1-k) h(s), the predator can
-   only grow by the integrated factor ``growth_ratio(s)``**(m/k), so the
-   hand-off value x_gamma is capped by :func:`handoff_cap`.  Chaining in
-   the closed-form x3 bound gives the parameter-monotone
-   :func:`handoff_cap_bound` and finally the m-only envelope
-   :func:`handoff_cap_envelope`.
+   only grow by the integrated factor B(s)^(m/k),
+
+       B = ((s+a)/s)^{k2} (lam/(lam+a))^{k2}
+           ((1-lam)(s+a)/(1-s))^{k3} (1/(lam+a))^{k3},
+
+   k2 = lam/a, k3 = (1-lam)/(1+a), a ratio of antiderivative values at s
+   and lam.  The sign of :func:`growth_ratio_quadratic` puts the maximum
+   of B^(m/k)/h over [lam, s_gamma] at an endpoint, so the hand-off
+   value x_gamma is at most the start value x3 times an amplification
+   factor.  Chaining in the closed-form x3 bound gives the
+   parameter-monotone :func:`handoff_cap_bound` and finally the m-only
+   envelope :func:`handoff_cap_envelope`.
 2. From (x_gamma, 0.7) a linear comparison system gives the explicit
    prey-maximum lower bound :func:`smax_lower_bound`; its shortfall from
    1 factorizes as alpha1 * alpha2 * alpha3 (:func:`alpha_factors`) and
@@ -40,12 +47,10 @@ __all__ = [
     "S_GAMMA",
     "Case",
     "AlphaFactors",
-    "handoff_cap",
     "x_max_lower_coarse",
     "handoff_cap_bound",
     "handoff_cap_bound_ln",
     "handoff_cap_envelope",
-    "growth_ratio",
     "growth_ratio_quadratic",
     "smax_lower_bound",
     "alpha_factors",
@@ -122,29 +127,19 @@ def _require(ok, p, message: str) -> None:
 
 
 def _ln_gain(p, case: Case) -> float | np.ndarray:
-    """Log of the hand-off amplification factor of :func:`handoff_cap`."""
+    """Log of the hand-off amplification factor
+
+        (e^{lam/s_gamma} (s_gamma + a) / (1 - s_gamma) / (a + lam))^(m/k),
+
+    which bounds x_gamma / x3; in log space since m/k can make it
+    astronomically large.
+    """
     return (p.m / case.k) * (
         p.lam / S_GAMMA
         + np.log(S_GAMMA + p.a)
         - np.log(1.0 - S_GAMMA)
         - np.log(p.a + p.lam)
     )
-
-
-def handoff_cap(p: Params, case: Case, x3: float) -> float:
-    """Cap on the predator value at the hand-off level s_gamma.
-
-    Linear in the start value x3, with the amplification factor
-
-        (e^{lam/s_gamma} (s_gamma + a) / (1 - s_gamma) / (a + lam))^(m/k)
-
-    evaluated in log space since m/k can make it astronomically large.
-    """
-    if not p.cycle_regime:
-        raise ValueError("hand-off cap requires the cycle regime 2*lam + a < 1")
-    if not x3 > 0:
-        raise ValueError(f"x3 must be positive, got {x3!r}")
-    return math.exp(_ln_gain(p, case) + math.log(x3))
 
 
 def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
@@ -185,8 +180,9 @@ def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
 def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     """Closed-form upper estimate of the hand-off cap.
 
-    Replaces x3 in :func:`handoff_cap` by its chained closed-form bound
-    z2(x1t/h(lam)) x1t e^{-x1t/h(lam)} with x1t the coarse x_max lower
+    The start value x3 times the amplification factor of the hand-off,
+    with x3 replaced by its chained closed-form bound
+    z2(x1t/h(lam)) x1t e^{-x1t/h(lam)} and x1t the coarse x_max lower
     estimate.  Nondecreasing in both a and lam on each case box, which
     is what lets a single corner evaluation dominate the whole box.
     """
@@ -209,29 +205,6 @@ def handoff_cap_envelope(m: float, case: Case) -> float:
     low, high = _ENVELOPE[case]
     c0, c1, c2, c3 = low if m <= _M_BRANCH else high
     return (c0 + c1 * m) * math.exp(c2 * m + c3)
-
-
-def growth_ratio(s: float, p: Params) -> float:
-    """Integrated predator growth factor base B(s) below the barrier.
-
-    While x < (1-k) h(s) the predator satisfies x < x3 B(s)^(m/k) with
-
-        B = ((s+a)/s)^{k2} (lam/(lam+a))^{k2}
-            ((1-lam)(s+a)/(1-s))^{k3} (1/(lam+a))^{k3},
-
-    k2 = lam/a, k3 = (1-lam)/(1+a).  Computed in log space; B -> 1 as
-    s -> lam (it is a ratio of antiderivative values at s and lam).
-    """
-    if not (p.lam < s < 1.0):
-        raise ValueError(f"need lam < s < 1, got s = {s!r}")
-    a, lam = p.a, p.lam
-    k2 = lam / a
-    k3 = (1.0 - lam) / (1.0 + a)
-    ln_b = k2 * (math.log(s + a) - math.log(s) + math.log(lam) - math.log(lam + a))
-    ln_b += k3 * (
-        math.log(1.0 - lam) + math.log(s + a) - math.log(1.0 - s) - math.log(lam + a)
-    )
-    return math.exp(ln_b)
 
 
 def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:

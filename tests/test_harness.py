@@ -6,11 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import iv
 
 from cyclebound import harness
 from cyclebound.harness import (
     CSV_HEADER,
-    _barrier_worst,
     SweepSpec,
     emit_figures,
     figure_m_values,
@@ -54,26 +54,99 @@ def test_barrier_coefficients_sign_on_small_grid():
                 assert cc <= 0
 
 
-def test_barrier_grid_worst_matches_scalar_coefficients():
-    a = np.linspace(0.02, 0.5, 8)
-    lam = np.linspace(0.0, 0.95, 8)
-    m_vals = np.linspace(0.1, 10.0, 8)
+def barrier_c0_terms(a, lam, m):
+    """C0's four terms in factored form, each <= 0 for a >= 0, 0 <= lam <= 1,
+    m >= 0; on floats or on mpmath intervals."""
+    return (
+        -(m**3) * lam * (1 - lam) * (4 - lam),
+        -(m**2) * lam * ((2 * a + 6) * (1 - lam) + 2 + 2 * a),
+        -m * lam * (3 + 5 * a + a * a),
+        -1 - m - a,
+    )
+
+
+def test_barrier_terms_certified_nonpositive_on_the_box():
+    # every term's enclosure over the whole box (lam up to 1 inclusive) has
+    # upper end <= 0, so C0 <= -1 - m - a: the certificate behind evaluating
+    # the barrier rows at the box corner (a_lo, 0, m_lo)
+    a, lam, m = (iv.mpf(list(bounds)) for bounds in harness._BARRIER_BOX)
+    terms = barrier_c0_terms(a, lam, m)
+    assert all(term.b <= 0 for term in terms)
+    assert terms[-1].b < 0
+    for a in np.linspace(0.02, 0.5, 8):
+        for lam in np.linspace(0.0, 0.95, 8):
+            for m in np.linspace(0.1, 10.0, 8):
+                p = Params(a=float(a), lam=float(lam), m=float(m), limit=True)
+                c0, _ = x_max_barrier_coefficients(p)
+                assert math.fsum(barrier_c0_terms(p.a, p.lam, p.m)) == pytest.approx(
+                    c0, rel=1e-14
+                )
+
+
+def test_barrier_scan_matches_proofcheck_corner():
+    # a strict-max scan of the scalar coefficients over a coarse grid that
+    # shares the barrier box's lower corner finds the point and the values
+    # the proofcheck rows report
     worst = [(-math.inf, ()), (-math.inf, ())]
-    for m in m_vals:
-        for ai in a:
-            for li in lam:
-                p = Params(a=float(ai), lam=float(li), m=float(m), limit=True)
-                coefficients = x_max_barrier_coefficients(p)
-                # a one-point grid is that point's value, so the Horner
-                # form is checked everywhere, not only at the maximum
-                point = _barrier_worst(np.array([ai]), np.array([li]), np.array([m]))
-                for k, value in enumerate(coefficients):
-                    assert point[k][0] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    for a in np.linspace(0.0025, 0.5, 9):
+        for lam in np.linspace(0.0, 1.0, 8, endpoint=False):
+            for m in np.linspace(0.05, 10.0, 9):
+                p = Params(a=float(a), lam=float(lam), m=float(m), limit=True)
+                for k, value in enumerate(x_max_barrier_coefficients(p)):
                     if value > worst[k][0]:
                         worst[k] = (value, (p.a, p.lam, p.m))
-    for (value, arg), (ref_value, ref_arg) in zip(_barrier_worst(a, lam, m_vals), worst):
-        assert arg == ref_arg
-        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+    for case in Case:
+        report = proof_spotchecks(case)
+        checks = [report["barrier_c0_negative"], report["barrier_c0_plus_c1_nonpositive"]]
+        assert [(c.worst_value, c.worst_arg) for c in checks] == worst
+        for check in checks:
+            assert type(check.worst_value) is float
+            assert all(type(v) is float for v in check.worst_arg)
+
+
+def gain_partials(a, lam, m, k):
+    """Partial derivatives in (a, lam, m) of G*(lam) = (k/m) lam (2 lam + a - 1)
+    and of G*(1) = (k/m)(1 + a) + 1 - lam; on floats or on mpmath intervals."""
+    return {
+        "lam": (k / m * lam, k / m * (4 * lam + a - 1), -k / m**2 * lam * (2 * lam + a - 1)),
+        "one": (k / m, 0 * lam - 1, -k / m**2 * (1 + a)),
+    }
+
+
+# the signs the gain rows' corners rely on: G*(lam) increases in a and m and
+# decreases in lam, G*(1) increases in a and decreases in lam and m
+GAIN_SIGNS = {"lam": (1, -1, 1), "one": (1, -1, -1)}
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_gain_quadratic_corners_certified_on_the_case_box(case):
+    box = harness._GAIN_BOX[case]
+    (a_lo, a_hi), (lam_lo, lam_hi), (m_lo, m_hi) = box
+    for a in np.linspace(a_lo, a_hi, 5):
+        for lam in np.linspace(lam_lo, lam_hi, 5):
+            for m in np.geomspace(m_lo, m_hi, 5):
+                p = Params(a=float(a), lam=float(lam), m=float(m))
+                factored = case.k / p.m * p.lam * (2 * p.lam + p.a - 1)
+                assert growth_ratio_quadratic(p.lam, p, case) == pytest.approx(
+                    factored, rel=1e-12
+                )
+    # the hand-written partials match central differences of the code at
+    # the box centre, and their enclosures over the box have fixed signs
+    centre = [0.5 * (lo + hi) for lo, hi in box]
+    partials = gain_partials(*centre, case.k)
+    for s in ("lam", "one"):
+        for i in range(3):
+            step = 1e-6 * centre[i]
+            point = [list(centre), list(centre)]
+            point[0][i] += step
+            point[1][i] -= step
+            g = [growth_ratio_quadratic(x[1] if s == "lam" else 1.0, Params(*x), case)
+                 for x in point]
+            assert (g[0] - g[1]) / (2 * step) == pytest.approx(partials[s][i], rel=1e-6)
+    enclosures = gain_partials(*(iv.mpf(list(bounds)) for bounds in box), case.k)
+    for s, signs in GAIN_SIGNS.items():
+        for d, sign in zip(enclosures[s], signs):
+            assert (d.a > 0) if sign > 0 else (d.b < 0), (s, d)
 
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])

@@ -11,11 +11,10 @@ from cyclebound.model import PROVEN_BOXES, Params, h
 from cyclebound.region4 import (
     S_GAMMA,
     Case,
+    _ln_gain,
     alpha2_peak,
     alpha_factors,
-    growth_ratio,
     growth_ratio_quadratic,
-    handoff_cap,
     handoff_cap_bound,
     handoff_cap_bound_ln,
     handoff_cap_envelope,
@@ -52,15 +51,11 @@ def test_handoff_cap_basics():
     p = Params(a=0.05, lam=0.05, m=1.0)
     # direct log-space arithmetic of the amplification factor
     gain = (math.exp(0.05 / 0.7) * 0.75 / 0.3 / 0.1) ** (1.0 / 0.75)
-    assert handoff_cap(p, Case.A, 1e-6) == pytest.approx(gain * 1e-6, rel=1e-12)
-    assert math.isfinite(handoff_cap(p, Case.A, 1e-6))
-    # linear in the start value
-    assert handoff_cap(p, Case.A, 2e-6) == pytest.approx(
-        2 * handoff_cap(p, Case.A, 1e-6), rel=1e-13
-    )
+    assert math.exp(_ln_gain(p, Case.A)) == pytest.approx(gain, rel=1e-12)
+    assert math.isfinite(_ln_gain(p, Case.A))
     # zero exponent in the m -> 0 limit
     p0 = Params(a=0.05, lam=0.05, m=0.0, limit=True)
-    assert handoff_cap(p0, Case.A, 3.5e-7) == pytest.approx(3.5e-7, rel=1e-13)
+    assert math.exp(_ln_gain(p0, Case.A)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_x_max_lower_coarse_branches():
@@ -86,7 +81,7 @@ def test_handoff_cap_bound_dominates_chained_cap():
     for case, grid in CASE_GRIDS.items():
         for p in grid:
             ln_x3_hi = cycle_bounds(p).ln_x_min_hi
-            ln_gain = math.log(handoff_cap(p, case, 1.0))
+            ln_gain = _ln_gain(p, case)
             assert handoff_cap_bound_ln(p, case) >= ln_gain + ln_x3_hi - 1e-9, p
 
 
@@ -236,6 +231,29 @@ def test_handoff_cap_envelope_values_and_caps():
         handoff_cap_envelope(-0.1, Case.A)
 
 
+def growth_ratio_product_route(s: float, p: Params) -> float:
+    """Integrated predator growth factor base B(s) below the barrier.
+
+    While x < (1-k) h(s) the predator satisfies x < x3 B(s)^(m/k) with
+
+        B = ((s+a)/s)^{k2} (lam/(lam+a))^{k2}
+            ((1-lam)(s+a)/(1-s))^{k3} (1/(lam+a))^{k3},
+
+    k2 = lam/a, k3 = (1-lam)/(1+a).  Computed in log space; B -> 1 as
+    s -> lam (it is a ratio of antiderivative values at s and lam).
+    """
+    if not (p.lam < s < 1.0):
+        raise ValueError(f"need lam < s < 1, got s = {s!r}")
+    a, lam = p.a, p.lam
+    k2 = lam / a
+    k3 = (1.0 - lam) / (1.0 + a)
+    ln_b = k2 * (math.log(s + a) - math.log(s) + math.log(lam) - math.log(lam + a))
+    ln_b += k3 * (
+        math.log(1.0 - lam) + math.log(s + a) - math.log(1.0 - s) - math.log(lam + a)
+    )
+    return math.exp(ln_b)
+
+
 def growth_ratio_antiderivative_route(s: float, p: Params) -> float:
     """Independent route: the ratio F(s)/F(lam) of antiderivative values
     with F(y) = (y+a)^k1 / (y^k2 (1-y)^k3) and k1 = (a+lam)/(a(1+a))."""
@@ -256,7 +274,7 @@ def test_growth_ratio_two_routes_agree():
     for a, lam in [(0.05, 0.05), (0.1, 0.01), (0.02, 0.003)]:
         p = Params(a=a, lam=lam, m=1.0)
         for s in np.linspace(lam * 1.5, 0.95, 17):
-            got = growth_ratio(float(s), p)
+            got = growth_ratio_product_route(float(s), p)
             want = growth_ratio_antiderivative_route(float(s), p)
             assert got == pytest.approx(want, rel=1e-11), (a, lam, s)
 
@@ -264,15 +282,15 @@ def test_growth_ratio_two_routes_agree():
 def test_growth_ratio():
     p = Params(a=0.05, lam=0.05, m=1.0)
     # ratio of antiderivative values collapses to 1 at s = lam
-    assert growth_ratio(p.lam + 1e-13, p) == pytest.approx(1.0, abs=1e-9)
+    assert growth_ratio_product_route(p.lam + 1e-13, p) == pytest.approx(1.0, abs=1e-9)
     # crude exponential cap for s >= 0.5
     s = 0.7
     cap = math.exp(p.lam / s) * (s + p.a) / (1 - s) / (p.a + p.lam)
-    assert growth_ratio(s, p) <= cap
-    vals = [growth_ratio(float(s), p) for s in np.linspace(0.5, 0.9, 30)]
+    assert growth_ratio_product_route(s, p) <= cap
+    vals = [growth_ratio_product_route(float(s), p) for s in np.linspace(0.5, 0.9, 30)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        growth_ratio(1.0, p)
+        growth_ratio_product_route(1.0, p)
 
 
 def test_growth_ratio_quadratic():
