@@ -298,7 +298,12 @@ class DOP853:
         return min(100.0 * h0, h1)
 
     def step(self) -> None:
-        """Advance by one accepted step; status becomes "failed" on step underflow."""
+        """Advance by one accepted step.
+
+        status becomes "failed" when the trial step size leaves
+        [min_step, inf): on underflow, and on a NaN or infinite step,
+        which a non-finite state or tolerance produces.
+        """
         if self.status != "running":
             raise RuntimeError("attempt to step on a failed solver")
         t = self.t
@@ -312,7 +317,8 @@ class DOP853:
         atol = self.atol
         u, v = self.y
         k1u, k1v = self.f
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        inf = math.inf
+        min_step = 10.0 * (math.nextafter(t, inf) - t)
         h_abs = self.h_abs
         if h_abs < min_step:
             h_abs = min_step
@@ -321,7 +327,7 @@ class DOP853:
         av = v if v >= 0.0 else -v
         rejected = 0
         while True:
-            if h_abs < min_step:
+            if not min_step <= h_abs < inf:
                 self.status = "failed"
                 self.n_rejected += rejected
                 self.nfev += 11 * rejected

@@ -15,7 +15,6 @@ dimensional six-parameter model enters only through
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -289,6 +288,8 @@ def params_from_json(source: Union[str, Mapping]) -> Params:
     the dimensional one {"r":, "K":, "q":, "H":, "p":, "d":}, as a JSON
     string or an already-parsed mapping.
     """
+    import json  # only this loader parses JSON
+
     record = json.loads(source) if isinstance(source, str) else dict(source)
     keys = set(record)
     if keys == _ND_KEYS:

@@ -85,7 +85,7 @@ class StepLimitError(IntegrationError):
 
 
 class StepSizeError(IntegrationError):
-    """The solver hit its minimal step size (the tolerance is unreachable)."""
+    """The solver's step size left [min_step, inf) (the tolerance is unreachable)."""
 
 
 class EventOrderError(IntegrationError):
@@ -111,6 +111,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.rtol > 0 and self.atol_log > 0 and self.cycle_tol > 0):
             raise ValueError("rtol, atol_log and cycle_tol must be positive")
+        for name in ("rtol", "atol_log"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.max_return_iters < 1:
             raise ValueError("max_return_iters must be at least 1")
 
@@ -481,10 +484,11 @@ def integrate(
     crossing's state.  With ``keep_samples=False`` that state is the
     only sample kept.
 
-    Raises ValueError for n_downs < 1, StepLimitError/StepSizeError on
-    budget exhaustion or a solver stall, and IntegrationError when a
-    step of a too loose tolerance lands at s <= 0, so a silently
-    truncated trajectory is never returned.
+    Raises ValueError for n_downs < 1 or a start with a non-finite
+    coordinate, StepLimitError/StepSizeError on budget exhaustion or a
+    solver stall, and IntegrationError when a step of a too loose
+    tolerance lands at s <= 0, so a silently truncated trajectory is
+    never returned.
     """
     cfg = cfg or SimConfig()
     if n_downs < 1:
@@ -494,6 +498,8 @@ def integrate(
     if not p.cycle_regime:
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
     ls = start.log() if isinstance(start, State) else start
+    if not (math.isfinite(ls.u) and math.isfinite(ls.v)):
+        raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
     w_chart = _LN_HALF < ls.v < 0.0
     y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
     solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log, w_chart=w_chart)
@@ -523,7 +529,7 @@ def integrate(
         steps += 1
         if solver.status == "failed":
             raise StepSizeError(
-                f"step size underflow at tau = {solver.t:.6g}; "
+                f"step size underflow or overflow at tau = {solver.t:.6g}; "
                 "the requested tolerance is unreachable"
             )
         y = solver.y
@@ -615,7 +621,11 @@ def limit_cycle(
     the last tour is still reported with ``converged=False``.
     """
     cfg = cfg or SimConfig()
-    ln_x = math.log(x0 if x0 is not None else x_max_upper(p))
+    if x0 is None:
+        x0 = x_max_upper(p)
+    elif not (math.isfinite(x0) and x0 > 0):
+        raise ValueError(f"x0 must be finite and > 0, got {x0!r}")
+    ln_x = math.log(x0)
     ln_lam = math.log(p.lam)
     tours = 0
     total = SolveStats()

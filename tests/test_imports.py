@@ -1,7 +1,10 @@
-"""NumPy loads on the first array use, and only there.
+"""Each layer loads on its first use, and NumPy on the first array use.
 
 Each check runs in a fresh interpreter, because the test session has
-imported NumPy long before.  Scalar bounds, a cycle, a serial sweep row
+imported everything long before.  ``import cyclebound`` loads ``model``
+only; scalar bounds add ``lvroot`` and ``bounds``, a cycle adds
+``simulator`` and ``dopri``, and ``region4`` and ``harness`` load when
+one of their names is read.  Scalar bounds, a cycle, a serial sweep row
 and the ``bounds``/``cycle`` commands must leave every ``numpy.*``
 module unloaded; the proof spot-checks load it.  Whether NumPy was
 imported before cyclebound or on first use, the array paths print the
@@ -14,39 +17,46 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCALAR_PATHS = """
 import contextlib, io, json, sys
 import cyclebound
-from cyclebound import (
-    Params, SweepSpec, canard_estimates, cli, cycle_bounds, cycle_extreme_report,
-    proof_spotchecks, run_sweep,
-)
 
-def loaded():
-    return sorted(name for name in sys.modules if name.startswith("numpy."))
+after, layers = {}, {}
 
-after = {"import": loaded()}
-p = Params(0.05, 0.05, 1.0)
-cycle_bounds(p)
-canard_estimates(p)
-after["bounds"] = loaded()
-cycle_extreme_report(p)
-after["cycle"] = loaded()
-report = run_sweep(SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0,)))
+def record(stage):
+    after[stage] = sorted(name for name in sys.modules if name.startswith("numpy."))
+    layers[stage] = sorted(name for name in sys.modules if name.startswith("cyclebound"))
+
+record("import")
+p = cyclebound.Params(0.05, 0.05, 1.0)
+cyclebound.cycle_bounds(p)
+cyclebound.canard_estimates(p)
+record("bounds")
+cyclebound.cycle_extreme_report(p)
+record("cycle")
+cyclebound.region4.Case.A  # a submodule read as a package attribute
+record("region4")
+spec = cyclebound.SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0,))
+record("harness")
+report = cyclebound.run_sweep(spec)
 assert report.rows[0].error is None
-after["sweep"] = loaded()
+record("sweep")
+from cyclebound import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         cli.main(["bounds", "--a", "0.05", "--lambda", "0.05", "--m", "1"]),
         cli.main(["cycle", "--a", "0.05", "--lambda", "0.05", "--m", "1", "--json"]),
     ]
-after["cli"] = loaded()
+record("cli")
 pool = "concurrent.futures.process" in sys.modules
-passed = all(c.passed for c in proof_spotchecks("A").checks)
-print(json.dumps({"after": after, "codes": codes, "pool": pool, "passed": passed,
-                  "numpy_loaded": bool(loaded())}))
+passed = all(c.passed for c in cyclebound.proof_spotchecks("A").checks)
+record("proofcheck")
+print(json.dumps({"after": after, "layers": layers, "codes": codes, "pool": pool,
+                  "passed": passed}))
 """
 
 ARRAY_PATHS = """
@@ -78,15 +88,38 @@ def _python(script: str, *args: str) -> str:
     return done.stdout
 
 
-def test_scalar_paths_load_no_numpy_module():
-    record = json.loads(_python(SCALAR_PATHS))
-    assert record["after"] == {
-        "import": [], "bounds": [], "cycle": [], "sweep": [], "cli": [],
-    }
-    assert record["codes"] == [0, 0]
-    assert not record["pool"]  # a serial sweep starts no process pool
+@pytest.fixture(scope="module")
+def scalar_record():
+    return json.loads(_python(SCALAR_PATHS))
+
+
+def test_scalar_paths_load_no_numpy_module(scalar_record):
+    after = dict(scalar_record["after"])
     # the proof spot-checks are array code: they load NumPy, and pass
-    assert record["passed"] and record["numpy_loaded"]
+    assert after.pop("proofcheck") and scalar_record["passed"]
+    assert after == {
+        stage: [] for stage in ("import", "bounds", "cycle", "region4", "harness", "sweep", "cli")
+    }
+    assert scalar_record["codes"] == [0, 0]
+    assert not scalar_record["pool"]  # a serial sweep starts no process pool
+
+
+def test_each_layer_loads_on_first_use(scalar_record):
+    seen: set[str] = set()
+    added = {}
+    for stage, modules in scalar_record["layers"].items():
+        added[stage] = sorted(set(modules) - seen)
+        seen.update(modules)
+    assert added == {
+        "import": ["cyclebound", "cyclebound.model"],
+        "bounds": ["cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot"],
+        "cycle": ["cyclebound.dopri", "cyclebound.simulator"],
+        "region4": ["cyclebound.region4"],
+        "harness": ["cyclebound.harness"],
+        "sweep": [],
+        "cli": ["cyclebound.cli"],
+        "proofcheck": [],
+    }
 
 
 def test_array_paths_print_the_same_bytes_whenever_numpy_loads():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -411,12 +412,17 @@ def test_dense_output_is_a_snapshot_of_its_step(p):
 
 
 def test_import_leaves_scipy_out():
-    # the runtime needs numpy only; scipy is a test-time oracle
+    # the runtime needs numpy only; scipy is a test-time oracle.  The star
+    # import loads every library layer, which a bare import no longer does
     src = str(Path(cyclebound.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys; from cyclebound import *; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, cyclebound; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"
@@ -860,6 +866,69 @@ def test_step_budget_raises():
             SimConfig(max_steps=5),
             n_downs=2,
         )
+
+
+NON_FINITE_CASES = """
+import contextlib, io, json, math
+from cyclebound import LogState, Params, SimConfig, cli, integrate, limit_cycle
+from cyclebound.dopri import DOP853
+
+p = Params(0.05, 0.05, 1.0)
+cases = {
+    "x0=nan": lambda: limit_cycle(p, x0=math.nan),
+    "x0=inf": lambda: limit_cycle(p, x0=math.inf),
+    "x0=0": lambda: limit_cycle(p, x0=0.0),
+    "x0=-1": lambda: limit_cycle(p, x0=-1.0),
+    "start u=nan": lambda: integrate(LogState(math.nan, math.log(0.05)), p),
+    "start v=-inf": lambda: integrate(LogState(0.0, -math.inf), p),
+    "rtol=inf": lambda: SimConfig(rtol=math.inf),
+    "atol_log=inf": lambda: SimConfig(atol_log=math.inf),
+    "atol_log=nan": lambda: SimConfig(atol_log=math.nan),
+    "rtol=1e300": lambda: limit_cycle(p, SimConfig(rtol=1e300)),
+    "rtol=0.5": lambda: limit_cycle(p, SimConfig(rtol=0.5)),
+}
+record = {}
+for name, call in cases.items():
+    try:
+        call()
+        record[name] = "returned"
+    except Exception as exc:
+        record[name] = f"{type(exc).__name__}: {exc}"
+solver = DOP853(p, 0.0, (math.nan, -3.0))  # a NaN state gives a NaN step size
+solver.step()
+record["stepper"] = solver.status
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    record["cli"] = [
+        cli.main(["cycle", "--a", "0.05", "--lambda", "0.05", "--m", "1", "--rtol", rtol])
+        for rtol in ("0.5", "inf")
+    ]
+print(json.dumps(record))
+"""
+
+
+def test_non_finite_inputs_and_step_sizes_fail_fast():
+    # each of these retried one trial step forever before: run them in a
+    # child with a timeout, so that a regression fails instead of hanging
+    src = str(Path(cyclebound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NON_FINITE_CASES], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True,
+    )
+    record = json.loads(done.stdout)
+    for name, value in [("x0", "nan"), ("x0", "inf"), ("x0", "0"), ("x0", "-1")]:
+        got = record.pop(f"{name}={value}")
+        assert got.startswith("ValueError: x0 must be finite and > 0, got "), got
+    assert record.pop("start u=nan").startswith("ValueError: start must have finite coordinates")
+    assert record.pop("start v=-inf").startswith("ValueError: start must have finite coordinates")
+    assert record.pop("rtol=inf") == "ValueError: rtol must be finite, got inf"
+    assert record.pop("atol_log=inf") == "ValueError: atol_log must be finite, got inf"
+    assert record.pop("atol_log=nan").startswith("ValueError: rtol, atol_log and cycle_tol")
+    # finite tolerances so loose that the state diverges and the step
+    # size becomes infinite
+    for rtol in ("1e300", "0.5"):
+        assert record.pop(f"rtol={rtol}").startswith("StepSizeError: "), rtol
+    assert record == {"stepper": "failed", "cli": [3, 1]}
 
 
 @pytest.mark.parametrize("keep_samples", [False, True])
