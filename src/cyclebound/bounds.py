@@ -109,6 +109,12 @@ def _require_cycle(p: Params) -> None:
         )
 
 
+def _finite(name: str, value: float, p: Params) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows at m = {p.m!r}: got {value!r}")
+    return value
+
+
 def x_max_upper(p: Params) -> float:
     """Upper bound for the predator maximum.
 
@@ -116,14 +122,17 @@ def x_max_upper(p: Params) -> float:
     trajectories cannot cross upward, evaluated at v = 1:
 
         (1 + m + a - m lam)(1 + 2m + a - 2m lam) / (2(m+1) + a - m lam).
+
+    Raises ValueError naming m where the product overflows (m ~ 1e154).
     """
     _require_cycle(p)
     a, lam, m = p.a, p.lam, p.m
-    return (
+    value = (
         (1.0 + m + a - m * lam)
         * (1.0 + 2.0 * m + a - 2.0 * m * lam)
         / (2.0 * (m + 1.0) + a - m * lam)
     )
+    return _finite("x_max_upper", value, p)
 
 
 def x_max_upper_refined(p: Params) -> float:
@@ -131,17 +140,18 @@ def x_max_upper_refined(p: Params) -> float:
 
     Evaluates the same barrier at v = 1 - lam (the isocline itself)
     instead of v = 1, so it never exceeds :func:`x_max_upper` and
-    coincides with it as lam -> 0.
+    coincides with it as lam -> 0; like it, raises where it overflows.
     """
     _require_cycle(p)
     a, lam, m = p.a, p.lam, p.m
     L = 1.0 - lam
-    return (
+    value = (
         (1.0 + a + 2.0 * m * L)
         * (1.0 + a + m * L)
         * L
         / (1.0 + a + (1.0 + 2.0 * m + m * lam) * L)
     )
+    return _finite("x_max_upper_refined", value, p)
 
 
 def x_max_upper_linear(p: Params) -> float:

@@ -3,7 +3,10 @@
 Subcommands mirror the library layers: ``bounds``/``canard`` print the
 closed forms, ``simulate``/``cycle`` run the integrator, ``region4``
 prints the recovery-branch constants, and ``sweep``/``proofcheck``/
-``figures`` drive the verification harness.  The environment variable
+``figures`` drive the verification harness.  Every library name is read
+through the package (``cyclebound.cycle_bounds``), which loads a layer on
+the first read of one of its names, so each subcommand loads only its
+layers; building the parser loads ``bounds``.  The environment variable
 CYCLEBOUND_RTOL overrides the default integration tolerance of every
 subcommand that simulates; explicit ``--rtol`` flags win over it.  Only
 the CLI, ``SweepSpec.from_json`` and ``emit_figures`` (without ``cfg``)
@@ -24,26 +27,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bounds import S_MAX_LO, canard_estimates, cycle_bounds
-from .harness import (
-    DEFAULT_PANELS,
-    REFERENCE_SPECS,
-    SweepReport,
-    SweepSpec,
-    emit_figures,
-    figure_m_values,
-    proof_spotchecks,
-    run_sweep,
-)
-from .model import Params, State, h, params_from_json
-from .region4 import Case, alpha_factors, handoff_cap_envelope, smax_lower_bound
-from .simulator import (
-    IntegrationError,
-    SimConfig,
-    cycle_extreme_report,
-    integrate,
-    transit_points,
-)
+import cyclebound
 
 
 def _add_params_args(sub: argparse.ArgumentParser) -> None:
@@ -57,19 +41,17 @@ def _add_params_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _params_from_args(args: argparse.Namespace) -> Params:
+def _params_from_args(args: argparse.Namespace) -> cyclebound.Params:
     if args.params is not None:
-        return params_from_json(args.params.read_text())
+        return cyclebound.params_from_json(args.params.read_text())
     if args.a is None or args.lam is None or args.m is None:
         raise ValueError("give --a, --lambda and --m (or --params FILE)")
-    return Params(a=args.a, lam=args.lam, m=args.m)
+    return cyclebound.Params(a=args.a, lam=args.lam, m=args.m)
 
 
-def _sim_config(args: argparse.Namespace) -> SimConfig:
-    overrides = {}
-    if getattr(args, "rtol", None) is not None:
-        overrides["rtol"] = args.rtol
-    return SimConfig.from_env(**overrides)
+def _sim_config(args: argparse.Namespace) -> cyclebound.SimConfig:
+    overrides = {} if args.rtol is None else {"rtol": args.rtol}
+    return cyclebound.SimConfig.from_env(**overrides)
 
 
 def _print_record(record: dict, as_json: bool) -> None:
@@ -82,22 +64,22 @@ def _print_record(record: dict, as_json: bool) -> None:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    b = cycle_bounds(p, force=args.force)
+    b = cyclebound.cycle_bounds(p, force=args.force)
     _print_record(b.as_dict(), args.json)
     return 0
 
 
 def _cmd_canard(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    _print_record(canard_estimates(p).as_dict(), as_json=True)
+    _print_record(cyclebound.canard_estimates(p).as_dict(), as_json=True)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     cfg = _sim_config(args)
-    start = State(h(args.s0, p), args.s0)
-    traj = integrate(start, p, cfg, n_downs=args.tours + 1)
+    start = cyclebound.State(cyclebound.h(args.s0, p), args.s0)
+    traj = cyclebound.integrate(start, p, cfg, n_downs=args.tours + 1)
     lines = ["tau,ln_x,ln_s,region"]
     for (tau, (u, v)), label in zip(
         zip(traj.taus, traj.points), traj.region_labels(p)
@@ -115,7 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_cycle(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     cfg = _sim_config(args)
-    report = cycle_extreme_report(p, cfg)
+    report = cyclebound.cycle_extreme_report(p, cfg)
     record = report.as_dict()
     if not report.extremes.converged:
         print("warning: return map did not converge within budget", file=sys.stderr)
@@ -126,13 +108,13 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_region4(args: argparse.Namespace) -> int:
-    case = Case(args.case)
-    factors = alpha_factors(args.m, case)
+    case = cyclebound.Case(args.case)
+    factors = cyclebound.alpha_factors(args.m, case)
     record = {
         "case": case.value,
         "m": args.m,
-        "handoff_cap_envelope": handoff_cap_envelope(args.m, case),
-        "smax_lower_bound": smax_lower_bound(factors.x_gamma, args.m),
+        "handoff_cap_envelope": cyclebound.handoff_cap_envelope(args.m, case),
+        "smax_lower_bound": cyclebound.smax_lower_bound(factors.x_gamma, args.m),
         **factors.as_dict(),
     }
     _print_record(record, as_json=True)
@@ -141,13 +123,14 @@ def _cmd_region4(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is None:
-        sim = SimConfig.from_env()
-        specs = [dataclasses.replace(spec, sim=sim) for spec in REFERENCE_SPECS]
+        sim = cyclebound.SimConfig.from_env()
+        specs = [dataclasses.replace(spec, sim=sim) for spec in cyclebound.REFERENCE_SPECS]
     else:
-        specs = [SweepSpec.from_json(json.loads(args.spec.read_text()))]
+        specs = [cyclebound.SweepSpec.from_json(json.loads(args.spec.read_text()))]
     if args.jobs is not None:
         specs = [dataclasses.replace(spec, jobs=args.jobs) for spec in specs]
-    report = SweepReport(rows=[row for spec in specs for row in run_sweep(spec).rows])
+    rows = [row for spec in specs for row in cyclebound.run_sweep(spec).rows]
+    report = cyclebound.SweepReport(rows=rows)
     report.to_csv(args.out)
     for row in report.rows:
         if row.error is not None:
@@ -160,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_proofcheck(args: argparse.Namespace) -> int:
-    report = proof_spotchecks(Case(args.case))
+    report = cyclebound.proof_spotchecks(cyclebound.Case(args.case))
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 2
@@ -168,8 +151,8 @@ def _cmd_proofcheck(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     panels = None if args.panel is None else [tuple(spec.split(",")) for spec in args.panel]
-    m_values = None if args.points is None else figure_m_values(args.points)
-    paths = emit_figures(
+    m_values = None if args.points is None else cyclebound.harness.figure_m_values(args.points)
+    paths = cyclebound.emit_figures(
         args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args)
     )
     for path in paths:
@@ -179,7 +162,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_transit(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
-    tp = transit_points(p, args.s0, _sim_config(args))
+    tp = cyclebound.transit_points(p, args.s0, _sim_config(args))
     _print_record(dataclasses.asdict(tp), as_json=True)
     return 0
 
@@ -204,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="dump a trajectory as CSV")
     _add_params_args(p_sim)
-    p_sim.add_argument("--s0", type=float, default=S_MAX_LO, help="start prey level on x = h(s)")
+    p_sim.add_argument("--s0", type=float, default=cyclebound.bounds.S_MAX_LO,
+                       help="start prey level on x = h(s)")
     p_sim.add_argument("--tours", type=int, default=1, help="number of full loops")
     p_sim.add_argument("--rtol", type=float)
     p_sim.add_argument("--out", type=Path, help="output CSV (default: stdout)")
@@ -217,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycle.set_defaults(func=_cmd_cycle)
 
     p_r4 = sub.add_parser("region4", help="recovery-branch constants for one m")
-    p_r4.add_argument("--case", choices=["A", "B"], required=True)
+    p_r4.add_argument("--case", choices=list(cyclebound.PROVEN_BOXES), required=True)
     p_r4.add_argument("--m", type=float, required=True)
     p_r4.set_defaults(func=_cmd_region4)
 
@@ -228,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_proof = sub.add_parser("proofcheck", help="numerical spot-checks of the sign facts")
-    p_proof.add_argument("--case", choices=["A", "B"], required=True)
+    p_proof.add_argument("--case", choices=list(cyclebound.PROVEN_BOXES), required=True)
     p_proof.set_defaults(func=_cmd_proofcheck)
 
     p_fig = sub.add_parser("figures", help="emit bound-vs-simulation curves as CSV")
@@ -241,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--panel",
         action="append",
         metavar="A,LAMBDA",
-        help=f"restrict to given panels (default: {DEFAULT_PANELS})",
+        help="restrict to given panels (default: harness.DEFAULT_PANELS)",
     )
     p_fig.set_defaults(func=_cmd_figures)
 
     p_transit = sub.add_parser("transit", help="one tour from (h(s0), s0): crossing values")
     _add_params_args(p_transit)
-    p_transit.add_argument("--s0", type=float, default=S_MAX_LO)
+    p_transit.add_argument("--s0", type=float, default=cyclebound.bounds.S_MAX_LO)
     p_transit.add_argument("--rtol", type=float)
     p_transit.set_defaults(func=_cmd_transit)
 
@@ -259,12 +243,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # after the clause above: naming IntegrationError loads the simulator
+    except cyclebound.IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Optional, Sequence, Union
@@ -290,19 +290,21 @@ REFERENCE_SPECS = (
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate bounds against the simulated cycle over the whole grid.
 
-    Rows are independent; with jobs > 1 they are distributed over worker
-    processes.  The output order is the sorted grid order either way, so
-    CSV output is byte-identical for any worker count.  Per-row failures
-    are recorded in the row, never abort the sweep.
+    Rows are independent; with jobs > 1 they are distributed over
+    min(jobs, rows) worker processes.  The output order is the sorted
+    grid order either way, so CSV output is byte-identical for any worker
+    count.  Per-row failures are recorded in the row, never abort the sweep.
     """
     tasks = [(a, lam, m, spec.sim) for a, lam, m in spec.grid()]
-    if spec.jobs == 1:
+    # a pool starts all its workers at once: no more than there are rows
+    workers = min(spec.jobs, len(tasks))
+    if workers == 1:
         rows = [_row_task(t) for t in tasks]
     else:
         # imported here: it loads multiprocessing, which a serial sweep never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_task, tasks))
     return SweepReport(rows=rows)
 
@@ -471,28 +473,36 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     return ProofCheckReport(case=case, checks=tuple(checks))
 
 
-_FIGURES = ("fig2", "fig3", "fig4", "fig5")
-
+# each figure's CSV columns, in order: (name, value read from a CycleReport)
 _FIGURE_COLUMNS = {
-    "fig2": ("m", "x_max_lo", "x_max_hi", "x_max_hi_refined", "x_max_hi_linear", "x_max_sim"),
-    "fig3": ("m", "ln_s_min_lo", "ln_s_min_hi", "ln_s_min_sim"),
-    "fig4": ("m", "ln_x_min_lo", "ln_x_min_hi", "ln_x_min_sim"),
-    "fig5": ("m", "s_max_lo", "s_max_hi", "s_max_sim"),
+    "fig2": (
+        ("m", attrgetter("params.m")),
+        ("x_max_lo", attrgetter("bounds.x_max_lo")),
+        ("x_max_hi", attrgetter("bounds.x_max_hi")),
+        ("x_max_hi_refined", lambda report: x_max_upper_refined(report.params)),
+        ("x_max_hi_linear", lambda report: x_max_upper_linear(report.params)),
+        ("x_max_sim", attrgetter("extremes.x_max")),
+    ),
+    "fig3": (
+        ("m", attrgetter("params.m")),
+        ("ln_s_min_lo", attrgetter("bounds.ln_s_min_lo")),
+        ("ln_s_min_hi", attrgetter("bounds.ln_s_min_hi")),
+        ("ln_s_min_sim", attrgetter("extremes.ln_s_min")),
+    ),
+    "fig4": (
+        ("m", attrgetter("params.m")),
+        ("ln_x_min_lo", attrgetter("bounds.ln_x_min_lo")),
+        ("ln_x_min_hi", attrgetter("bounds.ln_x_min_hi")),
+        ("ln_x_min_sim", attrgetter("extremes.ln_x_min")),
+    ),
+    "fig5": (
+        ("m", attrgetter("params.m")),
+        ("s_max_lo", attrgetter("bounds.s_max_lo")),
+        ("s_max_hi", attrgetter("bounds.s_max_hi")),
+        ("s_max_sim", attrgetter("extremes.s_max")),
+    ),
 }
-
-
-def _figure_values(fig: str, m: float, report: CycleReport, p: Params) -> tuple:
-    b, ce = report.bounds, report.extremes
-    if fig == "fig2":
-        return (
-            m, b.x_max_lo, b.x_max_hi,
-            x_max_upper_refined(p), x_max_upper_linear(p), ce.x_max,
-        )
-    if fig == "fig3":
-        return (m, b.ln_s_min_lo, b.ln_s_min_hi, ce.ln_s_min)
-    if fig == "fig4":
-        return (m, b.ln_x_min_lo, b.ln_x_min_hi, ce.ln_x_min)
-    return (m, b.s_max_lo, b.s_max_hi, ce.s_max)
+_FIGURES = tuple(_FIGURE_COLUMNS)
 
 
 def figure_m_values(points: int = 50) -> np.ndarray:
@@ -544,16 +554,11 @@ def emit_figures(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for a, lam in panels:
-        reports = []
-        for m in ms:
-            p = Params(a=a, lam=lam, m=m)
-            reports.append((m, p, cycle_extreme_report(p, cfg)))
+        reports = [cycle_extreme_report(Params(a=a, lam=lam, m=m), cfg) for m in ms]
         for fig in figures:
-            lines = [",".join(_FIGURE_COLUMNS[fig])]
-            for m, p, report in reports:
-                lines.append(
-                    ",".join(_fmt(float(v)) for v in _figure_values(fig, m, report, p))
-                )
+            names, getters = zip(*_FIGURE_COLUMNS[fig])
+            lines = [",".join(names)]
+            lines += [",".join(_fmt(float(get(r))) for get in getters) for r in reports]
             path = out_dir / f"{fig}_a{a:g}_lambda{lam:g}.csv"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)

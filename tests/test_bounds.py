@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ def test_growth_arc_keeps_v2_and_stays_under_x_max_barrier():
     assert np.max(x - A * v / (1.0 + B * v)) < 0
     assert 0 < len(idx) <= 1500
     assert A / (1.0 + B) == pytest.approx(x_max_upper(p), rel=1e-15)
+
+
+def test_x_max_upper_raises_instead_of_overflowing():
+    # the products overflow near m = 1e154; a finite value keeps its form
+    assert math.isfinite(x_max_upper(Params(a=0.05, lam=0.05, m=9.9e153)))
+    for m in (1e300, 1e308):
+        for bound in (x_max_upper, x_max_upper_refined):
+            with pytest.raises(ValueError, match=re.escape(f"overflows at m = {m!r}")):
+                bound(Params(a=0.05, lam=0.05, m=m))
 
 
 def test_x_max_upper_refined_reduces_to_plain_at_lam_zero():

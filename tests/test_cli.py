@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import cyclebound
 from cyclebound import cli, harness
 from cyclebound.bounds import S_MAX_LO, cycle_bounds, x_max_lower
 from cyclebound.cli import main
@@ -256,7 +257,7 @@ def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, job
         specs.append(spec)
         return harness.SweepReport(rows=[])
 
-    monkeypatch.setattr(cli, "run_sweep", spying_run_sweep)
+    monkeypatch.setattr(cyclebound, "run_sweep", spying_run_sweep)
     if rtol is None:
         monkeypatch.delenv("CYCLEBOUND_RTOL", raising=False)
     else:
@@ -329,6 +330,18 @@ def test_bad_params_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("m", ["1e300", "1e308"])
+def test_bounds_overflow_exits_one(capsys, m):
+    # the product form of x_max_upper overflows near m = 1e154: no inf or
+    # NaN bound is printed as proven
+    code, out, err = run_cli(
+        "bounds", "--a", "0.05", "--lambda", "0.05", "--m", m, capsys=capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: x_max_upper overflows at m = {float(m)!r}")
+
+
 @pytest.mark.parametrize(
     "command, target, error",
     [
@@ -341,7 +354,7 @@ def test_integration_error_exits_three(monkeypatch, capsys, command, target, err
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setattr(cyclebound, target, fail)
     code, out, err = run_cli(
         command, "--a", "0.05", "--lambda", "0.05", "--m", "1.0", capsys=capsys
     )
@@ -384,7 +397,7 @@ def test_sweep_reports_failed_rows(tmp_path, monkeypatch, capsys):
         specs.append(spec)
         return harness.run_sweep(spec)
 
-    monkeypatch.setattr(cli, "run_sweep", spying_run_sweep)
+    monkeypatch.setattr(cyclebound, "run_sweep", spying_run_sweep)
     spec = {
         "a_values": [0.05],
         "lambda_values": [0.05],

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -223,6 +225,35 @@ def test_sweep_is_deterministic_across_jobs():
     run_sweep(tiny_spec(jobs=1)).to_csv(buf1)
     run_sweep(tiny_spec(jobs=2)).to_csv(buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records the worker count and maps in this process: starts nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    spec = SweepSpec(
+        a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 0.3), sim=FAST_SIM, jobs=8
+    )
+    report = run_sweep(spec)
+    assert started == [2]
+    assert report == run_sweep(dataclasses.replace(spec, jobs=1))
+    run_sweep(dataclasses.replace(spec, m_values=(1.0,)))  # one row: no pool at all
+    assert started == [2]
 
 
 def test_sweep_flags_unproven_rows():

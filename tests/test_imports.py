@@ -8,7 +8,8 @@ one of their names is read.  Scalar bounds, a cycle, a serial sweep row
 and the ``bounds``/``cycle`` commands must leave every ``numpy.*``
 module unloaded; the proof spot-checks load it.  Whether NumPy was
 imported before cyclebound or on first use, the array paths print the
-same bytes.
+same bytes.  The command line reads every name through the package, so
+each subcommand loads only its layers.
 """
 
 import json
@@ -57,6 +58,34 @@ passed = all(c.passed for c in cyclebound.proof_spotchecks("A").checks)
 record("proofcheck")
 print(json.dumps({"after": after, "layers": layers, "codes": codes, "pool": pool,
                   "passed": passed}))
+"""
+
+CLI_PATHS = """
+import contextlib, io, json, sys
+from cyclebound import cli
+
+layers, numpy, codes = {}, {}, []
+
+def record(stage):
+    layers[stage] = sorted(name for name in sys.modules if name.startswith("cyclebound"))
+    numpy[stage] = sorted(name for name in sys.modules if name.startswith("numpy."))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(list(argv)))
+
+P = ["--a", "0.05", "--lambda", "0.05", "--m", "1"]
+record("import")
+run("bounds", *P)
+run("canard", *P)
+record("bounds")
+run("region4", "--case", "A", "--m", "1")
+record("region4")
+run("cycle", *P, "--json")
+record("cycle")
+run("proofcheck", "--case", "A")
+record("proofcheck")
+print(json.dumps({"layers": layers, "numpy": numpy, "codes": codes}))
 """
 
 ARRAY_PATHS = """
@@ -120,6 +149,26 @@ def test_each_layer_loads_on_first_use(scalar_record):
         "cli": ["cyclebound.cli"],
         "proofcheck": [],
     }
+
+
+def test_each_cli_command_loads_only_its_layers():
+    record = json.loads(_python(CLI_PATHS))
+    assert record["codes"] == [0, 0, 0, 0, 0]
+    seen: set[str] = set()
+    added = {}
+    for stage, modules in record["layers"].items():
+        added[stage] = sorted(set(modules) - seen)
+        seen.update(modules)
+    assert added == {
+        "import": ["cyclebound", "cyclebound.cli", "cyclebound.model"],
+        "bounds": ["cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot"],
+        "region4": ["cyclebound.region4"],
+        "cycle": ["cyclebound.dopri", "cyclebound.simulator"],
+        "proofcheck": ["cyclebound.harness"],
+    }
+    numpy = record["numpy"]
+    assert numpy.pop("proofcheck")  # the spot-checks are array code
+    assert numpy == {stage: [] for stage in ("import", "bounds", "region4", "cycle")}
 
 
 def test_array_paths_print_the_same_bytes_whenever_numpy_loads():
