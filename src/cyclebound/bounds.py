@@ -205,6 +205,8 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
                       ln l* - (u - a - h(l*) ln(u/a)) / (m l*) ),
         ln v    in  ( ln(z1(u/a) u) - u/a,
                       ln(z2(u/h(l*)) u) - u/h(l*) ).
+
+    Raises ValueError at a = 0 (limit mode), where u/a does not exist.
     """
     if not (0.0 < lambda_star <= p.lam):
         raise ValueError(
@@ -214,6 +216,8 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
     if not u > H:
         raise ValueError(f"need u > h(lambda_star) = {H!r}, got u = {u!r}")
     a, m = p.a, p.m
+    if a == 0.0:
+        raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {a!r}")
     ratio = math.log(u / a)
     ln_ls = math.log(lambda_star)
     # m = 0 is the limit where the excursion dives infinitely deep
@@ -272,7 +276,8 @@ def canard_estimates(p: Params) -> CanardEstimates:
     x_max_c = 0.25 * (1.0 + a) * (1.0 + a)
     x_min_c = x_max_c * math.exp(-x_max_c / a) if a > 0 else 0.0
     s_max_c = 0.5 * (1.0 - a) + math.sqrt(0.25 * (1.0 - a) ** 2 + a - x_min_c)
-    v = a * math.log(x_max_c) - x_max_c if a > 0 else -x_max_c
+    # v - a (ln a - 1), whose a -> 0 limit is -x_max
+    dv = a * math.log(x_max_c) - x_max_c - a * (math.log(a) - 1.0) if a > 0 else -x_max_c
     denom = p.m * p.lam
-    ln_s_min_c = (v - a * (math.log(a) - 1.0)) / denom if denom > 0 else -math.inf
+    ln_s_min_c = dv / denom if denom > 0 else -math.inf
     return CanardEstimates(x_max_c, x_min_c, s_max_c, ln_s_min_c)

@@ -27,12 +27,10 @@ to calls of them; the stepper therefore has no ``fun`` argument and
 takes the model parameters instead.  (A branch per stage costs no
 measurable time over a second written-out copy of the stages, which
 would be 140 lines longer.)  The three extra stages of
-:meth:`DOP853.dense_output`, evaluated once per located crossing, call
-the model functions.  :meth:`DOP853.switch_chart` moves the state to
-the other chart between steps.  ``dense_output`` only takes a snapshot
-of the step; the extra stages are computed on the interpolant's first
-evaluation, which the simulator makes only when it locates a crossing
-that something reads.
+:meth:`DOP853.dense_output`, which the simulator builds once per step
+that crosses an isocline, call the model functions.
+:meth:`DOP853.switch_chart` moves the state to the other chart between
+steps.
 
 The stepper has no end time: it steps forward from ``t0`` for as long as
 it is asked to, and the simulator ends each integration at a crossing.
@@ -549,80 +547,63 @@ class DOP853:
     def dense_output(self) -> Callable[[float], tuple[float, float]]:
         """The 7th-order interpolant ``tau -> y`` over the last accepted step.
 
-        It is in the chart of that step, also after :meth:`switch_chart`.
-        A snapshot of the step (``t_old``, its stages and ``y_new``); the
-        extra stages k14-k16 and the coefficients F3-F6 are computed on the
-        interpolant's first evaluation.  An interpolant that is never
-        evaluated costs no field evaluation, and one evaluated after later
-        steps returns the same values as right after its own step.
+        It is in the chart of that step, also after :meth:`switch_chart`,
+        and returns the same values after later steps as right after its
+        own.  The three extra stages k14-k16 and the coefficients F3-F6
+        are computed here.
         """
         if self._last is None:
             raise RuntimeError("dense output is available after a successful step")
-        p, t_old, last = self.p, self.t_old, self._last
-        evaluate = None
+        p, t_old = self.p, self.t_old
+        (
+            w_chart, u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
+            k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
+        ) = self._last
+        us = u + (
+            _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
+            + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u
+        ) * h
+        vs = v + (
+            _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
+            + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
+        ) * h
+        k14u, k14v = _field(p, w_chart, (us, vs))
+        us = u + (
+            _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
+            + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
+        ) * h
+        vs = v + (
+            _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
+            + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
+        ) * h
+        k15u, k15v = _field(p, w_chart, (us, vs))
+        us = u + (
+            _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
+            + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
+        ) * h
+        vs = v + (
+            _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
+            + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
+        ) * h
+        k16u, k16v = _field(p, w_chart, (us, vs))
+
+        ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
+        kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
+        du = u_new - u
+        dv = v_new - v
+        fu0, fu1, fu2 = du, h * k1u - du, 2.0 * du - h * (k13u + k1u)
+        fv0, fv1, fv2 = dv, h * k1v - dv, 2.0 * dv - h * (k13v + k1v)
+        fu3, fu4, fu5, fu6 = (h * sum(map(mul, row, ku)) for row in _D)
+        fv3, fv4, fv5, fv6 = (h * sum(map(mul, row, kv)) for row in _D)
 
         def dense(tau: float) -> tuple[float, float]:
-            nonlocal evaluate
-            if evaluate is None:
-                evaluate = _interpolant(p, t_old, last)
-            return evaluate(tau)
+            x = (tau - t_old) / h
+            y = 1.0 - x
+            return (
+                x * (fu0 + y * (fu1 + x * (fu2 + y * (fu3 + x * (fu4 + y * (fu5 + x * fu6))))))
+                + u,
+                x * (fv0 + y * (fv1 + x * (fv2 + y * (fv3 + x * (fv4 + y * (fv5 + x * fv6))))))
+                + v,
+            )
 
         return dense
-
-
-def _interpolant(p: Params, t_old: float, last: tuple) -> Callable[[float], tuple[float, float]]:
-    """The interpolant of :meth:`DOP853.dense_output` over the step from
-    ``t_old`` with chart, stages and end ``last`` (``DOP853._last``): the
-    three extra stages k14-k16, then F0-F6."""
-    (
-        w_chart, u, v, h, k1u, k1v, k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v,
-        k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
-    ) = last
-    us = u + (
-        _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
-        + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u
-    ) * h
-    vs = v + (
-        _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
-        + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
-    ) * h
-    k14u, k14v = _field(p, w_chart, (us, vs))
-    us = u + (
-        _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
-        + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
-    ) * h
-    vs = v + (
-        _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
-        + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
-    ) * h
-    k15u, k15v = _field(p, w_chart, (us, vs))
-    us = u + (
-        _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
-        + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
-    ) * h
-    vs = v + (
-        _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
-        + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
-    ) * h
-    k16u, k16v = _field(p, w_chart, (us, vs))
-
-    ku = (k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u)
-    kv = (k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v)
-    du = u_new - u
-    dv = v_new - v
-    fu0, fu1, fu2 = du, h * k1u - du, 2.0 * du - h * (k13u + k1u)
-    fv0, fv1, fv2 = dv, h * k1v - dv, 2.0 * dv - h * (k13v + k1v)
-    fu3, fu4, fu5, fu6 = (h * sum(map(mul, row, ku)) for row in _D)
-    fv3, fv4, fv5, fv6 = (h * sum(map(mul, row, kv)) for row in _D)
-
-    def dense(tau: float) -> tuple[float, float]:
-        x = (tau - t_old) / h
-        y = 1.0 - x
-        return (
-            x * (fu0 + y * (fu1 + x * (fu2 + y * (fu3 + x * (fu4 + y * (fu5 + x * fu6))))))
-            + u,
-            x * (fv0 + y * (fv1 + x * (fv2 + y * (fv3 + x * (fv4 + y * (fv5 + x * fv6))))))
-            + v,
-        )
-
-    return dense

@@ -200,8 +200,8 @@ def handoff_cap_envelope(m: float, case: Case) -> float:
         case B:  (0.350 + 0.563 m) e^{1.113 m - 2.295}    m <= 0.3
                  (0.201 + 0.832 m) e^{-2.048 m - 1.652}   m > 0.3.
     """
-    if not m >= 0:
-        raise ValueError(f"m must be nonnegative, got {m!r}")
+    if not 0.0 <= m < math.inf:
+        raise ValueError(f"m must be finite and nonnegative, got {m!r}")
     low, high = _ENVELOPE[case]
     c0, c1, c2, c3 = low if m <= _M_BRANCH else high
     return (c0 + c1 * m) * math.exp(c2 * m + c3)
@@ -266,10 +266,17 @@ def alpha_factors(m: float, case: Case) -> AlphaFactors:
         alpha3 = ((m+M)/m)^(m/(m+M)),
 
     and 1 - alpha equals :func:`smax_lower_bound` at the same inputs.
+    Raises ValueError where the envelope underflows to 0, above about
+    m = 362.96 (case A) or 363.03 (case B).
     """
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
     x_gamma = handoff_cap_envelope(m, case)
+    if not x_gamma > 0:
+        raise ValueError(
+            f"handoff_cap_envelope underflows at m = {m!r} (case {case.value}): "
+            f"x_gamma = {x_gamma!r} has no logarithm"
+        )
     M = S_GAMMA
     delta = 1.0 - S_GAMMA - x_gamma / (m + M)
     if delta <= 0:

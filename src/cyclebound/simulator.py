@@ -13,10 +13,9 @@ crossed 1/2, in either direction.
 An adaptive embedded Runge-Kutta pair (DOP853, Dormand-Prince 8(5,3)
 with 7th-order dense output, :mod:`cyclebound.dopri`) supplies the
 steps.  An isocline crossing is detected as a sign change of its log
-event function over an accepted step and committed with its kind; it is
-located (Illinois regula falsi on the event function over the step's
-dense interpolant to a tight time tolerance, then one interpolant
-evaluation for the state) when its time or state is first read.
+event function over an accepted step and located in that step: Illinois
+regula falsi on the event function over the step's dense interpolant to
+a tight time tolerance, then one interpolant evaluation for the state.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -142,82 +141,13 @@ _CYCLE_ORDER = (
 )
 
 
+@dataclass(frozen=True)
 class Event:
-    """An isocline crossing: its time ``tau``, log state (u, v) and kind.
+    """An isocline crossing: its time ``tau``, log state (u, v) and kind."""
 
-    ``Event(tau, state, kind)`` is a located crossing.  :func:`integrate`
-    commits crossings with their kind only and the bracket to locate them
-    in; ``tau`` and ``state`` are located (:func:`_locate`, then one
-    interpolant evaluation, mapped to (u, v) from a w-chart step) when
-    either is first read, and kept.  Equality, hashing, repr and
-    pickling use the located values, as for a frozen dataclass of the
-    three fields.
-    """
-
-    __slots__ = ("_tau", "_state", "_kind", "_bracket")
-
-    def __init__(self, tau: float, state: LogState, kind: EventKind) -> None:
-        self._tau = tau
-        self._state = state
-        self._kind = kind
-        self._bracket = None
-
-    @classmethod
-    def _deferred(
-        cls, kind: EventKind, g: Callable, dense: Callable, t_lo: float, t_hi: float,
-        w_chart: bool,
-    ) -> "Event":
-        """A crossing of kind ``kind`` inside ``[t_lo, t_hi]`` of a step in
-        the w chart or not, located on first read by
-        ``_locate(g, dense, t_lo, t_hi)``."""
-        ev = cls.__new__(cls)
-        ev._kind = kind
-        ev._bracket = (g, dense, t_lo, t_hi, w_chart)
-        return ev
-
-    def _resolve(self) -> None:
-        g, dense, t_lo, t_hi, w_chart = self._bracket
-        tau = _locate(g, dense, t_lo, t_hi)
-        u, y1 = dense(tau)
-        self._tau = tau
-        self._state = LogState(u, log1m_exp(y1) if w_chart else y1)
-        self._bracket = None
-
-    @property
-    def tau(self) -> float:
-        if self._bracket is not None:
-            self._resolve()
-        return self._tau
-
-    @property
-    def state(self) -> LogState:
-        if self._bracket is not None:
-            self._resolve()
-        return self._state
-
-    @property
-    def kind(self) -> EventKind:
-        return self._kind
-
-    def _located(self) -> tuple:
-        return (self.tau, self.state, self._kind)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._located() == other._located()
-
-    def __hash__(self) -> int:
-        return hash(self._located())
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(tau={self.tau!r}, state={self.state!r}, "
-            f"kind={self._kind!r})"
-        )
-
-    def __reduce__(self) -> tuple:
-        return (self.__class__, self._located())
+    tau: float
+    state: LogState
+    kind: EventKind
 
 
 @dataclass(frozen=True)
@@ -255,15 +185,14 @@ class Trajectory:
     sample alone, so a return-map tour builds no array.
 
     ``events`` records every sign change of the event functions, each
-    located only when its ``tau`` or ``state`` is first read (see
-    :class:`Event`).  Each isocline is crossed twice per loop.  The
-    saddle passage, where 1 - s falls to e^-30 at a = lam = m = 0.01 and
-    to e^-85 in deep cycles, is integrated in w = ln(1 - s), so x - h(s)
-    keeps its sign there; in v = ln s, whose step error is 1e-12 or
-    more, it would change sign at every step that errs by more than
-    1 - s.  :func:`net_events` reduces the sequence to the topological
-    one, which then is the sequence itself.  ``stats`` is the stepper's
-    work.
+    located in the step that crossed it.  Each isocline is crossed twice
+    per loop.  The saddle passage, where 1 - s falls to e^-30 at
+    a = lam = m = 0.01 and to e^-85 in deep cycles, is integrated in
+    w = ln(1 - s), so x - h(s) keeps its sign there; in v = ln s, whose
+    step error is 1e-12 or more, it would change sign at every step that
+    errs by more than 1 - s.  :func:`net_events` reduces the sequence to
+    the topological one, which then is the sequence itself.  ``stats`` is
+    the stepper's work.
     """
 
     taus: Union[np.ndarray, tuple]
@@ -289,8 +218,7 @@ def net_events(events: list[Event]) -> list[Event]:
 
     A crossing immediately undone by the reverse crossing of the same
     event function is not a region transition; the surviving sequence
-    cycles through the four kinds in the canonical order.  Only kinds
-    are read, so no crossing is located here.
+    cycles through the four kinds in the canonical order.
     """
     stack: list[Event] = []
     for ev in events:
@@ -475,14 +403,13 @@ def integrate(
     and switches at the end of the first step on the other side (a start
     at s >= 1 stays in v until s < 1).  Every accepted step is checked
     for sign changes of the chart's event functions for s = lam and
-    x = h(s) (:func:`_event_functions`); each is appended as an
-    :class:`Event` and located on its step's dense interpolant
-    (:func:`_locate`) when first read.  A start on an isocline commits
-    no crossing there.  Crossings committed in one step are ordered by
-    time.  The run ends at the n_downs-th descending s = lam crossing:
-    the trajectory is cut back to it, so its last sample is that
-    crossing's state.  With ``keep_samples=False`` that state is the
-    only sample kept.
+    x = h(s) (:func:`_event_functions`); each is located on its step's
+    dense interpolant (:func:`_locate`) and appended as an
+    :class:`Event`.  A start on an isocline commits no crossing there.
+    Crossings committed in one step are ordered by time.  The run ends
+    at the n_downs-th descending s = lam crossing: the trajectory is cut
+    back to it, so its last sample is that crossing's state.  With
+    ``keep_samples=False`` that state is the only sample kept.
 
     Raises ValueError for n_downs < 1 or a start with a non-finite
     coordinate, StepLimitError/StepSizeError on budget exhaustion or a
@@ -555,12 +482,12 @@ def integrate(
                 if sides[idx] != 0:
                     if dense is None:
                         dense = solver.dense_output()
-                    crossed.append(
-                        Event._deferred(_KINDS[idx][side], g, dense, t_old, solver.t, w_chart)
-                    )
+                    tau = _locate(g, dense, t_old, solver.t)
+                    u, y1 = dense(tau)
+                    state = LogState(u, log1m_exp(y1) if w_chart else y1)
+                    crossed.append(Event(tau, state, _KINDS[idx][side]))
                 sides[idx] = side
-            if len(crossed) > 1:  # the key locates, so a lone crossing is not sorted
-                crossed.sort(key=lambda ev: ev.tau)
+            crossed.sort(key=lambda ev: ev.tau)
             for ev in crossed:
                 events.append(ev)
                 if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:

@@ -307,6 +307,19 @@ def test_canard_s_max_limit_small_a():
     assert c.s_max_c == pytest.approx(1.0, abs=1e-5)
 
 
+def test_canard_estimates_take_the_a_zero_limit():
+    # a (ln a - 1) -> 0 with a, so a = 0 gives what a = 1e-300 rounds to
+    at_zero = canard_estimates(Params(a=0.0, lam=0.05, m=1.0, limit=True))
+    assert at_zero == canard_estimates(Params(a=1e-300, lam=0.05, m=1.0, limit=True))
+    assert at_zero.ln_s_min_c == -0.25 / 0.05
+
+
+def test_cycle_bounds_at_a_zero_name_the_minima_bounds():
+    p = Params(a=0.0, lam=0.05, m=1.0, limit=True)
+    with pytest.raises(ValueError, match=re.escape("the minima bounds need a > 0")):
+        cycle_bounds(p)
+
+
 def test_canard_consistency_as_m_shrinks():
     # the x_min interval midpoint approaches the canard estimate as m -> 0
     p0 = Params(a=0.05, lam=0.05, m=1.0)

@@ -166,6 +166,12 @@ def test_region4_cli(capsys):
     assert record["handoff_cap_envelope"] == pytest.approx(0.01877717, rel=1e-5)
 
 
+def test_region4_cli_names_m_where_the_envelope_underflows(capsys):
+    code, out, err = run_cli("region4", "--case", "A", "--m", "400", capsys=capsys)
+    assert code == 1 and not out
+    assert "underflows at m = 400.0 (case A)" in err
+
+
 def test_transit_cli(capsys):
     code, out, _ = run_cli(
         "transit", "--a", "0.05", "--lambda", "0.05", "--m", "1.0",

@@ -153,24 +153,32 @@ def test_gain_quadratic_corners_certified_on_the_case_box(case):
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_gain_quadratic_grid_matches_scalar_scan(case):
-    # the scan the grid evaluation replaced: every point through the
-    # scalar definition, worst kept by strict comparison
+    # the full grid the certified corners stand for, one array call per
+    # side; argmax and argmin keep the first worst point in (a, lam, m)
+    # loop order, as a scan of the scalar definition by strict comparison
+    # does, and that definition gives the array's value there bit for bit
     a_max, lam_max = case.a_max, case.lam_max
-    worst_at_lam = (-math.inf, ())
-    worst_at_one = (math.inf, ())
-    for a in np.linspace(a_max / 40, a_max, 40):
-        for lam in np.linspace(lam_max / 40, lam_max, 40):
-            for m in np.geomspace(1e-3, 50, 60):
-                p = SimpleNamespace(a=float(a), lam=float(lam), m=float(m))
-                g_lam = growth_ratio_quadratic(p.lam, p, case)
-                g_one = growth_ratio_quadratic(1.0, p, case)
-                if g_lam > worst_at_lam[0]:
-                    worst_at_lam = (g_lam, (p.a, p.lam, p.m))
-                if g_one < worst_at_one[0]:
-                    worst_at_one = (g_one, (p.a, p.lam, p.m))
+    a, lam, m = (
+        axis.ravel()
+        for axis in np.meshgrid(
+            np.linspace(a_max / 40, a_max, 40),
+            np.linspace(lam_max / 40, lam_max, 40),
+            np.geomspace(1e-3, 50, 60),
+            indexing="ij",
+        )
+    )
+    grid = SimpleNamespace(a=a, lam=lam, m=m)
+    g_lam = growth_ratio_quadratic(lam, grid, case)
+    g_one = growth_ratio_quadratic(1.0, grid, case)
+    worst = []
+    for values, i in ((g_lam, g_lam.argmax()), (g_one, g_one.argmin())):
+        p = SimpleNamespace(a=float(a[i]), lam=float(lam[i]), m=float(m[i]))
+        scalar = growth_ratio_quadratic(p.lam if values is g_lam else 1.0, p, case)
+        assert repr(scalar) == repr(float(values[i]))
+        worst.append((scalar, (p.a, p.lam, p.m)))
     report = proof_spotchecks(case)
     checks = [report["gain_quadratic_negative_at_lam"], report["gain_quadratic_positive_at_one"]]
-    assert [(c.worst_value, c.worst_arg) for c in checks] == [worst_at_lam, worst_at_one]
+    assert [(c.worst_value, c.worst_arg) for c in checks] == worst
     for check in checks:
         assert type(check.worst_value) is float
         assert all(type(v) is float for v in check.worst_arg)

@@ -227,8 +227,9 @@ def test_handoff_cap_envelope_values_and_caps():
     max_b = max(handoff_cap_envelope(float(m), Case.B) for m in ms)
     assert max_a <= 0.05
     assert max_b <= 0.08
-    with pytest.raises(ValueError):
-        handoff_cap_envelope(-0.1, Case.A)
+    for m in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="m must be finite and nonnegative"):
+            handoff_cap_envelope(m, Case.A)
 
 
 def growth_ratio_product_route(s: float, p: Params) -> float:
@@ -356,6 +357,23 @@ def test_alpha_factors_match_smax_bound():
             )
             direct = smax_lower_bound(f.x_gamma, m)
             assert 1.0 - f.alpha == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+@pytest.mark.parametrize("m", [400.0, 1e300])
+def test_alpha_factors_names_m_where_the_envelope_underflows(case, m):
+    # the envelope is 0.0 there, so ln x_gamma does not exist
+    assert handoff_cap_envelope(m, case) == 0.0
+    with pytest.raises(ValueError, match=re.escape(f"underflows at m = {m!r} (case {case.value})")):
+        alpha_factors(m, case)
+
+
+def test_alpha_factors_hold_up_to_the_underflow():
+    # the last m below case A's underflow still factors, at an envelope
+    # of a few hundred subnormal units
+    f = alpha_factors(362.96, Case.A)
+    assert 0.0 < f.x_gamma < 1e-320
+    assert 1.0 - f.alpha == pytest.approx(smax_lower_bound(f.x_gamma, 362.96), rel=1e-12)
 
 
 def test_alpha3_peak_is_e_to_1_over_e():

@@ -1,10 +1,8 @@
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
-from dataclasses import make_dataclass
 from pathlib import Path
 
 import mpmath as mp
@@ -393,8 +391,7 @@ def test_stepper_stages_are_log_vector_field(p, monkeypatch):
 def test_dense_output_is_a_snapshot_of_its_step(p):
     # an interpolant first evaluated five steps after its own step gives,
     # bit for bit, the values of one evaluated right after that step, in
-    # the chart of that step even after a chart switch: a crossing
-    # located on first read depends on this
+    # the chart of that step even after a chart switch
     for y0, w_chart in ((_cycle_start(p), False), (_saddle_start(p), True)):
         solver = simulator.RK45(p, 0.0, y0, rtol=1e-10, atol=1e-12, w_chart=w_chart)
         for _ in range(3):
@@ -615,51 +612,6 @@ def test_illinois_and_bisection_locate_the_same_crossing(p):
         assert simulator._sign(g(dense(te))) in (side, 0)
     # about 13 evaluations a crossing, where bisection takes 35 to 40
     assert len(calls) <= 16 * len(brackets)
-
-
-# a frozen dataclass of the three fields: what Event was before crossings
-# were located on first read
-_DataclassEvent = make_dataclass(
-    "Event", [("tau", float), ("state", LogState), ("kind", EventKind)], frozen=True
-)
-
-
-def test_lazily_located_event_behaves_like_a_located_one(monkeypatch):
-    # each comparison is the first read of a fresh deferred event, and
-    # each locates exactly once; the crossing is the prey maximum, located
-    # in the w chart and read as (u, v)
-    idx, g, dense, t_lo, t_hi, side, w_chart = _loop_brackets(P_REF)[2]
-    assert w_chart
-    kind = simulator._KINDS[idx][side]
-    tau = simulator._locate(g, dense, t_lo, t_hi)
-    u, w = dense(tau)
-    state = LogState(u, log1m_exp(w))
-    located = Event(tau, state, kind)
-    plain = _DataclassEvent(tau, state, kind)
-    calls = []
-    real_locate = simulator._locate
-    monkeypatch.setattr(
-        simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
-    )
-
-    def deferred():
-        return Event._deferred(kind, g, dense, t_lo, t_hi, w_chart)
-
-    ev = deferred()
-    assert ev.kind is kind and not calls
-    assert ev == located and located == deferred()
-    assert len(calls) == 2
-    assert hash(deferred()) == hash(located) == hash(plain)
-    assert repr(deferred()) == repr(located) == repr(plain)
-    assert pickle.loads(pickle.dumps(deferred())) == located
-    assert ev != Event(tau, located.state, simulator._KINDS[idx][-side])
-    assert ev != plain  # another class, as between two dataclasses
-    assert len(calls) == 5
-    ev = deferred()
-    assert (ev.state, ev.tau, ev.state) == (located.state, tau, located.state)
-    assert len(calls) == 6
-    with pytest.raises(AttributeError):
-        ev.tau = 0.0
 
 
 def test_smooth_event_function_has_the_sign_of_the_log_form():
@@ -1001,10 +953,9 @@ def test_limit_cycle_reports_the_converging_tour(monkeypatch):
     assert ce.as_dict()["tours"] == ce.tours
 
 
-def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
-    # only the predator maximum that ends each tour and the three other
-    # crossings of the reported one are located: 5 of the 8 the two tours
-    # of the canard cycle commit
+def test_limit_cycle_locates_each_committed_crossing_once(monkeypatch):
+    # every crossing is located in the step that commits it, and only
+    # there: 8 for the 4 crossings of each of the canard cycle's two tours
     start = LogState(*_cycle_start(CANARD))
     expected = _events_step_by_step(start, CANARD, n_downs=1)
     calls = []
@@ -1013,14 +964,14 @@ def test_limit_cycle_locates_only_the_crossings_it_reads(monkeypatch):
         simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
     )
     ce = limit_cycle(CANARD)
-    assert ce.tours == 2 and len(calls) == 5
-    # a tour locates its end; reading every crossing locates the others
-    # and reproduces the step by step reference
+    assert ce.tours == 2 and ce.raw_events == 4 and len(calls) == 8
+    # one tour locates its four crossings; reading them locates nothing
+    # more, and they reproduce the step by step reference
     del calls[:]
     tour = integrate(start, CANARD, keep_samples=False)
-    assert len(calls) == 1 and len(tour.events) == 4
+    assert len(calls) == len(tour.events) == 4
     assert tour.events == expected
-    assert len(calls) == len(tour.events)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(
