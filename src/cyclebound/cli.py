@@ -6,12 +6,9 @@ prints the recovery-branch constants, and ``sweep``/``proofcheck``/
 ``figures`` drive the verification harness.  Every library name is read
 through the package (``cyclebound.cycle_bounds``), which loads a layer on
 the first read of one of its names, so each subcommand loads only its
-layers; building the parser loads ``bounds``.  The environment variable
-CYCLEBOUND_RTOL overrides the default integration tolerance of every
-subcommand that simulates; explicit ``--rtol`` flags win over it.  Only
-the CLI, ``SweepSpec.from_json`` and ``emit_figures`` (without ``cfg``)
-read it; library calls such as ``limit_cycle(p)`` and
-``run_sweep(REFERENCE_SPECS[0])`` keep the :class:`SimConfig` defaults.
+layers; building the parser loads ``bounds``.  ``--rtol`` sets the
+integration tolerance where it is offered, and ``sweep`` takes its
+tolerances from the spec file or runs ``REFERENCE_SPECS`` as defined.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
@@ -50,8 +47,7 @@ def _params_from_args(args: argparse.Namespace) -> cyclebound.Params:
 
 
 def _sim_config(args: argparse.Namespace) -> cyclebound.SimConfig:
-    overrides = {} if args.rtol is None else {"rtol": args.rtol}
-    return cyclebound.SimConfig.from_env(**overrides)
+    return cyclebound.SimConfig() if args.rtol is None else cyclebound.SimConfig(rtol=args.rtol)
 
 
 def _print_record(record: dict, as_json: bool) -> None:
@@ -123,8 +119,7 @@ def _cmd_region4(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is None:
-        sim = cyclebound.SimConfig.from_env()
-        specs = [dataclasses.replace(spec, sim=sim) for spec in cyclebound.REFERENCE_SPECS]
+        specs = cyclebound.REFERENCE_SPECS
     else:
         specs = [cyclebound.SweepSpec.from_json(json.loads(args.spec.read_text()))]
     if args.jobs is not None:

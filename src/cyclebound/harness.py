@@ -7,10 +7,10 @@ simulated cycle (and with each other) over parameter grids:
   with the bounds and reports one pass/fail row per point, in a CSV
   whose layout is stable byte for byte regardless of worker count.
 * :func:`proof_spotchecks` checks the sign conditions and monotonicity
-  claims the closed forms rest on.  The x_max barrier and gain-quadratic
-  rows are evaluated once, at the corner of their box where an algebraic
-  certificate puts the worst case; the other rows sample dense grids
-  (confidence checks, not certified interval arithmetic).
+  claims the closed forms rest on.  The x_max barrier, gain-quadratic
+  and hand-off envelope rows are evaluated only where a certificate puts
+  their worst case; the other rows sample dense grids (confidence
+  checks, not certified interval arithmetic).
 * :func:`emit_figures` writes bound-versus-simulation curves over m for
   a set of parameter panels.
 """
@@ -137,13 +137,18 @@ class SweepSpec:
         _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"sim", "jobs"})
         sim_record = record.get("sim", {})
         _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
+        jobs = record.get("jobs", 1)
+        typed = [(f"sim {key}", v, (int, float), "number") for key, v in sim_record.items()]
+        for what, value, types, kind in typed + [("jobs", jobs, int, "integer")]:
+            if isinstance(value, bool) or not isinstance(value, types):  # a bool is neither
+                raise ValueError(f"sweep spec {what} must be a JSON {kind}, got {value!r}")
         try:
             return cls(
                 a_values=tuple(record["a_values"]),
                 lambda_values=tuple(record["lambda_values"]),
                 m_values=tuple(record["m_values"]),
-                sim=SimConfig.from_env(**sim_record),
-                jobs=int(record.get("jobs", 1)),
+                sim=SimConfig(**sim_record),
+                jobs=jobs,
             )
         except TypeError as exc:
             raise ValueError(f"malformed sweep spec: {exc}") from None
@@ -430,10 +435,15 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     side.  The barrier rows and the gain-quadratic rows are certified
     corners: an algebraic certificate puts their worst case at one
     corner of their box (:data:`_BARRIER_BOX`, :data:`_GAIN_BOX`), so
-    each is evaluated there once.  The alpha, envelope and cap-slope rows
-    are still sampled, on grids dense enough to exceed the granularity
-    of the case analysis they probe.  Failures are reported in the
-    result, never raised.
+    each is evaluated there once.  So is the envelope row, at its branch
+    ends m = 0.3 and the next float (ties go to 0.3): a branch
+    (c0 + c1 m) e^{c2 m + c3} has the slope sign of c1 + c2 (c0 + c1 m),
+    which is > 0 for the low branch (c0, c1, c2 > 0), so it increases on
+    [0, 0.3], while for the high branch (c2 < 0 < c1) it falls with m and
+    is -0.127 (case A) or -0.091 (case B) at m = 0.3, so it decreases on
+    [0.3, inf).  The alpha and cap-slope rows are still sampled, on grids
+    dense enough to exceed the granularity of the case analysis they
+    probe.  Failures are reported in the result, never raised.
     """
     case = Case(case)
     barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
@@ -446,9 +456,9 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
         ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
         key=itemgetter(0),
     )
-    envelope_grid = np.linspace(0.0, 20.0, 4001).tolist() + [0.3, math.nextafter(0.3, 1.0)]
     envelope = max(
-        ((handoff_cap_envelope(m, case), (m,)) for m in envelope_grid), key=itemgetter(0)
+        ((handoff_cap_envelope(m, case), (m,)) for m in (0.3, math.nextafter(0.3, 1.0))),
+        key=itemgetter(0),
     )
     slope = _cap_bound_slopes(case)
     rows = (
@@ -549,7 +559,7 @@ def emit_figures(
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
     ms = _positive_values("m_values", figure_m_values() if m_values is None else m_values)
-    cfg = cfg or SimConfig.from_env()
+    cfg = cfg or SimConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -25,15 +25,16 @@ The four crossing kinds tile one loop of the cycle:
     X_EQ_H_MAX        x = h(s), prey maximal.
 
 The limit cycle itself is the fixed point of the return map on the
-section {s = lam, x > h(lam), s decreasing}; since the cycle is strongly
-attracting, plain fixed-point iteration converges in a few loops, and
-:func:`limit_cycle` reports the converging tour.
+section {s = lam, x > h(lam), s decreasing}.  :func:`limit_cycle` iterates
+it plainly and reports the converging tour: 2 to 4 tours on the reference
+grid but 335 at (0.45, 0.27, 1), near the Hopf boundary.  A tour moving
+ln x by Delta leaves it |Delta| / (1 - rho) from the fixed point, rho the
+return map's slope (ROADMAP.md, open item 1: a Newton return map).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -72,7 +73,11 @@ _EVENT_TAU_TOL = 1e-12
 # v = w = ln(1/2): the prey level s = 1/2 where the charts meet
 _LN_HALF = -math.log(2.0)
 
-_ENV_RTOL = "CYCLEBOUND_RTOL"
+# the absolute step tolerance in the log variables, the accepted-step
+# budget of one integrate call and the tour budget of limit_cycle
+ATOL_LOG = 1e-12
+MAX_STEPS = 2_000_000
+MAX_RETURN_ITERS = 10_000
 
 
 class IntegrationError(RuntimeError):
@@ -95,34 +100,20 @@ class EventOrderError(IntegrationError):
 class SimConfig:
     """Integration and cycle-detection tolerances.
 
-    rtol/atol_log control the local error per step, componentwise in the
-    log variables.  cycle_tol is the return-map fixed-point tolerance on
-    ln x; max_return_iters caps the fixed-point iteration (generously,
-    convergence typically takes two or three loops).
+    rtol controls the local error per step, componentwise in the log
+    variables, next to the absolute :data:`ATOL_LOG`.  cycle_tol is the
+    return-map fixed-point tolerance on ln x, a bound on one tour's move:
+    the distance to the fixed point is cycle_tol / (1 - rho) at most.
     """
 
     rtol: float = 1e-10
-    atol_log: float = 1e-12
-    max_steps: int = 2_000_000
     cycle_tol: float = 1e-9
-    max_return_iters: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (self.rtol > 0 and self.atol_log > 0 and self.cycle_tol > 0):
-            raise ValueError("rtol, atol_log and cycle_tol must be positive")
-        for name in ("rtol", "atol_log"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.max_return_iters < 1:
-            raise ValueError("max_return_iters must be at least 1")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "SimConfig":
-        """Default config, with rtol overridable via CYCLEBOUND_RTOL."""
-        env = os.environ.get(_ENV_RTOL)
-        if env is not None and "rtol" not in overrides:
-            overrides["rtol"] = float(env)
-        return cls(**overrides)
+        if not (self.rtol > 0 and self.cycle_tol > 0):
+            raise ValueError("rtol and cycle_tol must be positive")
+        if not math.isfinite(self.rtol):
+            raise ValueError(f"rtol must be finite, got {self.rtol!r}")
 
 
 class EventKind(Enum):
@@ -412,10 +403,10 @@ def integrate(
     ``keep_samples=False`` that state is the only sample kept.
 
     Raises ValueError for n_downs < 1 or a start with a non-finite
-    coordinate, StepLimitError/StepSizeError on budget exhaustion or a
-    solver stall, and IntegrationError when a step of a too loose
-    tolerance lands at s <= 0, so a silently truncated trajectory is
-    never returned.
+    coordinate, StepLimitError after :data:`MAX_STEPS` accepted steps,
+    StepSizeError on a solver stall, and IntegrationError when a step of
+    a too loose tolerance lands at s <= 0, so a silently truncated
+    trajectory is never returned.
     """
     cfg = cfg or SimConfig()
     if n_downs < 1:
@@ -429,20 +420,20 @@ def integrate(
         raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
     w_chart = _LN_HALF < ls.v < 0.0
     y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
-    solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log, w_chart=w_chart)
+    solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=ATOL_LOG, w_chart=w_chart)
     charts = _event_functions(p)
     g_lam, g_h = charts[w_chart]
     # the side of each isocline the trajectory is on: 0 while it sits on
-    # it, as a start within atol_log of it does (a start on x = h(s0) is
+    # it, as a start within ATOL_LOG of it does (a start on x = h(s0) is
     # on it up to roundoff), and then its first side is no crossing
-    sides = [_sign(val) if abs(val) > cfg.atol_log else 0 for val in (g_lam(y0), g_h(y0))]
+    sides = [_sign(val) if abs(val) > ATOL_LOG else 0 for val in (g_lam(y0), g_h(y0))]
 
     taus = [0.0]
     pts = [(ls.u, ls.v)]
     events: list[Event] = []
     downs = 0
     steps = 0
-    max_steps = cfg.max_steps
+    max_steps = MAX_STEPS
     step = solver.step
 
     while True:
@@ -544,8 +535,9 @@ def limit_cycle(
     Iterates the return map on the section from x0 (default: the
     closed-form x_max upper bound, which starts strictly outside the
     cycle) until one tour's start and end agree to cycle_tol in ln x,
-    and reports the converging tour.  If the iteration budget runs out,
-    the last tour is still reported with ``converged=False``.
+    and reports the converging tour.  If :data:`MAX_RETURN_ITERS` tours
+    do not converge, the last one is still reported with
+    ``converged=False``.
     """
     cfg = cfg or SimConfig()
     if x0 is None:
@@ -557,7 +549,7 @@ def limit_cycle(
     tours = 0
     total = SolveStats()
     converged = False
-    while not converged and tours < cfg.max_return_iters:
+    while not converged and tours < MAX_RETURN_ITERS:
         # one full loop from the section {s = lam, s falling} back to it
         tour = integrate(LogState(ln_x, ln_lam), p, cfg, keep_samples=False)
         tours += 1

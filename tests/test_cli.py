@@ -13,7 +13,6 @@ from cyclebound.harness import CSV_HEADER
 from cyclebound.model import Params
 from cyclebound.simulator import (
     EventOrderError,
-    SimConfig,
     StepLimitError,
     StepSizeError,
     cycle_extreme_report,
@@ -187,7 +186,7 @@ def test_sweep_cli(tmp_path, capsys):
         "a_values": [0.05],
         "lambda_values": [0.05],
         "m_values": [0.3, 1.0],
-        "sim": {"rtol": 1e-8, "atol_log": 1e-10, "cycle_tol": 1e-7},
+        "sim": {"rtol": 1e-8, "cycle_tol": 1e-7},
     }
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
@@ -236,10 +235,39 @@ def test_sweep_cli(tmp_path, capsys):
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "s0": 0.8},
             "sweep spec has unknown keys ['s0']",
         ),
+        (
+            # the absolute tolerance is a constant of the simulator
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
+             "sim": {"atol_log": 1e-10}},
+            "sweep spec sim has unknown keys ['atol_log']; allowed: ['cycle_tol', 'rtol']",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": 2.5},
+            "sweep spec jobs must be a JSON integer, got 2.5",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": "3"},
+            "sweep spec jobs must be a JSON integer, got '3'",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": True},
+            "sweep spec jobs must be a JSON integer, got True",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
+             "sim": {"rtol": True}},
+            "sweep spec sim rtol must be a JSON number, got True",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
+             "sim": {"cycle_tol": "1e-9"}},
+            "sweep spec sim cycle_tol must be a JSON number, got '1e-9'",
+        ),
     ],
     ids=[
         "missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list",
-        "no-cycle-pair", "nonpositive-m", "anchor-key",
+        "no-cycle-pair", "nonpositive-m", "anchor-key", "dropped-sim-key", "float-jobs",
+        "string-jobs", "bool-jobs", "bool-sim-value", "string-sim-value",
     ],
 )
 def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
@@ -255,8 +283,8 @@ def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("jobs, rtol", [(None, None), ("2", "1e-7")])
-def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, jobs, rtol):
+@pytest.mark.parametrize("jobs", [None, "2"])
+def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, jobs):
     specs = []
 
     def spying_run_sweep(spec):
@@ -264,20 +292,17 @@ def test_sweep_defaults_to_the_reference_grid(tmp_path, monkeypatch, capsys, job
         return harness.SweepReport(rows=[])
 
     monkeypatch.setattr(cyclebound, "run_sweep", spying_run_sweep)
-    if rtol is None:
-        monkeypatch.delenv("CYCLEBOUND_RTOL", raising=False)
-    else:
-        monkeypatch.setenv("CYCLEBOUND_RTOL", rtol)
     out_file = tmp_path / "report.csv"
     args = ["sweep", "--out", str(out_file)] + ([] if jobs is None else ["--jobs", jobs])
     code, _, _ = run_cli(*args, capsys=capsys)
     assert code == 0
-    # the reference grids in order, each with --jobs and the environment's rtol
-    want_jobs = 1 if jobs is None else int(jobs)
-    want_sim = SimConfig() if rtol is None else SimConfig(rtol=float(rtol))
-    assert specs == [
-        dataclasses.replace(spec, jobs=want_jobs, sim=want_sim) for spec in harness.REFERENCE_SPECS
-    ]
+    # the reference grids in order, as defined but for --jobs
+    if jobs is None:
+        assert specs == list(harness.REFERENCE_SPECS)
+    else:
+        assert specs == [
+            dataclasses.replace(spec, jobs=int(jobs)) for spec in harness.REFERENCE_SPECS
+        ]
     assert out_file.read_text() == CSV_HEADER + "\n"
 
 
@@ -409,7 +434,7 @@ def test_sweep_reports_failed_rows(tmp_path, monkeypatch, capsys):
         "lambda_values": [0.05],
         "m_values": [0.3, 1.0],
         "jobs": 4,
-        "sim": {"rtol": 1e-8, "atol_log": 1e-10, "cycle_tol": 1e-7},
+        "sim": {"rtol": 1e-8, "cycle_tol": 1e-7},
     }
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))

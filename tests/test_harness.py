@@ -22,10 +22,11 @@ from cyclebound.harness import (
     x_max_barrier_coefficients,
 )
 from cyclebound.model import Params
-from cyclebound.region4 import Case, growth_ratio_quadratic
+from cyclebound import region4
+from cyclebound.region4 import Case, growth_ratio_quadratic, handoff_cap_envelope
 from cyclebound.simulator import SimConfig, cycle_extreme_report
 
-FAST_SIM = SimConfig(rtol=1e-8, atol_log=1e-10, cycle_tol=1e-7)
+FAST_SIM = SimConfig(rtol=1e-8, cycle_tol=1e-7)
 
 
 def test_barrier_coefficients_examples():
@@ -330,6 +331,44 @@ def test_sweep_spec_validation_and_json():
         SweepSpec.from_json(record)
 
 
+def test_sweep_spec_json_takes_integers_as_numbers():
+    # a JSON number may be written without a fraction; the type rules
+    # reject only what is not a number (a bool included)
+    record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": 2,
+              "sim": {"rtol": 1e-9, "cycle_tol": 1}}
+    spec = SweepSpec.from_json(record)
+    assert spec.jobs == 2 and spec.sim == SimConfig(rtol=1e-9, cycle_tol=1.0)
+
+
+def envelope_branch(coefficients, m):
+    """One branch (c0 + c1 m) e^{c2 m + c3} of the hand-off envelope, on
+    mpmath intervals."""
+    c0, c1, c2, c3 = coefficients
+    return (c0 + c1 * m) * iv.exp(c2 * m + c3)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_handoff_envelope_row_certified_at_its_branch_ends(case):
+    # the derivative of a branch has the sign of c1 + c2 (c0 + c1 m): the
+    # low branch increases (c0, c1, c2 > 0); on the high branch c2 < 0 < c1,
+    # so that sign falls with m and is negative at the switch already
+    low, high = ([iv.mpf(c) for c in branch] for branch in region4._ENVELOPE[case])
+    assert all(c.a > 0 for c in low[:3])
+    c0, c1, c2, _ = high
+    assert c2.b < 0 < c1.a
+    m = iv.mpf(0.3)
+    assert (c1 + c2 * (c0 + c1 * m)).b < 0
+    assert envelope_branch(high, m).b < envelope_branch(low, m).a
+    # so the maximum is the low branch's end, m = 0.3, where a 4001-point
+    # scan over [0, 20] plus both branch ends finds it too
+    check = proof_spotchecks(case)["handoff_envelope_cap"]
+    grid = np.linspace(0.0, 20.0, 4001).tolist() + [0.3, math.nextafter(0.3, 1.0)]
+    scan = max(((handoff_cap_envelope(m, case), (m,)) for m in grid), key=lambda t: t[0])
+    assert (check.worst_value, check.worst_arg) == scan == (
+        handoff_cap_envelope(0.3, case), (0.3,)
+    )
+
+
 def test_proof_spotchecks_case_a():
     report = proof_spotchecks(Case.A)
     names = [c.name for c in report.checks]
@@ -404,7 +443,7 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
     expected = {
         "growth_ratio_quadratic": 2,
         "alpha_factors": 500,
-        "handoff_cap_envelope": 4003,
+        "handoff_cap_envelope": 2,
         "handoff_cap_bound": 4,
         "alpha2_peak": 1,
     }

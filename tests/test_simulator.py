@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -77,16 +78,12 @@ def test_net_events_leaves_no_cancellable_pair(kind_indices):
     assert len(reduced) <= len(events)
 
 
-def test_sim_config_env_override(monkeypatch):
-    monkeypatch.setenv("CYCLEBOUND_RTOL", "1e-8")
-    assert SimConfig.from_env().rtol == 1e-8
-    assert SimConfig.from_env(rtol=1e-11).rtol == 1e-11
-    monkeypatch.delenv("CYCLEBOUND_RTOL")
-    assert SimConfig.from_env().rtol == 1e-10
-    with pytest.raises(ValueError):
-        SimConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(max_return_iters=0)
+def test_sim_config_is_the_two_tolerances():
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["rtol", "cycle_tol"]
+    assert SimConfig() == SimConfig(rtol=1e-10, cycle_tol=1e-9)
+    for bad in ({"rtol": 0.0}, {"cycle_tol": 0.0}, {"rtol": -1e-8}):
+        with pytest.raises(ValueError, match="rtol and cycle_tol must be positive"):
+            SimConfig(**bad)
 
 
 def test_integrate_rejects_bad_params():
@@ -433,12 +430,12 @@ def _events_step_by_step(start, p, n_downs):
     n_downs-th descending s = lam crossing.  Crossings are located by
     integrate's own routine on integrate's own event functions, so the
     events must agree exactly."""
-    cfg = SimConfig()
+    atol = simulator.ATOL_LOG
     w_chart = -math.log(2.0) < start.v < 0.0
     y0 = (start.u, log1m_exp(start.v) if w_chart else start.v)
-    solver = simulator.RK45(p, 0.0, y0, rtol=cfg.rtol, atol=cfg.atol_log, w_chart=w_chart)
+    solver = simulator.RK45(p, 0.0, y0, rtol=SimConfig().rtol, atol=atol, w_chart=w_chart)
     charts = simulator._event_functions(p)
-    sides = [simulator._sign(g(y0)) if abs(g(y0)) > cfg.atol_log else 0 for g in charts[w_chart]]
+    sides = [simulator._sign(g(y0)) if abs(g(y0)) > atol else 0 for g in charts[w_chart]]
     events = []
     while sum(ev.kind is EventKind.S_EQ_LAMBDA_DOWN for ev in events) < n_downs:
         t_old = solver.t
@@ -810,14 +807,10 @@ def test_event_self_convergence_under_rtol_halving():
     assert abs(tp1.ln_x3 - tp2.ln_x3) / abs(tp1.ln_x3) < 10 * rtol
 
 
-def test_step_budget_raises():
-    with pytest.raises(StepLimitError):
-        integrate(
-            State(h(0.8, P_REF), 0.8),
-            P_REF,
-            SimConfig(max_steps=5),
-            n_downs=2,
-        )
+def test_step_budget_raises(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_STEPS", 5)
+    with pytest.raises(StepLimitError, match="within 5 steps"):
+        integrate(State(h(0.8, P_REF), 0.8), P_REF, n_downs=2)
 
 
 NON_FINITE_CASES = """
@@ -834,8 +827,6 @@ cases = {
     "start u=nan": lambda: integrate(LogState(math.nan, math.log(0.05)), p),
     "start v=-inf": lambda: integrate(LogState(0.0, -math.inf), p),
     "rtol=inf": lambda: SimConfig(rtol=math.inf),
-    "atol_log=inf": lambda: SimConfig(atol_log=math.inf),
-    "atol_log=nan": lambda: SimConfig(atol_log=math.nan),
     "rtol=1e300": lambda: limit_cycle(p, SimConfig(rtol=1e300)),
     "rtol=0.5": lambda: limit_cycle(p, SimConfig(rtol=0.5)),
 }
@@ -874,8 +865,6 @@ def test_non_finite_inputs_and_step_sizes_fail_fast():
     assert record.pop("start u=nan").startswith("ValueError: start must have finite coordinates")
     assert record.pop("start v=-inf").startswith("ValueError: start must have finite coordinates")
     assert record.pop("rtol=inf") == "ValueError: rtol must be finite, got inf"
-    assert record.pop("atol_log=inf") == "ValueError: atol_log must be finite, got inf"
-    assert record.pop("atol_log=nan").startswith("ValueError: rtol, atol_log and cycle_tol")
     # finite tolerances so loose that the state diverges and the step
     # size becomes infinite
     for rtol in ("1e300", "0.5"):
@@ -1045,8 +1034,9 @@ def test_prey_maximum_gap_converges_under_rtol_halving(p, tight):
     assert fine == pytest.approx(tight, abs=1e-7)
 
 
-def test_limit_cycle_out_of_budget_reports_last_tour():
-    ce = limit_cycle(P_REF, SimConfig(max_return_iters=1))
+def test_limit_cycle_out_of_budget_reports_last_tour(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_RETURN_ITERS", 1)
+    ce = limit_cycle(P_REF)
     assert not ce.converged
     assert ce.tours == 1
     assert ce.residual > SimConfig().cycle_tol
