@@ -193,6 +193,40 @@ def x_max_lower(p: Params) -> float:
     )
 
 
+def _launch(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
+    """(h(lambda_star), 1 / (m lambda_star)) after checking the launch
+    (u, lambda_star) and a > 0."""
+    if not (0.0 < lambda_star <= p.lam):
+        raise ValueError(
+            f"lambda_star must lie in (0, lam] = (0, {p.lam!r}], got {lambda_star!r}"
+        )
+    H = h(lambda_star, p)
+    if not u > H:
+        raise ValueError(f"need u > h(lambda_star) = {H!r}, got u = {u!r}")
+    if p.a == 0.0:
+        raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {p.a!r}")
+    # m = 0 is the limit where the excursion dives infinitely deep
+    return H, math.inf if p.m == 0.0 else 1.0 / (p.m * lambda_star)
+
+
+def _lower_side(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
+    """(ln_s_lo, ln_x_lo) of :func:`excursion_bounds`: the isocline frozen
+    at height a, the predator return through z1(u/a)."""
+    _, scale = _launch(u, lambda_star, p)
+    a = p.a
+    ln_s_lo = math.log(lambda_star) - (u - a - a * math.log(u / a)) * scale - 1.0
+    return ln_s_lo, math.log(z(ZIndex.Z1, u / a)) + math.log(u) - u / a
+
+
+def _upper_side(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
+    """(ln_s_hi, ln_x_hi) of :func:`excursion_bounds`: the isocline frozen
+    at height H = h(lambda_star), the predator return through z2(u/H)."""
+    H, scale = _launch(u, lambda_star, p)
+    a = p.a
+    ln_s_hi = math.log(lambda_star) - (u - a - H * math.log(u / a)) * scale
+    return ln_s_hi, math.log(z(ZIndex.Z2, u / H)) + math.log(u) - u / H
+
+
 def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds:
     """Bounds for the trajectory launched at (u, lambda_star), u > h(lambda_star).
 
@@ -206,32 +240,24 @@ def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds
         ln v    in  ( ln(z1(u/a) u) - u/a,
                       ln(z2(u/h(l*)) u) - u/h(l*) ).
 
-    Raises ValueError at a = 0 (limit mode), where u/a does not exist.
+    The lower ends come from the height a alone and the upper ends from
+    h(l*) alone, so each side is its own function; this one evaluates
+    both.  Raises ValueError at a = 0 (limit mode), where u/a does not
+    exist.
     """
-    if not (0.0 < lambda_star <= p.lam):
-        raise ValueError(
-            f"lambda_star must lie in (0, lam] = (0, {p.lam!r}], got {lambda_star!r}"
-        )
-    H = h(lambda_star, p)
-    if not u > H:
-        raise ValueError(f"need u > h(lambda_star) = {H!r}, got u = {u!r}")
-    a, m = p.a, p.m
-    if a == 0.0:
-        raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {a!r}")
-    ratio = math.log(u / a)
-    ln_ls = math.log(lambda_star)
-    # m = 0 is the limit where the excursion dives infinitely deep
-    scale = math.inf if m == 0.0 else 1.0 / (m * lambda_star)
-    ln_s_lo = ln_ls - (u - a - a * ratio) * scale - 1.0
-    ln_s_hi = ln_ls - (u - a - H * ratio) * scale
-    ln_u = math.log(u)
-    ln_x_lo = math.log(z(ZIndex.Z1, u / a)) + ln_u - u / a
-    ln_x_hi = math.log(z(ZIndex.Z2, u / H)) + ln_u - u / H
+    ln_s_lo, ln_x_lo = _lower_side(u, lambda_star, p)
+    ln_s_hi, ln_x_hi = _upper_side(u, lambda_star, p)
     return ExcursionBounds(ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
 
 
 def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     """Assemble the full :class:`BoundSet` for one parameter triple.
+
+    The minima bounds are one side each of two excursions launched on
+    s = lam (:func:`excursion_bounds`): the lower side of the launch at
+    x_max_hi gives ln_s_min_lo and ln_x_min_lo, and the upper side of
+    the launch at x_max_lo gives ln_s_min_hi and ln_x_min_hi.  Only
+    those two sides are evaluated.
 
     Rejects parameters outside the proven box unless ``force`` is set,
     in which case the bounds are still evaluated but flagged unproven.
@@ -244,15 +270,15 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             "box; pass force=True to evaluate anyway (bounds flagged unproven)"
         )
     x_hi = x_max_upper(p)
-    hi_launch = excursion_bounds(x_hi, p.lam, p)
-    lo_launch = excursion_bounds(x_lo, p.lam, p)
+    ln_s_min_lo, ln_x_min_lo = _lower_side(x_hi, p.lam, p)
+    ln_s_min_hi, ln_x_min_hi = _upper_side(x_lo, p.lam, p)
     return BoundSet(
         x_max_lo=x_lo,
         x_max_hi=x_hi,
-        ln_x_min_lo=hi_launch.ln_x_lo,
-        ln_x_min_hi=lo_launch.ln_x_hi,
-        ln_s_min_lo=hi_launch.ln_s_lo,
-        ln_s_min_hi=lo_launch.ln_s_hi,
+        ln_x_min_lo=ln_x_min_lo,
+        ln_x_min_hi=ln_x_min_hi,
+        ln_s_min_lo=ln_s_min_lo,
+        ln_s_min_hi=ln_s_min_hi,
         proven=p.proven_region,
     )
 

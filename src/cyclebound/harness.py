@@ -122,7 +122,10 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("a_values", "lambda_values", "m_values"):
-            object.__setattr__(self, name, _positive_values(name, getattr(self, name)))
+            values = _positive_values(name, getattr(self, name))
+            if len(set(values)) < len(values):  # a repeated value repeats its rows
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
+            object.__setattr__(self, name, values)
         # reject the whole grid before any row is simulated: a point with
         # no cycle would abort the sweep halfway, not fail its own row
         for a in self.a_values:
@@ -139,19 +142,22 @@ class SweepSpec:
         _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
         jobs = record.get("jobs", 1)
         typed = [(f"sim {key}", v, (int, float), "number") for key, v in sim_record.items()]
+        for name in sorted(_SPEC_KEYS):
+            if not isinstance(record[name], list):
+                raise ValueError(
+                    f"malformed sweep spec: {name} must be a JSON array, got {record[name]!r}"
+                )
+            typed += [(f"{name} entry", v, (int, float), "number") for v in record[name]]
         for what, value, types, kind in typed + [("jobs", jobs, int, "integer")]:
             if isinstance(value, bool) or not isinstance(value, types):  # a bool is neither
                 raise ValueError(f"sweep spec {what} must be a JSON {kind}, got {value!r}")
-        try:
-            return cls(
-                a_values=tuple(record["a_values"]),
-                lambda_values=tuple(record["lambda_values"]),
-                m_values=tuple(record["m_values"]),
-                sim=SimConfig(**sim_record),
-                jobs=jobs,
-            )
-        except TypeError as exc:
-            raise ValueError(f"malformed sweep spec: {exc}") from None
+        return cls(
+            a_values=tuple(record["a_values"]),
+            lambda_values=tuple(record["lambda_values"]),
+            m_values=tuple(record["m_values"]),
+            sim=SimConfig(**sim_record),
+            jobs=jobs,
+        )
 
     def grid(self) -> list[tuple[float, float, float]]:
         return [

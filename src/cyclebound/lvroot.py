@@ -33,7 +33,8 @@ class ZIndex(Enum):
     Z1 is a lower bound for the exact factor, Z2 an upper bound, and Z0
     a coarser upper bound for Z2.  Each member carries its coefficients
     ``c`` and ``d``: c0 = 0, c1 = (e-2)/(e-1), c2 = 1/e and
-    d_i = e - 1 - c_i e.
+    d_i = e - 1 - c_i e.  Z0 is the c = 0 case of the quadratic that
+    defines Z1 and Z2, where it degenerates to 1 / (1 - (e-1) Y).
     """
 
     Z0 = 0
@@ -55,11 +56,14 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
 
     Evaluates with Y = y e^{-y}:
 
-        z_0 = 1 / (1 - (e-1) Y),
         z_i = (1 - d_i Y - sqrt((1 - d_i Y)^2 - 4 c_i Y)) / (2 c_i Y),
 
-    the latter computed in conjugate form to avoid cancellation for
-    small Y.  Strictly decreasing in y, with z_i(1) = e (for i = 0, 2)
+    computed in the conjugate form 2 / (1 - d_i Y + sqrt(...)), which
+    avoids cancellation for small Y and is defined at c_i = 0 as well.
+    There, for Z0, the square root is 1 - (e-1) Y exactly (the square
+    root of a rounded square is exact), so the one formula gives
+    z_0 = 1 / (1 - (e-1) Y) bit for bit, with no branch of its own.
+    Strictly decreasing in y, with z_i(1) = e (for i = 0, 2)
     and z_i -> 1 as y -> infinity.  Once Y underflows the result is
     exactly 1, which is the correct limit.
 
@@ -79,8 +83,6 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
         if bad.any():
             raise ValueError(f"z is defined for y >= 1, got {float(y[bad].flat[0])!r}")
     Y = y * exp(-y)
-    if i is ZIndex.Z0:
-        return 1.0 / (1.0 - (_E - 1.0) * Y)
     c = i.c
     one_minus_dY = 1.0 - i.d * Y
     disc = one_minus_dY * one_minus_dY - 4.0 * c * Y

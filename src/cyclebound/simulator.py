@@ -405,7 +405,8 @@ def integrate(
     Raises ValueError for n_downs < 1 or a start with a non-finite
     coordinate, StepLimitError after :data:`MAX_STEPS` accepted steps,
     StepSizeError on a solver stall, and IntegrationError when a step of
-    a too loose tolerance lands at s <= 0, so a silently truncated
+    a too loose tolerance lands at s <= 0, or its interpolant leaves
+    s > 0 where a crossing is located in it, so a silently truncated
     trajectory is never returned.
     """
     cfg = cfg or SimConfig()
@@ -473,7 +474,16 @@ def integrate(
                 if sides[idx] != 0:
                     if dense is None:
                         dense = solver.dense_output()
-                    tau = _locate(g, dense, t_old, solver.t)
+                    try:
+                        tau = _locate(g, dense, t_old, solver.t)
+                    except (OverflowError, ValueError):
+                        # the w-chart g_h has no value where the interpolant
+                        # leaves s > 0 far enough: math.log fails once
+                        # s + a <= 0 and math.expm1 once w > 709
+                        raise IntegrationError(
+                            f"the step to tau = {solver.t:.6g} left the phase space "
+                            "(s <= 0) inside the step; the requested tolerance is too loose"
+                        ) from None
                     u, y1 = dense(tau)
                     state = LogState(u, log1m_exp(y1) if w_chart else y1)
                     crossed.append(Event(tau, state, _KINDS[idx][side]))

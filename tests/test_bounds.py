@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from cyclebound import bounds
 from cyclebound.bounds import (
     S_MAX_LO,
     canard_estimates,
@@ -264,13 +265,43 @@ def test_x_min_bounds_log_path_deep():
         assert 1.0 <= z(ZIndex.Z2, y_hi) < math.e
 
 
+# points outside the proven box, evaluated with force=True
+FORCED = [
+    Params(a=a, lam=lam, m=m)
+    for a, lam in ((0.1, 0.1), (0.2, 0.05), (0.3, 0.2), (0.05, 0.4))
+    for m in (1e-3, 1.0, 50.0)
+]
+
+
 def test_min_bounds_share_the_excursion_code_path():
-    p = Params(a=0.02, lam=0.03, m=2.0)
-    hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
-    lo_launch = excursion_bounds(x_max_lower(p), p.lam, p)
-    b = cycle_bounds(p)
-    assert (b.ln_s_min_lo, b.ln_s_min_hi) == (hi_launch.ln_s_lo, lo_launch.ln_s_hi)
-    assert (b.ln_x_min_lo, b.ln_x_min_hi) == (hi_launch.ln_x_lo, lo_launch.ln_x_hi)
+    # cycle_bounds evaluates one side of each launch; those sides are
+    # the halves of excursion_bounds it keeps, to the last bit
+    for p in [Params(a=0.02, lam=0.03, m=2.0)] + PROVEN_GRID + FORCED:
+        hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
+        lo_launch = excursion_bounds(x_max_lower(p), p.lam, p)
+        b = cycle_bounds(p, force=True)
+        kept = (hi_launch.ln_s_lo, lo_launch.ln_s_hi, hi_launch.ln_x_lo, lo_launch.ln_x_hi)
+        got = (b.ln_s_min_lo, b.ln_s_min_hi, b.ln_x_min_lo, b.ln_x_min_hi)
+        assert repr(got) == repr(kept), p
+
+
+def test_a_bound_set_calls_z_twice(monkeypatch):
+    # z1 at the launch from x_max_hi and z2 at the launch from x_max_lo;
+    # excursion_bounds alone evaluates both z at its one launch
+    calls = []
+
+    def counting_z(i, y):
+        calls.append(i)
+        return z(i, y)
+
+    monkeypatch.setattr(bounds, "z", counting_z)
+    for p in PROVEN_GRID + FORCED:
+        calls.clear()
+        cycle_bounds(p, force=True)
+        assert calls == [ZIndex.Z1, ZIndex.Z2], p
+    calls.clear()
+    excursion_bounds(1.0, 0.05, Params(a=0.05, lam=0.05, m=1.0))
+    assert calls == [ZIndex.Z1, ZIndex.Z2]
 
 
 def test_cycle_bounds_orderings_and_gate():

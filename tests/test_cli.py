@@ -263,11 +263,25 @@ def test_sweep_cli(tmp_path, capsys):
              "sim": {"cycle_tol": "1e-9"}},
             "sweep spec sim cycle_tol must be a JSON number, got '1e-9'",
         ),
+        (
+            {"a_values": ["0.05"], "lambda_values": [0.05], "m_values": [1.0]},
+            "sweep spec a_values entry must be a JSON number, got '0.05'",
+        ),
+        (
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, True]},
+            "sweep spec m_values entry must be a JSON number, got True",
+        ),
+        (
+            # 1 and 1.0 are one value of m: the grid would repeat its rows
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1, 0.3, 1.0]},
+            "m_values must not repeat a value, got (1.0, 0.3, 1.0)",
+        ),
     ],
     ids=[
         "missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list",
         "no-cycle-pair", "nonpositive-m", "anchor-key", "dropped-sim-key", "float-jobs",
         "string-jobs", "bool-jobs", "bool-sim-value", "string-sim-value",
+        "string-axis-value", "bool-axis-value", "repeated-axis-value",
     ],
 )
 def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):
@@ -412,6 +426,28 @@ def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
     assert header == CSV_HEADER
     assert failed.split(",")[2:] == ["5", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
 
+
+
+def test_an_overflowing_interpolant_fails_the_row_not_the_sweep(tmp_path, capsys):
+    # at rtol = 1e-4 a step's interpolant at this point overflows past
+    # s = 0 while a crossing is located in it: the row fails with the
+    # reason instead of a bare OverflowError ending the sweep
+    spec = {"a_values": [0.01], "lambda_values": [0.01], "m_values": [1.0914347029616938],
+            "sim": {"rtol": 1e-4}}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        "sweep", "--spec", str(spec_file), "--out", str(out_file), capsys=capsys
+    )
+    assert code == 3
+    assert err == (
+        "row (a=0.01, lambda=0.01, m=1.0914347029616938) failed: the step to tau = 13780.1 "
+        "left the phase space (s <= 0) inside the step; the requested tolerance is too loose\n"
+    )
+    header, failed = out_file.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert failed.split(",")[3:] == ["true"] + ["nan"] * 10 + ["false", "nan", "false"]
 
 def test_sweep_reports_failed_rows(tmp_path, monkeypatch, capsys):
     real_report = harness.cycle_extreme_report

@@ -338,6 +338,31 @@ def test_sweep_spec_json_takes_integers_as_numbers():
               "sim": {"rtol": 1e-9, "cycle_tol": 1}}
     spec = SweepSpec.from_json(record)
     assert spec.jobs == 2 and spec.sim == SimConfig(rtol=1e-9, cycle_tol=1.0)
+    spec = SweepSpec.from_json({"a_values": [0.05], "lambda_values": [0.05], "m_values": [1, 2]})
+    assert spec.m_values == (1.0, 2.0) and all(type(m) is float for m in spec.m_values)
+
+
+def test_sweep_spec_axes_take_only_json_numbers():
+    # float() would read the string "1e0" and the bool true as 1.0, so
+    # this record used to pass as m = (1.0, 1.0), a grid of repeated rows
+    record = {"a_values": ["0.05"], "lambda_values": [0.05], "m_values": ["1e0", True]}
+    with pytest.raises(ValueError, match="a_values entry must be a JSON number, got '0.05'"):
+        SweepSpec.from_json(record)
+    for m_values, bad in ((["1e0"], "'1e0'"), ([1.0, True], "True"), ([False], "False")):
+        record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": m_values}
+        with pytest.raises(ValueError, match=f"m_values entry must be a JSON number, got {bad}$"):
+            SweepSpec.from_json(record)
+
+
+@pytest.mark.parametrize("axis", ["a_values", "lambda_values", "m_values"])
+def test_sweep_spec_axes_reject_repeated_values(axis):
+    axes = {"a_values": [0.05, 0.02], "lambda_values": [0.05, 0.01], "m_values": [1.0, 0.3]}
+    repeated = {**axes, axis: axes[axis] + axes[axis][:1]}
+    message = re.escape(f"{axis} must not repeat a value, got ({axes[axis][0]!r}, ")
+    with pytest.raises(ValueError, match=message):
+        SweepSpec.from_json(repeated)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**{name: tuple(values) for name, values in repeated.items()})
 
 
 def envelope_branch(coefficients, m):

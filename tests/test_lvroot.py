@@ -96,6 +96,17 @@ def test_z_dispatches_scalars_to_math_and_arrays_to_numpy():
             z(ZIndex.Z1, y)
 
 
+
+def test_z0_is_the_c_zero_case_of_the_one_formula():
+    # with c = 0 the square root of (1 - dY)^2 is 1 - dY exactly, so the
+    # conjugate form 2 / (2 (1 - dY)) is the coarse factor to the last bit
+    assert ZIndex.Z0.c == 0.0 and ZIndex.Z0.d == E - 1.0
+    ys = np.concatenate([np.linspace(1.0, 50.0, 100_001), np.geomspace(50.0, 800.0, 2_001)])
+    Y = ys * np.exp(-ys)
+    np.testing.assert_array_equal(z(ZIndex.Z0, ys), 1.0 / (1.0 - (E - 1.0) * Y))
+    for y in ys[::7].tolist():
+        assert z(ZIndex.Z0, y) == 1.0 / (1.0 - (E - 1.0) * (y * math.exp(-y))), y
+
 def test_lv_small_root_examples():
     assert math.exp(lv_small_root_ln(1.0, 1.0)) == pytest.approx(1.0)  # degenerate double root
     # u = 2 gives C = 2 - ln 2; bisection oracle agrees

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -883,6 +884,34 @@ def test_a_step_to_s_below_zero_is_an_integration_error(keep_samples):
     with pytest.raises(IntegrationError, match=r"tau = 10627\.4 left the phase space"):
         integrate(start, p, SimConfig(rtol=1e-4), keep_samples=keep_samples)
     tour = integrate(start, p, SimConfig(rtol=1e-6), keep_samples=keep_samples)
+    assert tour.events[-1].kind is EventKind.S_EQ_LAMBDA_DOWN
+
+
+@pytest.mark.parametrize("keep_samples", [False, True])
+@pytest.mark.parametrize(
+    "params, ln_x, rtol, tau",
+    [
+        # the 846th tour of limit_cycle at rtol = 1e-4: the interpolant
+        # reaches w > 709, where expm1(w) overflows
+        ((0.01, 0.01, 1.0914347029616938), 0.39503553606616515, 1e-4, "13780.1"),
+        # the 1151st tour at rtol = 1e-3: it reaches s + a <= 0, where
+        # the log in the event function has no value
+        ((0.01, 0.05, 0.9229299054979881), 0.15996614181475943, 1e-3, "2547.9"),
+    ],
+    ids=["overflow", "domain"],
+)
+def test_an_interpolant_beyond_s_zero_is_an_integration_error(
+    keep_samples, params, ln_x, rtol, tau
+):
+    # the step itself ends at w < 0, inside the phase space, but the
+    # x = h(s) crossing is located on an interpolant that leaves it; a
+    # ten times tighter rtol closes the same tour
+    p = Params(*params)
+    start = LogState(ln_x, math.log(p.lam))
+    message = rf"tau = {re.escape(tau)} left the phase space \(s <= 0\) inside the step"
+    with pytest.raises(IntegrationError, match=message):
+        integrate(start, p, SimConfig(rtol=rtol), keep_samples=keep_samples)
+    tour = integrate(start, p, SimConfig(rtol=0.1 * rtol), keep_samples=keep_samples)
     assert tour.events[-1].kind is EventKind.S_EQ_LAMBDA_DOWN
 
 
