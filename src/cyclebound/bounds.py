@@ -19,7 +19,7 @@ barrier is anchored at :data:`S_MAX_LO`, the proven prey-maximum bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .lvroot import ZIndex, z
 from .model import Params, h
@@ -45,8 +45,7 @@ __all__ = [
 S_MAX_LO = 0.8
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """All cycle-extreme bounds for one parameter triple.
 
     x bounds are linear-space, the two minima are log-space, and the
@@ -66,11 +65,10 @@ class BoundSet:
     proven: bool = True
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ExcursionBounds:
+class ExcursionBounds(NamedTuple):
     """Bounds for one deep-prey excursion launched at (u, lam_star).
 
     ln_s_lo/ln_s_hi bracket the minimal prey value (where the excursion
@@ -84,8 +82,7 @@ class ExcursionBounds:
     ln_x_hi: float
 
 
-@dataclass(frozen=True)
-class CanardEstimates:
+class CanardEstimates(NamedTuple):
     """Small-m canard approximations of the cycle extremes.
 
     Defined for any parameters but advertised as accurate only in the
@@ -99,7 +96,7 @@ class CanardEstimates:
     ln_s_min_c: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _require_cycle(p: Params) -> None:
@@ -163,22 +160,22 @@ def x_max_upper_linear(p: Params) -> float:
     return 1.0 + p.a + p.m * (1.0 - p.lam)
 
 
-def _x_max_lower_objective(zval: float, p: Params) -> float:
-    lam_term = 0.0 if p.lam == 0.0 else p.lam * (1.0 - math.log(p.lam) + math.log(zval))
-    return h(zval, p) + p.m * (zval - lam_term)
-
-
 def x_max_lower(p: Params) -> float:
     """Lower bound for the predator maximum.
 
-    Maximizes h(z) + m (z - lam (1 - ln lam + ln z)) over
+    Maximizes f(z) = h(z) + m (z - lam (1 - ln lam + ln z)) over
     z in [(1-a)/2, S_MAX_LO], the best barrier anchored between the
     vertex of the prey isocline and the proven prey-maximum bound 0.8
-    (a barrier holds only up to the cycle's prey maximum).  The
-    stationary points solve -2 z^2 + (1 - a + m) z - m lam = 0; the
-    larger root clamped to the interval is the maximizer (the objective
-    is unimodal there), and both endpoints are compared as well for
-    safety.
+    (a barrier holds only up to the cycle's prey maximum), by one
+    evaluation at the larger root of q clamped to the interval, where
+
+        f'(z) = q(z) / z,   q(z) = -2 z^2 + (1 - a + m) z - m lam.
+
+    Certificate: q(lam) = lam (1 - a - 2 lam) > 0 in the cycle regime,
+    so q's smaller root lies below lam < (1-a)/2 and f rises then falls
+    on the interval.  The limits hold too: at lam = 0 the lam term
+    vanishes and f' = 1 - a + m - 2z, and at m = 0 the larger root is
+    (1-a)/2 itself.
     """
     _require_cycle(p)
     lo = 0.5 * (1.0 - p.a)
@@ -186,11 +183,8 @@ def x_max_lower(p: Params) -> float:
     disc = b * b - 8.0 * p.m * p.lam  # >= 0 for all cycle-regime parameters
     z_star = 0.25 * (b + math.sqrt(max(disc, 0.0)))
     z_star = min(max(z_star, lo), S_MAX_LO)
-    return max(
-        _x_max_lower_objective(z_star, p),
-        _x_max_lower_objective(lo, p),
-        _x_max_lower_objective(S_MAX_LO, p),
-    )
+    lam_term = 0.0 if p.lam == 0.0 else p.lam * (1.0 - math.log(p.lam) + math.log(z_star))
+    return h(z_star, p) + p.m * (z_star - lam_term)
 
 
 def _launch(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
@@ -273,13 +267,7 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     ln_s_min_lo, ln_x_min_lo = _lower_side(x_hi, p.lam, p)
     ln_s_min_hi, ln_x_min_hi = _upper_side(x_lo, p.lam, p)
     return BoundSet(
-        x_max_lo=x_lo,
-        x_max_hi=x_hi,
-        ln_x_min_lo=ln_x_min_lo,
-        ln_x_min_hi=ln_x_min_hi,
-        ln_s_min_lo=ln_s_min_lo,
-        ln_s_min_hi=ln_s_min_hi,
-        proven=p.proven_region,
+        x_lo, x_hi, ln_x_min_lo, ln_x_min_hi, ln_s_min_lo, ln_s_min_hi, proven=p.proven_region
     )
 
 

@@ -29,7 +29,7 @@ section {s = lam, x > h(lam), s decreasing}.  :func:`limit_cycle` iterates
 it plainly and reports the converging tour: 2 to 4 tours on the reference
 grid but 335 at (0.45, 0.27, 1), near the Hopf boundary.  A tour moving
 ln x by Delta leaves it |Delta| / (1 - rho) from the fixed point, rho the
-return map's slope (ROADMAP.md, open item 1: a Newton return map).
+return map's slope (ROADMAP.md, open item 2: a Newton return map).
 """
 
 from __future__ import annotations

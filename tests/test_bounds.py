@@ -1,5 +1,8 @@
 import math
+import pickle
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from scipy.integrate import solve_ivp
 from cyclebound import bounds
 from cyclebound.bounds import (
     S_MAX_LO,
+    BoundSet,
+    CanardEstimates,
+    ExcursionBounds,
     canard_estimates,
     cycle_bounds,
     excursion_bounds,
@@ -16,9 +22,9 @@ from cyclebound.bounds import (
     x_max_upper_linear,
     x_max_upper_refined,
 )
-from cyclebound.harness import REFERENCE_SPECS
+from cyclebound.harness import DEFAULT_PANELS, REFERENCE_SPECS, figure_m_values
 from cyclebound.lvroot import ZIndex, z
-from cyclebound.model import Params, State, h
+from cyclebound.model import PROVEN_BOXES, Params, State, h
 from cyclebound.simulator import SimConfig, integrate
 
 # the grid every proven-box property test samples: the main reference
@@ -360,3 +366,158 @@ def test_canard_consistency_as_m_shrinks():
         b = cycle_bounds(Params(a=0.05, lam=0.05, m=m))
         gaps.append(abs(0.5 * (b.ln_x_min_lo + b.ln_x_min_hi) - ln_x_min_c))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def x_max_lower_objective(zv: float, p: Params) -> float:
+    """The x_max barrier anchored at zv, in x_max_lower's arithmetic."""
+    lam_term = 0.0 if p.lam == 0.0 else p.lam * (1.0 - math.log(p.lam) + math.log(zv))
+    return h(zv, p) + p.m * (zv - lam_term)
+
+
+def x_max_lower_three_point(p: Params) -> float:
+    """The barrier maximum as it was computed before the certificate: the
+    objective at the clamped stationary point and at both endpoints."""
+    lo = 0.5 * (1.0 - p.a)
+    b = 1.0 - p.a + p.m
+    disc = b * b - 8.0 * p.m * p.lam
+    z_star = min(max(0.25 * (b + math.sqrt(max(disc, 0.0))), lo), S_MAX_LO)
+    return max(x_max_lower_objective(zv, p) for zv in (z_star, lo, S_MAX_LO))
+
+
+def _proven_box_sample(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+    boxes = tuple(PROVEN_BOXES.values())
+    ln_m_lo, ln_m_hi = math.log(1e-3), math.log(50.0)
+    points = []
+    for _ in range(n):
+        a_max, lam_max = boxes[rng.randrange(2)]
+        points.append(
+            Params(
+                a=a_max * (1.0 - rng.random()),
+                lam=lam_max * (1.0 - rng.random()),
+                m=math.exp(rng.uniform(ln_m_lo, ln_m_hi)),
+            )
+        )
+    return points
+
+
+def test_x_max_lower_is_the_three_point_formula_to_the_bit():
+    reference_rows = [
+        Params(a=a, lam=lam, m=m)
+        for spec in REFERENCE_SPECS
+        for a in spec.a_values
+        for lam in spec.lambda_values
+        for m in spec.m_values
+    ]
+    figure_points = [
+        Params(a=a, lam=lam, m=float(m))
+        for a, lam in DEFAULT_PANELS
+        for m in figure_m_values()
+    ]
+    assert len(reference_rows) == 57 and len(figure_points) == 200
+    for p in _proven_box_sample(5_000, seed=22) + reference_rows + figure_points:
+        assert x_max_lower(p).hex() == x_max_lower_three_point(p).hex(), p
+
+
+def test_x_max_lower_rounds_at_most_a_few_ulp_below_the_three_point_formula():
+    # the one output change: at m below about 1e-4 the old max could pick
+    # an endpoint whose objective rounded a few ulp above the stationary
+    # point's; the one evaluation is never higher
+    rng = random.Random(2022)
+    differ = []
+    for i in range(20_000):
+        a = 0.0 if i % 97 == 0 else 0.999 * rng.random()
+        lam = 0.0 if i % 89 == 0 else 0.5 * (1.0 - a) * rng.random()
+        m = 0.0 if i % 83 == 0 else math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
+        p = Params(a=a, lam=lam, m=m, limit=True)
+        if not p.cycle_regime:
+            continue
+        new, old = x_max_lower(p), x_max_lower_three_point(p)
+        assert new <= old and old - new <= 4 * math.ulp(old), p
+        if new != old:
+            differ.append(p.m)
+    assert differ and max(differ) < 1e-4, differ
+
+
+def test_x_max_lower_certificate():
+    # f'(z) = q(z)/z with q(z) = -2z^2 + (1 - a + m)z - m lam, and
+    # q(lam) = lam (1 - a - 2 lam) > 0: q's smaller root lies below
+    # lam < (1-a)/2, so f rises then falls on [(1-a)/2, S_MAX_LO] and the
+    # clamped larger root is its maximiser
+    limits = [
+        Params(a=a, lam=lam, m=m, limit=True)
+        for a, lam, m in (
+            (0.0, 0.05, 1.0), (0.05, 0.0, 1.0), (0.05, 0.05, 0.0),
+            (0.0, 0.0, 1.0), (0.0, 0.05, 0.0), (0.0, 0.0, 0.0),
+        )
+    ]
+    for p in FORCED + limits + [Params(a=0.45, lam=0.27, m=1.0), Params(a=0.6, lam=0.19, m=1e-6)]:
+        a, lam, m = (Fraction(v) for v in (p.a, p.lam, p.m))
+        lo = (1 - a) / 2
+        q_lam = -2 * lam**2 + (1 - a + m) * lam - m * lam
+        assert q_lam == lam * (1 - a - 2 * lam) and lam < lo, p
+        b = 1.0 - p.a + p.m
+        small_root = 2.0 * p.m * p.lam / (b + math.sqrt(b * b - 8.0 * p.m * p.lam))
+        if p.lam > 0.0:
+            assert q_lam > 0 and small_root < p.lam, p
+        else:
+            assert small_root == 0.0, p
+        val = x_max_lower(p)
+        grid = np.linspace(float(lo), S_MAX_LO, 2001).tolist()
+        assert max(x_max_lower_objective(zv, p) for zv in grid) <= val + 4 * math.ulp(val), p
+
+
+_BOUND_SET_REPR = (
+    "BoundSet(x_max_lo=0.7813705638880108, x_max_hi=1.4749999999999996, "
+    "ln_x_min_lo=-29.111342010203657, ln_x_min_hi=-8.4692610701115, "
+    "ln_s_min_lo=-29.111342010208208, ln_s_min_hi=-12.399993190878003, "
+    "s_max_lo=0.8, s_max_hi=1.0, proven=True)"
+)
+_CANARD_REPR = (
+    "CanardEstimates(x_max_c=0.275625, x_min_c=0.0011124238087555783, "
+    "s_max_c=0.9989394776033244, ln_s_min_c=-2.8054817592270354)"
+)
+_EXCURSION_REPR = (
+    "ExcursionBounds(ln_s_lo=-20.0, ln_s_hi=-16.30384095380141, "
+    "ln_x_lo=-19.999999958776925, ln_x_hi=-10.526009055717271)"
+)
+
+
+def _records():
+    p = Params(a=0.05, lam=0.05, m=1.0)
+    return cycle_bounds(p), canard_estimates(p), excursion_bounds(1.0, 0.05, p)
+
+
+def test_bound_records_keep_their_fields_defaults_and_reprs():
+    b, c, e = _records()
+    assert BoundSet._fields == (
+        "x_max_lo", "x_max_hi", "ln_x_min_lo", "ln_x_min_hi", "ln_s_min_lo",
+        "ln_s_min_hi", "s_max_lo", "s_max_hi", "proven",
+    )
+    assert BoundSet._field_defaults == {"s_max_lo": S_MAX_LO, "s_max_hi": 1.0, "proven": True}
+    assert CanardEstimates._fields == ("x_max_c", "x_min_c", "s_max_c", "ln_s_min_c")
+    assert ExcursionBounds._fields == ("ln_s_lo", "ln_s_hi", "ln_x_lo", "ln_x_hi")
+    assert CanardEstimates._field_defaults == ExcursionBounds._field_defaults == {}
+    # the strings the frozen-dataclass records printed
+    assert (repr(b), repr(c), repr(e)) == (_BOUND_SET_REPR, _CANARD_REPR, _EXCURSION_REPR)
+    for record in (b, c):
+        d = record.as_dict()
+        assert type(d) is dict and list(d) == list(type(record)._fields)
+        assert list(d.values()) == [getattr(record, name) for name in d]
+
+
+def test_bound_records_are_immutable_hashable_and_picklable():
+    for record in _records():
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        # the frozen dataclasses hashed the tuple of their fields too
+        assert hash(record) == hash(tuple(getattr(record, f) for f in type(record)._fields))
+        assert pickle.loads(pickle.dumps(record)) == record
+    b = _records()[0]
+    assert repr(pickle.loads(pickle.dumps(b))) == _BOUND_SET_REPR
+    assert b != b._replace(proven=False)
+    # what a named tuple adds: it iterates over its values and equals them
+    assert tuple(b) == tuple(b.as_dict().values()) and b == tuple(b)
