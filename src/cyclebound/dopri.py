@@ -287,6 +287,10 @@ class DOP853:
         d0 = _rms(u / su, v / sv)
         d1 = _rms(fu / su, fv / sv)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        if h0 == 0.0:
+            # d0 / d1 underflows (a field near the float range): scipy's
+            # d2 is then inf or NaN and its step 0, and the first step fails
+            return 0.0
         gu, gv = _field(self.p, self.w_chart, (u + h0 * fu, v + h0 * fv))
         d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:

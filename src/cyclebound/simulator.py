@@ -25,11 +25,15 @@ The four crossing kinds tile one loop of the cycle:
     X_EQ_H_MAX        x = h(s), prey maximal.
 
 The limit cycle itself is the fixed point of the return map on the
-section {s = lam, x > h(lam), s decreasing}.  :func:`limit_cycle` iterates
-it plainly and reports the converging tour: 2 to 4 tours on the reference
-grid but 335 at (0.45, 0.27, 1), near the Hopf boundary.  A tour moving
-ln x by Delta leaves it |Delta| / (1 - rho) from the fixed point, rho the
-return map's slope (ROADMAP.md, open item 2: a Newton return map).
+section {s = lam, x > h(lam), s decreasing}.  A cycle of small abundances
+passes exponentially close to the saddle (x, s) = (0, 1) and leaves it
+along the saddle's unstable manifold, so :func:`limit_cycle` enters the
+section by a lead-in from that manifold, then iterates the map plainly
+and reports the converging tour: the lead-in and 1 to 3 tours on the
+reference grid but 334 at (0.45, 0.27, 1), near the Hopf boundary.  A
+tour moving ln x by Delta leaves it |Delta| / (1 - rho) from the fixed
+point, rho the return map's slope (ROADMAP.md, open item 2: a Newton
+return map).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from ._lazy import np
-from .bounds import BoundSet, cycle_bounds, x_max_upper
+from .bounds import BoundSet, cycle_bounds
 from .dopri import DOP853 as RK45
 from .model import LogState, Params, Region, State, h, log1m_exp
 
@@ -74,10 +78,13 @@ _EVENT_TAU_TOL = 1e-12
 _LN_HALF = -math.log(2.0)
 
 # the absolute step tolerance in the log variables, the accepted-step
-# budget of one integrate call and the tour budget of limit_cycle
+# budget of one integrate call and the return-map tour budget of
+# limit_cycle
 ATOL_LOG = 1e-12
 MAX_STEPS = 2_000_000
 MAX_RETURN_ITERS = 10_000
+# ln x of the lead-in's start on the saddle's linearized unstable manifold
+LEAD_IN_LN_X = -10.0
 
 
 class IntegrationError(RuntimeError):
@@ -242,11 +249,12 @@ class CycleExtremes:
     ln_x_min on the ascending one, ln_s_min on the prey-minimal
     isocline graze and s_max on the prey-maximal one.
     residual is the return-map defect |ln x_end - ln x_start| of the
-    recorded loop, tours the number of return-map tours integrated
-    to find it (the recorded loop is the last of them), and raw_events
-    the number of crossings the recorded loop committed (4 when none
+    recorded loop, tours the number of integrations it took to find it:
+    the lead-in from the saddle, when there is one, and the return-map
+    tours (the recorded loop is the last of them).  raw_events is the
+    number of crossings the recorded loop committed (4 when none
     re-crosses its isocline).  stats is the stepper's work on the
-    recorded loop, total_stats on all tours.
+    recorded loop, total_stats on all integrations, the lead-in included.
 
     ln_s_max carries the prey maximum at full precision: 1 - s_max can
     sit far below the double spacing at 1 (deep cycles pass the saddle
@@ -380,17 +388,20 @@ def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
 
 
 def integrate(
-    start: Union[State, LogState],
+    start: Union[State, LogState, tuple[float, float]],
     p: Params,
     cfg: Optional[SimConfig] = None,
     *,
     n_downs: int = 1,
     keep_samples: bool = True,
+    w_chart: bool = False,
 ) -> Trajectory:
     """Integrate the log-space field up to the n_downs-th predator maximum.
 
-    start may be a phase point or its log image.  The stepper works in
-    the v chart below s = 1/2 and in the w chart between s = 1/2 and 1,
+    start may be a phase point or its log image, or with ``w_chart`` the
+    pair (u, w) of the w chart, w = ln(1 - s) <= ln(1/2), which holds a
+    start whose 1 - s is below the double spacing at 1.  The stepper works
+    in the v chart below s = 1/2 and in the w chart between s = 1/2 and 1,
     and switches at the end of the first step on the other side (a start
     at s >= 1 stays in v until s < 1).  Every accepted step is checked
     for sign changes of the chart's event functions for s = lam and
@@ -402,12 +413,12 @@ def integrate(
     back to it, so its last sample is that crossing's state.  With
     ``keep_samples=False`` that state is the only sample kept.
 
-    Raises ValueError for n_downs < 1 or a start with a non-finite
-    coordinate, StepLimitError after :data:`MAX_STEPS` accepted steps,
-    StepSizeError on a solver stall, and IntegrationError when a step of
-    a too loose tolerance lands at s <= 0, or its interpolant leaves
-    s > 0 where a crossing is located in it, so a silently truncated
-    trajectory is never returned.
+    Raises ValueError for n_downs < 1, a start with a non-finite
+    coordinate or a w-chart start below s = 1/2, StepLimitError after
+    :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall,
+    and IntegrationError when a step of a too loose tolerance lands at
+    s <= 0, or its interpolant leaves s > 0 where a crossing is located
+    in it, so a silently truncated trajectory is never returned.
     """
     cfg = cfg or SimConfig()
     if n_downs < 1:
@@ -416,11 +427,17 @@ def integrate(
         raise ValueError("simulation requires strictly positive parameters")
     if not p.cycle_regime:
         raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
-    ls = start.log() if isinstance(start, State) else start
-    if not (math.isfinite(ls.u) and math.isfinite(ls.v)):
-        raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
-    w_chart = _LN_HALF < ls.v < 0.0
-    y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
+    if w_chart:
+        u0, w0 = y0 = tuple(start)
+        if not (math.isfinite(u0) and -math.inf < w0 <= _LN_HALF):
+            raise ValueError(f"a w-chart start needs finite u and w <= ln(1/2), got {y0}")
+        ls = LogState(u0, log1m_exp(w0))
+    else:
+        ls = start.log() if isinstance(start, State) else start
+        if not (math.isfinite(ls.u) and math.isfinite(ls.v)):
+            raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
+        w_chart = _LN_HALF < ls.v < 0.0
+        y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
     solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=ATOL_LOG, w_chart=w_chart)
     charts = _event_functions(p)
     g_lam, g_h = charts[w_chart]
@@ -542,30 +559,42 @@ def limit_cycle(
 ) -> CycleExtremes:
     """Locate the limit cycle and report its extremes.
 
-    Iterates the return map on the section from x0 (default: the
-    closed-form x_max upper bound, which starts strictly outside the
-    cycle) until one tour's start and end agree to cycle_tol in ln x,
-    and reports the converging tour.  If :data:`MAX_RETURN_ITERS` tours
-    do not converge, the last one is still reported with
+    Iterates the return map on the section from x0 until one tour's
+    start and end agree to cycle_tol in ln x, and reports the converging
+    tour.  Without x0 the first iterate is where a lead-in reaches the
+    section: an integration from the saddle's linearized unstable
+    manifold 1 - s = x / (1 + a + m(1 - lam)) at ln x =
+    :data:`LEAD_IN_LN_X` to its first descending s = lam crossing, which
+    a cycle passing close to the saddle follows.  The lead-in counts in
+    ``tours`` and ``total_stats``.  :data:`MAX_RETURN_ITERS` bounds the
+    return-map tours after it, and at least one always runs; if none of
+    them converges, the last one is still reported with
     ``converged=False``.
     """
     cfg = cfg or SimConfig()
     if x0 is None:
-        x0 = x_max_upper(p)
+        # 1 - s falls below the double spacing at 1 once m passes about
+        # 4e11, so the start goes to the stepper as w = ln(1 - s)
+        w0 = LEAD_IN_LN_X - math.log(1.0 + p.a + p.m * (1.0 - p.lam))
+        lead_in = integrate((LEAD_IN_LN_X, w0), p, cfg, keep_samples=False, w_chart=True)
+        tours, total = 1, lead_in.stats
+        ln_x = lead_in.events[-1].state.u
     elif not (math.isfinite(x0) and x0 > 0):
         raise ValueError(f"x0 must be finite and > 0, got {x0!r}")
-    ln_x = math.log(x0)
+    else:
+        tours, total = 0, SolveStats()
+        ln_x = math.log(x0)
     ln_lam = math.log(p.lam)
-    tours = 0
-    total = SolveStats()
-    converged = False
-    while not converged and tours < MAX_RETURN_ITERS:
+    budget = tours + MAX_RETURN_ITERS
+    while True:
         # one full loop from the section {s = lam, s falling} back to it
         tour = integrate(LogState(ln_x, ln_lam), p, cfg, keep_samples=False)
         tours += 1
         total += tour.stats
         ln_x_start, ln_x = ln_x, tour.events[-1].state.u
         converged = abs(ln_x - ln_x_start) <= cfg.cycle_tol
+        if converged or tours >= budget:
+            break
     reduced = net_events(tour.events)
     kinds = tuple(ev.kind for ev in reduced)
     expected = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]  # MIN, UP, MAX, DOWN

@@ -411,7 +411,7 @@ def test_integration_error_exits_three(monkeypatch, capsys, command, target, err
 def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
     # at rtol = 1e-4 a step of this cycle lands at s < 0: the sweep still
     # writes its CSV, with the row failed and the reason on stderr
-    spec = {"a_values": [0.01], "lambda_values": [0.01], "m_values": [5.0],
+    spec = {"a_values": [0.01], "lambda_values": [0.01], "m_values": [10.0],
             "sim": {"rtol": 1e-4}}
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
@@ -420,11 +420,13 @@ def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
         "sweep", "--spec", str(spec_file), "--out", str(out_file), capsys=capsys
     )
     assert code == 3
-    assert err.startswith("row (a=0.01, lambda=0.01, m=5.0) failed: the step to tau = ")
-    assert "left the phase space" in err and "math domain error" not in err
+    assert err == (
+        "row (a=0.01, lambda=0.01, m=10.0) failed: the step to tau = 10136.9 "
+        "left the phase space (s <= 0); the requested tolerance is too loose\n"
+    )
     header, failed = out_file.read_text().splitlines()
     assert header == CSV_HEADER
-    assert failed.split(",")[2:] == ["5", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
+    assert failed.split(",")[2:] == ["10", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
 
 
 
@@ -442,7 +444,7 @@ def test_an_overflowing_interpolant_fails_the_row_not_the_sweep(tmp_path, capsys
     )
     assert code == 3
     assert err == (
-        "row (a=0.01, lambda=0.01, m=1.0914347029616938) failed: the step to tau = 13780.1 "
+        "row (a=0.01, lambda=0.01, m=1.0914347029616938) failed: the step to tau = 13779.1 "
         "left the phase space (s <= 0) inside the step; the requested tolerance is too loose\n"
     )
     header, failed = out_file.read_text().splitlines()

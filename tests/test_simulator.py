@@ -94,6 +94,10 @@ def test_integrate_rejects_bad_params():
         integrate(State(0.5, 0.5), Params(a=0.3, lam=0.4, m=1.0))
     with pytest.raises(ValueError, match="n_downs"):
         integrate(State(0.5, 0.5), P_REF, n_downs=0)
+    # a w-chart start is (u, w) with w = ln(1 - s) <= ln(1/2)
+    for start in ((0.0, -0.5), (0.0, 0.0), (math.nan, -3.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="w-chart start"):
+            integrate(start, P_REF, w_chart=True)
 
 
 @pytest.mark.parametrize("n_downs", [1, 2])
@@ -118,8 +122,9 @@ def _cycle_start(p):
 def _saddle_start(p):
     """A w-chart start at s = 0.6 with the cycle's predator minimum: the
     trajectory rises into the saddle passage, to 1 - s ~ e^-30 at the
-    canard point."""
-    return (limit_cycle(p).ln_x_min, math.log(0.4))
+    canard point.  The minimum is the one found from x_max_upper, so the
+    start stays put when the default search start changes."""
+    return (limit_cycle(p, x0=x_max_upper(p)).ln_x_min, math.log(0.4))
 
 
 def _field(p, w_chart):
@@ -271,6 +276,11 @@ def test_stepper_edge_cases_match_scipy():
     # long for the tolerance: both give up on the first step
     _, ref = _step_side_by_side(P_REF, _cycle_start(P_REF), 1e-10, 10_000, t0=1e16)
     assert ref.status == "failed" and ref.t == 1e16
+    # at m = 1e300 the trial step 0.01 d0 / d1 underflows to 0: both
+    # start with step 0 and give up on the first step
+    with np.errstate(all="ignore"):
+        _, ref = _step_side_by_side(Params(0.05, 0.05, 1e300), (0.0, -3.0), 1e-10, 10)
+    assert ref.status == "failed" and ref.t == 0.0
 
 
 def _weighted(weights, ks):
@@ -875,8 +885,8 @@ def test_non_finite_inputs_and_step_sizes_fail_fast():
 
 @pytest.mark.parametrize("keep_samples", [False, True])
 def test_a_step_to_s_below_zero_is_an_integration_error(keep_samples):
-    # the 1795th return-map tour of limit_cycle at (0.01, 0.01, 5) with
-    # rtol = 1e-4: an accepted w-chart step lands at w > 0, i.e. s < 0,
+    # the 1795th return-map tour of limit_cycle from x_max_upper at
+    # (0.01, 0.01, 5) with rtol = 1e-4: an accepted w-chart step lands at w > 0, i.e. s < 0,
     # outside the invariant s > 0, where ln(1 - e^w) and the event
     # functions have no value; at rtol = 1e-6 the same tour closes
     p = Params(a=0.01, lam=0.01, m=5.0)
@@ -891,7 +901,7 @@ def test_a_step_to_s_below_zero_is_an_integration_error(keep_samples):
 @pytest.mark.parametrize(
     "params, ln_x, rtol, tau",
     [
-        # the 846th tour of limit_cycle at rtol = 1e-4: the interpolant
+        # the 846th tour from x_max_upper at rtol = 1e-4: the interpolant
         # reaches w > 709, where expm1(w) overflows
         ((0.01, 0.01, 1.0914347029616938), 0.39503553606616515, 1e-4, "13780.1"),
         # the 1151st tour at rtol = 1e-3: it reaches s + a <= 0, where
@@ -973,7 +983,9 @@ def test_limit_cycle_reports_the_converging_tour(monkeypatch):
 
 def test_limit_cycle_locates_each_committed_crossing_once(monkeypatch):
     # every crossing is located in the step that commits it, and only
-    # there: 8 for the 4 crossings of each of the canard cycle's two tours
+    # there: 5 at the canard point, 1 for the lead-in, which starts past
+    # the prey maximum and commits only its descending s = lam crossing,
+    # and 4 for the one return-map tour
     start = LogState(*_cycle_start(CANARD))
     expected = _events_step_by_step(start, CANARD, n_downs=1)
     calls = []
@@ -982,7 +994,7 @@ def test_limit_cycle_locates_each_committed_crossing_once(monkeypatch):
         simulator, "_locate", lambda *args: calls.append(args) or real_locate(*args)
     )
     ce = limit_cycle(CANARD)
-    assert ce.tours == 2 and ce.raw_events == 4 and len(calls) == 8
+    assert ce.tours == 2 and ce.raw_events == 4 and len(calls) == 5
     # one tour locates its four crossings; reading them locates nothing
     # more, and they reproduce the step by step reference
     del calls[:]
@@ -1008,16 +1020,19 @@ def test_raw_events_counts_the_reported_tour(p):
 
 
 def test_solve_stats_count_the_stepper_work(monkeypatch):
-    # steps are the step() calls of the reported tour and of all tours;
-    # rejected_steps is the stepper's count (checked against scipy in
-    # _step_side_by_side), and rhs_evals 2 at the start, 12 a step, 11 a
-    # rejected trial and 1 a chart switch
+    # steps are the step() calls of the reported tour and of all
+    # integrations, the lead-in included; rejected_steps is the stepper's
+    # count (checked against scipy in _step_side_by_side), and rhs_evals
+    # 2 at the start, 12 a step, 11 a rejected trial and 1 a chart switch.
+    # The lead-in starts in the w chart and switches once, into v; a tour
+    # switches twice
     solvers = []
 
     class Counted(simulator.RK45):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.calls = self.switches = 0
+            self.started_in_w = self.w_chart
             solvers.append(self)
 
         def step(self):
@@ -1035,7 +1050,8 @@ def test_solve_stats_count_the_stepper_work(monkeypatch):
     monkeypatch.setattr(simulator, "RK45", Counted)
     ce = limit_cycle(CANARD)
     assert len(solvers) == ce.tours == 2
-    assert all(solver.switches == 2 for solver in solvers)
+    assert [solver.started_in_w for solver in solvers] == [True, False]
+    assert [solver.switches for solver in solvers] == [1, 2]
     assert ce.stats == expected(solvers[-1]) and ce.stats.rejected_steps > 0
     assert ce.total_stats == expected(solvers[0]) + expected(solvers[1])
     assert ce.as_dict()["stats"] == {
@@ -1064,14 +1080,74 @@ def test_prey_maximum_gap_converges_under_rtol_halving(p, tight):
 
 
 def test_limit_cycle_out_of_budget_reports_last_tour(monkeypatch):
+    # MAX_RETURN_ITERS bounds the return-map tours after the lead-in, and
+    # one always runs; (0.3, 0.3, 1) needs 32 of them
+    p = Params(a=0.3, lam=0.3, m=1.0)
+    for budget in (1, 0):
+        monkeypatch.setattr(simulator, "MAX_RETURN_ITERS", budget)
+        ce = limit_cycle(p)
+        assert not ce.converged
+        assert ce.tours == 2
+        assert ce.residual > SimConfig().cycle_tol
+        assert all(
+            math.isfinite(v) for v in (ce.x_max, ce.s_max, ce.ln_x_min, ce.ln_s_min, ce.period)
+        )
     monkeypatch.setattr(simulator, "MAX_RETURN_ITERS", 1)
-    ce = limit_cycle(P_REF)
-    assert not ce.converged
-    assert ce.tours == 1
-    assert ce.residual > SimConfig().cycle_tol
-    assert all(
-        math.isfinite(v) for v in (ce.x_max, ce.s_max, ce.ln_x_min, ce.ln_s_min, ce.period)
-    )
+    assert limit_cycle(p, x0=x_max_upper(p)).tours == 1
+
+
+def _recorded_integrations(monkeypatch):
+    """(start, w_chart, trajectory) of every integrate call limit_cycle makes."""
+    runs = []
+    real_integrate = simulator.integrate
+
+    def recording(start, *args, **kwargs):
+        traj = real_integrate(start, *args, **kwargs)
+        runs.append((start, kwargs.get("w_chart", False), traj))
+        return traj
+
+    monkeypatch.setattr(simulator, "integrate", recording)
+    return runs
+
+
+@pytest.mark.parametrize("p", [P_REF, Params(a=0.1, lam=0.01, m=3.0)], ids=["ref", "3-tours"])
+def test_the_lead_in_leaves_the_saddle_along_its_unstable_manifold(monkeypatch, p):
+    # the lead-in starts in the w chart on 1 - s = x / (1 + a + m(1 - lam))
+    # at ln x = LEAD_IN_LN_X, past the prey maximum, and commits one
+    # crossing, the descending s = lam one the first tour starts from;
+    # it counts in tours and total_stats
+    runs = _recorded_integrations(monkeypatch)
+    ce = limit_cycle(p)
+    (start, w_chart, lead_in), (tour_start, _, _) = runs[:2]
+    ln_x = simulator.LEAD_IN_LN_X
+    assert start == (ln_x, ln_x - math.log(1.0 + p.a + p.m * (1.0 - p.lam)))
+    assert [ev.kind for ev in lead_in.events] == [EventKind.S_EQ_LAMBDA_DOWN]
+    assert tour_start == LogState(lead_in.events[0].state.u, math.log(p.lam))
+    assert [w for _, w, _ in runs] == [True] + [False] * (len(runs) - 1)
+    assert ce.converged and ce.tours == len(runs) >= 2
+    assert ce.total_stats == sum((traj.stats for _, _, traj in runs), SolveStats())
+    assert ce.stats == runs[-1][2].stats
+
+
+@pytest.mark.parametrize(
+    "p", [P_REF, CANARD, DEEP, Params(a=0.3, lam=0.3, m=1.0)],
+    ids=["ref", "canard", "deep", "slow-contraction"],
+)
+def test_the_lead_in_finds_the_cycle_found_from_x_max_upper(p):
+    cfg = SimConfig()
+    lead = limit_cycle(p, cfg)
+    outside = limit_cycle(p, cfg, x0=x_max_upper(p))
+    assert lead.converged and outside.converged
+    assert abs(math.log(lead.x_max) - math.log(outside.x_max)) <= 10 * cfg.cycle_tol
+
+
+@pytest.mark.parametrize("m", [1e12, 1e300])
+def test_an_extreme_m_is_a_typed_failure(m):
+    # at m = 1e12 the lead-in's 1 - s = e^-37.6 is below the double
+    # spacing at 1, so it is handed to the stepper as w; at m = 1e300 the
+    # field is so large that the first trial step underflows to 0
+    with pytest.raises(IntegrationError):
+        limit_cycle(Params(0.05, 0.05, m))
 
 
 def test_numpy_scalar_params_give_python_float_extremes():
