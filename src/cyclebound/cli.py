@@ -9,6 +9,10 @@ the first read of one of its names, so each subcommand loads only its
 layers; building the parser loads ``bounds``.  ``--rtol`` sets the
 integration tolerance where it is offered, and ``sweep`` takes its
 tolerances from the spec file or runs ``REFERENCE_SPECS`` as defined.
+``sweep`` and ``figures`` simulate their grid points the same way: a
+point that fails is written as a NaN row, its reason goes to stderr as
+``row (a=..., lambda=..., m=...) failed: ...``, and the other points
+and files are still written.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
@@ -117,6 +121,15 @@ def _cmd_region4(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_failed_rows(report: cyclebound.SweepReport) -> None:
+    for row in report.rows:
+        if row.error is not None:
+            print(
+                f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) failed: {row.error}",
+                file=sys.stderr,
+            )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is None:
         specs = cyclebound.REFERENCE_SPECS
@@ -127,12 +140,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [row for spec in specs for row in cyclebound.run_sweep(spec).rows]
     report = cyclebound.SweepReport(rows=rows)
     report.to_csv(args.out)
-    for row in report.rows:
-        if row.error is not None:
-            print(
-                f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) failed: {row.error}",
-                file=sys.stderr,
-            )
+    _print_failed_rows(report)
     print(f"{args.out}: {report.summary()}")
     return report.exit_code
 
@@ -147,12 +155,13 @@ def _cmd_proofcheck(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     panels = None if args.panel is None else [tuple(spec.split(",")) for spec in args.panel]
     m_values = None if args.points is None else cyclebound.harness.figure_m_values(args.points)
-    paths = cyclebound.emit_figures(
+    paths, report = cyclebound.emit_figures(
         args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args)
     )
     for path in paths:
         print(path)
-    return 0
+    _print_failed_rows(report)
+    return report.exit_code
 
 
 def _cmd_transit(args: argparse.Namespace) -> int:

@@ -12,12 +12,13 @@ simulated cycle (and with each other) over parameter grids:
   their worst case; the other rows sample dense grids (confidence
   checks, not certified interval arithmetic).
 * :func:`emit_figures` writes bound-versus-simulation curves over m for
-  a set of parameter panels.
+  a set of parameter panels, one :func:`run_sweep` per panel.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 from typing import IO, Optional, Sequence, Union
 
 from ._lazy import np
-from .bounds import x_max_upper_linear, x_max_upper_refined
+from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
 from .model import Params
 from .region4 import (
     Case,
@@ -89,8 +90,13 @@ def _require_cycle(what: str, a: float, lam: float) -> None:
 
 def _positive_values(what: str, values) -> tuple[float, ...]:
     """``values`` as floats; ValueError naming ``what`` unless there is at
-    least one and each is finite and > 0."""
-    vals = tuple(float(v) for v in values)
+    least one and each is a number (not a bool or a string, which float()
+    would also read), finite and > 0."""
+    vals = tuple(values)
+    for v in vals:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{what} entry must be a number, got {v!r}")
+    vals = tuple(map(float, vals))
     if not vals:
         raise ValueError(f"{what} must be non-empty")
     for v in vals:
@@ -489,33 +495,29 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     return ProofCheckReport(case=case, checks=tuple(checks))
 
 
-# each figure's CSV columns, in order: (name, value read from a CycleReport)
+# each figure's CSV columns after m, in order: (name, value read from a SweepRow)
 _FIGURE_COLUMNS = {
     "fig2": (
-        ("m", attrgetter("params.m")),
-        ("x_max_lo", attrgetter("bounds.x_max_lo")),
-        ("x_max_hi", attrgetter("bounds.x_max_hi")),
-        ("x_max_hi_refined", lambda report: x_max_upper_refined(report.params)),
-        ("x_max_hi_linear", lambda report: x_max_upper_linear(report.params)),
-        ("x_max_sim", attrgetter("extremes.x_max")),
+        ("x_max_lo", attrgetter("x_max_lo")),
+        ("x_max_hi", attrgetter("x_max_hi")),
+        ("x_max_hi_refined", lambda row: x_max_upper_refined(Params(row.a, row.lam, row.m))),
+        ("x_max_hi_linear", lambda row: x_max_upper_linear(Params(row.a, row.lam, row.m))),
+        ("x_max_sim", attrgetter("x_max")),
     ),
     "fig3": (
-        ("m", attrgetter("params.m")),
-        ("ln_s_min_lo", attrgetter("bounds.ln_s_min_lo")),
-        ("ln_s_min_hi", attrgetter("bounds.ln_s_min_hi")),
-        ("ln_s_min_sim", attrgetter("extremes.ln_s_min")),
+        ("ln_s_min_lo", attrgetter("ln_s_min_lo")),
+        ("ln_s_min_hi", attrgetter("ln_s_min_hi")),
+        ("ln_s_min_sim", attrgetter("ln_s_min")),
     ),
     "fig4": (
-        ("m", attrgetter("params.m")),
-        ("ln_x_min_lo", attrgetter("bounds.ln_x_min_lo")),
-        ("ln_x_min_hi", attrgetter("bounds.ln_x_min_hi")),
-        ("ln_x_min_sim", attrgetter("extremes.ln_x_min")),
+        ("ln_x_min_lo", attrgetter("ln_x_min_lo")),
+        ("ln_x_min_hi", attrgetter("ln_x_min_hi")),
+        ("ln_x_min_sim", attrgetter("ln_x_min")),
     ),
     "fig5": (
-        ("m", attrgetter("params.m")),
-        ("s_max_lo", attrgetter("bounds.s_max_lo")),
-        ("s_max_hi", attrgetter("bounds.s_max_hi")),
-        ("s_max_sim", attrgetter("extremes.s_max")),
+        ("s_max_lo", lambda row: S_MAX_LO),
+        ("s_max_hi", lambda row: 1.0),
+        ("s_max_sim", attrgetter("s_max")),
     ),
 }
 _FIGURES = tuple(_FIGURE_COLUMNS)
@@ -547,35 +549,46 @@ def emit_figures(
     panels: Optional[Sequence[tuple[float, float]]] = None,
     m_values: Optional[Sequence[float]] = None,
     cfg: Optional[SimConfig] = None,
-) -> list[Path]:
+) -> tuple[list[Path], SweepReport]:
     """Write bound-versus-simulation curves over m as CSV files.
 
     ``which`` selects one of fig2 (x_max with all three upper variants),
     fig3 (ln s_min), fig4 (ln x_min), fig5 (s_max), or "all" to share the
     per-panel simulations across all four.  One file per (figure, panel),
-    50 log-spaced m in [0.01, 5] by default.  Panels outside the proven
-    parameter box are evaluated in forced mode.  A panel is a pair
-    (a, lam) of numbers or of numeric strings (the CLI's ``A,LAMBDA``
-    split at the comma).  Every panel, and the m axis (non-empty, each m
-    finite and > 0, as for a :class:`SweepSpec` axis), is checked before
-    any point is simulated.
+    50 log-spaced m in [0.01, 5] by default, one line per m in increasing
+    m.  Panels outside the proven parameter box are evaluated in forced
+    mode.  A panel is a pair (a, lam) of numbers or of numeric strings
+    (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
+    axis (a :class:`SweepSpec` axis: non-empty, each m a finite number
+    > 0, none repeated), is checked before any point is simulated.
+
+    Each panel is one :func:`run_sweep` over the m axis, so every column
+    is the number the sweep CSV prints, and a point that fails keeps its
+    m and has NaN in every other column.  Returns the written paths and
+    the :class:`SweepReport` of all the rows, panel by panel, which
+    carries each failed point's reason and the sweep's exit code.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
-    ms = _positive_values("m_values", figure_m_values() if m_values is None else m_values)
-    cfg = cfg or SimConfig()
+    ms = figure_m_values() if m_values is None else m_values
+    specs = [SweepSpec((a,), (lam,), ms, sim=cfg or SimConfig()) for a, lam in panels]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for a, lam in panels:
-        reports = [cycle_extreme_report(Params(a=a, lam=lam, m=m), cfg) for m in ms]
+    rows: list[SweepRow] = []
+    for (a, lam), spec in zip(panels, specs):
+        panel_rows = run_sweep(spec).rows
+        rows += panel_rows
         for fig in figures:
             names, getters = zip(*_FIGURE_COLUMNS[fig])
-            lines = [",".join(names)]
-            lines += [",".join(_fmt(float(get(r))) for get in getters) for r in reports]
+            lines = [",".join(("m",) + names)]
+            for row in panel_rows:
+                failed = row.error is not None
+                values = [row.m] + [math.nan if failed else get(row) for get in getters]
+                lines.append(",".join(_fmt(float(v)) for v in values))
             path = out_dir / f"{fig}_a{a:g}_lambda{lam:g}.csv"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
-    return written
+    return written, SweepReport(rows=rows)

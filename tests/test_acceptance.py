@@ -285,7 +285,7 @@ def test_criterion_8_numerical_robustness():
 
 
 def test_criterion_9_figure_data(tmp_path):
-    paths = emit_figures("all", tmp_path, panels=[(0.05, 0.05)])
+    paths, _ = emit_figures("all", tmp_path, panels=[(0.05, 0.05)])
     assert len(paths) == 4
     data = {}
     for path in paths:

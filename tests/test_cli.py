@@ -332,6 +332,24 @@ def test_figures_cli(tmp_path, capsys):
     assert "fig5_a0.05_lambda0.05.csv" in files[0].name
 
 
+def test_a_loose_tolerance_fails_the_figure_point_not_the_run(tmp_path, capsys):
+    # at rtol = 1e-3 the interpolant a crossing is located on leaves s > 0:
+    # the file is still written, with a NaN line, and the reason goes to
+    # stderr as for a failed sweep row
+    code, out, err = run_cli(
+        "figures", "--which", "fig5", "--out", str(tmp_path), "--points", "1",
+        "--panel", "0.02,0.02", "--rtol", "1e-3", capsys=capsys,
+    )
+    assert code == 3
+    path = tmp_path / "fig5_a0.02_lambda0.02.csv"
+    assert out == f"{path}\n"
+    assert err == (
+        "row (a=0.02, lambda=0.02, m=0.01) failed: the step to tau = 74962.4 "
+        "left the phase space (s <= 0) inside the step; the requested tolerance is too loose\n"
+    )
+    assert path.read_text() == "m,s_max_lo,s_max_hi,s_max_sim\n0.01,nan,nan,nan\n"
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_figures_cli_rejects_fewer_than_one_point(tmp_path, capsys, points):
     code, out, err = run_cli(

@@ -352,6 +352,15 @@ def test_sweep_spec_axes_take_only_json_numbers():
         record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": m_values}
         with pytest.raises(ValueError, match=f"m_values entry must be a JSON number, got {bad}$"):
             SweepSpec.from_json(record)
+    # a spec built directly takes numbers only too, NumPy floats included
+    axes = {"a_values": (0.05,), "lambda_values": (0.05,), "m_values": (1.0,)}
+    for axis in axes:
+        for bad in (True, "2"):
+            message = re.escape(f"{axis} entry must be a number, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                SweepSpec(**{**axes, axis: (1e-3, bad)})
+    spec = SweepSpec(**{**axes, "m_values": tuple(figure_m_values(2))})
+    assert spec.m_values == (0.01, 5.0) and all(type(m) is float for m in spec.m_values)
 
 
 @pytest.mark.parametrize("axis", ["a_values", "lambda_values", "m_values"])
@@ -489,10 +498,11 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
 
 def test_emit_figures_tiny(tmp_path):
     ms = [0.05, 0.3, 1.0]
-    paths = emit_figures(
+    paths, report = emit_figures(
         "all", tmp_path, panels=[(0.05, 0.05)], m_values=ms, cfg=FAST_SIM
     )
     assert len(paths) == 4
+    assert [row.m for row in report.rows] == ms and report.exit_code == 0
     for path in paths:
         rows = path.read_text().splitlines()
         assert len(rows) == 1 + len(ms)
@@ -506,6 +516,31 @@ def test_emit_figures_tiny(tmp_path):
     for line in fig5[1:]:
         m, lo, hi, sim = map(float, line.split(","))
         assert lo < sim < hi
+
+
+def test_a_failed_figure_point_is_a_nan_line(tmp_path):
+    # at rtol = 1e-3 a step of the second panel lands at s <= 0: its files are
+    # still written, with the point's m and NaN, and the first panel's
+    # files are those of a run of that panel alone
+    panels, loose = [(0.05, 0.05), (0.01, 0.01)], SimConfig(rtol=1e-3)
+    paths, report = emit_figures("all", tmp_path / "both", panels=panels, m_values=[5.0],
+                                 cfg=loose)
+    assert [path.name for path in paths] == [
+        f"{fig}_a{a:g}_lambda{lam:g}.csv" for a, lam in panels for fig in harness._FIGURES
+    ]
+    alone, _ = emit_figures("all", tmp_path / "alone", panels=panels[:1], m_values=[5.0],
+                            cfg=loose)
+    assert [path.read_bytes() for path in paths[:4]] == [path.read_bytes() for path in alone]
+    for path in paths[4:]:
+        header, line = path.read_text().splitlines()
+        assert line == "5" + ",nan" * header.count(",")
+    ok, failed = report.rows
+    assert ok.error is None and ok.passed
+    assert failed.error == (
+        "the step to tau = 10631.7 left the phase space (s <= 0); "
+        "the requested tolerance is too loose"
+    )
+    assert report.exit_code == 3
 
 
 def test_emit_figures_rejects_unknown():
@@ -537,6 +572,7 @@ def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, messag
         ([1.0, 0.0], "m_values must be finite and > 0, got 0.0"),
         ([1.0, -0.5], "m_values must be finite and > 0, got -0.5"),
         ([1.0, math.nan], "m_values must be finite and > 0, got nan"),
+        ([1.0, 2.0, 1.0], "m_values must not repeat a value, got (1.0, 2.0, 1.0)"),
     ],
 )
 def test_emit_figures_checks_the_m_axis_before_simulating(tmp_path, m_values, message):

@@ -122,9 +122,8 @@ def _cycle_start(p):
 def _saddle_start(p):
     """A w-chart start at s = 0.6 with the cycle's predator minimum: the
     trajectory rises into the saddle passage, to 1 - s ~ e^-30 at the
-    canard point.  The minimum is the one found from x_max_upper, so the
-    start stays put when the default search start changes."""
-    return (limit_cycle(p, x0=x_max_upper(p)).ln_x_min, math.log(0.4))
+    canard point."""
+    return (limit_cycle(p).ln_x_min, math.log(0.4))
 
 
 def _field(p, w_chart):
@@ -169,6 +168,28 @@ def _proposal_is_stable(ours, ref, y, f):
     return abs(ours.h_abs / proposed - 1.0) < 1e-4
 
 
+def _dense_roundoff(ours, ref, t, h, y, f, taus, got):
+    """The largest move of the stepper's dense output at ``taus`` (where
+    its step (t, h) from y gave ``got``) when it retakes that step with u
+    and w each moved either way by the roundoff of a stage state,
+    eps (|y| + h max_i sum_j |a_ij k_j|): the shift of
+    :func:`_proposal_is_stable` plus the rounding of the state itself,
+    which in the canard (|u| ~ 30) is the larger.  Leaves the stepper
+    after the last retake."""
+    eps = np.finfo(float).eps
+    shift = eps * (np.abs(y) + h * (np.abs(ScipyDOP853.A) @ np.abs(ref.K[:-1])).max(axis=0))
+    moved = 0.0
+    for sign_u, sign_w in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        rejections = ours.n_rejected
+        _restart(ours, t, h, (y[0] + sign_u * shift[0], y[1] + sign_w * shift[1]), f)
+        ours.step()
+        assert ours.n_rejected == rejections  # the same step, retaken
+        dense = ours.dense_output()
+        moves = (abs(a - b) for tau, g in zip(taus, got) for a, b in zip(dense(tau), g))
+        moved = max(moved, *moves)
+    return moved
+
+
 def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
     """Step simulator.RK45 and scipy's DOP853 on one chart's field side by side.
 
@@ -194,8 +215,13 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
     where also the proposal is stable under a stage state's roundoff
     (:func:`_proposal_is_stable`): in the saddle passage at m = 5 steps
     are limited by stability, h |df/dw| ~ 5, and a stage's roundoff grows
-    tenfold a stage.  Returns the number of steps taken after a rejection
-    and scipy's solver.
+    tenfold a stage.  For the same reason the w-chart dense output agrees
+    to 1e-12 relative plus twice the roundoff it inherits from its stages
+    (:func:`_dense_roundoff`; each integrator makes its own), not to
+    1e-12 relative alone: in the saddle passage at m = 5 a one-ulp move
+    of a step's start moves that step's dense output by 0.8e-12 to
+    1.6e-12 relative.  Returns the number of steps
+    taken after a rejection and scipy's solver.
     """
     fun = _field(p, w_chart)
     ours = simulator.RK45(p, t0, y0, rtol=rtol, atol=1e-12, w_chart=w_chart)
@@ -232,14 +258,21 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
         # a step longer by dt ends about |f| dt further on
         tol = 1e-12 + 2.0 * abs(ours.t - ref.t) * float(np.abs(ref.f).max())
         assert ours.y == pytest.approx(tuple(ref.y), rel=1e-12, abs=tol)
+        h = ours.t - ours.t_old
         ours_dense, ref_dense = ours.dense_output(), ref.dense_output()
-        for x in (0.1, 0.5, 0.9):
-            got = ours_dense(ours.t_old + x * (ours.t - ours.t_old))
-            want = ref_dense(ref.t_old + x * (ref.t - ref.t_old))
-            assert got == pytest.approx(tuple(want), rel=1e-12, abs=tol)
+        taus = [t + x * h for x in (0.1, 0.5, 0.9)]
+        got = [ours_dense(tau) for tau in taus]
+        want = [ref_dense(ref.t_old + x * (ref.t - ref.t_old)) for x in (0.1, 0.5, 0.9)]
         proposed = _proposal(ours, rejected)
         if _error_estimate_resolved(ref) and (not w_chart or _proposal_is_stable(ours, ref, y, f)):
             assert proposed == pytest.approx(ref.h_abs, rel=1e-3)
+        spread = 2.0 * _dense_roundoff(ours, ref, t, h, y, f, taus, got) if w_chart else 0.0
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                if w_chart:
+                    assert a == pytest.approx(b, abs=1e-12 * abs(b) + tol + spread)
+                else:
+                    assert a == pytest.approx(b, rel=1e-12, abs=tol)
     return retried, ref
 
 
