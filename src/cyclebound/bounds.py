@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .lvroot import ZIndex, z
-from .model import Params, h
+from .model import Params, h, require_cycle
 
 __all__ = [
     "S_MAX_LO",
@@ -99,13 +99,6 @@ class CanardEstimates(NamedTuple):
         return self._asdict()
 
 
-def _require_cycle(p: Params) -> None:
-    if not p.cycle_regime:
-        raise ValueError(
-            f"no limit cycle: need 2*lam + a < 1, got margin {p.hopf_margin!r}"
-        )
-
-
 def _finite(name: str, value: float, p: Params) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} overflows at m = {p.m!r}: got {value!r}")
@@ -122,7 +115,7 @@ def x_max_upper(p: Params) -> float:
 
     Raises ValueError naming m where the product overflows (m ~ 1e154).
     """
-    _require_cycle(p)
+    require_cycle(p)
     a, lam, m = p.a, p.lam, p.m
     value = (
         (1.0 + m + a - m * lam)
@@ -139,7 +132,7 @@ def x_max_upper_refined(p: Params) -> float:
     instead of v = 1, so it never exceeds :func:`x_max_upper` and
     coincides with it as lam -> 0; like it, raises where it overflows.
     """
-    _require_cycle(p)
+    require_cycle(p)
     a, lam, m = p.a, p.lam, p.m
     L = 1.0 - lam
     value = (
@@ -177,7 +170,7 @@ def x_max_lower(p: Params) -> float:
     vanishes and f' = 1 - a + m - 2z, and at m = 0 the larger root is
     (1-a)/2 itself.
     """
-    _require_cycle(p)
+    require_cycle(p)
     lo = 0.5 * (1.0 - p.a)
     b = 1.0 - p.a + p.m
     disc = b * b - 8.0 * p.m * p.lam  # >= 0 for all cycle-regime parameters
@@ -256,8 +249,7 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     Rejects parameters outside the proven box unless ``force`` is set,
     in which case the bounds are still evaluated but flagged unproven.
     """
-    _require_cycle(p)
-    x_lo = x_max_lower(p)
+    x_lo = x_max_lower(p)  # raises first where there is no cycle
     if not force and not p.proven_region:
         raise ValueError(
             f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "

@@ -27,8 +27,9 @@ from typing import IO, Optional, Sequence, Union
 
 from ._lazy import np
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
-from .model import Params
+from .model import Params, require_cycle
 from .region4 import (
+    M_BRANCH,
     Case,
     alpha2_peak,
     alpha_factors,
@@ -81,13 +82,6 @@ def _fmt(value) -> str:
 _SPEC_KEYS = {"a_values", "lambda_values", "m_values"}
 
 
-def _require_cycle(what: str, a: float, lam: float) -> None:
-    """ValueError naming ``what`` unless (a, lam) has a limit cycle."""
-    margin = Params(a=a, lam=lam, m=1.0).hopf_margin
-    if margin <= 0.0:
-        raise ValueError(f"{what} has no limit cycle: need 2*lam + a < 1, got margin {margin!r}")
-
-
 def _positive_values(what: str, values) -> tuple[float, ...]:
     """``values`` as floats; ValueError naming ``what`` unless there is at
     least one and each is a number (not a bool or a string, which float()
@@ -136,7 +130,9 @@ class SweepSpec:
         # no cycle would abort the sweep halfway, not fail its own row
         for a in self.a_values:
             for lam in self.lambda_values:
-                _require_cycle(f"(a, lambda) = ({a!r}, {lam!r})", a, lam)
+                require_cycle(Params(a=a, lam=lam, m=1.0))
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, numbers.Integral):
+            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -428,12 +424,13 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
 # x_max_barrier_coefficients puts the largest C0 and C0 + C1 at (a_lo, 0, m_lo).
 _BARRIER_BOX = ((0.0025, 0.5), (0.0, 1.0), (0.05, 10.0))
 
-# The gain rows' box per case: [a_max/40, a_max] x [lam_max/40, lam_max] x
-# [1e-3, 50].  There 4 lam + a < 1, so G*(lam) = (k/m) lam (2 lam + a - 1)
-# increases in a and m and decreases in lam, and G*(1) = (k/m)(1 + a) + 1 - lam
-# increases in a and decreases in lam and m.
+# The m range of the gain and alpha rows, and the gain rows' box per case:
+# [a_max/40, a_max] x [lam_max/40, lam_max] x _M_RANGE.  There 4 lam + a < 1,
+# so G*(lam) = (k/m) lam (2 lam + a - 1) increases in a and m and decreases in
+# lam, and G*(1) = (k/m)(1 + a) + 1 - lam increases in a and decreases in lam and m.
+_M_RANGE = (1e-3, 50.0)
 _GAIN_BOX = {
-    case: ((case.a_max / 40, case.a_max), (case.lam_max / 40, case.lam_max), (1e-3, 50.0))
+    case: ((case.a_max / 40, case.a_max), (case.lam_max / 40, case.lam_max), _M_RANGE)
     for case in Case
 }
 
@@ -448,7 +445,7 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     corners: an algebraic certificate puts their worst case at one
     corner of their box (:data:`_BARRIER_BOX`, :data:`_GAIN_BOX`), so
     each is evaluated there once.  So is the envelope row, at its branch
-    ends m = 0.3 and the next float (ties go to 0.3): a branch
+    ends m = :data:`M_BRANCH` = 0.3 and the next float (ties go to 0.3): a branch
     (c0 + c1 m) e^{c2 m + c3} has the slope sign of c1 + c2 (c0 + c1 m),
     which is > 0 for the low branch (c0, c1, c2 > 0), so it increases on
     [0, 0.3], while for the high branch (c2 < 0 < c1) it falls with m and
@@ -465,11 +462,11 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     gain_at_lam = growth_ratio_quadratic(lam_lo, Params(*at_lam), case)
     gain_at_one = growth_ratio_quadratic(1.0, Params(*at_one), case)
     alpha = max(
-        ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(1e-3, 50, 500).tolist()),
+        ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(*_M_RANGE, 500).tolist()),
         key=itemgetter(0),
     )
     envelope = max(
-        ((handoff_cap_envelope(m, case), (m,)) for m in (0.3, math.nextafter(0.3, 1.0))),
+        ((handoff_cap_envelope(m, case), (m,)) for m in (M_BRANCH, math.nextafter(M_BRANCH, 1.0))),
         key=itemgetter(0),
     )
     slope = _cap_bound_slopes(case)
@@ -538,7 +535,7 @@ def _check_panel(panel) -> tuple[float, float]:
     except (TypeError, ValueError):
         raise ValueError(f"panel {panel!r} must be two numbers (a, lambda)") from None
     _positive_values(f"panel {panel!r}", (a, lam))
-    _require_cycle(f"panel {panel!r}", a, lam)
+    require_cycle(Params(a=a, lam=lam, m=1.0), f"panel {panel!r}")
     return a, lam
 
 

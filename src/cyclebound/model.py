@@ -29,6 +29,7 @@ __all__ = [
     "Region",
     "h",
     "hopf_margin",
+    "require_cycle",
     "vector_field",
     "log_vector_field",
     "log_gap_vector_field",
@@ -205,6 +206,16 @@ def hopf_margin(p: Params) -> float:
     a and lam are arrays gives the margin elementwise.
     """
     return 1.0 - 2.0 * p.lam - p.a
+
+
+def require_cycle(p: Params, what: str = "") -> None:
+    """ValueError naming ``what``, by default (a, lambda), unless ``p`` has a
+    limit cycle (:attr:`Params.cycle_regime`)."""
+    if not p.cycle_regime:
+        what = what or f"(a, lambda) = ({p.a!r}, {p.lam!r})"
+        raise ValueError(
+            f"{what} has no limit cycle: need 2*lam + a < 1, got margin {p.hopf_margin!r}"
+        )
 
 
 def vector_field(st: State, p: Params) -> tuple[float, float]:

@@ -27,9 +27,10 @@ stages:
 The argument is made on two fixed parameter boxes, each with its own
 barrier fraction: case A (a, lam <= 1/20, k = 3/4) and case B
 (a <= 1/10, lam <= 1/100, k = 2/3), both handing off at
-s_gamma = :data:`S_GAMMA` = 0.7.  These are constants of the proof, not
-tunables: a :class:`Case` member carries its own, and a function that
-depends on the case takes the member.
+s_gamma = :data:`S_GAMMA` = 0.7.  The closed forms switch from a
+low-m to a high-m branch at m = :data:`M_BRANCH` = 0.3.  These are
+constants of the proof, not tunables: a :class:`Case` member carries
+its own, and a function that depends on the case takes the member.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .lvroot import ZIndex, z
 from .model import PROVEN_BOXES, Params, h, hopf_margin
 
 __all__ = [
+    "M_BRANCH",
     "S_GAMMA",
     "Case",
     "AlphaFactors",
@@ -58,8 +60,7 @@ __all__ = [
     "recovery_start_cap",
 ]
 
-_M_BRANCH = 0.3  # m value separating the two closed-form branches
-
+M_BRANCH = 0.3  # m value separating the two closed-form branches
 S_GAMMA = 0.7  # hand-off prey level of both cases
 
 
@@ -158,7 +159,7 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     :func:`handoff_cap_bound_ln` and :func:`handoff_cap_bound`.
     """
     _require(hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
-    low_m = p.m < _M_BRANCH
+    low_m = p.m < M_BRANCH
     anchor = np.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
     c0 = np.where(low_m, 0.25, h(S_MAX_LO, p))
     # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
@@ -203,7 +204,7 @@ def handoff_cap_envelope(m: float, case: Case) -> float:
     if not 0.0 <= m < math.inf:
         raise ValueError(f"m must be finite and nonnegative, got {m!r}")
     low, high = _ENVELOPE[case]
-    c0, c1, c2, c3 = low if m <= _M_BRANCH else high
+    c0, c1, c2, c3 = low if m <= M_BRANCH else high
     return (c0 + c1 * m) * math.exp(c2 * m + c3)
 
 
@@ -321,7 +322,7 @@ def alpha2_peak(case: Case) -> float:
     c0, c1, c2, c3 = _ENVELOPE[case][1]
     scale = math.exp(c3)
     abar, bbar, cbar = c1 * scale, c0 * scale, -c2
-    lo, hi = _M_BRANCH + 1e-9, 60.0
+    lo, hi = M_BRANCH + 1e-9, 60.0
     f_lo = _alpha2_stationarity(lo, abar, bbar, cbar)
     f_hi = _alpha2_stationarity(hi, abar, bbar, cbar)
     if not (f_lo > 0 > f_hi):
@@ -350,5 +351,5 @@ def recovery_start_cap(p: Params, case: Case) -> float:
         case B:  0.350 e^{-1/(4 h(lam))},  0.428 e^{-0.383/h(lam)}.
     """
     low, high = _START_CAP[case]
-    c, r = low if p.m <= _M_BRANCH else high
+    c, r = low if p.m <= M_BRANCH else high
     return c * math.exp(-r / p.h_lam)

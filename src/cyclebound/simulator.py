@@ -39,6 +39,7 @@ return map).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -46,9 +47,9 @@ from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from ._lazy import np
-from .bounds import BoundSet, cycle_bounds
+from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
-from .model import LogState, Params, Region, State, h, log1m_exp
+from .model import LogState, Params, Region, State, h, log1m_exp, require_cycle
 
 __all__ = [
     "SimConfig",
@@ -117,10 +118,13 @@ class SimConfig:
     cycle_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.rtol > 0 and self.cycle_tol > 0):
-            raise ValueError("rtol and cycle_tol must be positive")
-        if not math.isfinite(self.rtol):
-            raise ValueError(f"rtol must be finite, got {self.rtol!r}")
+        for name, value in (("rtol", self.rtol), ("cycle_tol", self.cycle_tol)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # a bool is Real
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not value > 0:
+                raise ValueError("rtol and cycle_tol must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class EventKind(Enum):
@@ -425,8 +429,7 @@ def integrate(
         raise ValueError(f"n_downs must be at least 1, got {n_downs!r}")
     if p.limit:
         raise ValueError("simulation requires strictly positive parameters")
-    if not p.cycle_regime:
-        raise ValueError("simulation requires the cycle regime 2*lam + a < 1")
+    require_cycle(p)
     if w_chart:
         u0, w0 = y0 = tuple(start)
         if not (math.isfinite(u0) and -math.inf < w0 <= _LN_HALF):
@@ -575,7 +578,7 @@ def limit_cycle(
     if x0 is None:
         # 1 - s falls below the double spacing at 1 once m passes about
         # 4e11, so the start goes to the stepper as w = ln(1 - s)
-        w0 = LEAD_IN_LN_X - math.log(1.0 + p.a + p.m * (1.0 - p.lam))
+        w0 = LEAD_IN_LN_X - math.log(x_max_upper_linear(p))
         lead_in = integrate((LEAD_IN_LN_X, w0), p, cfg, keep_samples=False, w_chart=True)
         tours, total = 1, lead_in.stats
         ln_x = lead_in.events[-1].state.u
@@ -592,7 +595,8 @@ def limit_cycle(
         tours += 1
         total += tour.stats
         ln_x_start, ln_x = ln_x, tour.events[-1].state.u
-        converged = abs(ln_x - ln_x_start) <= cfg.cycle_tol
+        residual = abs(ln_x - ln_x_start)
+        converged = residual <= cfg.cycle_tol
         if converged or tours >= budget:
             break
     reduced = net_events(tour.events)
@@ -612,7 +616,7 @@ def limit_cycle(
         ln_s_max=ln_s_max,
         period=ev_down.tau,
         converged=converged,
-        residual=abs(ev_down.state.u - ln_x_start),
+        residual=residual,
         tours=tours,
         raw_events=len(tour.events),
         stats=tour.stats,
@@ -625,10 +629,8 @@ class CycleReport:
     """Simulated extremes next to their bounds, with signed margins.
 
     Margins are log-space distances from the simulated value to each
-    bound, positive when the value is strictly inside.  The six flags
-    split the four extreme checks the way the sweep counts them: both
-    sides of x_max, the two log minima as intervals, both sides of
-    s_max.  ``passed`` additionally requires return-map convergence.
+    bound, positive when the value is strictly inside.  ``passed`` is
+    return-map convergence with every margin > 0.
 
     min_margin is the smallest margin of all.  On most cycles it is
     s_max_hi = -ln s_max, which is structural (s < 1 on every
@@ -640,7 +642,6 @@ class CycleReport:
     bounds: BoundSet
     extremes: CycleExtremes
     margins: dict
-    flags: dict
     min_margin: float
     binding_bound: str
     binding_margin: float
@@ -652,7 +653,6 @@ class CycleReport:
             "bounds": self.bounds.as_dict(),
             "extremes": self.extremes.as_dict(),
             "margins": dict(self.margins),
-            "flags": dict(self.flags),
             "min_margin": self.min_margin,
             "binding_bound": self.binding_bound,
             "binding_margin": self.binding_margin,
@@ -680,14 +680,6 @@ def cycle_extreme_report(p: Params, cfg: Optional[SimConfig] = None) -> CycleRep
         "s_max_lo": ln_s_max - math.log(b.s_max_lo),
         "s_max_hi": math.log(b.s_max_hi) - ln_s_max,
     }
-    flags = {
-        "x_max_above_lo": margins["x_max_lo"] > 0,
-        "x_max_below_hi": margins["x_max_hi"] > 0,
-        "x_min_inside": margins["x_min_lo"] > 0 and margins["x_min_hi"] > 0,
-        "s_min_inside": margins["s_min_lo"] > 0 and margins["s_min_hi"] > 0,
-        "s_max_above_lo": margins["s_max_lo"] > 0,
-        "s_max_below_hi": margins["s_max_hi"] > 0,
-    }
     binding_bound, binding_margin = min(
         ((name, value) for name, value in margins.items() if name != "s_max_hi"),
         key=itemgetter(1),
@@ -697,9 +689,8 @@ def cycle_extreme_report(p: Params, cfg: Optional[SimConfig] = None) -> CycleRep
         bounds=b,
         extremes=ce,
         margins=margins,
-        flags=flags,
         min_margin=min(margins.values()),
         binding_bound=binding_bound,
         binding_margin=binding_margin,
-        passed=all(flags.values()) and ce.converged,
+        passed=ce.converged and all(margin > 0 for margin in margins.values()),
     )

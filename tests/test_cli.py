@@ -86,6 +86,10 @@ def test_cycle_json(capsys):
     assert record["extremes"]["raw_events"] == 4  # no chatter at this point
     assert record["passed"] is True
     assert record["min_margin"] > 0
+    assert set(record) == {
+        "params", "bounds", "extremes", "margins",
+        "min_margin", "binding_bound", "binding_margin", "passed",
+    }
     # the stepper's work on the reported tour and on all tours
     stats, total = record["extremes"]["stats"], record["extremes"]["total_stats"]
     assert set(stats) == set(total) == {"steps", "rejected_steps", "rhs_evals"}
@@ -276,12 +280,18 @@ def test_sweep_cli(tmp_path, capsys):
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1, 0.3, 1.0]},
             "m_values must not repeat a value, got (1.0, 0.3, 1.0)",
         ),
+        (
+            # json writes and reads this as Infinity; every tour would converge
+            {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
+             "sim": {"cycle_tol": math.inf}},
+            "cycle_tol must be finite, got inf",
+        ),
     ],
     ids=[
         "missing-key", "unknown-sim-key", "unknown-key", "not-an-object", "not-a-list",
         "no-cycle-pair", "nonpositive-m", "anchor-key", "dropped-sim-key", "float-jobs",
         "string-jobs", "bool-jobs", "bool-sim-value", "string-sim-value",
-        "string-axis-value", "bool-axis-value", "repeated-axis-value",
+        "string-axis-value", "bool-axis-value", "repeated-axis-value", "infinite-cycle-tol",
     ],
 )
 def test_sweep_malformed_spec_exits_one(tmp_path, capsys, spec, message):

@@ -317,6 +317,10 @@ def test_sweep_spec_validation_and_json():
         SweepSpec(a_values=(), lambda_values=(0.05,), m_values=(1.0,))
     with pytest.raises(ValueError):
         SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0,), jobs=0)
+    # 2.5 used to fail inside the worker pool, and True to run serially
+    for jobs in (2.5, True):
+        with pytest.raises(ValueError, match=f"^jobs must be an integer, got {jobs!r}$"):
+            SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 2.0), jobs=jobs)
     spec = SweepSpec.from_json(
         json.loads(
             '{"a_values": [0.05], "lambda_values": [0.02, 0.01], '

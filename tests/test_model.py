@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
 from cyclebound.model import (
     LogState,
     Params,
@@ -15,8 +16,10 @@ from cyclebound.model import (
     log_vector_field,
     nondimensionalize,
     params_from_json,
+    require_cycle,
     vector_field,
 )
+from cyclebound.simulator import integrate
 
 
 def test_params_validation():
@@ -37,6 +40,24 @@ def test_params_validation():
 def test_cycle_regime_flag_matches_inequality():
     assert Params(a=0.2, lam=0.39, m=1.0).cycle_regime  # 2*0.39 + 0.2 = 0.98
     assert not Params(a=0.2, lam=0.4, m=1.0).cycle_regime  # exactly 1.0
+
+
+def test_a_pair_with_no_cycle_gets_one_message_everywhere():
+    p = Params(a=0.5, lam=0.3, m=1.0)
+    message = (
+        "(a, lambda) = (0.5, 0.3) has no limit cycle: need 2*lam + a < 1, "
+        f"got margin {p.hopf_margin!r}"
+    )
+    for check in (
+        require_cycle,
+        cycle_bounds,
+        x_max_upper,
+        x_max_lower,
+        lambda p: integrate(State(0.5, 0.5), p),
+    ):
+        with pytest.raises(ValueError) as info:
+            check(p)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

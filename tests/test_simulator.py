@@ -85,6 +85,13 @@ def test_sim_config_is_the_two_tolerances():
     for bad in ({"rtol": 0.0}, {"cycle_tol": 0.0}, {"rtol": -1e-8}):
         with pytest.raises(ValueError, match="rtol and cycle_tol must be positive"):
             SimConfig(**bad)
+    # cycle_tol = inf would call every tour converged, and True would read as 1
+    with pytest.raises(ValueError, match="^cycle_tol must be finite, got inf$"):
+        SimConfig(cycle_tol=math.inf)
+    for name in ("rtol", "cycle_tol"):
+        for bad in (True, "1e-9"):
+            with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad!r}$"):
+                SimConfig(**{name: bad})
 
 
 def test_integrate_rejects_bad_params():
@@ -168,26 +175,43 @@ def _proposal_is_stable(ours, ref, y, f):
     return abs(ours.h_abs / proposed - 1.0) < 1e-4
 
 
-def _dense_roundoff(ours, ref, t, h, y, f, taus, got):
-    """The largest move of the stepper's dense output at ``taus`` (where
-    its step (t, h) from y gave ``got``) when it retakes that step with u
-    and w each moved either way by the roundoff of a stage state,
-    eps (|y| + h max_i sum_j |a_ij k_j|): the shift of
-    :func:`_proposal_is_stable` plus the rounding of the state itself,
-    which in the canard (|u| ~ 30) is the larger.  Leaves the stepper
-    after the last retake."""
+def _shifted_retakes(ours, ref, t, h, y, f, rejected=0):
+    """Retake the step tried at (t, h) from y, which rejected its first
+    ``rejected`` trials, with u and w each moved either way by the
+    roundoff of a stage state, eps (|y| + h max_i sum_j |a_ij k_j|): the
+    shift of :func:`_proposal_is_stable` plus the rounding of the state
+    itself, which in the canard (|u| ~ 30) is the larger.  Yields the
+    stepper after each of the four retakes."""
     eps = np.finfo(float).eps
     shift = eps * (np.abs(y) + h * (np.abs(ScipyDOP853.A) @ np.abs(ref.K[:-1])).max(axis=0))
-    moved = 0.0
     for sign_u, sign_w in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         rejections = ours.n_rejected
         _restart(ours, t, h, (y[0] + sign_u * shift[0], y[1] + sign_w * shift[1]), f)
         ours.step()
-        assert ours.n_rejected == rejections  # the same step, retaken
-        dense = ours.dense_output()
+        assert ours.n_rejected - rejections == rejected  # the same step, retaken
+        yield ours
+
+
+def _dense_roundoff(ours, ref, t, h, y, f, taus, got):
+    """The largest move of the stepper's dense output at ``taus`` (where
+    its step (t, h) from y gave ``got``) over :func:`_shifted_retakes`.
+    Leaves the stepper after the last retake."""
+    moved = 0.0
+    for retaken in _shifted_retakes(ours, ref, t, h, y, f):
+        dense = retaken.dense_output()
         moves = (abs(a - b) for tau, g in zip(taus, got) for a, b in zip(dense(tau), g))
         moved = max(moved, *moves)
     return moved
+
+
+def _retry_roundoff(ours, ref, t, h_try, y, f, rejected):
+    """The largest relative move of the step size the stepper retried
+    after ``rejected`` rejections of the trial (t, h_try) from y, over
+    :func:`_shifted_retakes` of that trial.  Leaves the stepper after the
+    last retake."""
+    size = ours.t - t
+    retakes = _shifted_retakes(ours, ref, t, h_try, y, f, rejected)
+    return max(abs((retaken.t - t) / size - 1.0) for retaken in retakes)
 
 
 def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
@@ -206,8 +230,14 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
     roundoff, dense output included.  A rejected trial must be rejected
     by both, as many times (scipy evaluates 12 stages a trial); the
     retried size is scaled by the error norm, whose roundoff it
-    inherits, so the accepted sizes agree to 1e-7 in the v chart and to
-    1e-4 in the w chart, whose stages amplify roundoff (below).  The in-house
+    inherits, so the accepted sizes agree to 1e-7 in the v chart.  In
+    the w chart, whose stages amplify roundoff (below), they agree to
+    1e-7 plus four times the largest relative move of the retried size
+    when the trial is retaken from starts moved by a stage state's
+    roundoff (:func:`_retry_roundoff`): twice because each integrator
+    makes its own, and twice again because a moved start reaches the
+    roundoff of the later stages only through the start (at the canard
+    point the sizes have differed by 2.3 times that move).  The in-house
     stepper then takes scipy's accepted size once more, from the same
     state, and that step must agree to roundoff.  The step size each
     proposes next must agree wherever the error estimate stands clear of
@@ -248,8 +278,12 @@ def _step_side_by_side(p, y0, rtol, n_steps, t0=0.0, w_chart=False):
         assert (ours.t - t <= 0.9 * h_try) == rejected
         assert 12 * (ours.n_rejected - rejections + 1) == ref.nfev - nfev
         retried += rejected
-        retry_rtol = 1e-4 if w_chart else 1e-7
-        assert ours.t - t == pytest.approx(ref.t - t, rel=retry_rtol if rejected else 1e-10)
+        size = ours.t - t
+        step_rtol = 1e-7 if rejected else 1e-10
+        if rejected and w_chart:
+            retries = ours.n_rejected - rejections
+            step_rtol += 4.0 * _retry_roundoff(ours, ref, t, h_try, y, f, retries)
+        assert size == pytest.approx(ref.t - t, rel=step_rtol)
         if rejected:
             rejections = ours.n_rejected
             _restart(ours, t, ref.t - t, y, f)
@@ -1236,7 +1270,8 @@ def test_cycle_extreme_report_margins():
     }
     assert all(v > 0 for v in rep.margins.values())
     assert rep.min_margin == min(rep.margins.values())
-    assert len(rep.flags) == 6 and all(rep.flags.values())
+    # the verdict is return-map convergence with every margin > 0
+    assert rep.passed == (rep.extremes.converged and all(v > 0 for v in rep.margins.values()))
 
 
 def test_cycle_extreme_report_forced_point():
