@@ -22,10 +22,8 @@ _EXPORTS = {
     "bounds": (
         "BoundSet",
         "CanardEstimates",
-        "ExcursionBounds",
         "canard_estimates",
         "cycle_bounds",
-        "excursion_bounds",
         "x_max_lower",
         "x_max_upper",
         "x_max_upper_linear",

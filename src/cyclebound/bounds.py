@@ -28,12 +28,10 @@ __all__ = [
     "S_MAX_LO",
     "BoundSet",
     "CanardEstimates",
-    "ExcursionBounds",
     "x_max_upper",
     "x_max_upper_refined",
     "x_max_upper_linear",
     "x_max_lower",
-    "excursion_bounds",
     "cycle_bounds",
     "canard_estimates",
 ]
@@ -66,20 +64,6 @@ class BoundSet(NamedTuple):
 
     def as_dict(self) -> dict:
         return self._asdict()
-
-
-class ExcursionBounds(NamedTuple):
-    """Bounds for one deep-prey excursion launched at (u, lam_star).
-
-    ln_s_lo/ln_s_hi bracket the minimal prey value (where the excursion
-    meets x = h(s)); ln_x_lo/ln_x_hi bracket the predator value when it
-    returns to s = lam_star.
-    """
-
-    ln_s_lo: float
-    ln_s_hi: float
-    ln_x_lo: float
-    ln_x_hi: float
 
 
 class CanardEstimates(NamedTuple):
@@ -180,71 +164,59 @@ def x_max_lower(p: Params) -> float:
     return h(z_star, p) + p.m * (z_star - lam_term)
 
 
-def _launch(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
-    """(h(lambda_star), 1 / (m lambda_star)) after checking the launch
-    (u, lambda_star) and a > 0."""
-    if not (0.0 < lambda_star <= p.lam):
-        raise ValueError(
-            f"lambda_star must lie in (0, lam] = (0, {p.lam!r}], got {lambda_star!r}"
-        )
-    H = h(lambda_star, p)
-    if not u > H:
-        raise ValueError(f"need u > h(lambda_star) = {H!r}, got u = {u!r}")
+def _launch(u: float, p: Params) -> float:
+    """1 / (m lam), the depth scale of the excursion launched at (u, lam),
+    after checking u > h(lam), a > 0 and lam > 0."""
+    if not u > p.h_lam:
+        raise ValueError(f"need u > h(lam) = {p.h_lam!r}, got u = {u!r}")
     if p.a == 0.0:
         raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {p.a!r}")
+    if p.lam == 0.0:
+        raise ValueError(
+            f"the minima bounds need lam > 0 (they launch on s = lam), got lam = {p.lam!r}"
+        )
     # m = 0 is the limit where the excursion dives infinitely deep
-    return H, math.inf if p.m == 0.0 else 1.0 / (p.m * lambda_star)
+    return math.inf if p.m == 0.0 else 1.0 / (p.m * p.lam)
 
 
-def _lower_side(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
-    """(ln_s_lo, ln_x_lo) of :func:`excursion_bounds`: the isocline frozen
-    at height a, the predator return through z1(u/a)."""
-    _, scale = _launch(u, lambda_star, p)
+def _lower_side(u: float, p: Params) -> tuple[float, float]:
+    """(ln s_u, ln v) lower ends for the launch at (u, lam): the isocline
+    frozen at height a, the predator return through z1(u/a)."""
+    scale = _launch(u, p)
     a = p.a
-    ln_s_lo = math.log(lambda_star) - (u - a - a * math.log(u / a)) * scale - 1.0
+    ln_s_lo = math.log(p.lam) - (u - a - a * math.log(u / a)) * scale - 1.0
     return ln_s_lo, math.log(z(ZIndex.Z1, u / a)) + math.log(u) - u / a
 
 
-def _upper_side(u: float, lambda_star: float, p: Params) -> tuple[float, float]:
-    """(ln_s_hi, ln_x_hi) of :func:`excursion_bounds`: the isocline frozen
-    at height H = h(lambda_star), the predator return through z2(u/H)."""
-    H, scale = _launch(u, lambda_star, p)
-    a = p.a
-    ln_s_hi = math.log(lambda_star) - (u - a - H * math.log(u / a)) * scale
+def _upper_side(u: float, p: Params) -> tuple[float, float]:
+    """(ln s_u, ln v) upper ends for the launch at (u, lam): the isocline
+    frozen at height H = h(lam), the predator return through z2(u/H)."""
+    scale = _launch(u, p)
+    a, H = p.a, p.h_lam
+    ln_s_hi = math.log(p.lam) - (u - a - H * math.log(u / a)) * scale
     return ln_s_hi, math.log(z(ZIndex.Z2, u / H)) + math.log(u) - u / H
-
-
-def excursion_bounds(u: float, lambda_star: float, p: Params) -> ExcursionBounds:
-    """Bounds for the trajectory launched at (u, lambda_star), u > h(lambda_star).
-
-    Such a trajectory dives below s = lambda_star, grazes x = h(s) at
-    its minimal prey value s_u and climbs back to s = lambda_star at a
-    predator value v.  Comparison integrals with the frozen isocline
-    heights a and h(lambda_star) give
-
-        ln s_u  in  ( ln l* - (u - a - a ln(u/a)) / (m l*) - 1,
-                      ln l* - (u - a - h(l*) ln(u/a)) / (m l*) ),
-        ln v    in  ( ln(z1(u/a) u) - u/a,
-                      ln(z2(u/h(l*)) u) - u/h(l*) ).
-
-    The lower ends come from the height a alone and the upper ends from
-    h(l*) alone, so each side is its own function; this one evaluates
-    both.  Raises ValueError at a = 0 (limit mode), where u/a does not
-    exist.
-    """
-    ln_s_lo, ln_x_lo = _lower_side(u, lambda_star, p)
-    ln_s_hi, ln_x_hi = _upper_side(u, lambda_star, p)
-    return ExcursionBounds(ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
 
 
 def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     """Assemble the full :class:`BoundSet` for one parameter triple.
 
-    The minima bounds are one side each of two excursions launched on
-    s = lam (:func:`excursion_bounds`): the lower side of the launch at
-    x_max_hi gives ln_s_min_lo and ln_x_min_lo, and the upper side of
-    the launch at x_max_lo gives ln_s_min_hi and ln_x_min_hi.  Only
-    those two sides are evaluated.
+    The minima bounds come from excursions launched on s = lam.  The
+    trajectory from (u, lam), u > h(lam), dives below s = lam, grazes
+    x = h(s) at its minimal prey value s_u and climbs back to s = lam at
+    a predator value v.  Comparison integrals with the frozen isocline
+    heights a and h(lam) give
+
+        ln s_u  in  ( ln lam - (u - a - a ln(u/a)) / (m lam) - 1,
+                      ln lam - (u - a - h(lam) ln(u/a)) / (m lam) ),
+        ln v    in  ( ln(z1(u/a) u) - u/a,
+                      ln(z2(u/h(lam)) u) - u/h(lam) ).
+
+    The lower ends come from the height a alone and the upper ends from
+    h(lam) alone, so only the side each bound keeps is evaluated: the
+    lower side of the launch at x_max_hi gives ln_s_min_lo and
+    ln_x_min_lo, and the upper side of the launch at x_max_lo gives
+    ln_s_min_hi and ln_x_min_hi.  In limit mode the minima bounds raise
+    ValueError at a = 0, where u/a does not exist, and at lam = 0.
 
     Rejects parameters outside the proven box unless ``force`` is set,
     in which case the bounds are still evaluated but flagged unproven.
@@ -256,8 +228,8 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             "box; pass force=True to evaluate anyway (bounds flagged unproven)"
         )
     x_hi = x_max_upper(p)
-    ln_s_min_lo, ln_x_min_lo = _lower_side(x_hi, p.lam, p)
-    ln_s_min_hi, ln_x_min_hi = _upper_side(x_lo, p.lam, p)
+    ln_s_min_lo, ln_x_min_lo = _lower_side(x_hi, p)
+    ln_s_min_hi, ln_x_min_hi = _upper_side(x_lo, p)
     return BoundSet(
         x_lo, x_hi, ln_x_min_lo, ln_x_min_hi, ln_s_min_lo, ln_s_min_hi, proven=p.proven_region
     )

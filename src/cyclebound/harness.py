@@ -452,7 +452,9 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     is -0.127 (case A) or -0.091 (case B) at m = 0.3, so it decreases on
     [0.3, inf).  The alpha and cap-slope rows are still sampled, on grids
     dense enough to exceed the granularity of the case analysis they
-    probe.  Failures are reported in the result, never raised.
+    probe; the alpha grid also holds m = 0.3, the end of the low branch,
+    where alpha drops to the high branch.  Failures are reported in the
+    result, never raised.
     """
     case = Case(case)
     barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
@@ -461,10 +463,8 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     at_lam, at_one = (a_hi, lam_lo, m_hi), (a_lo, lam_hi, m_hi)
     gain_at_lam = growth_ratio_quadratic(lam_lo, Params(*at_lam), case)
     gain_at_one = growth_ratio_quadratic(1.0, Params(*at_one), case)
-    alpha = max(
-        ((alpha_factors(m, case).alpha, (m,)) for m in np.geomspace(*_M_RANGE, 500).tolist()),
-        key=itemgetter(0),
-    )
+    alpha_ms = [*np.geomspace(*_M_RANGE, 500).tolist(), M_BRANCH]
+    alpha = max(((alpha_factors(m, case).alpha, (m,)) for m in alpha_ms), key=itemgetter(0))
     envelope = max(
         ((handoff_cap_envelope(m, case), (m,)) for m in (M_BRANCH, math.nextafter(M_BRANCH, 1.0))),
         key=itemgetter(0),

@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 # exp() arguments are clipped here so the log-space field stays finite for
-# any float input (adaptive solvers probe far outside the invariant region)
+# any float input (adaptive solvers probe far outside the invariant region).
+# The cycle stays below the clip only while ln x_max_upper(p) < 150, that is
+# for m below about 1e65; at larger m the clip cuts the field on the cycle too
 _EXP_CLIP = 150.0
 
 
@@ -87,7 +89,8 @@ class Params:
     def __post_init__(self) -> None:
         for name in ("a", "lam", "m"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
+            # a bool is an int, but True is no parameter value
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ValueError(f"{name} must be a finite number, got {val!r}")
             if val < 0.0 or (val == 0.0 and not self.limit):
                 raise ValueError(
@@ -135,7 +138,9 @@ class RMParams:
     def __post_init__(self) -> None:
         for name in ("r", "K", "q", "H", "p", "d"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+            if isinstance(val, bool) or not (
+                isinstance(val, (int, float)) and math.isfinite(val) and val > 0
+            ):
                 raise ValueError(f"{name} must be a positive finite number, got {val!r}")
         if not self.p > self.d:
             raise ValueError(f"p must exceed d, got p={self.p}, d={self.d}")
@@ -234,9 +239,11 @@ def log_vector_field(ls: LogState, p: Params) -> tuple[float, float]:
 
         du/dtau = m (e^v - lam),    dv/dtau = h(e^v) - e^u.
 
-    Defined for all real (u, v); exp arguments are clipped far outside
-    the dynamically reachable region so the field stays finite even at
-    the wild trial points an adaptive solver may probe.
+    Defined for all real (u, v); exp arguments are clipped at
+    :data:`_EXP_CLIP` = 150 so the field stays finite even at the wild
+    trial points an adaptive solver may probe.  The clip lies outside the
+    dynamically reachable region only while ln x_max_upper(p) < 150, that
+    is for m below about 1e65: at larger m it acts on the cycle as well.
     """
     s = _exp_clipped(ls.v)
     x = _exp_clipped(ls.u)
@@ -253,7 +260,8 @@ def log_gap_vector_field(y: tuple[float, float], p: Params) -> tuple[float, floa
 
     Near the saddle (x, s) = (0, 1) this chart resolves 1 - s down to
     e^-700, where v = ln s is within roundoff of 0.  exp arguments are
-    clipped as in :func:`log_vector_field`.
+    clipped as in :func:`log_vector_field`, with the same limit on where
+    the clip is harmless (m below about 1e65).
     """
     u, w = y
     s = -math.expm1(w if w < _EXP_CLIP else _EXP_CLIP)
@@ -297,16 +305,17 @@ def params_from_json(source: Union[str, Mapping]) -> Params:
 
     Accepts either the nondimensional record {"a":, "lambda":, "m":} or
     the dimensional one {"r":, "K":, "q":, "H":, "p":, "d":}, as a JSON
-    string or an already-parsed mapping.
+    string or an already-parsed mapping.  The values go to the
+    constructor as they are, so a bool or a string is rejected there.
     """
     import json  # only this loader parses JSON
 
     record = json.loads(source) if isinstance(source, str) else dict(source)
     keys = set(record)
     if keys == _ND_KEYS:
-        return Params(a=float(record["a"]), lam=float(record["lambda"]), m=float(record["m"]))
+        return Params(a=record["a"], lam=record["lambda"], m=record["m"])
     if keys == _RM_KEYS:
-        return nondimensionalize(RMParams(**{k: float(v) for k, v in record.items()}))
+        return nondimensionalize(RMParams(**record))
     raise ValueError(
         f"unrecognized parameter record keys {sorted(keys)}; expected "
         f"{sorted(_ND_KEYS)} or {sorted(_RM_KEYS)}"

@@ -418,11 +418,12 @@ def integrate(
     ``keep_samples=False`` that state is the only sample kept.
 
     Raises ValueError for n_downs < 1, a start with a non-finite
-    coordinate or a w-chart start below s = 1/2, StepLimitError after
-    :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall,
-    and IntegrationError when a step of a too loose tolerance lands at
-    s <= 0, or its interpolant leaves s > 0 where a crossing is located
-    in it, so a silently truncated trajectory is never returned.
+    coordinate, a pair start without ``w_chart`` or a w-chart start
+    below s = 1/2, StepLimitError after :data:`MAX_STEPS` accepted
+    steps, StepSizeError on a solver stall, and IntegrationError when a
+    step of a too loose tolerance lands at s <= 0, or its interpolant
+    leaves s > 0 where a crossing is located in it, so a silently
+    truncated trajectory is never returned.
     """
     cfg = cfg or SimConfig()
     if n_downs < 1:
@@ -436,6 +437,11 @@ def integrate(
             raise ValueError(f"a w-chart start needs finite u and w <= ln(1/2), got {y0}")
         ls = LogState(u0, log1m_exp(w0))
     else:
+        if not isinstance(start, (State, LogState)):
+            raise ValueError(
+                f"a pair start is a w-chart start (pass w_chart=True), got {start!r}; "
+                "a log-space start (u, v) goes in as a LogState"
+            )
         ls = start.log() if isinstance(start, State) else start
         if not (math.isfinite(ls.u) and math.isfinite(ls.v)):
             raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
@@ -582,7 +588,7 @@ def limit_cycle(
         lead_in = integrate((LEAD_IN_LN_X, w0), p, cfg, keep_samples=False, w_chart=True)
         tours, total = 1, lead_in.stats
         ln_x = lead_in.events[-1].state.u
-    elif not (math.isfinite(x0) and x0 > 0):
+    elif isinstance(x0, bool) or not (math.isfinite(x0) and x0 > 0):
         raise ValueError(f"x0 must be finite and > 0, got {x0!r}")
     else:
         tours, total = 0, SolveStats()

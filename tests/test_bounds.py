@@ -13,10 +13,8 @@ from cyclebound.bounds import (
     S_MAX_LO,
     BoundSet,
     CanardEstimates,
-    ExcursionBounds,
     canard_estimates,
     cycle_bounds,
-    excursion_bounds,
     x_max_lower,
     x_max_upper,
     x_max_upper_linear,
@@ -209,39 +207,39 @@ def lv_return_oracle(u: float, lam_star: float, a: float, m: float) -> float:
 
 
 def test_excursion_bounds_ordering_and_oracle():
+    # each side of the launch at (u, lam) is (ln s_u, ln v)
     p = Params(a=0.05, lam=0.05, m=1.0)
-    eb = excursion_bounds(1.0, 0.05, p)
-    assert eb.ln_s_lo < eb.ln_s_hi
-    assert eb.ln_x_lo < eb.ln_x_hi
+    (ln_s_lo, ln_x_lo), (ln_s_hi, ln_x_hi) = bounds._lower_side(1.0, p), bounds._upper_side(1.0, p)
+    assert ln_s_lo < ln_s_hi
+    assert ln_x_lo < ln_x_hi
     # launch shallow enough (u/a = 5) that the z1/z2 sandwich around the
     # frozen-a return value is far wider than the oracle's accuracy
     u = 0.25
-    eb = excursion_bounds(u, 0.05, p)
+    ln_x_lo, ln_x_hi = bounds._lower_side(u, p)[1], bounds._upper_side(u, p)[1]
     v_cmp = lv_return_oracle(u, 0.05, p.a, p.m)
     y = u / p.a
     z1_product = z(ZIndex.Z1, y) * u * math.exp(-y)
     z2_product = z(ZIndex.Z2, y) * u * math.exp(-y)
     assert z1_product < v_cmp < z2_product
-    assert math.exp(eb.ln_x_lo) == pytest.approx(z1_product, rel=1e-13)
-    assert v_cmp < math.exp(eb.ln_x_hi)
+    assert math.exp(ln_x_lo) == pytest.approx(z1_product, rel=1e-13)
+    assert v_cmp < math.exp(ln_x_hi)
 
 
 def test_excursion_bounds_validation():
     p = Params(a=0.05, lam=0.05, m=1.0)
-    with pytest.raises(ValueError):
-        excursion_bounds(0.05, 0.05, p)  # u below h(lam*)
-    with pytest.raises(ValueError):
-        excursion_bounds(1.0, 0.2, p)  # lam* above lam
+    for side in (bounds._lower_side, bounds._upper_side):
+        with pytest.raises(ValueError, match=re.escape("need u > h(lam)")):
+            side(0.05, p)  # u below h(lam)
 
 
 def test_excursion_upper_product_boundary_limit():
-    # as u -> h(lam*)+ the z2 product tends to h(lam*) * e * e^{-1} = h(lam*)
+    # as u -> h(lam)+ the z2 product tends to h(lam) * e * e^{-1} = h(lam)
     p = Params(a=0.05, lam=0.05, m=1.0)
     H = p.h_lam
     for eps in (1e-4, 1e-6):
         u = H * (1 + eps)
-        eb = excursion_bounds(u, p.lam, p)
-        assert math.exp(eb.ln_x_hi) == pytest.approx(H, rel=1e-2)
+        ln_x_hi = bounds._upper_side(u, p)[1]
+        assert math.exp(ln_x_hi) == pytest.approx(H, rel=1e-2)
 
 
 def test_min_bounds_intervals():
@@ -280,20 +278,19 @@ FORCED = [
 
 
 def test_min_bounds_share_the_excursion_code_path():
-    # cycle_bounds evaluates one side of each launch; those sides are
-    # the halves of excursion_bounds it keeps, to the last bit
+    # cycle_bounds evaluates one side of each launch on s = lam: the lower
+    # side from x_max_hi and the upper side from x_max_lo, to the last bit
     for p in [Params(a=0.02, lam=0.03, m=2.0)] + PROVEN_GRID + FORCED:
-        hi_launch = excursion_bounds(x_max_upper(p), p.lam, p)
-        lo_launch = excursion_bounds(x_max_lower(p), p.lam, p)
+        ln_s_lo, ln_x_lo = bounds._lower_side(x_max_upper(p), p)
+        ln_s_hi, ln_x_hi = bounds._upper_side(x_max_lower(p), p)
         b = cycle_bounds(p, force=True)
-        kept = (hi_launch.ln_s_lo, lo_launch.ln_s_hi, hi_launch.ln_x_lo, lo_launch.ln_x_hi)
+        kept = (ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
         got = (b.ln_s_min_lo, b.ln_s_min_hi, b.ln_x_min_lo, b.ln_x_min_hi)
         assert repr(got) == repr(kept), p
 
 
 def test_a_bound_set_calls_z_twice(monkeypatch):
-    # z1 at the launch from x_max_hi and z2 at the launch from x_max_lo;
-    # excursion_bounds alone evaluates both z at its one launch
+    # z1 at the launch from x_max_hi and z2 at the launch from x_max_lo
     calls = []
 
     def counting_z(i, y):
@@ -305,9 +302,6 @@ def test_a_bound_set_calls_z_twice(monkeypatch):
         calls.clear()
         cycle_bounds(p, force=True)
         assert calls == [ZIndex.Z1, ZIndex.Z2], p
-    calls.clear()
-    excursion_bounds(1.0, 0.05, Params(a=0.05, lam=0.05, m=1.0))
-    assert calls == [ZIndex.Z1, ZIndex.Z2]
 
 
 def test_cycle_bounds_orderings_and_gate():
@@ -355,6 +349,13 @@ def test_cycle_bounds_at_a_zero_name_the_minima_bounds():
     p = Params(a=0.0, lam=0.05, m=1.0, limit=True)
     with pytest.raises(ValueError, match=re.escape("the minima bounds need a > 0")):
         cycle_bounds(p)
+
+
+def test_cycle_bounds_at_lam_zero_name_lam():
+    p = Params(a=0.05, lam=0.0, m=1.0, limit=True)
+    with pytest.raises(ValueError, match=re.escape("the minima bounds need lam > 0")) as err:
+        cycle_bounds(p)
+    assert "lambda_star" not in str(err.value)
 
 
 def test_canard_consistency_as_m_shrinks():
@@ -477,29 +478,24 @@ _CANARD_REPR = (
     "CanardEstimates(x_max_c=0.275625, x_min_c=0.0011124238087555783, "
     "s_max_c=0.9989394776033244, ln_s_min_c=-2.8054817592270354)"
 )
-_EXCURSION_REPR = (
-    "ExcursionBounds(ln_s_lo=-20.0, ln_s_hi=-16.30384095380141, "
-    "ln_x_lo=-19.999999958776925, ln_x_hi=-10.526009055717271)"
-)
 
 
 def _records():
     p = Params(a=0.05, lam=0.05, m=1.0)
-    return cycle_bounds(p), canard_estimates(p), excursion_bounds(1.0, 0.05, p)
+    return cycle_bounds(p), canard_estimates(p)
 
 
 def test_bound_records_keep_their_fields_defaults_and_reprs():
-    b, c, e = _records()
+    b, c = _records()
     assert BoundSet._fields == (
         "x_max_lo", "x_max_hi", "ln_x_min_lo", "ln_x_min_hi", "ln_s_min_lo",
         "ln_s_min_hi", "s_max_lo", "s_max_hi", "proven",
     )
     assert BoundSet._field_defaults == {"s_max_lo": S_MAX_LO, "s_max_hi": 1.0, "proven": True}
     assert CanardEstimates._fields == ("x_max_c", "x_min_c", "s_max_c", "ln_s_min_c")
-    assert ExcursionBounds._fields == ("ln_s_lo", "ln_s_hi", "ln_x_lo", "ln_x_hi")
-    assert CanardEstimates._field_defaults == ExcursionBounds._field_defaults == {}
+    assert CanardEstimates._field_defaults == {}
     # the strings the frozen-dataclass records printed
-    assert (repr(b), repr(c), repr(e)) == (_BOUND_SET_REPR, _CANARD_REPR, _EXCURSION_REPR)
+    assert (repr(b), repr(c)) == (_BOUND_SET_REPR, _CANARD_REPR)
     for record in (b, c):
         d = record.as_dict()
         assert type(d) is dict and list(d) == list(type(record)._fields)

@@ -461,7 +461,7 @@ PROOFCHECK_LINES = {
         '[ok ] barrier_c0_plus_c1_nonpositive: margin=0 worst=-0 at (0.0025, 0.0, 0.05)',
         '[ok ] gain_quadratic_negative_at_lam: margin=2.99833e-06 worst=-2.99833e-06 at (0.1, 0.00025, 50.0)',
         '[ok ] gain_quadratic_positive_at_one: margin=1.00337 worst=1.00337 at (0.0025, 0.01, 50.0)',
-        '[ok ] alpha_below_0.2: margin=0.0111375 worst=0.188863 at (0.29964804265819106,)',
+        '[ok ] alpha_below_0.2: margin=0.0109971 worst=0.189003 at (0.3,)',
         '[ok ] handoff_envelope_cap: margin=0.00698892 worst=0.0730111 at (0.3,)',
         "[ok ] cap_bound_monotone_in_a_and_lam: margin=1e-09 worst=0 at (0.002, 0.002, 5.021607031055999, 'a')",
         '[FAIL] alpha2_peak_location: margin=-0.00858652 worst=3.03141 at (3.06,)',
@@ -480,7 +480,7 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
     # calls per proofcheck; each must still be resolved there, as often
     expected = {
         "growth_ratio_quadratic": 2,
-        "alpha_factors": 500,
+        "alpha_factors": 501,
         "handoff_cap_envelope": 2,
         "handoff_cap_bound": 4,
         "alpha2_peak": 1,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from cyclebound.model import (
     require_cycle,
     vector_field,
 )
-from cyclebound.simulator import integrate
+from cyclebound.simulator import integrate, limit_cycle
 
 
 def test_params_validation():
@@ -195,3 +196,48 @@ def test_params_from_json():
     assert p3 == p2
     with pytest.raises(ValueError):
         params_from_json('{"a": 0.1, "m": 1.0}')
+
+
+RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: Params(a=0.05, lam=0.05, m=True), "m must be a finite number, got True",
+            id="Params",
+        ),
+        pytest.param(
+            lambda: Params(a=False, lam=0.05, m=1.0, limit=True), "a must be a finite number",
+            id="Params-limit",
+        ),
+        pytest.param(
+            lambda: RMParams(r=1, K=10, q=3, H=1, p=2, d=True), "d must be a positive finite",
+            id="RMParams",
+        ),
+        pytest.param(
+            lambda: limit_cycle(Params(a=0.05, lam=0.05, m=1.0), x0=True), "got True",
+            id="limit_cycle-x0",
+        ),
+        # a JSON record goes to the constructors unconverted
+        pytest.param(
+            lambda: params_from_json('{"a": 0.05, "lambda": 0.05, "m": true}'), "got True",
+            id="json-bool",
+        ),
+        pytest.param(
+            lambda: params_from_json('{"a": "0.05", "lambda": 0.05, "m": 1}'), "got '0.05'",
+            id="json-string",
+        ),
+        pytest.param(
+            lambda: params_from_json(RM_RECORD % "true"), "p must be a positive finite",
+            id="json-rm-bool",
+        ),
+        pytest.param(
+            lambda: params_from_json(RM_RECORD % '"2"'), "got '2'", id="json-rm-string"
+        ),
+    ],
+)
+def test_a_bool_or_a_string_is_not_a_parameter(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

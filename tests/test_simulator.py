@@ -105,6 +105,9 @@ def test_integrate_rejects_bad_params():
     for start in ((0.0, -0.5), (0.0, 0.0), (math.nan, -3.0), (0.0, -math.inf)):
         with pytest.raises(ValueError, match="w-chart start"):
             integrate(start, P_REF, w_chart=True)
+    # without w_chart a pair is no start: (u, v) goes in as a LogState
+    with pytest.raises(ValueError, match="a pair start is a w-chart start .* LogState"):
+        integrate((0.0, -3.0), P_REF)
 
 
 @pytest.mark.parametrize("n_downs", [1, 2])
