@@ -42,6 +42,8 @@ __all__ = [
 # highest anchor the proof covers, and every lower one gives a weaker bound
 S_MAX_LO = 0.8
 
+_Z1, _Z2 = ZIndex.Z1, ZIndex.Z2  # read once: an Enum class attribute is a slow read
+
 
 class BoundSet(NamedTuple):
     """All cycle-extreme bounds for one parameter triple.
@@ -155,46 +157,43 @@ def x_max_lower(p: Params) -> float:
     (1-a)/2 itself.
     """
     require_cycle(p)
-    lo = 0.5 * (1.0 - p.a)
-    b = 1.0 - p.a + p.m
-    disc = b * b - 8.0 * p.m * p.lam  # >= 0 for all cycle-regime parameters
-    z_star = 0.25 * (b + math.sqrt(max(disc, 0.0)))
-    z_star = min(max(z_star, lo), S_MAX_LO)
-    lam_term = 0.0 if p.lam == 0.0 else p.lam * (1.0 - math.log(p.lam) + math.log(z_star))
-    return h(z_star, p) + p.m * (z_star - lam_term)
+    a, lam, m = p.a, p.lam, p.m
+    lo = 0.5 * (1.0 - a)
+    b = 1.0 - a + m
+    disc = b * b - 8.0 * m * lam  # >= 0 for all cycle-regime parameters
+    # max(x, lo) and min(x, hi) without builtin calls: x unless the bound is strictly past it
+    z_star = 0.25 * (b + math.sqrt(0.0 if 0.0 > disc else disc))
+    z_star = lo if lo > z_star else z_star
+    z_star = S_MAX_LO if S_MAX_LO < z_star else z_star
+    lam_term = 0.0 if lam == 0.0 else lam * (1.0 - math.log(lam) + math.log(z_star))
+    return h(z_star, p) + m * (z_star - lam_term)
 
 
-def _launch(u: float, p: Params) -> float:
-    """1 / (m lam), the depth scale of the excursion launched at (u, lam),
-    after checking u > h(lam), a > 0 and lam > 0."""
-    if not u > p.h_lam:
-        raise ValueError(f"need u > h(lam) = {p.h_lam!r}, got u = {u!r}")
-    if p.a == 0.0:
-        raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {p.a!r}")
-    if p.lam == 0.0:
+def _minima(u1: float, u2: float, p: Params) -> tuple[float, float, float, float]:
+    """(ln_x_min_lo, ln_x_min_hi, ln_s_min_lo, ln_s_min_hi): the lower ends of
+    the launch at (u1, lam) and the upper ends of the launch at (u2, lam)."""
+    a, lam, H = p.a, p.lam, p.h_lam
+    if not (u1 > H and u2 > H):
+        raise ValueError(f"need u > h(lam) = {H!r}, got u = {(u2 if u1 > H else u1)!r}")
+    if a == 0.0:
+        raise ValueError(f"the minima bounds need a > 0 (they divide by a), got a = {a!r}")
+    if lam == 0.0:
         raise ValueError(
-            f"the minima bounds need lam > 0 (they launch on s = lam), got lam = {p.lam!r}"
+            f"the minima bounds need lam > 0 (they launch on s = lam), got lam = {lam!r}"
         )
-    # m = 0 is the limit where the excursion dives infinitely deep
-    return math.inf if p.m == 0.0 else 1.0 / (p.m * p.lam)
-
-
-def _lower_side(u: float, p: Params) -> tuple[float, float]:
-    """(ln s_u, ln v) lower ends for the launch at (u, lam): the isocline
-    frozen at height a, the predator return through z1(u/a)."""
-    scale = _launch(u, p)
-    a = p.a
-    ln_s_lo = math.log(p.lam) - (u - a - a * math.log(u / a)) * scale - 1.0
-    return ln_s_lo, math.log(z(ZIndex.Z1, u / a)) + math.log(u) - u / a
-
-
-def _upper_side(u: float, p: Params) -> tuple[float, float]:
-    """(ln s_u, ln v) upper ends for the launch at (u, lam): the isocline
-    frozen at height H = h(lam), the predator return through z2(u/H)."""
-    scale = _launch(u, p)
-    a, H = p.a, p.h_lam
-    ln_s_hi = math.log(p.lam) - (u - a - H * math.log(u / a)) * scale
-    return ln_s_hi, math.log(z(ZIndex.Z2, u / H)) + math.log(u) - u / H
+    y1, y2 = u1 / a, u2 / H
+    if not y1 < math.inf:  # u2/h(lam) and u2/a <= u1/a, as u2 <= u1 and h(lam) > a
+        raise ValueError(f"minima bounds overflow at a = {a!r}: u/a = {y1!r}")
+    ln_lam = math.log(lam)
+    # the depth scale, infinite at m = 0 (an infinitely deep dive) and where m lam underflows
+    m_lam = p.m * lam
+    scale = math.inf if m_lam == 0.0 else 1.0 / m_lam
+    return (
+        math.log(z(_Z1, y1)) + math.log(u1) - y1,
+        math.log(z(_Z2, y2)) + math.log(u2) - y2,
+        ln_lam - (u1 - a - a * math.log(y1)) * scale - 1.0,
+        ln_lam - (u2 - a - H * math.log(u2 / a)) * scale,
+    )
 
 
 def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
@@ -212,11 +211,10 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
                       ln(z2(u/h(lam)) u) - u/h(lam) ).
 
     The lower ends come from the height a alone and the upper ends from
-    h(lam) alone, so only the side each bound keeps is evaluated: the
-    lower side of the launch at x_max_hi gives ln_s_min_lo and
-    ln_x_min_lo, and the upper side of the launch at x_max_lo gives
-    ln_s_min_hi and ln_x_min_hi.  In limit mode the minima bounds raise
-    ValueError at a = 0, where u/a does not exist, and at lam = 0.
+    h(lam) alone, so one helper, ``_minima``, checks the launches once and
+    evaluates the lower ends of the launch at x_max_hi and the upper ends
+    of the launch at x_max_lo.  It raises ValueError at a = 0, where u/a
+    does not exist, at lam = 0, and where u/a overflows (subnormal a).
 
     Rejects parameters outside the proven box unless ``force`` is set,
     in which case the bounds are still evaluated but flagged unproven.
@@ -228,11 +226,8 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             "box; pass force=True to evaluate anyway (bounds flagged unproven)"
         )
     x_hi = x_max_upper(p)
-    ln_s_min_lo, ln_x_min_lo = _lower_side(x_hi, p)
-    ln_s_min_hi, ln_x_min_hi = _upper_side(x_lo, p)
-    return BoundSet(
-        x_lo, x_hi, ln_x_min_lo, ln_x_min_hi, ln_s_min_lo, ln_s_min_hi, proven=p.proven_region
-    )
+    ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = _minima(x_hi, x_lo, p)
+    return BoundSet(x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, proven=p.proven_region)
 
 
 def canard_estimates(p: Params) -> CanardEstimates:

@@ -47,8 +47,8 @@ class ZIndex(Enum):
         self.d = _E - 1.0 - self.c * _E
 
 
-# the elementary functions z is written in for a float
-_MATH = (math.exp, math.sqrt, max)
+# the elementary functions z is written in for a float; the clamp is max(x, lo), no builtin call
+_MATH = (math.exp, math.sqrt, lambda x, lo: lo if lo > x else x)
 
 
 def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:

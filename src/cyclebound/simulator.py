@@ -578,7 +578,10 @@ def limit_cycle(
     ``tours`` and ``total_stats``.  :data:`MAX_RETURN_ITERS` bounds the
     return-map tours after it, and at least one always runs; if none of
     them converges, the last one is still reported with
-    ``converged=False``.
+    ``converged=False``.  At a = lam = 0.05 and the default tolerances,
+    ``converged`` holds up to m = 1e8; at m = 1e10 and 1e11 it is claimed
+    without meeting cycle_tol, at m = 1e12 the search raises StepSizeError,
+    and as m -> 0 the cost grows like 1/m (about 23 s at a = lam = 0.1, m = 1e-6).
     """
     cfg = cfg or SimConfig()
     if x0 is None:
@@ -588,7 +591,9 @@ def limit_cycle(
         lead_in = integrate((LEAD_IN_LN_X, w0), p, cfg, keep_samples=False, w_chart=True)
         tours, total = 1, lead_in.stats
         ln_x = lead_in.events[-1].state.u
-    elif isinstance(x0, bool) or not (math.isfinite(x0) and x0 > 0):
+    elif isinstance(x0, bool) or not isinstance(x0, numbers.Real):  # a bool is Real
+        raise ValueError(f"x0 must be a number, got {x0!r}")
+    elif not (math.isfinite(x0) and x0 > 0):
         raise ValueError(f"x0 must be finite and > 0, got {x0!r}")
     else:
         tours, total = 0, SolveStats()

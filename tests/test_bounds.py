@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import random
@@ -207,15 +208,15 @@ def lv_return_oracle(u: float, lam_star: float, a: float, m: float) -> float:
 
 
 def test_excursion_bounds_ordering_and_oracle():
-    # each side of the launch at (u, lam) is (ln s_u, ln v)
+    # both sides of the launch at (u, lam): (ln v lower, upper, ln s_u lower, upper)
     p = Params(a=0.05, lam=0.05, m=1.0)
-    (ln_s_lo, ln_x_lo), (ln_s_hi, ln_x_hi) = bounds._lower_side(1.0, p), bounds._upper_side(1.0, p)
+    ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = bounds._minima(1.0, 1.0, p)
     assert ln_s_lo < ln_s_hi
     assert ln_x_lo < ln_x_hi
     # launch shallow enough (u/a = 5) that the z1/z2 sandwich around the
     # frozen-a return value is far wider than the oracle's accuracy
     u = 0.25
-    ln_x_lo, ln_x_hi = bounds._lower_side(u, p)[1], bounds._upper_side(u, p)[1]
+    ln_x_lo, ln_x_hi = bounds._minima(u, u, p)[:2]
     v_cmp = lv_return_oracle(u, 0.05, p.a, p.m)
     y = u / p.a
     z1_product = z(ZIndex.Z1, y) * u * math.exp(-y)
@@ -226,10 +227,12 @@ def test_excursion_bounds_ordering_and_oracle():
 
 
 def test_excursion_bounds_validation():
+    # either launch point below h(lam) is named, the lower ends' first
     p = Params(a=0.05, lam=0.05, m=1.0)
-    for side in (bounds._lower_side, bounds._upper_side):
-        with pytest.raises(ValueError, match=re.escape("need u > h(lam)")):
-            side(0.05, p)  # u below h(lam)
+    for u1, u2, bad in ((0.05, 1.0, 0.05), (1.0, 0.05, 0.05), (0.04, 0.05, 0.04)):
+        message = f"need u > h(lam) = {p.h_lam!r}, got u = {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bounds._minima(u1, u2, p)
 
 
 def test_excursion_upper_product_boundary_limit():
@@ -238,7 +241,7 @@ def test_excursion_upper_product_boundary_limit():
     H = p.h_lam
     for eps in (1e-4, 1e-6):
         u = H * (1 + eps)
-        ln_x_hi = bounds._upper_side(u, p)[1]
+        ln_x_hi = bounds._minima(u, u, p)[1]
         assert math.exp(ln_x_hi) == pytest.approx(H, rel=1e-2)
 
 
@@ -281,12 +284,44 @@ def test_min_bounds_share_the_excursion_code_path():
     # cycle_bounds evaluates one side of each launch on s = lam: the lower
     # side from x_max_hi and the upper side from x_max_lo, to the last bit
     for p in [Params(a=0.02, lam=0.03, m=2.0)] + PROVEN_GRID + FORCED:
-        ln_s_lo, ln_x_lo = bounds._lower_side(x_max_upper(p), p)
-        ln_s_hi, ln_x_hi = bounds._upper_side(x_max_lower(p), p)
+        kept = bounds._minima(x_max_upper(p), x_max_lower(p), p)
         b = cycle_bounds(p, force=True)
-        kept = (ln_s_lo, ln_s_hi, ln_x_lo, ln_x_hi)
-        got = (b.ln_s_min_lo, b.ln_s_min_hi, b.ln_x_min_lo, b.ln_x_min_hi)
+        got = (b.ln_x_min_lo, b.ln_x_min_hi, b.ln_s_min_lo, b.ln_s_min_hi)
         assert repr(got) == repr(kept), p
+
+
+# sha256 of the reprs of every (cycle_bounds(p, force=True), canard_estimates(p))
+# below, taken before the bound set lost its builtin min/max calls and its
+# second set of launch checks: a speed-up must keep every bit
+BOUND_SET_DIGEST = "1adc2a2de4cd20d59280e60f01c9c0c18f72c32a21acf6fce356ff551f860f73"
+
+
+def _digest_points() -> list:
+    """2 000 seeded proven-box points (m log-uniform in [1e-3, 50]), the
+    reference grid and FORCED."""
+    rng = random.Random(27)
+    ln_m_lo, ln_m_hi = math.log(1e-3), math.log(50.0)
+    points = []
+    for _ in range(2000):
+        a_max, lam_max = PROVEN_BOXES["AB"[rng.randrange(2)]]
+        points.append(
+            Params(
+                a=a_max * (1.0 - rng.random()),
+                lam=lam_max * (1.0 - rng.random()),
+                m=math.exp(rng.uniform(ln_m_lo, ln_m_hi)),
+            )
+        )
+    grid = [Params(a=a, lam=lam, m=m) for spec in REFERENCE_SPECS for a, lam, m in spec.grid()]
+    return points + grid + FORCED
+
+
+def test_bound_sets_keep_their_bits():
+    points = _digest_points()
+    assert len(points) == 2000 + 57 + 12
+    digest = hashlib.sha256()
+    for p in points:
+        digest.update(repr((cycle_bounds(p, force=True), canard_estimates(p))).encode())
+    assert digest.hexdigest() == BOUND_SET_DIGEST
 
 
 def test_a_bound_set_calls_z_twice(monkeypatch):
@@ -349,6 +384,24 @@ def test_cycle_bounds_at_a_zero_name_the_minima_bounds():
     p = Params(a=0.0, lam=0.05, m=1.0, limit=True)
     with pytest.raises(ValueError, match=re.escape("the minima bounds need a > 0")):
         cycle_bounds(p)
+
+
+def test_cycle_bounds_at_a_subnormal_a_raise_naming_a():
+    # u/a overflows: the minima bounds were NaN and inf, flagged proven
+    p = Params(a=5e-324, lam=0.01, m=1.0)
+    assert p.proven_region
+    message = "minima bounds overflow at a = 5e-324: u/a = inf"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cycle_bounds(p)
+
+
+def test_an_underflowing_m_lam_is_an_infinite_depth_scale():
+    # m lam = 0 in double raised ZeroDivisionError, while m lam = 1e-310,
+    # whose reciprocal overflows, already gave the infinite scale
+    for m in (1e-300, 1e-10):
+        b = cycle_bounds(Params(a=0.01, lam=1e-300, m=m))
+        assert b.ln_s_min_lo == b.ln_s_min_hi == -math.inf, m
+        assert math.isfinite(b.ln_x_min_lo) and math.isfinite(b.ln_x_min_hi), m
 
 
 def test_cycle_bounds_at_lam_zero_name_lam():

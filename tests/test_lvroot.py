@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclebound import lvroot
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 
 E = math.e
@@ -69,16 +71,30 @@ def test_z_decreasing_and_bounded():
         assert all(b < a for a, b in zip(low, low[1:]))
 
 
-def test_z_on_arrays_matches_the_float_path():
-    ys = np.geomspace(1.0, 800.0, 500)
+def test_z_on_arrays_matches_the_float_path(monkeypatch):
+    # NumPy's exp and math.exp can differ in the last bit (they do at about
+    # 2% of these y), so the float path is given NumPy's exp values;
+    # every other operation, the clamp included, must then agree bit for bit
+    ys = np.concatenate([[1.0, math.nextafter(1.0, 2.0)], np.geomspace(1.0, 800.0, 500)])
+    np_exp = dict(zip((-ys).tolist(), np.exp(-ys).tolist()))
+    _, sqrt, clamp = lvroot._MATH
+    monkeypatch.setattr(lvroot, "_MATH", (np_exp.__getitem__, sqrt, clamp))
     for i in ZIndex:
         got = z(i, ys)
         assert isinstance(got, np.ndarray) and got.shape == ys.shape
         want = [z(i, y) for y in ys.tolist()]
         assert all(type(v) is float for v in want)  # a float stays on the math path
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got.tobytes() == np.array(want).tobytes(), i
     with pytest.raises(ValueError, match=r"got 0\.5$"):
         z(ZIndex.Z2, np.array([2.0, 0.5, 0.9]))
+
+
+def test_z_float_clamp_is_max_without_a_builtin_call():
+    # _MATH binds the clamp at import; the builtin max costs a call per z
+    clamp = lvroot._MATH[2]
+    assert clamp is not max and not isinstance(clamp, types.BuiltinFunctionType)
+    for x in (-1.0, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan):
+        assert repr(clamp(x, 0.0)) == repr(max(x, 0.0)), x
 
 
 def test_z_dispatches_scalars_to_math_and_arrays_to_numpy():

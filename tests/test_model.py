@@ -220,6 +220,10 @@ RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
             lambda: limit_cycle(Params(a=0.05, lam=0.05, m=1.0), x0=True), "got True",
             id="limit_cycle-x0",
         ),
+        pytest.param(
+            lambda: limit_cycle(Params(a=0.05, lam=0.05, m=1.0), x0="0.5"),
+            "x0 must be a number, got '0.5'", id="limit_cycle-x0-string",
+        ),
         # a JSON record goes to the constructors unconverted
         pytest.param(
             lambda: params_from_json('{"a": 0.05, "lambda": 0.05, "m": true}'), "got True",
