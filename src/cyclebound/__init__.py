@@ -48,12 +48,10 @@ _EXPORTS = {
         "Region",
         "RMParams",
         "State",
-        "equilibrium",
         "h",
         "log_vector_field",
         "nondimensionalize",
         "params_from_json",
-        "vector_field",
     ),
     "region4": (
         "AlphaFactors",

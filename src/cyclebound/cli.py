@@ -76,6 +76,8 @@ def _cmd_canard(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.tours < 0:
+        raise ValueError(f"--tours must be >= 0, got {args.tours}")
     p = _params_from_args(args)
     cfg = _sim_config(args)
     start = cyclebound.State(cyclebound.h(args.s0, p), args.s0)

@@ -27,7 +27,7 @@ from typing import IO, Optional, Sequence, Union
 
 from ._lazy import np
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
-from .model import Params, require_cycle
+from .model import Params, finite_float, require_cycle
 from .region4 import (
     M_BRANCH,
     Case,
@@ -84,18 +84,13 @@ _SPEC_KEYS = {"a_values", "lambda_values", "m_values"}
 
 def _positive_values(what: str, values) -> tuple[float, ...]:
     """``values`` as floats; ValueError naming ``what`` unless there is at
-    least one and each is a number (not a bool or a string, which float()
-    would also read), finite and > 0."""
-    vals = tuple(values)
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{what} entry must be a number, got {v!r}")
-    vals = tuple(map(float, vals))
+    least one and each is a finite int or float (:func:`finite_float`) > 0."""
+    vals = tuple(finite_float(what, v) for v in values)
     if not vals:
         raise ValueError(f"{what} must be non-empty")
     for v in vals:
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{what} must be finite and > 0, got {v!r}")
+        if not v > 0.0:
+            raise ValueError(f"{what} must be > 0, got {v!r}")
     return vals
 
 
@@ -142,23 +137,18 @@ class SweepSpec:
         _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"sim", "jobs"})
         sim_record = record.get("sim", {})
         _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
-        jobs = record.get("jobs", 1)
-        typed = [(f"sim {key}", v, (int, float), "number") for key, v in sim_record.items()]
         for name in sorted(_SPEC_KEYS):
             if not isinstance(record[name], list):
                 raise ValueError(
                     f"malformed sweep spec: {name} must be a JSON array, got {record[name]!r}"
                 )
-            typed += [(f"{name} entry", v, (int, float), "number") for v in record[name]]
-        for what, value, types, kind in typed + [("jobs", jobs, int, "integer")]:
-            if isinstance(value, bool) or not isinstance(value, types):  # a bool is neither
-                raise ValueError(f"sweep spec {what} must be a JSON {kind}, got {value!r}")
+        # the constructors judge every value: a JSON number is an int or a float
         return cls(
             a_values=tuple(record["a_values"]),
             lambda_values=tuple(record["lambda_values"]),
             m_values=tuple(record["m_values"]),
             sim=SimConfig(**sim_record),
-            jobs=jobs,
+            jobs=record.get("jobs", 1),
         )
 
     def grid(self) -> list[tuple[float, float, float]]:
@@ -215,10 +205,6 @@ class SweepReport:
 
     def proven_rows(self) -> list[SweepRow]:
         return [r for r in self.rows if r.proven]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.proven_rows())
 
     @property
     def any_violation(self) -> bool:
@@ -529,12 +515,13 @@ def figure_m_values(points: int = 50) -> np.ndarray:
 
 def _check_panel(panel) -> tuple[float, float]:
     """The (a, lam) of a figure panel; ValueError naming the panel unless it
-    is two finite positive numbers with a limit cycle (2 lam + a < 1)."""
+    is two finite positive numbers, or numeric strings, with a limit cycle
+    (2 lam + a < 1)."""
     try:
-        a, lam = (float(v) for v in panel)
+        a, lam = (float(v) if isinstance(v, str) else v for v in panel)
     except (TypeError, ValueError):
         raise ValueError(f"panel {panel!r} must be two numbers (a, lambda)") from None
-    _positive_values(f"panel {panel!r}", (a, lam))
+    a, lam = _positive_values(f"panel {panel!r}", (a, lam))
     require_cycle(Params(a=a, lam=lam, m=1.0), f"panel {panel!r}")
     return a, lam
 
@@ -556,8 +543,8 @@ def emit_figures(
     m.  Panels outside the proven parameter box are evaluated in forced
     mode.  A panel is a pair (a, lam) of numbers or of numeric strings
     (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
-    axis (a :class:`SweepSpec` axis: non-empty, each m a finite number
-    > 0, none repeated), is checked before any point is simulated.
+    axis (a :class:`SweepSpec` axis: non-empty, each m a finite int or
+    float > 0, none repeated), is checked before any point is simulated.
 
     Each panel is one :func:`run_sweep` over the m axis, so every column
     is the number the sweep CSV prints, and a point that fails keeps its

@@ -30,11 +30,10 @@ __all__ = [
     "h",
     "hopf_margin",
     "require_cycle",
-    "vector_field",
+    "finite_float",
     "log_vector_field",
     "log_gap_vector_field",
     "log1m_exp",
-    "equilibrium",
     "nondimensionalize",
     "params_from_json",
 ]
@@ -56,6 +55,25 @@ PROVEN_BOXES = {"A": (0.05, 0.05), "B": (0.1, 0.01)}
 # unpacked once, so the Params constructor compares against plain floats
 _A_MAX_A, _LAM_MAX_A = PROVEN_BOXES["A"]
 _A_MAX_B, _LAM_MAX_B = PROVEN_BOXES["B"]
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a
+    finite int or float.
+
+    This is the one type rule for every number from outside.  A bool is an
+    int, but True is no number here; NumPy's float64 is a float, so it
+    passes, while float32, int64 or a Fraction does not.  An int beyond the
+    float range is not finite.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite int or float, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +106,15 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("a", "lam", "m"):
-            val = getattr(self, name)
-            # a bool is an int, but True is no parameter value
-            if isinstance(val, bool) or not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise ValueError(f"{name} must be a finite number, got {val!r}")
+            val = finite_float(name, getattr(self, name))
             if val < 0.0 or (val == 0.0 and not self.limit):
                 raise ValueError(
                     f"{name} must be > 0 (use limit=True to evaluate "
                     f"closed forms at {name} = 0), got {val!r}"
                 )
-            if type(val) is not float:
-                # NumPy scalars pass the isinstance check, but would turn
-                # every downstream evaluation into NumPy scalar arithmetic
-                object.__setattr__(self, name, float(val))
+            # a NumPy float64 would turn every downstream evaluation into
+            # NumPy scalar arithmetic
+            object.__setattr__(self, name, val)
         object.__setattr__(self, "h_lam", h(self.lam, self))
         object.__setattr__(self, "hopf_margin", hopf_margin(self))
         object.__setattr__(self, "cycle_regime", self.hopf_margin > 0.0)
@@ -137,11 +151,10 @@ class RMParams:
 
     def __post_init__(self) -> None:
         for name in ("r", "K", "q", "H", "p", "d"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not (
-                isinstance(val, (int, float)) and math.isfinite(val) and val > 0
-            ):
-                raise ValueError(f"{name} must be a positive finite number, got {val!r}")
+            val = finite_float(name, getattr(self, name))
+            if not val > 0.0:
+                raise ValueError(f"{name} must be > 0, got {val!r}")
+            object.__setattr__(self, name, val)
         if not self.p > self.d:
             raise ValueError(f"p must exceed d, got p={self.p}, d={self.d}")
 
@@ -154,8 +167,10 @@ class State:
     s: float
 
     def __post_init__(self) -> None:
-        if not (self.x > 0 and self.s > 0 and math.isfinite(self.x) and math.isfinite(self.s)):
-            raise ValueError(f"state must have finite x > 0 and s > 0, got ({self.x}, {self.s})")
+        for name in ("x", "s"):
+            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
+        if not (self.x > 0.0 and self.s > 0.0):
+            raise ValueError(f"state must have x > 0 and s > 0, got ({self.x}, {self.s})")
 
     def log(self) -> "LogState":
         return LogState(math.log(self.x), math.log(self.s))
@@ -171,9 +186,6 @@ class LogState:
 
     u: float
     v: float
-
-    def exp(self) -> State:
-        return State(math.exp(self.u), math.exp(self.v))
 
 
 class Region(Enum):
@@ -223,19 +235,11 @@ def require_cycle(p: Params, what: str = "") -> None:
         )
 
 
-def vector_field(st: State, p: Params) -> tuple[float, float]:
-    """Time derivatives (dx/dtau, ds/dtau) at a phase point."""
-    return (
-        p.m * (st.s - p.lam) * st.x,
-        (h(st.s, p) - st.x) * st.s,
-    )
-
-
 def log_vector_field(ls: LogState, p: Params) -> tuple[float, float]:
     """Time derivatives (du/dtau, dv/dtau) of the log variables.
 
-    This is exactly the push-forward of :func:`vector_field` under
-    (x, s) = (e^u, e^v):
+    This is exactly the push-forward of the (x, s) field of the module
+    docstring under (x, s) = (e^u, e^v):
 
         du/dtau = m (e^v - lam),    dv/dtau = h(e^v) - e^u.
 
@@ -254,7 +258,7 @@ def log_gap_vector_field(y: tuple[float, float], p: Params) -> tuple[float, floa
     """Time derivatives (du/dtau, dw/dtau) in the chart (u, w) = (ln x, ln(1 - s)).
 
     w is the log of the prey's gap below capacity.  The push-forward of
-    :func:`vector_field` under (x, s) = (e^u, -expm1(w)) is
+    the (x, s) field under (x, s) = (e^u, -expm1(w)) is
 
         du/dtau = m (s - lam),    dw/dtau = s (e^(u - w) - (s + a)).
 
@@ -276,11 +280,6 @@ def log1m_exp(y: float) -> float:
     where the simulator uses it, at y <= ln(1/2) and just past it.
     """
     return math.log1p(-math.exp(y))
-
-
-def equilibrium(p: Params) -> State:
-    """The unique interior fixed point ((1 - lam)(lam + a), lam)."""
-    return State((1.0 - p.lam) * (p.lam + p.a), p.lam)
 
 
 def nondimensionalize(rm: RMParams) -> Params:
@@ -305,12 +304,15 @@ def params_from_json(source: Union[str, Mapping]) -> Params:
 
     Accepts either the nondimensional record {"a":, "lambda":, "m":} or
     the dimensional one {"r":, "K":, "q":, "H":, "p":, "d":}, as a JSON
-    string or an already-parsed mapping.  The values go to the
-    constructor as they are, so a bool or a string is rejected there.
+    string or an already-parsed mapping; anything else, such as a JSON
+    array, is a ValueError.  The values go to the constructor as they are,
+    so :func:`finite_float` rejects a bool or a string there.
     """
     import json  # only this loader parses JSON
 
-    record = json.loads(source) if isinstance(source, str) else dict(source)
+    record = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(record, Mapping):
+        raise ValueError(f"parameter record must be a JSON object, got {type(record).__name__}")
     keys = set(record)
     if keys == _ND_KEYS:
         return Params(a=record["a"], lam=record["lambda"], m=record["m"])

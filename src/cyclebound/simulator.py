@@ -39,7 +39,6 @@ return map).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -49,7 +48,7 @@ from typing import Callable, Optional, Union
 from ._lazy import np
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
-from .model import LogState, Params, Region, State, h, log1m_exp, require_cycle
+from .model import LogState, Params, Region, State, finite_float, h, log1m_exp, require_cycle
 
 __all__ = [
     "SimConfig",
@@ -118,13 +117,12 @@ class SimConfig:
     cycle_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name, value in (("rtol", self.rtol), ("cycle_tol", self.cycle_tol)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):  # a bool is Real
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not value > 0:
+        for name in ("rtol", "cycle_tol"):
+            # stored as a float: a NumPy scalar would set the stepper's dtype
+            value = finite_float(name, getattr(self, name))
+            if not value > 0.0:
                 raise ValueError("rtol and cycle_tol must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 class EventKind(Enum):
@@ -417,8 +415,8 @@ def integrate(
     back to it, so its last sample is that crossing's state.  With
     ``keep_samples=False`` that state is the only sample kept.
 
-    Raises ValueError for n_downs < 1, a start with a non-finite
-    coordinate, a pair start without ``w_chart`` or a w-chart start
+    Raises ValueError for n_downs < 1, a start coordinate that is not a
+    finite int or float, a pair start without ``w_chart`` or a w-chart start
     below s = 1/2, StepLimitError after :data:`MAX_STEPS` accepted
     steps, StepSizeError on a solver stall, and IntegrationError when a
     step of a too loose tolerance lands at s <= 0, or its interpolant
@@ -432,9 +430,10 @@ def integrate(
         raise ValueError("simulation requires strictly positive parameters")
     require_cycle(p)
     if w_chart:
-        u0, w0 = y0 = tuple(start)
-        if not (math.isfinite(u0) and -math.inf < w0 <= _LN_HALF):
-            raise ValueError(f"a w-chart start needs finite u and w <= ln(1/2), got {y0}")
+        u0, w0 = start
+        u0, w0 = y0 = (finite_float("start u", u0), finite_float("start w", w0))
+        if not w0 <= _LN_HALF:
+            raise ValueError(f"a w-chart start needs w <= ln(1/2), got {y0}")
         ls = LogState(u0, log1m_exp(w0))
     else:
         if not isinstance(start, (State, LogState)):
@@ -443,8 +442,7 @@ def integrate(
                 "a log-space start (u, v) goes in as a LogState"
             )
         ls = start.log() if isinstance(start, State) else start
-        if not (math.isfinite(ls.u) and math.isfinite(ls.v)):
-            raise ValueError(f"start must have finite coordinates, got ({ls.u}, {ls.v})")
+        ls = LogState(finite_float("start u", ls.u), finite_float("start v", ls.v))
         w_chart = _LN_HALF < ls.v < 0.0
         y0 = (ls.u, log1m_exp(ls.v) if w_chart else ls.v)
     solver = RK45(p, 0.0, y0, rtol=cfg.rtol, atol=ATOL_LOG, w_chart=w_chart)
@@ -591,11 +589,10 @@ def limit_cycle(
         lead_in = integrate((LEAD_IN_LN_X, w0), p, cfg, keep_samples=False, w_chart=True)
         tours, total = 1, lead_in.stats
         ln_x = lead_in.events[-1].state.u
-    elif isinstance(x0, bool) or not isinstance(x0, numbers.Real):  # a bool is Real
-        raise ValueError(f"x0 must be a number, got {x0!r}")
-    elif not (math.isfinite(x0) and x0 > 0):
-        raise ValueError(f"x0 must be finite and > 0, got {x0!r}")
     else:
+        x0 = finite_float("x0", x0)
+        if not x0 > 0.0:
+            raise ValueError(f"x0 must be > 0, got {x0!r}")
         tours, total = 0, SolveStats()
         ln_x = math.log(x0)
     ln_lam = math.log(p.lam)

@@ -65,6 +65,14 @@ def test_bounds_from_params_file(tmp_path, capsys):
     assert json.loads(out)["proven"] is False  # a = lam = 0.1
 
 
+def test_a_params_file_that_is_no_json_object_exits_one(tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text("[[0.05, 0.05, 1.0]]")
+    code, out, err = run_cli("bounds", "--params", str(f), capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: parameter record must be a JSON object, got list\n"
+
+
 def test_canard(capsys):
     code, out, _ = run_cli(
         "canard", "--a", "0.1", "--lambda", "0.1", "--m", "0.01", capsys=capsys
@@ -156,7 +164,17 @@ def test_simulate_rejects_negative_tours(capsys):
         capsys=capsys,
     )
     assert code == 1 and not out
-    assert "n_downs must be at least 1" in err
+    assert err == "error: --tours must be >= 0, got -1\n"
+
+
+def test_simulate_takes_zero_tours(capsys):
+    # --tours 0 runs to the first descending s = lam crossing
+    code, out, err = run_cli(
+        "simulate", "--a", "0.05", "--lambda", "0.05", "--m", "1.0", "--tours", "0",
+        capsys=capsys,
+    )
+    assert code == 0 and not err
+    assert out.startswith("tau,ln_x,ln_s,region\n0,")
 
 
 def test_region4_cli(capsys):
@@ -232,7 +250,7 @@ def test_sweep_cli(tmp_path, capsys):
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, 0.0]},
-            "m_values must be finite and > 0, got 0.0",
+            "m_values must be > 0, got 0.0",
         ),
         (
             # the x_max anchor is the proven prey-maximum bound, not a spec key
@@ -247,33 +265,33 @@ def test_sweep_cli(tmp_path, capsys):
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": 2.5},
-            "sweep spec jobs must be a JSON integer, got 2.5",
+            "jobs must be an integer, got 2.5",
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": "3"},
-            "sweep spec jobs must be a JSON integer, got '3'",
+            "jobs must be an integer, got '3'",
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0], "jobs": True},
-            "sweep spec jobs must be a JSON integer, got True",
+            "jobs must be an integer, got True",
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
              "sim": {"rtol": True}},
-            "sweep spec sim rtol must be a JSON number, got True",
+            "rtol must be a finite int or float, got True",
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
              "sim": {"cycle_tol": "1e-9"}},
-            "sweep spec sim cycle_tol must be a JSON number, got '1e-9'",
+            "cycle_tol must be a finite int or float, got '1e-9'",
         ),
         (
             {"a_values": ["0.05"], "lambda_values": [0.05], "m_values": [1.0]},
-            "sweep spec a_values entry must be a JSON number, got '0.05'",
+            "a_values must be a finite int or float, got '0.05'",
         ),
         (
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, True]},
-            "sweep spec m_values entry must be a JSON number, got True",
+            "m_values must be a finite int or float, got True",
         ),
         (
             # 1 and 1.0 are one value of m: the grid would repeat its rows
@@ -284,7 +302,7 @@ def test_sweep_cli(tmp_path, capsys):
             # json writes and reads this as Infinity; every tour would converge
             {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0],
              "sim": {"cycle_tol": math.inf}},
-            "cycle_tol must be finite, got inf",
+            "cycle_tol must be a finite int or float, got inf",
         ),
     ],
     ids=[
@@ -377,8 +395,8 @@ def test_figures_cli_rejects_fewer_than_one_point(tmp_path, capsys, points):
         ("0.05", "panel ('0.05',) must be two numbers"),
         ("0.05,0.05,0.1", "panel ('0.05', '0.05', '0.1') must be two numbers"),
         ("0.05,x", "panel ('0.05', 'x') must be two numbers"),
-        ("0.05,nan", "panel ('0.05', 'nan') must be finite and > 0"),
-        ("0,0.05", "panel ('0', '0.05') must be finite and > 0"),
+        ("0.05,nan", "panel ('0.05', 'nan') must be a finite int or float, got nan"),
+        ("0,0.05", "panel ('0', '0.05') must be > 0, got 0.0"),
         ("0.5,0.3", "panel ('0.5', '0.3') has no limit cycle"),
     ],
 )

@@ -47,12 +47,12 @@ def test_each_export_is_its_submodules_object():
 
 
 def test_the_package_surface():
-    # the 56 exports plus the seven library submodules, by star import and dir
+    # the 54 exports plus the seven library submodules, by star import and dir
     namespace: dict = {}
     exec("from cyclebound import *", namespace)
     del namespace["__builtins__"]
     exports = sorted(name for names in cyclebound._EXPORTS.values() for name in names)
-    assert len(exports) == 56
+    assert len(exports) == 54
     assert sorted(namespace) == sorted(exports + SUBMODULES)
     assert set(namespace) <= set(dir(cyclebound))
     for name in SUBMODULES:

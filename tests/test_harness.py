@@ -208,7 +208,7 @@ def test_sweep_rows_and_csv_layout(tmp_path):
     # sorted by (a, lambda, m)
     keys = [(r.a, r.lam, r.m) for r in report.rows]
     assert keys == sorted(keys)
-    assert report.all_pass and report.exit_code == 0
+    assert all(r.passed for r in report.rows) and report.exit_code == 0
     assert not report.any_nonconverged
     out = tmp_path / "report.csv"
     report.to_csv(out)
@@ -274,7 +274,7 @@ def test_sweep_flags_unproven_rows():
     assert not row.proven
     assert row.converged
     # unproven rows do not participate in the pass statistic
-    assert report.all_pass
+    assert report.exit_code == 0
     assert report.proven_rows() == []
 
 
@@ -350,17 +350,18 @@ def test_sweep_spec_axes_take_only_json_numbers():
     # float() would read the string "1e0" and the bool true as 1.0, so
     # this record used to pass as m = (1.0, 1.0), a grid of repeated rows
     record = {"a_values": ["0.05"], "lambda_values": [0.05], "m_values": ["1e0", True]}
-    with pytest.raises(ValueError, match="a_values entry must be a JSON number, got '0.05'"):
+    with pytest.raises(ValueError, match="a_values must be a finite int or float, got '0.05'"):
         SweepSpec.from_json(record)
     for m_values, bad in ((["1e0"], "'1e0'"), ([1.0, True], "True"), ([False], "False")):
         record = {"a_values": [0.05], "lambda_values": [0.05], "m_values": m_values}
-        with pytest.raises(ValueError, match=f"m_values entry must be a JSON number, got {bad}$"):
+        message = f"m_values must be a finite int or float, got {bad}$"
+        with pytest.raises(ValueError, match=message):
             SweepSpec.from_json(record)
     # a spec built directly takes numbers only too, NumPy floats included
     axes = {"a_values": (0.05,), "lambda_values": (0.05,), "m_values": (1.0,)}
     for axis in axes:
         for bad in (True, "2"):
-            message = re.escape(f"{axis} entry must be a number, got {bad!r}")
+            message = re.escape(f"{axis} must be a finite int or float, got {bad!r}")
             with pytest.raises(ValueError, match=message):
                 SweepSpec(**{**axes, axis: (1e-3, bad)})
     spec = SweepSpec(**{**axes, "m_values": tuple(figure_m_values(2))})
@@ -557,9 +558,16 @@ def test_emit_figures_rejects_unknown():
     [
         ((0.05,), "panel (0.05,) must be two numbers"),
         (0.05, "panel 0.05 must be two numbers"),
-        ((0.05, math.inf), "panel (0.05, inf) must be finite and > 0"),
-        ((-0.05, 0.05), "panel (-0.05, 0.05) must be finite and > 0"),
+        ((0.05, math.inf), "panel (0.05, inf) must be a finite int or float, got inf"),
+        ((-0.05, 0.05), "panel (-0.05, 0.05) must be > 0, got -0.05"),
         ((0.5, 0.3), "panel (0.5, 0.3) has no limit cycle"),
+        # only a string is read with float(), which would take True as 1.0
+        pytest.param(
+            (0.05, True), "panel (0.05, True) must be a finite int or float, got True", id="bool"
+        ),
+        pytest.param(
+            (10**400, 0.05), "must be a finite int or float, got 1000", id="huge-int"
+        ),
     ],
 )
 def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, message):
@@ -573,9 +581,9 @@ def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, messag
     "m_values, message",
     [
         ([], "m_values must be non-empty"),
-        ([1.0, 0.0], "m_values must be finite and > 0, got 0.0"),
-        ([1.0, -0.5], "m_values must be finite and > 0, got -0.5"),
-        ([1.0, math.nan], "m_values must be finite and > 0, got nan"),
+        ([1.0, 0.0], "m_values must be > 0, got 0.0"),
+        ([1.0, -0.5], "m_values must be > 0, got -0.5"),
+        ([1.0, math.nan], "m_values must be a finite int or float, got nan"),
         ([1.0, 2.0, 1.0], "m_values must not repeat a value, got (1.0, 2.0, 1.0)"),
     ],
 )

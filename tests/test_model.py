@@ -1,26 +1,40 @@
 import json
 import math
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
+from cyclebound.cli import main
+from cyclebound.harness import SweepSpec
 from cyclebound.model import (
     LogState,
     Params,
     RMParams,
     State,
-    equilibrium,
+    finite_float,
     h,
     log_vector_field,
     nondimensionalize,
     params_from_json,
     require_cycle,
-    vector_field,
 )
-from cyclebound.simulator import integrate, limit_cycle
+from cyclebound.simulator import SimConfig, integrate, limit_cycle
+
+
+# the (x, s) field and its fixed point: oracles of the log-space field
+def vector_field(st: State, p: Params) -> tuple[float, float]:
+    """Time derivatives (dx/dtau, ds/dtau) at a phase point."""
+    return (p.m * (st.s - p.lam) * st.x, (h(st.s, p) - st.x) * st.s)
+
+
+def equilibrium(p: Params) -> State:
+    """The unique interior fixed point ((1 - lam)(lam + a), lam)."""
+    return State((1.0 - p.lam) * (p.lam + p.a), p.lam)
 
 
 def test_params_validation():
@@ -121,7 +135,7 @@ def test_log_vector_field_examples():
 def test_log_field_is_pushforward_of_field(u, v, a, lam, m):
     p = Params(a=a, lam=lam, m=m)
     ls = LogState(u, v)
-    state = ls.exp()
+    state = State(math.exp(u), math.exp(v))
     xdot, sdot = vector_field(state, p)
     du, dv = log_vector_field(ls, p)
     # du = x'/x, dv = s'/s
@@ -182,8 +196,7 @@ def test_state_positivity():
     with pytest.raises(ValueError):
         State(0.5, -1.0)
     ls = State(0.5, 0.25).log()
-    back = ls.exp()
-    assert back.x == pytest.approx(0.5) and back.s == pytest.approx(0.25)
+    assert math.exp(ls.u) == pytest.approx(0.5) and math.exp(ls.v) == pytest.approx(0.25)
 
 
 def test_params_from_json():
@@ -198,6 +211,19 @@ def test_params_from_json():
         params_from_json('{"a": 0.1, "m": 1.0}')
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [("5", "int"), ("null", "NoneType"), ("true", "bool"), ('[["a", 0.05]]', "list")],
+)
+def test_a_parameter_record_is_a_json_object(text, kind):
+    message = f"parameter record must be a JSON object, got {kind}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        params_from_json(text)
+    if kind != "int":  # an already-parsed record is checked the same way
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            params_from_json(json.loads(text))
+
+
 RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
 
 
@@ -205,15 +231,18 @@ RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
     "build, message",
     [
         pytest.param(
-            lambda: Params(a=0.05, lam=0.05, m=True), "m must be a finite number, got True",
+            lambda: Params(a=0.05, lam=0.05, m=True),
+            "m must be a finite int or float, got True",
             id="Params",
         ),
         pytest.param(
-            lambda: Params(a=False, lam=0.05, m=1.0, limit=True), "a must be a finite number",
+            lambda: Params(a=False, lam=0.05, m=1.0, limit=True),
+            "a must be a finite int or float, got False",
             id="Params-limit",
         ),
         pytest.param(
-            lambda: RMParams(r=1, K=10, q=3, H=1, p=2, d=True), "d must be a positive finite",
+            lambda: RMParams(r=1, K=10, q=3, H=1, p=2, d=True),
+            "d must be a finite int or float, got True",
             id="RMParams",
         ),
         pytest.param(
@@ -222,7 +251,7 @@ RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
         ),
         pytest.param(
             lambda: limit_cycle(Params(a=0.05, lam=0.05, m=1.0), x0="0.5"),
-            "x0 must be a number, got '0.5'", id="limit_cycle-x0-string",
+            "x0 must be a finite int or float, got '0.5'", id="limit_cycle-x0-string",
         ),
         # a JSON record goes to the constructors unconverted
         pytest.param(
@@ -234,7 +263,8 @@ RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
             id="json-string",
         ),
         pytest.param(
-            lambda: params_from_json(RM_RECORD % "true"), "p must be a positive finite",
+            lambda: params_from_json(RM_RECORD % "true"),
+            "p must be a finite int or float, got True",
             id="json-rm-bool",
         ),
         pytest.param(
@@ -245,3 +275,85 @@ RM_RECORD = '{"r": 1, "K": 10, "q": 3, "H": 1, "p": %s, "d": 1}'
 def test_a_bool_or_a_string_is_not_a_parameter(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_finite_float_takes_only_finite_ints_and_floats():
+    assert finite_float("n", 3) == 3.0 and type(finite_float("n", 3)) is float
+    assert type(finite_float("n", np.float64(0.5))) is float
+    assert finite_float("n", 10**308) == 1e308
+    for bad in (2**1024, np.float32(0.5), np.int64(1), Fraction(1, 2), 1j, None, np.bool_(1)):
+        message = f"n must be a finite int or float, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            finite_float("n", bad)
+
+
+def test_numpy_scalars_are_stored_as_floats_or_rejected():
+    p = Params(a=np.float64(0.05), lam=np.float64(0.05), m=np.float64(1.0))
+    cfg = SimConfig(rtol=np.float64(1e-10), cycle_tol=np.float64(1e-9))
+    assert all(type(v) is float for v in (p.a, p.lam, p.m, cfg.rtol, cfg.cycle_tol))
+    # a float32 tolerance would run the stepper in float32
+    with pytest.raises(ValueError, match="^rtol must be a finite int or float, got "):
+        SimConfig(rtol=np.float32(1e-10))
+
+
+P_REF = Params(a=0.05, lam=0.05, m=1.0)
+
+
+def _library(build):
+    def run(value, tmp_path, capsys):
+        with pytest.raises(ValueError) as info:
+            build(value)
+        return str(info.value)
+
+    return run
+
+
+def _cli(command, record):
+    def run(value, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(record(value)))
+        if command == "sweep":
+            argv = ["sweep", "--spec", str(path), "--out", str(tmp_path / "report.csv")]
+        else:
+            argv = [command, "--params", str(path)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err[len("error: "):-1]
+
+    return run
+
+
+SPEC = {"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0]}
+
+# every entry point of a number from outside: a call that passes it one
+# value, and the field its error must name
+ENTRY_POINTS = {
+    "Params": (_library(lambda v: Params(a=0.05, lam=v, m=1.0)), "lam"),
+    "RMParams": (_library(lambda v: RMParams(r=1, K=10, q=3, H=1, p=2, d=v)), "d"),
+    "State": (_library(lambda v: State(v, 0.5)), "x"),
+    "SimConfig": (_library(lambda v: SimConfig(rtol=v)), "rtol"),
+    "limit_cycle-x0": (_library(lambda v: limit_cycle(P_REF, x0=v)), "x0"),
+    "integrate-pair": (
+        _library(lambda v: integrate((-1.0, v), P_REF, w_chart=True)), "start w"
+    ),
+    "integrate-LogState": (_library(lambda v: integrate(LogState(v, -3.0), P_REF)), "start u"),
+    "SweepSpec-axis": (_library(lambda v: SweepSpec((0.05,), (0.05,), (1.0, v))), "m_values"),
+    "cli-params": (_cli("bounds", lambda v: {"a": 0.05, "lambda": 0.05, "m": v}), "m"),
+    "cli-params-dimensional": (
+        _cli("bounds", lambda v: {"r": 1, "K": v, "q": 3, "H": 1, "p": 2, "d": 1}), "K"
+    ),
+    "cli-spec-axis": (_cli("sweep", lambda v: {**SPEC, "m_values": [1.0, v]}), "m_values"),
+    "cli-spec-sim": (_cli("sweep", lambda v: {**SPEC, "sim": {"rtol": v}}), "rtol"),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, "0.05", math.nan, math.inf, 10**400],
+    ids=["bool", "string", "nan", "inf", "huge-int"],
+)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_number_from_outside_is_a_finite_int_or_float(tmp_path, capsys, entry, value):
+    run, field = ENTRY_POINTS[entry]
+    assert run(value, tmp_path, capsys) == f"{field} must be a finite int or float, got {value!r}"

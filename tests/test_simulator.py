@@ -20,7 +20,6 @@ from cyclebound.model import (
     Params,
     Region,
     State,
-    equilibrium,
     h,
     log1m_exp,
     log_gap_vector_field,
@@ -86,12 +85,15 @@ def test_sim_config_is_the_two_tolerances():
         with pytest.raises(ValueError, match="rtol and cycle_tol must be positive"):
             SimConfig(**bad)
     # cycle_tol = inf would call every tour converged, and True would read as 1
-    with pytest.raises(ValueError, match="^cycle_tol must be finite, got inf$"):
+    with pytest.raises(ValueError, match="^cycle_tol must be a finite int or float, got inf$"):
         SimConfig(cycle_tol=math.inf)
     for name in ("rtol", "cycle_tol"):
         for bad in (True, "1e-9"):
-            with pytest.raises(ValueError, match=f"^{name} must be a number, got {bad!r}$"):
+            message = f"^{name} must be a finite int or float, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
                 SimConfig(**{name: bad})
+    # an int is stored as a float
+    assert type(SimConfig(cycle_tol=1).cycle_tol) is float
 
 
 def test_integrate_rejects_bad_params():
@@ -102,8 +104,11 @@ def test_integrate_rejects_bad_params():
     with pytest.raises(ValueError, match="n_downs"):
         integrate(State(0.5, 0.5), P_REF, n_downs=0)
     # a w-chart start is (u, w) with w = ln(1 - s) <= ln(1/2)
-    for start in ((0.0, -0.5), (0.0, 0.0), (math.nan, -3.0), (0.0, -math.inf)):
-        with pytest.raises(ValueError, match="w-chart start"):
+    for start in ((0.0, -0.5), (0.0, 0.0)):
+        with pytest.raises(ValueError, match=re.escape("w-chart start needs w <= ln(1/2)")):
+            integrate(start, P_REF, w_chart=True)
+    for start, name in (((math.nan, -3.0), "u"), ((0.0, -math.inf), "w")):
+        with pytest.raises(ValueError, match=f"^start {name} must be a finite int or float"):
             integrate(start, P_REF, w_chart=True)
     # without w_chart a pair is no start: (u, v) goes in as a LogState
     with pytest.raises(ValueError, match="a pair start is a w-chart start .* LogState"):
@@ -773,7 +778,7 @@ def test_locate_runs_illinois_below_the_normal_range_of_x():
 def test_equilibrium_stays_put():
     # the equilibrium is unstable, but its roundoff-scale defect stays
     # below 1e-12 over tau <= 100: at every step up to there, and at 100
-    y0 = equilibrium(P_REF).log()
+    y0 = State((1.0 - P_REF.lam) * (P_REF.lam + P_REF.a), P_REF.lam).log()
     solver = simulator.RK45(P_REF, 0.0, (y0.u, y0.v), rtol=1e-10, atol=1e-12)
     samples = []
     while solver.t < 100.0:
@@ -940,12 +945,16 @@ def test_non_finite_inputs_and_step_sizes_fail_fast():
         env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True,
     )
     record = json.loads(done.stdout)
-    for name, value in [("x0", "nan"), ("x0", "inf"), ("x0", "0"), ("x0", "-1")]:
-        got = record.pop(f"{name}={value}")
-        assert got.startswith("ValueError: x0 must be finite and > 0, got "), got
-    assert record.pop("start u=nan").startswith("ValueError: start must have finite coordinates")
-    assert record.pop("start v=-inf").startswith("ValueError: start must have finite coordinates")
-    assert record.pop("rtol=inf") == "ValueError: rtol must be finite, got inf"
+    for value in ("nan", "inf"):
+        got = record.pop(f"x0={value}")
+        assert got == f"ValueError: x0 must be a finite int or float, got {value}"
+    assert record.pop("x0=0") == "ValueError: x0 must be > 0, got 0.0"
+    assert record.pop("x0=-1") == "ValueError: x0 must be > 0, got -1.0"
+    assert record.pop("start u=nan") == "ValueError: start u must be a finite int or float, got nan"
+    assert (
+        record.pop("start v=-inf") == "ValueError: start v must be a finite int or float, got -inf"
+    )
+    assert record.pop("rtol=inf") == "ValueError: rtol must be a finite int or float, got inf"
     # finite tolerances so loose that the state diverges and the step
     # size becomes infinite
     for rtol in ("1e300", "0.5"):
