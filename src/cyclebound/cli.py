@@ -78,9 +78,12 @@ def _cmd_canard(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.tours < 0:
         raise ValueError(f"--tours must be >= 0, got {args.tours}")
+    s0 = cyclebound.model.finite_float("--s0", args.s0)
+    if not 0.0 < s0 < 1.0:
+        raise ValueError(f"need 0 < --s0 < 1, got {s0!r}")
     p = _params_from_args(args)
     cfg = _sim_config(args)
-    start = cyclebound.State(cyclebound.h(args.s0, p), args.s0)
+    start = cyclebound.State(cyclebound.h(s0, p), s0)
     traj = cyclebound.integrate(start, p, cfg, n_downs=args.tours + 1)
     lines = ["tau,ln_x,ln_s,region"]
     for (tau, (u, v)), label in zip(
@@ -214,7 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="verify bounds against simulation on a grid")
     p_sweep.add_argument("--spec", type=Path, help="sweep spec JSON (default: reference grid)")
     p_sweep.add_argument("--out", type=Path, required=True, help="report CSV path")
-    p_sweep.add_argument("--jobs", type=int, help="worker processes (default from spec)")
+    p_sweep.add_argument(
+        "--jobs", type=int,
+        help="processes in all, this one included; N > 1 forks N - 1 workers, POSIX only "
+             "(default from spec)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_proof = sub.add_parser("proofcheck", help="numerical spot-checks of the sign facts")

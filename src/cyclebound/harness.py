@@ -5,7 +5,7 @@ simulated cycle (and with each other) over parameter grids:
 
 * :func:`run_sweep` simulates the cycle at every grid point, merges it
   with the bounds and reports one pass/fail row per point, in a CSV
-  whose layout is stable byte for byte regardless of worker count.
+  whose layout is stable byte for byte regardless of the job count.
 * :func:`proof_spotchecks` checks the sign conditions and monotonicity
   claims the closed forms rest on.  The x_max barrier, gain-quadratic
   and hand-off envelope rows are evaluated only where a certificate puts
@@ -286,25 +286,93 @@ REFERENCE_SPECS = (
 )
 
 
+def _take_rows(counter, tasks: list) -> dict:
+    """{index: row} for every row index this process takes from ``counter``."""
+    rows = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(tasks):
+            return rows
+        rows[i] = _row_task(tasks[i])
+
+
+def _sweep_worker(counter, tasks: list, conn) -> None:
+    """A forked worker: its rows, or the exception that stopped it, sent once."""
+    try:
+        result = _take_rows(counter, tasks)
+    except BaseException as exc:  # the caller re-raises it
+        result = exc
+    conn.send(result)
+
+
+def _forked_rows(tasks: list, processes: int) -> list[SweepRow]:
+    """The rows of ``tasks`` from this process and ``processes - 1`` forked ones.
+
+    Every process takes the next row index from one shared counter; each
+    worker sends its rows once, when the counter runs out.
+    """
+    # imported here: a serial sweep never loads multiprocessing.  fork
+    # starts no resource tracker and no thread, and inherits ``tasks``
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    started = []  # (process, receiving end of its pipe)
+    try:
+        for _ in range(processes - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_sweep_worker, args=(counter, tasks, send))
+            proc.start()
+            send.close()  # the worker holds the only sending end: EOF when it dies
+            started.append((proc, recv))
+        rows = _take_rows(counter, tasks)
+        for proc, recv in started:
+            wait([recv, proc.sentinel])
+            try:
+                # a worker that died unsent leaves its pipe at EOF, or
+                # unreadable if a process forked elsewhere shares its end
+                result = recv.recv() if recv.poll() else None
+            except EOFError:
+                result = None
+            if result is None:
+                proc.join()
+                raise ChildProcessError(
+                    f"sweep worker {proc.pid} exited with code {proc.exitcode} "
+                    "before sending its rows"
+                )
+            if isinstance(result, BaseException):
+                raise result
+            rows.update(result)
+    finally:
+        for proc, recv in started:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return [rows[i] for i in range(len(tasks))]
+
+
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Evaluate bounds against the simulated cycle over the whole grid.
 
-    Rows are independent; with jobs > 1 they are distributed over
-    min(jobs, rows) worker processes.  The output order is the sorted
-    grid order either way, so CSV output is byte-identical for any worker
-    count.  Per-row failures are recorded in the row, never abort the sweep.
+    Rows are independent.  With jobs > 1 the calling process computes
+    rows too, next to min(jobs, rows) - 1 forked worker processes (POSIX
+    only), so jobs counts the processes in all; each process takes the
+    next row from one shared counter.  The output order is the sorted
+    grid order either way, so CSV output is byte-identical for any job
+    count.  Per-row failures are recorded in the row, never abort the
+    sweep; any other exception, in a worker too, propagates, and a
+    worker that dies without sending its rows raises ChildProcessError.
     """
     tasks = [(a, lam, m, spec.sim) for a, lam, m in spec.grid()]
-    # a pool starts all its workers at once: no more than there are rows
-    workers = min(spec.jobs, len(tasks))
-    if workers == 1:
+    processes = min(spec.jobs, len(tasks))
+    if processes == 1:
         rows = [_row_task(t) for t in tasks]
     else:
-        # imported here: it loads multiprocessing, which a serial sweep never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, tasks))
+        rows = _forked_rows(tasks, processes)
     return SweepReport(rows=rows)
 
 

@@ -542,6 +542,7 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     prey value where the trajectory regains the isocline.
     """
     cfg = cfg or SimConfig()
+    s0 = finite_float("s0", s0)
     if not (p.lam < s0 < 1.0):
         raise ValueError(f"need lam < s0 < 1, got {s0!r}")
     start = State(h(s0, p), s0)

@@ -177,6 +177,23 @@ def test_simulate_takes_zero_tours(capsys):
     assert out.startswith("tau,ln_x,ln_s,region\n0,")
 
 
+@pytest.mark.parametrize(
+    "s0, message",
+    [
+        ("nan", "--s0 must be a finite int or float, got nan"),
+        ("inf", "--s0 must be a finite int or float, got inf"),
+        ("1.5", "need 0 < --s0 < 1, got 1.5"),
+        ("0", "need 0 < --s0 < 1, got 0.0"),
+    ],
+)
+def test_simulate_names_a_bad_s0(capsys, s0, message):
+    code, out, err = run_cli(
+        "simulate", "--a", "0.05", "--lambda", "0.05", "--m", "1.0", "--s0", s0, capsys=capsys,
+    )
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_region4_cli(capsys):
     code, out, _ = run_cli("region4", "--case", "A", "--m", "1.0", capsys=capsys)
     assert code == 0

@@ -1,9 +1,13 @@
-import concurrent.futures
 import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
+import threading
+import time
+from multiprocessing import resource_tracker
 from types import SimpleNamespace
 
 import numpy as np
@@ -230,39 +234,120 @@ def test_csv_header_is_the_documented_one():
 
 
 def test_sweep_is_deterministic_across_jobs():
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    run_sweep(tiny_spec(jobs=1)).to_csv(buf1)
-    run_sweep(tiny_spec(jobs=2)).to_csv(buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-
-
-def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        """Records the worker count and maps in this process: starts nothing."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # rows of very different cost (m = 0.01 next to m = 5) finish out of order
     spec = SweepSpec(
-        a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 0.3), sim=FAST_SIM, jobs=8
+        a_values=(0.05, 0.01), lambda_values=(0.01,), m_values=(0.01, 5.0), sim=FAST_SIM
+    )
+    texts = []
+    for jobs in (1, 2, 3):
+        buf = io.StringIO()
+        run_sweep(dataclasses.replace(spec, jobs=jobs)).to_csv(buf)
+        texts.append(buf.getvalue())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, tmp_path):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    row_task, threads = harness._row_task, threading.active_count()
+
+    def recording_row_task(task):
+        (tmp_path / str(os.getpid())).touch()  # one file per process that computes a row
+        assert threading.active_count() == threads  # and none of them starts a thread
+        return row_task(task)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(harness, "_row_task", recording_row_task)
+    spec = SweepSpec(
+        a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 0.3), sim=FAST_SIM, jobs=3
     )
     report = run_sweep(spec)
-    assert started == [2]
+    # two rows: the caller and one forked worker at most
+    assert len(forks) == 1 and len(list(tmp_path.iterdir())) <= 2
     assert report == run_sweep(dataclasses.replace(spec, jobs=1))
-    run_sweep(dataclasses.replace(spec, m_values=(1.0,)))  # one row: no pool at all
-    assert started == [2]
+    for pid_file in tmp_path.iterdir():
+        pid_file.unlink()
+    run_sweep(dataclasses.replace(spec, m_values=(1.0,)))  # one row: forks nothing
+    assert len(forks) == 1
+    assert [f.name for f in tmp_path.iterdir()] == [str(os.getpid())]
+
+
+def _wait_for(path):
+    deadline = time.monotonic() + 30
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.01)
+
+
+def _split_rows(monkeypatch, tmp_path, in_worker, in_caller):
+    """Run ``in_worker`` for a row a forked worker takes and ``in_caller``
+    for the caller's rows, which start only once a worker has taken a row."""
+    caller, marker = os.getpid(), tmp_path / "worker-took-a-row"
+    report = harness.cycle_extreme_report
+
+    def row(p, cfg):
+        if os.getpid() != caller:
+            marker.touch()
+            return in_worker(p)
+        _wait_for(marker)
+        return in_caller(p) if in_caller else report(p, cfg)
+
+    monkeypatch.setattr(harness, "cycle_extreme_report", row)
+    return SweepSpec(
+        a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 0.3), sim=FAST_SIM, jobs=2
+    )
+
+
+def _no_helper_outlives(check):
+    tracker = resource_tracker._resource_tracker._pid
+    t0 = time.monotonic()
+    check()
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
+    assert resource_tracker._resource_tracker._pid == tracker  # fork starts no tracker
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
+    def fail(p):
+        raise ValueError(f"no bounds at m = {p.m}")
+
+    spec = _split_rows(monkeypatch, tmp_path, fail, None)
+
+    def check():
+        with pytest.raises(ValueError, match=r"^no bounds at m = (1\.0|0\.3)$"):
+            run_sweep(spec)
+
+    _no_helper_outlives(check)
+
+
+def test_a_worker_that_dies_is_named_with_its_exit_code(monkeypatch, tmp_path):
+    spec = _split_rows(monkeypatch, tmp_path, lambda p: os._exit(3), None)
+
+    def check():
+        with pytest.raises(ChildProcessError, match=r"^sweep worker \d+ exited with code 3 "):
+            run_sweep(spec)
+
+    _no_helper_outlives(check)
+
+
+def test_an_error_in_the_callers_row_stops_the_workers(monkeypatch, tmp_path):
+    def fail(p):
+        raise ValueError("the caller's row failed")
+
+    # the worker would compute for a minute: the caller stops it
+    spec = _split_rows(monkeypatch, tmp_path, lambda p: time.sleep(60), fail)
+
+    def check():
+        with pytest.raises(ValueError, match="^the caller's row failed$"):
+            run_sweep(spec)
+
+    _no_helper_outlives(check)
 
 
 def test_sweep_flags_unproven_rows():

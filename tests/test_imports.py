@@ -53,7 +53,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["cycle", "--a", "0.05", "--lambda", "0.05", "--m", "1", "--json"]),
     ]
 record("cli")
-pool = "concurrent.futures.process" in sys.modules
+pool = "multiprocessing" in sys.modules
 passed = all(c.passed for c in cyclebound.proof_spotchecks("A").checks)
 record("proofcheck")
 print(json.dumps({"after": after, "layers": layers, "codes": codes, "pool": pool,
@@ -130,7 +130,7 @@ def test_scalar_paths_load_no_numpy_module(scalar_record):
         stage: [] for stage in ("import", "bounds", "cycle", "region4", "harness", "sweep", "cli")
     }
     assert scalar_record["codes"] == [0, 0]
-    assert not scalar_record["pool"]  # a serial sweep starts no process pool
+    assert not scalar_record["pool"]  # a serial sweep loads no multiprocessing
 
 
 def test_each_layer_loads_on_first_use(scalar_record):

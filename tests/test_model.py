@@ -23,7 +23,7 @@ from cyclebound.model import (
     params_from_json,
     require_cycle,
 )
-from cyclebound.simulator import SimConfig, integrate, limit_cycle
+from cyclebound.simulator import SimConfig, integrate, limit_cycle, transit_points
 
 
 # the (x, s) field and its fixed point: oracles of the log-space field
@@ -335,6 +335,7 @@ ENTRY_POINTS = {
     "State": (_library(lambda v: State(v, 0.5)), "x"),
     "SimConfig": (_library(lambda v: SimConfig(rtol=v)), "rtol"),
     "limit_cycle-x0": (_library(lambda v: limit_cycle(P_REF, x0=v)), "x0"),
+    "transit_points-s0": (_library(lambda v: transit_points(P_REF, v)), "s0"),
     "integrate-pair": (
         _library(lambda v: integrate((-1.0, v), P_REF, w_chart=True)), "start w"
     ),
