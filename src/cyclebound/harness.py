@@ -509,6 +509,12 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     probe; the alpha grid also holds m = 0.3, the end of the low branch,
     where alpha drops to the high branch.  Failures are reported in the
     result, never raised.
+
+    The alpha row is one :func:`alpha_factors` call on the 501-point
+    array: it takes a float or an ndarray m, checks every element and
+    names the first failing m.  Its elements agree with float calls to
+    4 ulp (NumPy's exp, log and pow are not libm's), and the row reports
+    its first maximal element, the tie rule of max() over float calls.
     """
     case = Case(case)
     barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
@@ -517,8 +523,10 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     at_lam, at_one = (a_hi, lam_lo, m_hi), (a_lo, lam_hi, m_hi)
     gain_at_lam = growth_ratio_quadratic(lam_lo, Params(*at_lam), case)
     gain_at_one = growth_ratio_quadratic(1.0, Params(*at_one), case)
-    alpha_ms = [*np.geomspace(*_M_RANGE, 500).tolist(), M_BRANCH]
-    alpha = max(((alpha_factors(m, case).alpha, (m,)) for m in alpha_ms), key=itemgetter(0))
+    alpha_ms = np.append(np.geomspace(*_M_RANGE, 500), M_BRANCH)
+    alpha_row = alpha_factors(alpha_ms, case).alpha
+    worst = int(np.argmax(alpha_row))  # the first maximum, as max() takes it
+    alpha = (float(alpha_row[worst]), (float(alpha_ms[worst]),))
     envelope = max(
         ((handoff_cap_envelope(m, case), (m,)) for m in (M_BRANCH, math.nextafter(M_BRANCH, 1.0))),
         key=itemgetter(0),

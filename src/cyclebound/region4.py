@@ -42,7 +42,7 @@ from enum import Enum
 from ._lazy import np
 from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
-from .model import PROVEN_BOXES, Params, h, hopf_margin
+from .model import PROVEN_BOXES, Params, finite_float, h, hopf_margin
 
 __all__ = [
     "M_BRANCH",
@@ -102,16 +102,17 @@ class AlphaFactors:
 
     alpha = alpha1 * alpha2 * alpha3 is an upper estimate of 1 - s_max
     for the trajectory handed off at (x_gamma, s_gamma); delta is the
-    linear-system drop 1 - s_gamma - x_gamma/(m + M).
+    linear-system drop 1 - s_gamma - x_gamma/(m + M).  Every field but
+    the constant M is an array of m's shape when m is one.
     """
 
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha: float
-    delta: float
+    alpha1: float | np.ndarray
+    alpha2: float | np.ndarray
+    alpha3: float | np.ndarray
+    alpha: float | np.ndarray
+    delta: float | np.ndarray
     M: float
-    x_gamma: float
+    x_gamma: float | np.ndarray
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -125,6 +126,40 @@ def _require(ok, p, message: str) -> None:
     i = int(np.argmin(ok))  # the first False in C order
     a, lam, m = (float(v.flat[i]) for v in point)
     raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
+
+
+def _math_where(condition: bool, x: float, y: float) -> float:
+    return x if condition else y
+
+
+def _read_m(m):
+    """``m`` and the functions (exp, log, where) to evaluate it with.
+
+    An ndarray is evaluated elementwise with NumPy.  Any other value is
+    a float evaluated with :mod:`math`: a float keeps its value, so a
+    non-finite one meets the caller's range check and its message, and
+    every other value is read by :func:`cyclebound.model.finite_float`.
+    The test reads a NumPy attribute only for a value whose type comes
+    from NumPy, so a float never loads NumPy.
+    """
+    if type(m).__module__ == "numpy" and isinstance(m, np.ndarray):
+        return m, np.exp, np.log, np.where
+    m = float(m) if isinstance(m, float) else finite_float("m", m)
+    return m, math.exp, math.log, _math_where
+
+
+def _first_failure(ok, *values) -> tuple | None:
+    """None if ``ok`` holds, else ``values`` where it first fails.
+
+    ``ok`` is a bool for float inputs, or a bool array of the values'
+    shape, searched in C order; the values come back as floats.
+    """
+    if isinstance(ok, bool):
+        return None if ok else values
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))  # the first False in C order
+    return tuple(float(v.flat[i]) for v in values)
 
 
 def _ln_gain(p, case: Case) -> float | np.ndarray:
@@ -190,7 +225,7 @@ def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     return np.exp(handoff_cap_bound_ln(p, case))
 
 
-def handoff_cap_envelope(m: float, case: Case) -> float:
+def handoff_cap_envelope(m: float | np.ndarray, case: Case) -> float | np.ndarray:
     """Parameter-free envelope of the hand-off cap, a function of m only.
 
     Piecewise closed form with the deliberate (tiny) discontinuity at
@@ -200,12 +235,21 @@ def handoff_cap_envelope(m: float, case: Case) -> float:
                  (0.190 + 0.681 m) e^{-2.048 m - 1.789}   m > 0.3
         case B:  (0.350 + 0.563 m) e^{1.113 m - 2.295}    m <= 0.3
                  (0.201 + 0.832 m) e^{-2.048 m - 1.652}   m > 0.3.
+
+    ``m`` is a float or an int, evaluated with :mod:`math`, or an
+    ndarray, evaluated elementwise with NumPy by the same formula; the
+    two agree to 4 ulp, since NumPy's exp is not libm's.  Any other
+    value raises ValueError naming m.  Every element is checked, and
+    the error names the first m (in C order) that is not finite and
+    nonnegative.
     """
-    if not 0.0 <= m < math.inf:
-        raise ValueError(f"m must be finite and nonnegative, got {m!r}")
-    low, high = _ENVELOPE[case]
-    c0, c1, c2, c3 = low if m <= M_BRANCH else high
-    return (c0 + c1 * m) * math.exp(c2 * m + c3)
+    m, exp, _, where = _read_m(m)
+    bad = _first_failure((0.0 <= m) & (m < math.inf), m)
+    if bad:
+        raise ValueError(f"m must be finite and nonnegative, got {bad[0]!r}")
+    low_m = m <= M_BRANCH
+    c0, c1, c2, c3 = (where(low_m, lo, hi) for lo, hi in zip(*_ENVELOPE[case]))
+    return (c0 + c1 * m) * exp(c2 * m + c3)
 
 
 def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
@@ -236,9 +280,11 @@ def smax_lower_bound(x_gamma: float, m: float) -> float:
 
     with M = s_gamma = :data:`S_GAMMA`, evaluated through logarithms
     since the exponents span orders of magnitude.  Requires
-    x_gamma < M (1 - s_gamma) so that d < 0.
+    x_gamma < M (1 - s_gamma) so that d < 0.  Both arguments are read
+    by :func:`cyclebound.model.finite_float`.
     """
     s_gamma = M = S_GAMMA
+    x_gamma, m = finite_float("x_gamma", x_gamma), finite_float("m", m)
     if not m > 0:
         raise ValueError(f"m must be positive, got {m!r}")
     if not 0.0 < x_gamma < M * (1.0 - s_gamma):
@@ -257,7 +303,7 @@ def smax_lower_bound(x_gamma: float, m: float) -> float:
     return 1.0 - math.exp(ln_term)
 
 
-def alpha_factors(m: float, case: Case) -> AlphaFactors:
+def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
     """Shortfall factorization with x_gamma taken from the envelope.
 
     With M = s_gamma and delta = 1 - s_gamma - x_gamma/(m+M):
@@ -269,23 +315,34 @@ def alpha_factors(m: float, case: Case) -> AlphaFactors:
     and 1 - alpha equals :func:`smax_lower_bound` at the same inputs.
     Raises ValueError where the envelope underflows to 0, above about
     m = 362.96 (case A) or 363.03 (case B).
+
+    ``m`` is a float or an int, evaluated with :mod:`math`, or an
+    ndarray, evaluated elementwise with NumPy by the same formula into
+    fields of m's shape; the two agree to 4 ulp, since NumPy's exp, log
+    and pow are not libm's.  Any other value raises ValueError naming
+    m.  Every check runs on every element, and its error names the
+    first failing m (in C order).
     """
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    m, exp, log, _ = _read_m(m)
+    bad = _first_failure(m > 0, m)
+    if bad:
+        raise ValueError(f"m must be positive, got {bad[0]!r}")
     x_gamma = handoff_cap_envelope(m, case)
-    if not x_gamma > 0:
+    bad = _first_failure(x_gamma > 0, m, x_gamma)
+    if bad:
         raise ValueError(
-            f"handoff_cap_envelope underflows at m = {m!r} (case {case.value}): "
-            f"x_gamma = {x_gamma!r} has no logarithm"
+            f"handoff_cap_envelope underflows at m = {bad[0]!r} (case {case.value}): "
+            f"x_gamma = {bad[1]!r} has no logarithm"
         )
     M = S_GAMMA
     delta = 1.0 - S_GAMMA - x_gamma / (m + M)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    bad = _first_failure(delta > 0, delta)
+    if bad:
+        raise ValueError(f"delta must be positive, got {bad[0]!r}")
     e1 = m / (m + M)
     e2 = M / (m + M)
     alpha1 = delta**e1
-    alpha2 = math.exp(e2 * (math.log(x_gamma) - math.log(M)))
+    alpha2 = exp(e2 * (log(x_gamma) - log(M)))
     alpha3 = ((m + M) / m) ** e1
     return AlphaFactors(
         alpha1=alpha1,

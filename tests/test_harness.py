@@ -566,7 +566,7 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
     # calls per proofcheck; each must still be resolved there, as often
     expected = {
         "growth_ratio_quadratic": 2,
-        "alpha_factors": 501,
+        "alpha_factors": 1,
         "handoff_cap_envelope": 2,
         "handoff_cap_bound": 4,
         "alpha2_peak": 1,
@@ -584,6 +584,17 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
     proof_spotchecks(case)
     assert calls == expected
+
+
+def test_the_alpha_row_reports_its_first_maximal_element(monkeypatch):
+    # a row of ties: a scan of float calls with max() reports the first m
+    def tied_row(ms, case):
+        return SimpleNamespace(alpha=np.full(ms.shape, 0.125))
+
+    monkeypatch.setattr(harness, "alpha_factors", tied_row)
+    checks = {c.name: c for c in proof_spotchecks(Case.A).checks}
+    assert checks["alpha_below_0.2"].worst_value == 0.125
+    assert checks["alpha_below_0.2"].worst_arg == (1e-3,)
 
 
 def test_emit_figures_tiny(tmp_path):

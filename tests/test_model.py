@@ -23,6 +23,7 @@ from cyclebound.model import (
     params_from_json,
     require_cycle,
 )
+from cyclebound.region4 import smax_lower_bound
 from cyclebound.simulator import SimConfig, integrate, limit_cycle, transit_points
 
 
@@ -341,6 +342,8 @@ ENTRY_POINTS = {
     ),
     "integrate-LogState": (_library(lambda v: integrate(LogState(v, -3.0), P_REF)), "start u"),
     "SweepSpec-axis": (_library(lambda v: SweepSpec((0.05,), (0.05,), (1.0, v))), "m_values"),
+    "smax_lower_bound-x_gamma": (_library(lambda v: smax_lower_bound(v, 1.0)), "x_gamma"),
+    "smax_lower_bound-m": (_library(lambda v: smax_lower_bound(0.01, v)), "m"),
     "cli-params": (_cli("bounds", lambda v: {"a": 0.05, "lambda": 0.05, "m": v}), "m"),
     "cli-params-dimensional": (
         _cli("bounds", lambda v: {"r": 1, "K": v, "q": 3, "H": 1, "p": 2, "d": 1}), "K"

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cyclebound.bounds import cycle_bounds, x_max_lower
+from cyclebound.harness import _M_RANGE
 from cyclebound.model import PROVEN_BOXES, Params, h
 from cyclebound.region4 import (
+    M_BRANCH,
     S_GAMMA,
+    AlphaFactors,
     Case,
     _ln_gain,
     alpha2_peak,
@@ -374,6 +378,67 @@ def test_alpha_factors_hold_up_to_the_underflow():
     f = alpha_factors(362.96, Case.A)
     assert 0.0 < f.x_gamma < 1e-320
     assert 1.0 - f.alpha == pytest.approx(smax_lower_bound(f.x_gamma, 362.96), rel=1e-12)
+
+
+# the proof spot-checks' alpha row: 500 log-spaced m and the branch end
+ALPHA_ROW = np.append(np.geomspace(*_M_RANGE, 500), M_BRANCH)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_alpha_factors_on_an_array_match_the_float_calls(case):
+    row = alpha_factors(ALPHA_ROW, case)
+    scalar = [alpha_factors(m, case) for m in ALPHA_ROW.tolist()]
+    for field in fields(AlphaFactors):
+        got = np.broadcast_to(getattr(row, field.name), ALPHA_ROW.shape)
+        want = np.array([getattr(f, field.name) for f in scalar])
+        # NumPy's exp, log and pow are not libm's: measured gap <= 3 ulp
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want)), field.name
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_alpha_row_worst_is_the_float_scans_worst(case):
+    row = alpha_factors(ALPHA_ROW, case).alpha
+    i = int(np.argmax(row))
+    scan = max(((alpha_factors(m, case).alpha, m) for m in ALPHA_ROW.tolist()), key=lambda t: t[0])
+    assert (float(row[i]), float(ALPHA_ROW[i])) == scan
+
+
+def test_alpha_factors_on_an_array_name_m_where_the_envelope_underflows():
+    ms = np.array([1.0, 362.0, 400.0, 500.0])
+    with pytest.raises(ValueError, match=re.escape("underflows at m = 400.0 (case A): x_gamma = 0.0")):
+        alpha_factors(ms, Case.A)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, -1.0])
+def test_alpha_factors_on_an_array_name_the_first_bad_m(bad):
+    ms = np.array([[1.0, 2.0], [bad, -2.0]])
+    with pytest.raises(ValueError, match=re.escape(f"m must be positive, got {bad!r}")):
+        alpha_factors(ms, Case.B)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+def test_handoff_cap_envelope_on_an_array_names_the_first_bad_m(bad):
+    ms = np.array([0.0, 0.3, bad, -5.0])
+    with pytest.raises(ValueError, match=re.escape(f"m must be finite and nonnegative, got {bad!r}")):
+        handoff_cap_envelope(ms, Case.A)
+
+
+def test_handoff_cap_envelope_on_an_array_is_the_float_envelope():
+    # the branch is chosen per element, m = 0.3 still on the low branch
+    ms = np.array([0.0, 0.1, M_BRANCH, math.nextafter(M_BRANCH, 1.0), 2.0, 400.0])
+    got = handoff_cap_envelope(ms, Case.B)
+    want = np.array([handoff_cap_envelope(m, Case.B) for m in ms.tolist()])
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+    assert got[-1] == 0.0
+
+
+@pytest.mark.parametrize("function", [alpha_factors, handoff_cap_envelope])
+@pytest.mark.parametrize("m", ["1", 10**400, True, [1.0]])
+def test_the_m_functions_read_m_as_a_finite_number(function, m):
+    # a non-finite float keeps its range message ("must be positive",
+    # "must be finite and nonnegative"), pinned above
+    with pytest.raises(ValueError, match=re.escape(f"m must be a finite int or float, got {m!r}")):
+        function(m, Case.A)
 
 
 def test_alpha3_peak_is_e_to_1_over_e():
