@@ -7,14 +7,24 @@ arithmetic, independent bisection/integration oracles, or constants
 pinned up front; tolerances are all stated inline.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 import time
 
 import numpy as np
 import pytest
 
+from cyclebound import cli
 from cyclebound.bounds import canard_estimates, x_max_upper
-from cyclebound.harness import REFERENCE_SPECS, emit_figures, proof_spotchecks, run_sweep
+from cyclebound.harness import (
+    REFERENCE_SPECS,
+    SweepReport,
+    emit_figures,
+    proof_spotchecks,
+    run_sweep,
+)
 from cyclebound.lvroot import ZIndex, z, z_exact
 from cyclebound.model import LogState, Params
 from cyclebound.region4 import Case, handoff_cap_envelope, smax_lower_bound
@@ -48,6 +58,13 @@ def grid_sweep():
 @pytest.fixture(scope="module")
 def spotchecks():
     return {case: proof_spotchecks(case) for case in (Case.A, Case.B)}
+
+
+@pytest.fixture(scope="module")
+def figure_panel(tmp_path_factory):
+    """The four figure files of the a = lam = 0.05 panel."""
+    paths, _ = emit_figures("all", tmp_path_factory.mktemp("figures"), panels=[(0.05, 0.05)])
+    return paths
 
 
 def test_criterion_1_bound_sandwich_on_grid(grid_sweep):
@@ -284,11 +301,10 @@ def test_criterion_8_numerical_robustness():
     report(8, "numerical robustness at a = lam = 0.05, m = 5", clauses)
 
 
-def test_criterion_9_figure_data(tmp_path):
-    paths, _ = emit_figures("all", tmp_path, panels=[(0.05, 0.05)])
-    assert len(paths) == 4
+def test_criterion_9_figure_data(figure_panel):
+    assert len(figure_panel) == 4
     data = {}
-    for path in paths:
+    for path in figure_panel:
         lines = path.read_text().splitlines()
         fig = path.name.split("_")[0]
         data[fig] = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
@@ -305,3 +321,33 @@ def test_criterion_9_figure_data(tmp_path):
         ("0.8 < s_max < 1 pointwise", fig5_ok, ""),
     ]
     report(9, "figure-data reproduction for the a = lam = 0.05 panel", clauses)
+
+
+# sha256 of the outputs a refactor must keep to the byte; they hold for one
+# libm and NumPy build (x86-64 glibc, NumPy 2.4), like the bound-set digest
+REFERENCE_CSV_DIGEST = "8093f520e7b9068062135b0b440ad5522eb9d0148db0f38e2013e0af5e122448"
+FIGURE_DIGESTS = {
+    "fig2_a0.05_lambda0.05.csv": "1e26f9bd2aa14750be5abe9ff4e39d5a8c74ed286fb32d9ae2be2c46f7c2a033",
+    "fig3_a0.05_lambda0.05.csv": "357cffce0caa4d49814915e6b0bf7983c5c617f32a1bcd8fc60acf4d233c811c",
+    "fig4_a0.05_lambda0.05.csv": "86e984b9b7472f09a398da07f4ddf9f6bbfc2bd5f46972c137d1b0556328cfe8",
+    "fig5_a0.05_lambda0.05.csv": "77914720ad4b12b211f8f5ec5c17863c4ee0ef88bab68aed79d57d42c8c0fdc6",
+}
+CYCLE_JSON_DIGESTS = {
+    ("0.05", "0.05", "1"): "463deffa3ad485cb9e82802d66e1679d0a3bb83c8feb69466b4cdc6dd369f80f",
+    ("0.1", "0.01", "3"): "d1cc555e6f9abc73fe56e57f7bb50451b92974660508fcf9782452a65262bef3",
+}
+
+
+def test_outputs_keep_their_bytes(grid_sweep, figure_panel):
+    csv = io.StringIO()
+    SweepReport(rows=grid_sweep[0]).to_csv(csv)
+    figures = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in figure_panel}
+    cycles = {}
+    for a, lam, m in CYCLE_JSON_DIGESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["cycle", "--a", a, "--lambda", lam, "--m", m, "--json"]) == 0
+        cycles[a, lam, m] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert hashlib.sha256(csv.getvalue().encode()).hexdigest() == REFERENCE_CSV_DIGEST
+    assert figures == FIGURE_DIGESTS
+    assert cycles == CYCLE_JSON_DIGESTS
