@@ -1,0 +1,60 @@
+"""Float or array arithmetic for the closed forms: the one rule.
+
+A closed form is written once, in the functions of the namespace read
+from here: ``exp``, ``log``, ``sqrt``, ``where``, ``clamp`` and
+``first_failure(ok, *values)``, which gives the values at the first
+element where ``ok`` fails (C order), or None.  An ndarray among a
+call's inputs selects NumPy's namespace.  Any other value selects
+:data:`MATH` and is a float: a float keeps its value, so a non-finite
+one meets the caller's range check, and any other value is read by
+:func:`cyclebound.model.finite_float`.  Only a value whose type comes
+from NumPy is tested against ``np.ndarray``, so a float never loads
+NumPy.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+from ._lazy import np
+from .model import finite_float
+
+__all__ = ["MATH", "read", "choose"]
+
+# where and clamp are conditional expressions: a builtin max costs a call
+MATH = SimpleNamespace(
+    exp=math.exp, log=math.log, sqrt=math.sqrt,
+    where=lambda condition, x, y: x if condition else y,
+    clamp=lambda x, lo: lo if lo > x else x,
+    first_failure=lambda ok, *values: None if ok else values,
+)
+
+
+def _first_failing(ok, *values) -> tuple | None:
+    if np.all(ok):
+        return None
+    ok, *values = np.broadcast_arrays(ok, *values)
+    i = int(np.argmin(ok))  # the first False in C order
+    return tuple(float(v.flat[i]) for v in values)
+
+
+def _numpy() -> SimpleNamespace:
+    return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, where=np.where,
+                           clamp=np.maximum, first_failure=_first_failing)
+
+
+def read(name: str, value) -> tuple[SimpleNamespace, float | np.ndarray]:
+    """The namespace for ``value``, and the value to compute with; a
+    value that is no number raises ValueError naming ``name``."""
+    if type(value) is float:
+        return MATH, value
+    if type(value).__module__ == "numpy" and isinstance(value, np.ndarray):
+        return _numpy(), value
+    return MATH, float(value) if isinstance(value, float) else finite_float(name, value)
+
+
+def choose(**inputs) -> SimpleNamespace:
+    """The namespace for several inputs, each read by :func:`read`."""
+    found = [read(name, value)[0] for name, value in inputs.items()]
+    return MATH if all(arith is MATH for arith in found) else _numpy()

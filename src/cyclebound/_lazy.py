@@ -1,8 +1,9 @@
 """NumPy, loaded on its first attribute access.
 
-Only the array paths (proof spot-checks, region4's cap chain, figures
-and the samples of ``integrate``) use NumPy, so a process that computes
-scalar bounds, cycles or sweep rows never pays its import.  Modules
+Only the array paths (proof spot-checks, the closed forms called with
+an ndarray as :mod:`cyclebound._arith` decides, figures and the samples
+of ``integrate``) use NumPy, so a process that computes scalar bounds,
+cycles or sweep rows never pays its import.  Modules
 bind ``np`` from here: a plain ``import numpy`` reads the module's
 ``__spec__`` and so loads it at once.  The lazy module is registered in
 ``sys.modules``, so NumPy is imported once whoever asks first; after

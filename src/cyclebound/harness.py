@@ -511,10 +511,8 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     result, never raised.
 
     The alpha row is one :func:`alpha_factors` call on the 501-point
-    array: it takes a float or an ndarray m, checks every element and
-    names the first failing m.  Its elements agree with float calls to
-    4 ulp (NumPy's exp, log and pow are not libm's), and the row reports
-    its first maximal element, the tie rule of max() over float calls.
+    array; it reports its first maximal element, the tie rule of max()
+    over float calls.
     """
     case = Case(case)
     barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)

@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from ._arith import read
 from ._lazy import np
+from .model import finite_float
 
 __all__ = ["ZIndex", "z", "lv_small_root_ln", "z_exact"]
 
 _E = math.e
+_INF = math.inf
 
 
 class ZIndex(Enum):
@@ -47,10 +50,6 @@ class ZIndex(Enum):
         self.d = _E - 1.0 - self.c * _E
 
 
-# the elementary functions z is written in for a float; the clamp is max(x, lo), no builtin call
-_MATH = (math.exp, math.sqrt, lambda x, lo: lo if lo > x else x)
-
-
 def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     """Closed-form correction factor z_i(y) for the small root.
 
@@ -67,27 +66,20 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     and z_i -> 1 as y -> infinity.  Once Y underflows the result is
     exactly 1, which is the correct limit.
 
-    ``y`` is a float or an int (a NumPy float64 is a float), evaluated
-    with :mod:`math` to a float, or an ndarray, evaluated elementwise
-    with NumPy by the same formula.  Telling them apart reads no NumPy
-    attribute, so a float never loads NumPy.
+    ``y`` is a float or an ndarray, read by :func:`cyclebound._arith.read`.
     """
-    if isinstance(y, (float, int)):
-        if not y >= 1.0:
-            raise ValueError(f"z is defined for y >= 1, got {y!r}")
-        y = float(y)
-        exp, sqrt, clamp = _MATH
-    else:
-        exp, sqrt, clamp = np.exp, np.sqrt, np.maximum
-        bad = ~(y >= 1.0)
-        if bad.any():
-            raise ValueError(f"z is defined for y >= 1, got {float(y[bad].flat[0])!r}")
-    Y = y * exp(-y)
+    given = y
+    arith, y = read("y", y)
+    ok = (1.0 <= y) & (y < _INF)
+    # a float's check is a bare bool; only a failure or an array asks for the first failure
+    if ok is not True and (bad := arith.first_failure(ok, given)):
+        raise ValueError(f"z is defined for finite y >= 1, got {bad[0]!r}")
+    Y = y * arith.exp(-y)
     c = i.c
     one_minus_dY = 1.0 - i.d * Y
     disc = one_minus_dY * one_minus_dY - 4.0 * c * Y
     # disc = 0 exactly at y = 1 for Z2; clamp roundoff
-    return 2.0 / (one_minus_dY + sqrt(clamp(disc, 0.0)))
+    return 2.0 / (one_minus_dY + arith.sqrt(arith.clamp(disc, 0.0)))
 
 
 def lv_small_root_ln(A: float, C: float) -> float:
@@ -98,10 +90,12 @@ def lv_small_root_ln(A: float, C: float) -> float:
     positive at w = -C/A and nonpositive at ln A whenever a root
     exists, so a bisection bracket safeguards plain Newton iteration.
     Converges to relative tolerance ~1e-15 in a handful of steps since
-    g is nearly linear once e^w << A.
+    g is nearly linear once e^w << A.  Both arguments are read by
+    :func:`cyclebound.model.finite_float`.
     """
-    if not (A > 0 and math.isfinite(A)):
-        raise ValueError(f"A must be positive and finite, got {A!r}")
+    A, C = finite_float("A", A), finite_float("C", C)
+    if not A > 0:
+        raise ValueError(f"A must be positive, got {A!r}")
     ln_A = math.log(A)
     c_min = A - A * ln_A
     if C < c_min:
@@ -133,8 +127,10 @@ def z_exact(y: float) -> float:
 
     Computed through the log-space root so the ratio never under- or
     overflows; lies in (1, e] and decreases in y, squeezed between
-    z(Z1, y) and z(Z2, y).
+    z(Z1, y) and z(Z2, y).  ``y`` is read by
+    :func:`cyclebound.model.finite_float`.
     """
+    y = finite_float("y", y)
     if not y >= 1.0:
         raise ValueError(f"z_exact is defined for y >= 1, got {y!r}")
     ln_y = math.log(y)

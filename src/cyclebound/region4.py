@@ -31,6 +31,11 @@ s_gamma = :data:`S_GAMMA` = 0.7.  The closed forms switch from a
 low-m to a high-m branch at m = :data:`M_BRANCH` = 0.3.  These are
 constants of the proof, not tunables: a :class:`Case` member carries
 its own, and a function that depends on the case takes the member.
+
+The cap chain, the envelope, the quadratic and the alpha factors read
+m, s and ``p``'s a, lam and m by the rule of :mod:`cyclebound._arith`;
+on arrays (within 4 ulp of floats, as NumPy is not libm) every check
+runs on every element and names the first failing input.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+from ._arith import choose, read
 from ._lazy import np
 from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
@@ -118,48 +124,11 @@ class AlphaFactors:
         return asdict(self)
 
 
-def _require(ok, p, message: str) -> None:
+def _check(arith, ok, p, message: str) -> None:
     """Raise ValueError(message) at the first (a, lam, m) of ``p`` where ``ok`` fails."""
-    if np.all(ok):
-        return
-    ok, *point = np.broadcast_arrays(ok, p.a, p.lam, p.m)
-    i = int(np.argmin(ok))  # the first False in C order
-    a, lam, m = (float(v.flat[i]) for v in point)
-    raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
-
-
-def _math_where(condition: bool, x: float, y: float) -> float:
-    return x if condition else y
-
-
-def _read_m(m):
-    """``m`` and the functions (exp, log, where) to evaluate it with.
-
-    An ndarray is evaluated elementwise with NumPy.  Any other value is
-    a float evaluated with :mod:`math`: a float keeps its value, so a
-    non-finite one meets the caller's range check and its message, and
-    every other value is read by :func:`cyclebound.model.finite_float`.
-    The test reads a NumPy attribute only for a value whose type comes
-    from NumPy, so a float never loads NumPy.
-    """
-    if type(m).__module__ == "numpy" and isinstance(m, np.ndarray):
-        return m, np.exp, np.log, np.where
-    m = float(m) if isinstance(m, float) else finite_float("m", m)
-    return m, math.exp, math.log, _math_where
-
-
-def _first_failure(ok, *values) -> tuple | None:
-    """None if ``ok`` holds, else ``values`` where it first fails.
-
-    ``ok`` is a bool for float inputs, or a bool array of the values'
-    shape, searched in C order; the values come back as floats.
-    """
-    if isinstance(ok, bool):
-        return None if ok else values
-    if ok.all():
-        return None
-    i = int(np.argmin(ok))  # the first False in C order
-    return tuple(float(v.flat[i]) for v in values)
+    if bad := arith.first_failure(ok, p.a, p.lam, p.m):
+        a, lam, m = bad
+        raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
 
 
 def _ln_gain(p, case: Case) -> float | np.ndarray:
@@ -170,12 +139,9 @@ def _ln_gain(p, case: Case) -> float | np.ndarray:
     which bounds x_gamma / x3; in log space since m/k can make it
     astronomically large.
     """
-    return (p.m / case.k) * (
-        p.lam / S_GAMMA
-        + np.log(S_GAMMA + p.a)
-        - np.log(1.0 - S_GAMMA)
-        - np.log(p.a + p.lam)
-    )
+    log = choose(a=p.a, lam=p.lam, m=p.m).log
+    ln_factor = p.lam / S_GAMMA + log(S_GAMMA + p.a) - log(1.0 - S_GAMMA) - log(p.a + p.lam)
+    return (p.m / case.k) * ln_factor
 
 
 def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
@@ -189,28 +155,29 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
         m < 0.3:   1/4 + m ((1-a_max)/2 - lam (1 - ln lam + ln (1-a_max)/2))
         m >= 0.3:  h(0.8) + m (0.8 - lam (1 - ln lam + ln 0.8)).
 
-    ``p`` is a :class:`Params`, or any object whose a, lam and m are
-    arrays; the estimate then broadcasts over them, as do
-    :func:`handoff_cap_bound_ln` and :func:`handoff_cap_bound`.
+    ``p`` is a :class:`Params`, or any object with a, lam and m, as in
+    the rest of the cap chain and in :func:`growth_ratio_quadratic`.
     """
-    _require(hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
+    arith = choose(a=p.a, lam=p.lam, m=p.m)
+    _check(arith, hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
     low_m = p.m < M_BRANCH
-    anchor = np.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
-    c0 = np.where(low_m, 0.25, h(S_MAX_LO, p))
+    anchor = arith.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
+    c0 = arith.where(low_m, 0.25, h(S_MAX_LO, p))
     # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
-    ln_lam = np.log(np.where(p.lam == 0.0, 1.0, p.lam))
-    lam_term = p.lam * (1.0 - ln_lam + np.log(anchor))
+    ln_lam = arith.log(arith.where(p.lam == 0.0, 1.0, p.lam))
+    lam_term = p.lam * (1.0 - ln_lam + arith.log(anchor))
     return c0 + p.m * (anchor - lam_term)
 
 
 def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
     """Log of :func:`handoff_cap_bound` (the value underflows deep in the
     case boxes, where the exponent drops below -1400)."""
+    arith = choose(a=p.a, lam=p.lam, m=p.m)
     x1t = x_max_lower_coarse(p, case)
     h_lam = h(p.lam, p)
-    _require(x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
+    _check(arith, x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
     y = x1t / h_lam
-    return _ln_gain(p, case) + np.log(z(ZIndex.Z2, y)) + np.log(x1t) - y
+    return _ln_gain(p, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y
 
 
 def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
@@ -222,7 +189,7 @@ def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     estimate.  Nondecreasing in both a and lam on each case box, which
     is what lets a single corner evaluation dominate the whole box.
     """
-    return np.exp(handoff_cap_bound_ln(p, case))
+    return choose(a=p.a, lam=p.lam, m=p.m).exp(handoff_cap_bound_ln(p, case))
 
 
 def handoff_cap_envelope(m: float | np.ndarray, case: Case) -> float | np.ndarray:
@@ -235,21 +202,13 @@ def handoff_cap_envelope(m: float | np.ndarray, case: Case) -> float | np.ndarra
                  (0.190 + 0.681 m) e^{-2.048 m - 1.789}   m > 0.3
         case B:  (0.350 + 0.563 m) e^{1.113 m - 2.295}    m <= 0.3
                  (0.201 + 0.832 m) e^{-2.048 m - 1.652}   m > 0.3.
-
-    ``m`` is a float or an int, evaluated with :mod:`math`, or an
-    ndarray, evaluated elementwise with NumPy by the same formula; the
-    two agree to 4 ulp, since NumPy's exp is not libm's.  Any other
-    value raises ValueError naming m.  Every element is checked, and
-    the error names the first m (in C order) that is not finite and
-    nonnegative.
     """
-    m, exp, _, where = _read_m(m)
-    bad = _first_failure((0.0 <= m) & (m < math.inf), m)
-    if bad:
+    arith, m = read("m", m)
+    if bad := arith.first_failure((0.0 <= m) & (m < math.inf), m):
         raise ValueError(f"m must be finite and nonnegative, got {bad[0]!r}")
     low_m = m <= M_BRANCH
-    c0, c1, c2, c3 = (where(low_m, lo, hi) for lo, hi in zip(*_ENVELOPE[case]))
-    return (c0 + c1 * m) * exp(c2 * m + c3)
+    c0, c1, c2, c3 = (arith.where(low_m, lo, hi) for lo, hi in zip(*_ENVELOPE[case]))
+    return (c0 + c1 * m) * arith.exp(c2 * m + c3)
 
 
 def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
@@ -260,10 +219,9 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     with m from ``p`` and the case's barrier fraction k.  G*(lam) < 0 <
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
-    s and the a, lam and m of ``p`` may be arrays; G* broadcasts over
-    them, as :func:`handoff_cap_bound` does.
     """
-    _require(p.m != 0, p, "m must be nonzero")
+    arith = choose(s=s, a=p.a, lam=p.lam, m=p.m)
+    _check(arith, p.m != 0, p, "m must be nonzero")
     km = case.k / p.m
     return 2.0 * km * s * s + (p.a * km - km + 1.0) * s - p.lam
 
@@ -315,44 +273,27 @@ def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
     and 1 - alpha equals :func:`smax_lower_bound` at the same inputs.
     Raises ValueError where the envelope underflows to 0, above about
     m = 362.96 (case A) or 363.03 (case B).
-
-    ``m`` is a float or an int, evaluated with :mod:`math`, or an
-    ndarray, evaluated elementwise with NumPy by the same formula into
-    fields of m's shape; the two agree to 4 ulp, since NumPy's exp, log
-    and pow are not libm's.  Any other value raises ValueError naming
-    m.  Every check runs on every element, and its error names the
-    first failing m (in C order).
     """
-    m, exp, log, _ = _read_m(m)
-    bad = _first_failure(m > 0, m)
-    if bad:
+    arith, m = read("m", m)
+    if bad := arith.first_failure(m > 0, m):
         raise ValueError(f"m must be positive, got {bad[0]!r}")
     x_gamma = handoff_cap_envelope(m, case)
-    bad = _first_failure(x_gamma > 0, m, x_gamma)
-    if bad:
+    if bad := arith.first_failure(x_gamma > 0, m, x_gamma):
         raise ValueError(
             f"handoff_cap_envelope underflows at m = {bad[0]!r} (case {case.value}): "
             f"x_gamma = {bad[1]!r} has no logarithm"
         )
     M = S_GAMMA
     delta = 1.0 - S_GAMMA - x_gamma / (m + M)
-    bad = _first_failure(delta > 0, delta)
-    if bad:
+    if bad := arith.first_failure(delta > 0, delta):
         raise ValueError(f"delta must be positive, got {bad[0]!r}")
     e1 = m / (m + M)
     e2 = M / (m + M)
     alpha1 = delta**e1
-    alpha2 = exp(e2 * (log(x_gamma) - log(M)))
+    alpha2 = arith.exp(e2 * (arith.log(x_gamma) - arith.log(M)))
     alpha3 = ((m + M) / m) ** e1
-    return AlphaFactors(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        alpha3=alpha3,
-        alpha=alpha1 * alpha2 * alpha3,
-        delta=delta,
-        M=M,
-        x_gamma=x_gamma,
-    )
+    return AlphaFactors(alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
+                        alpha=alpha1 * alpha2 * alpha3, delta=delta, M=M, x_gamma=x_gamma)
 
 
 def _alpha2_stationarity(m: float, abar: float, bbar: float, cbar: float) -> float:

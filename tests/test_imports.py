@@ -2,14 +2,15 @@
 
 Each check runs in a fresh interpreter, because the test session has
 imported everything long before.  ``import cyclebound`` loads ``model``
-only; scalar bounds add ``lvroot`` and ``bounds``, a cycle adds
-``simulator`` and ``dopri``, and ``region4`` and ``harness`` load when
-one of their names is read.  Scalar bounds, a cycle, a serial sweep row
-and the ``bounds``/``cycle`` commands must leave every ``numpy.*``
-module unloaded; the proof spot-checks load it.  Whether NumPy was
-imported before cyclebound or on first use, the array paths print the
-same bytes.  The command line reads every name through the package, so
-each subcommand loads only its layers.
+only; scalar bounds add ``lvroot``, ``bounds`` and ``_arith`` (the
+float-or-array rule), a cycle adds ``simulator`` and ``dopri``, and
+``region4`` and ``harness`` load when one of their names is read.
+Scalar bounds, a cycle, region4's cap chain on a float ``Params``, a
+serial sweep row and the ``bounds``/``cycle`` commands must leave every
+``numpy.*`` module unloaded; the proof spot-checks load it.  Whether
+NumPy was imported before cyclebound or on first use, the array paths
+print the same bytes.  The command line reads every name through the
+package, so each subcommand loads only its layers.
 """
 
 import json
@@ -39,7 +40,10 @@ cyclebound.canard_estimates(p)
 record("bounds")
 cyclebound.cycle_extreme_report(p)
 record("cycle")
-cyclebound.region4.Case.A  # a submodule read as a package attribute
+r4 = cyclebound.region4  # a submodule read as a package attribute
+caps = [f(p, r4.Case.A) for f in (r4.handoff_cap_bound, r4.handoff_cap_bound_ln,
+                                   r4.x_max_lower_coarse)]
+caps.append(r4.growth_ratio_quadratic(0.5, p, r4.Case.A))
 record("region4")
 spec = cyclebound.SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0,))
 record("harness")
@@ -57,7 +61,7 @@ pool = "multiprocessing" in sys.modules
 passed = all(c.passed for c in cyclebound.proof_spotchecks("A").checks)
 record("proofcheck")
 print(json.dumps({"after": after, "layers": layers, "codes": codes, "pool": pool,
-                  "passed": passed}))
+                  "passed": passed, "cap_types": [type(c).__name__ for c in caps]}))
 """
 
 CLI_PATHS = """
@@ -130,6 +134,8 @@ def test_scalar_paths_load_no_numpy_module(scalar_record):
         stage: [] for stage in ("import", "bounds", "cycle", "region4", "harness", "sweep", "cli")
     }
     assert scalar_record["codes"] == [0, 0]
+    # region4's cap chain on a float Params is float arithmetic
+    assert scalar_record["cap_types"] == ["float"] * 4
     assert not scalar_record["pool"]  # a serial sweep loads no multiprocessing
 
 
@@ -141,7 +147,9 @@ def test_each_layer_loads_on_first_use(scalar_record):
         seen.update(modules)
     assert added == {
         "import": ["cyclebound", "cyclebound.model"],
-        "bounds": ["cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot"],
+        "bounds": [
+            "cyclebound._arith", "cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot",
+        ],
         "cycle": ["cyclebound.dopri", "cyclebound.simulator"],
         "region4": ["cyclebound.region4"],
         "harness": ["cyclebound.harness"],
@@ -161,7 +169,9 @@ def test_each_cli_command_loads_only_its_layers():
         seen.update(modules)
     assert added == {
         "import": ["cyclebound", "cyclebound.cli", "cyclebound.model"],
-        "bounds": ["cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot"],
+        "bounds": [
+            "cyclebound._arith", "cyclebound._lazy", "cyclebound.bounds", "cyclebound.lvroot",
+        ],
         "region4": ["cyclebound.region4"],
         "cycle": ["cyclebound.dopri", "cyclebound.simulator"],
         "proofcheck": ["cyclebound.harness"],

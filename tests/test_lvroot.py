@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclebound import lvroot
+from cyclebound import _arith
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 
 E = math.e
@@ -77,8 +77,7 @@ def test_z_on_arrays_matches_the_float_path(monkeypatch):
     # every other operation, the clamp included, must then agree bit for bit
     ys = np.concatenate([[1.0, math.nextafter(1.0, 2.0)], np.geomspace(1.0, 800.0, 500)])
     np_exp = dict(zip((-ys).tolist(), np.exp(-ys).tolist()))
-    _, sqrt, clamp = lvroot._MATH
-    monkeypatch.setattr(lvroot, "_MATH", (np_exp.__getitem__, sqrt, clamp))
+    monkeypatch.setattr(_arith.MATH, "exp", np_exp.__getitem__)
     for i in ZIndex:
         got = z(i, ys)
         assert isinstance(got, np.ndarray) and got.shape == ys.shape
@@ -90,8 +89,8 @@ def test_z_on_arrays_matches_the_float_path(monkeypatch):
 
 
 def test_z_float_clamp_is_max_without_a_builtin_call():
-    # _MATH binds the clamp at import; the builtin max costs a call per z
-    clamp = lvroot._MATH[2]
+    # the float namespace binds the clamp at import; the builtin max costs a call per z
+    clamp = _arith.MATH.clamp
     assert clamp is not max and not isinstance(clamp, types.BuiltinFunctionType)
     for x in (-1.0, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan):
         assert repr(clamp(x, 0.0)) == repr(max(x, 0.0)), x

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from cyclebound.bounds import cycle_bounds, x_max_lower
 from cyclebound.harness import _M_RANGE
+from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 from cyclebound.model import PROVEN_BOXES, Params, h
 from cyclebound.region4 import (
     M_BRANCH,
@@ -432,12 +433,40 @@ def test_handoff_cap_envelope_on_an_array_is_the_float_envelope():
     assert got[-1] == 0.0
 
 
-@pytest.mark.parametrize("function", [alpha_factors, handoff_cap_envelope])
-@pytest.mark.parametrize("m", ["1", 10**400, True, [1.0]])
+def z_Z2(y, case):
+    return z(ZIndex.Z2, y)
+
+
+def z_exact_y(y, case):
+    return z_exact(y)
+
+
+def lv_root_A(A, case):
+    return lv_small_root_ln(A, 2.0)
+
+
+def lv_root_C(C, case):
+    return lv_small_root_ln(1.0, C)
+
+
+# each closed form with the name its errors give the number it reads
+READ_AS = {
+    alpha_factors: "m", handoff_cap_envelope: "m", z_Z2: "y", z_exact_y: "y",
+    lv_root_A: "A", lv_root_C: "C",
+}
+
+
+@pytest.mark.parametrize("function", list(READ_AS))
+@pytest.mark.parametrize("m", ["1", 10**400, True, [1.0], math.inf, math.nan])
 def test_the_m_functions_read_m_as_a_finite_number(function, m):
-    # a non-finite float keeps its range message ("must be positive",
-    # "must be finite and nonnegative"), pinned above
-    with pytest.raises(ValueError, match=re.escape(f"m must be a finite int or float, got {m!r}")):
+    # m stands for each function's number (m, y, A or C).  A non-finite
+    # float meets the function's range check, whose message names it
+    # (region4's are pinned above); z_exact and lv_small_root_ln read
+    # every argument with finite_float
+    message = f"{READ_AS[function]} must be a finite int or float, got {m!r}"
+    if isinstance(m, float):
+        message = f"got {m!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         function(m, Case.A)
 
 
