@@ -174,7 +174,8 @@ def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
     case boxes, where the exponent drops below -1400)."""
     arith = choose(a=p.a, lam=p.lam, m=p.m)
     x1t = x_max_lower_coarse(p, case)
-    h_lam = h(p.lam, p)
+    h_lam = h(p.lam, p)  # 0 at a = lam = 0, in limit mode
+    _check(arith, h_lam > 0.0, p, "h(lam) must be positive")
     _check(arith, x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
     y = x1t / h_lam
     return _ln_gain(p, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y

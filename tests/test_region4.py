@@ -177,8 +177,9 @@ def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
     [
         (0.999, None, "requires the cycle regime"),  # 2 lam + a >= 1
         (0.05, 0.45, "must exceed h(lam)"),  # in the regime, but x1t ~ 1/4 < h(lam)
+        (0.0, 0.0, "h(lam) must be positive"),  # limit mode: y = x1t / h(lam) has no value
     ],
-    ids=["cycle-regime", "x1t-not-above-h-lam"],
+    ids=["cycle-regime", "x1t-not-above-h-lam", "h-lam-zero"],
 )
 def test_handoff_cap_bound_arrays_name_the_first_failing_point(a, lam, message):
     g = slope_scan_grid(Case.A)
@@ -189,6 +190,9 @@ def test_handoff_cap_bound_arrays_name_the_first_failing_point(a, lam, message):
     point = (a, float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
     with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
         handoff_cap_bound(g, Case.A)
+    # a float Params at that point fails the same check
+    with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
+        handoff_cap_bound(Params(*point, limit=True), Case.A)
 
 
 # smallest central difference of ln handoff_cap_bound over the slope scan
