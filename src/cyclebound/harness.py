@@ -12,14 +12,14 @@ simulated cycle (and with each other) over parameter grids:
   their worst case; the other rows sample dense grids (confidence
   checks, not certified interval arithmetic).
 * :func:`emit_figures` writes bound-versus-simulation curves over m for
-  a set of parameter panels, one :func:`run_sweep` per panel.
+  a set of parameter panels, through the sweep's row runner.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
+from itertools import product
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +27,7 @@ from typing import IO, Optional, Sequence, Union
 
 from ._lazy import np
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
-from .model import Params, finite_float, require_cycle
+from .model import Params, finite_float, integer, require_cycle
 from .region4 import (
     M_BRANCH,
     Case,
@@ -37,12 +37,7 @@ from .region4 import (
     handoff_cap_bound,
     handoff_cap_envelope,
 )
-from .simulator import (
-    CycleReport,
-    IntegrationError,
-    SimConfig,
-    cycle_extreme_report,
-)
+from .simulator import IntegrationError, SimConfig, cycle_extreme_report
 
 __all__ = [
     "SweepSpec",
@@ -57,7 +52,6 @@ __all__ = [
     "proof_spotchecks",
     "emit_figures",
     "figure_m_values",
-    "sweep_row_from_report",
 ]
 
 DEFAULT_PANELS: tuple[tuple[float, float], ...] = (
@@ -94,6 +88,14 @@ def _positive_values(what: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _axis(what: str, values) -> tuple[float, ...]:
+    """A grid axis: :func:`_positive_values`, none repeated."""
+    vals = _positive_values(what, values)
+    if len(set(vals)) < len(vals):  # a repeated value repeats its rows
+        raise ValueError(f"{what} must not repeat a value, got {vals!r}")
+    return vals
+
+
 def _check_keys(what: str, record, required: set, allowed: set) -> None:
     if not isinstance(record, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
@@ -117,17 +119,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("a_values", "lambda_values", "m_values"):
-            values = _positive_values(name, getattr(self, name))
-            if len(set(values)) < len(values):  # a repeated value repeats its rows
-                raise ValueError(f"{name} must not repeat a value, got {values!r}")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _axis(name, getattr(self, name)))
         # reject the whole grid before any row is simulated: a point with
         # no cycle would abort the sweep halfway, not fail its own row
         for a in self.a_values:
             for lam in self.lambda_values:
                 require_cycle(Params(a=a, lam=lam, m=1.0))
-        if isinstance(self.jobs, bool) or not isinstance(self.jobs, numbers.Integral):
-            raise ValueError(f"jobs must be an integer, got {self.jobs!r}")
+        object.__setattr__(self, "jobs", integer("jobs", self.jobs))
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -152,12 +150,8 @@ class SweepSpec:
         )
 
     def grid(self) -> list[tuple[float, float, float]]:
-        return [
-            (a, lam, m)
-            for a in sorted(self.a_values)
-            for lam in sorted(self.lambda_values)
-            for m in sorted(self.m_values)
-        ]
+        axes = (self.a_values, self.lambda_values, self.m_values)
+        return list(product(*map(sorted, axes)))
 
 
 @dataclass(frozen=True)
@@ -240,30 +234,9 @@ class SweepReport:
         )
 
 
-def sweep_row_from_report(report: CycleReport) -> SweepRow:
-    b, ce = report.bounds, report.extremes
-    return SweepRow(
-        a=report.params.a,
-        lam=report.params.lam,
-        m=report.params.m,
-        proven=b.proven,
-        x_max_lo=b.x_max_lo,
-        x_max=ce.x_max,
-        x_max_hi=b.x_max_hi,
-        ln_x_min_lo=b.ln_x_min_lo,
-        ln_x_min=ce.ln_x_min,
-        ln_x_min_hi=b.ln_x_min_hi,
-        ln_s_min_lo=b.ln_s_min_lo,
-        ln_s_min=ce.ln_s_min,
-        ln_s_min_hi=b.ln_s_min_hi,
-        s_max=ce.s_max,
-        converged=ce.converged,
-        min_margin=report.min_margin,
-        passed=report.passed,
-    )
-
-
 def _row_task(args: tuple) -> SweepRow:
+    """The row of one point (a, lam, m, cfg): its bounds against its
+    simulated cycle, or NaN with the reason where the simulation fails."""
     a, lam, m, cfg = args
     p = Params(a=a, lam=lam, m=m)
     try:
@@ -272,7 +245,15 @@ def _row_task(args: tuple) -> SweepRow:
         row = dict.fromkeys(_CSV_FIELDS, math.nan)
         row.update(a=a, lam=lam, m=m, proven=p.proven_region, converged=False, passed=False)
         return SweepRow(**row, error=str(exc))
-    return sweep_row_from_report(report)
+    b, ce = report.bounds, report.extremes
+    return SweepRow(
+        a=a, lam=lam, m=m, proven=b.proven,
+        x_max_lo=b.x_max_lo, x_max=ce.x_max, x_max_hi=b.x_max_hi,
+        ln_x_min_lo=b.ln_x_min_lo, ln_x_min=ce.ln_x_min, ln_x_min_hi=b.ln_x_min_hi,
+        ln_s_min_lo=b.ln_s_min_lo, ln_s_min=ce.ln_s_min, ln_s_min_hi=b.ln_s_min_hi,
+        s_max=ce.s_max, converged=ce.converged, min_margin=report.min_margin,
+        passed=report.passed,
+    )
 
 
 # the 57-point reference grid: 54 main points, then 3 from the second proven box
@@ -355,25 +336,31 @@ def _forked_rows(tasks: list, processes: int) -> list[SweepRow]:
     return [rows[i] for i in range(len(tasks))]
 
 
-def run_sweep(spec: SweepSpec) -> SweepReport:
-    """Evaluate bounds against the simulated cycle over the whole grid.
+def _run_rows(points: Sequence[tuple], cfg: SimConfig, jobs: int) -> list[SweepRow]:
+    """The row of each (a, lam, m) in ``points``, in their order.
 
     Rows are independent.  With jobs > 1 the calling process computes
     rows too, next to min(jobs, rows) - 1 forked worker processes (POSIX
     only), so jobs counts the processes in all; each process takes the
-    next row from one shared counter.  The output order is the sorted
-    grid order either way, so CSV output is byte-identical for any job
-    count.  Per-row failures are recorded in the row, never abort the
-    sweep; any other exception, in a worker too, propagates, and a
-    worker that dies without sending its rows raises ChildProcessError.
+    next row from one shared counter.  The order is that of ``points``
+    either way, so the rows are the same for any job count.  Per-row
+    failures are recorded in the row, never abort the run; any other
+    exception, in a worker too, propagates, and a worker that dies
+    without sending its rows raises ChildProcessError.
     """
-    tasks = [(a, lam, m, spec.sim) for a, lam, m in spec.grid()]
-    processes = min(spec.jobs, len(tasks))
+    tasks = [(a, lam, m, cfg) for a, lam, m in points]
+    processes = min(jobs, len(tasks))
     if processes == 1:
-        rows = [_row_task(t) for t in tasks]
-    else:
-        rows = _forked_rows(tasks, processes)
-    return SweepReport(rows=rows)
+        return [_row_task(t) for t in tasks]
+    return _forked_rows(tasks, processes)
+
+
+def run_sweep(spec: SweepSpec) -> SweepReport:
+    """Evaluate bounds against the simulated cycle over the whole grid,
+    in ``spec.jobs`` processes (:func:`_run_rows`).  The rows come in the
+    sorted grid order, so CSV output is byte-identical for any job count.
+    """
+    return SweepReport(rows=_run_rows(spec.grid(), spec.sim, spec.jobs))
 
 
 def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
@@ -430,12 +417,6 @@ class ProofCheckReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
@@ -582,7 +563,7 @@ _FIGURES = tuple(_FIGURE_COLUMNS)
 
 def figure_m_values(points: int = 50) -> np.ndarray:
     """The figures' m axis: ``points`` log-spaced values in [0.01, 5]."""
-    if points < 1:
+    if integer("points", points) < 1:
         raise ValueError(f"the m axis needs at least 1 point, got {points!r}")
     return np.geomspace(0.01, 5.0, points)
 
@@ -617,28 +598,26 @@ def emit_figures(
     m.  Panels outside the proven parameter box are evaluated in forced
     mode.  A panel is a pair (a, lam) of numbers or of numeric strings
     (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
-    axis (a :class:`SweepSpec` axis: non-empty, each m a finite int or
-    float > 0, none repeated), is checked before any point is simulated.
+    axis (a sweep axis: non-empty, each m a finite int or float > 0, none
+    repeated), is checked once, before any point is simulated.
 
-    Each panel is one :func:`run_sweep` over the m axis, so every column
-    is the number the sweep CSV prints, and a point that fails keeps its
-    m and has NaN in every other column.  Returns the written paths and
-    the :class:`SweepReport` of all the rows, panel by panel, which
-    carries each failed point's reason and the sweep's exit code.
+    All panels' points go through the sweep's row runner in one list, so
+    every column is the number the sweep CSV prints, and a point that
+    fails keeps its m and has NaN in every other column.  Returns the
+    written paths and the :class:`SweepReport` of all the rows, panel by
+    panel, with each failed point's reason and the sweep's exit code.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
-    ms = figure_m_values() if m_values is None else m_values
-    specs = [SweepSpec((a,), (lam,), ms, sim=cfg or SimConfig()) for a, lam in panels]
+    ms = sorted(_axis("m_values", figure_m_values() if m_values is None else m_values))
+    rows = _run_rows([(a, lam, m) for a, lam in panels for m in ms], cfg or SimConfig(), 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    rows: list[SweepRow] = []
-    for (a, lam), spec in zip(panels, specs):
-        panel_rows = run_sweep(spec).rows
-        rows += panel_rows
+    for i, (a, lam) in enumerate(panels):
+        panel_rows = rows[i * len(ms):(i + 1) * len(ms)]
         for fig in figures:
             names, getters = zip(*_FIGURE_COLUMNS[fig])
             lines = [",".join(("m",) + names)]

@@ -16,6 +16,7 @@ dimensional six-parameter model enters only through
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
@@ -31,6 +32,7 @@ __all__ = [
     "hopf_margin",
     "require_cycle",
     "finite_float",
+    "integer",
     "log_vector_field",
     "log_gap_vector_field",
     "log1m_exp",
@@ -74,6 +76,15 @@ def finite_float(name: str, value) -> float:
         if math.isfinite(x):
             return x
     raise ValueError(f"{name} must be a finite int or float, got {value!r}")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer (a :class:`numbers.Integral`, NumPy's too) other than a bool:
+    the rule of :func:`finite_float` for counts, so 2.0, "3" and True fail."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ low-m to a high-m branch at m = :data:`M_BRANCH` = 0.3.  These are
 constants of the proof, not tunables: a :class:`Case` member carries
 its own, and a function that depends on the case takes the member.
 
-The cap chain, the envelope, the quadratic and the alpha factors read
-m, s and ``p``'s a, lam and m by the rule of :mod:`cyclebound._arith`;
-on arrays (within 4 ulp of floats, as NumPy is not libm) every check
-runs on every element and names the first failing input.
+The cap chain, the envelope, the quadratic and the alpha factors read m, s
+and ``p``'s a, lam and m by the rule of :mod:`cyclebound._arith` and compute
+with the values read; on arrays (within 4 ulp of floats, as NumPy is not
+libm) every check runs on every element and names the first failing input.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 from ._arith import choose, read
 from ._lazy import np
@@ -124,6 +125,12 @@ class AlphaFactors:
         return asdict(self)
 
 
+def _read_point(p, **more) -> tuple[SimpleNamespace, SimpleNamespace]:
+    """The arithmetic ``p``'s a, lam and m and ``more`` select, and p's a, lam, m as read."""
+    q = SimpleNamespace(**{name: read(name, getattr(p, name))[1] for name in ("a", "lam", "m")})
+    return choose(**vars(q), **more), q
+
+
 def _check(arith, ok, p, message: str) -> None:
     """Raise ValueError(message) at the first (a, lam, m) of ``p`` where ``ok`` fails."""
     if bad := arith.first_failure(ok, p.a, p.lam, p.m):
@@ -158,7 +165,7 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     ``p`` is a :class:`Params`, or any object with a, lam and m, as in
     the rest of the cap chain and in :func:`growth_ratio_quadratic`.
     """
-    arith = choose(a=p.a, lam=p.lam, m=p.m)
+    arith, p = _read_point(p)
     _check(arith, hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
     low_m = p.m < M_BRANCH
     anchor = arith.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
@@ -172,7 +179,7 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
 def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
     """Log of :func:`handoff_cap_bound` (the value underflows deep in the
     case boxes, where the exponent drops below -1400)."""
-    arith = choose(a=p.a, lam=p.lam, m=p.m)
+    arith, p = _read_point(p)
     x1t = x_max_lower_coarse(p, case)
     h_lam = h(p.lam, p)  # 0 at a = lam = 0, in limit mode
     _check(arith, h_lam > 0.0, p, "h(lam) must be positive")
@@ -221,7 +228,8 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
     """
-    arith = choose(s=s, a=p.a, lam=p.lam, m=p.m)
+    _, s = read("s", s)
+    arith, p = _read_point(p, s=s)
     _check(arith, p.m != 0, p, "m must be nonzero")
     km = case.k / p.m
     return 2.0 * km * s * s + (p.a * km - km + 1.0) * s - p.lam

@@ -48,7 +48,9 @@ from typing import Callable, Optional, Union
 from ._lazy import np
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
-from .model import LogState, Params, Region, State, finite_float, h, log1m_exp, require_cycle
+from .model import (
+    LogState, Params, Region, State, finite_float, h, integer, log1m_exp, require_cycle,
+)
 
 __all__ = [
     "SimConfig",
@@ -415,16 +417,16 @@ def integrate(
     back to it, so its last sample is that crossing's state.  With
     ``keep_samples=False`` that state is the only sample kept.
 
-    Raises ValueError for n_downs < 1, a start coordinate that is not a
-    finite int or float, a pair start without ``w_chart`` or a w-chart start
-    below s = 1/2, StepLimitError after :data:`MAX_STEPS` accepted
-    steps, StepSizeError on a solver stall, and IntegrationError when a
-    step of a too loose tolerance lands at s <= 0, or its interpolant
-    leaves s > 0 where a crossing is located in it, so a silently
-    truncated trajectory is never returned.
+    Raises ValueError for an n_downs that is no integer >= 1, a start
+    coordinate that is not a finite int or float, a pair start without
+    ``w_chart`` or a w-chart start below s = 1/2, StepLimitError after
+    :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall, and
+    IntegrationError when a step of a too loose tolerance lands at s <= 0,
+    or its interpolant leaves s > 0 where a crossing is located in it, so a
+    silently truncated trajectory is never returned.
     """
     cfg = cfg or SimConfig()
-    if n_downs < 1:
+    if integer("n_downs", n_downs) < 1:
         raise ValueError(f"n_downs must be at least 1, got {n_downs!r}")
     if p.limit:
         raise ValueError("simulation requires strictly positive parameters")

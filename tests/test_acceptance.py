@@ -57,7 +57,8 @@ def grid_sweep():
 
 @pytest.fixture(scope="module")
 def spotchecks():
-    return {case: proof_spotchecks(case) for case in (Case.A, Case.B)}
+    """Each case's spot-checks by name."""
+    return {case: {c.name: c for c in proof_spotchecks(case).checks} for case in (Case.A, Case.B)}
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,6 @@ from cyclebound.harness import (
     figure_m_values,
     proof_spotchecks,
     run_sweep,
-    sweep_row_from_report,
     x_max_barrier_coefficients,
 )
 from cyclebound.model import Params
@@ -103,7 +102,7 @@ def test_barrier_scan_matches_proofcheck_corner():
                     if value > worst[k][0]:
                         worst[k] = (value, (p.a, p.lam, p.m))
     for case in Case:
-        report = proof_spotchecks(case)
+        report = {c.name: c for c in proof_spotchecks(case).checks}
         checks = [report["barrier_c0_negative"], report["barrier_c0_plus_c1_nonpositive"]]
         assert [(c.worst_value, c.worst_arg) for c in checks] == worst
         for check in checks:
@@ -181,7 +180,7 @@ def test_gain_quadratic_grid_matches_scalar_scan(case):
         scalar = growth_ratio_quadratic(p.lam if values is g_lam else 1.0, p, case)
         assert repr(scalar) == repr(float(values[i]))
         worst.append((scalar, (p.a, p.lam, p.m)))
-    report = proof_spotchecks(case)
+    report = {c.name: c for c in proof_spotchecks(case).checks}
     checks = [report["gain_quadratic_negative_at_lam"], report["gain_quadratic_positive_at_one"]]
     assert [(c.worst_value, c.worst_arg) for c in checks] == worst
     for check in checks:
@@ -276,6 +275,19 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, tmp_path):
     run_sweep(dataclasses.replace(spec, m_values=(1.0,)))  # one row: forks nothing
     assert len(forks) == 1
     assert [f.name for f in tmp_path.iterdir()] == [str(os.getpid())]
+    # the figures run every panel's points at one job: no fork, one row each
+    points = []
+    monkeypatch.setattr(harness, "_row_task", lambda task: points.append(task) or row_task(task))
+    panels = [(0.05, 0.05), (0.1, 0.01)]
+    paths, report = emit_figures("fig5", tmp_path / "figs", panels=panels, m_values=[1.0, 0.3],
+                                 cfg=FAST_SIM)
+    assert len(forks) == 1
+    assert points == [(a, lam, m, FAST_SIM) for a, lam in panels for m in (0.3, 1.0)]
+    # and each panel's file holds that panel's rows
+    for path, (a, lam) in zip(paths, panels):
+        want = [(row.m, row.s_max) for row in report.rows if (row.a, row.lam) == (a, lam)]
+        lines = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(float(line[0]), float(line[-1])) for line in lines] == want
 
 
 def _wait_for(path):
@@ -365,7 +377,19 @@ def test_sweep_flags_unproven_rows():
 
 def test_sweep_row_matches_cycle_report():
     p = Params(a=0.05, lam=0.05, m=1.0)
-    row = sweep_row_from_report(cycle_extreme_report(p, FAST_SIM))
+    spec = SweepSpec(a_values=(p.a,), lambda_values=(p.lam,), m_values=(p.m,), sim=FAST_SIM)
+    (row,) = run_sweep(spec).rows
+    report = cycle_extreme_report(p, FAST_SIM)
+    b, ce = report.bounds, report.extremes
+    assert (row.x_max_lo, row.x_max, row.x_max_hi) == (b.x_max_lo, ce.x_max, b.x_max_hi)
+    assert (row.ln_x_min_lo, row.ln_x_min, row.ln_x_min_hi) == (
+        b.ln_x_min_lo, ce.ln_x_min, b.ln_x_min_hi
+    )
+    assert (row.ln_s_min_lo, row.ln_s_min, row.ln_s_min_hi) == (
+        b.ln_s_min_lo, ce.ln_s_min, b.ln_s_min_hi
+    )
+    assert (row.s_max, row.min_margin) == (ce.s_max, report.min_margin)
+    assert (row.a, row.lam, row.m, row.error) == (p.a, p.lam, p.m, None)
     assert row.passed and row.proven and row.converged
     assert row.x_max_lo < row.x_max < row.x_max_hi
     assert row.ln_x_min_lo < row.ln_x_min < row.ln_x_min_hi
@@ -485,7 +509,7 @@ def test_handoff_envelope_row_certified_at_its_branch_ends(case):
     assert envelope_branch(high, m).b < envelope_branch(low, m).a
     # so the maximum is the low branch's end, m = 0.3, where a 4001-point
     # scan over [0, 20] plus both branch ends finds it too
-    check = proof_spotchecks(case)["handoff_envelope_cap"]
+    check = {c.name: c for c in proof_spotchecks(case).checks}["handoff_envelope_cap"]
     grid = np.linspace(0.0, 20.0, 4001).tolist() + [0.3, math.nextafter(0.3, 1.0)]
     scan = max(((handoff_cap_envelope(m, case), (m,)) for m in grid), key=lambda t: t[0])
     assert (check.worst_value, check.worst_arg) == scan == (
@@ -507,8 +531,9 @@ def test_proof_spotchecks_case_a():
         "alpha2_peak_location",
     ]
     assert report.all_passed
-    assert report["alpha2_peak_location"].worst_value == pytest.approx(4.109, abs=5e-3)
-    assert report["alpha_below_0.2"].margin > 0
+    checks = {c.name: c for c in report.checks}
+    assert checks["alpha2_peak_location"].worst_value == pytest.approx(4.109, abs=5e-3)
+    assert checks["alpha_below_0.2"].margin > 0
     for check in report.checks:
         assert math.isfinite(check.margin)
         assert check.worst_arg, check.name
@@ -599,14 +624,15 @@ def test_the_alpha_row_reports_its_first_maximal_element(monkeypatch):
 
 def test_emit_figures_tiny(tmp_path):
     ms = [0.05, 0.3, 1.0]
+    # an unsorted axis: the lines come out in increasing m all the same
     paths, report = emit_figures(
-        "all", tmp_path, panels=[(0.05, 0.05)], m_values=ms, cfg=FAST_SIM
+        "all", tmp_path, panels=[(0.05, 0.05)], m_values=[0.3, 1.0, 0.05], cfg=FAST_SIM
     )
     assert len(paths) == 4
     assert [row.m for row in report.rows] == ms and report.exit_code == 0
     for path in paths:
         rows = path.read_text().splitlines()
-        assert len(rows) == 1 + len(ms)
+        assert [float(line.split(",")[0]) for line in rows[1:]] == ms
     fig2 = (tmp_path / "fig2_a0.05_lambda0.05.csv").read_text().splitlines()
     assert fig2[0] == "m,x_max_lo,x_max_hi,x_max_hi_refined,x_max_hi_linear,x_max_sim"
     for line in fig2[1:]:

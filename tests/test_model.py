@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
 from cyclebound.cli import main
-from cyclebound.harness import SweepSpec
+from cyclebound.harness import SweepSpec, figure_m_values
 from cyclebound.model import (
     LogState,
     Params,
@@ -18,6 +18,7 @@ from cyclebound.model import (
     State,
     finite_float,
     h,
+    integer,
     log_vector_field,
     nondimensionalize,
     params_from_json,
@@ -286,6 +287,20 @@ def test_finite_float_takes_only_finite_ints_and_floats():
         message = f"n must be a finite int or float, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             finite_float("n", bad)
+
+
+def test_integer_takes_only_integers_that_are_not_bools():
+    assert integer("n", 3) == 3 and type(integer("n", np.int64(3))) is int
+    for bad in (True, np.bool_(1), 2.0, 1.5, "3", Fraction(2, 1), None):
+        message = f"n must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integer("n", bad)
+    # the figures' point count read True as 1, and 2.0 and "3" raised TypeError
+    for bad in (True, 2.0, "3"):
+        message = f"points must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            figure_m_values(bad)
+    assert figure_m_values(np.int64(2)).tolist() == [0.01, 5.0]
 
 
 def test_numpy_scalars_are_stored_as_floats_or_rejected():

@@ -71,6 +71,13 @@ def test_x_max_lower_coarse_branches():
     p_big = Params(a=0.04, lam=lam, m=1.0)
     expect = h(0.8, p_big) + 1.0 * (0.8 - lam * (1 - math.log(lam) + math.log(0.8)))
     assert x_max_lower_coarse(p_big, Case.A) == pytest.approx(expect, rel=1e-14)
+    # a NumPy scalar in p is read as the float it is, and computed with as one
+    p_numpy = SimpleNamespace(a=np.float64(0.04), lam=lam, m=1.0)
+    assert x_max_lower_coarse(p_numpy, Case.A) == x_max_lower_coarse(p_big, Case.A)
+    for p in (p_big, p_numpy):
+        values = (x_max_lower_coarse(p, Case.A), handoff_cap_bound_ln(p, Case.A),
+                  growth_ratio_quadratic(np.float64(0.5), p, Case.A))
+        assert [type(v) for v in values] == [float] * 3
 
 
 def test_x_max_lower_coarse_below_full_lower_bound():

@@ -103,6 +103,10 @@ def test_integrate_rejects_bad_params():
         integrate(State(0.5, 0.5), Params(a=0.3, lam=0.4, m=1.0))
     with pytest.raises(ValueError, match="n_downs"):
         integrate(State(0.5, 0.5), P_REF, n_downs=0)
+    # 1.5 used to run out the step budget, and True to count as 1
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match=f"^n_downs must be an integer, got {bad!r}$"):
+            integrate(State(0.5, 0.5), P_REF, n_downs=bad)
     # a w-chart start is (u, w) with w = ln(1 - s) <= ln(1/2)
     for start in ((0.0, -0.5), (0.0, 0.0)):
         with pytest.raises(ValueError, match=re.escape("w-chart start needs w <= ln(1/2)")):
