@@ -9,7 +9,9 @@ call's inputs selects NumPy's namespace.  Any other value selects
 one meets the caller's range check, and any other value is read by
 :func:`cyclebound.model.finite_float`.  Only a value whose type comes
 from NumPy is tested against ``np.ndarray``, so a float never loads
-NumPy.
+NumPy.  :func:`read` takes one input; :func:`choose` reads each of
+several once and returns the namespace with the values read, so a
+caller computes with what was decided and never reads an input again.
 """
 
 from __future__ import annotations
@@ -54,7 +56,12 @@ def read(name: str, value) -> tuple[SimpleNamespace, float | np.ndarray]:
     return MATH, float(value) if isinstance(value, float) else finite_float(name, value)
 
 
-def choose(**inputs) -> SimpleNamespace:
-    """The namespace for several inputs, each read by :func:`read`."""
-    found = [read(name, value)[0] for name, value in inputs.items()]
-    return MATH if all(arith is MATH for arith in found) else _numpy()
+def choose(**inputs) -> tuple[SimpleNamespace, dict]:
+    """The namespace for several inputs, and each input as :func:`read`
+    gave it, by name."""
+    arith, values = MATH, {}
+    for name, value in inputs.items():
+        found, values[name] = read(name, value)
+        if found is not MATH:
+            arith = found
+    return arith, values

@@ -36,6 +36,9 @@ The cap chain, the envelope, the quadratic and the alpha factors read m, s
 and ``p``'s a, lam and m by the rule of :mod:`cyclebound._arith` and compute
 with the values read; on arrays (within 4 ulp of floats, as NumPy is not
 libm) every check runs on every element and names the first failing input.
+A public call that takes ``p`` reads it once, with one domain check (a, lam
+and m finite and >= 0, what ``Params(limit=True)`` admits), and hands the
+arithmetic and the values read to the private steps of the chain.
 """
 
 from __future__ import annotations
@@ -126,9 +129,14 @@ class AlphaFactors:
 
 
 def _read_point(p, **more) -> tuple[SimpleNamespace, SimpleNamespace]:
-    """The arithmetic ``p``'s a, lam and m and ``more`` select, and p's a, lam, m as read."""
-    q = SimpleNamespace(**{name: read(name, getattr(p, name))[1] for name in ("a", "lam", "m")})
-    return choose(**vars(q), **more), q
+    """The arithmetic ``p``'s a, lam and m and ``more`` select, and each of
+    them as read; a, lam and m must be finite and nonnegative."""
+    arith, values = choose(a=p.a, lam=p.lam, m=p.m, **more)
+    q = SimpleNamespace(**values)
+    ok = (0.0 <= q.a) & (q.a < math.inf) & (0.0 <= q.lam) & (q.lam < math.inf)
+    ok = ok & (0.0 <= q.m) & (q.m < math.inf)
+    _check(arith, ok, q, "a, lam and m must be finite and nonnegative")
+    return arith, q
 
 
 def _check(arith, ok, p, message: str) -> None:
@@ -138,17 +146,17 @@ def _check(arith, ok, p, message: str) -> None:
         raise ValueError(f"{message} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
 
 
-def _ln_gain(p, case: Case) -> float | np.ndarray:
+def _ln_gain(arith, q, case: Case) -> float | np.ndarray:
     """Log of the hand-off amplification factor
 
         (e^{lam/s_gamma} (s_gamma + a) / (1 - s_gamma) / (a + lam))^(m/k),
 
     which bounds x_gamma / x3; in log space since m/k can make it
-    astronomically large.
+    astronomically large.  ``q`` is a point as :func:`_read_point` gives it.
     """
-    log = choose(a=p.a, lam=p.lam, m=p.m).log
-    ln_factor = p.lam / S_GAMMA + log(S_GAMMA + p.a) - log(1.0 - S_GAMMA) - log(p.a + p.lam)
-    return (p.m / case.k) * ln_factor
+    log = arith.log
+    ln_factor = q.lam / S_GAMMA + log(S_GAMMA + q.a) - log(1.0 - S_GAMMA) - log(q.a + q.lam)
+    return (q.m / case.k) * ln_factor
 
 
 def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
@@ -165,27 +173,33 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
     ``p`` is a :class:`Params`, or any object with a, lam and m, as in
     the rest of the cap chain and in :func:`growth_ratio_quadratic`.
     """
-    arith, p = _read_point(p)
-    _check(arith, hopf_margin(p) > 0.0, p, "coarse x_max lower bound requires the cycle regime")
-    low_m = p.m < M_BRANCH
+    return _x_max_lower_coarse(*_read_point(p), case)
+
+
+def _x_max_lower_coarse(arith, q, case: Case) -> float | np.ndarray:
+    _check(arith, hopf_margin(q) > 0.0, q, "coarse x_max lower bound requires the cycle regime")
+    low_m = q.m < M_BRANCH
     anchor = arith.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)
-    c0 = arith.where(low_m, 0.25, h(S_MAX_LO, p))
+    c0 = arith.where(low_m, 0.25, h(S_MAX_LO, q))
     # lam ln lam -> 0 as lam -> 0: the log reads 1 there, so the term is 0
-    ln_lam = arith.log(arith.where(p.lam == 0.0, 1.0, p.lam))
-    lam_term = p.lam * (1.0 - ln_lam + arith.log(anchor))
-    return c0 + p.m * (anchor - lam_term)
+    ln_lam = arith.log(arith.where(q.lam == 0.0, 1.0, q.lam))
+    lam_term = q.lam * (1.0 - ln_lam + arith.log(anchor))
+    return c0 + q.m * (anchor - lam_term)
 
 
 def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
     """Log of :func:`handoff_cap_bound` (the value underflows deep in the
     case boxes, where the exponent drops below -1400)."""
-    arith, p = _read_point(p)
-    x1t = x_max_lower_coarse(p, case)
-    h_lam = h(p.lam, p)  # 0 at a = lam = 0, in limit mode
-    _check(arith, h_lam > 0.0, p, "h(lam) must be positive")
-    _check(arith, x1t > h_lam, p, "coarse x_max estimate must exceed h(lam)")
+    return _handoff_cap_bound_ln(*_read_point(p), case)
+
+
+def _handoff_cap_bound_ln(arith, q, case: Case) -> float | np.ndarray:
+    x1t = _x_max_lower_coarse(arith, q, case)
+    h_lam = h(q.lam, q)  # 0 at a = lam = 0, in limit mode
+    _check(arith, h_lam > 0.0, q, "h(lam) must be positive")
+    _check(arith, x1t > h_lam, q, "coarse x_max estimate must exceed h(lam)")
     y = x1t / h_lam
-    return _ln_gain(p, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y
+    return _ln_gain(arith, q, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y
 
 
 def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
@@ -197,7 +211,8 @@ def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
     estimate.  Nondecreasing in both a and lam on each case box, which
     is what lets a single corner evaluation dominate the whole box.
     """
-    return choose(a=p.a, lam=p.lam, m=p.m).exp(handoff_cap_bound_ln(p, case))
+    arith, q = _read_point(p)
+    return arith.exp(_handoff_cap_bound_ln(arith, q, case))
 
 
 def handoff_cap_envelope(m: float | np.ndarray, case: Case) -> float | np.ndarray:
@@ -228,11 +243,10 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
     """
-    _, s = read("s", s)
-    arith, p = _read_point(p, s=s)
-    _check(arith, p.m != 0, p, "m must be nonzero")
-    km = case.k / p.m
-    return 2.0 * km * s * s + (p.a * km - km + 1.0) * s - p.lam
+    arith, q = _read_point(p, s=s)
+    _check(arith, q.m != 0, q, "m must be nonzero")
+    km = case.k / q.m
+    return 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam
 
 
 def smax_lower_bound(x_gamma: float, m: float) -> float:
@@ -347,7 +361,7 @@ def alpha2_peak(case: Case) -> float:
     return 0.5 * (lo + hi)
 
 
-def recovery_start_cap(p: Params, case: Case) -> float:
+def recovery_start_cap(p: Params, case: Case) -> float | np.ndarray:
     """Closed-form cap on the recovery start value x3, per case and m branch.
 
     Dominates the chained x_min upper bound on each case box and is what
@@ -356,7 +370,12 @@ def recovery_start_cap(p: Params, case: Case) -> float:
         case A:  0.324 e^{-1/(4 h(lam))}   (m <= 0.3),
                  0.383 e^{-0.343/h(lam)}   (m > 0.3),
         case B:  0.350 e^{-1/(4 h(lam))},  0.428 e^{-0.383/h(lam)}.
+
+    ``p`` is read as in the cap chain; h(lam) must be positive.
     """
-    low, high = _START_CAP[case]
-    c, r = low if p.m <= M_BRANCH else high
-    return c * math.exp(-r / p.h_lam)
+    arith, q = _read_point(p)
+    h_lam = h(q.lam, q)
+    _check(arith, h_lam > 0.0, q, "h(lam) must be positive")
+    low_m = q.m <= M_BRANCH
+    c, r = (arith.where(low_m, lo, hi) for lo, hi in zip(*_START_CAP[case]))
+    return c * arith.exp(-r / h_lam)

@@ -141,6 +141,8 @@ _CYCLE_ORDER = (
     EventKind.S_EQ_LAMBDA_UP,
     EventKind.X_EQ_H_MAX,
 )
+# one return-map tour, from the section back to it: MIN, UP, MAX, DOWN
+_TOUR_ORDER = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,14 @@ def net_events(events: list[Event]) -> list[Event]:
         else:
             stack.append(ev)
     return stack
+
+
+def _in_order(reduced: list[Event], expected: tuple) -> list[Event]:
+    """``reduced``, whose kinds must be ``expected``; EventOrderError otherwise."""
+    kinds = tuple(ev.kind for ev in reduced)
+    if kinds != expected:
+        raise EventOrderError(f"expected crossings {expected}, got {kinds}")
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -551,11 +561,7 @@ def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> Tra
     # run through to the second descending section crossing, past the
     # prey maximum, then reduce to the net crossing sequence
     traj = integrate(start, p, cfg, n_downs=2, keep_samples=False)
-    reduced = net_events(traj.events)
-    kinds = tuple(ev.kind for ev in reduced[:4])
-    if kinds != _CYCLE_ORDER:
-        raise EventOrderError(f"expected crossings {_CYCLE_ORDER}, got {kinds}")
-    e1, e2, e3, e4 = reduced[:4]
+    e1, e2, e3, e4 = _in_order(net_events(traj.events)[:4], _CYCLE_ORDER)
     return TransitPoints(
         x1=math.exp(e1.state.u),
         ln_s2=e2.state.v,
@@ -610,12 +616,7 @@ def limit_cycle(
         converged = residual <= cfg.cycle_tol
         if converged or tours >= budget:
             break
-    reduced = net_events(tour.events)
-    kinds = tuple(ev.kind for ev in reduced)
-    expected = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]  # MIN, UP, MAX, DOWN
-    if kinds != expected:
-        raise EventOrderError(f"expected crossings {expected}, got {kinds}")
-    ev_min, ev_up, ev_max, ev_down = reduced
+    ev_min, ev_up, ev_max, ev_down = _in_order(net_events(tour.events), _TOUR_ORDER)
     # the prey maximum lies in the w chart unless the cycle stays below
     # s = 1/2, and its v = ln(1 - e^w) keeps 1 - s_max to full precision
     ln_s_max = ev_max.state.v

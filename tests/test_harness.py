@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import sys
 import threading
 import time
 from multiprocessing import resource_tracker
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from cyclebound import harness
+from cyclebound import _arith, harness
 from cyclebound.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -609,6 +610,27 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
     proof_spotchecks(case)
     assert calls == expected
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_proof_spotchecks_read_each_input_once(case):
+    # every region4 call decides its arithmetic once: 4 reads per
+    # handoff_cap_bound (a, lam, m, then z's y) and per
+    # growth_ratio_quadratic (a, lam, m, s), 2 for alpha_factors (m, then
+    # the envelope's m) and 1 per envelope call; 4*4 + 2*4 + 2 + 2*1 = 28
+    code, reads = _arith.read.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal reads
+        if event == "call" and frame.f_code is code:
+            reads += 1
+
+    sys.setprofile(profile)
+    try:
+        proof_spotchecks(case)
+    finally:
+        sys.setprofile(None)
+    assert reads == 28
 
 
 def test_the_alpha_row_reports_its_first_maximal_element(monkeypatch):

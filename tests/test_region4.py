@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 from cyclebound.bounds import cycle_bounds, x_max_lower
 from cyclebound.harness import _M_RANGE
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
+from cyclebound import region4
 from cyclebound.model import PROVEN_BOXES, Params, h
 from cyclebound.region4 import (
     M_BRANCH,
@@ -17,6 +18,7 @@ from cyclebound.region4 import (
     AlphaFactors,
     Case,
     _ln_gain,
+    _read_point,
     alpha2_peak,
     alpha_factors,
     growth_ratio_quadratic,
@@ -56,11 +58,11 @@ def test_handoff_cap_basics():
     p = Params(a=0.05, lam=0.05, m=1.0)
     # direct log-space arithmetic of the amplification factor
     gain = (math.exp(0.05 / 0.7) * 0.75 / 0.3 / 0.1) ** (1.0 / 0.75)
-    assert math.exp(_ln_gain(p, Case.A)) == pytest.approx(gain, rel=1e-12)
-    assert math.isfinite(_ln_gain(p, Case.A))
+    assert math.exp(_ln_gain(*_read_point(p), Case.A)) == pytest.approx(gain, rel=1e-12)
+    assert math.isfinite(_ln_gain(*_read_point(p), Case.A))
     # zero exponent in the m -> 0 limit
     p0 = Params(a=0.05, lam=0.05, m=0.0, limit=True)
-    assert math.exp(_ln_gain(p0, Case.A)) == pytest.approx(1.0, rel=1e-13)
+    assert math.exp(_ln_gain(*_read_point(p0), Case.A)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_x_max_lower_coarse_branches():
@@ -93,7 +95,7 @@ def test_handoff_cap_bound_dominates_chained_cap():
     for case, grid in CASE_GRIDS.items():
         for p in grid:
             ln_x3_hi = cycle_bounds(p).ln_x_min_hi
-            ln_gain = _ln_gain(p, case)
+            ln_gain = _ln_gain(*_read_point(p), case)
             assert handoff_cap_bound_ln(p, case) >= ln_gain + ln_x3_hi - 1e-9, p
 
 
@@ -179,27 +181,76 @@ def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def growth_ratio_quadratic_at_half(p, case):
+    return growth_ratio_quadratic(0.5, p, case)
+
+
+DOMAIN = "a, lam and m must be finite and nonnegative"
+CAP_CHAIN = (x_max_lower_coarse, handoff_cap_bound_ln, handoff_cap_bound,
+             growth_ratio_quadratic_at_half)
+
+
 @pytest.mark.parametrize(
-    "a, lam, message",
+    "function, bad, message",
     [
-        (0.999, None, "requires the cycle regime"),  # 2 lam + a >= 1
-        (0.05, 0.45, "must exceed h(lam)"),  # in the regime, but x1t ~ 1/4 < h(lam)
-        (0.0, 0.0, "h(lam) must be positive"),  # limit mode: y = x1t / h(lam) has no value
+        # 2 lam + a >= 1
+        pytest.param(handoff_cap_bound, {"a": 0.999}, "requires the cycle regime",
+                     id="cycle-regime"),
+        # in the regime, but x1t ~ 1/4 < h(lam)
+        pytest.param(handoff_cap_bound, {"a": 0.05, "lam": 0.45}, "must exceed h(lam)",
+                     id="x1t-not-above-h-lam"),
+        # limit mode: y = x1t / h(lam) has no value
+        pytest.param(handoff_cap_bound, {"a": 0.0, "lam": 0.0}, "h(lam) must be positive",
+                     id="h-lam-zero"),
+    ] + [
+        # outside the chain's domain, which each public call checks once on reading p
+        pytest.param(function, {name: value}, DOMAIN, id=f"{function.__name__}-{name}-{value}")
+        for function in CAP_CHAIN
+        for name in ("a", "lam", "m")
+        for value in (math.nan, math.inf, -0.01)
     ],
-    ids=["cycle-regime", "x1t-not-above-h-lam", "h-lam-zero"],
 )
-def test_handoff_cap_bound_arrays_name_the_first_failing_point(a, lam, message):
+def test_handoff_cap_bound_arrays_name_the_first_failing_point(function, bad, message):
     g = slope_scan_grid(Case.A)
     for i in ((3, 4, 0), (7, 1, 0)):  # two failing points; the first is named
-        g.a[i] = a
-        if lam is not None:
-            g.lam[i] = lam
-    point = (a, float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
+        for name, value in bad.items():
+            getattr(g, name)[i] = value
+    point = (float(g.a[3, 4, 0]), float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
     with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
-        handoff_cap_bound(g, Case.A)
-    # a float Params at that point fails the same check
-    with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
-        handoff_cap_bound(Params(*point, limit=True), Case.A)
+        function(g, Case.A)
+    # a float point fails the same check; a Params holds only points in the domain
+    floats = [SimpleNamespace(a=point[0], lam=point[1], m=point[2])]
+    if message != DOMAIN:
+        floats.append(Params(*point, limit=True))
+    for p in floats:
+        with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
+            function(p, Case.A)
+
+
+def test_each_public_call_decides_its_arithmetic_once(monkeypatch):
+    p = Params(a=0.05, lam=0.05, m=1.0)
+    arith, q = _read_point(p)
+    want = handoff_cap_bound_ln(p, Case.A)
+    calls = []
+    real_choose = region4.choose
+
+    def counting(**inputs):
+        calls.append(inputs)
+        return real_choose(**inputs)
+
+    monkeypatch.setattr(region4, "choose", counting)
+    for function in CAP_CHAIN + (recovery_start_cap,):
+        calls.clear()
+        function(p, Case.A)
+        assert len(calls) == 1, function
+
+    # the private steps compute on the arithmetic and point handed to them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a private step read its point again")
+
+    monkeypatch.setattr(region4, "choose", forbidden)
+    monkeypatch.setattr(region4, "_read_point", forbidden)
+    assert region4._handoff_cap_bound_ln(arith, q, Case.A) == want
 
 
 # smallest central difference of ln handoff_cap_bound over the slope scan
@@ -535,6 +586,21 @@ def test_recovery_start_cap_dominates_x_min_upper():
         for p in grid:
             x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
             assert x3_hi <= recovery_start_cap(p, case) * (1 + 1e-12), p
+
+
+def test_recovery_start_cap_reads_p_as_the_cap_chain_does():
+    # h(lam) = 0 at a = lam = 0 (limit mode): the cap has no value there
+    message = "h(lam) must be positive at (a, lam, m) = (0.0, 0.0, 1.0)"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        recovery_start_cap(Params(0.0, 0.0, 1.0, limit=True), Case.A)
+    with pytest.raises(ValueError, match=re.escape(f"{DOMAIN} at (a, lam, m) = (0.05, 0.05, nan)")):
+        recovery_start_cap(SimpleNamespace(a=0.05, lam=0.05, m=math.nan), Case.A)
+    # on arrays it is the float cap at every point, both m branches included
+    for case, grid in CASE_GRIDS.items():
+        a, lam, m = (np.array([getattr(p, name) for p in grid]) for name in ("a", "lam", "m"))
+        got = recovery_start_cap(SimpleNamespace(a=a, lam=lam, m=m), case)
+        want = np.array([recovery_start_cap(p, case) for p in grid])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
 
 
 def test_handoff_chain_case_a():

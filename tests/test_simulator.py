@@ -27,6 +27,7 @@ from cyclebound.model import (
 )
 from cyclebound.simulator import (
     EventKind,
+    EventOrderError,
     IntegrationError,
     SimConfig,
     SolveStats,
@@ -1028,6 +1029,20 @@ def test_limit_cycle_converges_and_matches_bounds():
     assert b.ln_x_min_lo < ce.ln_x_min < b.ln_x_min_hi
     assert b.ln_s_min_lo < ce.ln_s_min < b.ln_s_min_hi
     assert 0.8 < ce.s_max < 1.0
+
+
+def test_crossings_out_of_order_name_the_expected_order(monkeypatch):
+    # both callers check the net crossings in one place, each against its
+    # own order; every integration ends on a descending s = lam crossing
+    monkeypatch.setattr(simulator, "net_events", lambda events: events[-1:] * 5)
+    got = (EventKind.S_EQ_LAMBDA_DOWN,) * 4
+    message = f"expected crossings {CANONICAL}, got {got}"
+    with pytest.raises(EventOrderError, match=re.escape(message) + "$"):
+        transit_points(P_REF, 0.8)
+    tour_order = CANONICAL[1:] + CANONICAL[:1]
+    message = f"expected crossings {tour_order}, got {got + got[:1]}"
+    with pytest.raises(EventOrderError, match=re.escape(message) + "$"):
+        limit_cycle(P_REF)
 
 
 @pytest.mark.parametrize(

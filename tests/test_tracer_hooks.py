@@ -5,7 +5,8 @@ perfbench/tracer.py replaces module attributes by name (for example
 that drops or moves one of them breaks every traced benchmark run.  This
 test enters and leaves the tracer's hook block on the live modules,
 drives the ``integrate`` and ``RK45`` hooks through one ``limit_cycle``
-call, and changes nothing under perfbench/.
+call and the region4 hooks through one ``proof_spotchecks`` call, and
+changes nothing under perfbench/.
 """
 
 import importlib.util
@@ -35,7 +36,12 @@ def test_tracer_installs_and_restores_every_hook():
         # limit_cycle resolves integrate, and integrate RK45, through the
         # simulator module: every tour is one span, every step counted
         ce = simulator.limit_cycle(p)
+        # proof_spotchecks resolves the region4 names in harness, and the
+        # cap chain resolves z in region4: one of each per perturbed grid
+        harness.proof_spotchecks("A")
     assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
+    assert tracer.counts()["cyclebound.harness.handoff_cap_bound"] == 4
+    assert tracer.counts()["cyclebound.region4.z"] == 4
     assert tracer.steps > 0
     assert tracer.layer_times()["simulator.integrate.tour"]["calls"] == ce.tours == 2
     assert [dict(vars(module)) for module in modules] == before
