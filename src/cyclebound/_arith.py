@@ -1,10 +1,11 @@
 """Float or array arithmetic for the closed forms: the one rule.
 
 A closed form is written once, in the functions of the namespace read
-from here: ``exp``, ``log``, ``sqrt``, ``where``, ``clamp`` and
-``first_failure(ok, *values)``, which gives the values at the first
-element where ``ok`` fails (C order), or None.  An ndarray among a
-call's inputs selects NumPy's namespace.  Any other value selects
+from here: ``exp``, ``log``, ``sqrt``, ``where``, ``clamp``, ``divide``
+(a quotient past the double range is inf, with no warning, as a float
+quotient is) and ``first_failure(ok, *values)``, which gives the values
+at the first element where ``ok`` fails (C order), or None.  An ndarray
+among a call's inputs selects NumPy's namespace.  Any other value selects
 :data:`MATH` and is a float: a float keeps its value, so a non-finite
 one meets the caller's range check, and any other value is read by
 :func:`cyclebound.model.finite_float`.  Only a value whose type comes
@@ -17,6 +18,7 @@ caller computes with what was decided and never reads an input again.
 from __future__ import annotations
 
 import math
+from operator import truediv
 from types import SimpleNamespace
 
 from ._lazy import np
@@ -28,7 +30,7 @@ __all__ = ["MATH", "read", "choose"]
 MATH = SimpleNamespace(
     exp=math.exp, log=math.log, sqrt=math.sqrt,
     where=lambda condition, x, y: x if condition else y,
-    clamp=lambda x, lo: lo if lo > x else x,
+    clamp=lambda x, lo: lo if lo > x else x, divide=truediv,
     first_failure=lambda ok, *values: None if ok else values,
 )
 
@@ -41,9 +43,14 @@ def _first_failing(ok, *values) -> tuple | None:
     return tuple(float(v.flat[i]) for v in values)
 
 
+def _divide(x, y):
+    with np.errstate(over="ignore"):
+        return np.divide(x, y)
+
+
 def _numpy() -> SimpleNamespace:
     return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, where=np.where,
-                           clamp=np.maximum, first_failure=_first_failing)
+                           clamp=np.maximum, divide=_divide, first_failure=_first_failing)
 
 
 def read(name: str, value) -> tuple[SimpleNamespace, float | np.ndarray]:

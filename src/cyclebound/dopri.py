@@ -41,7 +41,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
 from .model import (
@@ -597,8 +598,9 @@ class DOP853:
         dv = v_new - v
         fu0, fu1, fu2 = du, h * k1u - du, 2.0 * du - h * (k13u + k1u)
         fv0, fv1, fv2 = dv, h * k1v - dv, 2.0 * dv - h * (k13v + k1v)
-        fu3, fu4, fu5, fu6 = (h * sum(map(mul, row, ku)) for row in _D)
-        fv3, fv4, fv5, fv6 = (h * sum(map(mul, row, kv)) for row in _D)
+        # added left to right: the builtin sum is compensated from Python 3.12
+        fu3, fu4, fu5, fu6 = (h * reduce(add, map(mul, row, ku)) for row in _D)
+        fv3, fv4, fv5, fv6 = (h * reduce(add, map(mul, row, kv)) for row in _D)
 
         def dense(tau: float) -> tuple[float, float]:
             x = (tau - t_old) / h

@@ -561,11 +561,21 @@ _FIGURE_COLUMNS = {
 _FIGURES = tuple(_FIGURE_COLUMNS)
 
 
-def figure_m_values(points: int = 50) -> np.ndarray:
-    """The figures' m axis: ``points`` log-spaced values in [0.01, 5]."""
-    if integer("points", points) < 1:
+def figure_m_values(points: int = 50) -> tuple[float, ...]:
+    """The figures' m axis: ``points`` log-spaced values in [0.01, 5].
+
+    The k-th is 10^(lo + k step), lo = log10 0.01 and step = (log10 5 - lo)
+    / (points - 1), with both ends exact: NumPy's ``geomspace`` algorithm,
+    rounded by libm's ``pow`` whatever NumPy's CPU dispatch is.
+    """
+    n = integer("points", points)
+    if n < 1:
         raise ValueError(f"the m axis needs at least 1 point, got {points!r}")
-    return np.geomspace(0.01, 5.0, points)
+    if n == 1:
+        return (0.01,)
+    lo = math.log10(0.01)
+    step = (math.log10(5.0) - lo) / (n - 1)
+    return (0.01, *(10.0 ** (lo + k * step) for k in range(1, n - 1)), 5.0)
 
 
 def _check_panel(panel) -> tuple[float, float]:
@@ -594,18 +604,19 @@ def emit_figures(
     ``which`` selects one of fig2 (x_max with all three upper variants),
     fig3 (ln s_min), fig4 (ln x_min), fig5 (s_max), or "all" to share the
     per-panel simulations across all four.  One file per (figure, panel),
-    50 log-spaced m in [0.01, 5] by default, one line per m in increasing
-    m.  Panels outside the proven parameter box are evaluated in forced
-    mode.  A panel is a pair (a, lam) of numbers or of numeric strings
-    (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
+    the 50 m of :func:`figure_m_values` by default, one line per m in
+    increasing m.  Panels outside the proven parameter box are evaluated
+    in forced mode.  A panel is a pair (a, lam) of numbers or of numeric
+    strings (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
     axis (a sweep axis: non-empty, each m a finite int or float > 0, none
     repeated), is checked once, before any point is simulated.
 
     All panels' points go through the sweep's row runner in one list, so
-    every column is the number the sweep CSV prints, and a point that
-    fails keeps its m and has NaN in every other column.  Returns the
-    written paths and the :class:`SweepReport` of all the rows, panel by
-    panel, with each failed point's reason and the sweep's exit code.
+    every column is the float the sweep CSV prints, in its format, and a
+    point that fails keeps its m and has NaN in every other column.
+    Returns the written paths and the :class:`SweepReport` of all the
+    rows, panel by panel, with each failed point's reason and the
+    sweep's exit code.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
@@ -624,7 +635,7 @@ def emit_figures(
             for row in panel_rows:
                 failed = row.error is not None
                 values = [row.m] + [math.nan if failed else get(row) for get in getters]
-                lines.append(",".join(_fmt(float(v)) for v in values))
+                lines.append(",".join(_fmt(v) for v in values))
             path = out_dir / f"{fig}_a{a:g}_lambda{lam:g}.csv"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)

@@ -198,7 +198,8 @@ def _handoff_cap_bound_ln(arith, q, case: Case) -> float | np.ndarray:
     h_lam = h(q.lam, q)  # 0 at a = lam = 0, in limit mode
     _check(arith, h_lam > 0.0, q, "h(lam) must be positive")
     _check(arith, x1t > h_lam, q, "coarse x_max estimate must exceed h(lam)")
-    y = x1t / h_lam
+    y = arith.divide(x1t, h_lam)
+    _check(arith, y < math.inf, q, "x1t/h(lam) must be finite")
     return _ln_gain(arith, q, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y
 
 
@@ -242,8 +243,12 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     with m from ``p`` and the case's barrier fraction k.  G*(lam) < 0 <
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
+    s must be finite.
     """
     arith, q = _read_point(p, s=s)
+    if bad := arith.first_failure((-math.inf < q.s) & (q.s < math.inf), q.s, q.a, q.lam, q.m):
+        s, a, lam, m = bad
+        raise ValueError(f"s must be finite, got {s!r} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
     _check(arith, q.m != 0, q, "m must be nonzero")
     km = case.k / q.m
     return 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam

@@ -45,7 +45,6 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
-from ._lazy import np
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
 from .model import (
@@ -183,10 +182,9 @@ class Trajectory:
     taus is strictly increasing; points[i] = (u, v) at taus[i], mapped
     from w for the steps taken in the w chart.  The last sample is the
     state at the last event, the ``n_downs``-th predator maximum
-    (descending s = lam crossing) the integration ends at.  With
-    samples kept, taus and points are ndarrays of shape (n,) and (n, 2);
-    without, they are the tuples (tau,) and ((u, v),) of that last
-    sample alone, so a return-map tour builds no array.
+    (descending s = lam crossing) the integration ends at.  taus is a
+    tuple of floats and points a tuple of (u, v) pairs; without samples
+    kept they are (tau,) and ((u, v),) of that last sample alone.
 
     ``events`` records every sign change of the event functions, each
     located in the step that crossed it.  Each isocline is crossed twice
@@ -199,8 +197,8 @@ class Trajectory:
     the stepper's work.
     """
 
-    taus: Union[np.ndarray, tuple]
-    points: Union[np.ndarray, tuple]
+    taus: tuple[float, ...]
+    points: tuple[tuple[float, float], ...]
     events: list[Event] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -539,7 +537,7 @@ def integrate(
                             pts.pop()
                         taus.append(ev.tau)
                         pts.append(end)
-                        return Trajectory(np.array(taus), np.array(pts), events, stats)
+                        return Trajectory(tuple(taus), tuple(pts), events, stats)
         if _LN_HALF < y[1] < 0.0:  # s crossed 1/2
             solver.switch_chart()
             w_chart = solver.w_chart

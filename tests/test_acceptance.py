@@ -325,13 +325,14 @@ def test_criterion_9_figure_data(figure_panel):
 
 
 # sha256 of the outputs a refactor must keep to the byte; they hold for one
-# libm and NumPy build (x86-64 glibc, NumPy 2.4), like the bound-set digest
+# libm (x86-64 glibc): the CSV, the figures and the cycles are computed in
+# math, with no NumPy
 REFERENCE_CSV_DIGEST = "8093f520e7b9068062135b0b440ad5522eb9d0148db0f38e2013e0af5e122448"
 FIGURE_DIGESTS = {
-    "fig2_a0.05_lambda0.05.csv": "1e26f9bd2aa14750be5abe9ff4e39d5a8c74ed286fb32d9ae2be2c46f7c2a033",
-    "fig3_a0.05_lambda0.05.csv": "357cffce0caa4d49814915e6b0bf7983c5c617f32a1bcd8fc60acf4d233c811c",
-    "fig4_a0.05_lambda0.05.csv": "86e984b9b7472f09a398da07f4ddf9f6bbfc2bd5f46972c137d1b0556328cfe8",
-    "fig5_a0.05_lambda0.05.csv": "77914720ad4b12b211f8f5ec5c17863c4ee0ef88bab68aed79d57d42c8c0fdc6",
+    "fig2_a0.05_lambda0.05.csv": "41c91f01c330d70d9ea38ee3f0716dd699d1be237998c0e9c89870a47fcb488f",
+    "fig3_a0.05_lambda0.05.csv": "eb7870e6fb56f068bc60e66fcf15cfbc032aa9b279103e06c5f15fc11ccd1ea8",
+    "fig4_a0.05_lambda0.05.csv": "d0a9653af2fabef0b472ce0098863c44940bf4a2827b94bc3d2f576502b04999",
+    "fig5_a0.05_lambda0.05.csv": "5b7d127ab8d95a2ce9642e8100a95ec9b785896cd0e925428653b889fbe439f7",
 }
 CYCLE_JSON_DIGESTS = {
     ("0.05", "0.05", "1"): "463deffa3ad485cb9e82802d66e1679d0a3bb83c8feb69466b4cdc6dd369f80f",

@@ -70,10 +70,11 @@ def test_growth_arc_keeps_v2_and_stays_under_x_max_barrier():
     # steps can dip below the monotone envelope.
     p = Params(a=0.05, lam=0.05, m=1.0)
     traj = integrate(State(h(S_MAX_LO, p), S_MAX_LO), p, SimConfig())
-    n = len(traj.taus)
+    points = np.array(traj.points)
+    n = len(points)
     idx = np.unique(np.linspace(0, n - 1, min(1500, n)).astype(int))
-    x = np.exp(traj.points[idx, 0])
-    s = np.exp(traj.points[idx, 1])
+    x = np.exp(points[idx, 0])
+    s = np.exp(points[idx, 1])
     v2 = p.m * (s - p.lam * np.log(s)) + x
     A = 1.0 + p.m + p.a - p.m * p.lam
     B = (1.0 + p.m * p.lam) / (1.0 + p.a + 2.0 * p.m * (1.0 - p.lam))
@@ -464,7 +465,7 @@ def test_x_max_lower_is_the_three_point_formula_to_the_bit():
         for m in spec.m_values
     ]
     figure_points = [
-        Params(a=a, lam=lam, m=float(m))
+        Params(a=a, lam=lam, m=m)
         for a, lam in DEFAULT_PANELS
         for m in figure_m_values()
     ]

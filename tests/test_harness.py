@@ -474,7 +474,7 @@ def test_sweep_spec_axes_take_only_json_numbers():
             message = re.escape(f"{axis} must be a finite int or float, got {bad!r}")
             with pytest.raises(ValueError, match=message):
                 SweepSpec(**{**axes, axis: (1e-3, bad)})
-    spec = SweepSpec(**{**axes, "m_values": tuple(figure_m_values(2))})
+    spec = SweepSpec(**{**axes, "m_values": figure_m_values(2)})
     assert spec.m_values == (0.01, 5.0) and all(type(m) is float for m in spec.m_values)
 
 
@@ -744,4 +744,12 @@ def test_emit_figures_checks_the_m_axis_before_simulating(tmp_path, m_values, me
 def test_figure_m_values_needs_a_point(points):
     with pytest.raises(ValueError, match=f"at least 1 point, got {points}"):
         figure_m_values(points)
-    assert figure_m_values(1).tolist() == [0.01]
+    assert figure_m_values(1) == (0.01,)
+
+
+def test_figure_m_values_round_by_libm():
+    ms = figure_m_values()
+    assert len(ms) == 50 and (ms[0], ms[-1]) == (0.01, 5.0)
+    assert all(type(m) is float for m in ms) and all(b > a for a, b in zip(ms, ms[1:]))
+    # NumPy's AVX-512 power gives 0.5788854792796424 here
+    assert ms[32] == 0.57888547927964251

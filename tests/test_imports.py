@@ -6,8 +6,9 @@ only; scalar bounds add ``lvroot``, ``bounds`` and ``_arith`` (the
 float-or-array rule), a cycle adds ``simulator`` and ``dopri``, and
 ``region4`` and ``harness`` load when one of their names is read.
 Scalar bounds, a cycle, region4's cap chain on a float ``Params``, a
-serial sweep row and the ``bounds``/``cycle`` commands must leave every
-``numpy.*`` module unloaded; the proof spot-checks load it.  Whether
+serial sweep row and the ``bounds``, ``cycle``, ``simulate`` and
+``figures`` commands must leave every ``numpy.*`` module unloaded; the
+proof spot-checks load it.  Whether
 NumPy was imported before cyclebound or on first use, the array paths
 print the same bytes.  The command line reads every name through the
 package, so each subcommand loads only its layers.
@@ -68,6 +69,8 @@ CLI_PATHS = """
 import contextlib, io, json, sys
 from cyclebound import cli
 
+out = sys.argv[1]
+
 layers, numpy, codes = {}, {}, []
 
 def record(stage):
@@ -87,6 +90,10 @@ run("region4", "--case", "A", "--m", "1")
 record("region4")
 run("cycle", *P, "--json")
 record("cycle")
+run("simulate", *P)
+record("simulate")
+run("figures", "--which", "fig5", "--out", out, "--points", "2", "--panel", "0.05,0.05")
+record("figures")
 run("proofcheck", "--case", "A")
 record("proofcheck")
 print(json.dumps({"layers": layers, "numpy": numpy, "codes": codes}))
@@ -107,7 +114,7 @@ ys = np.geomspace(1.0, 800.0, 50)
 print([repr(z(i, ys).tolist()) for i in ZIndex])
 p = Params(0.05, 0.05, 1.0)
 traj = integrate(State(h(0.8, p), 0.8), p)
-print(repr(traj.taus.tolist()), repr(traj.points.tolist()))
+print(repr(traj.taus), repr(traj.points))
 """
 
 
@@ -159,9 +166,9 @@ def test_each_layer_loads_on_first_use(scalar_record):
     }
 
 
-def test_each_cli_command_loads_only_its_layers():
-    record = json.loads(_python(CLI_PATHS))
-    assert record["codes"] == [0, 0, 0, 0, 0]
+def test_each_cli_command_loads_only_its_layers(tmp_path):
+    record = json.loads(_python(CLI_PATHS, str(tmp_path)))
+    assert record["codes"] == [0] * 7
     seen: set[str] = set()
     added = {}
     for stage, modules in record["layers"].items():
@@ -174,11 +181,14 @@ def test_each_cli_command_loads_only_its_layers():
         ],
         "region4": ["cyclebound.region4"],
         "cycle": ["cyclebound.dopri", "cyclebound.simulator"],
-        "proofcheck": ["cyclebound.harness"],
+        "simulate": [],
+        "figures": ["cyclebound.harness"],
+        "proofcheck": [],
     }
     numpy = record["numpy"]
     assert numpy.pop("proofcheck")  # the spot-checks are array code
-    assert numpy == {stage: [] for stage in ("import", "bounds", "region4", "cycle")}
+    stages = ("import", "bounds", "region4", "cycle", "simulate", "figures")
+    assert numpy == {stage: [] for stage in stages}
 
 
 def test_array_paths_print_the_same_bytes_whenever_numpy_loads():

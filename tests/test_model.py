@@ -300,7 +300,7 @@ def test_integer_takes_only_integers_that_are_not_bools():
         message = f"points must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             figure_m_values(bad)
-    assert figure_m_values(np.int64(2)).tolist() == [0.01, 5.0]
+    assert figure_m_values(np.int64(2)) == (0.01, 5.0)
 
 
 def test_numpy_scalars_are_stored_as_floats_or_rejected():

@@ -185,6 +185,10 @@ def growth_ratio_quadratic_at_half(p, case):
     return growth_ratio_quadratic(0.5, p, case)
 
 
+def growth_ratio_quadratic_at_its_s(p, case):
+    return growth_ratio_quadratic(p.s, p, case)
+
+
 DOMAIN = "a, lam and m must be finite and nonnegative"
 CAP_CHAIN = (x_max_lower_coarse, handoff_cap_bound_ln, handoff_cap_bound,
              growth_ratio_quadratic_at_half)
@@ -203,6 +207,16 @@ CAP_CHAIN = (x_max_lower_coarse, handoff_cap_bound_ln, handoff_cap_bound,
         pytest.param(handoff_cap_bound, {"a": 0.0, "lam": 0.0}, "h(lam) must be positive",
                      id="h-lam-zero"),
     ] + [
+        # m >= 3e307: x1t / h(lam) overflows before z2 reads it
+        pytest.param(function, {"m": 3e307}, "x1t/h(lam) must be finite",
+                     id=f"{function.__name__}-overflow")
+        for function in (handoff_cap_bound_ln, handoff_cap_bound)
+    ] + [
+        # the quadratic's s, read with p
+        pytest.param(growth_ratio_quadratic_at_its_s, {"s": value},
+                     f"s must be finite, got {value!r}", id=f"s-{value}")
+        for value in (math.nan, math.inf, -math.inf)
+    ] + [
         # outside the chain's domain, which each public call checks once on reading p
         pytest.param(function, {name: value}, DOMAIN, id=f"{function.__name__}-{name}-{value}")
         for function in CAP_CHAIN
@@ -212,15 +226,17 @@ CAP_CHAIN = (x_max_lower_coarse, handoff_cap_bound_ln, handoff_cap_bound,
 )
 def test_handoff_cap_bound_arrays_name_the_first_failing_point(function, bad, message):
     g = slope_scan_grid(Case.A)
+    g.s = np.full_like(g.m, 0.5)
     for i in ((3, 4, 0), (7, 1, 0)):  # two failing points; the first is named
         for name, value in bad.items():
             getattr(g, name)[i] = value
     point = (float(g.a[3, 4, 0]), float(g.lam[3, 4, 0]), float(g.m[3, 4, 0]))
     with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
         function(g, Case.A)
-    # a float point fails the same check; a Params holds only points in the domain
-    floats = [SimpleNamespace(a=point[0], lam=point[1], m=point[2])]
-    if message != DOMAIN:
+    # a float point fails the same check; a Params holds only points in the
+    # domain, and no s
+    floats = [SimpleNamespace(a=point[0], lam=point[1], m=point[2], s=float(g.s[3, 4, 0]))]
+    if message != DOMAIN and "s" not in bad:
         floats.append(Params(*point, limit=True))
     for p in floats:
         with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
