@@ -161,7 +161,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     panels = None if args.panel is None else [tuple(spec.split(",")) for spec in args.panel]
     m_values = None if args.points is None else cyclebound.harness.figure_m_values(args.points)
     paths, report = cyclebound.emit_figures(
-        args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args)
+        args.which, args.out, panels=panels, m_values=m_values, cfg=_sim_config(args),
+        jobs=args.jobs,
     )
     for path in paths:
         print(path)
@@ -174,6 +175,9 @@ def _cmd_transit(args: argparse.Namespace) -> int:
     tp = cyclebound.transit_points(p, args.s0, _sim_config(args))
     _print_record(dataclasses.asdict(tp), as_json=True)
     return 0
+
+
+_JOBS_HELP = "processes in all, this one included; N > 1 forks N - 1 workers, POSIX only"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="verify bounds against simulation on a grid")
     p_sweep.add_argument("--spec", type=Path, help="sweep spec JSON (default: reference grid)")
     p_sweep.add_argument("--out", type=Path, required=True, help="report CSV path")
-    p_sweep.add_argument(
-        "--jobs", type=int,
-        help="processes in all, this one included; N > 1 forks N - 1 workers, POSIX only "
-             "(default from spec)",
-    )
+    p_sweep.add_argument("--jobs", type=int, help=f"{_JOBS_HELP} (default from spec)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_proof = sub.add_parser("proofcheck", help="numerical spot-checks of the sign facts")
@@ -234,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", type=Path, required=True, help="output directory")
     p_fig.add_argument("--points", type=int, help="number of m values (default 50)")
     p_fig.add_argument("--rtol", type=float)
+    p_fig.add_argument("--jobs", type=int, default=1, help=f"{_JOBS_HELP} (default 1)")
     p_fig.add_argument(
         "--panel",
         action="append",

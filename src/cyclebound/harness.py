@@ -96,6 +96,14 @@ def _axis(what: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _jobs(jobs) -> int:
+    """The process count of a sweep or figure run: an integer >= 1."""
+    jobs = integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return jobs
+
+
 def _check_keys(what: str, record, required: set, allowed: set) -> None:
     if not isinstance(record, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
@@ -125,9 +133,7 @@ class SweepSpec:
         for a in self.a_values:
             for lam in self.lambda_values:
                 require_cycle(Params(a=a, lam=lam, m=1.0))
-        object.__setattr__(self, "jobs", integer("jobs", self.jobs))
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        object.__setattr__(self, "jobs", _jobs(self.jobs))
 
     @classmethod
     def from_json(cls, record: dict) -> "SweepSpec":
@@ -426,32 +432,30 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     """Smallest central difference (step 1e-6) of handoff_cap_bound in a
     or in lam over the case box, as (slope, (a, lam, m, variable)).
 
-    The cap is evaluated once per perturbed grid, on arrays.  Ties go to
+    The 20 x 20 x 12 grid is three broadcast axes, a of shape (20, 1, 1),
+    lam (20, 1) and m (12,), so each term of the cap chain runs only on
+    the axes it depends on.  One cap call per variable evaluates both of
+    its perturbations, +step then -step on a leading axis.  Ties go to
     the first point in (a, lam, m) order, the a slope before the lam
     slope, as in a strict scan.
     """
-    a, lam, m = np.meshgrid(
-        np.linspace(2e-3, case.a_max, 20),
-        np.linspace(2e-3, case.lam_max, 20),
-        np.geomspace(1e-2, 20, 12),
-        indexing="ij",
-    )
+    a = np.linspace(2e-3, case.a_max, 20)[:, None, None]
+    lam = np.linspace(2e-3, case.lam_max, 20)[:, None]
+    m = np.geomspace(1e-2, 20, 12)
 
     def cap(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), case)
 
     step = 1e-6
+    shift = np.array([step, -step])[:, None, None, None]
+    up_a, down_a = cap(a + shift, lam)
+    up_lam, down_lam = cap(a, lam + shift)
     slopes = np.stack(
-        [
-            (cap(a + step, lam) - cap(a - step, lam)) / (2 * step),
-            (cap(a, lam + step) - cap(a, lam - step)) / (2 * step),
-        ],
-        axis=-1,
+        [(up_a - down_a) / (2 * step), (up_lam - down_lam) / (2 * step)], axis=-1
     )
-    i = np.unravel_index(int(slopes.argmin()), slopes.shape)
-    point = i[:3]
-    return float(slopes[i]), (
-        float(a[point]), float(lam[point]), float(m[point]), ("a", "lam")[i[3]],
+    i, j, k, by = np.unravel_index(int(slopes.argmin()), slopes.shape)
+    return float(slopes[i, j, k, by]), (
+        float(a[i, 0, 0]), float(lam[j, 0]), float(m[k]), ("a", "lam")[by],
     )
 
 
@@ -598,36 +602,50 @@ def emit_figures(
     panels: Optional[Sequence[tuple[float, float]]] = None,
     m_values: Optional[Sequence[float]] = None,
     cfg: Optional[SimConfig] = None,
+    jobs: int = 1,
 ) -> tuple[list[Path], SweepReport]:
     """Write bound-versus-simulation curves over m as CSV files.
 
     ``which`` selects one of fig2 (x_max with all three upper variants),
     fig3 (ln s_min), fig4 (ln x_min), fig5 (s_max), or "all" to share the
     per-panel simulations across all four.  One file per (figure, panel),
-    the 50 m of :func:`figure_m_values` by default, one line per m in
-    increasing m.  Panels outside the proven parameter box are evaluated
-    in forced mode.  A panel is a pair (a, lam) of numbers or of numeric
-    strings (the CLI's ``A,LAMBDA`` split at the comma).  Every panel, and the m
-    axis (a sweep axis: non-empty, each m a finite int or float > 0, none
-    repeated), is checked once, before any point is simulated.
+    ``{fig}_a{a:g}_lambda{lam:g}.csv``, the 50 m of :func:`figure_m_values`
+    by default, one line per m in increasing m.  Panels outside the proven
+    parameter box are evaluated in forced mode.  A panel is a pair (a, lam)
+    of numbers or of numeric strings (the CLI's ``A,LAMBDA`` split at the
+    comma).  Every panel, the m axis (a sweep axis: non-empty, each m a
+    finite int or float > 0, none repeated) and ``jobs`` (as a
+    :class:`SweepSpec`'s) are checked once, before any point is simulated;
+    two panels whose file names agree (``:g`` keeps 6 significant digits)
+    are an error, as a repeated m is.
 
-    All panels' points go through the sweep's row runner in one list, so
-    every column is the float the sweep CSV prints, in its format, and a
-    point that fails keeps its m and has NaN in every other column.
-    Returns the written paths and the :class:`SweepReport` of all the
-    rows, panel by panel, with each failed point's reason and the
+    All panels' points go through the sweep's row runner in one list, in
+    ``jobs`` processes as a sweep's rows (:func:`_run_rows`), so every
+    column is the float the sweep CSV prints, in its format, for any job
+    count, and a point that fails keeps its m and has NaN in every other
+    column.  Returns the written paths and the :class:`SweepReport` of all
+    the rows, panel by panel, with each failed point's reason and the
     sweep's exit code.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
+    files: dict[str, tuple[float, float]] = {}  # {name: panel}; a file is f"{fig}_{name}"
+    for panel in panels:
+        name = "a{:g}_lambda{:g}.csv".format(*panel)
+        if name in files:  # the later panel's rows would replace the earlier's
+            raise ValueError(
+                f"panels {files[name]!r} and {panel!r} both write {figures[0]}_{name}"
+            )
+        files[name] = panel
     ms = sorted(_axis("m_values", figure_m_values() if m_values is None else m_values))
-    rows = _run_rows([(a, lam, m) for a, lam in panels for m in ms], cfg or SimConfig(), 1)
+    points = [(a, lam, m) for a, lam in panels for m in ms]
+    rows = _run_rows(points, cfg or SimConfig(), _jobs(jobs))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for i, (a, lam) in enumerate(panels):
+    for i, name in enumerate(files):
         panel_rows = rows[i * len(ms):(i + 1) * len(ms)]
         for fig in figures:
             names, getters = zip(*_FIGURE_COLUMNS[fig])
@@ -636,7 +654,7 @@ def emit_figures(
                 failed = row.error is not None
                 values = [row.m] + [math.nan if failed else get(row) for get in getters]
                 lines.append(",".join(_fmt(v) for v in values))
-            path = out_dir / f"{fig}_a{a:g}_lambda{lam:g}.csv"
+            path = out_dir / f"{fig}_{name}"
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
     return written, SweepReport(rows=rows)

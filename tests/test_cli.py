@@ -415,6 +415,12 @@ def test_figures_cli_rejects_fewer_than_one_point(tmp_path, capsys, points):
         ("0.05,nan", "panel ('0.05', 'nan') must be a finite int or float, got nan"),
         ("0,0.05", "panel ('0', '0.05') must be > 0, got 0.0"),
         ("0.5,0.3", "panel ('0.5', '0.3') has no limit cycle"),
+        # both would write fig5_a0.05_lambda0.05.csv
+        ("0.05,0.05", "panels (0.05, 0.05) and (0.05, 0.05) both write fig5_a0.05_lambda0.05.csv"),
+        (
+            "0.05000001,0.05",
+            "panels (0.05, 0.05) and (0.05000001, 0.05) both write fig5_a0.05_lambda0.05.csv",
+        ),
     ],
 )
 def test_figures_cli_names_a_bad_panel_before_simulating(tmp_path, capsys, panel, message):
@@ -425,6 +431,38 @@ def test_figures_cli_names_a_bad_panel_before_simulating(tmp_path, capsys, panel
     )
     assert code == 1 and not out
     assert message in err
+    assert not (tmp_path / "figs").exists()
+
+
+def test_figures_cli_at_two_jobs_writes_what_one_job_writes(tmp_path, capsys):
+    # the second panel's point fails at rtol = 1e-3, in whichever process
+    # takes it: a NaN line, its reason on stderr and exit code 3 at either
+    # job count
+    runs = {}
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / jobs
+        code, out, err = run_cli(
+            "figures", "--which", "fig5", "--out", str(out_dir), "--points", "1",
+            "--panel", "0.05,0.05", "--panel", "0.02,0.02", "--rtol", "1e-3",
+            "--jobs", jobs, capsys=capsys,
+        )
+        texts = [path.read_text() for path in sorted(out_dir.iterdir())]
+        runs[jobs] = (code, out.replace(str(out_dir), "OUT"), err, texts)
+    assert runs["2"] == runs["1"]
+    code, out, err, texts = runs["1"]
+    assert code == 3
+    assert out == "OUT/fig5_a0.05_lambda0.05.csv\nOUT/fig5_a0.02_lambda0.02.csv\n"
+    assert err.startswith("row (a=0.02, lambda=0.02, m=0.01) failed: ")
+    assert texts[0] == "m,s_max_lo,s_max_hi,s_max_sim\n0.01,nan,nan,nan\n"  # a = 0.02
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_figures_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    code, out, err = run_cli(
+        "figures", "--which", "fig5", "--out", str(tmp_path / "figs"), "--points", "2",
+        "--panel", "0.05,0.05", "--jobs", jobs, capsys=capsys,
+    )
+    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
     assert not (tmp_path / "figs").exists()
 
 

@@ -276,7 +276,7 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch, tmp_path):
     run_sweep(dataclasses.replace(spec, m_values=(1.0,)))  # one row: forks nothing
     assert len(forks) == 1
     assert [f.name for f in tmp_path.iterdir()] == [str(os.getpid())]
-    # the figures run every panel's points at one job: no fork, one row each
+    # by default the figures run every panel's points at one job: no fork, one row each
     points = []
     monkeypatch.setattr(harness, "_row_task", lambda task: points.append(task) or row_task(task))
     panels = [(0.05, 0.05), (0.1, 0.01)]
@@ -300,7 +300,11 @@ def _wait_for(path):
 
 def _split_rows(monkeypatch, tmp_path, in_worker, in_caller):
     """Run ``in_worker`` for a row a forked worker takes and ``in_caller``
-    for the caller's rows, which start only once a worker has taken a row."""
+    for the caller's rows, which start only once a worker has taken a row.
+
+    Returns the two runs that fork, each at jobs=2: a sweep and a
+    two-panel figure emit.
+    """
     caller, marker = os.getpid(), tmp_path / "worker-took-a-row"
     report = harness.cycle_extreme_report
 
@@ -312,9 +316,20 @@ def _split_rows(monkeypatch, tmp_path, in_worker, in_caller):
         return in_caller(p) if in_caller else report(p, cfg)
 
     monkeypatch.setattr(harness, "cycle_extreme_report", row)
-    return SweepSpec(
+    spec = SweepSpec(
         a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0, 0.3), sim=FAST_SIM, jobs=2
     )
+
+    def sweep():
+        marker.unlink(missing_ok=True)
+        run_sweep(spec)
+
+    def figures():
+        marker.unlink(missing_ok=True)
+        emit_figures("fig5", tmp_path / "figs", panels=[(0.05, 0.05), (0.1, 0.01)],
+                     m_values=[1.0], cfg=FAST_SIM, jobs=2)
+
+    return sweep, figures
 
 
 def _no_helper_outlives(check):
@@ -330,23 +345,23 @@ def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
     def fail(p):
         raise ValueError(f"no bounds at m = {p.m}")
 
-    spec = _split_rows(monkeypatch, tmp_path, fail, None)
+    for run in _split_rows(monkeypatch, tmp_path, fail, None):
 
-    def check():
-        with pytest.raises(ValueError, match=r"^no bounds at m = (1\.0|0\.3)$"):
-            run_sweep(spec)
+        def check():
+            with pytest.raises(ValueError, match=r"^no bounds at m = (1\.0|0\.3)$"):
+                run()
 
-    _no_helper_outlives(check)
+        _no_helper_outlives(check)
 
 
 def test_a_worker_that_dies_is_named_with_its_exit_code(monkeypatch, tmp_path):
-    spec = _split_rows(monkeypatch, tmp_path, lambda p: os._exit(3), None)
+    for run in _split_rows(monkeypatch, tmp_path, lambda p: os._exit(3), None):
 
-    def check():
-        with pytest.raises(ChildProcessError, match=r"^sweep worker \d+ exited with code 3 "):
-            run_sweep(spec)
+        def check():
+            with pytest.raises(ChildProcessError, match=r"^sweep worker \d+ exited with code 3 "):
+                run()
 
-    _no_helper_outlives(check)
+        _no_helper_outlives(check)
 
 
 def test_an_error_in_the_callers_row_stops_the_workers(monkeypatch, tmp_path):
@@ -354,13 +369,13 @@ def test_an_error_in_the_callers_row_stops_the_workers(monkeypatch, tmp_path):
         raise ValueError("the caller's row failed")
 
     # the worker would compute for a minute: the caller stops it
-    spec = _split_rows(monkeypatch, tmp_path, lambda p: time.sleep(60), fail)
+    for run in _split_rows(monkeypatch, tmp_path, lambda p: time.sleep(60), fail):
 
-    def check():
-        with pytest.raises(ValueError, match="^the caller's row failed$"):
-            run_sweep(spec)
+        def check():
+            with pytest.raises(ValueError, match="^the caller's row failed$"):
+                run()
 
-    _no_helper_outlives(check)
+        _no_helper_outlives(check)
 
 
 def test_sweep_flags_unproven_rows():
@@ -594,7 +609,7 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
         "growth_ratio_quadratic": 2,
         "alpha_factors": 1,
         "handoff_cap_envelope": 2,
-        "handoff_cap_bound": 4,
+        "handoff_cap_bound": 2,
         "alpha2_peak": 1,
     }
     calls = dict.fromkeys(expected, 0)
@@ -617,7 +632,7 @@ def test_proof_spotchecks_read_each_input_once(case):
     # every region4 call decides its arithmetic once: 4 reads per
     # handoff_cap_bound (a, lam, m, then z's y) and per
     # growth_ratio_quadratic (a, lam, m, s), 2 for alpha_factors (m, then
-    # the envelope's m) and 1 per envelope call; 4*4 + 2*4 + 2 + 2*1 = 28
+    # the envelope's m) and 1 per envelope call; 2*4 + 2*4 + 2 + 2*1 = 20
     code, reads = _arith.read.__code__, 0
 
     def profile(frame, event, arg):
@@ -630,7 +645,7 @@ def test_proof_spotchecks_read_each_input_once(case):
         proof_spotchecks(case)
     finally:
         sys.setprofile(None)
-    assert reads == 28
+    assert reads == 20
 
 
 def test_the_alpha_row_reports_its_first_maximal_element(monkeypatch):
@@ -738,6 +753,63 @@ def test_emit_figures_checks_the_m_axis_before_simulating(tmp_path, m_values, me
     with pytest.raises(ValueError, match=re.escape(message)):
         emit_figures("fig5", out, panels=[(0.05, 0.05)], m_values=m_values, cfg=FAST_SIM)
     assert not out.exists()
+
+
+def _no_simulation(monkeypatch):
+    def simulate(task):
+        raise AssertionError(f"simulated {task}")
+
+    monkeypatch.setattr(harness, "_row_task", simulate)
+
+
+@pytest.mark.parametrize("second", [(0.05, 0.05), (0.05000001, 0.05)], ids=["exact", "near"])
+def test_emit_figures_rejects_panels_that_share_a_file(monkeypatch, tmp_path, second):
+    # file names keep 6 significant digits: both panels would write
+    # fig5_a0.05_lambda0.05.csv, the second's rows over the first's
+    _no_simulation(monkeypatch)
+    out = tmp_path / "figs"
+    message = f"panels (0.05, 0.05) and {second!r} both write fig5_a0.05_lambda0.05.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_figures("fig5", out, panels=[(0.05, 0.05), second], m_values=[1.0], cfg=FAST_SIM)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        (0, "jobs must be >= 1"),
+        (2.5, "jobs must be an integer, got 2.5"),
+        (True, "jobs must be an integer, got True"),
+    ],
+)
+def test_emit_figures_checks_jobs_as_a_sweep_spec_does(monkeypatch, tmp_path, jobs, message):
+    _no_simulation(monkeypatch)
+    out = tmp_path / "figs"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1.0,), jobs=jobs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_figures("fig5", out, panels=[(0.05, 0.05)], m_values=[1.0], cfg=FAST_SIM, jobs=jobs)
+    assert not out.exists()
+
+
+def test_emit_figures_at_two_jobs_writes_what_one_job_writes(monkeypatch, tmp_path):
+    # the second panel's point fails at rtol = 1e-3 in whichever process
+    # takes it: a NaN line and its reason, as at one job
+    panels, loose = [(0.05, 0.05), (0.01, 0.01)], SimConfig(rtol=1e-3)
+    serial, serial_report = emit_figures("all", tmp_path / "one", panels=panels,
+                                         m_values=[5.0], cfg=loose)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    paths, report = emit_figures("all", tmp_path / "two", panels=panels, m_values=[5.0],
+                                 cfg=loose, jobs=2)
+    assert len(forks) == 1 and multiprocessing.active_children() == []
+    assert [path.name for path in paths] == [path.name for path in serial]
+    assert [path.read_bytes() for path in paths] == [path.read_bytes() for path in serial]
+    assert [(row.csv_line(), row.error) for row in report.rows] == [
+        (row.csv_line(), row.error) for row in serial_report.rows
+    ]
+    assert report.rows[1].error is not None and report.exit_code == serial_report.exit_code == 3
 
 
 @pytest.mark.parametrize("points", [0, -2])

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from cyclebound.bounds import cycle_bounds, x_max_lower
+from cyclebound import harness
 from cyclebound.harness import _M_RANGE
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 from cyclebound import region4
@@ -164,7 +165,8 @@ def handoff_cap_bound_scalar(a: float, lam: float, m: float, case: Case) -> floa
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
-    # every point the slope scan evaluates: the four perturbed grids
+    # every point the slope scan evaluates: a and lam each perturbed by
+    # +STEP and -STEP
     g = slope_scan_grid(case)
     for da, dlam in ((STEP, 0.0), (-STEP, 0.0), (0.0, STEP), (0.0, -STEP)):
         a, lam = g.a + da, g.lam + dlam
@@ -179,6 +181,45 @@ def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
         assert np.array_equal(got == 0.0, want == 0.0)
         assert (want > 0.0).any() and (want == 0.0).any()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("chain", [handoff_cap_bound, handoff_cap_bound_ln])
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_cap_bound_slopes_scan_both_perturbations_of_a_variable_in_one_call(
+    monkeypatch, case, chain
+):
+    # the proofcheck scan evaluates the cap on broadcast axes, one call per
+    # variable with +STEP and -STEP on a leading axis; each array must be
+    # the chain on the full perturbed grids to the bit, and the row the
+    # first minimum of a scan over those grids.  The cap underflows to 0 at
+    # high m, so its worst slope is a tie of zeros; the ln chain does not,
+    # so its worst slope is one point's, with its variable named.
+    results = []
+
+    def capturing(p, case):
+        results.append(chain(p, case))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "handoff_cap_bound", capturing)
+    got = harness._cap_bound_slopes(case)
+    g = slope_scan_grid(case)
+
+    def cap(a, lam):
+        return chain(SimpleNamespace(a=a, lam=lam, m=g.m), case)
+
+    by_a = (cap(g.a + STEP, g.lam), cap(g.a - STEP, g.lam))
+    by_lam = (cap(g.a, g.lam + STEP), cap(g.a, g.lam - STEP))
+    assert len(results) == 2
+    for scanned, want in zip(results, (by_a, by_lam)):
+        assert scanned.shape == (2,) + g.m.shape
+        for half, grid in zip(scanned, want):
+            assert np.array_equal(half.view(np.int64), grid.view(np.int64))
+    slopes = np.stack(
+        [(by_a[0] - by_a[1]) / (2 * STEP), (by_lam[0] - by_lam[1]) / (2 * STEP)], axis=-1
+    )
+    i = np.unravel_index(int(slopes.argmin()), slopes.shape)
+    at = (float(g.a[i[:3]]), float(g.lam[i[:3]]), float(g.m[i[:3]]), ("a", "lam")[i[3]])
+    assert repr(got) == repr((float(slopes[i]), at))
 
 
 def growth_ratio_quadratic_at_half(p, case):

@@ -37,11 +37,11 @@ def test_tracer_installs_and_restores_every_hook():
         # simulator module: every tour is one span, every step counted
         ce = simulator.limit_cycle(p)
         # proof_spotchecks resolves the region4 names in harness, and the
-        # cap chain resolves z in region4: one of each per perturbed grid
+        # cap chain resolves z in region4: one of each per perturbed variable
         harness.proof_spotchecks("A")
     assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
-    assert tracer.counts()["cyclebound.harness.handoff_cap_bound"] == 4
-    assert tracer.counts()["cyclebound.region4.z"] == 4
+    assert tracer.counts()["cyclebound.harness.handoff_cap_bound"] == 2
+    assert tracer.counts()["cyclebound.region4.z"] == 2
     assert tracer.steps > 0
     assert tracer.layer_times()["simulator.integrate.tour"]["calls"] == ce.tours == 2
     assert [dict(vars(module)) for module in modules] == before
