@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lvroot import ZIndex, z
+from ._arith import MATH
+# z is not called here: perfbench's tracer hooks bounds.z by name (ROADMAP item 1(a))
+from .lvroot import ZIndex, _z, z
 from .model import Params, h, require_cycle
 
 __all__ = [
@@ -71,9 +73,12 @@ class BoundSet(NamedTuple):
 class CanardEstimates(NamedTuple):
     """Small-m canard approximations of the cycle extremes.
 
-    Defined for any parameters but advertised as accurate only in the
-    limit m -> 0, where the cycle hugs the prey isocline and jumps
-    nearly vertically.
+    Defined for any parameters.  As m -> 0, where the cycle hugs the prey
+    isocline and jumps nearly vertically, only ``x_max_c`` and
+    ``ln_s_min_c`` converge to the cycle's values.  ``x_min_c`` and
+    ``s_max_c`` keep a gap: at a = lam = 0.1 the simulated ln x_min stays
+    0.160-0.172 above ln x_min_c, and s_max 2.6e-3 (relative) below
+    s_max_c, for m from 1e-4 to 1e-5 (ROADMAP item 10).
     """
 
     x_max_c: float
@@ -171,7 +176,24 @@ def x_max_lower(p: Params) -> float:
 
 def _minima(u1: float, u2: float, p: Params) -> tuple[float, float, float, float]:
     """(ln_x_min_lo, ln_x_min_hi, ln_s_min_lo, ln_s_min_hi): the lower ends of
-    the launch at (u1, lam) and the upper ends of the launch at (u2, lam)."""
+    the launch at (u1, lam) and the upper ends of the launch at (u2, lam).
+
+    z's factors run in its kernel, with no read and no check, because the
+    premises of :func:`cycle_bounds`, its caller (p in the cycle regime,
+    u1 = x_max_upper(p) and u2 = x_max_lower(p)), already put both
+    arguments in the kernel's domain [1, inf):
+
+    - h(lam) = (1 - lam)(lam + a) > 0, each factor positive (a, lam > 0
+      are checked here, and 2 lam + a < 1).
+    - y2 = u2/h(lam) >= 1: u2 > h(lam) is checked, so the exact quotient
+      exceeds 1, and rounding is monotone.
+    - y1 = u1/a >= 1 with a wide margin: x_max_upper(p) exceeds 4a/3 in
+      the whole cycle regime (its m -> 0 value (1 + a)^2/(2 + a) does,
+      and it grows with m), far beyond its few ulps of roundoff.
+    - y1 < inf is checked, and y2 < y1: u2 < 0.8 u1 (sampled over the
+      cycle regime; 0.8 is the ratio's limit as m -> inf and lam -> 0)
+      and h(lam) >= a up to roundoff, as h(lam) - a = lam (1 - lam - a) > 0.
+    """
     a, lam, H = p.a, p.lam, p.h_lam
     if not (u1 > H and u2 > H):
         raise ValueError(f"need u > h(lam) = {H!r}, got u = {(u2 if u1 > H else u1)!r}")
@@ -182,15 +204,15 @@ def _minima(u1: float, u2: float, p: Params) -> tuple[float, float, float, float
             f"the minima bounds need lam > 0 (they launch on s = lam), got lam = {lam!r}"
         )
     y1, y2 = u1 / a, u2 / H
-    if not y1 < math.inf:  # u2/h(lam) and u2/a <= u1/a, as u2 <= u1 and h(lam) > a
+    if not y1 < math.inf:
         raise ValueError(f"minima bounds overflow at a = {a!r}: u/a = {y1!r}")
     ln_lam = math.log(lam)
     # the depth scale, infinite at m = 0 (an infinitely deep dive) and where m lam underflows
     m_lam = p.m * lam
     scale = math.inf if m_lam == 0.0 else 1.0 / m_lam
     return (
-        math.log(z(_Z1, y1)) + math.log(u1) - y1,
-        math.log(z(_Z2, y2)) + math.log(u2) - y2,
+        math.log(_z(MATH, _Z1, y1)) + math.log(u1) - y1,
+        math.log(_z(MATH, _Z2, y2)) + math.log(u2) - y2,
         ln_lam - (u1 - a - a * math.log(y1)) * scale - 1.0,
         ln_lam - (u2 - a - H * math.log(u2 / a)) * scale,
     )
@@ -227,7 +249,7 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
         )
     x_hi = x_max_upper(p)
     ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = _minima(x_hi, x_lo, p)
-    return BoundSet(x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, proven=p.proven_region)
+    return BoundSet(x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, S_MAX_LO, 1.0, p.proven_region)
 
 
 def canard_estimates(p: Params) -> CanardEstimates:

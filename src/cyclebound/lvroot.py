@@ -13,6 +13,11 @@ approximants z1 <= z <= z2 <= z0 implemented here sandwich the exact
 factor and degrade gracefully to 1 as y grows (they are close cousins
 of the lower Lambert W branch, which is deliberately not implemented in
 general form).
+
+:func:`z` is the entry: it reads y and checks that y is finite and >= 1.
+The formula itself lives once, in the private kernel ``_z``, which a
+caller that has already proved y in [1, inf) may run directly on the
+namespace it holds (``bounds`` does, on :data:`cyclebound._arith.MATH`).
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     and z_i -> 1 as y -> infinity.  Once Y underflows the result is
     exactly 1, which is the correct limit.
 
-    ``y`` is a float or an ndarray, read by :func:`cyclebound._arith.read`.
+    ``y`` is a float or an ndarray, read by :func:`cyclebound._arith.read`
+    and checked here; the formula runs in ``_z``.
     """
     given = y
     arith, y = read("y", y)
@@ -74,6 +80,12 @@ def z(i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
     # a float's check is a bare bool; only a failure or an array asks for the first failure
     if ok is not True and (bad := arith.first_failure(ok, given)):
         raise ValueError(f"z is defined for finite y >= 1, got {bad[0]!r}")
+    return _z(arith, i, y)
+
+
+def _z(arith, i: ZIndex, y: float | np.ndarray) -> float | np.ndarray:
+    """z_i(y) on ``arith``'s functions, with no read and no check: the
+    caller has proved y in [1, inf) (outside it the result is meaningless)."""
     Y = y * arith.exp(-y)
     c = i.c
     one_minus_dY = 1.0 - i.d * Y

@@ -91,27 +91,38 @@ def test_criterion_1_bound_sandwich_on_grid(grid_sweep):
 
 
 def mp_sandwich(y_mp):
-    """High-precision oracle: exact factor by bisection plus the three
-    closed forms, all in 120-digit arithmetic.
+    """High-precision oracle: exact factor by safeguarded Newton plus the
+    three closed forms, all in 120-digit arithmetic.
 
     At double precision the z1-to-exact gap shrinks to O(Y^2) ~ 1e-15
     already by y ~ 20, so the slack >= 0 claim is only checkable in
     extended precision; 120 digits keeps the quadratic closed forms
     accurate even at y = 100 where z - 1 ~ 1e-41.
+
+    The root of g(x) = x - ln x - (y - ln y) in (0, 1) is found from
+    x = Y = y e^{-y}, where g = Y > 0: g is convex and decreasing there,
+    so Newton climbs to the root from below, and the bisection bracket
+    [1e-60, 1] takes any step that would leave it.
     """
     import mpmath as mp
 
     target = y_mp - mp.log(y_mp)
-    lo, hi = mp.mpf("1e-60"), mp.mpf(1)
-    for _ in range(420):
-        mid = (lo + hi) / 2
-        if mid - mp.log(mid) - target > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2
-    residual = abs(root - mp.log(root) - target)
     Y = y_mp * mp.exp(-y_mp)
+    lo, hi, root = mp.mpf("1e-60"), mp.mpf(1), Y
+    for _ in range(200):
+        g = root - mp.log(root) - target
+        if g > 0:
+            lo = root
+        else:
+            hi = root
+        new = root - g / (1 - 1 / root)
+        if not lo <= new <= hi:
+            new = (lo + hi) / 2
+        converged = abs(new - root) <= mp.mpf("1e-110") * new
+        root = new
+        if converged:
+            break
+    residual = abs(root - mp.log(root) - target)
     zx = root / Y
     e = mp.e
     c1, c2 = (e - 2) / (e - 1), 1 / e

@@ -3,13 +3,14 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cyclebound import bounds
+from cyclebound import _arith, bounds, lvroot
 from cyclebound.bounds import (
     S_MAX_LO,
     BoundSet,
@@ -326,18 +327,78 @@ def test_bound_sets_keep_their_bits():
 
 
 def test_a_bound_set_calls_z_twice(monkeypatch):
-    # z1 at the launch from x_max_hi and z2 at the launch from x_max_lo
+    # z1 at the launch from x_max_hi and z2 at the launch from x_max_lo, both
+    # through z's kernel on math
     calls = []
 
-    def counting_z(i, y):
+    def counting_kernel(arith, i, y):
+        assert arith is _arith.MATH
         calls.append(i)
-        return z(i, y)
+        return lvroot._z(arith, i, y)
 
-    monkeypatch.setattr(bounds, "z", counting_z)
+    monkeypatch.setattr(bounds, "_z", counting_kernel)
     for p in PROVEN_GRID + FORCED:
         calls.clear()
         cycle_bounds(p, force=True)
         assert calls == [ZIndex.Z1, ZIndex.Z2], p
+
+
+def _reads(call) -> int:
+    """How many times ``call()`` enters :func:`cyclebound._arith.read`."""
+    code, reads = _arith.read.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal reads
+        if event == "call" and frame.f_code is code:
+            reads += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return reads
+
+
+def test_a_float_bound_set_reads_nothing_and_the_public_z_reads_once():
+    for p in PROVEN_GRID[:3] + FORCED[:3]:
+        assert _reads(lambda: (cycle_bounds(p, force=True), canard_estimates(p))) == 0, p
+    for i in ZIndex:
+        assert _reads(lambda: z(i, 5.0)) == 1, i
+
+
+# where the kernel's domain argument in bounds._minima is tightest: 2 lam + a
+# just below 1 (y1 and y2 smallest; closer in, x_max_lower rounds to h(lam)
+# at m = 1e-3 and the launch check raises), lam -> 0+ (h(lam) -> a) and
+# a -> 0+ (y1 near overflow), each at both ends of the m range
+DOMAIN_EDGES = [
+    Params(a=a, lam=lam, m=m)
+    for a, lam in (
+        [((1.0 - 2.0 * lam) * (1.0 - 1e-6), lam) for lam in (1e-3, 0.1, 0.3, 0.49)]
+        + [(a, lam) for a in (0.05, 0.5) for lam in (1e-12, 1e-300)]
+        + [(1e-300, 0.05)]
+    )
+    for m in (1e-3, 1e6)
+]
+
+
+def test_the_bound_set_feeds_z_kernel_only_what_the_public_z_accepts(monkeypatch):
+    fed = []
+
+    def recording_kernel(arith, i, y):
+        value = lvroot._z(arith, i, y)
+        fed.append((i, y, value))
+        return value
+
+    monkeypatch.setattr(bounds, "_z", recording_kernel)
+    points = _digest_points() + DOMAIN_EDGES
+    assert all(p.cycle_regime for p in DOMAIN_EDGES)
+    for p in points:
+        cycle_bounds(p, force=True)
+    assert len(fed) == 2 * len(points)
+    for i, y, value in fed:
+        # z raises ValueError for any y outside [1, inf)
+        assert type(y) is float and repr(z(i, y)) == repr(value), (i, y)
 
 
 def test_cycle_bounds_orderings_and_gate():
