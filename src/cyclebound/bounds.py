@@ -107,13 +107,16 @@ def x_max_upper(p: Params) -> float:
     Raises ValueError naming m where the product overflows (m ~ 1e154).
     """
     require_cycle(p)
-    a, lam, m = p.a, p.lam, p.m
-    value = (
+    return _finite("x_max_upper", _x_max_upper(p.a, p.lam, p.m), p)
+
+
+def _x_max_upper(a: float, lam: float, m: float) -> float:
+    """:func:`x_max_upper`'s formula, with no cycle check and no overflow check."""
+    return (
         (1.0 + m + a - m * lam)
         * (1.0 + 2.0 * m + a - 2.0 * m * lam)
         / (2.0 * (m + 1.0) + a - m * lam)
     )
-    return _finite("x_max_upper", value, p)
 
 
 def x_max_upper_refined(p: Params) -> float:
@@ -159,15 +162,18 @@ def x_max_lower(p: Params) -> float:
     so q's smaller root lies below lam < (1-a)/2 and f rises then falls
     on the interval.  The limits hold too: at lam = 0 the lam term
     vanishes and f' = 1 - a + m - 2z, and at m = 0 the larger root is
-    (1-a)/2 itself.
+    (1-a)/2 itself.  Where 8m overflows (m above about 2.2e307) the
+    discriminant is inf - inf, read as 0: z* = b/4 then clamps to
+    S_MAX_LO, as the larger root itself does at any such m.
     """
     require_cycle(p)
     a, lam, m = p.a, p.lam, p.m
     lo = 0.5 * (1.0 - a)
     b = 1.0 - a + m
-    disc = b * b - 8.0 * m * lam  # >= 0 for all cycle-regime parameters
-    # max(x, lo) and min(x, hi) without builtin calls: x unless the bound is strictly past it
-    z_star = 0.25 * (b + math.sqrt(0.0 if 0.0 > disc else disc))
+    disc = b * b - 8.0 * m * lam  # >= 0 in the cycle regime; NaN once 8 m overflows
+    # max(disc, 0), max(x, lo) and min(x, hi) without builtin calls: the first
+    # reads NaN as 0, the others keep x unless the bound is strictly past it
+    z_star = 0.25 * (b + math.sqrt(disc if disc > 0.0 else 0.0))
     z_star = lo if lo > z_star else z_star
     z_star = S_MAX_LO if S_MAX_LO < z_star else z_star
     lam_term = 0.0 if lam == 0.0 else lam * (1.0 - math.log(lam) + math.log(z_star))
@@ -237,6 +243,9 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
     evaluates the lower ends of the launch at x_max_hi and the upper ends
     of the launch at x_max_lo.  It raises ValueError at a = 0, where u/a
     does not exist, at lam = 0, and where u/a overflows (subnormal a).
+    Near the Hopf point at small m (relative margin 1e-8 at m = 1e-3),
+    x_max_lo rounds to h(lam) and no excursion launches: that ValueError
+    names (a, lam, m).
 
     Rejects parameters outside the proven box unless ``force`` is set,
     in which case the bounds are still evaluated but flagged unproven.
@@ -247,9 +256,24 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             f"(a, lam) = ({p.a!r}, {p.lam!r}) is outside the proven parameter "
             "box; pass force=True to evaluate anyway (bounds flagged unproven)"
         )
-    x_hi = x_max_upper(p)
-    ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = _minima(x_hi, x_lo, p)
-    return BoundSet(x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, S_MAX_LO, 1.0, p.proven_region)
+    x_hi = _x_max_upper(p.a, p.lam, p.m)  # x_max_lower checked the cycle regime
+    if not x_hi < math.inf:
+        _finite("x_max_upper", x_hi, p)  # raises: inf or NaN
+    try:
+        ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = _minima(x_hi, x_lo, p)
+    except ValueError as err:
+        if x_lo > p.h_lam:
+            raise
+        # x_hi > (1 + a)^2/(2 + a) > h(lam) always, so the launch from x_lo failed
+        raise ValueError(
+            f"(a, lam, m) = ({p.a!r}, {p.lam!r}, {p.m!r}) is too close to the Hopf "
+            f"point (margin {p.hopf_margin!r}) for the minima bounds: x_max_lower "
+            f"rounds to h(lam) = {p.h_lam!r} or below, where no excursion launches"
+        ) from err
+    # the tuple constructor, not the generated __new__: same record, no Python frame
+    return tuple.__new__(
+        BoundSet, (x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, S_MAX_LO, 1.0, p.proven_region)
+    )
 
 
 def canard_estimates(p: Params) -> CanardEstimates:
@@ -275,4 +299,4 @@ def canard_estimates(p: Params) -> CanardEstimates:
     dv = a * math.log(x_max_c) - x_max_c - a * (math.log(a) - 1.0) if a > 0 else -x_max_c
     denom = p.m * p.lam
     ln_s_min_c = dv / denom if denom > 0 else -math.inf
-    return CanardEstimates(x_max_c, x_min_c, s_max_c, ln_s_min_c)
+    return tuple.__new__(CanardEstimates, (x_max_c, x_min_c, s_max_c, ln_s_min_c))

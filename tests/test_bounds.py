@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cyclebound import _arith, bounds, lvroot
+from cyclebound import _arith, bounds, lvroot, model
 from cyclebound.bounds import (
     S_MAX_LO,
     BoundSet,
@@ -93,6 +93,11 @@ def test_x_max_upper_raises_instead_of_overflowing():
         for bound in (x_max_upper, x_max_upper_refined):
             with pytest.raises(ValueError, match=re.escape(f"overflows at m = {m!r}")):
                 bound(Params(a=0.05, lam=0.05, m=m))
+        # the bound set runs x_max_upper's formula directly and keeps its message:
+        # the product is inf at m = 1e300 and NaN at m = 1e308
+        message = f"x_max_upper overflows at m = {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cycle_bounds(Params(a=0.05, lam=0.05, m=m), force=True)
 
 
 def test_x_max_upper_refined_reduces_to_plain_at_lam_zero():
@@ -127,6 +132,19 @@ def test_x_max_upper_linear():
 def test_x_max_lower_m_zero_limit_is_parabola_vertex():
     p = Params(a=0.05, lam=0.05, m=0.0, limit=True)
     assert x_max_lower(p) == pytest.approx(1.05**2 / 4, rel=1e-14)
+
+
+def test_x_max_lower_stays_finite_where_8m_overflows():
+    # from m = 2.3e307 the discriminant b^2 - 8 m lam is inf - inf; it was a
+    # silent NaN and now reads as 0, so z* clamps to the anchor, as the larger
+    # root itself does at any such m (2e307 is the control: 8 m is finite)
+    lam = 0.05
+    for m in (2e307, 2.3e307, 1e308, 1.7e308):
+        p = Params(a=0.05, lam=lam, m=m)
+        anchored = h(S_MAX_LO, p) + m * (
+            S_MAX_LO - lam * (1.0 - math.log(lam) + math.log(S_MAX_LO))
+        )
+        assert math.isfinite(anchored) and x_max_lower(p).hex() == anchored.hex(), m
 
 
 def test_x_max_lower_matches_grid_oracle():
@@ -343,28 +361,43 @@ def test_a_bound_set_calls_z_twice(monkeypatch):
         assert calls == [ZIndex.Z1, ZIndex.Z2], p
 
 
-def _reads(call) -> int:
-    """How many times ``call()`` enters :func:`cyclebound._arith.read`."""
-    code, reads = _arith.read.__code__, 0
+def _entries(call, *functions) -> list[int]:
+    """How many times ``call()`` enters each of the Python ``functions``."""
+    index = {id(f.__code__): k for k, f in enumerate(functions)}
+    counts = [0] * len(functions)
 
     def profile(frame, event, arg):
-        nonlocal reads
-        if event == "call" and frame.f_code is code:
-            reads += 1
+        k = index.get(id(frame.f_code)) if event == "call" else None
+        if k is not None:
+            counts[k] += 1
 
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return reads
+    return counts
 
 
 def test_a_float_bound_set_reads_nothing_and_the_public_z_reads_once():
     for p in PROVEN_GRID[:3] + FORCED[:3]:
-        assert _reads(lambda: (cycle_bounds(p, force=True), canard_estimates(p))) == 0, p
+        reads = _entries(lambda: (cycle_bounds(p, force=True), canard_estimates(p)), _arith.read)
+        assert reads == [0], p
     for i in ZIndex:
-        assert _reads(lambda: z(i, 5.0)) == 1, i
+        assert _entries(lambda: z(i, 5.0), _arith.read) == [1], i
+
+
+def test_a_bound_set_checks_the_cycle_once_and_builds_its_records_by_the_tuple_constructor():
+    # x_max_lower's cycle check covers x_max_upper's formula, the overflow check
+    # runs only on a value that is not < inf, and the records skip their
+    # generated __new__ frames
+    watched = (
+        model.require_cycle, x_max_upper, bounds._finite,
+        BoundSet.__new__, CanardEstimates.__new__,
+    )
+    for p in PROVEN_GRID[:3] + FORCED[:3]:
+        counts = _entries(lambda: (cycle_bounds(p, force=True), canard_estimates(p)), *watched)
+        assert counts == [1, 0, 0, 0, 0], p
 
 
 # where the kernel's domain argument in bounds._minima is tightest: 2 lam + a
@@ -380,6 +413,35 @@ DOMAIN_EDGES = [
     )
     for m in (1e-3, 1e6)
 ]
+
+
+# relative Hopf margins 1e-8 to 1e-12: at m = 1e-3, x_max_lower rounds to
+# h(lam) at most of these and no excursion launches
+HOPF_EDGES = [
+    Params(a=(1.0 - 2.0 * lam) * (1.0 - margin), lam=lam, m=m)
+    for lam in (1e-3, 0.1, 0.3, 0.49)
+    for margin in (1e-8, 1e-10, 1e-12)
+    for m in (1e-3, 1e6)
+]
+
+
+def test_the_hopf_edge_error_names_the_point():
+    # it named a launch point u = h(lam) the caller never passed
+    raised = []
+    for p in HOPF_EDGES + DOMAIN_EDGES:
+        try:
+            b = cycle_bounds(p, force=True)
+        except ValueError as err:
+            raised.append(p)
+            message = (
+                f"(a, lam, m) = ({p.a!r}, {p.lam!r}, {p.m!r}) is too close to the Hopf "
+                f"point (margin {p.hopf_margin!r}) for the minima bounds: x_max_lower "
+                f"rounds to h(lam) = {p.h_lam!r} or below"
+            )
+            assert str(err).startswith(message), p
+        else:
+            assert type(b) is BoundSet and all(math.isfinite(v) for v in b[:4]), p
+    assert raised and all(p in HOPF_EDGES and p.m == 1e-3 for p in raised)
 
 
 def test_the_bound_set_feeds_z_kernel_only_what_the_public_z_accepts(monkeypatch):
