@@ -32,6 +32,21 @@ that crosses an isocline, call the model functions.
 :meth:`DOP853.switch_chart` moves the state to the other chart between
 steps.
 
+The tableau (scipy's ``dop853_coefficients``, which are Hairer's) is
+written into the stage sums as float literals, the shortest repr of each
+of scipy's doubles, with the stages numbered from 1: k1 = f(y), k13 =
+f(y_new) (first same as last) and k14-k16 the extra stages of the dense
+output; zero entries are dropped.  A literal compiles to a constant load
+where a module-level name costs a global lookup, about 140 of them per
+trial step.  Each 3rd-order error weight is written as the difference
+``(B_j - b3_j)``, which the compiler folds to the double that subtracting
+at run time gives.  ``test_stepper_tableau_is_scipys`` in
+``tests/test_simulator.py`` finds every entry of scipy's ``DOP853``
+tables among the constants of :meth:`DOP853.step` and
+:meth:`DOP853.dense_output` and in its place in each sum, and
+``test_stepper_stages_are_log_vector_field`` checks the steps bit for
+bit against sums over those tables.
+
 The stepper has no end time: it steps forward from ``t0`` for as long as
 it is asked to, and the simulator ends each integration at a crossing.
 """
@@ -65,108 +80,6 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 _SQRT2 = 2.0**0.5  # RMS over two components
 
-# DOP853 tableau (scipy's dop853_coefficients, which are Hairer's), with
-# stages numbered from 1: k1 = f(y), k13 = f(y_new) (first same as last),
-# k14-k16 the extra stages of the dense output.  Zero entries are dropped
-# from the sums below.
-_A2_1 = 5.26001519587677318785587544488e-2
-_A3_1 = 1.97250569845378994544595329183e-2
-_A3_2 = 5.91751709536136983633785987549e-2
-_A4_1 = 2.95875854768068491816892993775e-2
-_A4_3 = 8.87627564304205475450678981324e-2
-_A5_1 = 2.41365134159266685502369798665e-1
-_A5_3 = -8.84549479328286085344864962717e-1
-_A5_4 = 9.24834003261792003115737966543e-1
-_A6_1 = 3.7037037037037037037037037037e-2
-_A6_4 = 1.70828608729473871279604482173e-1
-_A6_5 = 1.25467687566822425016691814123e-1
-_A7_1 = 3.7109375e-2
-_A7_4 = 1.70252211019544039314978060272e-1
-_A7_5 = 6.02165389804559606850219397283e-2
-_A7_6 = -1.7578125e-2
-_A8_1 = 3.70920001185047927108779319836e-2
-_A8_4 = 1.70383925712239993810214054705e-1
-_A8_5 = 1.07262030446373284651809199168e-1
-_A8_6 = -1.53194377486244017527936158236e-2
-_A8_7 = 8.27378916381402288758473766002e-3
-_A9_1 = 6.24110958716075717114429577812e-1
-_A9_4 = -3.36089262944694129406857109825
-_A9_5 = -8.68219346841726006818189891453e-1
-_A9_6 = 2.75920996994467083049415600797e1
-_A9_7 = 2.01540675504778934086186788979e1
-_A9_8 = -4.34898841810699588477366255144e1
-_A10_1 = 4.77662536438264365890433908527e-1
-_A10_4 = -2.48811461997166764192642586468
-_A10_5 = -5.90290826836842996371446475743e-1
-_A10_6 = 2.12300514481811942347288949897e1
-_A10_7 = 1.52792336328824235832596922938e1
-_A10_8 = -3.32882109689848629194453265587e1
-_A10_9 = -2.03312017085086261358222928593e-2
-_A11_1 = -9.3714243008598732571704021658e-1
-_A11_4 = 5.18637242884406370830023853209
-_A11_5 = 1.09143734899672957818500254654
-_A11_6 = -8.14978701074692612513997267357
-_A11_7 = -1.85200656599969598641566180701e1
-_A11_8 = 2.27394870993505042818970056734e1
-_A11_9 = 2.49360555267965238987089396762
-_A11_10 = -3.0467644718982195003823669022
-_A12_1 = 2.27331014751653820792359768449
-_A12_4 = -1.05344954667372501984066689879e1
-_A12_5 = -2.00087205822486249909675718444
-_A12_6 = -1.79589318631187989172765950534e1
-_A12_7 = 2.79488845294199600508499808837e1
-_A12_8 = -2.85899827713502369474065508674
-_A12_9 = -8.87285693353062954433549289258
-_A12_10 = 1.23605671757943030647266201528e1
-_A12_11 = 6.43392746015763530355970484046e-1
-# 8th-order weights
-_B1 = 5.42937341165687622380535766363e-2
-_B6 = 4.45031289275240888144113950566
-_B7 = 1.89151789931450038304281599044
-_B8 = -5.8012039600105847814672114227
-_B9 = 3.1116436695781989440891606237e-1
-_B10 = -1.52160949662516078556178806805e-1
-_B11 = 2.01365400804030348374776537501e-1
-_B12 = 4.47106157277725905176885569043e-2
-# 5th-order error weights
-_E5_1 = 0.1312004499419488073250102996e-1
-_E5_6 = -0.1225156446376204440720569753e1
-_E5_7 = -0.4957589496572501915214079952
-_E5_8 = 0.1664377182454986536961530415e1
-_E5_9 = -0.3503288487499736816886487290
-_E5_10 = 0.3341791187130174790297318841
-_E5_11 = 0.8192320648511571246570742613e-1
-_E5_12 = -0.2235530786388629525884427845e-1
-# 3rd-order error weights: B minus the weights of the 3rd-order formula,
-# which is nonzero at stages 1, 9 and 12 only
-_E3_1 = _B1 - 0.244094488188976377952755905512
-_E3_9 = _B9 - 0.733846688281611857341361741547
-_E3_12 = _B12 - 0.220588235294117647058823529412e-1
-# extra stages of the dense output
-_A14_1 = 5.61675022830479523392909219681e-2
-_A14_7 = 2.53500210216624811088794765333e-1
-_A14_8 = -2.46239037470802489917441475441e-1
-_A14_9 = -1.24191423263816360469010140626e-1
-_A14_10 = 1.5329179827876569731206322685e-1
-_A14_11 = 8.20105229563468988491666602057e-3
-_A14_12 = 7.56789766054569976138603589584e-3
-_A14_13 = -8.298e-3
-_A15_1 = 3.18346481635021405060768473261e-2
-_A15_6 = 2.83009096723667755288322961402e-2
-_A15_7 = 5.35419883074385676223797384372e-2
-_A15_8 = -5.49237485713909884646569340306e-2
-_A15_11 = -1.08347328697249322858509316994e-4
-_A15_12 = 3.82571090835658412954920192323e-4
-_A15_13 = -3.40465008687404560802977114492e-4
-_A15_14 = 1.41312443674632500278074618366e-1
-_A16_1 = -4.28896301583791923408573538692e-1
-_A16_6 = -4.69762141536116384314449447206
-_A16_7 = 7.68342119606259904184240953878
-_A16_8 = 4.06898981839711007970213554331
-_A16_9 = 3.56727187455281109270669543021e-1
-_A16_13 = -1.39902416515901462129418009734e-3
-_A16_14 = 2.9475147891527723389556272149
-_A16_15 = -9.15095847217987001081870187138
 # dense output y(t_old + x h) = y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x)
 # (F3 + x (F4 + (1-x) (F5 + x F6)))))), where F0-F2 come from the step's
 # ends and F3-F6 = h D k over stages 1 and 6-16; one row of D per F
@@ -342,8 +255,8 @@ class DOP853:
             # (m (s - lam), h(s) - e^u); in the w chart (v holds w)
             # s = -expm1(w) and (du, dw) = (m (s - lam), s (e^(u-w) - (s + a)));
             # exp arguments clipped as in the model functions
-            us = u + (_A2_1 * k1u) * h
-            vs = v + (_A2_1 * k1v) * h
+            us = u + (0.05260015195876773 * k1u) * h
+            vs = v + (0.05260015195876773 * k1v) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -352,8 +265,8 @@ class DOP853:
                 s = exp(vs if vs < clip else clip)
                 k2v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k2u = m * (s - lam)
-            us = u + (_A3_1 * k1u + _A3_2 * k2u) * h
-            vs = v + (_A3_1 * k1v + _A3_2 * k2v) * h
+            us = u + (0.0197250569845379 * k1u + 0.0591751709536137 * k2u) * h
+            vs = v + (0.0197250569845379 * k1v + 0.0591751709536137 * k2v) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -362,8 +275,8 @@ class DOP853:
                 s = exp(vs if vs < clip else clip)
                 k3v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k3u = m * (s - lam)
-            us = u + (_A4_1 * k1u + _A4_3 * k3u) * h
-            vs = v + (_A4_1 * k1v + _A4_3 * k3v) * h
+            us = u + (0.02958758547680685 * k1u + 0.08876275643042054 * k3u) * h
+            vs = v + (0.02958758547680685 * k1v + 0.08876275643042054 * k3v) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -372,8 +285,14 @@ class DOP853:
                 s = exp(vs if vs < clip else clip)
                 k4v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k4u = m * (s - lam)
-            us = u + (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u) * h
-            vs = v + (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v) * h
+            us = u + (
+                0.2413651341592667 * k1u + -0.8845494793282861 * k3u
+                + 0.924834003261792 * k4u
+            ) * h
+            vs = v + (
+                0.2413651341592667 * k1v + -0.8845494793282861 * k3v
+                + 0.924834003261792 * k4v
+            ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -382,8 +301,14 @@ class DOP853:
                 s = exp(vs if vs < clip else clip)
                 k5v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k5u = m * (s - lam)
-            us = u + (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u) * h
-            vs = v + (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v) * h
+            us = u + (
+                0.037037037037037035 * k1u + 0.17082860872947386 * k4u
+                + 0.12546768756682242 * k5u
+            ) * h
+            vs = v + (
+                0.037037037037037035 * k1v + 0.17082860872947386 * k4v
+                + 0.12546768756682242 * k5v
+            ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -392,8 +317,14 @@ class DOP853:
                 s = exp(vs if vs < clip else clip)
                 k6v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k6u = m * (s - lam)
-            us = u + (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u) * h
-            vs = v + (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v) * h
+            us = u + (
+                0.037109375 * k1u + 0.17025221101954405 * k4u
+                + 0.06021653898045596 * k5u + -0.017578125 * k6u
+            ) * h
+            vs = v + (
+                0.037109375 * k1v + 0.17025221101954405 * k4v
+                + 0.06021653898045596 * k5v + -0.017578125 * k6v
+            ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
                 d = us - vs
@@ -403,10 +334,14 @@ class DOP853:
                 k7v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k7u = m * (s - lam)
             us = u + (
-                _A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u
+                0.03709200011850479 * k1u + 0.17038392571223998 * k4u
+                + 0.10726203044637328 * k5u + -0.015319437748624402 * k6u
+                + 0.008273789163814023 * k7u
             ) * h
             vs = v + (
-                _A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v
+                0.03709200011850479 * k1v + 0.17038392571223998 * k4v
+                + 0.10726203044637328 * k5v + -0.015319437748624402 * k6v
+                + 0.008273789163814023 * k7v
             ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
@@ -417,12 +352,14 @@ class DOP853:
                 k8v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k8u = m * (s - lam)
             us = u + (
-                _A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
-                + _A9_8 * k8u
+                0.6241109587160757 * k1u + -3.3608926294469414 * k4u
+                + -0.868219346841726 * k5u + 27.59209969944671 * k6u
+                + 20.154067550477894 * k7u + -43.48988418106996 * k8u
             ) * h
             vs = v + (
-                _A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
-                + _A9_8 * k8v
+                0.6241109587160757 * k1v + -3.3608926294469414 * k4v
+                + -0.868219346841726 * k5v + 27.59209969944671 * k6v
+                + 20.154067550477894 * k7v + -43.48988418106996 * k8v
             ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
@@ -433,12 +370,16 @@ class DOP853:
                 k9v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k9u = m * (s - lam)
             us = u + (
-                _A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
-                + _A10_8 * k8u + _A10_9 * k9u
+                0.47766253643826434 * k1u + -2.4881146199716677 * k4u
+                + -0.590290826836843 * k5u + 21.230051448181193 * k6u
+                + 15.279233632882423 * k7u + -33.28821096898486 * k8u
+                + -0.020331201708508627 * k9u
             ) * h
             vs = v + (
-                _A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
-                + _A10_8 * k8v + _A10_9 * k9v
+                0.47766253643826434 * k1v + -2.4881146199716677 * k4v
+                + -0.590290826836843 * k5v + 21.230051448181193 * k6v
+                + 15.279233632882423 * k7v + -33.28821096898486 * k8v
+                + -0.020331201708508627 * k9v
             ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
@@ -449,12 +390,16 @@ class DOP853:
                 k10v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k10u = m * (s - lam)
             us = u + (
-                _A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
-                + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u
+                -0.9371424300859873 * k1u + 5.186372428844064 * k4u
+                + 1.0914373489967295 * k5u + -8.149787010746927 * k6u
+                + -18.52006565999696 * k7u + 22.739487099350505 * k8u
+                + 2.4936055526796523 * k9u + -3.0467644718982196 * k10u
             ) * h
             vs = v + (
-                _A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
-                + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v
+                -0.9371424300859873 * k1v + 5.186372428844064 * k4v
+                + 1.0914373489967295 * k5v + -8.149787010746927 * k6v
+                + -18.52006565999696 * k7v + 22.739487099350505 * k8v
+                + 2.4936055526796523 * k9v + -3.0467644718982196 * k10v
             ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
@@ -465,12 +410,18 @@ class DOP853:
                 k11v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k11u = m * (s - lam)
             us = u + (
-                _A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
-                + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u
+                2.273310147516538 * k1u + -10.53449546673725 * k4u
+                + -2.0008720582248625 * k5u + -17.9589318631188 * k6u
+                + 27.94888452941996 * k7u + -2.8589982771350235 * k8u
+                + -8.87285693353063 * k9u + 12.360567175794303 * k10u
+                + 0.6433927460157636 * k11u
             ) * h
             vs = v + (
-                _A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
-                + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v
+                2.273310147516538 * k1v + -10.53449546673725 * k4v
+                + -2.0008720582248625 * k5v + -17.9589318631188 * k6v
+                + 27.94888452941996 * k7v + -2.8589982771350235 * k8v
+                + -8.87285693353063 * k9v + 12.360567175794303 * k10v
+                + 0.6433927460157636 * k11v
             ) * h
             if w_chart:
                 s = -expm1(vs if vs < clip else clip)
@@ -481,32 +432,48 @@ class DOP853:
                 k12v = (1.0 - s) * (s + a) - exp(us if us < clip else clip)
             k12u = m * (s - lam)
             u_new = u + h * (
-                _B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
-                + _B10 * k10u + _B11 * k11u + _B12 * k12u
+                0.054293734116568765 * k1u + 4.450312892752409 * k6u
+                + 1.8915178993145003 * k7u + -5.801203960010585 * k8u
+                + 0.3111643669578199 * k9u + -0.1521609496625161 * k10u
+                + 0.20136540080403034 * k11u + 0.04471061572777259 * k12u
             )
             v_new = v + h * (
-                _B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v
-                + _B10 * k10v + _B11 * k11v + _B12 * k12v
+                0.054293734116568765 * k1v + 4.450312892752409 * k6v
+                + 1.8915178993145003 * k7v + -5.801203960010585 * k8v
+                + 0.3111643669578199 * k9v + -0.1521609496625161 * k10v
+                + 0.20136540080403034 * k11v + 0.04471061572777259 * k12v
             )
             anu = u_new if u_new >= 0.0 else -u_new
             anv = v_new if v_new >= 0.0 else -v_new
             su = atol + (au if au > anu else anu) * rtol
             sv = atol + (av if av > anv else anv) * rtol
             e5u = (
-                _E5_1 * k1u + _E5_6 * k6u + _E5_7 * k7u + _E5_8 * k8u + _E5_9 * k9u
-                + _E5_10 * k10u + _E5_11 * k11u + _E5_12 * k12u
+                0.01312004499419488 * k1u + -1.2251564463762044 * k6u
+                + -0.4957589496572502 * k7u + 1.6643771824549864 * k8u
+                + -0.35032884874997366 * k9u + 0.3341791187130175 * k10u
+                + 0.08192320648511571 * k11u + -0.022355307863886294 * k12u
             ) / su
             e5v = (
-                _E5_1 * k1v + _E5_6 * k6v + _E5_7 * k7v + _E5_8 * k8v + _E5_9 * k9v
-                + _E5_10 * k10v + _E5_11 * k11v + _E5_12 * k12v
+                0.01312004499419488 * k1v + -1.2251564463762044 * k6v
+                + -0.4957589496572502 * k7v + 1.6643771824549864 * k8v
+                + -0.35032884874997366 * k9v + 0.3341791187130175 * k10v
+                + 0.08192320648511571 * k11v + -0.022355307863886294 * k12v
             ) / sv
             e3u = (
-                _E3_1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _E3_9 * k9u
-                + _B10 * k10u + _B11 * k11u + _E3_12 * k12u
+                (0.054293734116568765 - 0.2440944881889764) * k1u
+                + 4.450312892752409 * k6u + 1.8915178993145003 * k7u
+                + -5.801203960010585 * k8u
+                + (0.3111643669578199 - 0.7338466882816118) * k9u
+                + -0.1521609496625161 * k10u + 0.20136540080403034 * k11u
+                + (0.04471061572777259 - 0.022058823529411766) * k12u
             ) / su
             e3v = (
-                _E3_1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _E3_9 * k9v
-                + _B10 * k10v + _B11 * k11v + _E3_12 * k12v
+                (0.054293734116568765 - 0.2440944881889764) * k1v
+                + 4.450312892752409 * k6v + 1.8915178993145003 * k7v
+                + -5.801203960010585 * k8v
+                + (0.3111643669578199 - 0.7338466882816118) * k9v
+                + -0.1521609496625161 * k10v + 0.20136540080403034 * k11v
+                + (0.04471061572777259 - 0.022058823529411766) * k12v
             ) / sv
             err5 = e5u * e5u + e5v * e5v
             err3 = e3u * e3u + e3v * e3v
@@ -565,30 +532,42 @@ class DOP853:
             k10u, k10v, k11u, k11v, k12u, k12v, k13u, k13v, u_new, v_new,
         ) = self._last
         us = u + (
-            _A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
-            + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u
+            0.056167502283047954 * k1u + 0.25350021021662483 * k7u
+            + -0.2462390374708025 * k8u + -0.12419142326381637 * k9u
+            + 0.15329179827876568 * k10u + 0.00820105229563469 * k11u
+            + 0.007567897660545699 * k12u + -0.008298 * k13u
         ) * h
         vs = v + (
-            _A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
-            + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v
+            0.056167502283047954 * k1v + 0.25350021021662483 * k7v
+            + -0.2462390374708025 * k8v + -0.12419142326381637 * k9v
+            + 0.15329179827876568 * k10v + 0.00820105229563469 * k11v
+            + 0.007567897660545699 * k12v + -0.008298 * k13v
         ) * h
         k14u, k14v = _field(p, w_chart, (us, vs))
         us = u + (
-            _A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
-            + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u
+            0.03183464816350214 * k1u + 0.028300909672366776 * k6u
+            + 0.053541988307438566 * k7u + -0.05492374857139099 * k8u
+            + -0.00010834732869724932 * k11u + 0.0003825710908356584 * k12u
+            + -0.00034046500868740456 * k13u + 0.1413124436746325 * k14u
         ) * h
         vs = v + (
-            _A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
-            + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v
+            0.03183464816350214 * k1v + 0.028300909672366776 * k6v
+            + 0.053541988307438566 * k7v + -0.05492374857139099 * k8v
+            + -0.00010834732869724932 * k11v + 0.0003825710908356584 * k12v
+            + -0.00034046500868740456 * k13v + 0.1413124436746325 * k14v
         ) * h
         k15u, k15v = _field(p, w_chart, (us, vs))
         us = u + (
-            _A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
-            + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u
+            -0.42889630158379194 * k1u + -4.697621415361164 * k6u
+            + 7.683421196062599 * k7u + 4.06898981839711 * k8u
+            + 0.3567271874552811 * k9u + -0.0013990241651590145 * k13u
+            + 2.9475147891527724 * k14u + -9.15095847217987 * k15u
         ) * h
         vs = v + (
-            _A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
-            + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v
+            -0.42889630158379194 * k1v + -4.697621415361164 * k6v
+            + 7.683421196062599 * k7v + 4.06898981839711 * k8v
+            + 0.3567271874552811 * k9v + -0.0013990241651590145 * k13v
+            + 2.9475147891527724 * k14v + -9.15095847217987 * k15v
         ) * h
         k16u, k16v = _field(p, w_chart, (us, vs))
 

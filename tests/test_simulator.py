@@ -1,10 +1,13 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mpmath as mp
@@ -473,6 +476,85 @@ def test_stepper_stages_are_log_vector_field(p, monkeypatch):
     assert len(rejected) > 100 and any(rejected)
     assert switches == [True, False]
     assert charts.index(True) > 0 and any(rejected[i] for i, w in enumerate(charts) if w)
+
+
+def _constants(code):
+    """The constants of a code object and of the code objects nested in it."""
+    found = set()
+    for c in code.co_consts:
+        found |= _constants(c) if isinstance(c, type(code)) else {c}
+    return found
+
+
+def _stage_sums(function):
+    """The coefficient sums of ``function``, in source order: for each
+    assignment with terms ``<literal> * k<j><u|v>``, {"k<j><u|v>": value}."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    assignments = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)]
+    sums = []
+    for node in sorted(assignments, key=lambda node: node.lineno):
+        terms = {
+            term.right.id: eval(compile(ast.Expression(term.left), "<tableau>", "eval"), {})
+            for term in ast.walk(node.value)
+            if isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+            and isinstance(term.right, ast.Name) and re.fullmatch(r"k\d+[uv]", term.right.id)
+            and not any(isinstance(leaf, ast.Name) for leaf in ast.walk(term.left))
+        }
+        if terms:
+            sums.append(terms)
+    return sums
+
+
+def test_stepper_tableau_is_scipys():
+    # the tableau is written into the stage sums as float literals.  Every
+    # nonzero entry of scipy's DOP853 tables is a constant of the code that
+    # sums with it (the E3 weights folded from B_j - b3_j); each sum, u and
+    # v alike, has exactly its row's nonzero entries at their stages; and
+    # no module name holds an entry.  A mistyped literal shows up by its
+    # value and place
+    step_rows = [*ScipyDOP853.A[1:12], ScipyDOP853.B, ScipyDOP853.E5, ScipyDOP853.E3]
+    for function, rows in (
+        (dopri.DOP853.step, step_rows), (dopri.DOP853.dense_output, ScipyDOP853.A_EXTRA),
+    ):
+        consts = _constants(function.__code__)
+        assert [float(w) for row in rows for w in row if w and float(w) not in consts] == []
+        expected = [
+            {f"k{j + 1}{c}": float(w) for j, w in enumerate(row) if w} for row in rows for c in "uv"
+        ]
+        assert _stage_sums(function) == expected
+    entry = re.compile(r"_(A\d+_\d+|B\d+|E[35]_\d+)")
+    assert [name for name in vars(dopri) if entry.fullmatch(name)] == []
+
+
+# a deep cycle (ln x_min = -789; 114 of its 243 accepted steps in the w
+# chart) and a canard one (ln s_min = -22118; 6713 of 6818 in the w
+# chart), far from the reference grid's m <= 5; repr tells every double
+# of the extremes and every step count apart
+BEYOND_THE_GRID = {
+    "deep": (
+        Params(0.05, 0.05, 50.0),
+        "CycleExtremes(x_max=40.53367430446851, s_max=0.9999998109863083, "
+        "ln_x_min=-788.6063783114323, ln_s_min=-20.054633681777606, "
+        "ln_s_max=-1.890137096072834e-07, period=361.4439522800174, converged=True, "
+        "residual=3.810285420513537e-13, tours=3, raw_events=4, "
+        "stats=SolveStats(steps=111, rejected_steps=49, rhs_evals=1875), "
+        "total_stats=SolveStats(steps=243, rejected_steps=110, rhs_evals=4137))",
+    ),
+    "canard": (
+        Params(0.01, 0.01, 1e-3),
+        "CycleExtremes(x_max=0.2638553650744084, s_max=0.9999999999990576, "
+        "ln_x_min=-27.717488582820987, ln_s_min=-22118.30598719317, "
+        "ln_s_max=-9.42392926989897e-13, period=2665761.21439838, converged=True, "
+        "residual=1.5409895581797173e-13, tours=2, raw_events=4, "
+        "stats=SolveStats(steps=4874, rejected_steps=216, rhs_evals=60868), "
+        "total_stats=SolveStats(steps=6818, rejected_steps=383, rhs_evals=86036))",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, expected", BEYOND_THE_GRID.values(), ids=BEYOND_THE_GRID)
+def test_cycles_beyond_the_grid_keep_their_bits(p, expected):
+    assert repr(limit_cycle(p)) == expected
 
 
 @pytest.mark.parametrize("p", [P_REF, CANARD], ids=["ref", "canard"])
