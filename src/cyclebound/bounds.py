@@ -18,7 +18,8 @@ barrier is anchored at :data:`S_MAX_LO`, the proven prey-maximum bound.
 
 from __future__ import annotations
 
-import math
+# bound at import: a global load per use, not a global and a module-attribute load
+from math import exp, inf, isfinite, log, sqrt
 from typing import NamedTuple
 
 from ._arith import MATH
@@ -45,6 +46,8 @@ __all__ = [
 S_MAX_LO = 0.8
 
 _Z1, _Z2 = ZIndex.Z1, ZIndex.Z2  # read once: an Enum class attribute is a slow read
+# the tuple constructor, read once: a record built by it skips the generated __new__'s frame
+_new_tuple = tuple.__new__
 
 
 class BoundSet(NamedTuple):
@@ -91,7 +94,7 @@ class CanardEstimates(NamedTuple):
 
 
 def _finite(name: str, value: float, p: Params) -> float:
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"{name} overflows at m = {p.m!r}: got {value!r}")
     return value
 
@@ -166,17 +169,18 @@ def x_max_lower(p: Params) -> float:
     discriminant is inf - inf, read as 0: z* = b/4 then clamps to
     S_MAX_LO, as the larger root itself does at any such m.
     """
-    require_cycle(p)
+    if not p.cycle_regime:
+        require_cycle(p)  # raises
     a, lam, m = p.a, p.lam, p.m
     lo = 0.5 * (1.0 - a)
     b = 1.0 - a + m
     disc = b * b - 8.0 * m * lam  # >= 0 in the cycle regime; NaN once 8 m overflows
     # max(disc, 0), max(x, lo) and min(x, hi) without builtin calls: the first
     # reads NaN as 0, the others keep x unless the bound is strictly past it
-    z_star = 0.25 * (b + math.sqrt(disc if disc > 0.0 else 0.0))
+    z_star = 0.25 * (b + sqrt(disc if disc > 0.0 else 0.0))
     z_star = lo if lo > z_star else z_star
     z_star = S_MAX_LO if S_MAX_LO < z_star else z_star
-    lam_term = 0.0 if lam == 0.0 else lam * (1.0 - math.log(lam) + math.log(z_star))
+    lam_term = 0.0 if lam == 0.0 else lam * (1.0 - log(lam) + log(z_star))
     return h(z_star, p) + m * (z_star - lam_term)
 
 
@@ -210,17 +214,17 @@ def _minima(u1: float, u2: float, p: Params) -> tuple[float, float, float, float
             f"the minima bounds need lam > 0 (they launch on s = lam), got lam = {lam!r}"
         )
     y1, y2 = u1 / a, u2 / H
-    if not y1 < math.inf:
+    if not y1 < inf:
         raise ValueError(f"minima bounds overflow at a = {a!r}: u/a = {y1!r}")
-    ln_lam = math.log(lam)
+    ln_lam = log(lam)
     # the depth scale, infinite at m = 0 (an infinitely deep dive) and where m lam underflows
     m_lam = p.m * lam
-    scale = math.inf if m_lam == 0.0 else 1.0 / m_lam
+    scale = inf if m_lam == 0.0 else 1.0 / m_lam
     return (
-        math.log(_z(MATH, _Z1, y1)) + math.log(u1) - y1,
-        math.log(_z(MATH, _Z2, y2)) + math.log(u2) - y2,
-        ln_lam - (u1 - a - a * math.log(y1)) * scale - 1.0,
-        ln_lam - (u2 - a - H * math.log(u2 / a)) * scale,
+        log(_z(MATH, _Z1, y1)) + log(u1) - y1,
+        log(_z(MATH, _Z2, y2)) + log(u2) - y2,
+        ln_lam - (u1 - a - a * log(y1)) * scale - 1.0,
+        ln_lam - (u2 - a - H * log(u2 / a)) * scale,
     )
 
 
@@ -257,7 +261,7 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             "box; pass force=True to evaluate anyway (bounds flagged unproven)"
         )
     x_hi = _x_max_upper(p.a, p.lam, p.m)  # x_max_lower checked the cycle regime
-    if not x_hi < math.inf:
+    if not x_hi < inf:
         _finite("x_max_upper", x_hi, p)  # raises: inf or NaN
     try:
         ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi = _minima(x_hi, x_lo, p)
@@ -270,8 +274,7 @@ def cycle_bounds(p: Params, force: bool = False) -> BoundSet:
             f"point (margin {p.hopf_margin!r}) for the minima bounds: x_max_lower "
             f"rounds to h(lam) = {p.h_lam!r} or below, where no excursion launches"
         ) from err
-    # the tuple constructor, not the generated __new__: same record, no Python frame
-    return tuple.__new__(
+    return _new_tuple(
         BoundSet, (x_lo, x_hi, ln_x_lo, ln_x_hi, ln_s_lo, ln_s_hi, S_MAX_LO, 1.0, p.proven_region)
     )
 
@@ -293,10 +296,10 @@ def canard_estimates(p: Params) -> CanardEstimates:
     """
     a = p.a
     x_max_c = 0.25 * (1.0 + a) * (1.0 + a)
-    x_min_c = x_max_c * math.exp(-x_max_c / a) if a > 0 else 0.0
-    s_max_c = 0.5 * (1.0 - a) + math.sqrt(0.25 * (1.0 - a) ** 2 + a - x_min_c)
+    x_min_c = x_max_c * exp(-x_max_c / a) if a > 0 else 0.0
+    s_max_c = 0.5 * (1.0 - a) + sqrt(0.25 * (1.0 - a) ** 2 + a - x_min_c)
     # v - a (ln a - 1), whose a -> 0 limit is -x_max
-    dv = a * math.log(x_max_c) - x_max_c - a * (math.log(a) - 1.0) if a > 0 else -x_max_c
+    dv = a * log(x_max_c) - x_max_c - a * (log(a) - 1.0) if a > 0 else -x_max_c
     denom = p.m * p.lam
-    ln_s_min_c = dv / denom if denom > 0 else -math.inf
-    return tuple.__new__(CanardEstimates, (x_max_c, x_min_c, s_max_c, ln_s_min_c))
+    ln_s_min_c = dv / denom if denom > 0 else -inf
+    return _new_tuple(CanardEstimates, (x_max_c, x_min_c, s_max_c, ln_s_min_c))

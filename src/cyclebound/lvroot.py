@@ -119,18 +119,18 @@ def lv_small_root_ln(A: float, C: float) -> float:
     lo, hi = -C / A, ln_A
     w = lo
     for _ in range(200):
-        g = math.exp(w) - A * w - C
+        e_w = math.exp(w)
+        g = e_w - A * w - C
         if g > 0.0:
             lo = w
         else:
             hi = w
-        dg = math.exp(w) - A  # < 0 strictly on (lo, ln A)
-        w_new = w - g / dg
-        if not lo < w_new < hi:
-            w_new = 0.5 * (lo + hi)
+        w_new = w - g / (e_w - A)  # g' = e^w - A < 0 strictly on (lo, ln A)
+        # a converged step ends the search, even one that lands on the end
+        # just moved; only an unconverged step outside the bracket bisects
         if abs(w_new - w) <= 1e-15 * max(1.0, abs(w_new)):
             return w_new
-        w = w_new
+        w = w_new if lo < w_new < hi else 0.5 * (lo + hi)
     return w
 
 

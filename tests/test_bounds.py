@@ -1,9 +1,12 @@
+import builtins
+import dis
 import hashlib
 import math
 import pickle
 import random
 import re
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -388,16 +391,38 @@ def test_a_float_bound_set_reads_nothing_and_the_public_z_reads_once():
 
 
 def test_a_bound_set_checks_the_cycle_once_and_builds_its_records_by_the_tuple_constructor():
-    # x_max_lower's cycle check covers x_max_upper's formula, the overflow check
-    # runs only on a value that is not < inf, and the records skip their
-    # generated __new__ frames
+    # x_max_lower reads the cycle flag once and enters require_cycle only to
+    # raise, its check covers x_max_upper's formula, the overflow check runs
+    # only on a value that is not < inf, and the records skip their generated
+    # __new__ frames
     watched = (
         model.require_cycle, x_max_upper, bounds._finite,
         BoundSet.__new__, CanardEstimates.__new__,
     )
     for p in PROVEN_GRID[:3] + FORCED[:3]:
         counts = _entries(lambda: (cycle_bounds(p, force=True), canard_estimates(p)), *watched)
-        assert counts == [1, 0, 0, 0, 0], p
+        assert counts == [0, 0, 0, 0, 0], p
+
+
+def test_a_bound_set_loads_no_attribute_of_math():
+    # exp, log, sqrt, inf and isfinite are bound in bounds' globals at import:
+    # one global load each, where math.<name> was a global and an attribute load
+    def instructions(code):
+        yield from dis.get_instructions(code)
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from instructions(const)
+
+    for function in (x_max_lower, cycle_bounds, bounds._minima, canard_estimates):
+        loaded = {
+            ins.argval for ins in instructions(function.__code__)
+            if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")
+        }
+        resolved = [vars(bounds).get(name, getattr(builtins, name, None)) for name in loaded]
+        assert not any(value is math for value in resolved), function.__name__
+    math_functions = {math.exp, math.log, math.sqrt, math.isfinite}
+    assert {bounds.exp, bounds.log, bounds.sqrt, bounds.isfinite} == math_functions
+    assert bounds.inf == math.inf and bounds._new_tuple is tuple.__new__
 
 
 # where the kernel's domain argument in bounds._minima is tightest: 2 lam + a

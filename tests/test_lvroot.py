@@ -1,4 +1,5 @@
 import math
+import random
 import types
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclebound import _arith
+from cyclebound import _arith, lvroot
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 
 E = math.e
@@ -147,6 +148,29 @@ def test_lv_small_root_ln_deep():
     w = lv_small_root_ln(1.0, 1000.0)
     assert w == pytest.approx(-1000.0, abs=1e-9)
     assert math.exp(w) - w - 1000.0 == pytest.approx(0.0, abs=1e-9)
+
+
+def test_lv_small_root_ln_accepts_a_converged_step_before_bisecting(monkeypatch):
+    # a converged Newton step ends the search, even one that lands on the
+    # bracket end it just moved; a search that bisects there first and goes
+    # on from the middle takes about twice the iterations (28 650 here).  An
+    # iteration is one point w at which e^w is evaluated.
+    points = []
+
+    def exp(w):
+        if not points or points[-1] != w:
+            points.append(w)
+        return math.exp(w)
+
+    monkeypatch.setattr(lvroot, "math", types.SimpleNamespace(exp=exp, log=math.log))
+    rng = random.Random(2026)
+    iterations = []
+    for _ in range(2000):  # z_exact's calls
+        y = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(316.0)))
+        points.clear()
+        lv_small_root_ln(1.0, y - math.log(y))
+        iterations.append(len(points))
+    assert sum(iterations) <= 15_000 and max(iterations) <= 20
 
 
 @given(

@@ -60,21 +60,29 @@ def test_cycle_regime_flag_matches_inequality():
 
 
 def test_a_pair_with_no_cycle_gets_one_message_everywhere():
-    p = Params(a=0.5, lam=0.3, m=1.0)
-    message = (
-        "(a, lambda) = (0.5, 0.3) has no limit cycle: need 2*lam + a < 1, "
-        f"got margin {p.hopf_margin!r}"
-    )
-    for check in (
-        require_cycle,
-        cycle_bounds,
-        x_max_upper,
-        x_max_lower,
-        lambda p: integrate(State(0.5, 0.5), p),
+    # margin 1 - 2 lam - a negative, exactly 0, and -1e-300 at lam = 1/2;
+    # x_max_lower reads the cycle flag and enters require_cycle only to raise
+    for p in (
+        Params(a=0.5, lam=0.3, m=1.0),
+        Params(a=0.2, lam=0.4, m=1.0),
+        Params(a=1e-300, lam=0.5, m=1e-3),
+        Params(a=0.99, lam=0.3, m=1e6),
     ):
-        with pytest.raises(ValueError) as info:
-            check(p)
-        assert str(info.value) == message
+        message = (
+            f"(a, lambda) = ({p.a!r}, {p.lam!r}) has no limit cycle: need 2*lam + a < 1, "
+            f"got margin {p.hopf_margin!r}"
+        )
+        for check in (
+            require_cycle,
+            cycle_bounds,
+            lambda p: cycle_bounds(p, force=True),
+            x_max_upper,
+            x_max_lower,
+            lambda p: integrate(State(0.5, 0.5), p),
+        ):
+            with pytest.raises(ValueError) as info:
+                check(p)
+            assert str(info.value) == message, (p, check)
 
 
 @pytest.mark.parametrize(
