@@ -64,7 +64,6 @@ _EXPORTS = {
         "handoff_cap_envelope",
         "recovery_start_cap",
         "smax_lower_bound",
-        "x_max_lower_coarse",
     ),
     "simulator": (
         "CycleExtremes",

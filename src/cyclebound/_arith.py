@@ -8,11 +8,13 @@ at the first element where ``ok`` fails (C order), or None.  An ndarray
 among a call's inputs selects NumPy's namespace.  Any other value selects
 :data:`MATH` and is a float: a float keeps its value, so a non-finite
 one meets the caller's range check, and any other value is read by
-:func:`cyclebound.model.finite_float`.  Only a value whose type comes
-from NumPy is tested against ``np.ndarray``, so a float never loads
-NumPy.  :func:`read` takes one input; :func:`choose` reads each of
-several once and returns the namespace with the values read, so a
-caller computes with what was decided and never reads an input again.
+:func:`cyclebound.model.finite_float`.  NumPy is imported only by the
+functions that run on an ndarray, and :func:`read` tests a value against
+``ndarray`` only when the value's type comes from NumPy, which is then
+loaded; so a float never loads NumPy.  :func:`read` takes one input;
+:func:`choose` reads each of several once and returns the namespace
+with the values read, so a caller computes with what was decided and
+never reads an input again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from operator import truediv
 from types import SimpleNamespace
 
-from ._lazy import np
 from .model import finite_float
 
 __all__ = ["MATH", "read", "choose"]
@@ -36,6 +37,7 @@ MATH = SimpleNamespace(
 
 
 def _first_failing(ok, *values) -> tuple | None:
+    import numpy as np
     if np.all(ok):
         return None
     ok, *values = np.broadcast_arrays(ok, *values)
@@ -44,11 +46,13 @@ def _first_failing(ok, *values) -> tuple | None:
 
 
 def _divide(x, y):
+    import numpy as np
     with np.errstate(over="ignore"):
         return np.divide(x, y)
 
 
 def _numpy() -> SimpleNamespace:
+    import numpy as np
     return SimpleNamespace(exp=np.exp, log=np.log, sqrt=np.sqrt, where=np.where,
                            clamp=np.maximum, divide=_divide, first_failure=_first_failing)
 
@@ -58,8 +62,10 @@ def read(name: str, value) -> tuple[SimpleNamespace, float | np.ndarray]:
     value that is no number raises ValueError naming ``name``."""
     if type(value) is float:
         return MATH, value
-    if type(value).__module__ == "numpy" and isinstance(value, np.ndarray):
-        return _numpy(), value
+    if type(value).__module__ == "numpy":
+        import numpy as np  # loaded already: value's type comes from it
+        if isinstance(value, np.ndarray):
+            return _numpy(), value
     return MATH, float(value) if isinstance(value, float) else finite_float(name, value)
 
 

@@ -25,7 +25,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Optional, Sequence, Union
 
-from ._lazy import np
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
 from .model import Params, finite_float, integer, require_cycle
 from .region4 import (
@@ -439,6 +438,8 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     the first point in (a, lam, m) order, the a slope before the lam
     slope, as in a strict scan.
     """
+    import numpy as np  # here, as in proof_spotchecks: the proof table builds arrays
+
     a = np.linspace(2e-3, case.a_max, 20)[:, None, None]
     lam = np.linspace(2e-3, case.lam_max, 20)[:, None]
     m = np.geomspace(1e-2, 20, 12)
@@ -499,6 +500,8 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     array; it reports its first maximal element, the tie rule of max()
     over float calls.
     """
+    import numpy as np  # here: a sweep or a figure builds no array
+
     case = Case(case)
     barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
     c0, c0_plus_c1 = x_max_barrier_coefficients(Params(*barrier_arg, limit=True))

@@ -26,7 +26,6 @@ import math
 from enum import Enum
 
 from ._arith import read
-from ._lazy import np
 from .model import finite_float
 
 __all__ = ["ZIndex", "z", "lv_small_root_ln", "z_exact"]

@@ -49,7 +49,6 @@ from enum import Enum
 from types import SimpleNamespace
 
 from ._arith import choose, read
-from ._lazy import np
 from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
 from .model import PROVEN_BOXES, Params, finite_float, h, hopf_margin
@@ -59,7 +58,6 @@ __all__ = [
     "S_GAMMA",
     "Case",
     "AlphaFactors",
-    "x_max_lower_coarse",
     "handoff_cap_bound",
     "handoff_cap_bound_ln",
     "handoff_cap_envelope",
@@ -159,7 +157,7 @@ def _ln_gain(arith, q, case: Case) -> float | np.ndarray:
     return (q.m / case.k) * ln_factor
 
 
-def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
+def _x_max_lower_coarse(arith, q, case: Case) -> float | np.ndarray:
     """Linear-in-m lower estimate c0 + m c of the x_max lower bound.
 
     Freezes the barrier anchor at the parabola vertex for the worst
@@ -170,13 +168,8 @@ def x_max_lower_coarse(p, case: Case) -> float | np.ndarray:
         m < 0.3:   1/4 + m ((1-a_max)/2 - lam (1 - ln lam + ln (1-a_max)/2))
         m >= 0.3:  h(0.8) + m (0.8 - lam (1 - ln lam + ln 0.8)).
 
-    ``p`` is a :class:`Params`, or any object with a, lam and m, as in
-    the rest of the cap chain and in :func:`growth_ratio_quadratic`.
+    ``q`` is a point as :func:`_read_point` gives it, with its arithmetic.
     """
-    return _x_max_lower_coarse(*_read_point(p), case)
-
-
-def _x_max_lower_coarse(arith, q, case: Case) -> float | np.ndarray:
     _check(arith, hopf_margin(q) > 0.0, q, "coarse x_max lower bound requires the cycle regime")
     low_m = q.m < M_BRANCH
     anchor = arith.where(low_m, 0.5 * (1.0 - case.a_max), S_MAX_LO)

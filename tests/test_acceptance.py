@@ -13,6 +13,7 @@ import io
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -27,7 +28,14 @@ from cyclebound.harness import (
 )
 from cyclebound.lvroot import ZIndex, z, z_exact
 from cyclebound.model import LogState, Params
-from cyclebound.region4 import Case, handoff_cap_envelope, smax_lower_bound
+from cyclebound.region4 import (
+    _ENVELOPE,
+    S_GAMMA,
+    Case,
+    alpha2_peak,
+    handoff_cap_envelope,
+    smax_lower_bound,
+)
 from cyclebound.simulator import (
     SimConfig,
     cycle_extreme_report,
@@ -205,6 +213,29 @@ def test_criterion_4_recovery_constants(spotchecks):
          f"computed {peak_b:.4f}"),
     ]
     report(4, "recovery-branch constants", clauses)
+
+
+# the peak of alpha2 = (x/M)^(M/(m+M)) for each case's coded high-m envelope
+# x = (c0 + c1 m) e^(c2 m + c3), M = S_GAMMA, as mpmath finds it at 40 digits
+ALPHA2_PEAK_40_DIGITS = {Case.A: 4.10894902041, Case.B: 3.03141348171}
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_criterion_4_alpha2_peak_is_the_root_of_its_derivative(case):
+    # evidence for criterion 4: the code finds the peak of the constants it
+    # carries, so case B's 3.06 is not the peak of those constants
+    c0, c1, c2, c3 = (mp.mpf(c) for c in _ENVELOPE[case][1])
+    with mp.workdps(40):
+        big_m = mp.mpf(S_GAMMA)
+
+        def ln_alpha2(m):
+            return big_m / (m + big_m) * (mp.log(c0 + c1 * m) + c2 * m + c3 - mp.log(big_m))
+
+        root = mp.findroot(lambda m: mp.diff(ln_alpha2, m), mp.mpf(4))
+    print(f"\n[criterion 4 evidence] case {case.value}: d/dm ln alpha2 = 0 at m = "
+          f"{mp.nstr(root, 15)}; alpha2_peak = {alpha2_peak(case)!r}")
+    assert abs(alpha2_peak(case) - root) <= 1e-9
+    assert abs(root - ALPHA2_PEAK_40_DIGITS[case]) <= 1e-10
 
 
 def test_criterion_5_prey_maximum_end_to_end(grid_sweep):

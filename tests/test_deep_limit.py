@@ -50,8 +50,10 @@ def deep_cycle_limit(a: float, lam: float) -> DeepLimit:
 
     G(t) = F(s_max) - F(s_min) falls from +inf as t -> -inf to the root
     and is negative between it and the trivial root s_max = lam, so a
-    bisection bracket [-1000, ln(1 - lam)] safeguards Newton's iteration
-    on t, as in ``lv_small_root_ln``.
+    bisection bracket [lo, ln(1 - lam)] safeguards Newton's iteration on
+    t, as in ``lv_small_root_ln``.  The root scales like -1/a (t = -993.5
+    at (a, lam) = (1e-3, 1e-4)), so lo starts at -1000 and doubles until
+    G(lo) > 0.
     """
     c_s, c_g, c_a = -lam / a, -(1.0 - lam) / (1.0 + a), (a + lam) / (a * (1.0 + a))
 
@@ -72,6 +74,8 @@ def deep_cycle_limit(a: float, lam: float) -> DeepLimit:
         return g, dg, energy, w, s_min
 
     lo, hi = -1000.0, math.log1p(-lam)
+    while at(lo)[0] <= 0.0:
+        lo, hi = 2.0 * lo, lo
     t = lo
     for _ in range(100):
         g, dg, energy, w, s_min = at(t)
@@ -101,9 +105,14 @@ def _mp_limit(a, lam, start):
     with mp.workdps(40):
         a, lam = mp.mpf(a), mp.mpf(lam)
 
-        def big_f(s):
-            return (-(lam / a) * mp.log(s) - ((1 - lam) / (1 + a)) * mp.log(1 - s)
+        # F with ln(1 - s) passed in: at s_max it is t, as 1 - s_max may be
+        # below 40 digits of 1 (e^-9984 at (1e-4, 1e-4))
+        def big_f(s, ln_gap):
+            return (-(lam / a) * mp.log(s) - ((1 - lam) / (1 + a)) * ln_gap
                     + ((a + lam) / (a * (1 + a))) * mp.log(s + a))
+
+        def big_f_at(s):
+            return big_f(s, mp.log(1 - s))
 
         def small_root(energy, w0):
             return mp.findroot(lambda w: mp.exp(w) - lam * w - energy, w0)
@@ -111,7 +120,7 @@ def _mp_limit(a, lam, start):
         def closing(t):
             s_max = 1 - mp.exp(t)
             w = small_root(s_max - lam * mp.log(s_max), start.ln_s_min)
-            return big_f(s_max) - big_f(mp.exp(w))
+            return big_f(s_max, t) - big_f_at(mp.exp(w))
 
         t = mp.findroot(closing, mp.mpf(start.t))
         s_max = 1 - mp.exp(t)
@@ -121,7 +130,7 @@ def _mp_limit(a, lam, start):
             t=float(t),
             x_max=float(energy - lam + lam * mp.log(lam)),
             ln_s_min=float(w),
-            ln_x_min=float(big_f(lam) - big_f(mp.exp(w))),
+            ln_x_min=float(big_f_at(lam) - big_f_at(mp.exp(w))),
         )
 
 
@@ -129,7 +138,8 @@ def _mp_limit(a, lam, start):
 POINTS = [(0.05, 0.05), (0.1, 0.01), (0.02, 0.03), (0.01, 0.01)]
 
 
-@pytest.mark.parametrize("a, lam", POINTS[:2])
+# (1e-4, 1e-4) lies in box A, where the root is below t = -1000
+@pytest.mark.parametrize("a, lam", POINTS[:2] + [(1e-4, 1e-4)])
 def test_the_deep_limit_is_its_40_digit_solution(a, lam):
     # at (0.05, 0.05): x_max/m = 0.80021324, ln x_min/m = -15.637576; at
     # (0.1, 0.01): 0.94373539 and -9.4329984

@@ -20,6 +20,7 @@ from cyclebound.region4 import (
     Case,
     _ln_gain,
     _read_point,
+    _x_max_lower_coarse,
     alpha2_peak,
     alpha_factors,
     growth_ratio_quadratic,
@@ -28,7 +29,6 @@ from cyclebound.region4 import (
     handoff_cap_envelope,
     recovery_start_cap,
     smax_lower_bound,
-    x_max_lower_coarse,
 )
 
 CASE_GRIDS = {
@@ -67,18 +67,21 @@ def test_handoff_cap_basics():
 
 
 def test_x_max_lower_coarse_branches():
+    def coarse(p):
+        return _x_max_lower_coarse(*_read_point(p), Case.A)
+
     lam = 0.03
     p_small = Params(a=0.04, lam=lam, m=0.1)
     expect = 0.25 + 0.1 * (0.475 - lam * (1 - math.log(lam) + math.log(0.475)))
-    assert x_max_lower_coarse(p_small, Case.A) == pytest.approx(expect, rel=1e-14)
+    assert coarse(p_small) == pytest.approx(expect, rel=1e-14)
     p_big = Params(a=0.04, lam=lam, m=1.0)
     expect = h(0.8, p_big) + 1.0 * (0.8 - lam * (1 - math.log(lam) + math.log(0.8)))
-    assert x_max_lower_coarse(p_big, Case.A) == pytest.approx(expect, rel=1e-14)
+    assert coarse(p_big) == pytest.approx(expect, rel=1e-14)
     # a NumPy scalar in p is read as the float it is, and computed with as one
     p_numpy = SimpleNamespace(a=np.float64(0.04), lam=lam, m=1.0)
-    assert x_max_lower_coarse(p_numpy, Case.A) == x_max_lower_coarse(p_big, Case.A)
+    assert coarse(p_numpy) == coarse(p_big)
     for p in (p_big, p_numpy):
-        values = (x_max_lower_coarse(p, Case.A), handoff_cap_bound_ln(p, Case.A),
+        values = (coarse(p), handoff_cap_bound_ln(p, Case.A),
                   growth_ratio_quadratic(np.float64(0.5), p, Case.A))
         assert [type(v) for v in values] == [float] * 3
 
@@ -86,7 +89,7 @@ def test_x_max_lower_coarse_branches():
 def test_x_max_lower_coarse_below_full_lower_bound():
     for case, grid in CASE_GRIDS.items():
         for p in grid:
-            assert x_max_lower_coarse(p, case) <= x_max_lower(p) + 1e-12, p
+            assert _x_max_lower_coarse(*_read_point(p), case) <= x_max_lower(p) + 1e-12, p
 
 
 def test_handoff_cap_bound_dominates_chained_cap():
@@ -231,8 +234,7 @@ def growth_ratio_quadratic_at_its_s(p, case):
 
 
 DOMAIN = "a, lam and m must be finite and nonnegative"
-CAP_CHAIN = (x_max_lower_coarse, handoff_cap_bound_ln, handoff_cap_bound,
-             growth_ratio_quadratic_at_half)
+CAP_CHAIN = (handoff_cap_bound_ln, handoff_cap_bound, growth_ratio_quadratic_at_half)
 
 
 @pytest.mark.parametrize(
