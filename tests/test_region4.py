@@ -237,6 +237,11 @@ DOMAIN = "a, lam and m must be finite and nonnegative"
 CAP_CHAIN = (handoff_cap_bound_ln, handoff_cap_bound, growth_ratio_quadratic_at_half)
 
 
+def x_max_lower_coarse(p, case):
+    # the coarse formula, read as the public calls read their point
+    return _x_max_lower_coarse(*_read_point(p), case)
+
+
 @pytest.mark.parametrize(
     "function, bad, message",
     [
@@ -262,7 +267,7 @@ CAP_CHAIN = (handoff_cap_bound_ln, handoff_cap_bound, growth_ratio_quadratic_at_
     ] + [
         # outside the chain's domain, which each public call checks once on reading p
         pytest.param(function, {name: value}, DOMAIN, id=f"{function.__name__}-{name}-{value}")
-        for function in CAP_CHAIN
+        for function in (x_max_lower_coarse,) + CAP_CHAIN
         for name in ("a", "lam", "m")
         for value in (math.nan, math.inf, -0.01)
     ],
