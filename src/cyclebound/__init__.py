@@ -62,7 +62,6 @@ _EXPORTS = {
         "handoff_cap_bound",
         "handoff_cap_bound_ln",
         "handoff_cap_envelope",
-        "recovery_start_cap",
         "smax_lower_bound",
     ),
     "simulator": (

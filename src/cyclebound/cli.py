@@ -173,7 +173,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_transit(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     tp = cyclebound.transit_points(p, args.s0, _sim_config(args))
-    _print_record(dataclasses.asdict(tp), as_json=True)
+    _print_record(tp._asdict(), as_json=True)
     return 0
 
 

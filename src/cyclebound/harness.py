@@ -23,7 +23,7 @@ from itertools import product
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Optional, Sequence, Union
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
 from .model import Params, finite_float, integer, require_cycle
@@ -159,8 +159,7 @@ class SweepSpec:
         return list(product(*map(sorted, axes)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point: bounds, simulated extremes and pass bookkeeping."""
 
     a: float
@@ -187,13 +186,12 @@ class SweepRow:
 
 
 # every SweepRow field but the error, which stays out of the CSV, in order
-_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "error")
+_CSV_FIELDS = tuple(name for name in SweepRow._fields if name != "error")
 _CSV_NAMES = {"lam": "lambda", "passed": "pass"}
 CSV_HEADER = ",".join(_CSV_NAMES.get(name, name) for name in _CSV_FIELDS)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Ordered sweep rows plus aggregate verdicts.
 
     Unproven rows (forced evaluation outside the proven parameter box)
@@ -396,8 +394,7 @@ def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
     return c0, c0_plus_c1
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named spot-check: margin > 0 (or >= 0 where noted) means proven side."""
 
     name: str
@@ -414,8 +411,7 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class ProofCheckReport:
+class ProofCheckReport(NamedTuple):
     case: Case
     checks: tuple[CheckResult, ...]
 

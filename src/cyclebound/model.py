@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 __all__ = [
     "PROVEN_BOXES",
@@ -187,8 +187,7 @@ class State:
         return LogState(math.log(self.x), math.log(self.s))
 
 
-@dataclass(frozen=True)
-class LogState:
+class LogState(NamedTuple):
     """Log-space image (u, v) = (ln x, ln s) of a phase point.
 
     Defined for all real (u, v); the exp-image is positive by

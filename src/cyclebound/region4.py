@@ -44,9 +44,9 @@ arithmetic and the values read to the private steps of the chain.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from enum import Enum
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from ._arith import choose, read
 from .bounds import S_MAX_LO
@@ -65,7 +65,6 @@ __all__ = [
     "smax_lower_bound",
     "alpha_factors",
     "alpha2_peak",
-    "recovery_start_cap",
 ]
 
 M_BRANCH = 0.3  # m value separating the two closed-form branches
@@ -104,8 +103,7 @@ _START_CAP = {
 }
 
 
-@dataclass(frozen=True)
-class AlphaFactors:
+class AlphaFactors(NamedTuple):
     """Factorization of the prey-maximum shortfall bound.
 
     alpha = alpha1 * alpha2 * alpha3 is an upper estimate of 1 - s_max
@@ -123,7 +121,7 @@ class AlphaFactors:
     x_gamma: float | np.ndarray
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _read_point(p, **more) -> tuple[SimpleNamespace, SimpleNamespace]:
@@ -359,7 +357,7 @@ def alpha2_peak(case: Case) -> float:
     return 0.5 * (lo + hi)
 
 
-def recovery_start_cap(p: Params, case: Case) -> float | np.ndarray:
+def _recovery_start_cap(p: Params, case: Case) -> float | np.ndarray:
     """Closed-form cap on the recovery start value x3, per case and m branch.
 
     Dominates the chained x_min upper bound on each case box and is what

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
@@ -144,8 +144,7 @@ _CYCLE_ORDER = (
 _TOUR_ORDER = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """An isocline crossing: its time ``tau``, log state (u, v) and kind."""
 
     tau: float
@@ -153,8 +152,7 @@ class Event:
     kind: EventKind
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """Stepper work: accepted and rejected steps and field evaluations.
 
     rhs_evals counts the evaluations of the steps (12 per accepted and
@@ -167,6 +165,7 @@ class SolveStats:
     rejected_steps: int = 0
     rhs_evals: int = 0
 
+    # fieldwise, in place of the tuple's concatenation
     def __add__(self, other: "SolveStats") -> "SolveStats":
         return SolveStats(
             self.steps + other.steps,
@@ -175,8 +174,7 @@ class SolveStats:
         )
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Log-space samples at accepted steps plus committed crossings.
 
     taus is strictly increasing; points[i] = (u, v) at taus[i], mapped
@@ -199,8 +197,8 @@ class Trajectory:
 
     taus: tuple[float, ...]
     points: tuple[tuple[float, float], ...]
-    events: list[Event] = field(default_factory=list)
-    stats: SolveStats = field(default_factory=SolveStats)
+    events: Sequence[Event] = ()
+    stats: SolveStats = SolveStats()
 
     def region_labels(self, p: Params) -> list[str]:
         g_lam, g_h = _event_functions(p)[0]
@@ -243,8 +241,7 @@ def _in_order(reduced: list[Event], expected: tuple) -> list[Event]:
     return reduced
 
 
-@dataclass(frozen=True)
-class TransitPoints:
+class TransitPoints(NamedTuple):
     """One tour's crossing coordinates, minima kept in log space."""
 
     x1: float
@@ -253,8 +250,7 @@ class TransitPoints:
     s4: float
 
 
-@dataclass(frozen=True)
-class CycleExtremes:
+class CycleExtremes(NamedTuple):
     """Extremes and transit points of the (converged) limit cycle.
 
     By construction x_max sits on a descending s = lam crossing,
@@ -289,7 +285,11 @@ class CycleExtremes:
     total_stats: SolveStats
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            **self._asdict(),
+            "stats": self.stats._asdict(),
+            "total_stats": self.total_stats._asdict(),
+        }
 
 
 def _region(s_side: float, x_side: float) -> Region:
@@ -427,7 +427,8 @@ def integrate(
 
     Raises ValueError for an n_downs that is no integer >= 1, a start
     coordinate that is not a finite int or float, a pair start without
-    ``w_chart`` or a w-chart start below s = 1/2, StepLimitError after
+    ``w_chart``, a w-chart start that is not a pair (u, w) (a State or
+    LogState included) or lies below s = 1/2, StepLimitError after
     :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall, and
     IntegrationError when a step of a too loose tolerance lands at s <= 0,
     or its interpolant leaves s > 0 where a crossing is located in it, so a
@@ -440,7 +441,12 @@ def integrate(
         raise ValueError("simulation requires strictly positive parameters")
     require_cycle(p)
     if w_chart:
-        u0, w0 = start
+        # a State or LogState is a point of the v chart, never (u, w)
+        pair = () if isinstance(start, (State, LogState)) else start
+        try:
+            u0, w0 = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"a w-chart start is a pair (u, w), got {start!r}") from None
         u0, w0 = y0 = (finite_float("start u", u0), finite_float("start w", w0))
         if not w0 <= _LN_HALF:
             raise ValueError(f"a w-chart start needs w <= ln(1/2), got {y0}")
@@ -634,8 +640,7 @@ def limit_cycle(
     )
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Simulated extremes next to their bounds, with signed margins.
 
     Margins are log-space distances from the simulated value to each

@@ -25,6 +25,8 @@ one equation in s_max.  The limits of the four extremes follow:
   e^-42 at (a, lam) = (0.02, 0.03).
 
 The limit is a helper of the tests only: no caller outside them needs it.
+With ``canard_estimates``' m -> 0 limits it also checks the bounds
+themselves over the whole proven box, where the simulator cannot go.
 """
 
 import math
@@ -33,9 +35,9 @@ from typing import NamedTuple
 import mpmath as mp
 import pytest
 
-from cyclebound import Params, limit_cycle
+from cyclebound import Params, canard_estimates, cycle_bounds, limit_cycle
 from cyclebound.lvroot import lv_small_root_ln
-from cyclebound.model import log1m_exp
+from cyclebound.model import PROVEN_BOXES, log1m_exp
 
 
 class DeepLimit(NamedTuple):
@@ -194,3 +196,84 @@ def test_limit_cycle_approaches_the_deep_limit_like_1_over_m(a, lam):
             residual[name, m] = r / m
     for name in DeepLimit._fields:
         assert abs(residual[name, 1e6]) <= abs(residual[name, 1e4]) / 50.0, name
+
+
+def _box_axis(top):
+    """1e-4, the twelfths of a box side and its end, ``top`` itself: the
+    twelfth ``top * 12 / 12`` can round past the box (0.05000000000000001)."""
+    return (1e-4, *(top * i / 12 for i in range(1, 12)), top)
+
+
+SMALL_M = 1e-9
+# Each side's floor, below the smallest margin measured over the
+# 13 x 13 grid of its box (given after it).  All sides but x_max/m lo
+# are tightest on the lam = 1e-4 edge.
+# - x_max/m and ln x_min/m at m = 1e8 and 1e12: the m-scaled bound's
+#   distance to ``deep_cycle_limit``.
+# - x_max_lo at m = 1e-9: x_max_lo - x_max_c = m g + O(m^2), with
+#   g = (1 - a)/2 - lam (1 - ln(2 lam/(1 - a))) < (1 - a)/2 <= 2 x_max_c,
+#   so x_max_lo <= x_max_c (1 + 2m) to first order; the margin is
+#   2 - (x_max_lo/x_max_c - 1)/m (0 only in the limit a = lam = 0).
+# - m lam ln s_min at m = 1e-9: the scaled bound's distance to m lam
+#   ln_s_min_c, which converges as m -> 0.
+LIMIT_FLOORS = {
+    "A": {
+        "x_max/m lo": 0.1,  # 0.189 at (0.05, 0.05)
+        "x_max/m hi": 5e-4,  # 8.7e-4 at (1e-4, 1e-4)
+        "ln x_min/m lo": 0.01,  # 0.0174 at (0.05, 1e-4)
+        "ln x_min/m hi": 2.0,  # 4.03 at (0.05, 1e-4)
+        "x_max_lo <= x_max_c (1 + 2m)": 1e-3,  # 4.4e-3 at (1e-4, 1e-4)
+        "m lam ln s_min lo": 0.1,  # 0.229 at (0.05, 1e-4)
+        "m lam ln s_min hi": 1e-4,  # 1.62e-4 at (0.05, 1e-4)
+    },
+    "B": {
+        "x_max/m lo": 0.1,  # 0.198 at (0.1, 0.01)
+        "x_max/m hi": 5e-4,  # 8.7e-4 at (1e-4, 1e-4)
+        "ln x_min/m lo": 5e-3,  # 0.0104 at (0.0917, 1e-4)
+        "ln x_min/m hi": 1.0,  # 2.01 at (0.1, 1e-4)
+        "x_max_lo <= x_max_c (1 + 2m)": 1e-3,  # 4.4e-3 at (1e-4, 1e-4)
+        "m lam ln s_min lo": 0.1,  # 0.209 at (0.1, 1e-4)
+        "m lam ln s_min hi": 5e-5,  # 9.96e-5 at (0.1, 1e-4)
+    },
+}
+
+
+def _limit_margins(a, lam):
+    """(side, margin, m) of the bounds at (a, lam) against both limits."""
+    limit = deep_cycle_limit(a, lam)
+    margins = []
+    for m in (1e8, 1e12):
+        b = cycle_bounds(Params(a, lam, m))
+        assert b.proven, (a, lam)
+        margins += [
+            ("x_max/m lo", limit.x_max - b.x_max_lo / m, m),
+            ("x_max/m hi", b.x_max_hi / m - limit.x_max, m),
+            ("ln x_min/m lo", limit.ln_x_min - b.ln_x_min_lo / m, m),
+            ("ln x_min/m hi", b.ln_x_min_hi / m - limit.ln_x_min, m),
+        ]
+    p = Params(a, lam, SMALL_M)
+    b, c = cycle_bounds(p), canard_estimates(p)
+    m_lam = SMALL_M * lam
+    return margins + [
+        ("x_max_lo <= x_max_c (1 + 2m)", 2.0 - (b.x_max_lo / c.x_max_c - 1.0) / SMALL_M, SMALL_M),
+        ("m lam ln s_min lo", m_lam * (c.ln_s_min_c - b.ln_s_min_lo), SMALL_M),
+        ("m lam ln s_min hi", m_lam * (b.ln_s_min_hi - c.ln_s_min_c), SMALL_M),
+    ]
+
+
+@pytest.mark.parametrize("box", sorted(PROVEN_BOXES))
+def test_the_bounds_contain_the_cycles_limits_over_the_proven_box(box):
+    # a bound that crossed a limit would fail for every m beyond some point
+    a_max, lam_max = PROVEN_BOXES[box]
+    tightest = {}
+    for a in _box_axis(a_max):
+        for lam in _box_axis(lam_max):
+            for side, margin, m in _limit_margins(a, lam):
+                if side not in tightest or margin < tightest[side][0]:
+                    tightest[side] = (margin, (a, lam, m))
+    low = {}
+    for side, (margin, point) in tightest.items():
+        print(f"box {box}, {side}: margin {margin:.3g} at (a, lam, m) = {point}")
+        if not margin >= LIMIT_FLOORS[box][side]:
+            low[side] = margin
+    assert low == {}

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +19,7 @@ from cyclebound.region4 import (
     Case,
     _ln_gain,
     _read_point,
+    _recovery_start_cap,
     _x_max_lower_coarse,
     alpha2_peak,
     alpha_factors,
@@ -27,7 +27,6 @@ from cyclebound.region4 import (
     handoff_cap_bound,
     handoff_cap_bound_ln,
     handoff_cap_envelope,
-    recovery_start_cap,
     smax_lower_bound,
 )
 
@@ -303,7 +302,7 @@ def test_each_public_call_decides_its_arithmetic_once(monkeypatch):
         return real_choose(**inputs)
 
     monkeypatch.setattr(region4, "choose", counting)
-    for function in CAP_CHAIN + (recovery_start_cap,):
+    for function in CAP_CHAIN + (_recovery_start_cap,):
         calls.clear()
         function(p, Case.A)
         assert len(calls) == 1, function
@@ -515,11 +514,11 @@ ALPHA_ROW = np.append(np.geomspace(*_M_RANGE, 500), M_BRANCH)
 def test_alpha_factors_on_an_array_match_the_float_calls(case):
     row = alpha_factors(ALPHA_ROW, case)
     scalar = [alpha_factors(m, case) for m in ALPHA_ROW.tolist()]
-    for field in fields(AlphaFactors):
-        got = np.broadcast_to(getattr(row, field.name), ALPHA_ROW.shape)
-        want = np.array([getattr(f, field.name) for f in scalar])
+    for name in AlphaFactors._fields:
+        got = np.broadcast_to(getattr(row, name), ALPHA_ROW.shape)
+        want = np.array([getattr(f, name) for f in scalar])
         # NumPy's exp, log and pow are not libm's: measured gap <= 3 ulp
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want)), field.name
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want)), name
 
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])
@@ -649,21 +648,21 @@ def test_recovery_start_cap_dominates_x_min_upper():
     for case, grid in CASE_GRIDS.items():
         for p in grid:
             x3_hi = math.exp(cycle_bounds(p).ln_x_min_hi)
-            assert x3_hi <= recovery_start_cap(p, case) * (1 + 1e-12), p
+            assert x3_hi <= _recovery_start_cap(p, case) * (1 + 1e-12), p
 
 
 def test_recovery_start_cap_reads_p_as_the_cap_chain_does():
     # h(lam) = 0 at a = lam = 0 (limit mode): the cap has no value there
     message = "h(lam) must be positive at (a, lam, m) = (0.0, 0.0, 1.0)"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
-        recovery_start_cap(Params(0.0, 0.0, 1.0, limit=True), Case.A)
+        _recovery_start_cap(Params(0.0, 0.0, 1.0, limit=True), Case.A)
     with pytest.raises(ValueError, match=re.escape(f"{DOMAIN} at (a, lam, m) = (0.05, 0.05, nan)")):
-        recovery_start_cap(SimpleNamespace(a=0.05, lam=0.05, m=math.nan), Case.A)
+        _recovery_start_cap(SimpleNamespace(a=0.05, lam=0.05, m=math.nan), Case.A)
     # on arrays it is the float cap at every point, both m branches included
     for case, grid in CASE_GRIDS.items():
         a, lam, m = (np.array([getattr(p, name) for p in grid]) for name in ("a", "lam", "m"))
-        got = recovery_start_cap(SimpleNamespace(a=a, lam=lam, m=m), case)
-        want = np.array([recovery_start_cap(p, case) for p in grid])
+        got = _recovery_start_cap(SimpleNamespace(a=a, lam=lam, m=m), case)
+        want = np.array([_recovery_start_cap(p, case) for p in grid])
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
 
 

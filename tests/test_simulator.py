@@ -123,6 +123,15 @@ def test_integrate_rejects_bad_params():
         integrate((0.0, -3.0), P_REF)
 
 
+def test_a_w_chart_start_that_is_no_pair_raises_value_error():
+    # a State or LogState is a point of the v chart: unpacked as (u, w) it
+    # would start in the wrong chart, so it is rejected by its type
+    for start in (LogState(-1.0, -3.0), State(0.5, 0.5), None, (0.0, -3.0, 1.0)):
+        message = f"^a w-chart start is a pair \\(u, w\\), got {re.escape(repr(start))}$"
+        with pytest.raises(ValueError, match=message):
+            integrate(start, P_REF, w_chart=True)
+
+
 @pytest.mark.parametrize("n_downs", [1, 2])
 def test_integration_ends_at_its_n_downs_th_predator_maximum(n_downs):
     # with or without the samples, the last one is the n_downs-th
