@@ -9,6 +9,9 @@ cost a bounds-only process far more than its work.  ``model`` loads at
 once because every use starts from its :class:`Params`: deferring it
 would only move its cost into the first call.  Scalar bounds thus load
 ``lvroot`` and ``bounds``, and a cycle adds ``simulator`` and ``dopri``.
+None of these layers loads ``dataclasses`` (which loads ``inspect``):
+their validating records are frozen classes on ``model``'s own base, and
+only the harness's sweep spec is a dataclass.
 """
 
 from importlib import import_module as _import_module

@@ -22,7 +22,6 @@ an exhausted step budget), 1 on usage or parameter errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -141,6 +140,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         specs = [cyclebound.SweepSpec.from_json(json.loads(args.spec.read_text()))]
     if args.jobs is not None:
+        import dataclasses  # loaded by the harness already; the scalar commands skip it
+
         specs = [dataclasses.replace(spec, jobs=args.jobs) for spec in specs]
     rows = [row for spec in specs for row in cyclebound.run_sweep(spec).rows]
     report = cyclebound.SweepReport(rows=rows)

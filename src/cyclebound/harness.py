@@ -18,7 +18,7 @@ simulated cycle (and with each other) over parameter grids:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -139,7 +139,7 @@ class SweepSpec:
         """Build a spec from a parsed JSON record; ValueError on a malformed one."""
         _check_keys("sweep spec", record, _SPEC_KEYS, _SPEC_KEYS | {"sim", "jobs"})
         sim_record = record.get("sim", {})
-        _check_keys("sweep spec sim", sim_record, set(), {f.name for f in fields(SimConfig)})
+        _check_keys("sweep spec sim", sim_record, set(), set(SimConfig._fields))
         for name in sorted(_SPEC_KEYS):
             if not isinstance(record[name], list):
                 raise ValueError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Union
 
@@ -87,8 +86,45 @@ def integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Params:
+class _Record:
+    """Base of the records that validate their input: a frozen value.
+
+    A subclass names its compared fields in ``_fields`` and sets them, and
+    any derived attributes, with ``object.__setattr__`` in an ``__init__``
+    that validates.  As the frozen dataclasses these records were, an
+    instance equals only an instance of its own class with equal fields,
+    hashes as the tuple of those, prints them by name, is not iterable
+    and refuses assignment and deletion.  It keeps its
+    ``__dict__``, so pickle and :mod:`copy` restore it without calling
+    ``__setattr__``.  Unlike a dataclass, it costs a fresh process no
+    ``import dataclasses`` (which loads ``inspect``).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(_Record):
     """Nondimensional parameter triple.
 
     a: half-saturation prey density relative to carrying capacity.
@@ -103,22 +139,21 @@ class Params:
     The constructor caches the quantities that gate everything
     downstream: h(lam), the Hopf margin 1 - 2*lam - a, the cycle-regime
     flag, and whether (a, lam) lies in the box where the full set of
-    bounds is proved.
+    bounds is proved.  They stay out of ``==``, ``hash`` and ``repr``.
     """
 
-    a: float
-    lam: float
-    m: float
-    limit: bool = False
-    h_lam: float = field(init=False, repr=False, compare=False)
-    hopf_margin: float = field(init=False, repr=False, compare=False)
-    cycle_regime: bool = field(init=False, repr=False, compare=False)
-    proven_region: bool = field(init=False, repr=False, compare=False)
+    _fields = ("a", "lam", "m", "limit")
+    # set by the constructor, from the fields
+    h_lam: float
+    hopf_margin: float
+    cycle_regime: bool
+    proven_region: bool
 
-    def __post_init__(self) -> None:
-        for name in ("a", "lam", "m"):
-            val = finite_float(name, getattr(self, name))
-            if val < 0.0 or (val == 0.0 and not self.limit):
+    def __init__(self, a: float, lam: float, m: float, limit: bool = False) -> None:
+        object.__setattr__(self, "limit", limit)
+        for name, value in (("a", a), ("lam", lam), ("m", m)):
+            val = finite_float(name, value)
+            if val < 0.0 or (val == 0.0 and not limit):
                 raise ValueError(
                     f"{name} must be > 0 (use limit=True to evaluate "
                     f"closed forms at {name} = 0), got {val!r}"
@@ -140,8 +175,7 @@ class Params:
         return {"a": self.a, "lambda": self.lam, "m": self.m}
 
 
-@dataclass(frozen=True)
-class RMParams:
+class RMParams(_Record):
     """Dimensional Rosenzweig-MacArthur rates and capacities.
 
     r: prey intrinsic growth rate, K: prey carrying capacity,
@@ -153,16 +187,11 @@ class RMParams:
     any prey density and there is no cycle to bound.
     """
 
-    r: float
-    K: float
-    q: float
-    H: float
-    p: float
-    d: float
+    _fields = ("r", "K", "q", "H", "p", "d")
 
-    def __post_init__(self) -> None:
-        for name in ("r", "K", "q", "H", "p", "d"):
-            val = finite_float(name, getattr(self, name))
+    def __init__(self, r: float, K: float, q: float, H: float, p: float, d: float) -> None:
+        for name, value in zip(self._fields, (r, K, q, H, p, d)):
+            val = finite_float(name, value)
             if not val > 0.0:
                 raise ValueError(f"{name} must be > 0, got {val!r}")
             object.__setattr__(self, name, val)
@@ -170,16 +199,14 @@ class RMParams:
             raise ValueError(f"p must exceed d, got p={self.p}, d={self.d}")
 
 
-@dataclass(frozen=True)
-class State:
+class State(_Record):
     """Phase point (x, s) in the open positive quadrant."""
 
-    x: float
-    s: float
+    _fields = ("x", "s")
 
-    def __post_init__(self) -> None:
-        for name in ("x", "s"):
-            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
+    def __init__(self, x: float, s: float) -> None:
+        object.__setattr__(self, "x", finite_float("x", x))
+        object.__setattr__(self, "s", finite_float("s", s))
         if not (self.x > 0.0 and self.s > 0.0):
             raise ValueError(f"state must have x > 0 and s > 0, got ({self.x}, {self.s})")
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -48,7 +47,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
 from .model import (
-    LogState, Params, Region, State, finite_float, h, integer, log1m_exp, require_cycle,
+    LogState, Params, Region, State, _Record, finite_float, h, integer, log1m_exp,
+    require_cycle,
 )
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "StepLimitError",
     "StepSizeError",
     "EventOrderError",
+    "BarrierError",
     "integrate",
     "transit_points",
     "limit_cycle",
@@ -104,8 +105,11 @@ class EventOrderError(IntegrationError):
     """Crossings did not appear in the canonical region order."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class BarrierError(IntegrationError):
+    """A step took u = ln x past the x_max barrier's cap, ln x_max_upper."""
+
+
+class SimConfig(_Record):
     """Integration and cycle-detection tolerances.
 
     rtol controls the local error per step, componentwise in the log
@@ -114,13 +118,12 @@ class SimConfig:
     the distance to the fixed point is cycle_tol / (1 - rho) at most.
     """
 
-    rtol: float = 1e-10
-    cycle_tol: float = 1e-9
+    _fields = ("rtol", "cycle_tol")
 
-    def __post_init__(self) -> None:
-        for name in ("rtol", "cycle_tol"):
+    def __init__(self, rtol: float = 1e-10, cycle_tol: float = 1e-9) -> None:
+        for name, value in (("rtol", rtol), ("cycle_tol", cycle_tol)):
             # stored as a float: a NumPy scalar would set the stepper's dtype
-            value = finite_float(name, getattr(self, name))
+            value = finite_float(name, value)
             if not value > 0.0:
                 raise ValueError("rtol and cycle_tol must be positive")
             object.__setattr__(self, name, value)
@@ -399,6 +402,33 @@ def _locate(g: Callable, dense, t_lo: float, t_hi: float) -> float:
     return t_hi
 
 
+def _barrier(p: Params) -> tuple[float, float]:
+    """(ln A, B) of the x_max barrier x = A v / (1 + B v), v = 1 - s.
+
+    No trajectory crosses it upward (the certificate of
+    :func:`cyclebound.harness.x_max_barrier_coefficients`), and it rises
+    with v to :func:`cyclebound.bounds.x_max_upper` at v = 1, so
+    ln A - log1p(B) caps u on a trajectory below it.  A is
+    :func:`x_max_upper_linear`, finite at every finite m, so the cap is
+    finite where x_max_upper overflows (m above about 1e154).
+    """
+    b = (1.0 + p.m * p.lam) / (1.0 + p.a + 2.0 * p.m * (1.0 - p.lam))
+    return math.log(x_max_upper_linear(p)), b
+
+
+def _under_barrier(y, w_chart: bool, ln_a: float, b: float) -> bool:
+    """Whether the point y = (u, w) or (u, v) lies on or below the barrier
+    x = A v / (1 + B v) with ln A = ``ln_a`` and B = ``b``."""
+    if w_chart:
+        ln_v = y[1]
+    else:
+        v = -math.expm1(y[1])
+        if not v > 0.0:  # s >= 1
+            return False
+        ln_v = math.log(v)
+    return y[0] <= ln_a + ln_v - math.log1p(b * math.exp(ln_v))
+
+
 def integrate(
     start: Union[State, LogState, tuple[float, float]],
     p: Params,
@@ -425,11 +455,20 @@ def integrate(
     back to it, so its last sample is that crossing's state.  With
     ``keep_samples=False`` that state is the only sample kept.
 
+    u = ln x never passes the x_max barrier's cap, ln x_max_upper(p), on
+    a trajectory below the barrier (:func:`_barrier`), so it is checked
+    against the cap after every accepted step, with one step's error
+    bound ATOL_LOG + rtol |cap| as slack, from the first state on or
+    below the barrier on: the start, the lead-in's after a few steps.  A
+    start above the barrier leaves the run unchecked until it falls
+    below it.
+
     Raises ValueError for an n_downs that is no integer >= 1, a start
     coordinate that is not a finite int or float, a pair start without
     ``w_chart``, a w-chart start that is not a pair (u, w) (a State or
     LogState included) or lies below s = 1/2, StepLimitError after
-    :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall, and
+    :data:`MAX_STEPS` accepted steps, StepSizeError on a solver stall,
+    BarrierError when a step takes u past the barrier's cap, and
     IntegrationError when a step of a too loose tolerance lands at s <= 0,
     or its interpolant leaves s > 0 where a crossing is located in it, so a
     silently truncated trajectory is never returned.
@@ -468,6 +507,12 @@ def integrate(
     # it, as a start within ATOL_LOG of it does (a start on x = h(s0) is
     # on it up to roundoff), and then its first side is no crossing
     sides = [_sign(val) if abs(val) > ATOL_LOG else 0 for val in (g_lam(y0), g_h(y0))]
+    ln_a, b = _barrier(p)
+    cap = ln_a - math.log1p(b)
+    u_cap = cap + ATOL_LOG + cfg.rtol * abs(cap)
+    # u's bound: the cap once a state is on or below the barrier, and -inf
+    # before, so that every step tests whether it has got there
+    u_max = u_cap if _under_barrier(y0, w_chart, ln_a, b) else -math.inf
 
     taus = [0.0]
     pts = [(ls.u, ls.v)]
@@ -498,6 +543,14 @@ def integrate(
                 f"the step to tau = {solver.t:.6g} left the phase space (s <= 0); "
                 "the requested tolerance is too loose"
             )
+        if y[0] > u_max:
+            if u_max == u_cap:
+                raise BarrierError(
+                    f"the step to tau = {solver.t:.6g} took u = ln x to {y[0]:.6g}, past "
+                    f"the x_max barrier's cap ln x_max_upper = {cap:.6g}"
+                )
+            if _under_barrier(y, w_chart, ln_a, b):
+                u_max = u_cap
         if keep_samples:
             taus.append(solver.t)
             pts.append((y[0], log1m_exp(y[1])) if w_chart else y)

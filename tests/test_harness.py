@@ -707,6 +707,19 @@ def test_a_failed_figure_point_is_a_nan_line(tmp_path):
     assert report.exit_code == 3
 
 
+def test_a_row_past_the_x_max_barrier_fails_with_that_reason():
+    # at m = 1e150 the field is clipped on the cycle and the lead-in runs
+    # past the barrier's cap within a few steps; its row fails at once
+    spec = SweepSpec(a_values=(0.05,), lambda_values=(0.05,), m_values=(1e150,))
+    (row,) = run_sweep(spec).rows
+    assert not row.passed and math.isnan(row.x_max)
+    assert re.fullmatch(
+        r"the step to tau = \S+ took u = ln x to \S+, past the x_max barrier's cap "
+        r"ln x_max_upper = 345\.31",
+        row.error,
+    )
+
+
 def test_emit_figures_rejects_unknown():
     with pytest.raises(ValueError):
         emit_figures("fig9", "/tmp/nowhere")

@@ -9,7 +9,9 @@ Scalar bounds, a cycle, region4's cap chain on a float ``Params``, a
 serial sweep row and the ``bounds``, ``cycle``, ``simulate`` and
 ``figures`` commands must leave no ``numpy`` entry in ``sys.modules``,
 and so must a library that probes it, as ``pytest.approx`` does; the
-proof spot-checks load NumPy.  Whether
+proof spot-checks load NumPy.  Neither the scalar layers nor the
+scalar commands load ``dataclasses`` (nor the ``inspect`` it pulls in):
+only the harness does, for its sweep spec.  Whether
 NumPy was imported before cyclebound or on first use, the array paths
 print the same bytes.  The command line reads every name through the
 package, so each subcommand loads only its layers.
@@ -25,15 +27,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCALAR_PATHS = """
+# what `import dataclasses` loads first, about 11 ms of a fresh process
+HEAVY = ("dataclasses", "inspect")
+
+SCALAR_PATHS = f"HEAVY = {HEAVY!r}\n" + """
 import contextlib, io, json, sys
 import cyclebound
 
-after, layers = {}, {}
+after, layers, heavy = {}, {}, {}
 
 def record(stage):
     after[stage] = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
     layers[stage] = sorted(name for name in sys.modules if name.startswith("cyclebound"))
+    heavy[stage] = [name for name in HEAVY if name in sys.modules]
 
 record("import")
 p = cyclebound.Params(0.05, 0.05, 1.0)
@@ -64,21 +70,23 @@ record("approx")
 pool = "multiprocessing" in sys.modules
 passed = all(c.passed for c in cyclebound.proof_spotchecks("A").checks)
 record("proofcheck")
-print(json.dumps({"after": after, "layers": layers, "codes": codes, "pool": pool,
-                  "passed": passed, "cap_types": [type(c).__name__ for c in caps]}))
+print(json.dumps({"after": after, "layers": layers, "heavy": heavy, "codes": codes,
+                  "pool": pool, "passed": passed,
+                  "cap_types": [type(c).__name__ for c in caps]}))
 """
 
-CLI_PATHS = """
+CLI_PATHS = f"HEAVY = {HEAVY!r}\n" + """
 import contextlib, io, json, sys
 from cyclebound import cli
 
 out = sys.argv[1]
 
-layers, numpy, codes = {}, {}, []
+layers, numpy, heavy, codes = {}, {}, {}, []
 
 def record(stage):
     layers[stage] = sorted(name for name in sys.modules if name.startswith("cyclebound"))
     numpy[stage] = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+    heavy[stage] = [name for name in HEAVY if name in sys.modules]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -94,12 +102,13 @@ record("region4")
 run("cycle", *P, "--json")
 record("cycle")
 run("simulate", *P)
+run("transit", *P)
 record("simulate")
 run("figures", "--which", "fig5", "--out", out, "--points", "2", "--panel", "0.05,0.05")
 record("figures")
 run("proofcheck", "--case", "A")
 record("proofcheck")
-print(json.dumps({"layers": layers, "numpy": numpy, "codes": codes}))
+print(json.dumps({"layers": layers, "numpy": numpy, "heavy": heavy, "codes": codes}))
 """
 
 ARRAY_PATHS = """
@@ -150,6 +159,15 @@ def test_scalar_paths_load_no_numpy_module(scalar_record):
     assert not scalar_record["pool"]  # a serial sweep loads no multiprocessing
 
 
+def test_scalar_paths_load_no_dataclasses(scalar_record):
+    # the validating records are frozen classes on model's own base; only the
+    # harness, for SweepSpec, loads dataclasses
+    heavy = scalar_record["heavy"]
+    stages = ("import", "bounds", "cycle", "region4")
+    assert {stage: heavy[stage] for stage in stages} == dict.fromkeys(stages, [])
+    assert heavy["harness"] == list(HEAVY)
+
+
 def test_each_layer_loads_on_first_use(scalar_record):
     seen: set[str] = set()
     added = {}
@@ -171,7 +189,7 @@ def test_each_layer_loads_on_first_use(scalar_record):
 
 def test_each_cli_command_loads_only_its_layers(tmp_path):
     record = json.loads(_python(CLI_PATHS, str(tmp_path)))
-    assert record["codes"] == [0] * 7
+    assert record["codes"] == [0] * 8
     seen: set[str] = set()
     added = {}
     for stage, modules in record["layers"].items():
@@ -190,6 +208,10 @@ def test_each_cli_command_loads_only_its_layers(tmp_path):
     assert numpy.pop("proofcheck")  # the spot-checks are array code
     stages = ("import", "bounds", "region4", "cycle", "simulate", "figures")
     assert numpy == {stage: [] for stage in stages}
+    # bounds, canard, region4, cycle, simulate and transit load no dataclasses
+    heavy = record["heavy"]
+    assert heavy.pop("figures") == heavy.pop("proofcheck") == list(HEAVY)
+    assert heavy == {stage: [] for stage in stages[:-1]}
 
 
 def test_array_paths_print_the_same_bytes_whenever_numpy_loads():

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -384,3 +386,66 @@ ENTRY_POINTS = {
 def test_every_number_from_outside_is_a_finite_int_or_float(tmp_path, capsys, entry, value):
     run, field = ENTRY_POINTS[entry]
     assert run(value, tmp_path, capsys) == f"{field} must be a finite int or float, got {value!r}"
+
+
+# each validating record: a positional and a keyword construction, its repr
+# and the names of the fields it compares, in order
+RECORDS = [
+    (
+        Params(0.05, 0.01, 2.5),
+        Params(m=2.5, lam=0.01, a=0.05, limit=False),
+        "Params(a=0.05, lam=0.01, m=2.5, limit=False)",
+        ("a", "lam", "m", "limit"),
+    ),
+    (
+        RMParams(1.0, 2, 0.5, 0.1, 0.3, 0.2),
+        RMParams(r=1.0, K=2, q=0.5, H=0.1, p=0.3, d=0.2),
+        "RMParams(r=1.0, K=2.0, q=0.5, H=0.1, p=0.3, d=0.2)",
+        ("r", "K", "q", "H", "p", "d"),
+    ),
+    (State(0.25, 0.5), State(s=0.5, x=0.25), "State(x=0.25, s=0.5)", ("x", "s")),
+    (
+        SimConfig(1e-8, 1e-7),
+        SimConfig(cycle_tol=1e-7, rtol=1e-8),
+        "SimConfig(rtol=1e-08, cycle_tol=1e-07)",
+        ("rtol", "cycle_tol"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, twin, text, names", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+)
+def test_validating_records_behave_as_frozen_values(record, twin, text, names):
+    values = tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+    assert record == twin and hash(record) == hash(twin) == hash(values)
+    # equal only to its own class: neither to the tuple of its values nor
+    # to a look-alike
+    assert record != values and values != record
+    assert record != type("Twin", (), dict.fromkeys(names))()
+    with pytest.raises(TypeError):
+        iter(record)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert getattr(record, names[0]) == values[0]  # nothing was deleted
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
+        assert vars(clone) == vars(record)
+
+
+def test_params_derived_fields_stay_out_of_repr_equality_and_hash():
+    p = Params(0.05, 0.01, 2.5)
+    derived = {"h_lam": h(0.01, p), "hopf_margin": 0.93, "cycle_regime": True,
+               "proven_region": True}
+    assert {name: getattr(p, name) for name in derived} == pytest.approx(derived)
+    assert not any(name in repr(p) for name in derived)
+    # a Params whose derived fields differ compares and hashes on (a, lam, m, limit) alone
+    other = copy.copy(p)
+    vars(other).update(h_lam=0.0, hopf_margin=-1.0, cycle_regime=False, proven_region=False)
+    assert other == p and hash(other) == hash(p) == hash((0.05, 0.01, 2.5, False))
+    assert repr(other) == repr(p)
+    assert Params(0.05, 0.01, 2.5, True) != p

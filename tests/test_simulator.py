@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import json
 import math
@@ -8,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -29,6 +29,7 @@ from cyclebound.model import (
     log_vector_field,
 )
 from cyclebound.simulator import (
+    BarrierError,
     EventKind,
     EventOrderError,
     IntegrationError,
@@ -83,7 +84,7 @@ def test_net_events_leaves_no_cancellable_pair(kind_indices):
 
 
 def test_sim_config_is_the_two_tolerances():
-    assert [f.name for f in dataclasses.fields(SimConfig)] == ["rtol", "cycle_tol"]
+    assert SimConfig._fields == ("rtol", "cycle_tol")
     assert SimConfig() == SimConfig(rtol=1e-10, cycle_tol=1e-9)
     for bad in ({"rtol": 0.0}, {"cycle_tol": 0.0}, {"rtol": -1e-8}):
         with pytest.raises(ValueError, match="rtol and cycle_tol must be positive"):
@@ -714,9 +715,12 @@ def test_every_sign_change_is_a_crossing(monkeypatch):
     # stays below for good: each sign change at a step end is a crossing,
     # a dip and its return a pair that net_events cancels, and there is no
     # threshold a crossing must clear.  The steps (about 3.7 long) step
-    # over the first dip and end inside the second
+    # over the first dip and end inside the second.  u = tau / 100 is the
+    # clock: it stays below the x_max barrier's cap on u, which integrate
+    # checks, as the model's u does
     monkeypatch.setattr(
-        simulator, "RK45", _scipy_stepper(lambda u, v: (1.0, 2e-7 * math.cos(u) - 1e-8))
+        simulator, "RK45",
+        _scipy_stepper(lambda u, v: (0.01, 2e-7 * math.cos(100.0 * u) - 1e-8)),
     )
     start = LogState(0.0, math.log(P_REF.lam) + 2e-7)
     expected = _events_step_by_step(start, P_REF, n_downs=2)
@@ -1013,6 +1017,50 @@ def test_step_budget_raises(monkeypatch):
     monkeypatch.setattr(simulator, "MAX_STEPS", 5)
     with pytest.raises(StepLimitError, match="within 5 steps"):
         integrate(State(h(0.8, P_REF), 0.8), P_REF, n_downs=2)
+
+
+def test_a_step_past_the_x_max_barrier_raises_at_once():
+    # at m = 1e150 the start's roundoff s - lam, times m, drives u = ln x
+    # past ln x_max_upper = 345.31 within a few steps (the field is clipped
+    # above u = 150); this used to run 2 000 000 steps and about 30 s to a
+    # StepLimitError, and the lead-in to a StepSizeError at tau = 1.4e5
+    p = Params(a=0.05, lam=0.05, m=1e150)
+    message = r"^the step to tau = \S+ took u = ln x to \S+, past the x_max barrier's cap "
+    for x0 in (0.5, None):
+        t0 = time.perf_counter()
+        with pytest.raises(BarrierError, match=message + r"ln x_max_upper = 345\.31$"):
+            limit_cycle(p, x0=x0)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_barrier_cap_is_ln_x_max_upper_at_every_m():
+    for m in (1e-6, 0.01, 1.0, 50.0, 1e8, 1e150):
+        p = Params(a=0.05, lam=0.05, m=m)
+        ln_a, b = simulator._barrier(p)
+        assert ln_a - math.log1p(b) == pytest.approx(math.log(x_max_upper(p)), rel=1e-14)
+    # x_max_upper overflows from m ~ 1e154 on; its logarithm does not
+    ln_a, b = simulator._barrier(Params(a=0.05, lam=0.05, m=1e300))
+    assert ln_a - math.log1p(b) == pytest.approx(math.log(1e300 * 0.95**2 / 0.975), rel=1e-14)
+
+
+def test_a_stepper_whose_u_runs_away_is_stopped_at_the_cap(monkeypatch):
+    # u' = 1 with s held still: no crossing ever ends the run, and from a
+    # start below the barrier the first step past the cap raises
+    monkeypatch.setattr(simulator, "RK45", _scipy_stepper(lambda u, v: (1.0, 0.0)))
+    cap = math.log(x_max_upper(P_REF))
+    with pytest.raises(BarrierError, match=re.escape(f"cap ln x_max_upper = {cap:.6g}")):
+        integrate(State(1.0, 0.3), P_REF)
+
+
+def test_a_start_above_the_barrier_is_not_checked():
+    # (1, 0.99) lies below the cap, x = 1 < x_max_upper = 1.475, but above
+    # the barrier x = A v / (1 + B v), which is 0.02 at v = 0.01: x grows
+    # while s falls to lam, and the trajectory rightly passes the cap
+    start = State(1.0, 0.99)
+    ln_a, b = simulator._barrier(P_REF)
+    assert not simulator._under_barrier(start.log(), False, ln_a, b)
+    traj = integrate(start, P_REF)
+    assert max(u for u, _ in traj.points) > math.log(x_max_upper(P_REF)) + 0.25
 
 
 NON_FINITE_CASES = """
