@@ -48,7 +48,6 @@ _EXPORTS = {
         "PROVEN_BOXES",
         "LogState",
         "Params",
-        "Region",
         "RMParams",
         "State",
         "h",

@@ -16,7 +16,8 @@ and files are still written.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
-an exhausted step budget), 1 on usage or parameter errors.
+an exhausted step budget), 1 on usage or parameter errors.  ``cycle``,
+``sweep`` and ``figures`` take the 0/2/3 code from :func:`_exit_code`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import cyclebound
 
@@ -51,6 +53,26 @@ def _params_from_args(args: argparse.Namespace) -> cyclebound.Params:
 
 def _sim_config(args: argparse.Namespace) -> cyclebound.SimConfig:
     return cyclebound.SimConfig() if args.rtol is None else cyclebound.SimConfig(rtol=args.rtol)
+
+
+def _exit_code(points: Iterable[tuple[bool, bool, bool]]) -> int:
+    """The exit code of a run over ``points``, each (proven, converged, passed).
+
+    2 if a converged point in the proven box fails its bounds, else 3 if a
+    point did not converge (a failed sweep row has converged false), else 0:
+    a point outside the proven box never fails the run.
+    """
+    code = 0
+    for proven, converged, passed in points:
+        if not converged:
+            code = 3
+        elif proven and not passed:
+            return 2
+    return code
+
+
+# the (proven, converged, passed) of a SweepRow
+_ROW_VERDICT = attrgetter("proven", "converged", "passed")
 
 
 def _print_record(record: dict, as_json: bool) -> None:
@@ -106,9 +128,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     if not report.extremes.converged:
         print("warning: return map did not converge within budget", file=sys.stderr)
     _print_record(record, args.json)
-    if not report.extremes.converged:
-        return 3
-    return 0 if (report.passed or not report.bounds.proven) else 2
+    return _exit_code([(report.bounds.proven, report.extremes.converged, report.passed)])
 
 
 def _cmd_region4(args: argparse.Namespace) -> int:
@@ -125,8 +145,8 @@ def _cmd_region4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_failed_rows(report: cyclebound.SweepReport) -> None:
-    for row in report.rows:
+def _print_failed_rows(rows: Sequence[cyclebound.harness.SweepRow]) -> None:
+    for row in rows:
         if row.error is not None:
             print(
                 f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) failed: {row.error}",
@@ -144,11 +164,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         specs = [dataclasses.replace(spec, jobs=args.jobs) for spec in specs]
     rows = [row for spec in specs for row in cyclebound.run_sweep(spec).rows]
-    report = cyclebound.SweepReport(rows=rows)
-    report.to_csv(args.out)
-    _print_failed_rows(report)
-    print(f"{args.out}: {report.summary()}")
-    return report.exit_code
+    cyclebound.SweepReport(rows=rows).to_csv(args.out)
+    _print_failed_rows(rows)
+    code = _exit_code(map(_ROW_VERDICT, rows))
+    proven = [row for row in rows if row.proven]
+    print(
+        f"{args.out}: {len(rows)} rows ({len(proven)} proven), "
+        f"{sum(row.passed for row in proven)}/{len(proven)} proven rows pass, "
+        f"exit code {code}"
+    )
+    return code
 
 
 def _cmd_proofcheck(args: argparse.Namespace) -> int:
@@ -167,8 +192,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     )
     for path in paths:
         print(path)
-    _print_failed_rows(report)
-    return report.exit_code
+    _print_failed_rows(report.rows)
+    return _exit_code(map(_ROW_VERDICT, report.rows))
 
 
 def _cmd_transit(args: argparse.Namespace) -> int:

@@ -33,7 +33,10 @@ from .region4 import (
     alpha2_peak,
     alpha_factors,
     growth_ratio_quadratic,
+    # handoff_cap_bound is not called here: perfbench's tracer hooks
+    # harness.handoff_cap_bound by name (ROADMAP item 1(a))
     handoff_cap_bound,
+    handoff_cap_bound_ln,
     handoff_cap_envelope,
 )
 from .simulator import IntegrationError, SimConfig, cycle_extreme_report
@@ -192,32 +195,9 @@ CSV_HEADER = ",".join(_CSV_NAMES.get(name, name) for name in _CSV_FIELDS)
 
 
 class SweepReport(NamedTuple):
-    """Ordered sweep rows plus aggregate verdicts.
-
-    Unproven rows (forced evaluation outside the proven parameter box)
-    are excluded from the pass statistic by default.
-    """
+    """Ordered sweep rows and their CSV."""
 
     rows: list[SweepRow]
-
-    def proven_rows(self) -> list[SweepRow]:
-        return [r for r in self.rows if r.proven]
-
-    @property
-    def any_violation(self) -> bool:
-        return any(r.converged and not r.passed for r in self.proven_rows())
-
-    @property
-    def any_nonconverged(self) -> bool:
-        return any((not r.converged) or r.error is not None for r in self.rows)
-
-    @property
-    def exit_code(self) -> int:
-        if self.any_violation:
-            return 2
-        if self.any_nonconverged:
-            return 3
-        return 0
 
     def to_csv(self, target: Union[str, Path, IO[str]]) -> None:
         lines = [CSV_HEADER] + [r.csv_line() for r in self.rows]
@@ -226,15 +206,6 @@ class SweepReport(NamedTuple):
             target.write(text)
         else:
             Path(target).write_text(text)
-
-    def summary(self) -> str:
-        proven = self.proven_rows()
-        n_pass = sum(r.passed for r in proven)
-        return (
-            f"{len(self.rows)} rows ({len(proven)} proven), "
-            f"{n_pass}/{len(proven)} proven rows pass, "
-            f"exit code {self.exit_code}"
-        )
 
 
 def _row_task(args: tuple) -> SweepRow:
@@ -378,10 +349,13 @@ def x_max_barrier_coefficients(p: Params) -> tuple[float, float]:
         C0 + C1 = -m lam (a + 2 + 2m - m lam)^2.
 
     Certificate: for a >= 0, 0 <= lam < 1 and m > 0 each of C0's four
-    terms is <= 0, so C0 <= -1 - m - a < 0 with equality at lam = 0, and
-    C0 + C1 <= 0 with equality at lam = 0.  Over a box a in [a_lo, a_hi],
-    lam in [0, 1), m in [m_lo, m_hi] both are therefore largest at the
-    corner (a_lo, 0, m_lo).
+    terms is <= 0, so C0 <= -1 - m - a < 0 with equality at lam = 0.  Over
+    a box a in [a_lo, a_hi], lam in [0, 1), m in [m_lo, m_hi] C0 is
+    therefore largest at the corner (a_lo, 0, m_lo).  C0 + C1 is m lam >= 0
+    times -F^2, F = a + 2 + m (2 - lam) >= a + 2 + m > 0, so C0 + C1 <= 0,
+    and -F^2 = (C0 + C1) / (m lam) decides its sign wherever m lam > 0.  F
+    increases in a and m and decreases in lam, so over the box's closure
+    -F^2 < 0 is largest at the corner (a_lo, 1, m_lo).
     """
     a, lam, m = p.a, p.lam, p.m
     c = -m * lam * (3.0 + 5.0 * a + a * a) - 1.0 - m - a
@@ -424,8 +398,10 @@ class ProofCheckReport(NamedTuple):
 
 
 def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
-    """Smallest central difference (step 1e-6) of handoff_cap_bound in a
-    or in lam over the case box, as (slope, (a, lam, m, variable)).
+    """Smallest central difference (step 1e-6) of handoff_cap_bound_ln in a
+    or in lam over the case box, as (slope, (a, lam, m, variable)).  The
+    log has the monotonicity of the cap, and unlike the cap it does not
+    underflow to 0 deep in the box, where every difference would read 0.
 
     The 20 x 20 x 12 grid is three broadcast axes, a of shape (20, 1, 1),
     lam (20, 1) and m (12,), so each term of the cap chain runs only on
@@ -441,7 +417,7 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     m = np.geomspace(1e-2, 20, 12)
 
     def cap(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return handoff_cap_bound(SimpleNamespace(a=a, lam=lam, m=m), case)
+        return handoff_cap_bound_ln(SimpleNamespace(a=a, lam=lam, m=m), case)
 
     step = 1e-6
     shift = np.array([step, -step])[:, None, None, None]
@@ -456,8 +432,11 @@ def _cap_bound_slopes(case: Case) -> tuple[float, tuple]:
     )
 
 
-# The barrier rows' box, a x lam x m; the termwise certificate of
-# x_max_barrier_coefficients puts the largest C0 and C0 + C1 at (a_lo, 0, m_lo).
+# The barrier rows' box, a x lam x m; the certificate of
+# x_max_barrier_coefficients puts the largest C0 at (a_lo, 0, m_lo) and the
+# largest -F^2 = (C0 + C1) / (m lam), the factor that decides the sign of
+# C0 + C1 (itself -0 at lam = 0 whatever F is), at (a_lo, 1, m_lo) on the
+# box's closure.
 _BARRIER_BOX = ((0.0025, 0.5), (0.0, 1.0), (0.05, 10.0))
 
 # The m range of the gain and alpha rows, and the gain rows' box per case:
@@ -499,8 +478,11 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     import numpy as np  # here: a sweep or a figure builds no array
 
     case = Case(case)
-    barrier_arg = tuple(lo for lo, _ in _BARRIER_BOX)
-    c0, c0_plus_c1 = x_max_barrier_coefficients(Params(*barrier_arg, limit=True))
+    (a_min, _), (_, lam_end), (m_min, _) = _BARRIER_BOX
+    c0_arg, factor_arg = (a_min, 0.0, m_min), (a_min, lam_end, m_min)
+    c0, _ = x_max_barrier_coefficients(Params(*c0_arg, limit=True))
+    _, c0_plus_c1 = x_max_barrier_coefficients(Params(*factor_arg, limit=True))
+    barrier_factor = c0_plus_c1 / (m_min * lam_end)
     (a_lo, a_hi), (lam_lo, lam_hi), (_, m_hi) = _GAIN_BOX[case]
     at_lam, at_one = (a_hi, lam_lo, m_hi), (a_lo, lam_hi, m_hi)
     gain_at_lam = growth_ratio_quadratic(lam_lo, Params(*at_lam), case)
@@ -515,8 +497,8 @@ def proof_spotchecks(case: Union[Case, str]) -> ProofCheckReport:
     )
     slope = _cap_bound_slopes(case)
     rows = (
-        ("barrier_c0_negative", (c0, barrier_arg), "<", 0.0),
-        ("barrier_c0_plus_c1_nonpositive", (c0_plus_c1, barrier_arg), "<=", 0.0),
+        ("barrier_c0_negative", (c0, c0_arg), "<", 0.0),
+        ("barrier_c0_plus_c1_nonpositive", (barrier_factor, factor_arg), "<=", 0.0),
         ("gain_quadratic_negative_at_lam", (gain_at_lam, at_lam), "<", 0.0),
         ("gain_quadratic_positive_at_one", (gain_at_one, at_one), ">", 0.0),
         ("alpha_below_0.2", alpha, "<", 0.2),
@@ -623,8 +605,7 @@ def emit_figures(
     column is the float the sweep CSV prints, in its format, for any job
     count, and a point that fails keeps its m and has NaN in every other
     column.  Returns the written paths and the :class:`SweepReport` of all
-    the rows, panel by panel, with each failed point's reason and the
-    sweep's exit code.
+    the rows, panel by panel, with each failed point's reason.
     """
     if which != "all" and which not in _FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")

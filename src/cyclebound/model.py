@@ -1,4 +1,4 @@
-"""Nondimensional predator-prey model: parameters, vector fields, regions.
+"""Nondimensional predator-prey model: parameters and vector fields.
 
 The dynamics are
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from enum import Enum
 from typing import Mapping, NamedTuple, Union
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "RMParams",
     "State",
     "LogState",
-    "Region",
     "h",
     "hopf_margin",
     "require_cycle",
@@ -223,25 +221,6 @@ class LogState(NamedTuple):
 
     u: float
     v: float
-
-
-class Region(Enum):
-    """Phase-plane regions cut by the isoclines x = h(s) and s = lam.
-
-    The four open regions are visited cyclically R1 -> R2 -> R3 -> R4 by
-    every positive non-equilibrium trajectory.  The simulator labels
-    points (``Trajectory.region_labels``) and assigns a boundary tag
-    only where an isocline's event function is exactly zero; event logic
-    near the isoclines belongs to its root bracketing.
-    """
-
-    R1 = "R1"  # x > h(s), s > lam: predator grows, prey declines
-    R2 = "R2"  # x > h(s), s < lam: both decline
-    R3 = "R3"  # x < h(s), s < lam: predator declines, prey recovers
-    R4 = "R4"  # x < h(s), s > lam: both grow
-    ON_ISOCLINE_H = "isocline_h"
-    ON_ISOCLINE_LAMBDA = "isocline_lambda"
-    EQUILIBRIUM = "equilibrium"
 
 
 def h(s: float, p: Params) -> float:

@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
 from .model import (
-    LogState, Params, Region, State, _Record, finite_float, h, integer, log1m_exp,
+    LogState, Params, State, _Record, finite_float, h, integer, log1m_exp,
     require_cycle,
 )
 
@@ -136,7 +136,9 @@ class EventKind(Enum):
     X_EQ_H_MAX = "x_eq_h_max"
 
 
-# canonical loop order, entered from region 1
+# canonical loop order, entered from region R1: every positive
+# non-equilibrium trajectory visits the open regions of _REGIONS cyclically,
+# R1 -> R2 -> R3 -> R4, through these crossings in turn
 _CYCLE_ORDER = (
     EventKind.S_EQ_LAMBDA_DOWN,
     EventKind.X_EQ_H_MIN,
@@ -204,8 +206,9 @@ class Trajectory(NamedTuple):
     stats: SolveStats = SolveStats()
 
     def region_labels(self, p: Params) -> list[str]:
+        """The :data:`_REGIONS` label of each sample."""
         g_lam, g_h = _event_functions(p)[0]
-        return [_region(g_lam(y), g_h(y)).value for y in self.points]
+        return [_REGIONS[_sign(g_lam(y)), _sign(g_h(y))] for y in self.points]
 
 
 _EVENT_FUNCTION = {
@@ -295,21 +298,25 @@ class CycleExtremes(NamedTuple):
         }
 
 
-def _region(s_side: float, x_side: float) -> Region:
-    """The region of a point from the signs of s - lam and x - h(s)."""
-    if x_side == 0 and s_side == 0:
-        return Region.EQUILIBRIUM
-    if s_side == 0:
-        return Region.ON_ISOCLINE_LAMBDA
-    if x_side == 0:
-        return Region.ON_ISOCLINE_H
-    if x_side > 0:
-        return Region.R1 if s_side > 0 else Region.R2
-    return Region.R3 if s_side < 0 else Region.R4
-
-
 def _sign(x: float) -> int:
     return int(x > 0) - int(x < 0)
+
+
+# the phase-plane region cut by the isoclines s = lam and x = h(s), by the
+# signs of s - lam and x - h(s) (of g_lam and g_h of _event_functions); a
+# boundary label only where an event function is exactly zero, as event
+# logic near the isoclines belongs to the crossings' root bracketing
+_REGIONS = {
+    (1, 1): "R1",  # x > h(s), s > lam: predator grows, prey declines
+    (-1, 1): "R2",  # x > h(s), s < lam: both decline
+    (-1, -1): "R3",  # x < h(s), s < lam: predator declines, prey recovers
+    (1, -1): "R4",  # x < h(s), s > lam: both grow
+    (0, 1): "isocline_lambda",
+    (0, -1): "isocline_lambda",
+    (1, 0): "isocline_h",
+    (-1, 0): "isocline_h",
+    (0, 0): "equilibrium",
+}
 
 
 # the kind of a crossing of s = lam (index 0) or x = h(s) (index 1) by

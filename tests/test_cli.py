@@ -6,10 +6,10 @@ import math
 import pytest
 
 import cyclebound
-from cyclebound import cli, harness
+from cyclebound import cli, harness, simulator
 from cyclebound.bounds import S_MAX_LO, cycle_bounds, x_max_lower
 from cyclebound.cli import main
-from cyclebound.harness import CSV_HEADER
+from cyclebound.harness import CSV_HEADER, SweepRow
 from cyclebound.model import Params
 from cyclebound.simulator import (
     EventOrderError,
@@ -238,6 +238,60 @@ def test_sweep_cli(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     assert "2/2 proven rows pass" in out
+
+
+def test_exit_codes():
+    # the rule cycle, sweep and figures share, over SweepRow verdicts
+    base = dict(
+        a=0.05, lam=0.05, m=1.0, proven=True,
+        x_max_lo=0.7, x_max=1.0, x_max_hi=1.5,
+        ln_x_min_lo=-30.0, ln_x_min=-20.0, ln_x_min_hi=-10.0,
+        ln_s_min_lo=-30.0, ln_s_min=-20.0, ln_s_min_hi=-10.0,
+        s_max=0.9, converged=True, min_margin=0.1, passed=True,
+    )
+    ok = SweepRow(**base)
+    violated = SweepRow(**{**base, "min_margin": -0.1, "passed": False})
+    stuck = SweepRow(**{**base, "converged": False, "passed": False})
+    unproven_bad = SweepRow(**{**base, "proven": False, "passed": False})
+
+    def exit_code(*rows):
+        return cli._exit_code(map(cli._ROW_VERDICT, rows))
+
+    assert exit_code(ok) == 0
+    assert exit_code(ok, violated) == 2
+    assert exit_code(ok, stuck) == 3
+    assert exit_code(ok, violated, stuck) == 2
+    assert exit_code(stuck, violated) == 2
+    # unproven rows never trip the violation exit
+    assert exit_code(ok, unproven_bad) == 0
+    assert exit_code() == 0
+
+
+@pytest.mark.parametrize("a, lam, code, summary", [
+    (0.05, 0.05, 2, "1 rows (1 proven), 0/1 proven rows pass, exit code 2"),
+    (0.1, 0.1, 0, "1 rows (0 proven), 0/0 proven rows pass, exit code 0"),
+], ids=["proven", "unproven"])
+def test_a_violated_bound_exits_two_where_it_is_proven(
+    monkeypatch, tmp_path, capsys, a, lam, code, summary
+):
+    # every cycle is checked against bounds whose x_max_hi is their x_max_lo
+    real = simulator.cycle_bounds
+
+    def violated(p, **kwargs):
+        b = real(p, **kwargs)
+        return b._replace(x_max_hi=b.x_max_lo)
+
+    monkeypatch.setattr(simulator, "cycle_bounds", violated)
+    point = ["--a", str(a), "--lambda", str(lam), "--m", "1.0"]
+    assert run_cli("cycle", *point, "--rtol", "1e-8", capsys=capsys)[0] == code
+    spec_file, out_file = tmp_path / "spec.json", tmp_path / "report.csv"
+    spec_file.write_text(json.dumps({
+        "a_values": [a], "lambda_values": [lam], "m_values": [1.0], "sim": {"rtol": 1e-8},
+    }))
+    assert run_cli("sweep", "--spec", str(spec_file), "--out", str(out_file),
+                   capsys=capsys)[:2] == (code, f"{out_file}: {summary}\n")
+    assert run_cli("figures", "--which", "fig2", "--out", str(tmp_path), "--points", "1",
+                   "--panel", f"{a},{lam}", "--rtol", "1e-8", capsys=capsys)[0] == code
 
 
 @pytest.mark.parametrize(

@@ -49,12 +49,12 @@ def test_each_export_is_its_submodules_object():
 
 
 def test_the_package_surface():
-    # the 52 exports plus the seven library submodules, by star import and dir
+    # the 51 exports plus the seven library submodules, by star import and dir
     namespace: dict = {}
     exec("from cyclebound import *", namespace)
     del namespace["__builtins__"]
     exports = sorted(name for names in cyclebound._EXPORTS.values() for name in names)
-    assert len(exports) == 52
+    assert len(exports) == 51
     assert sorted(namespace) == sorted(exports + SUBMODULES)
     assert set(namespace) <= set(dir(cyclebound))
     for name in SUBMODULES:

@@ -90,16 +90,36 @@ def test_barrier_terms_certified_nonpositive_on_the_box():
                 )
 
 
+def test_barrier_factor_certified_on_the_box():
+    # F = a + 2 + m (2 - lam) has positive partials in a and m and a
+    # negative one in lam over the box's closure, so -F^2 is largest at
+    # (a_lo, 1, m_lo); the coefficients give -F^2 = (C0 + C1) / (m lam)
+    _, lam_box, m_box = (iv.mpf(list(bounds)) for bounds in harness._BARRIER_BOX)
+    # dF/da = 1, dF/dm = 2 - lam, dF/dlam = -m
+    assert (2 - lam_box).a > 0 and m_box.a > 0
+    for a in np.linspace(0.02, 0.5, 8):
+        for lam in np.linspace(0.1, 1.0, 8):
+            for m in np.linspace(0.1, 10.0, 8):
+                p = Params(a=float(a), lam=float(lam), m=float(m), limit=True)
+                _, cc = x_max_barrier_coefficients(p)
+                assert cc / (p.m * p.lam) == pytest.approx(
+                    -((p.a + 2 + p.m * (2 - p.lam)) ** 2), rel=1e-14
+                )
+
+
 def test_barrier_scan_matches_proofcheck_corner():
-    # a strict-max scan of the scalar coefficients over a coarse grid that
-    # shares the barrier box's lower corner finds the point and the values
-    # the proofcheck rows report
+    # a strict-max scan over a coarse grid that shares the barrier box's
+    # lower corner finds the point and the value of each barrier row: C0 on
+    # lam in [0, 1), and -F^2 = (C0 + C1) / (m lam) on lam in (0, 1]
     worst = [(-math.inf, ()), (-math.inf, ())]
     for a in np.linspace(0.0025, 0.5, 9):
-        for lam in np.linspace(0.0, 1.0, 8, endpoint=False):
-            for m in np.linspace(0.05, 10.0, 9):
-                p = Params(a=float(a), lam=float(lam), m=float(m), limit=True)
-                for k, value in enumerate(x_max_barrier_coefficients(p)):
+        for k, lams in enumerate((np.linspace(0.0, 1.0, 8, endpoint=False),
+                                  np.linspace(0.125, 1.0, 8))):
+            for lam in lams:
+                for m in np.linspace(0.05, 10.0, 9):
+                    p = Params(a=float(a), lam=float(lam), m=float(m), limit=True)
+                    c0, cc = x_max_barrier_coefficients(p)
+                    value = cc / (p.m * p.lam) if k else c0
                     if value > worst[k][0]:
                         worst[k] = (value, (p.a, p.lam, p.m))
     for case in Case:
@@ -212,8 +232,7 @@ def test_sweep_rows_and_csv_layout(tmp_path):
     # sorted by (a, lambda, m)
     keys = [(r.a, r.lam, r.m) for r in report.rows]
     assert keys == sorted(keys)
-    assert all(r.passed for r in report.rows) and report.exit_code == 0
-    assert not report.any_nonconverged
+    assert all(r.passed and r.converged and r.error is None for r in report.rows)
     out = tmp_path / "report.csv"
     report.to_csv(out)
     lines = out.read_text().splitlines()
@@ -386,9 +405,6 @@ def test_sweep_flags_unproven_rows():
     (row,) = report.rows
     assert not row.proven
     assert row.converged
-    # unproven rows do not participate in the pass statistic
-    assert report.exit_code == 0
-    assert report.proven_rows() == []
 
 
 def test_sweep_row_matches_cycle_report():
@@ -413,28 +429,6 @@ def test_sweep_row_matches_cycle_report():
     assert 0.8 < row.s_max < 1.0
     assert row.min_margin > 0
     assert len(row.csv_line().split(",")) == 17
-
-
-def test_sweep_report_exit_codes():
-    base = dict(
-        a=0.05, lam=0.05, m=1.0, proven=True,
-        x_max_lo=0.7, x_max=1.0, x_max_hi=1.5,
-        ln_x_min_lo=-30.0, ln_x_min=-20.0, ln_x_min_hi=-10.0,
-        ln_s_min_lo=-30.0, ln_s_min=-20.0, ln_s_min_hi=-10.0,
-        s_max=0.9, converged=True, min_margin=0.1, passed=True,
-    )
-    from cyclebound.harness import SweepReport, SweepRow
-
-    ok = SweepRow(**base)
-    violated = SweepRow(**{**base, "min_margin": -0.1, "passed": False})
-    stuck = SweepRow(**{**base, "converged": False, "passed": False})
-    unproven_bad = SweepRow(**{**base, "proven": False, "passed": False})
-    assert SweepReport(rows=[ok]).exit_code == 0
-    assert SweepReport(rows=[ok, violated]).exit_code == 2
-    assert SweepReport(rows=[ok, stuck]).exit_code == 3
-    assert SweepReport(rows=[ok, violated, stuck]).exit_code == 2
-    # unproven rows never trip the violation exit
-    assert SweepReport(rows=[ok, unproven_bad]).exit_code == 0
 
 
 def test_sweep_spec_validation_and_json():
@@ -575,22 +569,22 @@ def test_proof_spotchecks_case_b():
 PROOFCHECK_LINES = {
     Case.A: [
         '[ok ] barrier_c0_negative: margin=1.0525 worst=-1.0525 at (0.0025, 0.0, 0.05)',
-        '[ok ] barrier_c0_plus_c1_nonpositive: margin=0 worst=-0 at (0.0025, 0.0, 0.05)',
+        '[ok ] barrier_c0_plus_c1_nonpositive: margin=4.21276 worst=-4.21276 at (0.0025, 1.0, 0.05)',
         '[ok ] gain_quadratic_negative_at_lam: margin=1.77656e-05 worst=-1.77656e-05 at (0.05, 0.00125, 50.0)',
         '[ok ] gain_quadratic_positive_at_one: margin=0.965019 worst=0.965019 at (0.00125, 0.05, 50.0)',
         '[ok ] alpha_below_0.2: margin=0.0515704 worst=0.14843 at (0.9455847155027068,)',
         '[ok ] handoff_envelope_cap: margin=0.00542275 worst=0.0445772 at (0.3,)',
-        "[ok ] cap_bound_monotone_in_a_and_lam: margin=1e-09 worst=0 at (0.002, 0.002, 5.021607031055999, 'a')",
+        "[ok ] cap_bound_monotone_in_a_and_lam: margin=28.678 worst=28.678 at (0.05, 0.05, 0.01, 'lam')",
         '[ok ] alpha2_peak_location: margin=0.018949 worst=4.10895 at (4.11,)',
     ],
     Case.B: [
         '[ok ] barrier_c0_negative: margin=1.0525 worst=-1.0525 at (0.0025, 0.0, 0.05)',
-        '[ok ] barrier_c0_plus_c1_nonpositive: margin=0 worst=-0 at (0.0025, 0.0, 0.05)',
+        '[ok ] barrier_c0_plus_c1_nonpositive: margin=4.21276 worst=-4.21276 at (0.0025, 1.0, 0.05)',
         '[ok ] gain_quadratic_negative_at_lam: margin=2.99833e-06 worst=-2.99833e-06 at (0.1, 0.00025, 50.0)',
         '[ok ] gain_quadratic_positive_at_one: margin=1.00337 worst=1.00337 at (0.0025, 0.01, 50.0)',
         '[ok ] alpha_below_0.2: margin=0.0109971 worst=0.189003 at (0.3,)',
         '[ok ] handoff_envelope_cap: margin=0.00698892 worst=0.0730111 at (0.3,)',
-        "[ok ] cap_bound_monotone_in_a_and_lam: margin=1e-09 worst=0 at (0.002, 0.002, 5.021607031055999, 'a')",
+        "[ok ] cap_bound_monotone_in_a_and_lam: margin=23.9578 worst=23.9578 at (0.1, 0.01, 0.01, 'lam')",
         '[FAIL] alpha2_peak_location: margin=-0.00858652 worst=3.03141 at (3.06,)',
     ],
 }
@@ -609,7 +603,8 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
         "growth_ratio_quadratic": 2,
         "alpha_factors": 1,
         "handoff_cap_envelope": 2,
-        "handoff_cap_bound": 2,
+        "handoff_cap_bound": 0,
+        "handoff_cap_bound_ln": 2,
         "alpha2_peak": 1,
     }
     calls = dict.fromkeys(expected, 0)
@@ -627,10 +622,87 @@ def test_proof_spotchecks_call_counts(monkeypatch, case):
     assert calls == expected
 
 
+# one mutation of what each proof row guards, as (row, mutation, harness
+# name, the mutated function built from the real one); each must fail its row
+PROOF_ROW_MUTATIONS = [
+    ("barrier_c0_negative", "C0 with +1 + m + a for its constant -1 - m - a",
+     "x_max_barrier_coefficients",
+     lambda real: lambda p: (real(p)[0] + 2 * (1 + p.m + p.a), real(p)[1])),
+    ("barrier_c0_plus_c1_nonpositive", "C0 + C1 with its sign flipped",
+     "x_max_barrier_coefficients", lambda real: lambda p: (real(p)[0], -real(p)[1])),
+    ("gain_quadratic_negative_at_lam", "G* without its -lam term",
+     "growth_ratio_quadratic", lambda real: lambda s, p, case: real(s, p, case) + p.lam),
+    ("gain_quadratic_positive_at_one", "G* with its sign flipped",
+     "growth_ratio_quadratic", lambda real: lambda s, p, case: -real(s, p, case)),
+    ("alpha_below_0.2", "alpha doubled", "alpha_factors",
+     lambda real: lambda m, case: real(m, case)._replace(alpha=2 * real(m, case).alpha)),
+    ("handoff_envelope_cap", "the envelope doubled", "handoff_cap_envelope",
+     lambda real: lambda m, case: 2 * real(m, case)),
+    ("cap_bound_monotone_in_a_and_lam", "ln of the cap negated: the cap falls in a and lam",
+     "handoff_cap_bound_ln", lambda real: lambda p, case: -real(p, case)),
+    ("alpha2_peak_location", "alpha2 peaking 0.03 further out", "alpha2_peak",
+     lambda real: lambda case: real(case) + 0.03),
+]
+
+
+@pytest.mark.parametrize(
+    "case, row, name, mutate",
+    [
+        pytest.param(case, row, name, mutate, id=f"{case.value}-{mutation}")
+        for case in Case
+        for row, mutation, name, mutate in PROOF_ROW_MUTATIONS
+        # case B's peak location fails unmutated (test_proof_spotchecks_case_b)
+        if (case, row) != (Case.B, "alpha2_peak_location")
+    ],
+)
+def test_each_proof_row_fails_under_a_mutation_of_what_it_guards(
+    monkeypatch, case, row, name, mutate
+):
+    def verdict():
+        return {c.name: c.passed for c in proof_spotchecks(case).checks}[row]
+
+    assert verdict()
+    monkeypatch.setattr(harness, name, mutate(getattr(harness, name)))
+    assert not verdict()
+
+
+def _swapped(real):
+    return lambda p, case: real(SimpleNamespace(a=p.lam, lam=p.a, m=p.m), case)
+
+
+def _a_mirrored(real):
+    # a -> 2e-3 + a_max - a maps the slope grid's a axis onto itself
+    # reversed, so every a slope changes sign
+    return lambda p, case: real(SimpleNamespace(a=2e-3 + case.a_max - p.a, lam=p.lam, m=p.m), case)
+
+
+def _lam_mirrored(real):
+    return lambda p, case: real(
+        SimpleNamespace(a=p.a, lam=2e-3 + case.lam_max - p.lam, m=p.m), case
+    )
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+@pytest.mark.parametrize("mutate", [_swapped, _a_mirrored, _lam_mirrored],
+                         ids=["a-and-lam-swapped", "a-slopes-flipped", "lam-slopes-flipped"])
+def test_the_slope_line_names_its_slope_and_its_sign(monkeypatch, case, mutate):
+    # the worst slope is a lam slope; swapping a and lam in the cap makes it
+    # an a slope, and flipping either slope's sign makes the row fail
+    line = PROOFCHECK_LINES[case][6]
+    assert line.endswith("'lam')")
+    monkeypatch.setattr(harness, "handoff_cap_bound_ln", mutate(harness.handoff_cap_bound_ln))
+    mutated = proof_spotchecks(case).lines()[6]
+    assert mutated != line
+    if mutate is _swapped:
+        assert mutated.startswith("[ok ]") and mutated.endswith("'a')")
+    else:
+        assert mutated.startswith("[FAIL]")
+
+
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_proof_spotchecks_read_each_input_once(case):
     # every region4 call decides its arithmetic once: 4 reads per
-    # handoff_cap_bound (a, lam, m, then z's y) and per
+    # handoff_cap_bound_ln (a, lam, m, then z's y) and per
     # growth_ratio_quadratic (a, lam, m, s), 2 for alpha_factors (m, then
     # the envelope's m) and 1 per envelope call; 2*4 + 2*4 + 2 + 2*1 = 20
     code, reads = _arith.read.__code__, 0
@@ -666,7 +738,8 @@ def test_emit_figures_tiny(tmp_path):
         "all", tmp_path, panels=[(0.05, 0.05)], m_values=[0.3, 1.0, 0.05], cfg=FAST_SIM
     )
     assert len(paths) == 4
-    assert [row.m for row in report.rows] == ms and report.exit_code == 0
+    assert [row.m for row in report.rows] == ms
+    assert all(row.passed and row.converged for row in report.rows)
     for path in paths:
         rows = path.read_text().splitlines()
         assert [float(line.split(",")[0]) for line in rows[1:]] == ms
@@ -704,7 +777,7 @@ def test_a_failed_figure_point_is_a_nan_line(tmp_path):
         "the step to tau = 10631.7 left the phase space (s <= 0); "
         "the requested tolerance is too loose"
     )
-    assert report.exit_code == 3
+    assert not failed.converged
 
 
 def test_a_row_past_the_x_max_barrier_fails_with_that_reason():
@@ -822,7 +895,7 @@ def test_emit_figures_at_two_jobs_writes_what_one_job_writes(monkeypatch, tmp_pa
     assert [(row.csv_line(), row.error) for row in report.rows] == [
         (row.csv_line(), row.error) for row in serial_report.rows
     ]
-    assert report.rows[1].error is not None and report.exit_code == serial_report.exit_code == 3
+    assert report.rows[1].error is not None and not report.rows[1].converged
 
 
 @pytest.mark.parametrize("points", [0, -2])

@@ -190,19 +190,20 @@ def test_handoff_cap_bound_arrays_match_scalar_arithmetic(case):
 def test_cap_bound_slopes_scan_both_perturbations_of_a_variable_in_one_call(
     monkeypatch, case, chain
 ):
-    # the proofcheck scan evaluates the cap on broadcast axes, one call per
-    # variable with +STEP and -STEP on a leading axis; each array must be
-    # the chain on the full perturbed grids to the bit, and the row the
-    # first minimum of a scan over those grids.  The cap underflows to 0 at
-    # high m, so its worst slope is a tie of zeros; the ln chain does not,
-    # so its worst slope is one point's, with its variable named.
+    # the proofcheck scan evaluates the ln cap on broadcast axes, one call
+    # per variable with +STEP and -STEP on a leading axis; with either chain
+    # in its place, each array must be the chain on the full perturbed grids
+    # to the bit, and the row the first minimum of a scan over those grids.
+    # The cap underflows to 0 at high m, so its worst slope is a tie of
+    # zeros; the ln chain does not, so its worst slope is one point's, with
+    # its variable named.
     results = []
 
     def capturing(p, case):
         results.append(chain(p, case))
         return results[-1]
 
-    monkeypatch.setattr(harness, "handoff_cap_bound", capturing)
+    monkeypatch.setattr(harness, "handoff_cap_bound_ln", capturing)
     got = harness._cap_bound_slopes(case)
     g = slope_scan_grid(case)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import mpmath as mp
@@ -21,7 +22,6 @@ from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
 from cyclebound.model import (
     LogState,
     Params,
-    Region,
     State,
     h,
     log1m_exp,
@@ -945,21 +945,25 @@ def region_label(x: float, s: float, p: Params) -> str:
     return traj.region_labels(p)[0]
 
 
-def test_region_examples():
-    # all nine sign combinations of (s - lam, x - h(s))
+def test_region_examples(monkeypatch):
+    # all nine sign combinations of (s - lam, x - h(s)), read off each
+    # sample by stand-in event functions
     want = {
-        (1, 1): Region.R1,
-        (-1, 1): Region.R2,
-        (-1, -1): Region.R3,
-        (1, -1): Region.R4,
-        (0, 0): Region.EQUILIBRIUM,
-        (0, 1): Region.ON_ISOCLINE_LAMBDA,
-        (0, -1): Region.ON_ISOCLINE_LAMBDA,
-        (1, 0): Region.ON_ISOCLINE_H,
-        (-1, 0): Region.ON_ISOCLINE_H,
+        (1, 1): "R1",
+        (-1, 1): "R2",
+        (-1, -1): "R3",
+        (1, -1): "R4",
+        (0, 0): "equilibrium",
+        (0, 1): "isocline_lambda",
+        (0, -1): "isocline_lambda",
+        (1, 0): "isocline_h",
+        (-1, 0): "isocline_h",
     }
-    for (s_side, x_side), region in want.items():
-        assert simulator._region(0.5 * s_side, 2.0 * x_side) is region
+    points = tuple((0.5 * s_side, 2.0 * x_side) for s_side, x_side in want)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_event_functions", lambda p: ((itemgetter(0), itemgetter(1)), None))
+        labels = simulator.Trajectory(tuple(range(len(points))), points).region_labels(None)
+    assert labels == list(want.values())
     p = Params(a=0.1, lam=0.1, m=1.0)
     assert region_label(1.0, 0.5, p) == "R1"
     assert region_label(0.5, 0.05, p) == "R2"
@@ -984,12 +988,12 @@ def test_region_labels_exhaustive_and_consistent(x, s, a, lam):
     assume(abs(s - lam) > 1e-9 * lam and abs(x - h(s, p)) > 1e-9 * x)
     above_h, above_lam = x > h(s, p), s > lam
     want = {
-        (True, True): Region.R1,
-        (True, False): Region.R2,
-        (False, False): Region.R3,
-        (False, True): Region.R4,
+        (True, True): "R1",
+        (True, False): "R2",
+        (False, False): "R3",
+        (False, True): "R4",
     }[above_h, above_lam]
-    assert region_label(x, s, p) == want.value
+    assert region_label(x, s, p) == want
 
 
 def test_extremes_sit_on_isoclines():
@@ -1274,6 +1278,18 @@ def test_raw_events_counts_the_reported_tour(p):
     ce = limit_cycle(p)
     assert ce.raw_events == 4
     assert ce.as_dict()["raw_events"] == ce.raw_events
+
+
+def test_net_events_is_live_at_a_loose_tolerance(monkeypatch):
+    # at rtol = 1e-3 the reported tour crosses x = h(s) back and forth once
+    # more after the prey maximum: 6 raw crossings, which net_events reduces
+    # to the tour's four; without the reduction the tour fails its order check
+    p, loose = Params(a=0.05, lam=0.05, m=0.01), SimConfig(rtol=1e-3)
+    ce = limit_cycle(p, loose)
+    assert ce.converged and ce.raw_events == 6
+    monkeypatch.setattr(simulator, "net_events", list)
+    with pytest.raises(EventOrderError):
+        limit_cycle(p, loose)
 
 
 def test_solve_stats_count_the_stepper_work(monkeypatch):

@@ -37,10 +37,12 @@ def test_tracer_installs_and_restores_every_hook():
         # simulator module: every tour is one span, every step counted
         ce = simulator.limit_cycle(p)
         # proof_spotchecks resolves the region4 names in harness, and the
-        # cap chain resolves z in region4: one of each per perturbed variable
+        # cap chain resolves z in region4: one z per perturbed variable.
+        # The slope row runs on handoff_cap_bound_ln, which the tracer does
+        # not hook, so its hook on handoff_cap_bound counts no call
         harness.proof_spotchecks("A")
     assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
-    assert tracer.counts()["cyclebound.harness.handoff_cap_bound"] == 2
+    assert tracer.counts().get("cyclebound.harness.handoff_cap_bound", 0) == 0
     assert tracer.counts()["cyclebound.region4.z"] == 2
     assert tracer.steps > 0
     assert tracer.layer_times()["simulator.integrate.tour"]["calls"] == ce.tours == 2
