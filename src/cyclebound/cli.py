@@ -12,7 +12,9 @@ tolerances from the spec file or runs ``REFERENCE_SPECS`` as defined.
 ``sweep`` and ``figures`` simulate their grid points the same way: a
 point that fails is written as a NaN row, its reason goes to stderr as
 ``row (a=..., lambda=..., m=...) failed: ...``, and the other points
-and files are still written.
+and files are still written.  A point that runs out of return-map tours
+without an error keeps its values, and stderr names it as ``row (a=...,
+lambda=..., m=...) did not converge within the return-map budget``.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
@@ -148,10 +150,12 @@ def _cmd_region4(args: argparse.Namespace) -> int:
 def _print_failed_rows(rows: Sequence[cyclebound.harness.SweepRow]) -> None:
     for row in rows:
         if row.error is not None:
-            print(
-                f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) failed: {row.error}",
-                file=sys.stderr,
-            )
+            reason = f"failed: {row.error}"
+        elif not row.converged:
+            reason = "did not converge within the return-map budget"
+        else:
+            continue
+        print(f"row (a={row.a!r}, lambda={row.lam!r}, m={row.m!r}) {reason}", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
 from .bounds import S_MAX_LO, x_max_upper_linear, x_max_upper_refined
-from .model import Params, finite_float, integer, require_cycle
+from .model import Params, positive_float, positive_int, require_cycle
 from .region4 import (
     M_BRANCH,
     Case,
@@ -80,13 +80,10 @@ _SPEC_KEYS = {"a_values", "lambda_values", "m_values"}
 
 def _positive_values(what: str, values) -> tuple[float, ...]:
     """``values`` as floats; ValueError naming ``what`` unless there is at
-    least one and each is a finite int or float (:func:`finite_float`) > 0."""
-    vals = tuple(finite_float(what, v) for v in values)
+    least one and each is a :func:`positive_float`."""
+    vals = tuple(positive_float(what, v) for v in values)
     if not vals:
         raise ValueError(f"{what} must be non-empty")
-    for v in vals:
-        if not v > 0.0:
-            raise ValueError(f"{what} must be > 0, got {v!r}")
     return vals
 
 
@@ -96,14 +93,6 @@ def _axis(what: str, values) -> tuple[float, ...]:
     if len(set(vals)) < len(vals):  # a repeated value repeats its rows
         raise ValueError(f"{what} must not repeat a value, got {vals!r}")
     return vals
-
-
-def _jobs(jobs) -> int:
-    """The process count of a sweep or figure run: an integer >= 1."""
-    jobs = integer("jobs", jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    return jobs
 
 
 def _check_keys(what: str, record, required: set, allowed: set) -> None:
@@ -135,7 +124,7 @@ class SweepSpec:
         for a in self.a_values:
             for lam in self.lambda_values:
                 require_cycle(Params(a=a, lam=lam, m=1.0))
-        object.__setattr__(self, "jobs", _jobs(self.jobs))
+        object.__setattr__(self, "jobs", positive_int("jobs", self.jobs))
 
     @classmethod
     def from_json(cls, record: dict) -> "SweepSpec":
@@ -553,9 +542,7 @@ def figure_m_values(points: int = 50) -> tuple[float, ...]:
     / (points - 1), with both ends exact: NumPy's ``geomspace`` algorithm,
     rounded by libm's ``pow`` whatever NumPy's CPU dispatch is.
     """
-    n = integer("points", points)
-    if n < 1:
-        raise ValueError(f"the m axis needs at least 1 point, got {points!r}")
+    n = positive_int("points", points)
     if n == 1:
         return (0.01,)
     lo = math.log10(0.01)
@@ -621,7 +608,7 @@ def emit_figures(
         files[name] = panel
     ms = sorted(_axis("m_values", figure_m_values() if m_values is None else m_values))
     points = [(a, lam, m) for a, lam in panels for m in ms]
-    rows = _run_rows(points, cfg or SimConfig(), _jobs(jobs))
+    rows = _run_rows(points, cfg or SimConfig(), positive_int("jobs", jobs))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -26,7 +26,7 @@ import math
 from enum import Enum
 
 from ._arith import read
-from .model import finite_float
+from .model import finite_float, positive_float
 
 __all__ = ["ZIndex", "z", "lv_small_root_ln", "z_exact"]
 
@@ -101,12 +101,10 @@ def lv_small_root_ln(A: float, C: float) -> float:
     positive at w = -C/A and nonpositive at ln A whenever a root
     exists, so a bisection bracket safeguards plain Newton iteration.
     Converges to relative tolerance ~1e-15 in a handful of steps since
-    g is nearly linear once e^w << A.  Both arguments are read by
-    :func:`cyclebound.model.finite_float`.
+    g is nearly linear once e^w << A.  A is read by
+    :func:`cyclebound.model.positive_float`, C by ``finite_float``.
     """
-    A, C = finite_float("A", A), finite_float("C", C)
-    if not A > 0:
-        raise ValueError(f"A must be positive, got {A!r}")
+    A, C = positive_float("A", A), finite_float("C", C)
     ln_A = math.log(A)
     c_min = A - A * ln_A
     if C < c_min:

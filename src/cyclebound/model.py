@@ -30,6 +30,8 @@ __all__ = [
     "require_cycle",
     "finite_float",
     "integer",
+    "positive_float",
+    "positive_int",
     "log_vector_field",
     "log_gap_vector_field",
     "log1m_exp",
@@ -82,6 +84,24 @@ def integer(name: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def positive_float(name: str, value) -> float:
+    """:func:`finite_float`, > 0: the rule of every positive number from
+    outside, so 0 fails as ``{name} must be > 0, got 0.0``."""
+    x = finite_float(name, value)
+    if not x > 0.0:
+        raise ValueError(f"{name} must be > 0, got {x!r}")
+    return x
+
+
+def positive_int(name: str, value) -> int:
+    """:func:`integer`, >= 1: the rule of every count from outside, so 0
+    fails as ``{name} must be >= 1, got 0``."""
+    n = integer(name, value)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+    return n
 
 
 class _Record:
@@ -151,7 +171,9 @@ class Params(_Record):
         object.__setattr__(self, "limit", limit)
         for name, value in (("a", a), ("lam", lam), ("m", m)):
             val = finite_float(name, value)
-            if val < 0.0 or (val == 0.0 and not limit):
+            if limit and val < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {val!r}")
+            if not limit and val <= 0.0:
                 raise ValueError(
                     f"{name} must be > 0 (use limit=True to evaluate "
                     f"closed forms at {name} = 0), got {val!r}"
@@ -189,10 +211,7 @@ class RMParams(_Record):
 
     def __init__(self, r: float, K: float, q: float, H: float, p: float, d: float) -> None:
         for name, value in zip(self._fields, (r, K, q, H, p, d)):
-            val = finite_float(name, value)
-            if not val > 0.0:
-                raise ValueError(f"{name} must be > 0, got {val!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, positive_float(name, value))
         if not self.p > self.d:
             raise ValueError(f"p must exceed d, got p={self.p}, d={self.d}")
 
@@ -203,10 +222,8 @@ class State(_Record):
     _fields = ("x", "s")
 
     def __init__(self, x: float, s: float) -> None:
-        object.__setattr__(self, "x", finite_float("x", x))
-        object.__setattr__(self, "s", finite_float("s", s))
-        if not (self.x > 0.0 and self.s > 0.0):
-            raise ValueError(f"state must have x > 0 and s > 0, got ({self.x}, {self.s})")
+        object.__setattr__(self, "x", positive_float("x", x))
+        object.__setattr__(self, "s", positive_float("s", s))
 
     def log(self) -> "LogState":
         return LogState(math.log(self.x), math.log(self.s))

@@ -51,7 +51,7 @@ from typing import NamedTuple
 from ._arith import choose, read
 from .bounds import S_MAX_LO
 from .lvroot import ZIndex, z
-from .model import PROVEN_BOXES, Params, finite_float, h, hopf_margin
+from .model import PROVEN_BOXES, Params, finite_float, h, hopf_margin, positive_float
 
 __all__ = [
     "M_BRANCH",
@@ -257,13 +257,11 @@ def smax_lower_bound(x_gamma: float, m: float) -> float:
 
     with M = s_gamma = :data:`S_GAMMA`, evaluated through logarithms
     since the exponents span orders of magnitude.  Requires
-    x_gamma < M (1 - s_gamma) so that d < 0.  Both arguments are read
-    by :func:`cyclebound.model.finite_float`.
+    x_gamma < M (1 - s_gamma) so that d < 0.  x_gamma is read by
+    :func:`cyclebound.model.finite_float`, m by ``positive_float``.
     """
     s_gamma = M = S_GAMMA
-    x_gamma, m = finite_float("x_gamma", x_gamma), finite_float("m", m)
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    x_gamma, m = finite_float("x_gamma", x_gamma), positive_float("m", m)
     if not 0.0 < x_gamma < M * (1.0 - s_gamma):
         raise ValueError(
             f"need 0 < x_gamma < M (1 - s_gamma) = {M * (1.0 - s_gamma)!r}, "
@@ -295,7 +293,7 @@ def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
     """
     arith, m = read("m", m)
     if bad := arith.first_failure(m > 0, m):
-        raise ValueError(f"m must be positive, got {bad[0]!r}")
+        raise ValueError(f"m must be > 0, got {bad[0]!r}")
     x_gamma = handoff_cap_envelope(m, case)
     if bad := arith.first_failure(x_gamma > 0, m, x_gamma):
         raise ValueError(

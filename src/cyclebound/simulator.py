@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .bounds import BoundSet, cycle_bounds, x_max_upper_linear
 from .dopri import DOP853 as RK45
 from .model import (
-    LogState, Params, State, _Record, finite_float, h, integer, log1m_exp,
+    LogState, Params, State, _Record, finite_float, h, log1m_exp, positive_float, positive_int,
     require_cycle,
 )
 
@@ -123,10 +123,7 @@ class SimConfig(_Record):
     def __init__(self, rtol: float = 1e-10, cycle_tol: float = 1e-9) -> None:
         for name, value in (("rtol", rtol), ("cycle_tol", cycle_tol)):
             # stored as a float: a NumPy scalar would set the stepper's dtype
-            value = finite_float(name, value)
-            if not value > 0.0:
-                raise ValueError("rtol and cycle_tol must be positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_float(name, value))
 
 
 class EventKind(Enum):
@@ -481,8 +478,7 @@ def integrate(
     silently truncated trajectory is never returned.
     """
     cfg = cfg or SimConfig()
-    if integer("n_downs", n_downs) < 1:
-        raise ValueError(f"n_downs must be at least 1, got {n_downs!r}")
+    positive_int("n_downs", n_downs)
     if p.limit:
         raise ValueError("simulation requires strictly positive parameters")
     require_cycle(p)
@@ -663,11 +659,8 @@ def limit_cycle(
         tours, total = 1, lead_in.stats
         ln_x = lead_in.events[-1].state.u
     else:
-        x0 = finite_float("x0", x0)
-        if not x0 > 0.0:
-            raise ValueError(f"x0 must be > 0, got {x0!r}")
         tours, total = 0, SolveStats()
-        ln_x = math.log(x0)
+        ln_x = math.log(positive_float("x0", x0))
     ln_lam = math.log(p.lam)
     budget = tours + MAX_RETURN_ITERS
     while True:

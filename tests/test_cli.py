@@ -456,7 +456,7 @@ def test_figures_cli_rejects_fewer_than_one_point(tmp_path, capsys, points):
         "--points", points, "--panel", "0.05,0.05", capsys=capsys,
     )
     assert code == 1 and not out
-    assert f"at least 1 point, got {points}" in err
+    assert err == f"error: points must be >= 1, got {points}\n"
     assert not (tmp_path / "figs").exists()
 
 
@@ -516,7 +516,7 @@ def test_figures_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
         "figures", "--which", "fig5", "--out", str(tmp_path / "figs"), "--points", "2",
         "--panel", "0.05,0.05", "--jobs", jobs, capsys=capsys,
     )
-    assert (code, out, err) == (1, "", "error: jobs must be >= 1\n")
+    assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n")
     assert not (tmp_path / "figs").exists()
 
 
@@ -582,6 +582,36 @@ def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
     header, failed = out_file.read_text().splitlines()
     assert header == CSV_HEADER
     assert failed.split(",")[2:] == ["10", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+def test_a_row_out_of_tours_is_named_on_stderr(monkeypatch, tmp_path, capsys, command):
+    # one return-map tour cannot meet these tolerances: each point keeps its
+    # values, exits 3 and is named once, with no error
+    monkeypatch.setattr(simulator, "MAX_RETURN_ITERS", 1)
+    if command == "sweep":
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"a_values": [0.05], "lambda_values": [0.05],
+                                         "m_values": [1.0], "sim": {"cycle_tol": 1e-300}}))
+        argv = ["sweep", "--spec", str(spec_file), "--out", str(tmp_path / "report.csv")]
+        rows = [(0.05, 0.05, 1.0)]
+    else:
+        argv = ["figures", "--which", "fig5", "--points", "2", "--panel", "0.01,0.01",
+                "--rtol", "1e-4", "--out", str(tmp_path / "figs")]
+        rows = [(0.01, 0.01, 0.01), (0.01, 0.01, 5.0)]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 3
+    assert err == "".join(
+        f"row (a={a!r}, lambda={lam!r}, m={m!r}) did not converge within the return-map budget\n"
+        for a, lam, m in rows
+    )
+    if command == "sweep":
+        row = (tmp_path / "report.csv").read_text().splitlines()[1].split(",")
+        assert row[CSV_HEADER.split(",").index("converged")] == "false"
+        assert "nan" not in row
+    else:
+        lines = (tmp_path / "figs" / "fig5_a0.01_lambda0.01.csv").read_text().splitlines()
+        assert lines[2] == "5,0.80000000000000004,1,1"
 
 
 

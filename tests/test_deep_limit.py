@@ -24,7 +24,9 @@ one equation in s_max.  The limits of the four extremes follow:
 - s_max -> the root, solved in t = ln(1 - s_max), since 1 - s_max is
   e^-42 at (a, lam) = (0.02, 0.03).
 
-The limit is a helper of the tests only: no caller outside them needs it.
+The limit is a helper of the tests only: no caller outside them needs it,
+nor its m -> 0 counterpart ``fold_gap``, the Airy law of x_max at the
+prey isocline's fold.
 With ``canard_estimates``' m -> 0 limits it also checks the bounds
 themselves over the whole proven box, where the simulator cannot go.
 """
@@ -100,6 +102,27 @@ def deep_cycle_limit(a: float, lam: float) -> DeepLimit:
         ln_x_min=big_f(math.log(lam), math.log1p(-lam), lam)
         - big_f(w, math.log1p(-s_min), s_min),
     )
+
+
+# minus the first zero of Ai: the Airy constant of the fold's exit
+OMEGA0 = -float(mp.airyaizero(1))
+
+
+def fold_gap(a: float, lam: float, m: float) -> float:
+    """The m -> 0 law of x_max above the prey isocline's fold, Omega0 eps^(2/3).
+
+    At small m the cycle climbs the isocline's right branch and leaves at
+    its fold s* = (1 - a)/2, x* = h(s*) = (1 + a)^2/4.  With sigma = s - s*,
+    xi = x - x* and T = s* tau the flow near the fold is the Riccati
+    equation dsigma/dT = -sigma^2 - xi, dxi/dT = eps, eps = m (s* - lam)
+    x*/s*, which is Airy's: the trajectory leaves at xi = Omega0 eps^(2/3)
+    + O(eps ln eps) (Mishchenko & Rozov, "Differential Equations with Small
+    Parameters and Relaxation Oscillations", 1980; Krupa & Szmolyan,
+    J. Differential Equations 174, 2001).
+    """
+    s_star, x_star = (1.0 - a) / 2.0, (1.0 + a) ** 2 / 4.0
+    eps = m * (s_star - lam) * x_star / s_star
+    return OMEGA0 * eps ** (2.0 / 3.0)
 
 
 def _mp_limit(a, lam, start):
@@ -196,6 +219,29 @@ def test_limit_cycle_approaches_the_deep_limit_like_1_over_m(a, lam):
             residual[name, m] = r / m
     for name in DeepLimit._fields:
         assert abs(residual[name, 1e6]) <= abs(residual[name, 1e4]) / 50.0, name
+
+
+# (a, lam) of the fold law's test: r = (x_max - x*)/fold_gap at m = 1e-2
+# and 1e-3 was 0.8311 and 0.8943 at (0.1, 0.1), 0.8820 and 0.9266 at
+# (0.05, 0.05), 0.9036 and 0.9410 at (0.1, 0.01): 1 - r falls by 0.61-0.63
+# per decade of m, as the next term's order eps^(1/3) ln eps does
+FOLD_POINTS = [(0.1, 0.1), (0.05, 0.05), (0.1, 0.01)]
+
+
+@pytest.mark.parametrize("a, lam", FOLD_POINTS)
+def test_x_max_leaves_the_fold_by_the_airy_law(a, lam):
+    # the evidence for the m -> 0 gap of acceptance criterion 6: x_max
+    # stays above (1 + a)^2/4 by nearly Omega0 eps^(2/3), ever more nearly
+    # as m falls
+    x_star = (1.0 + a) ** 2 / 4.0
+    r = {}
+    for m in (1e-2, 1e-3):
+        ce = limit_cycle(Params(a, lam, m))
+        assert ce.converged
+        r[m] = (ce.x_max - x_star) / fold_gap(a, lam, m)
+        assert 0.8 <= r[m] < 1.0, (m, r[m])
+    assert r[1e-3] > r[1e-2]
+    assert 0.5 <= (1.0 - r[1e-3]) / (1.0 - r[1e-2]) <= 0.75, r
 
 
 def _box_axis(top):

@@ -863,7 +863,7 @@ def test_emit_figures_rejects_panels_that_share_a_file(monkeypatch, tmp_path, se
 @pytest.mark.parametrize(
     "jobs, message",
     [
-        (0, "jobs must be >= 1"),
+        (0, "jobs must be >= 1, got 0"),
         (2.5, "jobs must be an integer, got 2.5"),
         (True, "jobs must be an integer, got True"),
     ],
@@ -900,7 +900,7 @@ def test_emit_figures_at_two_jobs_writes_what_one_job_writes(monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("points", [0, -2])
 def test_figure_m_values_needs_a_point(points):
-    with pytest.raises(ValueError, match=f"at least 1 point, got {points}"):
+    with pytest.raises(ValueError, match=f"^points must be >= 1, got {points}$"):
         figure_m_values(points)
     assert figure_m_values(1) == (0.01,)
 

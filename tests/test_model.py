@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cyclebound.bounds import cycle_bounds, x_max_lower, x_max_upper
 from cyclebound.cli import main
-from cyclebound.harness import SweepSpec, figure_m_values
+from cyclebound.harness import SweepSpec, emit_figures, figure_m_values
+from cyclebound.lvroot import lv_small_root_ln
 from cyclebound.model import (
     LogState,
     Params,
@@ -54,6 +55,12 @@ def test_params_validation():
         Params(a=0.1, lam=0.1, m=math.nan)
     # limit mode admits zeros for evaluating closed forms
     assert Params(a=0.0, lam=0.0, m=1.0, limit=True).cycle_regime
+    # and names its own rule for a negative value; outside it, a hint to it
+    with pytest.raises(ValueError, match=r"^a must be >= 0, got -1\.0$"):
+        Params(a=-1.0, lam=0.1, m=1.0, limit=True)
+    message = "a must be > 0 (use limit=True to evaluate closed forms at a = 0), got -1.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Params(a=-1.0, lam=0.1, m=1.0)
 
 
 def test_cycle_regime_flag_matches_inequality():
@@ -386,6 +393,54 @@ ENTRY_POINTS = {
 def test_every_number_from_outside_is_a_finite_int_or_float(tmp_path, capsys, entry, value):
     run, field = ENTRY_POINTS[entry]
     assert run(value, tmp_path, capsys) == f"{field} must be a finite int or float, got {value!r}"
+
+
+# every entry point of a positive number or a count: a call that passes it
+# one value, the field its error must name, and whether it is a count
+POSITIVE_ENTRY_POINTS = {
+    "RMParams": (_library(lambda v: RMParams(r=1, K=v, q=3, H=1, p=2, d=1)), "K", False),
+    "State-x": (_library(lambda v: State(v, 0.5)), "x", False),
+    "State-s": (_library(lambda v: State(0.5, v)), "s", False),
+    "SimConfig-rtol": (_library(lambda v: SimConfig(rtol=v)), "rtol", False),
+    "SimConfig-cycle_tol": (_library(lambda v: SimConfig(cycle_tol=v)), "cycle_tol", False),
+    "limit_cycle-x0": (_library(lambda v: limit_cycle(P_REF, x0=v)), "x0", False),
+    "lv_small_root_ln-A": (_library(lambda v: lv_small_root_ln(v, 2.0)), "A", False),
+    "smax_lower_bound-m": (_library(lambda v: smax_lower_bound(0.01, v)), "m", False),
+    "SweepSpec-axis": (
+        _library(lambda v: SweepSpec((0.05,), (0.05,), (1.0, v))), "m_values", False
+    ),
+    "emit_figures-axis": (
+        _library(lambda v: emit_figures("fig5", "unwritten", m_values=[1.0, v])),
+        "m_values", False,
+    ),
+    "integrate-n_downs": (
+        _library(lambda v: integrate(State(0.5, 0.5), P_REF, n_downs=v)), "n_downs", True
+    ),
+    "figure_m_values-points": (_library(figure_m_values), "points", True),
+    "SweepSpec-jobs": (
+        _library(lambda v: SweepSpec((0.05,), (0.05,), (1.0,), jobs=v)), "jobs", True
+    ),
+    "emit_figures-jobs": (
+        _library(lambda v: emit_figures("fig5", "unwritten", m_values=[1.0], jobs=v)),
+        "jobs", True,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [0, -1.0, math.nan, math.inf, True, "1"],
+    ids=["zero", "negative", "nan", "inf", "bool", "string"],
+)
+@pytest.mark.parametrize("entry", list(POSITIVE_ENTRY_POINTS))
+def test_every_positive_number_and_count_has_one_rule(tmp_path, capsys, entry, value):
+    run, field, count = POSITIVE_ENTRY_POINTS[entry]
+    if count:
+        rule = ">= 1, got 0" if value == 0 else f"an integer, got {value!r}"
+    elif type(value) in (int, float) and math.isfinite(value):
+        rule = f"> 0, got {float(value)!r}"
+    else:
+        rule = f"a finite int or float, got {value!r}"
+    assert run(value, tmp_path, capsys) == f"{field} must be {rule}"
 
 
 # each validating record: a positional and a keyword construction, its repr

@@ -539,7 +539,7 @@ def test_alpha_factors_on_an_array_name_m_where_the_envelope_underflows():
 @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0])
 def test_alpha_factors_on_an_array_name_the_first_bad_m(bad):
     ms = np.array([[1.0, 2.0], [bad, -2.0]])
-    with pytest.raises(ValueError, match=re.escape(f"m must be positive, got {bad!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"m must be > 0, got {bad!r}")):
         alpha_factors(ms, Case.B)
 
 
