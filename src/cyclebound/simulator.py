@@ -12,10 +12,11 @@ crossed 1/2, in either direction.
 
 An adaptive embedded Runge-Kutta pair (DOP853, Dormand-Prince 8(5,3)
 with 7th-order dense output, :mod:`cyclebound.dopri`) supplies the
-steps.  An isocline crossing is detected as a sign change of its log
-event function over an accepted step and located in that step: Illinois
-regula falsi on the event function over the step's dense interpolant to
-a tight time tolerance, then one interpolant evaluation for the state.
+steps.  A crossing of an isocline is a change of side over an accepted
+step, told by the sign of its last stage (the field at its end) or, near
+the isocline, of its log event function, and located in that step: Illinois
+regula falsi on the event function over the step's dense interpolant
+to a tight time tolerance, then one interpolant evaluation for the state.
 
 The four crossing kinds tile one loop of the cycle:
 
@@ -75,6 +76,16 @@ __all__ = [
 # absolute floor of the event-time bracket; widened by float spacing
 # once tau itself outgrows it
 _EVENT_TAU_TOL = 1e-12
+
+# A step's last stage is the field (fu, fv) at its end.  Where |fu| >
+# 1e-9 m lam and |fv| > 1e-9 it has the signs of g_lam and g_h (fv negated
+# in the v chart): fu = m (s - lam) puts the rounded s 1e-9 lam off lam,
+# where g_lam errs by eps |ln lam| < 2e-13.  fv is h(s) - x in the v chart,
+# h(s) <= 1 rounded to ~1e-15, and s (e^d - (s + a)) in the w chart, d = u - w
+# and s + a < 2 as in g_h_w: their terms differ by 5e-10 relative at least,
+# where g_h errs by < 1e-12 (|u| ~ |ln h(s)| < 800 in v; w shares d).  exp's
+# clip at 150 keeps every sign.
+_SIDE_BAND = 1e-9
 
 # v = w = ln(1/2): the prey level s = 1/2 where the charts meet
 _LN_HALF = -math.log(2.0)
@@ -450,9 +461,10 @@ def integrate(
     in the v chart below s = 1/2 and in the w chart between s = 1/2 and 1,
     and switches at the end of the first step on the other side (a start
     at s >= 1 stays in v until s < 1).  Every accepted step is checked
-    for sign changes of the chart's event functions for s = lam and
-    x = h(s) (:func:`_event_functions`); each is located on its step's
-    dense interpolant (:func:`_locate`) and appended as an
+    for changes of side of s = lam and x = h(s), told by the signs of
+    its last stage, or within :data:`_SIDE_BAND` of an isocline by the
+    chart's event functions (:func:`_event_functions`); each is located
+    on its step's dense interpolant (:func:`_locate`) and appended as an
     :class:`Event`.  A start on an isocline commits no crossing there.
     Crossings committed in one step are ordered by time.  The run ends
     at the n_downs-th descending s = lam crossing: the trajectory is cut
@@ -516,6 +528,11 @@ def integrate(
     # u's bound: the cap once a state is on or below the barrier, and -inf
     # before, so that every step tests whether it has got there
     u_max = u_cap if _under_barrier(y0, w_chart, ln_a, b) else -math.inf
+    # fu's band; off where it or lam is subnormal, as rounding there is absolute
+    band_u = _SIDE_BAND * p.m * p.lam
+    if not min(band_u, p.lam) >= sys.float_info.min:
+        band_u = math.inf
+    h_sign = 1.0 if w_chart else -1.0  # fv * h_sign has the sign of x - h(s)
 
     taus = [0.0]
     pts = [(ls.u, ls.v)]
@@ -557,14 +574,16 @@ def integrate(
         if keep_samples:
             taus.append(solver.t)
             pts.append((y[0], log1m_exp(y[1])) if w_chart else y)
-        val_lam = g_lam(y)
-        val_h = g_h(y)
-        # almost every step stays strictly on its side of both isoclines
-        if not (val_lam * sides[0] > 0.0 and val_h * sides[1] > 0.0):
+        fu, fv = solver.f
+        # most steps keep both sides, told outside the band by the last stage
+        if not (
+            (fu * sides[0] > band_u and fv * sides[1] * h_sign > _SIDE_BAND)
+            or (g_lam(y) * sides[0] > 0.0 and g_h(y) * sides[1] > 0.0)
+        ):
             crossed: list[Event] = []
             dense = None
-            for idx, (g, val) in enumerate(((g_lam, val_lam), (g_h, val_h))):
-                side = _sign(val)
+            for idx, g in enumerate((g_lam, g_h)):
+                side = _sign(g(y))
                 if side == 0 or side == sides[idx]:
                     continue
                 if sides[idx] != 0:
@@ -604,6 +623,7 @@ def integrate(
             solver.switch_chart()
             w_chart = solver.w_chart
             g_lam, g_h = charts[w_chart]
+            h_sign = -h_sign
 
 
 def transit_points(p: Params, s0: float, cfg: Optional[SimConfig] = None) -> TransitPoints:

@@ -626,18 +626,19 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
-def _events_step_by_step(start, p, n_downs):
+def _events_step_by_step(start, p, n_downs, rtol=SimConfig().rtol):
     """Reference for integrate's events: every accepted step goes through
     the full sign bookkeeping, with each event function of the step's
     chart evaluated by its own closure and every crossing located at
     once, and the chart switched once s has crossed 1/2, until the
     n_downs-th descending s = lam crossing.  Crossings are located by
     integrate's own routine on integrate's own event functions, so the
-    events must agree exactly."""
+    events must agree exactly.  No side is read from the step's last
+    stage."""
     atol = simulator.ATOL_LOG
     w_chart = -math.log(2.0) < start.v < 0.0
     y0 = (start.u, log1m_exp(start.v) if w_chart else start.v)
-    solver = simulator.RK45(p, 0.0, y0, rtol=SimConfig().rtol, atol=atol, w_chart=w_chart)
+    solver = simulator.RK45(p, 0.0, y0, rtol=rtol, atol=atol, w_chart=w_chart)
     charts = simulator._event_functions(p)
     sides = [simulator._sign(g(y0)) if abs(g(y0)) > atol else 0 for g in charts[w_chart]]
     events = []
@@ -662,27 +663,130 @@ def _events_step_by_step(start, p, n_downs):
 
 
 @pytest.mark.parametrize(
-    "p, s0",
-    [(P_REF, 0.8), (CANARD, 0.8), (P_REF, 1.5)],
-    ids=["ref", "canard", "above-capacity"],
+    "p, s0, rtol, n_downs, raw",
+    [
+        (P_REF, 0.8, 1e-10, 2, 5),
+        (CANARD, 0.8, 1e-10, 2, 5),
+        (P_REF, 1.5, 1e-10, 2, 5),
+        (Params(a=0.05, lam=0.05, m=0.01), 0.8, 1e-3, 3, 11),
+        (Params(a=0.05, lam=0.05, m=1e10), 0.8, 1e-10, 2, 5),
+        (Params(a=1e-4, lam=1e-4, m=1.0), 0.8, 1e-10, 2, 5),
+        (Params(a=0.01, lam=0.01, m=1e-3), 0.8, 1e-10, 2, 5),
+    ],
+    ids=["ref", "canard", "above-capacity", "loose", "m1e10", "a-lam-1e-4", "canard-m1e-3"],
 )
-def test_quiet_step_path_keeps_every_event(p, s0):
+def test_quiet_step_path_keeps_every_event(p, s0, rtol, n_downs, raw):
     # integrate skips the bookkeeping on a step that stays on its side of
-    # both isoclines, and must drop no crossing.  The start on x = h(0.8)
-    # commits nothing there; the start above s = 1, where h(s) <= 0,
-    # begins in the v chart with g_h = +inf.  Nothing re-crosses an
-    # isocline, at the canard point's saddle passage either
+    # both isoclines, which it reads from the step's last stage outside a
+    # band, and must drop no crossing.  The start on x = h(0.8) commits
+    # nothing there; the start above s = 1, where h(s) <= 0, begins in the
+    # v chart with g_h = +inf.  Nothing re-crosses an isocline, at the
+    # canard points' saddle passages either, except at rtol = 1e-3, where
+    # the second and third loops cross x = h(s) back and forth once more
+    # after the prey maximum and net_events is live
     start = State(h(0.8, p), s0).log()
-    expected = _events_step_by_step(start, p, n_downs=2)
-    traj = integrate(start, p, n_downs=2, keep_samples=False)
+    expected = _events_step_by_step(start, p, n_downs, rtol)
+    traj = integrate(start, p, SimConfig(rtol=rtol), n_downs=n_downs, keep_samples=False)
     assert traj.events == expected
-    assert [ev.kind for ev in expected] == list(CANONICAL) + [EventKind.S_EQ_LAMBDA_DOWN]
+    assert len(expected) == raw
+    kinds = [ev.kind for ev in net_events(expected)]
+    assert kinds == list(CANONICAL) * (n_downs - 1) + [EventKind.S_EQ_LAMBDA_DOWN]
+
+
+def _side_from_last_stage(p, w_chart, y):
+    """The side of each isocline the field at y tells, as integrate reads
+    it from a step's last stage: the sign of du/dtau for s = lam and of
+    dw/dtau or -dv/dtau for x = h(s), or None inside the band."""
+    fu, fv = dopri._field(p, w_chart, y)
+    band_u = simulator._SIDE_BAND * p.m * p.lam
+    fv = fv if w_chart else -fv
+    return (
+        simulator._sign(fu) if abs(fu) > band_u else None,
+        simulator._sign(fv) if abs(fv) > simulator._SIDE_BAND else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "p",
+    [P_REF, CANARD, DEEP, Params(a=1e-4, lam=1e-4, m=1.0), Params(a=0.05, lam=0.05, m=1e10)],
+    ids=["ref", "canard", "deep", "a-lam-1e-4", "m1e10"],
+)
+def test_the_last_stage_tells_the_side_of_g_outside_its_band(p):
+    # states at relative distances 1e-6, about 1e-9 and 1e-12 from each
+    # isocline, on both sides, in both charts: wherever the band lets the
+    # field's sign decide, it is the sign of the event function.  1e-6
+    # clears the band except from x = h(s) where h(s), times s in the w
+    # chart, is below 1e-3 (the band on dv/dtau or dw/dtau is absolute),
+    # and 1e-12 never does
+    charts = simulator._event_functions(p)
+    for w_chart in (False, True):
+        for rel in (1e-6, 2e-9, 1.1e-9, 1e-9, 9e-10, 5e-10, 1e-12):
+            for sign in (1.0, -1.0):
+                s_lam = p.lam * (1.0 + sign * rel)
+                states = [(0, s_lam, x) for x in (1e-300, 0.5 * h(s_lam, p), 2.0 * h(s_lam, p))]
+                for s in (1e-30, 1e-3, 0.3, 0.7, 1.0 - 1e-10):
+                    states.append((1, s, h(s, p) * (1.0 + sign * rel)))
+                for idx, s, x in states:
+                    y = (math.log(x), math.log1p(-s) if w_chart else math.log(s))
+                    side = _side_from_last_stage(p, w_chart, y)[idx]
+                    where = (w_chart, idx, s, x)
+                    if side is not None:
+                        assert side == simulator._sign(charts[w_chart][idx](y)), where
+                    if rel == 1e-6 and (idx == 0 or h(s, p) * (s if w_chart else 1.0) > 1e-3):
+                        assert side is not None, where
+                    if rel == 1e-12:
+                        assert side is None, where
+
+
+def _counted_event_functions(monkeypatch):
+    """Patch simulator._event_functions to count every call of its
+    closures; returns the list the calls append their states to."""
+    calls = []
+    real = simulator._event_functions
+    monkeypatch.setattr(
+        simulator, "_event_functions",
+        lambda p: tuple(tuple(_count_calls(g, calls) for g in chart) for chart in real(p)),
+    )
+    return calls
+
+
+def test_a_cycle_evaluates_its_event_functions_off_the_quiet_steps(monkeypatch):
+    # the event functions run at each start, on a step whose last stage is
+    # inside the band or whose sides change, and in _locate: 59 times over
+    # limit_cycle(P_REF)'s lead-in and one tour, 134 steps.  Evaluating
+    # both after every accepted step took 307
+    calls = _counted_event_functions(monkeypatch)
+    ce = limit_cycle(P_REF)
+    assert ce.total_stats.steps == 134
+    assert len(calls) == 59
+
+
+@pytest.mark.parametrize(
+    "p, calls_per_run",
+    [
+        (Params(a=0.05, lam=0.05, m=1e-290), 20),
+        (Params(a=0.05, lam=0.05, m=1e-298), 44),
+        (Params(a=0.05, lam=1e-310, m=1.0), 44),
+    ],
+    ids=["normal-band", "band-underflows", "lam-subnormal"],
+)
+def test_the_side_band_never_collapses(monkeypatch, p, calls_per_run):
+    # where 1e-9 m lam or lam is below the normal floats, the band is off
+    # and every step evaluates both event functions, 2 + 4 + 19 * 2 over 20
+    # steps from x = h(0.3) (the first step leaves the isocline and takes 4);
+    # with the band a normal float, the last stage decides most steps
+    calls = _counted_event_functions(monkeypatch)
+    monkeypatch.setattr(simulator, "MAX_STEPS", 20)
+    with pytest.raises(StepLimitError):
+        integrate(State(h(0.3, p), 0.3), p)
+    assert len(calls) == calls_per_run
 
 
 def _scipy_stepper(field):
     """A stand-in for simulator.RK45 (same constructor and interface, one
     chart) that steps scipy's DOP853 on (u, v)' = field(u, v) instead of
-    the model field; the paths it is used on stay below s = 1/2."""
+    the model field; the paths it is used on stay below s = 1/2.  Its f
+    is what integrate reads of RK45.f, the model field at its state."""
 
     class Stepper:
         w_chart = False
@@ -690,6 +794,7 @@ def _scipy_stepper(field):
 
         def __init__(self, p, t0, y0, rtol, atol, w_chart=False):
             assert not w_chart
+            self._p = p
             self._ref = ScipyDOP853(
                 lambda t, y: np.array(field(y[0], y[1])), t0, np.array(y0), np.inf,
                 rtol=rtol, atol=atol,
@@ -697,6 +802,7 @@ def _scipy_stepper(field):
 
         t = property(lambda self: float(self._ref.t))
         y = property(lambda self: (float(self._ref.y[0]), float(self._ref.y[1])))
+        f = property(lambda self: log_vector_field(LogState(*self.y), self._p))
         status = property(lambda self: self._ref.status)
         nfev = property(lambda self: self._ref.nfev)
 
