@@ -581,11 +581,11 @@ def emit_figures(
     by default, one line per m in increasing m.  Panels outside the proven
     parameter box are evaluated in forced mode.  A panel is a pair (a, lam)
     of numbers or of numeric strings (the CLI's ``A,LAMBDA`` split at the
-    comma).  Every panel, the m axis (a sweep axis: non-empty, each m a
-    finite int or float > 0, none repeated) and ``jobs`` (as a
-    :class:`SweepSpec`'s) are checked once, before any point is simulated;
-    two panels whose file names agree (``:g`` keeps 6 significant digits)
-    are an error, as a repeated m is.
+    comma).  The panels (at least one), the m axis (a sweep axis:
+    non-empty, each m a finite int or float > 0, none repeated) and
+    ``jobs`` (as a :class:`SweepSpec`'s) are checked once, before any
+    point is simulated; two panels whose file names agree (``:g`` keeps
+    6 significant digits) are an error, as a repeated m is.
 
     All panels' points go through the sweep's row runner in one list, in
     ``jobs`` processes as a sweep's rows (:func:`_run_rows`), so every
@@ -598,6 +598,8 @@ def emit_figures(
         raise ValueError(f"unknown figure {which!r}; expected one of {_FIGURES} or 'all'")
     figures = _FIGURES if which == "all" else (which,)
     panels = [_check_panel(p) for p in (panels if panels is not None else DEFAULT_PANELS)]
+    if not panels:
+        raise ValueError("panels must be non-empty")
     files: dict[str, tuple[float, float]] = {}  # {name: panel}; a file is f"{fig}_{name}"
     for panel in panels:
         name = "a{:g}_lambda{:g}.csv".format(*panel)

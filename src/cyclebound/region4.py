@@ -234,14 +234,16 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     with m from ``p`` and the case's barrier fraction k.  G*(lam) < 0 <
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
-    s must be finite.
+    s must be finite, and m nonzero with k/m finite: m above about
+    4.2e-309 (case A) or 3.7e-309 (case B).
     """
     arith, q = _read_point(p, s=s)
     if bad := arith.first_failure((-math.inf < q.s) & (q.s < math.inf), q.s, q.a, q.lam, q.m):
         s, a, lam, m = bad
         raise ValueError(f"s must be finite, got {s!r} at (a, lam, m) = ({a!r}, {lam!r}, {m!r})")
     _check(arith, q.m != 0, q, "m must be nonzero")
-    km = case.k / q.m
+    km = arith.divide(case.k, q.m)
+    _check(arith, km < math.inf, q, "k/m must be finite")
     return 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam
 
 
@@ -288,8 +290,9 @@ def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
         alpha3 = ((m+M)/m)^(m/(m+M)),
 
     and 1 - alpha equals :func:`smax_lower_bound` at the same inputs.
-    Raises ValueError where the envelope underflows to 0, above about
-    m = 362.96 (case A) or 363.03 (case B).
+    Where (m+M)/m overflows, below about m = 3.9e-309, alpha3 is taken
+    through logarithms.  Raises ValueError where the envelope underflows
+    to 0, above about m = 362.96 (case A) or 363.03 (case B).
     """
     arith, m = read("m", m)
     if bad := arith.first_failure(m > 0, m):
@@ -308,7 +311,9 @@ def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
     e2 = M / (m + M)
     alpha1 = delta**e1
     alpha2 = arith.exp(e2 * (arith.log(x_gamma) - arith.log(M)))
-    alpha3 = ((m + M) / m) ** e1
+    ratio = arith.divide(m + M, m)
+    alpha3 = arith.where(ratio < math.inf, ratio**e1,
+                         arith.exp(e1 * (arith.log(m + M) - arith.log(m))))
     return AlphaFactors(alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
                         alpha=alpha1 * alpha2 * alpha3, delta=delta, M=M, x_gamma=x_gamma)
 

@@ -84,7 +84,9 @@ _EVENT_TAU_TOL = 1e-12
 # h(s) <= 1 rounded to ~1e-15, and s (e^d - (s + a)) in the w chart, d = u - w
 # and s + a < 2 as in g_h_w: their terms differ by 5e-10 relative at least,
 # where g_h errs by < 1e-12 (|u| ~ |ln h(s)| < 800 in v; w shares d).  exp's
-# clip at 150 keeps every sign.
+# clip at 150 keeps every sign.  The fv band is absolute and its proof
+# involves neither m nor lam, so where the fu band is off (1e-9 m lam or
+# lam subnormal) only the s = lam side falls back to g_lam.
 _SIDE_BAND = 1e-9
 
 # v = w = ln(1/2): the prey level s = 1/2 where the charts meet
@@ -156,6 +158,14 @@ _CYCLE_ORDER = (
 # one return-map tour, from the section back to it: MIN, UP, MAX, DOWN
 _TOUR_ORDER = _CYCLE_ORDER[1:] + _CYCLE_ORDER[:1]
 
+# the kind of a crossing of s = lam (index 0) or x = h(s) (index 1) by
+# the sign of its event function on the new side, and each kind's isocline
+_KINDS = (
+    {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP},
+    {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX},
+)
+_ISOCLINE = {kind: idx for idx, kinds in enumerate(_KINDS) for kind in kinds.values()}
+
 
 class Event(NamedTuple):
     """An isocline crossing: its time ``tau``, log state (u, v) and kind."""
@@ -197,7 +207,7 @@ class Trajectory(NamedTuple):
     tuple of floats and points a tuple of (u, v) pairs; without samples
     kept they are (tau,) and ((u, v),) of that last sample alone.
 
-    ``events`` records every sign change of the event functions, each
+    ``events`` records every change of side of an isocline, each
     located in the step that crossed it.  Each isocline is crossed twice
     per loop.  The saddle passage, where 1 - s falls to e^-30 at
     a = lam = m = 0.01 and to e^-85 in deep cycles, is integrated in
@@ -219,14 +229,6 @@ class Trajectory(NamedTuple):
         return [_REGIONS[_sign(g_lam(y)), _sign(g_h(y))] for y in self.points]
 
 
-_EVENT_FUNCTION = {
-    EventKind.S_EQ_LAMBDA_DOWN: "lam",
-    EventKind.S_EQ_LAMBDA_UP: "lam",
-    EventKind.X_EQ_H_MIN: "h",
-    EventKind.X_EQ_H_MAX: "h",
-}
-
-
 def net_events(events: list[Event]) -> list[Event]:
     """Cancel adjacent opposite re-crossings of the same isocline.
 
@@ -238,7 +240,7 @@ def net_events(events: list[Event]) -> list[Event]:
     for ev in events:
         if (
             stack
-            and _EVENT_FUNCTION[stack[-1].kind] == _EVENT_FUNCTION[ev.kind]
+            and _ISOCLINE[stack[-1].kind] == _ISOCLINE[ev.kind]
             and stack[-1].kind is not ev.kind
         ):
             stack.pop()
@@ -325,14 +327,6 @@ _REGIONS = {
     (-1, 0): "isocline_h",
     (0, 0): "equilibrium",
 }
-
-
-# the kind of a crossing of s = lam (index 0) or x = h(s) (index 1) by
-# the sign of its event function on the new side
-_KINDS = (
-    {-1: EventKind.S_EQ_LAMBDA_DOWN, 1: EventKind.S_EQ_LAMBDA_UP},
-    {-1: EventKind.X_EQ_H_MIN, 1: EventKind.X_EQ_H_MAX},
-)
 
 
 def _event_functions(p: Params) -> tuple:
@@ -460,12 +454,15 @@ def integrate(
     start whose 1 - s is below the double spacing at 1.  The stepper works
     in the v chart below s = 1/2 and in the w chart between s = 1/2 and 1,
     and switches at the end of the first step on the other side (a start
-    at s >= 1 stays in v until s < 1).  Every accepted step is checked
-    for changes of side of s = lam and x = h(s), told by the signs of
-    its last stage, or within :data:`_SIDE_BAND` of an isocline by the
-    chart's event functions (:func:`_event_functions`); each is located
-    on its step's dense interpolant (:func:`_locate`) and appended as an
-    :class:`Event`.  A start on an isocline commits no crossing there.
+    at s >= 1 stays in v until s < 1).  After every accepted step each
+    isocline's side is decided once: by the sign of its component of the
+    step's last stage (du/dtau for s = lam, dv/dtau negated or dw/dtau for
+    x = h(s)) where that component clears its band (:data:`_SIDE_BAND`),
+    else by the sign of the chart's event function for it
+    (:func:`_event_functions`), whose 0 keeps the old side.  Each change
+    of side is located on its step's dense interpolant (:func:`_locate`)
+    and appended as an :class:`Event`.  A start on an isocline commits no
+    crossing there.
     Crossings committed in one step are ordered by time.  The run ends
     at the n_downs-th descending s = lam crossing: the trajectory is cut
     back to it, so its last sample is that crossing's state.  With
@@ -521,21 +518,21 @@ def integrate(
     # the side of each isocline the trajectory is on: 0 while it sits on
     # it, as a start within ATOL_LOG of it does (a start on x = h(s0) is
     # on it up to roundoff), and then its first side is no crossing
-    sides = [_sign(val) if abs(val) > ATOL_LOG else 0 for val in (g_lam(y0), g_h(y0))]
+    side_lam, side_h = (_sign(val) if abs(val) > ATOL_LOG else 0 for val in (g_lam(y0), g_h(y0)))
     ln_a, b = _barrier(p)
     cap = ln_a - math.log1p(b)
     u_cap = cap + ATOL_LOG + cfg.rtol * abs(cap)
     # u's bound: the cap once a state is on or below the barrier, and -inf
     # before, so that every step tests whether it has got there
     u_max = u_cap if _under_barrier(y0, w_chart, ln_a, b) else -math.inf
-    # fu's band; off where it or lam is subnormal, as rounding there is absolute
+    # the band on fu, off where it or lam is subnormal, as rounding there
+    # is absolute; fv's band _SIDE_BAND involves neither m nor lam
     band_u = _SIDE_BAND * p.m * p.lam
     if not min(band_u, p.lam) >= sys.float_info.min:
         band_u = math.inf
     h_sign = 1.0 if w_chart else -1.0  # fv * h_sign has the sign of x - h(s)
 
-    taus = [0.0]
-    pts = [(ls.u, ls.v)]
+    taus, pts = ([0.0], [(ls.u, ls.v)]) if keep_samples else ([], [])
     events: list[Event] = []
     downs = 0
     steps = 0
@@ -575,49 +572,48 @@ def integrate(
             taus.append(solver.t)
             pts.append((y[0], log1m_exp(y[1])) if w_chart else y)
         fu, fv = solver.f
-        # most steps keep both sides, told outside the band by the last stage
-        if not (
-            (fu * sides[0] > band_u and fv * sides[1] * h_sign > _SIDE_BAND)
-            or (g_lam(y) * sides[0] > 0.0 and g_h(y) * sides[1] > 0.0)
-        ):
+        fv *= h_sign
+        # each isocline's new side: the sign of its last-stage component
+        # outside that component's band, else of its event function, whose
+        # 0 keeps the old side
+        new_lam = 1 if fu > band_u else -1 if fu < -band_u else _sign(g_lam(y)) or side_lam
+        new_h = 1 if fv > _SIDE_BAND else -1 if fv < -_SIDE_BAND else _sign(g_h(y)) or side_h
+        if new_lam != side_lam or new_h != side_h:
             crossed: list[Event] = []
             dense = None
-            for idx, g in enumerate((g_lam, g_h)):
-                side = _sign(g(y))
-                if side == 0 or side == sides[idx]:
+            for g, kinds, side, new in ((g_lam, _KINDS[0], side_lam, new_lam),
+                                        (g_h, _KINDS[1], side_h, new_h)):
+                if side == new or side == 0:
                     continue
-                if sides[idx] != 0:
-                    if dense is None:
-                        dense = solver.dense_output()
-                    try:
-                        tau = _locate(g, dense, t_old, solver.t)
-                    except (OverflowError, ValueError):
-                        # the w-chart g_h has no value where the interpolant
-                        # leaves s > 0 far enough: math.log fails once
-                        # s + a <= 0 and math.expm1 once w > 709
-                        raise IntegrationError(
-                            f"the step to tau = {solver.t:.6g} left the phase space "
-                            "(s <= 0) inside the step; the requested tolerance is too loose"
-                        ) from None
-                    u, y1 = dense(tau)
-                    state = LogState(u, log1m_exp(y1) if w_chart else y1)
-                    crossed.append(Event(tau, state, _KINDS[idx][side]))
-                sides[idx] = side
+                if dense is None:
+                    dense = solver.dense_output()
+                try:
+                    tau = _locate(g, dense, t_old, solver.t)
+                except (OverflowError, ValueError):
+                    # the w-chart g_h has no value where the interpolant
+                    # leaves s > 0 far enough: math.log fails once
+                    # s + a <= 0 and math.expm1 once w > 709
+                    raise IntegrationError(
+                        f"the step to tau = {solver.t:.6g} left the phase space "
+                        "(s <= 0) inside the step; the requested tolerance is too loose"
+                    ) from None
+                u, y1 = dense(tau)
+                state = LogState(u, log1m_exp(y1) if w_chart else y1)
+                crossed.append(Event(tau, state, kinds[new]))
+            side_lam, side_h = new_lam, new_h
             crossed.sort(key=lambda ev: ev.tau)
             for ev in crossed:
                 events.append(ev)
                 if ev.kind is EventKind.S_EQ_LAMBDA_DOWN:
                     downs += 1
                     if downs == n_downs:
-                        stats = SolveStats(steps, solver.n_rejected, solver.nfev)
-                        end = (ev.state.u, ev.state.v)
-                        if not keep_samples:
-                            return Trajectory((ev.tau,), (end,), events, stats)
+                        # cut back to the crossing, from no samples without them
                         while taus and taus[-1] >= ev.tau:
                             taus.pop()
                             pts.pop()
                         taus.append(ev.tau)
-                        pts.append(end)
+                        pts.append((ev.state.u, ev.state.v))
+                        stats = SolveStats(steps, solver.n_rejected, solver.nfev)
                         return Trajectory(tuple(taus), tuple(pts), events, stats)
         if _LN_HALF < y[1] < 0.0:  # s crossed 1/2
             solver.switch_chart()

@@ -204,6 +204,14 @@ def test_region4_cli(capsys):
     assert record["handoff_cap_envelope"] == pytest.approx(0.01877717, rel=1e-5)
 
 
+@pytest.mark.parametrize("m", ["5e-324", "1e-320", "3e-309", "4e-309"])
+def test_region4_cli_prints_finite_factors_at_subnormal_m(capsys, m):
+    code, out, _ = run_cli("region4", "--case", "A", "--m", m, capsys=capsys)
+    assert code == 0 and "Infinity" not in out and "NaN" not in out
+    record = json.loads(out)
+    assert 1.0 - record["alpha"] == pytest.approx(record["smax_lower_bound"], abs=1e-15)
+
+
 def test_region4_cli_names_m_where_the_envelope_underflows(capsys):
     code, out, err = run_cli("region4", "--case", "A", "--m", "400", capsys=capsys)
     assert code == 1 and not out

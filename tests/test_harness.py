@@ -798,27 +798,34 @@ def test_emit_figures_rejects_unknown():
         emit_figures("fig9", "/tmp/nowhere")
 
 
+GOOD_PANEL = (0.05, 0.05)
+
+
 @pytest.mark.parametrize(
-    "bad, message",
+    "panels, message",
     [
-        ((0.05,), "panel (0.05,) must be two numbers"),
-        (0.05, "panel 0.05 must be two numbers"),
-        ((0.05, math.inf), "panel (0.05, inf) must be a finite int or float, got inf"),
-        ((-0.05, 0.05), "panel (-0.05, 0.05) must be > 0, got -0.05"),
-        ((0.5, 0.3), "panel (0.5, 0.3) has no limit cycle"),
+        # as an empty sweep axis is
+        ([], "panels must be non-empty"),
+        ([GOOD_PANEL, (0.05,)], "panel (0.05,) must be two numbers"),
+        ([GOOD_PANEL, 0.05], "panel 0.05 must be two numbers"),
+        ([GOOD_PANEL, (0.05, math.inf)], "panel (0.05, inf) must be a finite int or float, got inf"),
+        ([GOOD_PANEL, (-0.05, 0.05)], "panel (-0.05, 0.05) must be > 0, got -0.05"),
+        ([GOOD_PANEL, (0.5, 0.3)], "panel (0.5, 0.3) has no limit cycle"),
         # only a string is read with float(), which would take True as 1.0
         pytest.param(
-            (0.05, True), "panel (0.05, True) must be a finite int or float, got True", id="bool"
+            [GOOD_PANEL, (0.05, True)], "panel (0.05, True) must be a finite int or float, got True",
+            id="bool",
         ),
         pytest.param(
-            (10**400, 0.05), "must be a finite int or float, got 1000", id="huge-int"
+            [GOOD_PANEL, (10**400, 0.05)], "must be a finite int or float, got 1000", id="huge-int"
         ),
     ],
 )
-def test_emit_figures_checks_every_panel_before_simulating(tmp_path, bad, message):
+def test_emit_figures_checks_every_panel_before_simulating(monkeypatch, tmp_path, panels, message):
     out = tmp_path / "figs"
+    monkeypatch.setattr(harness, "_run_rows", None)  # no point is simulated
     with pytest.raises(ValueError, match=re.escape(message)):
-        emit_figures("fig5", out, panels=[(0.05, 0.05), bad], m_values=[1.0], cfg=FAST_SIM)
+        emit_figures("fig5", out, panels=panels, m_values=[1.0], cfg=FAST_SIM)
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -425,6 +426,11 @@ def test_growth_ratio():
         growth_ratio_product_route(1.0, p)
 
 
+# (m + M)/m overflows below about m = 3.9e-309, and k/m below about 4.2e-309
+# (case A) or 3.7e-309 (case B)
+SUBNORMAL_M = (5e-324, 1e-320, 3e-309, 4e-309)
+
+
 def test_growth_ratio_quadratic():
     p = Params(a=0.05, lam=0.05, m=1.0)
     assert growth_ratio_quadratic(p.lam, p, Case.A) < 0
@@ -435,6 +441,10 @@ def test_growth_ratio_quadratic():
         assert g(s - 0.05) + g(s + 0.05) - 2 * g(s) > 0
     with pytest.raises(ValueError):
         growth_ratio_quadratic(0.5, Params(a=0.05, lam=0.05, m=0.0, limit=True), Case.A)
+    for m in SUBNORMAL_M:
+        message = f"k/m must be finite at (a, lam, m) = (0.05, 0.05, {m!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            growth_ratio_quadratic(0.5, Params(a=0.05, lam=0.05, m=m), Case.A)
 
 
 def test_growth_ratio_quadratic_broadcasts():
@@ -451,6 +461,13 @@ def test_growth_ratio_quadratic_broadcasts():
     message = "m must be nonzero at (a, lam, m) = (0.05, 0.002, 0.0)"
     with pytest.raises(ValueError, match=re.escape(message)):
         growth_ratio_quadratic(1.0, SimpleNamespace(a=a, lam=lam, m=m), Case.A)
+    # k/m = inf would make G* inf - inf = NaN, after an overflow warning
+    m[1, 0, 2] = 1e-320
+    message = "k/m must be finite at (a, lam, m) = (0.05, 0.002, 1e-320)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            growth_ratio_quadratic(1.0, SimpleNamespace(a=a, lam=lam, m=m), Case.A)
 
 
 def test_smax_lower_bound_boundary_reduction():
@@ -505,6 +522,20 @@ def test_alpha_factors_hold_up_to_the_underflow():
     f = alpha_factors(362.96, Case.A)
     assert 0.0 < f.x_gamma < 1e-320
     assert 1.0 - f.alpha == pytest.approx(smax_lower_bound(f.x_gamma, 362.96), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_alpha_factors_stay_finite_where_the_quotient_overflows(case):
+    # there alpha3 = exp(e1 (ln(m + M) - ln m)), about 1, and 1 - alpha is
+    # still the prey-maximum bound, on floats and on an array alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = alpha_factors(np.array(SUBNORMAL_M), case)
+        for i, m in enumerate(SUBNORMAL_M):
+            direct = smax_lower_bound(alpha_factors(m, case).x_gamma, m)
+            for alpha in (alpha_factors(m, case).alpha, float(row.alpha[i])):
+                assert math.isfinite(alpha), m
+                assert 1.0 - alpha == pytest.approx(direct, abs=1e-15), m
 
 
 # the proof spot-checks' alpha row: 500 log-spaced m and the branch end

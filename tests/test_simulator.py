@@ -696,9 +696,12 @@ def test_quiet_step_path_keeps_every_event(p, s0, rtol, n_downs, raw):
 def _side_from_last_stage(p, w_chart, y):
     """The side of each isocline the field at y tells, as integrate reads
     it from a step's last stage: the sign of du/dtau for s = lam and of
-    dw/dtau or -dv/dtau for x = h(s), or None inside the band."""
+    dw/dtau or -dv/dtau for x = h(s), or None inside its band.  The band
+    on du/dtau is off (None everywhere) where it or lam is subnormal."""
     fu, fv = dopri._field(p, w_chart, y)
     band_u = simulator._SIDE_BAND * p.m * p.lam
+    if not min(band_u, p.lam) >= sys.float_info.min:
+        band_u = math.inf
     fv = fv if w_chart else -fv
     return (
         simulator._sign(fu) if abs(fu) > band_u else None,
@@ -707,17 +710,26 @@ def _side_from_last_stage(p, w_chart, y):
 
 
 @pytest.mark.parametrize(
-    "p",
-    [P_REF, CANARD, DEEP, Params(a=1e-4, lam=1e-4, m=1.0), Params(a=0.05, lam=0.05, m=1e10)],
-    ids=["ref", "canard", "deep", "a-lam-1e-4", "m1e10"],
+    "p, lam_band",
+    [
+        (P_REF, True),
+        (CANARD, True),
+        (DEEP, True),
+        (Params(a=1e-4, lam=1e-4, m=1.0), True),
+        (Params(a=0.05, lam=0.05, m=1e10), True),
+        (Params(a=0.05, lam=1e-310, m=1.0), False),
+        (Params(a=0.05, lam=0.05, m=1e-298), False),
+    ],
+    ids=["ref", "canard", "deep", "a-lam-1e-4", "m1e10", "lam-subnormal", "band-underflows"],
 )
-def test_the_last_stage_tells_the_side_of_g_outside_its_band(p):
+def test_the_last_stage_tells_the_side_of_g_outside_its_band(p, lam_band):
     # states at relative distances 1e-6, about 1e-9 and 1e-12 from each
     # isocline, on both sides, in both charts: wherever the band lets the
     # field's sign decide, it is the sign of the event function.  1e-6
     # clears the band except from x = h(s) where h(s), times s in the w
     # chart, is below 1e-3 (the band on dv/dtau or dw/dtau is absolute),
-    # and 1e-12 never does
+    # and 1e-12 never does.  Where lam or 1e-9 m lam is subnormal only the
+    # s = lam side is left to g_lam: the x = h(s) band involves neither
     charts = simulator._event_functions(p)
     for w_chart in (False, True):
         for rel in (1e-6, 2e-9, 1.1e-9, 1e-9, 9e-10, 5e-10, 1e-12):
@@ -732,7 +744,9 @@ def test_the_last_stage_tells_the_side_of_g_outside_its_band(p):
                     where = (w_chart, idx, s, x)
                     if side is not None:
                         assert side == simulator._sign(charts[w_chart][idx](y)), where
-                    if rel == 1e-6 and (idx == 0 or h(s, p) * (s if w_chart else 1.0) > 1e-3):
+                    if idx == 0 and not lam_band:
+                        assert side is None, where
+                    elif rel == 1e-6 and (idx == 0 or h(s, p) * (s if w_chart else 1.0) > 1e-3):
                         assert side is not None, where
                     if rel == 1e-12:
                         assert side is None, where
@@ -751,35 +765,88 @@ def _counted_event_functions(monkeypatch):
 
 
 def test_a_cycle_evaluates_its_event_functions_off_the_quiet_steps(monkeypatch):
-    # the event functions run at each start, on a step whose last stage is
-    # inside the band or whose sides change, and in _locate: 59 times over
-    # limit_cycle(P_REF)'s lead-in and one tour, 134 steps.  Evaluating
-    # both after every accepted step took 307
+    # an event function runs at each start, on a step whose last stage is
+    # inside its isocline's band, and in _locate.  Over limit_cycle(P_REF)'s
+    # lead-in and one tour, 134 steps, no last stage is inside a band:
+    # 2 calls at each of the 2 starts and 7 + (4 + 9 + 8 + 7) in _locate
+    # for the lead-in's crossing and the tour's 4 make 39.  Evaluating both
+    # after every accepted step took 307, and evaluating both twice on each
+    # of the 5 crossing steps 59
     calls = _counted_event_functions(monkeypatch)
     ce = limit_cycle(P_REF)
     assert ce.total_stats.steps == 134
-    assert len(calls) == 59
+    assert len(calls) == 39
 
 
 @pytest.mark.parametrize(
     "p, calls_per_run",
     [
-        (Params(a=0.05, lam=0.05, m=1e-290), 20),
-        (Params(a=0.05, lam=0.05, m=1e-298), 44),
-        (Params(a=0.05, lam=1e-310, m=1.0), 44),
+        (Params(a=0.05, lam=0.05, m=1e-290), 10),
+        (Params(a=0.05, lam=0.05, m=1e-298), 30),
+        (Params(a=0.05, lam=1e-310, m=1.0), 22),
     ],
     ids=["normal-band", "band-underflows", "lam-subnormal"],
 )
 def test_the_side_band_never_collapses(monkeypatch, p, calls_per_run):
-    # where 1e-9 m lam or lam is below the normal floats, the band is off
-    # and every step evaluates both event functions, 2 + 4 + 19 * 2 over 20
-    # steps from x = h(0.3) (the first step leaves the isocline and takes 4);
-    # with the band a normal float, the last stage decides most steps
+    # 20 steps from x = h(0.3) after 2 calls at the start.  Where 1e-9 m lam
+    # or lam is below the normal floats, the band on du/dtau is off and
+    # every step evaluates g_lam, 2 + 20; otherwise du/dtau decides every
+    # step.  At m = 1e-290 and 1e-298 x - h(s) stays inside dv/dtau's band
+    # for 8 steps, which evaluate g_h: 2 + 8 and 2 + 20 + 8.  At m = 1
+    # dv/dtau clears its band from the first step on.  Evaluating both
+    # event functions twice on each step a last stage did not decide
+    # made 20, 44 and 44
     calls = _counted_event_functions(monkeypatch)
     monkeypatch.setattr(simulator, "MAX_STEPS", 20)
     with pytest.raises(StepLimitError):
         integrate(State(h(0.3, p), 0.3), p)
     assert len(calls) == calls_per_run
+
+
+@pytest.mark.parametrize(
+    "p, rtol",
+    [(P_REF, 1e-10), (Params(a=0.05, lam=0.05, m=0.01), 1e-3), (Params(a=0.05, lam=1e-310, m=1.0), 1e-10)],
+    ids=["ref", "loose", "lam-subnormal"],
+)
+def test_no_step_evaluates_an_event_function_twice(monkeypatch, p, rtol):
+    # each accepted step decides each isocline's side once: by its last
+    # stage or by one call of that isocline's event function; only
+    # _locate evaluates them again, on the interpolant
+    steps, calls, locating = [0], [], []
+    real_functions, real_locate = simulator._event_functions, simulator._locate
+
+    class Stepper(simulator.RK45):
+        def step(self):
+            steps[0] += 1
+            super().step()
+
+    def counted(g, idx):
+        def call(y):
+            if not locating:
+                calls.append((steps[0], idx))
+            return g(y)
+        return call
+
+    def locate(*args):
+        locating.append(True)
+        try:
+            return real_locate(*args)
+        finally:
+            locating.pop()
+
+    monkeypatch.setattr(simulator, "RK45", Stepper)
+    monkeypatch.setattr(simulator, "_locate", locate)
+    monkeypatch.setattr(
+        simulator, "_event_functions",
+        lambda q: tuple(tuple(counted(g, idx) for idx, g in enumerate(c)) for c in real_functions(q)),
+    )
+    monkeypatch.setattr(simulator, "MAX_STEPS", 200)
+    try:
+        integrate(State(h(0.8, p), 0.8), p, SimConfig(rtol=rtol), n_downs=2, keep_samples=False)
+    except StepLimitError:
+        pass
+    assert steps[0] > 0 and calls
+    assert len(set(calls)) == len(calls)
 
 
 def _scipy_stepper(field):
