@@ -17,7 +17,9 @@ general form).
 :func:`z` is the entry: it reads y and checks that y is finite and >= 1.
 The formula itself lives once, in the private kernel ``_z``, which a
 caller that has already proved y in [1, inf) may run directly on the
-namespace it holds (``bounds`` does, on :data:`cyclebound._arith.MATH`).
+namespace it holds.  Two do: ``bounds._minima``, on
+:data:`cyclebound._arith.MATH`, and region4's cap chain
+(``region4._handoff_cap_bound_ln``), on the namespace its point selects.
 """
 
 from __future__ import annotations

@@ -37,8 +37,10 @@ and ``p``'s a, lam and m by the rule of :mod:`cyclebound._arith` and compute
 with the values read; on arrays (within 4 ulp of floats, as NumPy is not
 libm) every check runs on every element and names the first failing input.
 A public call that takes ``p`` reads it once, with one domain check (a, lam
-and m finite and >= 0, what ``Params(limit=True)`` admits), and hands the
-arithmetic and the values read to the private steps of the chain.
+and m finite and >= 0, what ``Params(limit=True)`` admits) that runs on each
+input's own axes, and hands the arithmetic and the values read to the
+private steps of the chain.  The cap chain runs z2 in its kernel
+``lvroot._z``, on the y its own checks have proved in [1, inf).
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from typing import NamedTuple
 
 from ._arith import choose, read
 from .bounds import S_MAX_LO
-from .lvroot import ZIndex, z
+# z is not called here: perfbench's tracer hooks region4.z by name (ROADMAP item 1(a))
+from .lvroot import ZIndex, _z, z
 from .model import PROVEN_BOXES, Params, finite_float, h, hopf_margin, positive_float
 
 __all__ = [
@@ -126,12 +129,15 @@ class AlphaFactors(NamedTuple):
 
 def _read_point(p, **more) -> tuple[SimpleNamespace, SimpleNamespace]:
     """The arithmetic ``p``'s a, lam and m and ``more`` select, and each of
-    them as read; a, lam and m must be finite and nonnegative."""
+    them as read; a, lam and m must be finite and nonnegative.  Each is
+    checked on its own axes; only a failure broadcasts them together, to
+    name the first failing point."""
     arith, values = choose(a=p.a, lam=p.lam, m=p.m, **more)
     q = SimpleNamespace(**values)
-    ok = (0.0 <= q.a) & (q.a < math.inf) & (0.0 <= q.lam) & (q.lam < math.inf)
-    ok = ok & (0.0 <= q.m) & (q.m < math.inf)
-    _check(arith, ok, q, "a, lam and m must be finite and nonnegative")
+    ok_a, ok_lam, ok_m = ((0.0 <= x) & (x < math.inf) for x in (q.a, q.lam, q.m))
+    # a bare ok's first failure is None only where every element holds
+    if any(arith.first_failure(ok) is not None for ok in (ok_a, ok_lam, ok_m)):
+        _check(arith, ok_a & ok_lam & ok_m, q, "a, lam and m must be finite and nonnegative")
     return arith, q
 
 
@@ -185,13 +191,20 @@ def handoff_cap_bound_ln(p, case: Case) -> float | np.ndarray:
 
 
 def _handoff_cap_bound_ln(arith, q, case: Case) -> float | np.ndarray:
+    """The ln cap at a point ``q`` as :func:`_read_point` gives it.
+
+    z2 runs in its kernel ``lvroot._z`` on ``arith``, with no read and no
+    check, because the checks here prove y = x1t/h(lam) in [1, inf) at
+    every element: x1t > h(lam) > 0 makes the exact quotient exceed 1, so
+    its correctly rounded value is at least 1, and y < inf is checked.
+    """
     x1t = _x_max_lower_coarse(arith, q, case)
     h_lam = h(q.lam, q)  # 0 at a = lam = 0, in limit mode
     _check(arith, h_lam > 0.0, q, "h(lam) must be positive")
     _check(arith, x1t > h_lam, q, "coarse x_max estimate must exceed h(lam)")
     y = arith.divide(x1t, h_lam)
     _check(arith, y < math.inf, q, "x1t/h(lam) must be finite")
-    return _ln_gain(arith, q, case) + arith.log(z(ZIndex.Z2, y)) + arith.log(x1t) - y
+    return _ln_gain(arith, q, case) + arith.log(_z(arith, ZIndex.Z2, y)) + arith.log(x1t) - y
 
 
 def handoff_cap_bound(p, case: Case) -> float | np.ndarray:
@@ -235,7 +248,10 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
     s must be finite, and m nonzero with k/m finite: m above about
-    4.2e-309 (case A) or 3.7e-309 (case B).
+    4.2e-309 (case A) or 3.7e-309 (case B).  Where this form overflows
+    (2 k/m does below about 8.3e-309 in case A, 7.4e-309 in case B), G*
+    is taken in the factored form (k/m) s (2s + a - 1) + s - lam, with no
+    warning on arrays; it is inf only where G* is past the double range.
     """
     arith, q = _read_point(p, s=s)
     if bad := arith.first_failure((-math.inf < q.s) & (q.s < math.inf), q.s, q.a, q.lam, q.m):
@@ -244,7 +260,10 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     _check(arith, q.m != 0, q, "m must be nonzero")
     km = arith.divide(case.k, q.m)
     _check(arith, km < math.inf, q, "k/m must be finite")
-    return 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam
+    with arith.quiet():
+        plain = 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam
+        factored = km * q.s * (2.0 * q.s + q.a - 1.0) + q.s - q.lam
+    return arith.where((-math.inf < plain) & (plain < math.inf), plain, factored)
 
 
 def smax_lower_bound(x_gamma: float, m: float) -> float:
@@ -258,7 +277,10 @@ def smax_lower_bound(x_gamma: float, m: float) -> float:
         d = s_gamma + x_gamma/(m+M) - 1,
 
     with M = s_gamma = :data:`S_GAMMA`, evaluated through logarithms
-    since the exponents span orders of magnitude.  Requires
+    since the exponents span orders of magnitude.  Where that sum is not
+    finite (m ln(m + M) overflows from about m = 2.556e305), each term is
+    divided by M + m first and m ln((m + M)/m) is m log1p(M/m), so the
+    bound stays finite up to the largest float.  Requires
     x_gamma < M (1 - s_gamma) so that d < 0.  x_gamma is read by
     :func:`cyclebound.model.finite_float`, m by ``positive_float``.
     """
@@ -277,6 +299,9 @@ def smax_lower_bound(x_gamma: float, m: float) -> float:
         - M * math.log(M)
         - m * math.log(m)
     ) / (M + m)
+    if not -math.inf < ln_term < math.inf:
+        e1, e2 = m / (M + m), M / (M + m)
+        ln_term = e1 * (math.log(-d) + math.log1p(M / m)) + e2 * (math.log(x_gamma) - math.log(M))
     return 1.0 - math.exp(ln_term)
 
 

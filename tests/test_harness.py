@@ -701,10 +701,11 @@ def test_the_slope_line_names_its_slope_and_its_sign(monkeypatch, case, mutate):
 
 @pytest.mark.parametrize("case", [Case.A, Case.B])
 def test_proof_spotchecks_read_each_input_once(case):
-    # every region4 call decides its arithmetic once: 4 reads per
-    # handoff_cap_bound_ln (a, lam, m, then z's y) and per
-    # growth_ratio_quadratic (a, lam, m, s), 2 for alpha_factors (m, then
-    # the envelope's m) and 1 per envelope call; 2*4 + 2*4 + 2 + 2*1 = 20
+    # every region4 call decides its arithmetic once: 3 reads per
+    # handoff_cap_bound_ln (a, lam, m; z2 runs in its kernel on the y the
+    # chain has proved, with no read), 4 per growth_ratio_quadratic (a, lam,
+    # m, s), 2 for alpha_factors (m, then the envelope's m) and 1 per
+    # envelope call; 2*3 + 2*4 + 2 + 2*1 = 18
     code, reads = _arith.read.__code__, 0
 
     def profile(frame, event, arg):
@@ -717,7 +718,7 @@ def test_proof_spotchecks_read_each_input_once(case):
         proof_spotchecks(case)
     finally:
         sys.setprofile(None)
-    assert reads == 20
+    assert reads == 18
 
 
 def test_the_alpha_row_reports_its_first_maximal_element(monkeypatch):

@@ -1,14 +1,16 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from cyclebound.bounds import cycle_bounds, x_max_lower
-from cyclebound import harness
+from cyclebound import _arith, harness
 from cyclebound.harness import _M_RANGE
 from cyclebound.lvroot import ZIndex, lv_small_root_ln, z, z_exact
 from cyclebound import region4
@@ -243,36 +245,38 @@ def x_max_lower_coarse(p, case):
     return _x_max_lower_coarse(*_read_point(p), case)
 
 
-@pytest.mark.parametrize(
-    "function, bad, message",
-    [
-        # 2 lam + a >= 1
-        pytest.param(handoff_cap_bound, {"a": 0.999}, "requires the cycle regime",
-                     id="cycle-regime"),
-        # in the regime, but x1t ~ 1/4 < h(lam)
-        pytest.param(handoff_cap_bound, {"a": 0.05, "lam": 0.45}, "must exceed h(lam)",
-                     id="x1t-not-above-h-lam"),
-        # limit mode: y = x1t / h(lam) has no value
-        pytest.param(handoff_cap_bound, {"a": 0.0, "lam": 0.0}, "h(lam) must be positive",
-                     id="h-lam-zero"),
-    ] + [
-        # m >= 3e307: x1t / h(lam) overflows before z2 reads it
-        pytest.param(function, {"m": 3e307}, "x1t/h(lam) must be finite",
-                     id=f"{function.__name__}-overflow")
-        for function in (handoff_cap_bound_ln, handoff_cap_bound)
-    ] + [
-        # the quadratic's s, read with p
-        pytest.param(growth_ratio_quadratic_at_its_s, {"s": value},
-                     f"s must be finite, got {value!r}", id=f"s-{value}")
-        for value in (math.nan, math.inf, -math.inf)
-    ] + [
-        # outside the chain's domain, which each public call checks once on reading p
-        pytest.param(function, {name: value}, DOMAIN, id=f"{function.__name__}-{name}-{value}")
-        for function in (x_max_lower_coarse,) + CAP_CHAIN
-        for name in ("a", "lam", "m")
-        for value in (math.nan, math.inf, -0.01)
-    ],
-)
+# each public entry on the slope scan grid with two failing points, and the
+# message that must name the first
+FIRST_FAILING_POINTS = [
+    # 2 lam + a >= 1
+    pytest.param(handoff_cap_bound, {"a": 0.999}, "requires the cycle regime",
+                 id="cycle-regime"),
+    # in the regime, but x1t ~ 1/4 < h(lam)
+    pytest.param(handoff_cap_bound, {"a": 0.05, "lam": 0.45}, "must exceed h(lam)",
+                 id="x1t-not-above-h-lam"),
+    # limit mode: y = x1t / h(lam) has no value
+    pytest.param(handoff_cap_bound, {"a": 0.0, "lam": 0.0}, "h(lam) must be positive",
+                 id="h-lam-zero"),
+] + [
+    # m >= 3e307: x1t / h(lam) overflows before z2 reads it
+    pytest.param(function, {"m": 3e307}, "x1t/h(lam) must be finite",
+                 id=f"{function.__name__}-overflow")
+    for function in (handoff_cap_bound_ln, handoff_cap_bound)
+] + [
+    # the quadratic's s, read with p
+    pytest.param(growth_ratio_quadratic_at_its_s, {"s": value},
+                 f"s must be finite, got {value!r}", id=f"s-{value}")
+    for value in (math.nan, math.inf, -math.inf)
+] + [
+    # outside the chain's domain, which each public call checks once on reading p
+    pytest.param(function, {name: value}, DOMAIN, id=f"{function.__name__}-{name}-{value}")
+    for function in (x_max_lower_coarse,) + CAP_CHAIN
+    for name in ("a", "lam", "m")
+    for value in (math.nan, math.inf, -0.01)
+]
+
+
+@pytest.mark.parametrize("function, bad, message", FIRST_FAILING_POINTS)
 def test_handoff_cap_bound_arrays_name_the_first_failing_point(function, bad, message):
     g = slope_scan_grid(Case.A)
     g.s = np.full_like(g.m, 0.5)
@@ -290,6 +294,53 @@ def test_handoff_cap_bound_arrays_name_the_first_failing_point(function, bad, me
     for p in floats:
         with pytest.raises(ValueError, match=re.escape(f"{message} at (a, lam, m) = {point}")):
             function(p, Case.A)
+
+
+@pytest.mark.parametrize("function, bad, message", FIRST_FAILING_POINTS)
+def test_the_cap_chain_runs_z_only_on_the_y_it_has_proved(monkeypatch, function, bad, message):
+    # z2 runs in its kernel, with no check of its own: every y the chain
+    # hands it must lie in [1, inf), on the table's points, on both clean
+    # scan grids and on a lam axis where x1t only just exceeds h(lam), and
+    # every refusal keeps its message
+    seen = []
+    kernel = region4._z
+
+    def watched(arith, i, y):
+        seen.append(y)
+        return kernel(arith, i, y)
+
+    monkeypatch.setattr(region4, "_z", watched)
+    test_handoff_cap_bound_arrays_name_the_first_failing_point(function, bad, message)
+    for case in Case:
+        g = slope_scan_grid(case)
+        g.s = np.full_like(g.m, 0.5)
+        function(g, case)
+    lam = np.linspace(0.2, 0.47, 2701)
+    edge = SimpleNamespace(a=0.05, lam=lam, m=1.0)
+    accepted = x_max_lower_coarse(edge, Case.A) > h(lam, edge)
+    assert 0 < accepted.sum() < lam.size
+    function(SimpleNamespace(a=0.05, lam=lam[accepted], m=1.0, s=0.5), Case.A)
+    if function in (handoff_cap_bound_ln, handoff_cap_bound):
+        assert len(seen) == 3
+        assert seen[-1].min() < 1.0001
+    for y in seen:
+        assert np.all((1.0 <= y) & (y < math.inf))
+
+
+def test_every_array_read_returns_one_namespace():
+    # NumPy's namespace is built once per process: every array read, by
+    # itself, among floats or through a region4 point, returns that object
+    arith, _ = _arith.read("y", np.array([2.0]))
+    assert arith is not _arith.MATH
+    assert _arith.read("y", np.array(2.0))[0] is arith
+    assert _arith.choose(x=1.0, y=np.zeros((2, 3)))[0] is arith
+    assert _read_point(slope_scan_grid(Case.B))[0] is arith
+    assert _read_point(SimpleNamespace(a=0.05, lam=0.05, m=np.array([1.0])))[0] is arith
+    # a float among arrays is checked as a bare bool, and a failure still
+    # names the first failing point
+    p = SimpleNamespace(a=math.nan, lam=0.05, m=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=re.escape(f"{DOMAIN} at (a, lam, m) = (nan, 0.05, 1.0)")):
+        _read_point(p)
 
 
 def test_each_public_call_decides_its_arithmetic_once(monkeypatch):
@@ -447,6 +498,45 @@ def test_growth_ratio_quadratic():
             growth_ratio_quadratic(0.5, Params(a=0.05, lam=0.05, m=m), Case.A)
 
 
+# m where k/m is finite but 2 k/m overflows, per case: k/m in [2^1023, max]
+TWICE_KM_OVERFLOWS = {Case.A: (4.2e-309, 6e-309, 8.3e-309), Case.B: (3.8e-309, 5e-309, 7.4e-309)}
+
+
+def exact_growth_ratio(s, p, case):
+    # G* in exact arithmetic on the floats given; inf past the double range
+    km = Fraction(case.k) / Fraction(p.m)
+    s = Fraction(s)
+    exact = 2 * km * s * s + (Fraction(p.a) * km - km + 1) * s - Fraction(p.lam)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+@pytest.mark.parametrize("case", [Case.A, Case.B])
+def test_growth_ratio_quadratic_is_finite_where_twice_k_over_m_overflows(case):
+    # the plain form reads 2 k/m = inf there, so G* was inf, or NaN at s = 0;
+    # the factored form is G* to a few ulp, inf only where G* itself is past
+    # the double range (at s = 1 and the smallest m), and an array of such
+    # points raises no warning and holds the float calls' bits
+    ss = (0.0, case.lam_max, 0.5, 1.0)
+    for m in TWICE_KM_OVERFLOWS[case]:
+        assert case.k / m < math.inf and 2.0 * (case.k / m) == math.inf
+        p = Params(a=case.a_max, lam=case.lam_max, m=m)
+        for s in ss:
+            got, want = growth_ratio_quadratic(s, p, case), exact_growth_ratio(s, p, case)
+            assert math.isfinite(got) or got == want, (m, s)
+            assert got == pytest.approx(want, rel=1e-14), (m, s)
+    ms = np.array(TWICE_KM_OVERFLOWS[case] + (1.0,))
+    q = SimpleNamespace(a=case.a_max, lam=case.lam_max, m=ms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = growth_ratio_quadratic(np.array(ss)[:, None], q, case)
+    for (i, j), value in np.ndenumerate(got):
+        p = Params(a=case.a_max, lam=case.lam_max, m=float(ms[j]))
+        assert float(value) == growth_ratio_quadratic(ss[i], p, case)
+
+
 def test_growth_ratio_quadratic_broadcasts():
     # on arrays it is the scalar definition at every point, bit for bit
     a, lam, m = np.meshgrid([0.01, 0.05], [0.002, 0.05], [1e-3, 0.3, 50.0], indexing="ij")
@@ -494,6 +584,36 @@ def test_smax_lower_bound_validation():
         smax_lower_bound(0.25, 1.0)  # x_gamma >= M(1 - s_gamma)
     with pytest.raises(ValueError):
         smax_lower_bound(0.01, 0.0)
+
+
+def plain_smax_lower_bound(x_gamma, m):
+    # the formula as written in smax_lower_bound's docstring, in one sum
+    M = S_GAMMA
+    d = S_GAMMA + x_gamma / (m + M) - 1.0
+    ln_term = (
+        m * math.log(-d) + M * math.log(x_gamma) + m * math.log(m + M)
+        - M * math.log(M) - m * math.log(m)
+    ) / (M + m)
+    return 1.0 - math.exp(ln_term)
+
+
+def test_smax_lower_bound_is_finite_where_m_ln_m_overflows():
+    # from about m = 2.556e305, m ln(m + M) and m ln m overflow and the sum
+    # read inf - inf = NaN; there the bound is its 40-digit value, and below
+    # it every bit is the plain sum's
+    M = S_GAMMA
+    for x_gamma in (1e-300, 0.01, 0.2):
+        for m in (2.6e305, 1e306, 1.7e308):
+            assert math.isnan(plain_smax_lower_bound(x_gamma, m))
+            with mpmath.workdps(40):
+                xg, mm = mpmath.mpf(x_gamma), mpmath.mpf(m)
+                d = M + xg / (mm + M) - 1
+                ln_term = (mm * mpmath.log(-d) + M * mpmath.log(xg)
+                           + mm * mpmath.log1p(M / mm) - M * mpmath.log(M)) / (M + mm)
+                want = float(1 - mpmath.exp(ln_term))
+            assert smax_lower_bound(x_gamma, m) == pytest.approx(want, rel=0.0, abs=1e-15)
+        for m in (1e-3, 1.0, 1e10, 1e300, 2.5e305):
+            assert smax_lower_bound(x_gamma, m) == plain_smax_lower_bound(x_gamma, m)
 
 
 def test_alpha_factors_match_smax_bound():

@@ -36,14 +36,15 @@ def test_tracer_installs_and_restores_every_hook():
         # limit_cycle resolves integrate, and integrate RK45, through the
         # simulator module: every tour is one span, every step counted
         ce = simulator.limit_cycle(p)
-        # proof_spotchecks resolves the region4 names in harness, and the
-        # cap chain resolves z in region4: one z per perturbed variable.
-        # The slope row runs on handoff_cap_bound_ln, which the tracer does
-        # not hook, so its hook on handoff_cap_bound counts no call
+        # proof_spotchecks resolves the region4 names in harness.  The cap
+        # chain runs z's kernel lvroot._z on the y it has proved, so the
+        # hook on region4.z counts no call.  The slope row runs on
+        # handoff_cap_bound_ln, which the tracer does not hook, so its
+        # hook on handoff_cap_bound counts no call
         harness.proof_spotchecks("A")
     assert tracer.counts()["cyclebound.simulator.cycle_bounds"] == 1
     assert tracer.counts().get("cyclebound.harness.handoff_cap_bound", 0) == 0
-    assert tracer.counts()["cyclebound.region4.z"] == 2
+    assert tracer.counts()["cyclebound.region4.z"] == 0
     assert tracer.steps > 0
     assert tracer.layer_times()["simulator.integrate.tour"]["calls"] == ce.tours == 2
     assert [dict(vars(module)) for module in modules] == before
