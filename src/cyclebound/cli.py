@@ -18,7 +18,9 @@ lambda=..., m=...) did not converge within the return-map budget``.
 
 Exit codes: 0 on success and all checks passing, 2 on a bound violation,
 3 on simulation non-convergence (including an integration error such as
-an exhausted step budget), 1 on usage or parameter errors.  ``cycle``,
+an exhausted step budget, and a failed sweep or figures point), 1 on
+usage or parameter errors, an ``--out`` path among them: ``sweep`` and
+``figures`` check it before the first point is simulated.  ``cycle``,
 ``sweep`` and ``figures`` take the 0/2/3 code from :func:`_exit_code`.
 """
 
@@ -139,7 +141,7 @@ def _cmd_region4(args: argparse.Namespace) -> int:
     record = {
         "case": case.value,
         "m": args.m,
-        "handoff_cap_envelope": cyclebound.handoff_cap_envelope(args.m, case),
+        "handoff_cap_envelope": factors.x_gamma,
         "smax_lower_bound": cyclebound.smax_lower_bound(factors.x_gamma, args.m),
         **factors.as_dict(),
     }
@@ -159,6 +161,9 @@ def _print_failed_rows(rows: Sequence[cyclebound.harness.SweepRow]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # checked before any row is simulated, which takes seconds to minutes
+    if args.out.is_dir() or not args.out.parent.is_dir():
+        raise FileNotFoundError(f"--out {str(args.out)!r}: not a file in an existing directory")
     if args.spec is None:
         specs = cyclebound.REFERENCE_SPECS
     else:

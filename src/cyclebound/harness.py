@@ -199,12 +199,13 @@ class SweepReport(NamedTuple):
 
 def _row_task(args: tuple) -> SweepRow:
     """The row of one point (a, lam, m, cfg): its bounds against its
-    simulated cycle, or NaN with the reason where the simulation fails."""
+    simulated cycle, or NaN with the reason where the bound set raises
+    ValueError or the simulation fails."""
     a, lam, m, cfg = args
     p = Params(a=a, lam=lam, m=m)
     try:
         report = cycle_extreme_report(p, cfg)
-    except IntegrationError as exc:
+    except (ValueError, IntegrationError) as exc:
         row = dict.fromkeys(_CSV_FIELDS, math.nan)
         row.update(a=a, lam=lam, m=m, proven=p.proven_region, converged=False, passed=False)
         return SweepRow(**row, error=str(exc))
@@ -583,9 +584,10 @@ def emit_figures(
     of numbers or of numeric strings (the CLI's ``A,LAMBDA`` split at the
     comma).  The panels (at least one), the m axis (a sweep axis:
     non-empty, each m a finite int or float > 0, none repeated) and
-    ``jobs`` (as a :class:`SweepSpec`'s) are checked once, before any
-    point is simulated; two panels whose file names agree (``:g`` keeps
-    6 significant digits) are an error, as a repeated m is.
+    ``jobs`` (as a :class:`SweepSpec`'s) are checked once, and
+    ``out_dir`` is made, before any point is simulated; two panels whose
+    file names agree (``:g`` keeps 6 significant digits) are an error, as
+    a repeated m is.
 
     All panels' points go through the sweep's row runner in one list, in
     ``jobs`` processes as a sweep's rows (:func:`_run_rows`), so every
@@ -609,10 +611,11 @@ def emit_figures(
             )
         files[name] = panel
     ms = sorted(_axis("m_values", figure_m_values() if m_values is None else m_values))
-    points = [(a, lam, m) for a, lam in panels for m in ms]
-    rows = _run_rows(points, cfg or SimConfig(), positive_int("jobs", jobs))
+    jobs = positive_int("jobs", jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    points = [(a, lam, m) for a, lam in panels for m in ms]
+    rows = _run_rows(points, cfg or SimConfig(), jobs)
     written: list[Path] = []
     for i, name in enumerate(files):
         panel_rows = rows[i * len(ms):(i + 1) * len(ms)]

@@ -16,7 +16,7 @@ dimensional six-parameter model enters only through
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from typing import Mapping, NamedTuple, Union
 
 __all__ = [
@@ -79,10 +79,14 @@ def finite_float(name: str, value) -> float:
 
 def integer(name: str, value) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is an
-    integer (a :class:`numbers.Integral`, NumPy's too) other than a bool:
-    the rule of :func:`finite_float` for counts, so 2.0, "3" and True fail."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+    integer (a value :func:`operator.index` reads, NumPy's too) other than
+    a bool: the rule of :func:`finite_float` for counts, so 2.0, "3" and
+    True fail."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

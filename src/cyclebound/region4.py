@@ -20,9 +20,9 @@ stages:
    parameter-monotone :func:`handoff_cap_bound` and finally the m-only
    envelope :func:`handoff_cap_envelope`.
 2. From (x_gamma, 0.7) a linear comparison system gives the explicit
-   prey-maximum lower bound :func:`smax_lower_bound`; its shortfall from
-   1 factorizes as alpha1 * alpha2 * alpha3 (:func:`alpha_factors`) and
-   stays below 0.2 for every m.
+   prey-maximum lower bound :func:`smax_lower_bound`, 1 - alpha1 alpha2
+   alpha3; the shortfall factors (:func:`alpha_factors`) have one kernel,
+   and their product stays below 0.2 for every m.
 
 The argument is made on two fixed parameter boxes, each with its own
 barrier fraction: case A (a, lam <= 1/20, k = 3/4) and case B
@@ -50,7 +50,7 @@ from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from ._arith import choose, read
+from ._arith import MATH, choose, read
 from .bounds import S_MAX_LO
 # z is not called here: perfbench's tracer hooks region4.z by name (ROADMAP item 1(a))
 from .lvroot import ZIndex, _z, z
@@ -242,16 +242,14 @@ def handoff_cap_envelope(m: float | np.ndarray, case: Case) -> float | np.ndarra
 def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     """Convex quadratic whose sign drives the barrier-ratio monotonicity.
 
-        G*(s) = 2 (k/m) s^2 + (a k/m - k/m + 1) s - lam,
+        G*(s) = (k/m) s (2s + a - 1) + s - lam,
 
     with m from ``p`` and the case's barrier fraction k.  G*(lam) < 0 <
     G*(1) in the cycle regime, so B^(m/k)/h has a single interior
     minimum and its maximum over [lam, s_gamma] sits at an endpoint.
     s must be finite, and m nonzero with k/m finite: m above about
-    4.2e-309 (case A) or 3.7e-309 (case B).  Where this form overflows
-    (2 k/m does below about 8.3e-309 in case A, 7.4e-309 in case B), G*
-    is taken in the factored form (k/m) s (2s + a - 1) + s - lam, with no
-    warning on arrays; it is inf only where G* is past the double range.
+    4.2e-309 (case A) or 3.7e-309 (case B).  G* is inf only where it is
+    past the double range, with no warning on arrays.
     """
     arith, q = _read_point(p, s=s)
     if bad := arith.first_failure((-math.inf < q.s) & (q.s < math.inf), q.s, q.a, q.lam, q.m):
@@ -260,74 +258,25 @@ def growth_ratio_quadratic(s, p, case: Case) -> float | np.ndarray:
     _check(arith, q.m != 0, q, "m must be nonzero")
     km = arith.divide(case.k, q.m)
     _check(arith, km < math.inf, q, "k/m must be finite")
+    # km <= DBL_MAX, so km s overflows only at |s| > 1, where |2s + a - 1| > 1
+    # and G* is past the double range too
     with arith.quiet():
-        plain = 2.0 * km * q.s * q.s + (q.a * km - km + 1.0) * q.s - q.lam
-        factored = km * q.s * (2.0 * q.s + q.a - 1.0) + q.s - q.lam
-    return arith.where((-math.inf < plain) & (plain < math.inf), plain, factored)
+        return km * q.s * (2.0 * q.s + q.a - 1.0) + q.s - q.lam
 
 
-def smax_lower_bound(x_gamma: float, m: float) -> float:
-    """Prey-maximum lower bound from the linear comparison system.
+def _shortfall(arith, x_gamma, m) -> AlphaFactors:
+    """The shortfall factors of a hand-off at (x_gamma, m), both > 0, on ``arith``.
 
-    The trajectory from (x_gamma, s_gamma) stays above the orbit of
-    s' = M(1-s) - x, x' = m x as long as x < M(1-s), and leaves that
-    wedge at
+    With M = s_gamma, e1 = m/(m+M), e2 = M/(m+M) and delta = 1 - s_gamma -
+    x_gamma/(m+M), checked > 0 before any power:
 
-        s = 1 - ((-d)^m x_gamma^M (m+M)^m / (M^M m^m))^(1/(M+m)),
-        d = s_gamma + x_gamma/(m+M) - 1,
+        alpha1 = delta^e1,
+        alpha2 = (x_gamma/M)^e2 = exp(e2 (ln x_gamma - ln M)),
+        alpha3 = ((m+M)/m)^e1,
 
-    with M = s_gamma = :data:`S_GAMMA`, evaluated through logarithms
-    since the exponents span orders of magnitude.  Where that sum is not
-    finite (m ln(m + M) overflows from about m = 2.556e305), each term is
-    divided by M + m first and m ln((m + M)/m) is m log1p(M/m), so the
-    bound stays finite up to the largest float.  Requires
-    x_gamma < M (1 - s_gamma) so that d < 0.  x_gamma is read by
-    :func:`cyclebound.model.finite_float`, m by ``positive_float``.
+    alpha3 through logarithms where (m+M)/m overflows, below about
+    m = 3.9e-309.
     """
-    s_gamma = M = S_GAMMA
-    x_gamma, m = finite_float("x_gamma", x_gamma), positive_float("m", m)
-    if not 0.0 < x_gamma < M * (1.0 - s_gamma):
-        raise ValueError(
-            f"need 0 < x_gamma < M (1 - s_gamma) = {M * (1.0 - s_gamma)!r}, "
-            f"got {x_gamma!r}"
-        )
-    d = s_gamma + x_gamma / (m + M) - 1.0
-    ln_term = (
-        m * math.log(-d)
-        + M * math.log(x_gamma)
-        + m * math.log(m + M)
-        - M * math.log(M)
-        - m * math.log(m)
-    ) / (M + m)
-    if not -math.inf < ln_term < math.inf:
-        e1, e2 = m / (M + m), M / (M + m)
-        ln_term = e1 * (math.log(-d) + math.log1p(M / m)) + e2 * (math.log(x_gamma) - math.log(M))
-    return 1.0 - math.exp(ln_term)
-
-
-def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
-    """Shortfall factorization with x_gamma taken from the envelope.
-
-    With M = s_gamma and delta = 1 - s_gamma - x_gamma/(m+M):
-
-        alpha1 = delta^(m/(m+M)),
-        alpha2 = (x_gamma/M)^(M/(m+M)),
-        alpha3 = ((m+M)/m)^(m/(m+M)),
-
-    and 1 - alpha equals :func:`smax_lower_bound` at the same inputs.
-    Where (m+M)/m overflows, below about m = 3.9e-309, alpha3 is taken
-    through logarithms.  Raises ValueError where the envelope underflows
-    to 0, above about m = 362.96 (case A) or 363.03 (case B).
-    """
-    arith, m = read("m", m)
-    if bad := arith.first_failure(m > 0, m):
-        raise ValueError(f"m must be > 0, got {bad[0]!r}")
-    x_gamma = handoff_cap_envelope(m, case)
-    if bad := arith.first_failure(x_gamma > 0, m, x_gamma):
-        raise ValueError(
-            f"handoff_cap_envelope underflows at m = {bad[0]!r} (case {case.value}): "
-            f"x_gamma = {bad[1]!r} has no logarithm"
-        )
     M = S_GAMMA
     delta = 1.0 - S_GAMMA - x_gamma / (m + M)
     if bad := arith.first_failure(delta > 0, delta):
@@ -341,6 +290,44 @@ def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
                          arith.exp(e1 * (arith.log(m + M) - arith.log(m))))
     return AlphaFactors(alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
                         alpha=alpha1 * alpha2 * alpha3, delta=delta, M=M, x_gamma=x_gamma)
+
+
+def smax_lower_bound(x_gamma: float, m: float) -> float:
+    """Prey-maximum lower bound from the linear comparison system.
+
+    The trajectory from (x_gamma, s_gamma) stays above the orbit of
+    s' = M(1-s) - x, x' = m x as long as x < M(1-s), and leaves that
+    wedge at s = 1 - alpha1 alpha2 alpha3, the factors of
+    :func:`alpha_factors` at this x_gamma, with M = s_gamma =
+    :data:`S_GAMMA`.  Requires 0 < x_gamma < M (1 - s_gamma).  x_gamma is
+    read by :func:`cyclebound.model.finite_float`, m by ``positive_float``.
+    """
+    x_gamma, m = finite_float("x_gamma", x_gamma), positive_float("m", m)
+    cap = S_GAMMA * (1.0 - S_GAMMA)  # M (1 - s_gamma)
+    if not 0.0 < x_gamma < cap:
+        raise ValueError(f"need 0 < x_gamma < M (1 - s_gamma) = {cap!r}, got {x_gamma!r}")
+    return 1.0 - _shortfall(MATH, x_gamma, m).alpha
+
+
+def alpha_factors(m: float | np.ndarray, case: Case) -> AlphaFactors:
+    """Shortfall factorization with x_gamma taken from the envelope.
+
+    The factors of :func:`_shortfall` at x_gamma =
+    :func:`handoff_cap_envelope`, so 1 - alpha is :func:`smax_lower_bound`
+    at the same inputs, bit for bit on floats.  Raises ValueError where the
+    envelope underflows to 0, above about m = 362.96 (case A) or 363.03
+    (case B).
+    """
+    arith, m = read("m", m)
+    if bad := arith.first_failure(m > 0, m):
+        raise ValueError(f"m must be > 0, got {bad[0]!r}")
+    x_gamma = handoff_cap_envelope(m, case)
+    if bad := arith.first_failure(x_gamma > 0, m, x_gamma):
+        raise ValueError(
+            f"handoff_cap_envelope underflows at m = {bad[0]!r} (case {case.value}): "
+            f"x_gamma = {bad[1]!r} has no logarithm"
+        )
+    return _shortfall(arith, x_gamma, m)
 
 
 def _alpha2_stationarity(m: float, abar: float, bbar: float, cbar: float) -> float:

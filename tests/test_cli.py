@@ -592,6 +592,64 @@ def test_a_loose_tolerance_fails_the_row_not_the_sweep(tmp_path, capsys):
     assert failed.split(",")[2:] == ["10", "true"] + ["nan"] * 10 + ["false", "nan", "false"]
 
 
+@pytest.mark.parametrize("spec, bad", [
+    ({"a_values": [0.4], "lambda_values": [0.05, 0.2999999997], "m_values": [1e-3]},
+     (0.4, 0.2999999997, 1e-3)),
+    ({"a_values": [0.05], "lambda_values": [0.05], "m_values": [1.0, 1e200]},
+     (0.05, 0.05, 1e200)),
+], ids=["hopf", "overflow"])
+def test_a_row_whose_bound_set_raises_fails_the_row_not_the_sweep(tmp_path, capsys, spec, bad):
+    # the sweep writes its CSV, the failed row NaN and named on stderr with
+    # the bound set's reason, the other row as a sweep of it alone writes it
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "report.csv"
+    code, out, err = run_cli(
+        "sweep", "--spec", str(spec_file), "--out", str(out_file), capsys=capsys
+    )
+    assert code == 3
+    with pytest.raises(ValueError) as info:
+        cycle_bounds(Params(*bad), force=True)
+    a, lam, m = bad
+    assert err == f"row (a={a!r}, lambda={lam!r}, m={m!r}) failed: {info.value}\n"
+    header, ok, failed = out_file.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert failed.split(",")[4:] == ["nan"] * 10 + ["false", "nan", "false"]
+    alone = {key: [value[0]] for key, value in spec.items()}
+    spec_file.write_text(json.dumps(alone))
+    assert run_cli("sweep", "--spec", str(spec_file), "--out", str(tmp_path / "alone.csv"),
+                   capsys=capsys)[0] == 0
+    assert (tmp_path / "alone.csv").read_text().splitlines() == [header, ok]
+
+
+def _no_rows(*args):
+    raise AssertionError("a row was simulated")
+
+
+@pytest.mark.parametrize("where", ["missing_dir/x.csv", "a_dir"])
+def test_sweep_checks_its_out_path_before_any_row_runs(monkeypatch, tmp_path, capsys, where):
+    # the reference grid takes seconds; a path it could not write fails first
+    monkeypatch.setattr(harness, "_run_rows", _no_rows)
+    (tmp_path / "a_dir").mkdir()
+    target = tmp_path / where
+    code, out, err = run_cli("sweep", "--out", str(target), capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: --out {str(target)!r}: not a file in an existing directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a_dir"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
+
+
+def test_figures_checks_its_out_path_before_any_row_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(harness, "_run_rows", _no_rows)
+    target = tmp_path / "a_file"
+    target.write_text("kept\n")
+    code, out, err = run_cli("figures", "--which", "fig5", "--points", "2",
+                             "--panel", "0.05,0.05", "--out", str(target), capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert target.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "figures"])
 def test_a_row_out_of_tours_is_named_on_stderr(monkeypatch, tmp_path, capsys, command):
     # one return-map tour cannot meet these tolerances: each point keeps its

@@ -25,6 +25,7 @@ from cyclebound.harness import (
     run_sweep,
     x_max_barrier_coefficients,
 )
+from cyclebound.bounds import cycle_bounds
 from cyclebound.model import Params
 from cyclebound import region4
 from cyclebound.region4 import Case, growth_ratio_quadratic, handoff_cap_envelope
@@ -360,14 +361,19 @@ def _no_helper_outlives(check):
     assert resource_tracker._resource_tracker._pid == tracker  # fork starts no tracker
 
 
+class Unexpected(Exception):
+    """An error that fails no single row, as a ValueError or an IntegrationError
+    does: it stops the run."""
+
+
 def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
     def fail(p):
-        raise ValueError(f"no bounds at m = {p.m}")
+        raise Unexpected(f"no row at m = {p.m}")
 
     for run in _split_rows(monkeypatch, tmp_path, fail, None):
 
         def check():
-            with pytest.raises(ValueError, match=r"^no bounds at m = (1\.0|0\.3)$"):
+            with pytest.raises(Unexpected, match=r"^no row at m = (1\.0|0\.3)$"):
                 run()
 
         _no_helper_outlives(check)
@@ -385,13 +391,13 @@ def test_a_worker_that_dies_is_named_with_its_exit_code(monkeypatch, tmp_path):
 
 def test_an_error_in_the_callers_row_stops_the_workers(monkeypatch, tmp_path):
     def fail(p):
-        raise ValueError("the caller's row failed")
+        raise Unexpected("the caller's row failed")
 
     # the worker would compute for a minute: the caller stops it
     for run in _split_rows(monkeypatch, tmp_path, lambda p: time.sleep(60), fail):
 
         def check():
-            with pytest.raises(ValueError, match="^the caller's row failed$"):
+            with pytest.raises(Unexpected, match="^the caller's row failed$"):
                 run()
 
         _no_helper_outlives(check)
@@ -792,6 +798,42 @@ def test_a_row_past_the_x_max_barrier_fails_with_that_reason():
         r"ln x_max_upper = 345\.31",
         row.error,
     )
+
+
+# specs whose second row's bound set raises: near the Hopf point x_max_lower
+# rounds to h(lam), and at m = 1e200 x_max_upper overflows; the first row
+# converges
+BOUND_SET_FAILURES = {
+    "hopf": SweepSpec((0.4,), (0.05, 0.2999999997), (1e-3,)),
+    "overflow": SweepSpec((0.05,), (0.05,), (1.0, 1e200)),
+}
+
+
+def bound_set_error(a, lam, m) -> str:
+    with pytest.raises(ValueError) as info:
+        cycle_bounds(Params(a=a, lam=lam, m=m), force=True)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name", list(BOUND_SET_FAILURES))
+def test_a_row_whose_bound_set_raises_fails_that_row(name):
+    # the row is NaN with its reason, as a failed simulation's, and the
+    # other row keeps the bytes of a sweep of that point alone
+    ok, failed = run_sweep(BOUND_SET_FAILURES[name]).rows
+    assert failed.error == bound_set_error(failed.a, failed.lam, failed.m)
+    assert failed.proven == Params(failed.a, failed.lam, failed.m).proven_region
+    assert failed.csv_line().split(",")[4:] == ["nan"] * 10 + ["false", "nan", "false"]
+    alone = SweepSpec(a_values=(ok.a,), lambda_values=(ok.lam,), m_values=(ok.m,))
+    (want,) = run_sweep(alone).rows
+    assert ok.error is None and ok.csv_line() == want.csv_line()
+
+
+def test_a_figure_point_whose_bound_set_raises_is_a_nan_line(tmp_path):
+    (path,), report = emit_figures("fig5", tmp_path, panels=[(0.05, 0.05)],
+                                   m_values=[1.0, 1e200])
+    assert path.read_text().splitlines()[2] == "9.9999999999999997e+199,nan,nan,nan"
+    assert report.rows[1].error == bound_set_error(0.05, 0.05, 1e200)
+    assert report.rows[0].error is None
 
 
 def test_emit_figures_rejects_unknown():

@@ -11,7 +11,8 @@ serial sweep row and the ``bounds``, ``cycle``, ``simulate`` and
 and so must a library that probes it, as ``pytest.approx`` does; the
 proof spot-checks load NumPy.  Neither the scalar layers nor the
 scalar commands load ``dataclasses`` (nor the ``inspect`` it pulls in):
-only the harness does, for its sweep spec.  Whether
+only the harness does, for its sweep spec; nor do the scalar layers load
+``numbers``.  Whether
 NumPy was imported before cyclebound or on first use, the array paths
 print the same bytes.  The command line reads every name through the
 package, so each subcommand loads only its layers.
@@ -29,8 +30,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # what `import dataclasses` loads first, about 11 ms of a fresh process
 HEAVY = ("dataclasses", "inspect")
+# what the scalar stages do not load either: `numbers` costs about 0.5 ms
+SCALAR_UNLOADED = HEAVY + ("numbers",)
 
-SCALAR_PATHS = f"HEAVY = {HEAVY!r}\n" + """
+SCALAR_PATHS = f"HEAVY = {SCALAR_UNLOADED!r}\n" + """
 import contextlib, io, json, sys
 import cyclebound
 
@@ -161,7 +164,8 @@ def test_scalar_paths_load_no_numpy_module(scalar_record):
 
 def test_scalar_paths_load_no_dataclasses(scalar_record):
     # the validating records are frozen classes on model's own base; only the
-    # harness, for SweepSpec, loads dataclasses
+    # harness, for SweepSpec, loads dataclasses.  A count is read by
+    # operator.index, so no scalar stage loads numbers
     heavy = scalar_record["heavy"]
     stages = ("import", "bounds", "cycle", "region4")
     assert {stage: heavy[stage] for stage in stages} == dict.fromkeys(stages, [])
